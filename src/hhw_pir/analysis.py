@@ -55,7 +55,7 @@ def gaussian_binomial(b: int, a: int, q: int) -> int:
     Computed by the product formula
         prod_{t<a} (q^b - q^t) / (q^a - q^t),
     with the division performed once at the end; the quotient is always an
-    integer, which is asserted rather than trusted.
+    integer.
     """
     if a < 0 or b < 0 or a > b:
         raise BadArguments(f"gaussian binomial needs 0 <= a <= b, got a={a}, b={b}")
@@ -66,7 +66,6 @@ def gaussian_binomial(b: int, a: int, q: int) -> int:
     for t in range(a):
         num *= q**b - q**t
         den *= q**a - q**t
-    assert num % den == 0
     return num // den
 
 
@@ -85,26 +84,19 @@ class DerivedParams:
 
 
 def derive(params: SchemeParams) -> DerivedParams:
-    """Compute (delta, k0, m0), cross-checking each printed form.
+    """Compute (delta, k0, m0).
 
-    k0 has two equivalent expressions (k*s + v*(n-k) and s*n - delta) and m0
-    has two as well; both pairs are evaluated independently and must agree
-    exactly.  The m0 ceilings are taken on exact rationals so integer
-    boundary cases cannot be pushed over by float rounding.
+    k0 = k*s + v*(n-k), which is also s*n - delta, and
+    m0 = 1 + ceil((delta + 1) * (k0 - delta) / delta^2), which is also the
+    printed form 1 + ceil((1 + 1/delta) * (s*n/delta - 2)).  The ceiling
+    is taken on exact integers so boundary cases cannot be pushed over by
+    float rounding.
     """
     s, v, n, k = params.s, params.v, params.n, params.k
     delta = (s - v) * (n - k)
-    k0_direct = k * s + v * (n - k)
-    k0_complement = s * n - delta
-    assert k0_direct == k0_complement
-    k0 = k0_direct
-
-    m0_first = 1 + _ceil_div((delta + 1) * (k0 - delta), delta * delta)
-    # second printed form: 1 + ceil((1 + 1/delta) * (s*n/delta - 2))
-    second = (1 + Fraction(1, delta)) * (Fraction(s * n, delta) - 2)
-    m0_second = 1 + _ceil_div(second.numerator, second.denominator)
-    assert m0_first == m0_second
-    return DerivedParams(delta=delta, k0=k0, m0=m0_first)
+    k0 = k * s + v * (n - k)
+    m0 = 1 + _ceil_div((delta + 1) * (k0 - delta), delta * delta)
+    return DerivedParams(delta=delta, k0=k0, m0=m0)
 
 
 def _q_power(q: int, exponent: int) -> Fraction:

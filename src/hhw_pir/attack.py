@@ -13,11 +13,11 @@ the unique block whose deletion stays at or below the threshold.
 The scan needs no knowledge of the secret code, information set or basis
 split: subfield rank is invariant under the basis used to expand entries.
 
-Cost: m eliminations on ((m-1)*delta) x (n*s) subfield matrices, i.e.
-O(m^2 * (s*n)^3) subfield operations overall.
-
-TODO: echelonize the m-1 shared blocks once per pair of deletions instead
-of from scratch for every j; the profile is unchanged, only cheaper.
+Cost: the m deletions share their work.  Reduced echelon bases of every
+prefix B_1..B_i and every suffix B_i..B_m of the row blocks are built one
+block at a time, and each deletion merges the prefix before it with the
+suffix after it: about 3m merges of bases with at most n*s rows each,
+instead of m eliminations of ((m-1)*delta) x (n*s) subfield matrices.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .fields import FieldTower
-from .linalg import ExtMatrix, rank_fq
+from .linalg import ExtMatrix, fq_deletion_ranks
 from .params import SchemeParams
 from .scheme import Query
 
@@ -94,7 +94,8 @@ def rank_profile(query: Query | ExtMatrix, params: SchemeParams, tower: FieldTow
         raise DimensionMismatch(f"query is {qm.shape}, expected ({params.block_rows}, {params.n})")
     if not tower.same_field(qm.tower):
         raise DimensionMismatch("query tower does not match the supplied tower")
-    return [rank_fq(drop_block(qm, j, params.delta)) for j in range(1, params.m + 1)]
+    rows, cols = qm.shape
+    return fq_deletion_ranks(qm.data.reshape(rows, cols * tower.s), params.delta, tower.fq)
 
 
 def recover_index(

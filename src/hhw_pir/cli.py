@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, serialization
 from .attack import recover_index
-from .errors import BadArguments
+from .errors import BadArguments, SelftestFailure
 from .experiment import (
     ExperimentConfig,
     report_to_csv,
@@ -217,12 +217,17 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         checks += 1
         print(f"ok {checks:2d} - {label}")
 
+    def require(holds, what: str) -> None:
+        # an explicit check, not assert: python -O must not skip the battery
+        if not holds:
+            raise SelftestFailure(f"check {checks + 1}: {what}")
+
     # irreducible moduli for the small towers
     towers = {}
     for (p, e, s) in [(2, 1, 2), (3, 1, 2), (2, 2, 3), (2, 1, 4)]:
         towers[(p, e, s)] = build_tower(p, e, s)
-    assert towers[(2, 1, 2)].top_modulus == (1, 1, 1)
-    assert towers[(3, 1, 2)].top_modulus == (1, 0, 1)
+    require(towers[(2, 1, 2)].top_modulus == (1, 1, 1), "F_4 top modulus is x^2 + x + 1")
+    require(towers[(3, 1, 2)].top_modulus == (1, 0, 1), "F_9 top modulus is x^2 + 1")
     ok("canonical moduli for F_4, F_9, F_64")
 
     # field axioms: inverses and distributivity on random elements
@@ -231,9 +236,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             a, b, c = (tuple(tower.rand(rng, ())) for _ in range(3))
             left = tower.ext_mul(a, tower.ext_add(b, c))
             right = tower.ext_add(tower.ext_mul(a, b), tower.ext_mul(a, c))
-            assert left == right
+            require(left == right, f"distributivity in {tower!r}")
             if any(a):
-                assert tower.ext_mul(a, tower.ext_inv(a)) == tower.one
+                require(tower.ext_mul(a, tower.ext_inv(a)) == tower.one, f"inverse in {tower!r}")
     ok("field axioms on random elements")
 
     # vectorized subfield rank agrees with the scalar implementation
@@ -241,7 +246,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         fq = tower.fq
         for _ in range(20):
             mat = fq.rand(rng, (5, 4))
-            assert fq_rank(mat, fq) == _small_rank(mat, fq)
+            require(fq_rank(mat, fq) == _small_rank(mat, fq), f"subfield rank in {tower!r}")
     ok("rank agrees with the reference elimination")
 
     # end-to-end retrieval at the default preset and a ternary variant
@@ -253,8 +258,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             db = Database.random(params, rng)
             query, secrets = generate_query(params, tower, target, rng)
             answer = respond(db, query, params, tower)
-            assert np.array_equal(decode(answer, secrets, params, tower, textbook=True),
-                                  db.files[target - 1])
+            require(np.array_equal(decode(answer, secrets, params, tower, textbook=True),
+                                   db.files[target - 1]), f"retrieval of file {target} at {params}")
     ok("retrieval round trips exactly")
 
     # the distinguisher names the right block
@@ -263,18 +268,18 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         target = int(rng.integers(1, DEFAULT_PARAMS.m + 1))
         query, _ = generate_query(DEFAULT_PARAMS, tower, target, rng)
         report = recover_index(query, DEFAULT_PARAMS, tower)
-        assert report.recovered_index == target
+        require(report.recovered_index == target, f"attack names target {target}")
     ok("rank attack recovers the target at the preset")
 
     # subspace counting identities
-    assert analysis.gaussian_binomial(2, 1, 2) == 3
-    assert analysis.gaussian_binomial(4, 2, 2) == 35
+    require(analysis.gaussian_binomial(2, 1, 2) == 3, "[2 choose 1]_2 == 3")
+    require(analysis.gaussian_binomial(4, 2, 2) == 35, "[4 choose 2]_2 == 35")
     for b in range(2, 8):
         for a in range(1, b):
             lhs = analysis.gaussian_binomial(b, a, 3)
             rhs = (analysis.gaussian_binomial(b - 1, a - 1, 3)
                    + 3**a * analysis.gaussian_binomial(b - 1, a, 3))
-            assert lhs == rhs
+            require(lhs == rhs, f"q-Pascal recurrence at b={b}, a={a}")
     ok("subspace counts and recurrence")
 
     # serialization round trip on every supported small field
@@ -286,7 +291,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         serialization.save_matrix(buf, arr, p, e, s)
         buf.seek(0)
         back = serialization.load_matrix(buf)
-        assert np.array_equal(back.data, arr)
+        require(np.array_equal(back.data, arr), f"matrix file round trip over F_{q}^{s}")
     ok("matrix files round-trip")
 
     print(f"selftest passed ({checks} checks)")
@@ -379,9 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        return 1
-    except AssertionError as exc:
-        _emit_error(RuntimeError(f"selftest check failed: {exc}"))
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _emit_error(exc)

@@ -176,9 +176,67 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
 
 def fq_rank(arr: np.ndarray, fq: Fq) -> int:
     arr = np.asarray(arr)
-    if arr.size == 0:
+    if not arr.any():
         return 0
     return len(fq_echelon(arr, fq)[1])
+
+
+def _fq_extend_basis(basis: np.ndarray, pivots: list[int], rows: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:
+    """Reduced basis of rowspace(basis) + rowspace(rows).
+
+    ``basis`` is reduced on ``pivots``: basis[:, pivots] is the identity.
+    The new rows are cleared on the old pivots with one product, the
+    residual is brought to reduced echelon form, and its pivots are
+    back-substituted into the old rows, so the result is reduced on
+    pivots + new pivots (in that row order).
+    """
+    if len(pivots) == basis.shape[1]:
+        return basis, pivots
+    if pivots:
+        rows = fq.vsub(rows, fq.matmul(rows[:, pivots], basis))
+    if not rows.any():
+        return basis, pivots
+    new, new_pivots = fq_echelon(rows, fq, reduced=True)
+    new = new[: len(new_pivots)]
+    if not pivots:
+        return new, new_pivots
+    basis = fq.vsub(basis, fq.matmul(basis[:, new_pivots], new))
+    return np.vstack([basis, new]), pivots + new_pivots
+
+
+def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
+    """Rank over F_q of ``arr`` with each run of ``block`` rows deleted, in order.
+
+    With B_1..B_m the row blocks, rank(arr minus B_j) is the dimension of
+    rowspace(B_1..B_(j-1)) + rowspace(B_(j+1)..B_m).  Both chains of
+    bases are built incrementally, 2(m-1) extensions by one block, and
+    each deletion costs one merge: the smaller basis reduced against the
+    larger one, then ranked.  No basis has more than ``cols`` rows, so the
+    scan never eliminates a (m-1)*block-row matrix.
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    rows, cols = arr.shape
+    m, rem = divmod(rows, block)
+    if rem:
+        raise DimensionMismatch(f"{rows} rows do not split into blocks of {block}")
+    blocks = [arr[i * block : (i + 1) * block] for i in range(m)]
+    empty = (np.zeros((0, cols), dtype=np.int64), [])
+    before = [empty]  # before[j] spans blocks[:j]
+    for b in blocks[:-1]:
+        before.append(_fq_extend_basis(*before[-1], b, fq))
+    after = [empty]  # after[j] spans blocks[j+1:], once reversed
+    for b in reversed(blocks[1:]):
+        after.append(_fq_extend_basis(*after[-1], b, fq))
+    after.reverse()
+    ranks = []
+    for head, tail in zip(before, after):
+        (big, big_pivots), (small, small_pivots) = (head, tail) if len(head[1]) >= len(tail[1]) else (tail, head)
+        if len(big_pivots) == cols or not small_pivots:
+            ranks.append(len(big_pivots))
+            continue
+        small = fq.vsub(small, fq.matmul(small[:, big_pivots], big))
+        ranks.append(len(big_pivots) + fq_rank(small, fq))
+    return ranks
 
 
 def fq_matmul(a: np.ndarray, b: np.ndarray, fq: Fq) -> np.ndarray:

@@ -46,8 +46,6 @@ class SchemeParams:
             raise InvalidParams("L must be at least 1")
         if self.delta < 1:
             raise InvalidParams("delta = (s-v)(n-k) must be at least 1")
-        # the two printed forms of the threshold must coincide
-        assert self.k * self.s + self.v * (self.n - self.k) == self.s * self.n - self.delta
 
     @property
     def q(self) -> int:

@@ -222,8 +222,8 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     if textbook:
         rebuilt = tower.matmul(coeff.data, gen.data)
         residue = fq.vsub(A.data, rebuilt)
-        # the solve matched the information-set columns exactly
-        assert not np.any(residue[:, info_set.zero_based(), :])
+        if np.any(residue[:, info_set.zero_based(), :]):
+            raise DecodeFailure("rebuilt codeword layer misses the response on the information set")
         remainder = residue[:, outside.zero_based(), :]
     else:
         gen_out = gen.data[:, outside.zero_based(), :]

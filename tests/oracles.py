@@ -3,7 +3,9 @@
 Nothing here shares code with the package's vectorized paths: ranks are
 computed by plain-Python elimination over scalar field ops, subspaces are
 enumerated rather than counted by formula, and the micro-instance decoder
-evaluates the recovery pipeline with explicit scalars.
+evaluates the recovery pipeline with explicit scalars.  The one exception
+is per_deletion_rank_profile, the attack's original scan, kept as the
+reference for the incremental kernel that replaced it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from hhw_pir.attack import drop_block
 from hhw_pir.fields import FieldTower, Fq
+from hhw_pir.linalg import rank_fq
 
 
 def naive_rank_fq(rows, fq: Fq) -> int:
@@ -40,10 +44,21 @@ def naive_rank_fq(rows, fq: Fq) -> int:
     return pivot
 
 
+def per_deletion_rank_profile(query, delta: int) -> list[int]:
+    """Rank profile of a query by one full subfield elimination per deleted block.
+
+    Each of the m deletions is ranked from scratch with the package's
+    rank_fq, so this shares the elimination routine with the package; the
+    tests pair it with naive_rank_fq, which shares nothing.
+    """
+    qm = getattr(query, "matrix", query)
+    return [rank_fq(drop_block(qm, j, delta)) for j in range(1, qm.rows // delta + 1)]
+
+
 def subfield_rank_oracle(coords: np.ndarray, fq: Fq) -> int:
     """Rank over F_q of an (r, c, s) coordinate array, rows flattened."""
-    r = coords.shape[0]
-    return naive_rank_fq(coords.reshape(r, -1), fq)
+    r, c, s = coords.shape
+    return naive_rank_fq(coords.reshape(r, c * s), fq)
 
 
 def regular_representation(x, tower: FieldTower) -> list[list[int]]:

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhw_pir.analysis import (
     derive,
@@ -61,6 +64,18 @@ def test_gaussian_binomial_pascal_recurrence():
                 assert lhs == rhs
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b))),
+       st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 251]))
+def test_gaussian_binomial_product_divides_exactly(ba, q):
+    # the product formula's single final division never leaves a remainder
+    b, a = ba
+    num = math.prod(q**b - q**t for t in range(a))
+    den = math.prod(q**a - q**t for t in range(a))
+    assert num % den == 0
+    assert gaussian_binomial(b, a, q) == num // den
+
+
 def test_gaussian_binomial_symmetry():
     for b in range(10):
         for a in range(b + 1):
@@ -99,6 +114,35 @@ def test_derive_dimension_split():
     ]:
         d = derive(params)
         assert d.k0 + d.delta == params.s * params.n
+
+
+@st.composite
+def scheme_params(draw):
+    s = draw(st.integers(2, 9))
+    n = draw(st.integers(2, 40))
+    return SchemeParams(
+        p=draw(st.sampled_from([2, 3, 5, 7, 251])),
+        e=draw(st.integers(1, 3)),
+        s=s,
+        v=draw(st.integers(1, s - 1)),
+        n=n,
+        k=draw(st.integers(1, n - 1)),
+        m=draw(st.integers(1, 64)),
+        L=draw(st.integers(1, 8)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme_params())
+def test_printed_forms_agree(params):
+    """Each derived integer has two printed forms; they agree on every valid instance."""
+    s, v, n, k = params.s, params.v, params.n, params.k
+    d = derive(params)
+    assert d.delta == params.delta == (s - v) * (n - k)
+    assert k * s + v * (n - k) == s * n - d.delta == d.k0 == params.rank_threshold
+    # m0 = 1 + ceil((1 + 1/delta) * (s*n/delta - 2)), on exact rationals
+    second = (1 + Fraction(1, d.delta)) * (Fraction(s * n, d.delta) - 2)
+    assert d.m0 == 1 + math.ceil(second)
 
 
 # -- failure bounds -----------------------------------------------------------------------

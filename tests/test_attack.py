@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from hhw_pir.attack import drop_block, rank_profile, recover_index
 from hhw_pir.errors import DimensionMismatch
 from hhw_pir.fields import build_tower
-from hhw_pir.linalg import ExtMatrix, change_basis, fq_rank, rank_fq
+from hhw_pir.linalg import ExtMatrix, change_basis, fq_deletion_ranks, fq_rank, rank_fq
 from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import generate_query
 
-from .oracles import subfield_rank_oracle
+from .oracles import per_deletion_rank_profile, subfield_rank_oracle
 
 
 def test_drop_block_partitions_rows(tight_params, tight_tower, rng):
@@ -37,6 +38,72 @@ def test_rank_profile_matches_naive_oracle(tight_params, tight_tower, rng):
     for j in range(1, tight_params.m + 1):
         kept = drop_block(query, j, tight_params.delta)
         assert profile[j - 1] == subfield_rank_oracle(kept.data, tight_tower.fq)
+
+
+def _naive_profile(qm, delta, fq):
+    return [subfield_rank_oracle(drop_block(qm, j, delta).data, fq) for j in range(1, qm.rows // delta + 1)]
+
+
+# (fixture, queries checked against naive_rank_fq as well); the preset's
+# 56 x 32 deletions are slow in plain Python, so it gets the smallest subset
+SCAN_FIXTURES = [("preset", 5), ("tight", 100), ("micro", 100), ("ternary", 100)]
+
+
+@pytest.mark.parametrize("name,naive_count", SCAN_FIXTURES)
+def test_rank_profile_matches_per_deletion_scan(name, naive_count, request):
+    """The prefix/suffix kernel reproduces one elimination per deletion, query by query."""
+    params = request.getfixturevalue(f"{name}_params")
+    tower = request.getfixturevalue(f"{name}_tower")
+    rng = np.random.default_rng(20200401)
+    for i in range(1000):
+        target = int(rng.integers(1, params.m + 1))
+        query, _ = generate_query(params, tower, target, rng)
+        profile = rank_profile(query, params, tower)
+        assert profile == per_deletion_rank_profile(query, params.delta), (name, i)
+        if i < naive_count:
+            assert profile == _naive_profile(query.matrix, params.delta, tower.fq), (name, i)
+
+
+def _sparse_deficient(rng, fq, m, delta, width):
+    """An (m*delta, width) F_q matrix of low rank, sparse, with some all-zero blocks."""
+    rows = m * delta
+    rank = int(rng.integers(0, min(rows, width) + 1))
+    coords = fq.matmul(fq.rand(rng, (rows, rank)), fq.rand(rng, (rank, width)))
+    coords[rng.random((rows, width)) < rng.random()] = 0
+    coords.reshape(m, delta, width)[rng.random(m) < 0.3] = 0
+    return coords
+
+
+@pytest.mark.parametrize("name", ["preset", "tight", "micro", "ternary", "q4"])
+def test_rank_profile_matches_per_deletion_on_degenerate_matrices(name, request):
+    """Rank-deficient inputs the scheme never emits: zero blocks, full-rank prefixes, m = 1."""
+    if name == "q4":  # table arithmetic over F_4
+        base, tower = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=1), build_tower(2, 2, 3)
+    else:
+        base = request.getfixturevalue(f"{name}_params")
+        tower = request.getfixturevalue(f"{name}_tower")
+    rng = np.random.default_rng(0x5EED)
+    d, width = base.delta, base.n * tower.s
+    for i in range(200):
+        params = dataclasses.replace(base, m=int(rng.integers(1, 9)))
+        coords = _sparse_deficient(rng, tower.fq, params.m, d, width)
+        if i % 4 == 1:  # the leading rows already span every column they can
+            lead = min(width, params.block_rows)
+            coords[:lead, :lead] = np.eye(lead, dtype=np.int64)
+        elif i % 4 == 2:
+            coords[:] = 0
+        qm = ExtMatrix(tower, coords.reshape(params.block_rows, params.n, tower.s))
+        profile = rank_profile(qm, params, tower)
+        assert profile == per_deletion_rank_profile(qm, d), (name, i)
+        if i < 20:
+            assert profile == _naive_profile(qm, d, tower.fq), (name, i)
+    one = dataclasses.replace(base, m=1)
+    assert rank_profile(ExtMatrix.random(tower, d, base.n, rng), one, tower) == [0]
+
+
+def test_deletion_ranks_need_whole_blocks(tight_tower):
+    with pytest.raises(DimensionMismatch):
+        fq_deletion_ranks(np.zeros((5, 4), dtype=np.int64), 2, tight_tower.fq)
 
 
 def test_rank_profile_validates_shape(tight_params, tight_tower, rng):

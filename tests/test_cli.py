@@ -17,9 +17,9 @@ from hhw_pir.serialization import load_matrix
 TIGHT = '{"p": 2, "e": 1, "s": 2, "v": 1, "n": 4, "k": 2, "m": 6, "L": 3}'
 
 
-def run_cli(*args, expect: int = 0):
+def run_cli(*args, expect: int = 0, flags: tuple[str, ...] = ()):
     proc = subprocess.run(
-        [sys.executable, "-m", "hhw_pir.cli", *args],
+        [sys.executable, *flags, "-m", "hhw_pir.cli", *args],
         capture_output=True,
         text=True,
         timeout=600,
@@ -217,7 +217,26 @@ def test_experiment_deterministic_across_processes(tmp_path):
 
 def test_selftest_passes():
     proc = run_cli("selftest", "--seed", "1")
-    assert "selftest passed" in proc.stdout
+    assert "selftest passed (7 checks)" in proc.stdout
+
+
+def test_selftest_checks_survive_optimize_flag():
+    # python -O strips assert statements; the battery must still check everything
+    proc = run_cli("selftest", "--seed", "1", flags=("-O",))
+    assert "selftest passed (7 checks)" in proc.stdout
+
+
+def test_selftest_failure_is_typed(monkeypatch, capsys):
+    from hhw_pir import analysis, cli
+
+    monkeypatch.setattr(analysis, "gaussian_binomial", lambda b, a, q: 0)
+    assert cli.main(["selftest", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "ok  5 - rank attack recovers the target at the preset" in out
+    assert "selftest passed" not in out
+    error = json.loads(err)["error"]
+    assert error["type"] == "SelftestFailure"
+    assert error["message"].startswith("check 6:")
 
 
 def test_unknown_subcommand_fails():

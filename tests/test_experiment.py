@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -80,6 +81,21 @@ def test_same_config_same_canonical_output():
     assert a.digest == b.digest
     # timing fields differ between runs but never reach the canonical form
     assert "elapsed" not in canonical_json(a)
+
+
+def test_tight_regime_digest_is_pinned():
+    """The canonical report of a fixed tight run is the same across commits.
+
+    The digest was taken before the attack's rank profile moved to the
+    incremental kernel.  Any change to query sampling, the rank profile,
+    the grading or the canonical serialization shows up here; a change
+    that alters outputs on purpose must update the value and say why.
+    """
+    params = SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=1)
+    report = run_experiment(ExperimentConfig(params=params, trials=400, master_seed=20200401))
+    assert (report.successes, report.failures) == (380, 20)
+    assert report.digest == "f311594e64f014d513fd35223a83d1920443b9d97e68d193fdb1b1f5cff3c369"
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == report.digest
 
 
 def test_worker_count_does_not_change_results():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hhw_pir.errors import DimensionMismatch, IndexOutOfRange
+from hhw_pir.errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
 from hhw_pir.fields import build_tower, project_split
 from hhw_pir.linalg import ExtMatrix, IndexSet, is_information_set, puncture, rank_ext, rank_fq
 from hhw_pir.params import SchemeParams
@@ -241,3 +241,18 @@ def test_decode_rejects_wrong_width(tight_params, tight_tower, rng):
     clipped = type(response)(puncture(response.matrix, IndexSet((1, 2, 3))))
     with pytest.raises(DimensionMismatch):
         decode(clipped, secrets, tight_params, tight_tower)
+
+
+def test_textbook_decode_residue_raises_typed_error(tight_params, tight_tower, rng, monkeypatch):
+    # a solve that misses the information set must surface as DecodeFailure,
+    # also under python -O, where an assert would vanish
+    import hhw_pir.scheme as scheme
+
+    db = Database.random(tight_params, rng)
+    query, secrets = generate_query(tight_params, tight_tower, 2, rng)
+    response = respond(db, query, tight_params, tight_tower)
+    exact = scheme.solve_on_columns
+    monkeypatch.setattr(scheme, "solve_on_columns",
+                        lambda *args: ExtMatrix(tight_tower, tight_tower.fq.vadd(exact(*args).data, 1)))
+    with pytest.raises(DecodeFailure):
+        decode(response, secrets, tight_params, tight_tower, textbook=True)

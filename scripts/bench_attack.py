@@ -38,7 +38,7 @@ for path in (ROOT, ROOT / "src"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from hhw_pir import linalg  # noqa: E402
+from hhw_pir import fields, linalg  # noqa: E402
 from hhw_pir.attack import rank_profile  # noqa: E402
 from hhw_pir.fields import build_tower  # noqa: E402
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams  # noqa: E402
@@ -56,9 +56,13 @@ FIXTURES = [
 
 @contextmanager
 def counting_echelon():
-    """Count calls and rows x cols cells of every fq_echelon call made meanwhile."""
+    """Count calls and rows x cols cells of every fq_echelon call made meanwhile.
+
+    The kernel is defined in fields and imported into linalg, so both
+    names are replaced.
+    """
     tally = {"calls": 0, "cells": 0}
-    original = linalg.fq_echelon
+    original = fields.fq_echelon
 
     def counted(arr, fq, reduced=False):
         shape = np.shape(arr)
@@ -66,11 +70,11 @@ def counting_echelon():
         tally["cells"] += shape[0] * shape[1]
         return original(arr, fq, reduced)
 
-    linalg.fq_echelon = counted
+    fields.fq_echelon = linalg.fq_echelon = counted
     try:
         yield tally
     finally:
-        linalg.fq_echelon = original
+        fields.fq_echelon = linalg.fq_echelon = original
 
 
 def summary(samples_ms: list[float]) -> dict:

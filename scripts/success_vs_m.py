@@ -27,9 +27,9 @@ from hhw_pir.params import SchemeParams
 BASE = dict(p=2, e=1, s=2, v=1, n=4, k=2, L=1)
 
 
-def sweep_row(m: int, trials: int, seed: int, workers: int) -> dict:
+def sweep_row(m: int, trials: int, seed: int) -> dict:
     params = SchemeParams(m=m, **BASE)
-    cfg = ExperimentConfig(params=params, trials=trials, master_seed=seed, workers=workers)
+    cfg = ExperimentConfig(params=params, trials=trials, master_seed=seed)
     report = run_experiment(cfg)
     bounds = failure_bound(params)
     simplified_total = min(float(bounds.simplified) * (m - 1), 1.0) if m > 1 else 0.0
@@ -54,7 +54,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--m-max", type=int, default=10)
     parser.add_argument("--trials", type=int, default=1000, help="trials per value of m")
     parser.add_argument("--seed", type=int, default=20260818)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--json", type=str, default=None, help="also write rows to this file")
     args = parser.parse_args(argv)
     if not 2 <= args.m_min <= args.m_max:
@@ -70,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = []
     for m in range(args.m_min, args.m_max + 1):
-        row = sweep_row(m, args.trials, args.seed, args.workers)
+        row = sweep_row(m, args.trials, args.seed)
         rows.append(row)
         mark = ""
         if row["below_regime"]:

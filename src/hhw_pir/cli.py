@@ -24,7 +24,7 @@ from .experiment import (
     report_to_json,
     run_experiment,
 )
-from .fields import build_tower
+from .fields import Fq, build_tower, fq_rank
 from .params import DEFAULT_PARAMS, SchemeParams
 from .scheme import Database, decode, generate_query, respond
 
@@ -182,7 +182,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         target_policy=policy,
         fallback_argmin=args.fallback_argmin,
-        workers=args.workers,
     )
     report = run_experiment(cfg)
     if args.out:
@@ -205,10 +204,31 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    from .fields import _small_rank  # independent scalar implementation
-    from .linalg import fq_rank
+def _small_rank(mat, fq: Fq) -> int:
+    """Row rank of a small F_q matrix by scalar Gaussian elimination, the selftest's reference."""
+    rows = [list(map(int, r)) for r in mat]
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pinv = fq.inv(rows[rank][c])
+        rows[rank] = [fq.mul(pinv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [fq.sub(x, fq.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
+
+def _cmd_selftest(args: argparse.Namespace) -> int:
     rng = _seed_rng(args.seed if args.seed is not None else 7)
     checks = 0
 
@@ -367,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'uniform' or a fixed 1-based target index")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fallback-argmin", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 

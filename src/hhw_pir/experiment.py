@@ -2,8 +2,7 @@
 
 Every trial owns an independent RNG stream derived from the master seed by
 a counter-based split (splitmix64 of master + golden-ratio increments), so
-results do not depend on worker scheduling and the harness parallelizes
-without shared state.
+a trial's result depends only on the master seed and its index.
 
 Reports exist in two serializations: the full JSON includes wall-clock
 timings, while the canonical form strips them so that two runs of the same
@@ -19,7 +18,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -71,7 +69,6 @@ class ExperimentConfig:
     master_seed: int = 0
     target_policy: Union[str, int] = "uniform"  # "uniform" or a fixed 1-based index
     fallback_argmin: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -83,8 +80,6 @@ class ExperimentConfig:
             raise BadArguments(f"target policy must be 'uniform' or an index, got {policy!r}")
         if isinstance(policy, int) and not 1 <= policy <= self.params.m:
             raise BadArguments(f"fixed target {policy} outside [1, {self.params.m}]")
-        if self.workers < 1:
-            raise BadArguments(f"workers must be at least 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         return {
@@ -206,13 +201,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     params = cfg.params
     tower = build_tower(params.p, params.e, params.s)
     start = time.perf_counter()
-    if cfg.workers == 1:
-        records = [run_trial(params, tower, cfg, t) for t in range(1, cfg.trials + 1)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(lambda t: run_trial(params, tower, cfg, t),
-                                    range(1, cfg.trials + 1)))
-    records.sort(key=lambda r: r.trial)
+    records = [run_trial(params, tower, cfg, t) for t in range(1, cfg.trials + 1)]
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     successes = sum(r.success for r in records)

@@ -12,6 +12,10 @@ Bulk operations on coordinate arrays are vectorised with numpy through
 the structure tensor of the extension: multiplication in F_q^s is
 F_p-bilinear on base-p digit vectors, which turns matrix products over
 the top field into integer tensor contractions mod p.
+
+The one elimination kernel of the package, fq_echelon over F_q, lives
+here beside Fq; elimination over F_q^s runs on it through the regular
+representation (see linalg.rank_ext).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from .errors import (
     BadSplit,
     DegreeTooSmall,
+    DimensionMismatch,
     DivisionByZero,
     FieldTooLarge,
     NotPrime,
@@ -222,9 +227,9 @@ class Fq:
         return self.vsub(np.zeros_like(np.asarray(a)), a)
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         if self.e == 1:
-            return a * b % self.p
+            return np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64) % self.p
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         out = np.zeros(a.shape, dtype=np.int64)
         mask = (a != 0) & (b != 0)
         if mask.any():
@@ -256,6 +261,68 @@ class Fq:
 
     def rand(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
+
+
+# -- the elimination kernel over F_q (numpy arrays of encodings) ----------------
+
+
+def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over F_q with leftmost-column, topmost-row pivoting.
+
+    Args:
+        arr: (rows, cols) array of F_q encodings.
+        fq: subfield context.
+        reduced: eliminate above pivots too and normalise them to 1.
+
+    Returns:
+        The echelon form and the list of pivot column indices.
+    """
+    R = np.array(arr, dtype=np.int64, copy=True)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = R[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        pinv = fq.inv(int(R[r, c]))
+        if pinv != 1:
+            R[r] = fq.vmul(np.int64(pinv), R[r])
+        if reduced:
+            others = R[:, c].nonzero()[0]
+            others = others[others != r]
+        else:
+            others = R[r + 1 :, c].nonzero()[0] + (r + 1)
+        if others.size:
+            factors = R[others, c][:, None]
+            R[others] = fq.vsub(R[others], fq.vmul(factors, R[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def fq_rank(arr: np.ndarray, fq: Fq) -> int:
+    arr = np.asarray(arr)
+    if not arr.any():
+        return 0
+    return len(fq_echelon(arr, fq)[1])
+
+
+def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
+    """Inverse of a square matrix of F_q encodings; ValueError when singular."""
+    arr = np.asarray(arr, dtype=np.int64)
+    n = arr.shape[0]
+    if arr.shape != (n, n):
+        raise DimensionMismatch(f"expected square matrix, got {arr.shape}")
+    R, pivots = fq_echelon(np.hstack([arr, np.eye(n, dtype=np.int64)]), fq, reduced=True)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return R[:, n:]
 
 
 # -- polynomial helpers over an Fq (coefficient lists, low degree first) ------
@@ -383,6 +450,7 @@ class FieldTower:
         if len(self.top_modulus) != self.s + 1 or self.top_modulus[self.s] != 1:
             raise ValueError("top modulus must be monic of degree s")
         self._mul_tensor: np.ndarray | None = None
+        self._power_table: np.ndarray | None = None
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, s={self.s})"
@@ -407,14 +475,6 @@ class FieldTower:
         if any(c < 0 or c >= self.q for c in x):
             raise ValueError("coordinate outside [0, q)")
         return x
-
-    def expand(self, x) -> tuple[int, ...]:
-        """Coordinates of x over F_q in the power basis of the top modulus."""
-        return self.validate(x)
-
-    def contract(self, coords) -> ExtElement:
-        """Inverse of expand: assemble an element from its s coordinates."""
-        return self.validate(coords)
 
     # -- scalar arithmetic -------------------------------------------------------
 
@@ -524,6 +584,21 @@ class FieldTower:
             self._mul_tensor = T
         return self._mul_tensor
 
+    @property
+    def power_table(self) -> np.ndarray:
+        """(s, s*s) F_q matrix T with y @ T = [y, x*y, ..., x^(s-1)*y] on coordinates.
+
+        Row j holds the coordinates of x^(j+i) for i = 0..s-1, so one
+        product with T gives every row of the multiplication map of y.
+        """
+        if self._power_table is None:
+            s = self.s
+            x = (0, 1) + (0,) * (s - 2)
+            powers = [self.ext_pow(x, t) for t in range(2 * s - 1)]
+            table = [[powers[j + i] for i in range(s)] for j in range(s)]
+            self._power_table = np.array(table, dtype=np.int64).reshape(s, s * s)
+        return self._power_table
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product over F_q^s of coordinate arrays (r,t,s) @ (t,c,s) -> (r,c,s)."""
         a = np.asarray(a, dtype=np.int64)
@@ -598,48 +673,6 @@ class BasisSplit:
         return self.basis.shape[0]
 
 
-def _small_rank(mat, fq: Fq) -> int:
-    """Row rank of a small matrix of F_q encodings, plain Gaussian elimination."""
-    rows = [list(map(int, r)) for r in mat]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pinv = fq.inv(rows[rank][c])
-        rows[rank] = [fq.mul(pinv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [fq.sub(x, fq.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _small_inverse(mat, fq: Fq) -> list[list[int]]:
-    """Inverse of a small square matrix of F_q encodings via Gauss-Jordan."""
-    n = len(mat)
-    aug = [list(map(int, row)) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pinv = fq.inv(aug[c][c])
-        aug[c] = [fq.mul(pinv, x) for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [fq.sub(x, fq.mul(f, y)) for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def sample_basis_split(tower: FieldTower, v: int, rng: np.random.Generator, max_tries: int = 1000) -> BasisSplit:
     """Uniform basis of F_q^s over F_q, split after position v.
 
@@ -652,7 +685,7 @@ def sample_basis_split(tower: FieldTower, v: int, rng: np.random.Generator, max_
         raise BadSplit(f"split position must satisfy 0 < v < {s}, got {v}")
     for _ in range(max_tries):
         cand = tower.fq.rand(rng, (s, s))
-        if _small_rank(cand, tower.fq) == s:
+        if fq_rank(cand, tower.fq) == s:
             return BasisSplit(basis=cand, v=v)
     raise SamplingExhausted(f"no invertible basis matrix in {max_tries} draws")
 
@@ -663,23 +696,9 @@ def project_split(split: BasisSplit, tower: FieldTower, x: ExtElement) -> tuple[
     v_part lies in the span of the first v basis vectors, w_part in the
     span of the rest.  Both projections are F_q-linear and idempotent.
     """
-    fq = tower.fq
-    s, v = tower.s, split.v
-    x = tower.validate(x)
-    binv = _small_inverse(split.basis, fq)
-    # split-basis coordinates of x (row vector times inverse)
-    y = [0] * s
-    for j in range(s):
-        acc = 0
-        for i in range(s):
-            acc = fq.add(acc, fq.mul(x[i], binv[i][j]))
-        y[j] = acc
-    parts = []
-    for lo, hi in ((0, v), (v, s)):
-        coords = [0] * s
-        for t in range(lo, hi):
-            if y[t]:
-                for i in range(s):
-                    coords[i] = fq.add(coords[i], fq.mul(y[t], int(split.basis[t, i])))
-        parts.append(tuple(coords))
-    return parts[0], parts[1]
+    fq, v = tower.fq, split.v
+    x = np.asarray([tower.validate(x)], dtype=np.int64)
+    y = fq.matmul(x, fq_inv_matrix(split.basis, fq))  # coordinates in the split basis
+    v_part = fq.matmul(y[:, :v], split.basis[:v])[0]
+    w_part = fq.matmul(y[:, v:], split.basis[v:])[0]
+    return tuple(map(int, v_part)), tuple(map(int, w_part))

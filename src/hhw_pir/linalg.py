@@ -1,4 +1,4 @@
-"""Matrices over the top field and rank computations over the subfield.
+"""Matrices over the top field and rank computations over both fields.
 
 Two rank notions coexist here.  rank_ext is the usual rank of a matrix
 over F_q^s.  rank_fq expands every entry into its s coordinates over F_q,
@@ -7,6 +7,10 @@ r x (n*s) matrix over F_q.  The second notion is what the query matrices
 of the PIR scheme leak: it cannot exceed rank_ext * s and it is invariant
 under applying any fixed invertible F_q-linear map to every entry, so an
 observer needs no knowledge of the hidden basis to evaluate it.
+
+Both run on the one F_q elimination kernel, fields.fq_echelon: work over
+F_q^s goes through the regular representation (blow_up), which replaces
+every entry by the s x s F_q matrix of multiplication by it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from .fields import ExtElement, FieldTower, Fq
+from .fields import ExtElement, FieldTower, Fq, fq_echelon, fq_inv_matrix, fq_rank
 
 
 @dataclass(frozen=True)
@@ -133,54 +137,6 @@ class ExtMatrix:
 # -- subfield matrix toolkit (numpy arrays of F_q encodings) --------------------
 
 
-def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over F_q with leftmost-column, topmost-row pivoting.
-
-    Args:
-        arr: (rows, cols) array of F_q encodings.
-        fq: subfield context.
-        reduced: eliminate above pivots too and normalise them to 1.
-
-    Returns:
-        The echelon form and the list of pivot column indices.
-    """
-    R = np.array(arr, dtype=np.int64, copy=True)
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        pinv = fq.inv(int(R[r, c]))
-        if pinv != 1:
-            R[r] = fq.vmul(np.int64(pinv), R[r])
-        if reduced:
-            others = np.flatnonzero(R[:, c])
-            others = others[others != r]
-        else:
-            below = np.flatnonzero(R[r + 1 :, c])
-            others = below + r + 1
-        if others.size:
-            factors = R[others, c][:, None]
-            R[others] = fq.vsub(R[others], fq.vmul(factors, R[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def fq_rank(arr: np.ndarray, fq: Fq) -> int:
-    arr = np.asarray(arr)
-    if not arr.any():
-        return 0
-    return len(fq_echelon(arr, fq)[1])
-
-
 def _fq_extend_basis(basis: np.ndarray, pivots: list[int], rows: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:
     """Reduced basis of rowspace(basis) + rowspace(rows).
 
@@ -239,53 +195,27 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
     return ranks
 
 
-def fq_matmul(a: np.ndarray, b: np.ndarray, fq: Fq) -> np.ndarray:
-    return fq.matmul(a, b)
-
-
-def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
-    """Inverse of a square matrix of F_q encodings; ValueError when singular."""
-    arr = np.asarray(arr, dtype=np.int64)
-    n = arr.shape[0]
-    if arr.shape != (n, n):
-        raise DimensionMismatch(f"expected square matrix, got {arr.shape}")
-    eye = np.zeros((n, n), dtype=np.int64)
-    np.fill_diagonal(eye, 1)
-    R, pivots = fq_echelon(np.hstack([arr, eye]), fq, reduced=True)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return R[:, n:]
-
-
 # -- ranks over the two fields ---------------------------------------------------
 
 
-def _ext_echelon_rows(rows: list[list[ExtElement]], tower: FieldTower) -> int:
-    """In-place scalar elimination over F_q^s; returns the rank."""
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if any(rows[i][c])), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pinv = tower.ext_inv(rows[rank][c])
-        rows[rank] = [tower.ext_mul(pinv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and any(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [tower.ext_sub(x, tower.ext_mul(f, y)) for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def blow_up(m: ExtMatrix) -> np.ndarray:
+    """The (r*s, c*s) F_q regular representation of an r x c matrix over F_q^s.
+
+    Block (a, b) is the s x s matrix of y -> m_ab * y in the power basis:
+    its row i holds the coordinates of x^i * m_ab.  The map is an
+    injective ring homomorphism, so the F_q rank of the blow-up is s times
+    the rank over F_q^s, and the blow-up of an inverse is the inverse of
+    the blow-up.
+    """
+    r, c = m.shape
+    s = m.tower.s
+    shifted = m.tower.fq.matmul(m.data.reshape(r * c, s), m.tower.power_table)
+    return shifted.reshape(r, c, s, s).transpose(0, 2, 1, 3).reshape(r * s, c * s)
 
 
 def rank_ext(m: ExtMatrix) -> int:
     """Rank of the matrix over the top field F_q^s."""
-    return _ext_echelon_rows(m.to_rows(), m.tower)
+    return fq_rank(blow_up(m), m.tower.fq) // m.tower.s
 
 
 def rank_fq(m: ExtMatrix) -> int:
@@ -295,10 +225,7 @@ def rank_fq(m: ExtMatrix) -> int:
     most min(rows, n*s) and at least rank_ext(m).
     """
     r, c = m.shape
-    if r == 0 or c == 0:
-        return 0
-    expanded = m.data.reshape(r, c * m.tower.s)
-    return fq_rank(expanded, m.tower.fq)
+    return fq_rank(m.data.reshape(r, c * m.tower.s), m.tower.fq)
 
 
 def change_basis(m: ExtMatrix, transform: np.ndarray) -> ExtMatrix:
@@ -343,35 +270,29 @@ def extend_by_zeros(m: ExtMatrix, where: IndexSet, n: int) -> ExtMatrix:
 
 
 def is_information_set(gen: ExtMatrix, columns: IndexSet) -> bool:
-    """Whether the selected k columns of a full-rank k x n generator are invertible."""
+    """Whether the selected k columns of a full-rank k x n generator are invertible.
+
+    Invertible selected columns already give the generator full rank, so
+    the whole generator is ranked only on the way to a negative answer.
+    """
     k = gen.rows
+    if len(columns) == k and max(columns, default=0) <= gen.cols and rank_ext(puncture(gen, columns)) == k:
+        return True
     if rank_ext(gen) != k:
         raise RankDeficientGenerator("generator matrix does not have full row rank")
     columns.check_range(gen.cols)
-    if len(columns) != k:
-        return False
-    return rank_ext(puncture(gen, columns)) == k
+    return False
 
 
 def ext_inv_matrix(m: ExtMatrix) -> ExtMatrix:
-    """Inverse of a square matrix over F_q^s via Gauss-Jordan elimination."""
+    """Inverse of a square matrix over F_q^s; ValueError when singular."""
     n = m.rows
     if m.cols != n:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    tower = m.tower
-    rows = [row + [tower.one if i == j else tower.zero for j in range(n)] for i, row in enumerate(m.to_rows())]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if any(rows[i][c])), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        pinv = tower.ext_inv(rows[c][c])
-        rows[c] = [tower.ext_mul(pinv, x) for x in rows[c]]
-        for i in range(n):
-            if i != c and any(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [tower.ext_sub(x, tower.ext_mul(f, y)) for x, y in zip(rows[i], rows[c])]
-    return ExtMatrix.from_rows(tower, [row[n:] for row in rows])
+    s = m.tower.s
+    inv = fq_inv_matrix(blow_up(m), m.tower.fq)
+    # row 0 of every block of the inverse blow-up holds the entry times x^0
+    return ExtMatrix(m.tower, inv[::s].reshape(n, n, s))
 
 
 def solve_on_columns(gen: ExtMatrix, columns: IndexSet, targets: ExtMatrix) -> ExtMatrix:

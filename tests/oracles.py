@@ -3,9 +3,12 @@
 Nothing here shares code with the package's vectorized paths: ranks are
 computed by plain-Python elimination over scalar field ops, subspaces are
 enumerated rather than counted by formula, and the micro-instance decoder
-evaluates the recovery pipeline with explicit scalars.  The one exception
-is per_deletion_rank_profile, the attack's original scan, kept as the
-reference for the incremental kernel that replaced it.
+evaluates the recovery pipeline with explicit scalars.  Two kinds of
+entry are paths the package replaced, kept as the reference for their
+replacement: per_deletion_rank_profile, the attack's original scan, and
+scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
+Gauss-Jordan elimination over F_q^s on scalar tower ops that the
+regular-representation kernel replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from hhw_pir.attack import drop_block
+from hhw_pir.errors import RankDeficientGenerator
 from hhw_pir.fields import FieldTower, Fq
 from hhw_pir.linalg import rank_fq
 
@@ -53,6 +57,59 @@ def per_deletion_rank_profile(query, delta: int) -> list[int]:
     """
     qm = getattr(query, "matrix", query)
     return [rank_fq(drop_block(qm, j, delta)) for j in range(1, qm.rows // delta + 1)]
+
+
+def scalar_rank_ext(rows, tower: FieldTower) -> int:
+    """Rank over F_q^s by Gauss-Jordan on lists of element tuples."""
+    rows = [[tuple(int(c) for c in x) for x in row] for row in rows]
+    if not rows:
+        return 0
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if any(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pinv = tower.ext_inv(rows[rank][c])
+        rows[rank] = [tower.ext_mul(pinv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and any(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [tower.ext_sub(x, tower.ext_mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def scalar_ext_inv(rows, tower: FieldTower) -> list[list[tuple]]:
+    """Inverse over F_q^s by Gauss-Jordan on [M | I]; ValueError when singular."""
+    n = len(rows)
+    aug = [[tuple(int(c) for c in x) for x in row] + [tower.one if i == j else tower.zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if any(aug[i][c])), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pinv = tower.ext_inv(aug[c][c])
+        aug[c] = [tower.ext_mul(pinv, x) for x in aug[c]]
+        for i in range(n):
+            if i != c and any(aug[i][c]):
+                f = aug[i][c]
+                aug[i] = [tower.ext_sub(x, tower.ext_mul(f, y)) for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def scalar_is_information_set(gen, columns, tower: FieldTower) -> bool:
+    """Information-set test of a k x n generator by scalar ranks over F_q^s."""
+    rows = gen.to_rows()
+    k = len(rows)
+    if scalar_rank_ext(rows, tower) != k:
+        raise RankDeficientGenerator("generator matrix does not have full row rank")
+    if len(columns) != k:
+        return False
+    return scalar_rank_ext([[row[c - 1] for c in columns] for row in rows], tower) == k
 
 
 def subfield_rank_oracle(coords: np.ndarray, fq: Fq) -> int:

@@ -132,7 +132,7 @@ def test_03_deleted_rank_decomposition(preset_params, preset_tower):
 
 def test_04a_attack_success_at_defaults(preset_params):
     """200 seeded rank scans at the default parameters recover every target."""
-    cfg = ExperimentConfig(params=preset_params, trials=200, master_seed=0xACCE_04A, workers=4)
+    cfg = ExperimentConfig(params=preset_params, trials=200, master_seed=0xACCE_04A)
     report = run_experiment(cfg)
     _CHECK4_ELAPSED_MS["4a"] = report.elapsed_ms
     bound = failure_bound(preset_params)
@@ -149,7 +149,7 @@ def test_04a_attack_success_at_defaults(preset_params):
 def tight_report():
     # One shared run for checks 4b and 4c: 2000 trials at the small regime
     # (delta = 2, threshold dimension 6) where failures actually occur.
-    cfg = ExperimentConfig(params=TIGHT_PARAMS, trials=2000, master_seed=0xACCE_04B, workers=4)
+    cfg = ExperimentConfig(params=TIGHT_PARAMS, trials=2000, master_seed=0xACCE_04B)
     return run_experiment(cfg)
 
 
@@ -366,7 +366,7 @@ def test_09_basis_blindness(preset_params, preset_tower):
 
 def test_10_determinism_and_serialization():
     """Same seed, same report; container round trip on 1000 random matrices."""
-    cfg = ExperimentConfig(params=TIGHT_PARAMS, trials=40, master_seed=0xACCE_0010, workers=2)
+    cfg = ExperimentConfig(params=TIGHT_PARAMS, trials=40, master_seed=0xACCE_0010)
     first = run_experiment(cfg)
     second = run_experiment(cfg)
     deterministic = canonical_json(first) == canonical_json(second) and first.digest == second.digest

@@ -20,7 +20,6 @@ from hhw_pir.linalg import (
     extend_by_zeros,
     fq_echelon,
     fq_inv_matrix,
-    fq_matmul,
     fq_rank,
     is_information_set,
     puncture,
@@ -29,7 +28,15 @@ from hhw_pir.linalg import (
     solve_on_columns,
 )
 
-from .oracles import det_ext_oracle, naive_rank_fq, rank_ext_oracle, subfield_rank_oracle
+from .oracles import (
+    det_ext_oracle,
+    naive_rank_fq,
+    rank_ext_oracle,
+    scalar_ext_inv,
+    scalar_is_information_set,
+    scalar_rank_ext,
+    subfield_rank_oracle,
+)
 
 TOWERS = [build_tower(2, 1, 2), build_tower(3, 1, 2), build_tower(2, 2, 2)]
 
@@ -144,8 +151,8 @@ def test_fq_inv_matrix_round_trip(rng):
                     fq_inv_matrix(arr, fq)
                 continue
             inv = fq_inv_matrix(arr, fq)
-            assert np.array_equal(fq_matmul(arr, inv, fq), np.eye(4, dtype=np.int64))
-            assert np.array_equal(fq_matmul(inv, arr, fq), np.eye(4, dtype=np.int64))
+            assert np.array_equal(fq.matmul(arr, inv), np.eye(4, dtype=np.int64))
+            assert np.array_equal(fq.matmul(inv, arr), np.eye(4, dtype=np.int64))
     with pytest.raises(DimensionMismatch):
         fq_inv_matrix(np.zeros((2, 3), dtype=np.int64), TOWERS[0].fq)
 
@@ -321,3 +328,65 @@ def test_solve_on_columns_rejects_bad_inputs(rng):
     good = IndexSet((1, 2))
     with pytest.raises(DimensionMismatch):
         solve_on_columns(gen, good, ExtMatrix.random(tower, 2, 3, rng))
+
+
+# -- differential tests against the scalar elimination over F_q^s ------------------
+
+# (p, e, s): preset, tight, ternary, q=3 s=4, q=4 s=3 (table arithmetic), q=9 s=2
+DIFF_TOWERS = [build_tower(*pes) for pes in [(2, 1, 4), (2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 3), (3, 2, 2)]]
+DIFF_MATRICES = 1000
+
+
+def _hard_matrix(tower, rng, kind: int) -> ExtMatrix:
+    """A small seeded matrix of one of six kinds, most of them degenerate.
+
+    0 uniform, 1 sparse (most entries zero, the rest often in F_q),
+    2 rank-deficient product, 3 all-zero, 4 1 x 1, 5 singular square.
+    """
+    rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    if kind == 0:
+        return ExtMatrix.random(tower, rows, cols, rng)
+    if kind == 1:
+        data = tower.rand(rng, (rows, cols))
+        data[rng.random((rows, cols)) < 0.6] = 0
+        data[..., 1:][rng.random((rows, cols)) < 0.5] = 0
+        return ExtMatrix(tower, data)
+    if kind == 2:
+        inner = int(rng.integers(1, max(min(rows, cols), 2)))
+        return ExtMatrix.random(tower, rows, inner, rng) @ ExtMatrix.random(tower, inner, cols, rng)
+    if kind == 3:
+        return ExtMatrix.zeros(tower, rows, cols)
+    if kind == 4:
+        return ExtMatrix.random(tower, 1, 1, rng) if rng.random() < 0.8 else ExtMatrix.zeros(tower, 1, 1)
+    n = max(rows, 2)
+    return ExtMatrix.random(tower, n, n - 1, rng) @ ExtMatrix.random(tower, n - 1, n, rng)
+
+
+@pytest.mark.parametrize("tower", DIFF_TOWERS, ids=lambda t: f"q{t.q}s{t.s}")
+def test_ext_elimination_matches_scalar_gauss_jordan(tower):
+    """rank_ext, ext_inv_matrix and is_information_set agree with the scalar path."""
+    rng = np.random.default_rng(0xB10B + tower.order)
+    singular = 0
+    for t in range(DIFF_MATRICES):
+        m = _hard_matrix(tower, rng, t % 6)
+        rows = m.to_rows()
+        assert rank_ext(m) == scalar_rank_ext(rows, tower)
+        if m.rows == m.cols:
+            try:
+                expected = scalar_ext_inv(rows, tower)
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError):
+                    ext_inv_matrix(m)
+            else:
+                assert ext_inv_matrix(m) == ExtMatrix.from_rows(tower, expected)
+        if m.rows <= m.cols:
+            columns = IndexSet(tuple(sorted(int(c) + 1 for c in rng.permutation(m.cols)[: m.rows])))
+            try:
+                expected = scalar_is_information_set(m, columns, tower)
+            except RankDeficientGenerator:
+                with pytest.raises(RankDeficientGenerator):
+                    is_information_set(m, columns)
+            else:
+                assert is_information_set(m, columns) == expected
+    assert singular >= DIFF_MATRICES // 6

@@ -141,11 +141,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     tower = build_tower(params.p, params.e, params.s)
     answer = serialization.load_response(args.response, params, tower)
     secrets = serialization.load_secrets(args.secrets, params, tower)
-    recovered = decode(answer, secrets, params, tower, textbook=args.textbook)
+    recovered = decode(answer, secrets, params, tower)
     serialization.save_matrix(args.out, recovered, params.p, params.e, 1)
     doc = {"out": args.out, "target": secrets.target,
-           "shape": [params.L, params.delta],
-           "path": "textbook" if args.textbook else "direct"}
+           "shape": [params.L, params.delta]}
     if args.database:
         db = serialization.load_database(args.database, params)
         expected = db.files[secrets.target - 1]
@@ -278,8 +277,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             db = Database.random(params, rng)
             query, secrets = generate_query(params, tower, target, rng)
             answer = respond(db, query, params, tower)
-            require(np.array_equal(decode(answer, secrets, params, tower, textbook=True),
-                                   db.files[target - 1]), f"retrieval of file {target} at {params}")
+            require(np.array_equal(decode(answer, secrets, params, tower), db.files[target - 1]),
+                    f"retrieval of file {target} at {params}")
     ok("retrieval round trips exactly")
 
     # the distinguisher names the right block
@@ -367,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--database", default=None,
                    help="optional database file to confirm the recovery against")
-    p.add_argument("--textbook", action="store_true",
-                   help="use the step-by-step decode path instead of the direct one")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("attack", help="recover the target index from a query alone")

@@ -8,14 +8,17 @@ the top modulus.  Both moduli are the lexicographically smallest monic
 irreducible polynomials of the required degrees, found by exhaustive
 search in coefficient order, so a tower is fully determined by (p, e, s).
 
-Bulk operations on coordinate arrays are vectorised with numpy through
-the structure tensor of the extension: multiplication in F_q^s is
-F_p-bilinear on base-p digit vectors, which turns matrix products over
-the top field into integer tensor contractions mod p.
+Bulk arithmetic runs on one product kernel, an integer matrix product
+mod p against a regular representation, which replaces every entry of
+the right factor by the matrix of multiplication by it.  Over F_q
+(e > 1) that matrix is e x e over F_p, built from the structure tensor
+of F_q (Fq.mul_tensor); over F_q^s it is s x s over F_q
+(FieldTower.blow_up), so a product over the top field is one F_q
+product, which is in turn one integer product over F_p.
 
 The one elimination kernel of the package, fq_echelon over F_q, lives
-here beside Fq; elimination over F_q^s runs on it through the regular
-representation (see linalg.rank_ext).
+here beside Fq; elimination over F_q^s runs on it through the same
+regular representation (see linalg.rank_ext).
 """
 
 from __future__ import annotations
@@ -249,15 +252,21 @@ class Fq:
         return self._mul_tensor
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over F_q of two encoding arrays (r,t) @ (t,c)."""
+        """Matrix product over F_q of two encoding arrays (r,t) @ (t,c).
+
+        For e > 1 the base-p digits of a multiply the (t*e, c*e) F_p
+        regular representation of b as integers.  No int64 sum exceeds
+        (p-1)^2 * t * e < 2^32 * t * e (p^e <= 2^16), far below 2^63.
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
             return a @ b % self.p
-        da, db = self.to_digits(a), self.to_digits(b)
-        tmp = np.tensordot(da, db, axes=([1], [0]))  # (r, e, c, e)
-        digits = np.einsum("racb,abd->rcd", tmp, self.mul_tensor) % self.p
-        return self.from_digits(digits)
+        (r, t), (tb, c), e = a.shape, b.shape, self.e
+        # row (k, i), column block j: the digits of p^i * b_kj
+        regular = np.tensordot(self.to_digits(b), self.mul_tensor, axes=([2], [1])) % self.p
+        regular = regular.transpose(0, 2, 1, 3).reshape(tb * e, c * e)
+        return self.from_digits((self.to_digits(a).reshape(r, t * e) @ regular).reshape(r, c, e))
 
     def rand(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
@@ -449,7 +458,6 @@ class FieldTower:
         self.top_modulus = tuple(int(c) for c in top_modulus)
         if len(self.top_modulus) != self.s + 1 or self.top_modulus[self.s] != 1:
             raise ValueError("top modulus must be monic of degree s")
-        self._mul_tensor: np.ndarray | None = None
         self._power_table: np.ndarray | None = None
 
     def __repr__(self):
@@ -551,39 +559,6 @@ class FieldTower:
             shape = (shape,)
         return rng.integers(0, self.q, size=tuple(shape) + (self.s,), dtype=np.int64)
 
-    def coords_to_digits(self, arr: np.ndarray) -> np.ndarray:
-        """(..., s) F_q encodings -> (..., e*s) base-p digits."""
-        arr = np.asarray(arr, dtype=np.int64)
-        digits = self.fq.to_digits(arr)  # (..., s, e)
-        # digit index t = e*j + i holds digit i of coordinate j
-        return digits.reshape(arr.shape[:-1] + (self.s * self.e,))
-
-    def digits_to_coords(self, digits: np.ndarray) -> np.ndarray:
-        digits = np.asarray(digits, dtype=np.int64)
-        shaped = digits.reshape(digits.shape[:-1] + (self.s, self.e))
-        return self.fq.from_digits(shaped)
-
-    @property
-    def ext_mul_tensor(self) -> np.ndarray:
-        """F_p structure tensor of F_q^s on flattened digit vectors."""
-        if self._mul_tensor is None:
-            es = self.e * self.s
-            T = np.zeros((es, es, es), dtype=np.int64)
-            basis = []
-            for t in range(es):
-                j, i = divmod(t, self.e)
-                coords = [0] * self.s
-                coords[j] = self.p**i
-                basis.append(tuple(coords))
-            for t1 in range(es):
-                for t2 in range(t1, es):
-                    prod = self.ext_mul(basis[t1], basis[t2])
-                    digits = np.concatenate([self.fq.to_digits(np.int64(c)) for c in prod])
-                    T[t1, t2] = digits
-                    T[t2, t1] = digits
-            self._mul_tensor = T
-        return self._mul_tensor
-
     @property
     def power_table(self) -> np.ndarray:
         """(s, s*s) F_q matrix T with y @ T = [y, x*y, ..., x^(s-1)*y] on coordinates.
@@ -599,33 +574,41 @@ class FieldTower:
             self._power_table = np.array(table, dtype=np.int64).reshape(s, s * s)
         return self._power_table
 
+    def blow_up(self, data: np.ndarray) -> np.ndarray:
+        """The (r*s, c*s) F_q regular representation of an (r, c, s) coordinate array.
+
+        Block (a, b) is the s x s matrix of y -> m_ab * y in the power basis:
+        its row i holds the coordinates of x^i * m_ab.  The map is an
+        injective ring homomorphism, so the F_q rank of the blow-up is s times
+        the rank over F_q^s, the blow-up of an inverse is the inverse of the
+        blow-up, and a @ b over F_q^s is a (with rows flattened) times the
+        blow-up of b over F_q.
+        """
+        r, c, s = np.shape(data)
+        shifted = self.fq.matmul(np.reshape(data, (r * c, s)), self.power_table)
+        return shifted.reshape(r, c, s, s).transpose(0, 2, 1, 3).reshape(r * s, c * s)
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product over F_q^s of coordinate arrays (r,t,s) @ (t,c,s) -> (r,c,s)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-        da = self.coords_to_digits(a)
-        db = self.coords_to_digits(b)
-        tmp = np.tensordot(da, db, axes=([1], [0]))  # (r, es, c, es)
-        digits = np.einsum("racb,abd->rcd", tmp, self.ext_mul_tensor) % self.p
-        return self.digits_to_coords(digits)
+        r, t, s = a.shape
+        return self.fq.matmul(a.reshape(r, t * s), self.blow_up(b)).reshape(r, b.shape[1], s)
 
     def scalar_matmul(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of an F_q matrix (r,t) with a coordinate array (t,c,s).
 
-        Subfield entries act coordinate-wise, so only the first e rows of
-        the structure tensor take part.
+        Subfield entries act coordinate-wise, so this is one F_q product
+        with the coordinates of each row of b laid side by side.
         """
         x = np.asarray(x, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if x.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions differ: {x.shape} vs {b.shape}")
-        dx = self.fq.to_digits(x)  # (r, t, e)
-        db = self.coords_to_digits(b)
-        tmp = np.tensordot(dx, db, axes=([1], [0]))  # (r, e, c, es)
-        digits = np.einsum("racb,abd->rcd", tmp, self.ext_mul_tensor[: self.e]) % self.p
-        return self.digits_to_coords(digits)
+        t, c, s = b.shape
+        return self.fq.matmul(x, b.reshape(t, c * s)).reshape(len(x), c, s)
 
 
 def build_tower(p: int, e: int, s: int) -> FieldTower:
@@ -641,7 +624,8 @@ def build_tower(p: int, e: int, s: int) -> FieldTower:
         raise DegreeTooSmall("base degree e must be at least 1")
     if s < 2:
         raise DegreeTooSmall("top degree s must be at least 2")
-    if p ** (e * s) > MAX_TOWER_ORDER:
+    # p >= 2: bound e*s first, so huge degrees never build a huge power
+    if e * s >= MAX_TOWER_ORDER.bit_length() or p ** (e * s) > MAX_TOWER_ORDER:
         raise FieldTooLarge(f"{p}^{e * s} exceeds the desk-scale cap of 2^64")
     fp = Fq(p, 1, (0, 1))
     base_modulus = smallest_irreducible(fp, e)

@@ -9,8 +9,8 @@ under applying any fixed invertible F_q-linear map to every entry, so an
 observer needs no knowledge of the hidden basis to evaluate it.
 
 Both run on the one F_q elimination kernel, fields.fq_echelon: work over
-F_q^s goes through the regular representation (blow_up), which replaces
-every entry by the s x s F_q matrix of multiplication by it.
+F_q^s goes through the regular representation (FieldTower.blow_up),
+which replaces every entry by the s x s F_q matrix of multiplication by it.
 """
 
 from __future__ import annotations
@@ -198,24 +198,9 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
 # -- ranks over the two fields ---------------------------------------------------
 
 
-def blow_up(m: ExtMatrix) -> np.ndarray:
-    """The (r*s, c*s) F_q regular representation of an r x c matrix over F_q^s.
-
-    Block (a, b) is the s x s matrix of y -> m_ab * y in the power basis:
-    its row i holds the coordinates of x^i * m_ab.  The map is an
-    injective ring homomorphism, so the F_q rank of the blow-up is s times
-    the rank over F_q^s, and the blow-up of an inverse is the inverse of
-    the blow-up.
-    """
-    r, c = m.shape
-    s = m.tower.s
-    shifted = m.tower.fq.matmul(m.data.reshape(r * c, s), m.tower.power_table)
-    return shifted.reshape(r, c, s, s).transpose(0, 2, 1, 3).reshape(r * s, c * s)
-
-
 def rank_ext(m: ExtMatrix) -> int:
     """Rank of the matrix over the top field F_q^s."""
-    return fq_rank(blow_up(m), m.tower.fq) // m.tower.s
+    return fq_rank(m.tower.blow_up(m.data), m.tower.fq) // m.tower.s
 
 
 def rank_fq(m: ExtMatrix) -> int:
@@ -290,7 +275,7 @@ def ext_inv_matrix(m: ExtMatrix) -> ExtMatrix:
     if m.cols != n:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     s = m.tower.s
-    inv = fq_inv_matrix(blow_up(m), m.tower.fq)
+    inv = fq_inv_matrix(m.tower.blow_up(m.data), m.tower.fq)
     # row 0 of every block of the inverse blow-up holds the entry times x^0
     return ExtMatrix(m.tower, inv[::s].reshape(n, n, s))
 
@@ -300,11 +285,16 @@ def solve_on_columns(gen: ExtMatrix, columns: IndexSet, targets: ExtMatrix) -> E
 
     The selected submatrix is inverted once and reused for every row of
     ``targets``, so solving for many rows costs one inversion plus a
-    matrix product.
+    matrix product; a singular selection raises NotInformationSet.
     """
-    if not is_information_set(gen, columns):
-        raise NotInformationSet(f"columns {tuple(columns)} are not an information set")
-    if targets.cols != gen.rows:
-        raise DimensionMismatch(f"targets have {targets.cols} columns, expected {gen.rows}")
-    inv = ext_inv_matrix(puncture(gen, columns))
+    k = gen.rows
+    if len(columns) != k:
+        raise NotInformationSet(f"{len(columns)} columns cannot be an information set of a {k}-row generator")
+    if targets.cols != k:
+        raise DimensionMismatch(f"targets have {targets.cols} columns, expected {k}")
+    block = puncture(gen, columns)
+    try:
+        inv = ext_inv_matrix(block)
+    except ValueError as exc:  # the block is square, so this is the singular case
+        raise NotInformationSet(f"columns {tuple(columns)} are not an information set") from exc
     return targets @ inv

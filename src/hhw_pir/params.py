@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, asdict
 
 from .errors import InvalidParams
@@ -71,41 +72,60 @@ class SchemeParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SchemeParams":
-        data = dict(data)
-        if "q" in data:
-            q = int(data.pop("q"))
-            p, e = _factor_prime_power(q)
-            for key, val in (("p", p), ("e", e)):
-                if key in data and int(data[key]) != val:
-                    raise InvalidParams(f"q = {q} conflicts with {key} = {data[key]}")
-                data[key] = val
-        missing = [f for f in ("p", "e", "s", "v", "n", "k", "m", "L") if f not in data]
-        if missing:
-            raise InvalidParams(f"missing parameter fields: {', '.join(missing)}")
-        extra = [f for f in data if f not in ("p", "e", "s", "v", "n", "k", "m", "L")]
+        """Parse a parameter object; q may stand in for p and e.
+
+        Every value must be an integer (JSON true/false, floats and
+        strings are refused); anything malformed raises InvalidParams.
+        """
+        if not isinstance(data, dict):
+            raise InvalidParams(f"parameters must be an object, got {type(data).__name__}")
+        extra = [str(f) for f in data if f not in _FIELDS and f != "q"]
         if extra:
             raise InvalidParams(f"unknown parameter fields: {', '.join(extra)}")
-        return cls(**{f: int(data[f]) for f in ("p", "e", "s", "v", "n", "k", "m", "L")})
+        values = {key: _integer(key, val) for key, val in data.items()}
+        if "q" in values:
+            q = values.pop("q")
+            for key, val in zip(("p", "e"), _factor_prime_power(q)):
+                if values.setdefault(key, val) != val:
+                    raise InvalidParams(f"q = {q} conflicts with {key} = {values[key]}")
+        missing = [f for f in _FIELDS if f not in values]
+        if missing:
+            raise InvalidParams(f"missing parameter fields: {', '.join(missing)}")
+        return cls(**values)
+
+
+_FIELDS = ("p", "e", "s", "v", "n", "k", "m", "L")
+
+
+def _integer(key: str, value) -> int:
+    """value as an int; booleans, floats, strings and the like raise InvalidParams."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParams(f"parameter {key} must be an integer, got {value!r}")
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise InvalidParams(f"q = {q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise InvalidParams(f"q = {q} is not a prime power")
-    return p, e
+    """(p, e) with q = p^e and p prime, from integer e-th roots and is_prime."""
+    for e in range(1, q.bit_length()):
+        p = _integer_root(q, e)
+        if p**e == q and is_prime(p):
+            return p, e
+    raise InvalidParams(f"q = {q} is not a prime power")
+
+
+def _integer_root(n: int, e: int) -> int:
+    """The largest x with x^e <= n, by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // e + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**e <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 # The default instance used by the command line tools and the demo scripts.

@@ -29,7 +29,6 @@ from .linalg import (
     ExtMatrix,
     IndexSet,
     fq_inv_matrix,
-    fq_rank,
     is_information_set,
     puncture,
     rank_ext,
@@ -194,40 +193,28 @@ def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower)
     return Response(ExtMatrix(tower, tower.scalar_matmul(stacked, qm.data)))
 
 
-def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, tower: FieldTower, textbook: bool = False) -> np.ndarray:
+def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, tower: FieldTower) -> np.ndarray:
     """Recover the target file from a response, exactly.
 
     Steps: rebuild the codeword layer's contribution from the information
-    set columns and subtract it; express what remains in the split basis
-    and keep the trailing (W) coordinates, which erases the mask layer;
-    stack those coordinates into L x delta over F_q and multiply by the
-    inverse of the selector block's coordinate matrix.
-
-    With ``textbook`` the codeword layer is rebuilt and subtracted on all
-    n columns before projecting, mirroring the construction step for step.
-    The default computes only the complement columns, which is all the
-    projection ever reads; both paths return identical matrices.
+    set columns and subtract it on the complement columns, the only ones
+    the projection reads; express what remains in the split basis and keep
+    the trailing (W) coordinates, which erases the mask layer; stack those
+    coordinates into L x delta over F_q and multiply by the inverse of the
+    selector block's coordinate matrix.
 
     Returns the (L, delta) F_q matrix of the target file.
     """
     fq = tower.fq
-    n, k, s, v, delta = params.n, params.k, params.s, params.v, params.delta
+    n, s, v, delta = params.n, params.s, params.v, params.delta
     A = response.matrix
     if A.cols != n:
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
     gen, info_set = secrets.generator, secrets.info_set
-    outside = info_set.complement(n)
+    outside = info_set.complement(n).zero_based()
 
     coeff = solve_on_columns(gen, info_set, puncture(A, info_set))
-    if textbook:
-        rebuilt = tower.matmul(coeff.data, gen.data)
-        residue = fq.vsub(A.data, rebuilt)
-        if np.any(residue[:, info_set.zero_based(), :]):
-            raise DecodeFailure("rebuilt codeword layer misses the response on the information set")
-        remainder = residue[:, outside.zero_based(), :]
-    else:
-        gen_out = gen.data[:, outside.zero_based(), :]
-        remainder = fq.vsub(A.data[:, outside.zero_based(), :], tower.matmul(coeff.data, gen_out))
+    remainder = fq.vsub(A.data[:, outside, :], tower.matmul(coeff.data, gen.data[:, outside, :]))
 
     basis_inv = fq_inv_matrix(secrets.split.basis, fq)
     L = remainder.shape[0]
@@ -235,11 +222,13 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     split_coords = fq.matmul(remainder.reshape(L * width, s), basis_inv).reshape(L, width, s)
     w_coords = split_coords[:, :, v:].reshape(L, delta)
 
-    sel_out = secrets.selector_block.data[:, outside.zero_based(), :]
+    sel_out = secrets.selector_block.data[:, outside, :]
     sel_coords = fq.matmul(sel_out.reshape(delta * width, s), basis_inv).reshape(delta, width, s)
     if np.any(sel_coords[:, :, :v]):
         raise DecodeFailure("selector block leaks outside the W part of the split")
-    sel_matrix = sel_coords[:, :, v:].reshape(delta, delta)
-    if fq_rank(sel_matrix, fq) != delta:
-        raise DecodeFailure("selector block coordinate matrix is singular")
-    return fq.matmul(w_coords, fq_inv_matrix(sel_matrix, fq))
+    try:
+        # delta x delta by the reshape, so a ValueError means singular
+        sel_inv = fq_inv_matrix(sel_coords[:, :, v:].reshape(delta, delta), fq)
+    except ValueError as exc:
+        raise DecodeFailure("selector block coordinate matrix is singular") from exc
+    return fq.matmul(w_coords, sel_inv)

@@ -150,8 +150,11 @@ def load_matrix(src: PathOrFile) -> MatrixFileData:
         raise MatrixFileError(f"degrees must be positive, got e={e}, s={s}")
     if rows < 1 or cols < 1:
         raise MatrixFileError(f"dimensions must be positive, got {rows}x{cols}")
-    if p ** (e * s) > 1 << 64:
+    # p >= 2: bound e*s first, so huge header degrees never build a huge power
+    if e * s > 64 or p ** (e * s) > 1 << 64:
         raise MatrixFileError(f"field order p^(e*s) = {p}^{e * s} exceeds the supported 2^64")
+    if p**e > 1 << 63:
+        raise MatrixFileError(f"subfield order {p}^{e} does not fit int64 coordinates")
 
     width = bytes_per_element(p, e, s)
     expected = rows * cols * width
@@ -250,7 +253,7 @@ def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemePa
 def _as_coord_array(obj, shape: tuple[int, ...], q: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"secrets field {what} is not an integer array") from exc
     if arr.shape != shape:
         raise MatrixFileError(f"secrets field {what} has shape {arr.shape}, expected {shape}")
@@ -262,13 +265,15 @@ def _as_coord_array(obj, shape: tuple[int, ...], q: int, what: str) -> np.ndarra
 def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower) -> QuerySecrets:
     try:
         doc = json.loads(Path(src).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MatrixFileError(f"cannot parse secrets file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SECRETS_FORMAT:
         raise MatrixFileError("not a secrets file")
     if doc.get("version") != SECRETS_VERSION:
         raise MatrixFileError(f"unsupported secrets version {doc.get('version')}")
 
+    if not isinstance(doc.get("params"), dict):
+        raise MatrixFileError("secrets file has no params object")
     stored = SchemeParams.from_dict(doc["params"])
     if stored != params:
         raise MatrixFileError(f"secrets were generated for {stored}, expected {params}")

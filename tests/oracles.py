@@ -3,16 +3,20 @@
 Nothing here shares code with the package's vectorized paths: ranks are
 computed by plain-Python elimination over scalar field ops, subspaces are
 enumerated rather than counted by formula, and the micro-instance decoder
-evaluates the recovery pipeline with explicit scalars.  Two kinds of
+evaluates the recovery pipeline with explicit scalars.  Three kinds of
 entry are paths the package replaced, kept as the reference for their
-replacement: per_deletion_rank_profile, the attack's original scan, and
+replacement: per_deletion_rank_profile, the attack's original scan;
 scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
 Gauss-Jordan elimination over F_q^s on scalar tower ops that the
-regular-representation kernel replaced.
+regular-representation kernel replaced; and digit_fq_matmul /
+digit_matmul / digit_scalar_matmul, the products that contracted base-p
+digits against F_p structure tensors before every product became one
+integer matmul on a regular representation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -110,6 +114,72 @@ def scalar_is_information_set(gen, columns, tower: FieldTower) -> bool:
     if len(columns) != k:
         return False
     return scalar_rank_ext([[row[c - 1] for c in columns] for row in rows], tower) == k
+
+
+@functools.cache
+def _fq_digit_tensor(fq: Fq) -> np.ndarray:
+    """F_p structure tensor T of F_q, (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], from fq.mul."""
+    basis = [fq.p**i for i in range(fq.e)]
+    return np.array([[fq.digits_of(fq.mul(x, y)) for y in basis] for x in basis], dtype=np.int64)
+
+
+@functools.cache
+def _tower_digit_tensor(tower: FieldTower) -> np.ndarray:
+    """F_p structure tensor of F_q^s on flattened digits (digit e*j + i is digit i
+    of coordinate j), from ext_mul."""
+    fq = tower.fq
+    basis = [tuple(fq.p**i if j == jj else 0 for jj in range(tower.s)) for j in range(tower.s) for i in range(fq.e)]
+    return np.array([[fq.to_digits(np.array(tower.ext_mul(x, y))).reshape(-1) for y in basis] for x in basis],
+                    dtype=np.int64)
+
+
+def digit_fq_matmul(a: np.ndarray, b: np.ndarray, fq: Fq) -> np.ndarray:
+    """F_q product (r,t) @ (t,c) by contracting base-p digits against the F_q tensor."""
+    tmp = np.tensordot(fq.to_digits(a), fq.to_digits(b), axes=([1], [0]))  # (r, e, c, e)
+    return fq.from_digits(np.einsum("racb,abd->rcd", tmp, _fq_digit_tensor(fq)) % fq.p)
+
+
+def _coords_to_digits(arr: np.ndarray, tower: FieldTower) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.int64)
+    return tower.fq.to_digits(arr).reshape(arr.shape[:-1] + (tower.s * tower.e,))
+
+
+def _digits_to_coords(digits: np.ndarray, tower: FieldTower) -> np.ndarray:
+    return tower.fq.from_digits(digits.reshape(digits.shape[:-1] + (tower.s, tower.e)))
+
+
+def digit_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
+    """F_q^s product (r,t,s) @ (t,c,s) by contracting digits against the top-field tensor."""
+    tmp = np.tensordot(_coords_to_digits(a, tower), _coords_to_digits(b, tower), axes=([1], [0]))
+    digits = np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)) % tower.p
+    return _digits_to_coords(digits, tower)
+
+
+def digit_scalar_matmul(x: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
+    """F_q (r,t) times F_q^s (t,c,s): only the first e rows of the top-field tensor take part."""
+    tmp = np.tensordot(tower.fq.to_digits(x), _coords_to_digits(b, tower), axes=([1], [0]))
+    digits = np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)[: tower.e]) % tower.p
+    return _digits_to_coords(digits, tower)
+
+
+def scalar_ext_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
+    """F_q^s product (r,t,s) @ (t,c,s) entry by entry with ext_mul and ext_add."""
+    out = np.zeros((a.shape[0], b.shape[1], tower.s), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = tower.zero
+            for k in range(a.shape[1]):
+                acc = tower.ext_add(acc, tower.ext_mul(tuple(map(int, a[i, k])), tuple(map(int, b[k, j]))))
+            out[i, j] = acc
+    return out
+
+
+def embed_subfield(x: np.ndarray, tower: FieldTower) -> np.ndarray:
+    """F_q encodings as F_q^s coordinate arrays (x, 0, ..., 0)."""
+    x = np.asarray(x, dtype=np.int64)
+    out = np.zeros(x.shape + (tower.s,), dtype=np.int64)
+    out[..., 0] = x
+    return out
 
 
 def subfield_rank_oracle(coords: np.ndarray, fq: Fq) -> int:

@@ -88,25 +88,11 @@ def test_decode_recovers_and_matches_database(pipeline):
     )
     assert doc["target"] == 4
     assert doc["match"] is True
-    assert doc["path"] == "direct"
 
     # byte-exactness against the database slice, independently of the CLI check
     recovered = load_matrix(out)
     db = load_matrix(pipeline["db"])
     assert np.array_equal(recovered.data[:, :, 0], db.data[:, 6:8, 0])
-
-
-def test_decode_textbook_path_identical(pipeline):
-    direct = str(pipeline["root"] / "direct.hhwm")
-    textbook = str(pipeline["root"] / "textbook.hhwm")
-    run_cli("decode", "--params", TIGHT, "--response", pipeline["response"],
-            "--secrets", pipeline["secrets"], "--out", direct)
-    doc = json.loads(
-        run_cli("decode", "--params", TIGHT, "--response", pipeline["response"],
-                "--secrets", pipeline["secrets"], "--out", textbook, "--textbook").stdout
-    )
-    assert doc["path"] == "textbook"
-    assert open(direct, "rb").read() == open(textbook, "rb").read()
 
 
 def test_decode_detects_database_mismatch(pipeline):

@@ -30,9 +30,14 @@ from hhw_pir.linalg import (
 
 from .oracles import (
     det_ext_oracle,
+    digit_fq_matmul,
+    digit_matmul,
+    digit_scalar_matmul,
+    embed_subfield,
     naive_rank_fq,
     rank_ext_oracle,
     scalar_ext_inv,
+    scalar_ext_matmul,
     scalar_is_information_set,
     scalar_rank_ext,
     subfield_rank_oracle,
@@ -328,6 +333,12 @@ def test_solve_on_columns_rejects_bad_inputs(rng):
     good = IndexSet((1, 2))
     with pytest.raises(DimensionMismatch):
         solve_on_columns(gen, good, ExtMatrix.random(tower, 2, 3, rng))
+    with pytest.raises(NotInformationSet):
+        solve_on_columns(gen, IndexSet((1,)), ExtMatrix.random(tower, 2, 2, rng))
+    with pytest.raises(IndexOutOfRange):
+        solve_on_columns(gen, IndexSet((1, 4)), ExtMatrix.random(tower, 2, 2, rng))
+    with pytest.raises(NotInformationSet):
+        solve_on_columns(ExtMatrix.zeros(tower, 2, 3), good, ExtMatrix.random(tower, 2, 2, rng))
 
 
 # -- differential tests against the scalar elimination over F_q^s ------------------
@@ -390,3 +401,60 @@ def test_ext_elimination_matches_scalar_gauss_jordan(tower):
             else:
                 assert is_information_set(m, columns) == expected
     assert singular >= DIFF_MATRICES // 6
+
+
+# -- differential tests against the digit contraction and the scalar loops --------
+
+# the retrieval workload's database (L x m*delta) times its query (m*delta x n)
+RESPOND_SHAPE = (512, 60, 6)
+
+
+def _product_operands(tower, rng, t: int):
+    """Seeded operands (a, b) over F_q^s and (x, y) over F_q for product number t.
+
+    t % 6 picks the kind: 0 uniform, 1 sparse, 2 all-zero, 3 1 x 1 x 1,
+    4 single row, 5 single column; every 250th product has the respond shape.
+    """
+    kind = t % 6
+    r, k, c = (int(d) for d in rng.integers(1, 5, size=3))
+    if kind == 3:
+        r = k = c = 1
+    r = 1 if kind == 4 else r
+    c = 1 if kind == 5 else c
+    if t % 250 == 0:
+        r, k, c = RESPOND_SHAPE
+    fq = tower.fq
+    a, b, x, y = tower.rand(rng, (r, k)), tower.rand(rng, (k, c)), fq.rand(rng, (r, k)), fq.rand(rng, (k, c))
+    if kind == 1:
+        for arr in (a, b, x, y):
+            arr[rng.random(arr.shape) < 0.6] = 0
+    if kind == 2:
+        for arr in (a, b, x, y):
+            arr[...] = 0
+    return a, b, x, y
+
+
+@pytest.mark.parametrize("tower", DIFF_TOWERS, ids=lambda t: f"q{t.q}s{t.s}")
+def test_products_match_digit_contraction_and_scalar_loops(tower):
+    """Fq.matmul, FieldTower.matmul and scalar_matmul against both references.
+
+    The digit contraction checks every product in full; the ext_mul/ext_add
+    loops check every entry of the small products and two rows of the
+    respond-shaped ones.  Subfield operands enter the loops embedded as
+    (x, 0, ..., 0).
+    """
+    rng = np.random.default_rng(0x9D0D + tower.order)
+    fq = tower.fq
+    for t in range(DIFF_MATRICES):
+        a, b, x, y = _product_operands(tower, rng, t)
+        products = tower.matmul(a, b), tower.scalar_matmul(x, b), fq.matmul(x, y)
+        assert products[0].shape == (len(a), b.shape[1], tower.s)
+        assert np.array_equal(products[0], digit_matmul(a, b, tower))
+        assert np.array_equal(products[1], digit_scalar_matmul(x, b, tower))
+        assert np.array_equal(products[2], digit_fq_matmul(x, y, fq))
+        rows = np.arange(len(a)) if len(a) <= 4 else rng.choice(len(a), 2, replace=False)
+        assert np.array_equal(products[0][rows], scalar_ext_matmul(a[rows], b, tower))
+        assert np.array_equal(products[1][rows], scalar_ext_matmul(embed_subfield(x[rows], tower), b, tower))
+        loops = scalar_ext_matmul(embed_subfield(x[rows], tower), embed_subfield(y, tower), tower)
+        assert not loops[..., 1:].any()
+        assert np.array_equal(products[2][rows], loops[..., 0])

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,76 @@ def test_from_dict_q_conflicts():
         SchemeParams.from_dict(dict(q=12, s=2, v=1, n=3, k=1, m=2, L=1))
     with pytest.raises(InvalidParams, match="prime power"):
         SchemeParams.from_dict(dict(q=1, s=2, v=1, n=3, k=1, m=2, L=1))
+
+
+@pytest.mark.parametrize("value", ["abc", "4", None, float("inf"), float("nan"), 4.7, 4.0, True, [2], {"v": 2}])
+def test_from_dict_rejects_non_integer_values(value):
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        SchemeParams.from_dict(dict(p=2, e=1, s=2, v=1, n=3, k=1, m=2, L=value))
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        SchemeParams.from_dict(dict(q=value, s=2, v=1, n=3, k=1, m=2, L=1))
+
+
+def test_from_dict_rejects_non_objects():
+    for doc in ([("p", 2)], 5, "p=2", None):
+        with pytest.raises(InvalidParams, match="object"):
+            SchemeParams.from_dict(doc)
+
+
+def _within_seconds(seconds, fn):
+    """fn() under a SIGALRM bound, so a stall fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "q,pe",
+    [(2**61 - 1, (2**61 - 1, 1)), ((2**31 - 1) ** 2, (2**31 - 1, 2)), (3**40, (3, 40)), (2**64, (2, 64))],
+)
+def test_from_dict_factors_large_q_without_stalling(q, pe):
+    params = _within_seconds(5, lambda: SchemeParams.from_dict(dict(q=q, s=2, v=1, n=3, k=1, m=2, L=1)))
+    assert (params.p, params.e) == pe
+    with pytest.raises(InvalidParams, match="prime power"):
+        _within_seconds(5, lambda: SchemeParams.from_dict(dict(q=6 * q, s=2, v=1, n=3, k=1, m=2, L=1)))
+
+
+_KEYS = st.sampled_from(["p", "e", "s", "v", "n", "k", "m", "L", "q", "delta", ""]) | st.text(max_size=3)
+_VALUES = (
+    st.integers(-3, 12)
+    | st.sampled_from([2, 3, 4, 8, 9, 12, 2**61 - 1, 2**64])
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(st.integers(0, 3), max_size=2)
+)
+
+
+@given(
+    st.dictionaries(_KEYS, _VALUES, max_size=6),
+    st.sets(st.sampled_from(["p", "e", "s", "v", "n", "k", "m", "L"]), max_size=3),
+)
+@settings(max_examples=500, deadline=None)
+def test_from_dict_parses_or_raises_invalid_params(changes, dropped):
+    """A valid dict with fields changed, added or dropped: it parses or raises InvalidParams."""
+    doc = dict(p=3, e=2, s=3, v=1, n=4, k=2, m=5, L=3)
+    doc.update(changes)
+    for key in dropped:
+        doc.pop(key, None)
+    try:
+        params = SchemeParams.from_dict(doc)
+    except InvalidParams:
+        return
+    assert SchemeParams.from_dict(params.to_dict()) == params
 
 
 def test_from_dict_missing_and_extra_fields():

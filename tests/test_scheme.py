@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hhw_pir import fields, linalg
 from hhw_pir.errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
 from hhw_pir.fields import build_tower, project_split
 from hhw_pir.linalg import ExtMatrix, IndexSet, is_information_set, puncture, rank_ext, rank_fq
@@ -182,10 +183,7 @@ def test_textbook_and_direct_paths_agree(tight_params, tight_tower, rng):
     for target in range(1, tight_params.m + 1):
         query, secrets = generate_query(tight_params, tight_tower, target, rng)
         response = respond(db, query, tight_params, tight_tower)
-        fast = decode(response, secrets, tight_params, tight_tower)
-        slow = decode(response, secrets, tight_params, tight_tower, textbook=True)
-        assert np.array_equal(fast, slow)
-        assert np.array_equal(fast, db.files[target - 1])
+        assert np.array_equal(decode(response, secrets, tight_params, tight_tower), db.files[target - 1])
 
 
 def test_decode_matches_handwritten_micro_oracle(micro_params, micro_tower, rng):
@@ -243,16 +241,44 @@ def test_decode_rejects_wrong_width(tight_params, tight_tower, rng):
         decode(clipped, secrets, tight_params, tight_tower)
 
 
-def test_textbook_decode_residue_raises_typed_error(tight_params, tight_tower, rng, monkeypatch):
-    # a solve that misses the information set must surface as DecodeFailure,
-    # also under python -O, where an assert would vanish
-    import hhw_pir.scheme as scheme
-
+def test_decode_singular_selector_raises_typed_error(tight_params, tight_tower, rng):
+    # a repeated selector row stays inside W but makes the coordinate matrix singular
     db = Database.random(tight_params, rng)
     query, secrets = generate_query(tight_params, tight_tower, 2, rng)
     response = respond(db, query, tight_params, tight_tower)
-    exact = scheme.solve_on_columns
-    monkeypatch.setattr(scheme, "solve_on_columns",
-                        lambda *args: ExtMatrix(tight_tower, tight_tower.fq.vadd(exact(*args).data, 1)))
-    with pytest.raises(DecodeFailure):
-        decode(response, secrets, tight_params, tight_tower, textbook=True)
+    block = secrets.selector_block.data.copy()
+    block[1] = block[0]
+    secrets.selector_block = ExtMatrix(tight_tower, block)
+    with pytest.raises(DecodeFailure, match="singular"):
+        decode(response, secrets, tight_params, tight_tower)
+
+
+def test_decode_eliminates_each_matrix_once(monkeypatch, rng):
+    """One q=4 decode hands fq_echelon every matrix at most once.
+
+    An inversion eliminates [M | I], so that call is keyed on M; a rank
+    check of M followed by its inverse counts as eliminating M twice.
+    """
+    params = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=64)
+    tower = build_tower(params.p, params.e, params.s)
+    db = Database.random(params, rng)
+    query, secrets = generate_query(params, tower, 4, rng)
+    response = respond(db, query, params, tower)
+
+    seen = []
+    original = fields.fq_echelon
+
+    def counted(arr, fq, reduced=False):
+        key = arr = np.asarray(arr)
+        n = len(arr)
+        if arr.shape[1] == 2 * n and np.array_equal(arr[:, n:], np.eye(n)):
+            key = arr[:, :n]
+        seen.append((key.shape, key.tobytes()))
+        return original(arr, fq, reduced)
+
+    monkeypatch.setattr(fields, "fq_echelon", counted)
+    monkeypatch.setattr(linalg, "fq_echelon", counted)
+    out = decode(response, secrets, params, tower)
+    assert np.array_equal(out, db.files[3])
+    assert seen, "decode eliminated nothing"
+    assert len(set(seen)) == len(seen), f"{len(seen) - len(set(seen))} matrices eliminated twice"

@@ -1,11 +1,18 @@
+import functools
 import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhw_pir.errors import MatrixFileError
+from hhw_pir.errors import InvalidParams, MatrixFileError
+from hhw_pir.fields import build_tower
+from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import Database, decode, generate_query, respond
 from hhw_pir.serialization import (
     MATRIX_MAGIC,
@@ -145,6 +152,10 @@ def test_save_matrix_rejects_bad_input():
         (_header(rows=0) + b"", "dimensions"),
         (_header(cols=0) + b"", "dimensions"),
         (_header(p=2, e=1, s=65), "exceeds"),
+        (_header(p=2, e=2**31, s=2**31), "exceeds"),
+        (_header(p=2, e=2**32 - 1, s=1), "exceeds"),
+        (_header(p=2, e=64, s=1) + bytes(8), "int64"),
+        (_header(p=4294967291, e=2, s=1) + bytes(8), "int64"),
         (_header() + bytes([0, 0, 0]), "expected 1"),
         (_header(rows=2, cols=2) + bytes([0]), "expected 4"),
         (_header(p=3, e=1, s=1) + bytes([3]), "outside"),
@@ -288,3 +299,103 @@ def test_secrets_rejects_params_mismatch(tight_params, tight_tower, ternary_para
     path, _, _ = _secrets_doc(tmp_path, tight_params, tight_tower, rng)
     with pytest.raises(MatrixFileError, match="generated for"):
         load_secrets(path, ternary_params, tight_tower)
+
+
+# -- fuzzed parsers ------------------------------------------------------------------------
+
+_U32_EDGES = [0, 1, 2, 3, 4, 16, 32, 33, 63, 64, 65, 251, 2**16 + 1, 2**31, 4294967291, 2**32 - 1]
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_load_matrix_parses_or_raises_matrix_file_error(data):
+    """Any header and payload either loads in range or raises MatrixFileError."""
+    field = st.sampled_from(_U32_EDGES) | st.integers(0, 2**32 - 1)
+    small = st.integers(0, 4) | field
+    p, e, s = data.draw(st.sampled_from([2, 3, 251]) | field), data.draw(small), data.draw(small)
+    rows, cols = data.draw(small), data.draw(small)
+    magic = data.draw(st.sampled_from([MATRIX_MAGIC, b"HHWX"]))
+    version = data.draw(st.sampled_from([MATRIX_VERSION, 0, 255]))
+    head = _HEADER.pack(magic, version, p, e, s, rows, cols)
+    exact = 2 <= p and 1 <= e * s <= 64 and rows * cols * ((e * s * p.bit_length() + 7) // 8) <= 256
+    if exact and data.draw(st.booleans()):
+        payload = data.draw(st.binary(min_size=rows * cols * bytes_per_element(p, e, s),
+                                      max_size=rows * cols * bytes_per_element(p, e, s)))
+    else:
+        payload = data.draw(st.binary(max_size=64))
+    raw = data.draw(st.sampled_from([head + payload, (head + payload)[: data.draw(st.integers(0, 40))]]))
+    try:
+        found = load_matrix(io.BytesIO(raw))
+    except MatrixFileError:
+        return
+    assert found.data.shape == (rows, cols, s)
+    assert found.data.min() >= 0 and found.data.max() < p**e
+
+
+_FUZZ_PARAMS = SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=1)
+_FUZZ_TOWER = build_tower(2, 1, 2)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _load_secrets_text(text: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_bytes(text)
+        return load_secrets(path, _FUZZ_PARAMS, _FUZZ_TOWER)
+
+
+@functools.cache
+def _valid_secrets_text() -> str:
+    _, secrets = generate_query(_FUZZ_PARAMS, _FUZZ_TOWER, 2, np.random.default_rng(5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        save_secrets(path, secrets, _FUZZ_PARAMS)
+        return path.read_text()
+
+
+def _valid_secrets_doc() -> dict:
+    return json.loads(_valid_secrets_text())
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_secrets_parses_or_raises_typed_error(data):
+    """A valid secrets file with fields replaced, dropped or added, or raw bytes."""
+    doc = _valid_secrets_doc()
+    keys = sorted(doc) + ["params." + key for key in sorted(doc["params"])] + ["extra"]
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        holder = doc
+        if key.startswith("params.") and isinstance(doc.get("params"), dict):
+            holder, key = doc["params"], key[len("params."):]
+        if data.draw(st.booleans()):
+            holder.pop(key, None)
+        else:
+            holder[key] = data.draw(_JSON)
+    text = data.draw(st.sampled_from([json.dumps(doc).encode(), None]))
+    if text is None:
+        text = data.draw(st.binary(max_size=80) | st.just(b"\xff\xfe{}"))
+    try:
+        _load_secrets_text(text)
+    except (MatrixFileError, InvalidParams):
+        pass
+
+
+def test_load_secrets_without_params_object_raises_matrix_file_error():
+    for params in (None, [], "p=2", 3):
+        doc = _valid_secrets_doc()
+        if params is None:
+            del doc["params"]
+        else:
+            doc["params"] = params
+        with pytest.raises(MatrixFileError, match="params"):
+            _load_secrets_text(json.dumps(doc).encode())
+    with pytest.raises(MatrixFileError, match="cannot parse"):
+        _load_secrets_text(b"\xff\xfe{}")
+    doc = _valid_secrets_doc()
+    doc["basis"] = [[2**70, 0], [0, 1]]
+    with pytest.raises(MatrixFileError, match="not an integer array"):
+        _load_secrets_text(json.dumps(doc).encode())

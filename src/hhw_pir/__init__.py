@@ -28,6 +28,7 @@ from .errors import (
     MatrixFileError,
     NotInformationSet,
     RankDeficientGenerator,
+    ReducibleModulus,
     SamplingExhausted,
 )
 from .experiment import (
@@ -76,6 +77,7 @@ __all__ = [
     "Query",
     "QuerySecrets",
     "RankDeficientGenerator",
+    "ReducibleModulus",
     "RateReport",
     "Response",
     "SamplingExhausted",

@@ -25,6 +25,7 @@ from .experiment import (
     run_experiment,
 )
 from .fields import Fq, build_tower, fq_rank
+from .linalg import ExtMatrix, ext_inv_matrix
 from .params import DEFAULT_PARAMS, SchemeParams
 from .scheme import Database, decode, generate_query, respond
 
@@ -249,15 +250,17 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     require(towers[(3, 1, 2)].top_modulus == (1, 0, 1), "F_9 top modulus is x^2 + 1")
     ok("canonical moduli for F_4, F_9, F_64")
 
-    # field axioms: inverses and distributivity on random elements
+    # field axioms on random elements: distributivity of the product kernel,
+    # inverses by elimination
     for tower in towers.values():
         for _ in range(40):
-            a, b, c = (tuple(tower.rand(rng, ())) for _ in range(3))
-            left = tower.ext_mul(a, tower.ext_add(b, c))
-            right = tower.ext_add(tower.ext_mul(a, b), tower.ext_mul(a, c))
-            require(left == right, f"distributivity in {tower!r}")
-            if any(a):
-                require(tower.ext_mul(a, tower.ext_inv(a)) == tower.one, f"inverse in {tower!r}")
+            a, b, c = (tower.rand(rng, (1, 1)) for _ in range(3))
+            left = tower.matmul(a, tower.fq.vadd(b, c))
+            right = tower.fq.vadd(tower.matmul(a, b), tower.matmul(a, c))
+            require(np.array_equal(left, right), f"distributivity in {tower!r}")
+            if a.any():
+                inv = ext_inv_matrix(ExtMatrix(tower, a)).data
+                require(tuple(tower.matmul(a, inv)[0, 0]) == tower.one, f"inverse in {tower!r}")
     ok("field axioms on random elements")
 
     # vectorized subfield rank agrees with the scalar implementation

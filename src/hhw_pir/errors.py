@@ -13,6 +13,10 @@ class FieldTooLarge(ValueError):
     """The requested field exceeds the desk-scale sizes this package supports."""
 
 
+class ReducibleModulus(ValueError):
+    """A field modulus factors, so its quotient ring is not a field."""
+
+
 class DivisionByZero(ZeroDivisionError):
     """Multiplicative inverse of zero was requested."""
 

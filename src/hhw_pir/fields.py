@@ -8,13 +8,21 @@ the top modulus.  Both moduli are the lexicographically smallest monic
 irreducible polynomials of the required degrees, found by exhaustive
 search in coefficient order, so a tower is fully determined by (p, e, s).
 
+Both extension steps are built by one construction: the powers of the
+companion matrix C of the step's monic modulus, the matrix of y -> x*y
+modulo it, so that row i of C^j holds the coordinates of x^(i+j).  Over
+F_p, C^0..C^(e-1) is the structure tensor of F_q (Fq.mul_tensor); over
+F_q, C^0..C^(s-1) is the power table of F_q^s (FieldTower.power_table).
+The irreducibility test of a candidate modulus (Rabin's test on its C)
+and the search for the primitive element behind the log/exp tables of
+F_q are matrix powers as well, so no polynomial arithmetic is left.
+
 Bulk arithmetic runs on one product kernel, an integer matrix product
 mod p against a regular representation, which replaces every entry of
-the right factor by the matrix of multiplication by it.  Over F_q
-(e > 1) that matrix is e x e over F_p, built from the structure tensor
-of F_q (Fq.mul_tensor); over F_q^s it is s x s over F_q
-(FieldTower.blow_up), so a product over the top field is one F_q
-product, which is in turn one integer product over F_p.
+the right factor by the matrix of multiplication by it: e x e over F_p
+for F_q (Fq.blow_up), s x s over F_q for F_q^s (FieldTower.blow_up), so
+a product over the top field is one F_q product, which is in turn one
+integer product over F_p.
 
 The one elimination kernel of the package, fq_echelon over F_q, lives
 here beside Fq; elimination over F_q^s runs on it through the same
@@ -34,6 +42,7 @@ from .errors import (
     DivisionByZero,
     FieldTooLarge,
     NotPrime,
+    ReducibleModulus,
     SamplingExhausted,
     WrongLength,
 )
@@ -95,7 +104,8 @@ class Fq:
 
     For e = 1 everything is plain arithmetic mod p.  For e >= 2 the
     constructor builds discrete log/exp tables over a primitive element,
-    so q is capped at MAX_SUBFIELD_ORDER.
+    so q is capped at MAX_SUBFIELD_ORDER; a reducible modulus raises
+    ReducibleModulus.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -107,83 +117,58 @@ class Fq:
         self.modulus = tuple(int(c) % self.p for c in modulus)
         if len(self.modulus) != self.e + 1 or self.modulus[self.e] != 1:
             raise ValueError("modulus must be monic of degree e")
+        # the prime field, over which the tables and Rabin's test compute
+        self.fp = self if self.e == 1 else Fq(self.p, 1, (0, 1))
+        # structure tensor over F_p: (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], T[a] = C^a
+        self.mul_tensor = companion_powers(self.fp, self.modulus, self.e)
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
-        self._mul_tensor: np.ndarray | None = None
         if self.e > 1:
             self._build_tables()
 
-    # -- scalar encode/decode -------------------------------------------------
-
-    def digits_of(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of an encoding, least significant first."""
-        return tuple((a // self.p**i) % self.p for i in range(self.e))
-
-    def encode(self, digits) -> int:
-        return sum(int(d) % self.p * self.p**i for i, d in enumerate(digits))
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free product: polynomial multiplication mod the modulus."""
-        p, e = self.p, self.e
-        da, db = self.digits_of(a), self.digits_of(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for t in range(e):
-                    prod[d - e + t] = (prod[d - e + t] - c * self.modulus[t]) % p
-        return self.encode(prod[:e])
-
     def _build_tables(self):
-        q = self.q
-        factors = _prime_factors(q - 1)
-        gen = None
-        for g in range(2, q):
-            if all(self._pow_raw(g, (q - 1) // r) != 1 for r in factors):
-                gen = g
-                break
-        if gen is None:
-            raise RuntimeError("no primitive element found; modulus is not irreducible")
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_raw(x, gen)
-        if x != 1:
-            raise RuntimeError("generator order mismatch; modulus is not irreducible")
-        self._exp, self._log = exp, log
+        """exp/log tables over the smallest primitive element g.
 
-    def _pow_raw(self, a: int, n: int) -> int:
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self._mul_raw(out, base)
-            base = self._mul_raw(base, base)
-            n >>= 1
-        return out
+        g is the smallest encoding with g^((q-1)/r) != 1 for every prime
+        r | q-1, each power taken on the e x e regular representation of g.
+        The exp table is built by doubling: the digits of g^0..g^(k-1) times
+        the matrix of g^k are those of g^k..g^(2k-1).  It hits every nonzero
+        element exactly once iff the modulus is irreducible.
+        """
+        q, fp = self.q, self.fp
+        factors = _prime_factors(q - 1)
+
+        def primitive(g: int) -> bool:
+            reg = self.blow_up([[g]])
+            # row 0 of the matrix of g^n holds the digits of g^n
+            return all(self.from_digits(_matpow(reg, (q - 1) // r, fp.matmul)[0]) != 1 for r in factors)
+
+        # with no primitive element, g = 1 gives a table the check below refuses
+        gen = next((g for g in range(2, q) if primitive(g)), 1)
+        digits, step = np.eye(1, self.e, dtype=np.int64), self.blow_up([[gen]])
+        while len(digits) < q - 1:
+            digits = np.vstack([digits, fp.matmul(digits, step)])
+            step = fp.matmul(step, step)
+        exp = self.from_digits(digits[: q - 1])
+        if not np.array_equal(np.sort(exp), np.arange(1, q)):
+            raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{self.p}")
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp, self._log = exp, log
 
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        p = self.p
         if self.e == 1:
-            return (a + b) % self.p
-        return self.encode(x + y for x, y in zip(self.digits_of(a), self.digits_of(b)))
+            return (a + b) % p
+        return sum((a // p**i + b // p**i) % p * p**i for i in range(self.e))
 
     def sub(self, a: int, b: int) -> int:
+        p = self.p
         if self.e == 1:
-            return (a - b) % self.p
-        return self.encode(x - y for x, y in zip(self.digits_of(a), self.digits_of(b)))
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
+            return (a - b) % p
+        return sum((a // p**i - b // p**i) % p * p**i for i in range(self.e))
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -226,9 +211,6 @@ class Fq:
             return (np.asarray(a) - np.asarray(b)) % self.p
         return self.from_digits(self.to_digits(a) - self.to_digits(b))
 
-    def vneg(self, a: np.ndarray) -> np.ndarray:
-        return self.vsub(np.zeros_like(np.asarray(a)), a)
-
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
             return np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64) % self.p
@@ -239,17 +221,16 @@ class Fq:
             out[mask] = self._exp[(self._log[a[mask]] + self._log[b[mask]]) % (self.q - 1)]
         return out
 
-    @property
-    def mul_tensor(self) -> np.ndarray:
-        """Structure tensor T over F_p: (x*y)_d = sum_{a,b} x_a y_b T[a,b,d]."""
-        if self._mul_tensor is None:
-            e = self.e
-            T = np.zeros((e, e, e), dtype=np.int64)
-            for i in range(e):
-                for j in range(e):
-                    T[i, j] = self.digits_of(self._mul_raw(self.p**i, self.p**j))
-            self._mul_tensor = T
-        return self._mul_tensor
+    def blow_up(self, b: np.ndarray) -> np.ndarray:
+        """The (t*e, c*e) F_p regular representation of a (t, c) encoding array.
+
+        Block (k, j) is the e x e matrix of y -> b_kj * y on digits: its
+        row i holds the digits of x^i * b_kj.
+        """
+        b = np.asarray(b, dtype=np.int64)
+        (t, c), e = b.shape, self.e
+        regular = self.to_digits(b) @ self.mul_tensor.reshape(e, e * e) % self.p
+        return regular.reshape(t, c, e, e).transpose(0, 2, 1, 3).reshape(t * e, c * e)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product over F_q of two encoding arrays (r,t) @ (t,c).
@@ -262,14 +243,39 @@ class Fq:
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
             return a @ b % self.p
-        (r, t), (tb, c), e = a.shape, b.shape, self.e
-        # row (k, i), column block j: the digits of p^i * b_kj
-        regular = np.tensordot(self.to_digits(b), self.mul_tensor, axes=([2], [1])) % self.p
-        regular = regular.transpose(0, 2, 1, 3).reshape(tb * e, c * e)
-        return self.from_digits((self.to_digits(a).reshape(r, t * e) @ regular).reshape(r, c, e))
+        (r, t), c, e = a.shape, b.shape[1], self.e
+        return self.from_digits((self.to_digits(a).reshape(r, t * e) @ self.blow_up(b)).reshape(r, c, e))
 
     def rand(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
+
+
+def companion_powers(fq: Fq, modulus, count: int) -> np.ndarray:
+    """(count, d, d) stack C^0..C^(count-1) over fq for a monic modulus of degree d.
+
+    C is the companion matrix, the matrix of y -> x*y modulo the modulus
+    acting on power-basis coordinates as y @ C, so row i of C^j holds the
+    coordinates of x^(i+j).
+    """
+    d = len(modulus) - 1
+    C = np.eye(d, k=1, dtype=np.int64)
+    C[-1] = fq.vsub(0, np.asarray(modulus[:d], dtype=np.int64))
+    powers = [np.eye(d, dtype=np.int64), C]
+    while len(powers) < count:
+        powers.append(fq.matmul(powers[-1], C))
+    return np.array(powers[:count])
+
+
+def _matpow(a: np.ndarray, n: int, matmul) -> np.ndarray:
+    """a^n for n >= 1 by square-and-multiply, with no squaring past the top bit of n."""
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else matmul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = matmul(a, a)
 
 
 # -- the elimination kernel over F_q (numpy arrays of encodings) ----------------
@@ -334,96 +340,28 @@ def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
     return R[:, n:]
 
 
-# -- polynomial helpers over an Fq (coefficient lists, low degree first) ------
-
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_sub(fq: Fq, a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = fq.sub(out[i], y)
-    return _poly_trim(out)
-
-
-def _poly_mul(fq: Fq, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = fq.add(out[i + j], fq.mul(x, y))
-    return _poly_trim(out)
-
-
-def _poly_divmod(fq: Fq, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    binv = fq.inv(b[-1])
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        coef = fq.mul(a[-1], binv)
-        quot[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] = fq.sub(a[shift + i], fq.mul(coef, y))
-        _poly_trim(a)
-    return _poly_trim(quot), a
-
-
-def _poly_mod(fq: Fq, a: list[int], m: list[int]) -> list[int]:
-    return _poly_divmod(fq, a, m)[1]
-
-
-def _poly_mulmod(fq: Fq, a: list[int], b: list[int], m: list[int]) -> list[int]:
-    return _poly_mod(fq, _poly_mul(fq, a, b), m)
-
-
-def _poly_powmod(fq: Fq, base: list[int], n: int, m: list[int]) -> list[int]:
-    out = [1]
-    base = _poly_mod(fq, list(base), m)
-    while n:
-        if n & 1:
-            out = _poly_mulmod(fq, out, base, m)
-        base = _poly_mulmod(fq, base, base, m)
-        n >>= 1
-    return out
-
-
-def _poly_gcd(fq: Fq, a: list[int], b: list[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(fq, a, b)
-    return a
-
-
 def _is_irreducible(fq: Fq, poly: list[int]) -> bool:
-    """Rabin test for a monic polynomial over F_q.
+    """Rabin's test for a monic polynomial of degree d >= 1 over fq, on its companion matrix C.
 
-    poly is irreducible of degree d iff x^(q^d) = x mod poly and, for every
-    prime r | d, gcd(x^(q^(d/r)) - x, poly) is constant.
+    C^n is the matrix of multiplication by x^n modulo poly, so C^n - C has
+    rank d minus the degree of gcd(x^n - x, poly).  poly is irreducible iff
+    C^(q^d) = C and C^(q^(d/r)) - C has rank d for every prime r | d.  The
+    q-th powers run along one chain C, C^q, C^(q^2), ... on the blow-up of
+    C over F_p, where a product is one integer matmul, and each rank is
+    checked as the chain reaches it, so most reducible candidates stop early.
     """
-    d = len(poly) - 1
-    if d < 1:
-        return False
+    d, e = len(poly) - 1, fq.e
     if d == 1:
         return True
-    x = [0, 1]
-    if _poly_trim(_poly_sub(fq, _poly_powmod(fq, x, fq.q**d, poly), x)):
-        return False
-    for r in _prime_factors(d):
-        g = _poly_gcd(fq, _poly_sub(fq, _poly_powmod(fq, x, fq.q ** (d // r), poly), x), poly)
-        if len(g) - 1 != 0:
+    C = companion_powers(fq, poly, 2)[1]
+    checks = {d // r for r in _prime_factors(d)}
+    power = big = fq.blow_up(C)
+    for k in range(1, d + 1):
+        power = _matpow(power, fq.q, fq.fp.matmul)  # the blow-up of C^(q^k)
+        # row 0 of each e x e block holds the digits of that entry
+        if k in checks and fq_rank(fq.vsub(fq.from_digits(power[::e].reshape(d, d, e)), C), fq) < d:
             return False
-    return True
+    return bool(np.array_equal(power, big))
 
 
 def smallest_irreducible(fq: Fq, degree: int) -> tuple[int, ...]:
@@ -445,20 +383,24 @@ def smallest_irreducible(fq: Fq, degree: int) -> tuple[int, ...]:
 class FieldTower:
     """Immutable arithmetic context for F_p <= F_q <= F_q^s.
 
-    Exposes scalar operations on ExtElement tuples and vectorised
-    operations on numpy coordinate arrays of shape (..., s).
+    Elements are ExtElement tuples or numpy coordinate arrays of shape
+    (..., s); the arithmetic runs on whole arrays (matmul, scalar_matmul).
     """
 
-    def __init__(self, p: int, e: int, s: int, base_modulus: tuple[int, ...], top_modulus: tuple[ExtElement | int, ...]):
-        self.fq = Fq(p, e, base_modulus)
-        self.p, self.e, self.s = int(p), int(e), int(s)
-        self.q = self.fq.q
+    def __init__(self, fq: Fq, s: int, top_modulus: tuple[int, ...]):
+        self.fq = fq
+        self.p, self.e, self.s = fq.p, fq.e, int(s)
+        self.q = fq.q
         self.order = self.q**self.s
         self.base_modulus = self.fq.modulus
         self.top_modulus = tuple(int(c) for c in top_modulus)
         if len(self.top_modulus) != self.s + 1 or self.top_modulus[self.s] != 1:
             raise ValueError("top modulus must be monic of degree s")
-        self._power_table: np.ndarray | None = None
+        # (s, s*s) F_q matrix with y @ power_table = [y, x*y, ..., x^(s-1)*y]
+        # on coordinates: row j holds x^(j+i) for i < s, so one product with
+        # it gives every row of the multiplication map of y (see blow_up)
+        powers = companion_powers(self.fq, self.top_modulus, self.s)
+        self.power_table = powers.transpose(1, 0, 2).reshape(self.s, self.s * self.s)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, s={self.s})"
@@ -484,73 +426,6 @@ class FieldTower:
             raise ValueError("coordinate outside [0, q)")
         return x
 
-    # -- scalar arithmetic -------------------------------------------------------
-
-    def ext_add(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        fq = self.fq
-        return tuple(fq.add(x, y) for x, y in zip(a, b))
-
-    def ext_sub(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        fq = self.fq
-        return tuple(fq.sub(x, y) for x, y in zip(a, b))
-
-    def ext_neg(self, a: ExtElement) -> ExtElement:
-        fq = self.fq
-        return tuple(fq.neg(x) for x in a)
-
-    def ext_mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        fq, s = self.fq, self.s
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = fq.add(prod[i + j], fq.mul(x, y))
-        # reduce by the monic top modulus
-        for d in range(2 * s - 2, s - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for t in range(s):
-                    prod[d - s + t] = fq.sub(prod[d - s + t], fq.mul(c, self.top_modulus[t]))
-        return tuple(prod[:s])
-
-    def ext_inv(self, a: ExtElement) -> ExtElement:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
-        fq = self.fq
-        r0 = list(self.top_modulus)
-        r1 = _poly_trim([int(c) for c in a])
-        if not r1:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        t0: list[int] = []
-        t1: list[int] = [1]
-        while len(r1) - 1 > 0:
-            quot, rem = _poly_divmod(fq, r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(fq, t0, _poly_mul(fq, quot, t1))
-        c = fq.inv(r1[0])
-        inv = _poly_mod(fq, _poly_mul(fq, t1, [c]), list(self.top_modulus))
-        return tuple(inv + [0] * (self.s - len(inv)))
-
-    def ext_pow(self, a: ExtElement, n: int) -> ExtElement:
-        out, base = self.one, a
-        while n:
-            if n & 1:
-                out = self.ext_mul(out, base)
-            base = self.ext_mul(base, base)
-            n >>= 1
-        return out
-
-    # -- integer encoding (used by serialization) --------------------------------
-
-    def element_to_int(self, x: ExtElement) -> int:
-        return sum(int(c) * self.q**j for j, c in enumerate(x))
-
-    def int_to_element(self, value: int) -> ExtElement:
-        if value < 0 or value >= self.order:
-            raise ValueError("element value outside [0, q^s)")
-        return tuple((value // self.q**j) % self.q for j in range(self.s))
-
     # -- vectorised operations on coordinate arrays ------------------------------
 
     def rand(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -558,21 +433,6 @@ class FieldTower:
         if isinstance(shape, int):
             shape = (shape,)
         return rng.integers(0, self.q, size=tuple(shape) + (self.s,), dtype=np.int64)
-
-    @property
-    def power_table(self) -> np.ndarray:
-        """(s, s*s) F_q matrix T with y @ T = [y, x*y, ..., x^(s-1)*y] on coordinates.
-
-        Row j holds the coordinates of x^(j+i) for i = 0..s-1, so one
-        product with T gives every row of the multiplication map of y.
-        """
-        if self._power_table is None:
-            s = self.s
-            x = (0, 1) + (0,) * (s - 2)
-            powers = [self.ext_pow(x, t) for t in range(2 * s - 1)]
-            table = [[powers[j + i] for i in range(s)] for j in range(s)]
-            self._power_table = np.array(table, dtype=np.int64).reshape(s, s * s)
-        return self._power_table
 
     def blow_up(self, data: np.ndarray) -> np.ndarray:
         """The (r*s, c*s) F_q regular representation of an (r, c, s) coordinate array.
@@ -627,11 +487,8 @@ def build_tower(p: int, e: int, s: int) -> FieldTower:
     # p >= 2: bound e*s first, so huge degrees never build a huge power
     if e * s >= MAX_TOWER_ORDER.bit_length() or p ** (e * s) > MAX_TOWER_ORDER:
         raise FieldTooLarge(f"{p}^{e * s} exceeds the desk-scale cap of 2^64")
-    fp = Fq(p, 1, (0, 1))
-    base_modulus = smallest_irreducible(fp, e)
-    fq = Fq(p, e, base_modulus)
-    top_modulus = smallest_irreducible(fq, s)
-    return FieldTower(p, e, s, base_modulus, top_modulus)
+    fq = Fq(p, e, smallest_irreducible(Fq(p, 1, (0, 1)), e))
+    return FieldTower(fq, s, smallest_irreducible(fq, s))
 
 
 # -- basis splits --------------------------------------------------------------

@@ -250,7 +250,19 @@ def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemePa
     Path(dest).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true, false, floats and strings are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_coord_array(obj, shape: tuple[int, ...], q: int, what: str) -> np.ndarray:
+    leaves = [obj]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif not _is_int(leaf):
+            raise MatrixFileError(f"secrets field {what} is not an integer array: it holds {leaf!r}")
     try:
         arr = np.asarray(obj, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -269,7 +281,7 @@ def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower)
         raise MatrixFileError(f"cannot parse secrets file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SECRETS_FORMAT:
         raise MatrixFileError("not a secrets file")
-    if doc.get("version") != SECRETS_VERSION:
+    if not _is_int(doc.get("version")) or doc["version"] != SECRETS_VERSION:
         raise MatrixFileError(f"unsupported secrets version {doc.get('version')}")
 
     if not isinstance(doc.get("params"), dict):
@@ -280,14 +292,14 @@ def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower)
 
     s, n, k, delta, q = params.s, params.n, params.k, params.delta, params.q
     target = doc.get("target")
-    if not isinstance(target, int) or not 1 <= target <= params.m:
+    if not _is_int(target) or not 1 <= target <= params.m:
         raise MatrixFileError(f"target {target!r} outside [1, {params.m}]")
     info = doc.get("info_set")
     if (not isinstance(info, list) or len(info) != k
-            or any(not isinstance(x, int) for x in info)):
+            or not all(map(_is_int, info))):
         raise MatrixFileError(f"information set must list {k} column indices")
     split_v = doc.get("split_v")
-    if split_v != params.v:
+    if not _is_int(split_v) or split_v != params.v:
         raise MatrixFileError(f"split width {split_v!r} does not match v={params.v}")
 
     basis = _as_coord_array(doc.get("basis"), (s, s), q, "basis")

@@ -11,7 +11,11 @@ Gauss-Jordan elimination over F_q^s on scalar tower ops that the
 regular-representation kernel replaced; and digit_fq_matmul /
 digit_matmul / digit_scalar_matmul, the products that contracted base-p
 digits against F_p structure tensors before every product became one
-integer matmul on a regular representation.
+integer matmul on a regular representation.  The scalar arithmetic the
+oracles are written in (fq_poly_mul, ext_add ... ext_inv) is the
+polynomial and tuple arithmetic the fields once ran on, before both
+extension steps were built from companion-matrix powers; ext_inv is
+Fermat's x^(q^s - 2) rather than polynomial Euclid.
 """
 
 from __future__ import annotations
@@ -23,9 +27,67 @@ from fractions import Fraction
 import numpy as np
 
 from hhw_pir.attack import drop_block
-from hhw_pir.errors import RankDeficientGenerator
+from hhw_pir.errors import DivisionByZero, RankDeficientGenerator
 from hhw_pir.fields import FieldTower, Fq
 from hhw_pir.linalg import rank_fq
+
+
+def fq_poly_mul(fq: Fq, a: int, b: int) -> int:
+    """Product in F_q by multiplying digit polynomials and reducing by the base modulus."""
+    p, e = fq.p, fq.e
+    da, db = ([x // p**i % p for i in range(e)] for x in (a, b))
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for d in range(2 * e - 2, e - 1, -1):
+        c, prod[d] = prod[d], 0
+        for t in range(e):
+            prod[d - e + t] = (prod[d - e + t] - c * fq.modulus[t]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:e]))
+
+
+def ext_add(tower: FieldTower, a, b) -> tuple:
+    return tuple(tower.fq.add(x, y) for x, y in zip(a, b))
+
+
+def ext_sub(tower: FieldTower, a, b) -> tuple:
+    return tuple(tower.fq.sub(x, y) for x, y in zip(a, b))
+
+
+def ext_neg(tower: FieldTower, a) -> tuple:
+    return tuple(tower.fq.sub(0, x) for x in a)
+
+
+def ext_mul(tower: FieldTower, a, b) -> tuple:
+    """Product in F_q^s: schoolbook polynomial product reduced by the top modulus."""
+    fq, s = tower.fq, tower.s
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = fq.add(prod[i + j], fq.mul(int(x), int(y)))
+    for d in range(2 * s - 2, s - 1, -1):
+        c, prod[d] = prod[d], 0
+        for t in range(s):
+            prod[d - s + t] = fq.sub(prod[d - s + t], fq.mul(c, tower.top_modulus[t]))
+    return tuple(prod[:s])
+
+
+def ext_pow(tower: FieldTower, a, n: int) -> tuple:
+    out, base = tower.one, tuple(a)
+    while n:
+        if n & 1:
+            out = ext_mul(tower, out, base)
+        base = ext_mul(tower, base, base)
+        n >>= 1
+    return out
+
+
+def ext_inv(tower: FieldTower, a) -> tuple:
+    """Inverse in F_q^s by Fermat's little theorem, a^(q^s - 2)."""
+    if not any(a):
+        raise DivisionByZero("zero has no multiplicative inverse")
+    return ext_pow(tower, a, tower.order - 2)
 
 
 def naive_rank_fq(rows, fq: Fq) -> int:
@@ -74,12 +136,12 @@ def scalar_rank_ext(rows, tower: FieldTower) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pinv = tower.ext_inv(rows[rank][c])
-        rows[rank] = [tower.ext_mul(pinv, x) for x in rows[rank]]
+        pinv = ext_inv(tower, rows[rank][c])
+        rows[rank] = [ext_mul(tower, pinv, x) for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and any(rows[i][c]):
                 f = rows[i][c]
-                rows[i] = [tower.ext_sub(x, tower.ext_mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [ext_sub(tower, x, ext_mul(tower, f, y)) for x, y in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -96,12 +158,12 @@ def scalar_ext_inv(rows, tower: FieldTower) -> list[list[tuple]]:
         if pivot is None:
             raise ValueError("matrix is singular")
         aug[c], aug[pivot] = aug[pivot], aug[c]
-        pinv = tower.ext_inv(aug[c][c])
-        aug[c] = [tower.ext_mul(pinv, x) for x in aug[c]]
+        pinv = ext_inv(tower, aug[c][c])
+        aug[c] = [ext_mul(tower, pinv, x) for x in aug[c]]
         for i in range(n):
             if i != c and any(aug[i][c]):
                 f = aug[i][c]
-                aug[i] = [tower.ext_sub(x, tower.ext_mul(f, y)) for x, y in zip(aug[i], aug[c])]
+                aug[i] = [ext_sub(tower, x, ext_mul(tower, f, y)) for x, y in zip(aug[i], aug[c])]
     return [row[n:] for row in aug]
 
 
@@ -120,7 +182,7 @@ def scalar_is_information_set(gen, columns, tower: FieldTower) -> bool:
 def _fq_digit_tensor(fq: Fq) -> np.ndarray:
     """F_p structure tensor T of F_q, (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], from fq.mul."""
     basis = [fq.p**i for i in range(fq.e)]
-    return np.array([[fq.digits_of(fq.mul(x, y)) for y in basis] for x in basis], dtype=np.int64)
+    return np.array([[fq.to_digits(fq.mul(x, y)) for y in basis] for x in basis], dtype=np.int64)
 
 
 @functools.cache
@@ -129,7 +191,7 @@ def _tower_digit_tensor(tower: FieldTower) -> np.ndarray:
     of coordinate j), from ext_mul."""
     fq = tower.fq
     basis = [tuple(fq.p**i if j == jj else 0 for jj in range(tower.s)) for j in range(tower.s) for i in range(fq.e)]
-    return np.array([[fq.to_digits(np.array(tower.ext_mul(x, y))).reshape(-1) for y in basis] for x in basis],
+    return np.array([[fq.to_digits(np.array(ext_mul(tower, x, y))).reshape(-1) for y in basis] for x in basis],
                     dtype=np.int64)
 
 
@@ -169,7 +231,7 @@ def scalar_ext_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.nda
         for j in range(b.shape[1]):
             acc = tower.zero
             for k in range(a.shape[1]):
-                acc = tower.ext_add(acc, tower.ext_mul(tuple(map(int, a[i, k])), tuple(map(int, b[k, j]))))
+                acc = ext_add(tower, acc, ext_mul(tower, tuple(map(int, a[i, k])), tuple(map(int, b[k, j]))))
             out[i, j] = acc
     return out
 
@@ -194,7 +256,7 @@ def regular_representation(x, tower: FieldTower) -> list[list[int]]:
     rows = []
     for i in range(s):
         basis_vec = tuple(1 if j == i else 0 for j in range(s))
-        rows.append(list(tower.ext_mul(basis_vec, tuple(int(c) for c in x))))
+        rows.append(list(ext_mul(tower, basis_vec, tuple(int(c) for c in x))))
     return rows
 
 
@@ -225,8 +287,8 @@ def det_ext_oracle(mat_rows, tower: FieldTower):
         sign_neg = _parity(perm)
         term = tower.one
         for i in range(n):
-            term = tower.ext_mul(term, tuple(int(c) for c in mat_rows[i][perm[i]]))
-        total = tower.ext_add(total, tower.ext_neg(term) if sign_neg else term)
+            term = ext_mul(tower, term, tuple(int(c) for c in mat_rows[i][perm[i]]))
+        total = ext_add(tower, total, ext_neg(tower, term) if sign_neg else term)
     return total
 
 
@@ -240,7 +302,7 @@ def det_oracle(mat, fq: Fq) -> int:
         term = 1
         for i in range(n):
             term = fq.mul(term, m[i][perm[i]])
-        total = fq.add(total, fq.neg(term) if sign_neg else term)
+        total = fq.add(total, fq.sub(0, term) if sign_neg else term)
     return total
 
 
@@ -370,21 +432,21 @@ def micro_decode(response_row, secrets, tower: FieldTower):
     assert tower.s == 2 and secrets.split.v == 1
 
     def emul(x, y):
-        return tower.ext_mul(tuple(int(t) for t in x), tuple(int(t) for t in y))
+        return ext_mul(tower, tuple(int(t) for t in x), tuple(int(t) for t in y))
 
     def esub(x, y):
-        return tower.ext_sub(tuple(int(t) for t in x), tuple(int(t) for t in y))
+        return ext_sub(tower, tuple(int(t) for t in x), tuple(int(t) for t in y))
 
     # coefficient of the codeword layer from the information column
-    coeff = emul(response_row[info_col], tower.ext_inv(tuple(int(t) for t in gen[info_col])))
+    coeff = emul(response_row[info_col], ext_inv(tower, tuple(int(t) for t in gen[info_col])))
 
     # 2x2 inverse of the basis by adjugate: [[d,-b],[-c,a]] / det
     a, b = int(basis[0][0]), int(basis[0][1])
     c, d = int(basis[1][0]), int(basis[1][1])
     det = fq.sub(fq.mul(a, d), fq.mul(b, c))
     det_inv = fq.inv(det)
-    binv = [[fq.mul(det_inv, d), fq.mul(det_inv, fq.neg(b))],
-            [fq.mul(det_inv, fq.neg(c)), fq.mul(det_inv, a)]]
+    binv = [[fq.mul(det_inv, d), fq.mul(det_inv, fq.sub(0, b))],
+            [fq.mul(det_inv, fq.sub(0, c)), fq.mul(det_inv, a)]]
 
     def w_coordinate(element):
         # coordinates of the element in the split basis; W part is index 1
@@ -402,8 +464,8 @@ def micro_decode(response_row, secrets, tower: FieldTower):
     sc, sd = sel_cols[1]
     sdet = fq.sub(fq.mul(sa, sd), fq.mul(sb, sc))
     sdet_inv = fq.inv(sdet)
-    sinv = [[fq.mul(sdet_inv, sd), fq.mul(sdet_inv, fq.neg(sb))],
-            [fq.mul(sdet_inv, fq.neg(sc)), fq.mul(sdet_inv, sa)]]
+    sinv = [[fq.mul(sdet_inv, sd), fq.mul(sdet_inv, fq.sub(0, sb))],
+            [fq.mul(sdet_inv, fq.sub(0, sc)), fq.mul(sdet_inv, sa)]]
 
     x0 = fq.add(fq.mul(w_parts[0], sinv[0][0]), fq.mul(w_parts[1], sinv[1][0]))
     x1 = fq.add(fq.mul(w_parts[0], sinv[0][1]), fq.mul(w_parts[1], sinv[1][1]))
@@ -426,7 +488,7 @@ def scalar_respond(db_files, query_data, tower: FieldTower) -> list[list[tuple]]
                     x = int(db_files[r][row, t])
                     qe = tuple(int(u) for u in query_data[r * delta + t, col])
                     scaled = tuple(tower.fq.mul(x, u) for u in qe)
-                    acc = tower.ext_add(acc, scaled)
+                    acc = ext_add(tower, acc, scaled)
             out_row.append(acc)
         out.append(out_row)
     return out

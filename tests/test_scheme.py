@@ -8,7 +8,7 @@ from hhw_pir.linalg import ExtMatrix, IndexSet, is_information_set, puncture, ra
 from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import Database, decode, generate_query, respond, sample_code
 
-from .oracles import micro_decode, scalar_respond
+from .oracles import ext_inv, ext_mul, micro_decode, scalar_respond
 
 
 # -- database ---------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_sample_code_uniform_over_lines(rng):
         a, b = gen.entry(0, 0), gen.entry(0, 1)
         # normalise the generator to a canonical projective representative
         if a != tower.zero:
-            key = (tower.one, tower.ext_mul(tower.ext_inv(a), b))
+            key = (tower.one, ext_mul(tower, ext_inv(tower, a), b))
         else:
             key = (tower.zero, tower.one)
         counts[key] = counts.get(key, 0) + 1

@@ -273,16 +273,27 @@ def test_secrets_rejects_garbage_file(tmp_path, tight_params, tight_tower):
     "overrides,fragment",
     [
         ({"version": 9}, "version"),
+        ({"version": True}, "version"),
+        ({"version": 1.0}, "version"),
         ({"target": 0}, "target"),
         ({"target": 7}, "target"),
         ({"target": "2"}, "target"),
+        ({"target": True}, "target"),
+        ({"target": 2.0}, "target"),
         ({"info_set": [1]}, "information set"),
+        ({"info_set": [True, 2]}, "information set"),
         ({"info_set": [2, 1]}, "bad information set"),
         ({"info_set": [1, 9]}, "bad information set"),
         ({"split_v": 2}, "split width"),
+        ({"split_v": True}, "split width"),
         ({"basis": [[0, 0], [0, 0]]}, "singular"),
         ({"basis": [[1, 0, 0], [0, 1, 0]]}, "shape"),
         ({"basis": "nope"}, "not an integer array"),
+        ({"basis": [[1.5, True], [0, 1]]}, "not an integer array"),
+        ({"basis": [[True, 0], [0, 1]]}, "not an integer array"),
+        ({"basis": [[1.0, 0], [0, 1]]}, "not an integer array"),
+        ({"basis": [["1", 0], [0, 1]]}, "not an integer array"),
+        ({"generator": [[["1", 0]] * 4] * 2}, "not an integer array"),
         ({"selector_block": [[0]]}, "shape"),
         ({"generator": [[[9, 0], [0, 0], [0, 0], [0, 0]]] * 2}, "outside"),
     ],
@@ -361,11 +372,36 @@ def _valid_secrets_doc() -> dict:
     return json.loads(_valid_secrets_text())
 
 
+_SECRET_INTEGERS = ("version", "target", "split_v", "info_set", "basis", "generator", "selector_block")
+
+
+def _integer_paths(obj, path=()):
+    """Index paths to the integer leaves of nested lists."""
+    if isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _integer_paths(item, path + (i,))
+    else:
+        yield path
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_load_secrets_parses_or_raises_typed_error(data):
-    """A valid secrets file with fields replaced, dropped or added, or raw bytes."""
+    """A valid secrets file with one integer written as another JSON type,
+    with fields replaced, dropped or added, or raw bytes."""
     doc = _valid_secrets_doc()
+    if data.draw(st.booleans()):
+        # the same value as a float, a string or (for 0 and 1) a boolean never loads
+        paths = [(key,) + sub for key in _SECRET_INTEGERS for sub in _integer_paths(doc[key])]
+        *parents, last = data.draw(st.sampled_from(paths))
+        holder = doc
+        for step in parents:
+            holder = holder[step]
+        value = holder[last]
+        holder[last] = data.draw(st.sampled_from([float(value), str(value)] + [bool(value)] * (value in (0, 1))))
+        with pytest.raises(MatrixFileError):
+            _load_secrets_text(json.dumps(doc).encode())
+        return
     keys = sorted(doc) + ["params." + key for key in sorted(doc["params"])] + ["extra"]
     for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
         holder = doc

@@ -11,9 +11,11 @@ profile:
           merged once per deletion (linalg.fq_deletion_ranks).
 
 Both must return the same profile on every query, or the script exits 1.
-It also counts the F_q elimination work per query, as the rows x columns
-handed to fq_echelon summed over its calls, and writes the medians and
-interquartile ranges with the machine it ran on to BENCH_attack.json.
+It also counts the elimination work per query, as the rows x columns
+handed to fq_echelon summed over its calls.  fq_echelon works over F_p,
+so for e > 1 these are cells of the F_p blow-up, e^2 per F_q entry.  The
+script writes the medians and interquartile ranges with the machine it
+ran on to BENCH_attack.json.
 Uses only the standard library and numpy.
 
     python3 scripts/bench_attack.py

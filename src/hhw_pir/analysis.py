@@ -129,14 +129,6 @@ class FailureBound:
     regime_warning: bool
     rough_chain_ok: bool
 
-    @property
-    def log_q_per_block(self) -> float:
-        return log2_fraction(self.per_block) / math.log2(self.q)
-
-    @property
-    def log_q_simplified(self) -> float:
-        return log2_fraction(self.simplified) / math.log2(self.q)
-
     def to_dict(self) -> dict:
         return {
             "q": self.q,

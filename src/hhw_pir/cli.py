@@ -205,8 +205,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _small_rank(mat, fq: Fq) -> int:
-    """Row rank of a small F_q matrix by scalar Gaussian elimination, the selftest's reference."""
-    rows = [list(map(int, r)) for r in mat]
+    """Row rank of a small F_q matrix, the selftest's reference: scalar Gaussian
+    elimination with integers mod p on its F_p regular representation."""
+    p = fq.p
+    rows = [list(map(int, r)) for r in fq.blow_up(mat)]
     if not rows:
         return 0
     cols = len(rows[0])
@@ -216,16 +218,16 @@ def _small_rank(mat, fq: Fq) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pinv = fq.inv(rows[rank][c])
-        rows[rank] = [fq.mul(pinv, x) for x in rows[rank]]
+        pinv = pow(rows[rank][c], -1, p)
+        rows[rank] = [pinv * x % p for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [fq.sub(x, fq.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
-    return rank
+    return rank // fq.e
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

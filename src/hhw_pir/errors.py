@@ -17,10 +17,6 @@ class ReducibleModulus(ValueError):
     """A field modulus factors, so its quotient ring is not a field."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Multiplicative inverse of zero was requested."""
-
-
 class WrongLength(ValueError):
     """A coordinate vector has the wrong number of entries."""
 

@@ -14,8 +14,7 @@ modulo it, so that row i of C^j holds the coordinates of x^(i+j).  Over
 F_p, C^0..C^(e-1) is the structure tensor of F_q (Fq.mul_tensor); over
 F_q, C^0..C^(s-1) is the power table of F_q^s (FieldTower.power_table).
 The irreducibility test of a candidate modulus (Rabin's test on its C)
-and the search for the primitive element behind the log/exp tables of
-F_q are matrix powers as well, so no polynomial arithmetic is left.
+is a chain of matrix powers as well, so no polynomial arithmetic is left.
 
 Bulk arithmetic runs on one product kernel, an integer matrix product
 mod p against a regular representation, which replaces every entry of
@@ -24,9 +23,10 @@ for F_q (Fq.blow_up), s x s over F_q for F_q^s (FieldTower.blow_up), so
 a product over the top field is one F_q product, which is in turn one
 integer product over F_p.
 
-The one elimination kernel of the package, fq_echelon over F_q, lives
-here beside Fq; elimination over F_q^s runs on it through the same
-regular representation (see linalg.rank_ext).
+The one elimination kernel of the package, fq_echelon, works over F_p
+only.  An F_q-space of dimension r is an F_p-space of dimension e*r, so
+ranks and inverses over F_q (fq_rank, fq_inv_matrix) and over F_q^s
+(see linalg.rank_ext) run on it through the same regular representations.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
     BadSplit,
     DegreeTooSmall,
     DimensionMismatch,
-    DivisionByZero,
     FieldTooLarge,
     NotPrime,
     ReducibleModulus,
@@ -50,7 +49,7 @@ from .errors import (
 # An element of F_q^s: s coordinates over F_q in the power basis.
 ExtElement = tuple[int, ...]
 
-# Subfields are table-backed; beyond this order the tables stop being cheap.
+# Fq.matmul's int64 sums stay far below 2^63 only up to this order (see its docstring).
 MAX_SUBFIELD_ORDER = 1 << 16
 # Guideline cap on the top field order.
 MAX_TOWER_ORDER = 1 << 64
@@ -103,9 +102,9 @@ class Fq:
     """Arithmetic context for F_q with q = p^e, elements encoded as ints in [0, q).
 
     For e = 1 everything is plain arithmetic mod p.  For e >= 2 the
-    constructor builds discrete log/exp tables over a primitive element,
-    so q is capped at MAX_SUBFIELD_ORDER; a reducible modulus raises
-    ReducibleModulus.
+    arithmetic runs on the F_p regular representation of each element,
+    built from the structure tensor; q is capped at MAX_SUBFIELD_ORDER and
+    a reducible modulus raises ReducibleModulus.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -117,72 +116,12 @@ class Fq:
         self.modulus = tuple(int(c) % self.p for c in modulus)
         if len(self.modulus) != self.e + 1 or self.modulus[self.e] != 1:
             raise ValueError("modulus must be monic of degree e")
-        # the prime field, over which the tables and Rabin's test compute
+        # the prime field, over which every elimination and Rabin's test compute
         self.fp = self if self.e == 1 else Fq(self.p, 1, (0, 1))
+        if self.e > 1 and not _is_irreducible(self.fp, self.modulus):
+            raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{self.p}")
         # structure tensor over F_p: (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], T[a] = C^a
         self.mul_tensor = companion_powers(self.fp, self.modulus, self.e)
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        if self.e > 1:
-            self._build_tables()
-
-    def _build_tables(self):
-        """exp/log tables over the smallest primitive element g.
-
-        g is the smallest encoding with g^((q-1)/r) != 1 for every prime
-        r | q-1, each power taken on the e x e regular representation of g.
-        The exp table is built by doubling: the digits of g^0..g^(k-1) times
-        the matrix of g^k are those of g^k..g^(2k-1).  It hits every nonzero
-        element exactly once iff the modulus is irreducible.
-        """
-        q, fp = self.q, self.fp
-        factors = _prime_factors(q - 1)
-
-        def primitive(g: int) -> bool:
-            reg = self.blow_up([[g]])
-            # row 0 of the matrix of g^n holds the digits of g^n
-            return all(self.from_digits(_matpow(reg, (q - 1) // r, fp.matmul)[0]) != 1 for r in factors)
-
-        # with no primitive element, g = 1 gives a table the check below refuses
-        gen = next((g for g in range(2, q) if primitive(g)), 1)
-        digits, step = np.eye(1, self.e, dtype=np.int64), self.blow_up([[gen]])
-        while len(digits) < q - 1:
-            digits = np.vstack([digits, fp.matmul(digits, step)])
-            step = fp.matmul(step, step)
-        exp = self.from_digits(digits[: q - 1])
-        if not np.array_equal(np.sort(exp), np.arange(1, q)):
-            raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{self.p}")
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self._exp, self._log = exp, log
-
-    # -- scalar arithmetic ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a + b) % p
-        return sum((a // p**i + b // p**i) % p * p**i for i in range(self.e))
-
-    def sub(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a - b) % p
-        return sum((a // p**i - b // p**i) % p * p**i for i in range(self.e))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
 
     # -- vectorised arithmetic on encoding arrays -----------------------------
 
@@ -212,14 +151,14 @@ class Fq:
         return self.from_digits(self.to_digits(a) - self.to_digits(b))
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entrywise product: the digits of a times the e x e regular representation of b."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
-            return np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64) % self.p
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = (a != 0) & (b != 0)
-        if mask.any():
-            out[mask] = self._exp[(self._log[a[mask]] + self._log[b[mask]]) % (self.q - 1)]
-        return out
+            return a * b % self.p
+        e = self.e
+        regular = (self.to_digits(b) @ self.mul_tensor.reshape(e, e * e) % self.p).reshape(b.shape + (e, e))
+        return self.from_digits((self.to_digits(a)[..., None, :] @ regular)[..., 0, :])
 
     def blow_up(self, b: np.ndarray) -> np.ndarray:
         """The (t*e, c*e) F_p regular representation of a (t, c) encoding array.
@@ -278,20 +217,24 @@ def _matpow(a: np.ndarray, n: int, matmul) -> np.ndarray:
         a = matmul(a, a)
 
 
-# -- the elimination kernel over F_q (numpy arrays of encodings) ----------------
+# -- the elimination kernel over F_p (numpy arrays of residues) -----------------
 
 
 def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over F_q with leftmost-column, topmost-row pivoting.
+    """Row echelon form over the prime field F_p with leftmost-column, topmost-row pivoting.
 
     Args:
-        arr: (rows, cols) array of F_q encodings.
-        fq: subfield context.
+        arr: (rows, cols) array of residues mod p.
+        fq: a prime-field context (e = 1); larger fields reach this kernel
+            through their F_p regular representation (Fq.blow_up).
         reduced: eliminate above pivots too and normalise them to 1.
 
     Returns:
         The echelon form and the list of pivot column indices.
     """
+    if fq.e != 1:
+        raise ValueError(f"fq_echelon eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
+    p = fq.p
     R = np.array(arr, dtype=np.int64, copy=True)
     rows, cols = R.shape
     pivots: list[int] = []
@@ -305,26 +248,28 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        pinv = fq.inv(int(R[r, c]))
+        pinv = pow(int(R[r, c]), -1, p)
         if pinv != 1:
-            R[r] = fq.vmul(np.int64(pinv), R[r])
+            R[r] = R[r] * pinv % p
         if reduced:
             others = R[:, c].nonzero()[0]
             others = others[others != r]
         else:
             others = R[r + 1 :, c].nonzero()[0] + (r + 1)
         if others.size:
-            factors = R[others, c][:, None]
-            R[others] = fq.vsub(R[others], fq.vmul(factors, R[r][None, :]))
+            R[others] = (R[others] - R[others, c][:, None] * R[r][None, :]) % p
         pivots.append(c)
         r += 1
     return R, pivots
 
 
 def fq_rank(arr: np.ndarray, fq: Fq) -> int:
+    """Rank over F_q; for e > 1 the F_p rank of the blow-up, which is e times it."""
     arr = np.asarray(arr)
     if not arr.any():
         return 0
+    if fq.e > 1:
+        return fq_rank(fq.blow_up(arr), fq.fp) // fq.e
     return len(fq_echelon(arr, fq)[1])
 
 
@@ -334,6 +279,10 @@ def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise DimensionMismatch(f"expected square matrix, got {arr.shape}")
+    if fq.e > 1:
+        inv = fq_inv_matrix(fq.blow_up(arr), fq.fp)
+        # row 0 of every block of the inverse blow-up holds the digits of the entry
+        return fq.from_digits(inv[:: fq.e].reshape(n, n, fq.e))
     R, pivots = fq_echelon(np.hstack([arr, np.eye(n, dtype=np.int64)]), fq, reduced=True)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -347,8 +296,9 @@ def _is_irreducible(fq: Fq, poly: list[int]) -> bool:
     rank d minus the degree of gcd(x^n - x, poly).  poly is irreducible iff
     C^(q^d) = C and C^(q^(d/r)) - C has rank d for every prime r | d.  The
     q-th powers run along one chain C, C^q, C^(q^2), ... on the blow-up of
-    C over F_p, where a product is one integer matmul, and each rank is
-    checked as the chain reaches it, so most reducible candidates stop early.
+    C over F_p, where a product is one integer matmul and the rank is e
+    times the rank over F_q; each rank is checked as the chain reaches it,
+    so most reducible candidates stop early.
     """
     d, e = len(poly) - 1, fq.e
     if d == 1:
@@ -358,8 +308,7 @@ def _is_irreducible(fq: Fq, poly: list[int]) -> bool:
     power = big = fq.blow_up(C)
     for k in range(1, d + 1):
         power = _matpow(power, fq.q, fq.fp.matmul)  # the blow-up of C^(q^k)
-        # row 0 of each e x e block holds the digits of that entry
-        if k in checks and fq_rank(fq.vsub(fq.from_digits(power[::e].reshape(d, d, e)), C), fq) < d:
+        if k in checks and fq_rank((power - big) % fq.p, fq.fp) < d * e:
             return False
     return bool(np.array_equal(power, big))
 
@@ -369,12 +318,18 @@ def smallest_irreducible(fq: Fq, degree: int) -> tuple[int, ...]:
 
     Candidates are enumerated by the integer value of their non-leading
     coefficient vector in base q (constant term least significant), so the
-    result is deterministic for a given field.
+    result is deterministic for a given field.  A candidate with zero
+    derivative (p divides every exponent with a nonzero coefficient) is a
+    p-th power over the perfect field fq, hence reducible, and is skipped
+    without a test.
     """
     if degree < 1:
         raise DegreeTooSmall("irreducible polynomials need degree >= 1")
+    p = fq.p
     for value in range(fq.q**degree):
         coeffs = [(value // fq.q**i) % fq.q for i in range(degree)] + [1]
+        if degree % p == 0 and not any(coeffs[i] for i in range(degree) if i % p):
+            continue
         if _is_irreducible(fq, coeffs):
             return tuple(coeffs)
     raise RuntimeError("no irreducible polynomial found; field context is broken")
@@ -409,10 +364,6 @@ class FieldTower:
         return (self.p, self.e, self.s) == (other.p, other.e, other.s)
 
     # -- elements --------------------------------------------------------------
-
-    @property
-    def zero(self) -> ExtElement:
-        return (0,) * self.s
 
     @property
     def one(self) -> ExtElement:

@@ -8,9 +8,10 @@ of the PIR scheme leak: it cannot exceed rank_ext * s and it is invariant
 under applying any fixed invertible F_q-linear map to every entry, so an
 observer needs no knowledge of the hidden basis to evaluate it.
 
-Both run on the one F_q elimination kernel, fields.fq_echelon: work over
-F_q^s goes through the regular representation (FieldTower.blow_up),
-which replaces every entry by the s x s F_q matrix of multiplication by it.
+Both run on the one elimination kernel, fields.fq_echelon over F_p: work
+over F_q^s goes through the regular representation (FieldTower.blow_up),
+which replaces every entry by the s x s F_q matrix of multiplication by
+it, and work over F_q through Fq.blow_up, its e x e F_p counterpart.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from .fields import ExtElement, FieldTower, Fq, fq_echelon, fq_inv_matrix, fq_rank
+from .fields import FieldTower, Fq, fq_echelon, fq_inv_matrix, fq_rank
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,6 @@ class ExtMatrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape[0], self.data.shape[1]
 
-    def entry(self, i: int, j: int) -> ExtElement:
-        return tuple(int(c) for c in self.data[i, j])
-
     def copy(self) -> "ExtMatrix":
         return ExtMatrix(self.tower, self.data.copy())
 
@@ -115,19 +113,9 @@ class ExtMatrix:
         if not self.tower.same_field(other.tower) or self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} vs {other.shape}")
 
-    def to_rows(self) -> list[list[ExtElement]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     @classmethod
     def zeros(cls, tower: FieldTower, rows: int, cols: int) -> "ExtMatrix":
         return cls(tower, np.zeros((rows, cols, tower.s), dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, tower: FieldTower, rows) -> "ExtMatrix":
-        if not rows:
-            return cls.zeros(tower, 0, 0)
-        data = np.array([[tower.validate(x) for x in row] for row in rows], dtype=np.int64)
-        return cls(tower, data)
 
     @classmethod
     def random(cls, tower: FieldTower, rows: int, cols: int, rng: np.random.Generator) -> "ExtMatrix":
@@ -168,13 +156,17 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
     bases are built incrementally, 2(m-1) extensions by one block, and
     each deletion costs one merge: the smaller basis reduced against the
     larger one, then ranked.  No basis has more than ``cols`` rows, so the
-    scan never eliminates a (m-1)*block-row matrix.
+    scan never eliminates a (m-1)*block-row matrix.  For e > 1 the scan
+    runs once over F_p on the blow-up, whose blocks have block*e rows and
+    whose ranks are e times those over F_q.
     """
     arr = np.asarray(arr, dtype=np.int64)
     rows, cols = arr.shape
     m, rem = divmod(rows, block)
     if rem:
         raise DimensionMismatch(f"{rows} rows do not split into blocks of {block}")
+    if fq.e > 1:
+        return [r // fq.e for r in fq_deletion_ranks(fq.blow_up(arr), block * fq.e, fq.fp)]
     blocks = [arr[i * block : (i + 1) * block] for i in range(m)]
     empty = (np.zeros((0, cols), dtype=np.int64), [])
     before = [empty]  # before[j] spans blocks[:j]
@@ -236,19 +228,6 @@ def puncture(m: ExtMatrix, where: IndexSet) -> ExtMatrix:
     """Keep only the columns listed in ``where`` (in increasing order)."""
     where.check_range(m.cols)
     return ExtMatrix(m.tower, m.data[:, where.zero_based(), :])
-
-
-def extend_by_zeros(m: ExtMatrix, where: IndexSet, n: int) -> ExtMatrix:
-    """Spread columns of m onto positions ``where`` of a width-n matrix, zeros elsewhere.
-
-    Round trip: puncture(extend_by_zeros(m, where, n), where) == m.
-    """
-    where.check_range(n)
-    if m.cols != len(where):
-        raise DimensionMismatch(f"matrix has {m.cols} columns but {len(where)} positions given")
-    out = np.zeros((m.rows, n, m.tower.s), dtype=np.int64)
-    out[:, where.zero_based(), :] = m.data
-    return ExtMatrix(m.tower, out)
 
 
 # -- information sets ----------------------------------------------------------------

@@ -12,6 +12,9 @@ from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 TIGHT_PARAMS = SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=1)
 MICRO_PARAMS = SchemeParams(p=2, e=1, s=2, v=1, n=3, k=1, m=1, L=1)
 TERNARY_PARAMS = SchemeParams(p=3, e=1, s=2, v=1, n=3, k=1, m=3, L=2)
+# The one fixture with a proper subfield, q = 4, whose eliminations run on
+# F_2 blow-ups.
+Q4_PARAMS = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=1)
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +55,16 @@ def ternary_params() -> SchemeParams:
 @pytest.fixture(scope="session")
 def ternary_tower(ternary_params):
     return build_tower(ternary_params.p, ternary_params.e, ternary_params.s)
+
+
+@pytest.fixture(scope="session")
+def q4_params() -> SchemeParams:
+    return Q4_PARAMS
+
+
+@pytest.fixture(scope="session")
+def q4_tower(q4_params):
+    return build_tower(q4_params.p, q4_params.e, q4_params.s)
 
 
 @pytest.fixture

@@ -1,21 +1,25 @@
 """Independent reference implementations the test suite checks against.
 
-Nothing here shares code with the package's vectorized paths: ranks are
-computed by plain-Python elimination over scalar field ops, subspaces are
-enumerated rather than counted by formula, and the micro-instance decoder
-evaluates the recovery pipeline with explicit scalars.  Three kinds of
-entry are paths the package replaced, kept as the reference for their
-replacement: per_deletion_rank_profile, the attack's original scan;
+Nothing here shares arithmetic with the package: the scalar F_q the
+oracles compute in is their own (digitwise fq_add/fq_sub, the digit
+polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
+by plain-Python elimination over it, subspaces are enumerated rather
+than counted by formula, and the micro-instance decoder evaluates the
+recovery pipeline with explicit scalars.  Four kinds of entry are paths
+the package replaced, kept as the reference for their replacement:
+per_deletion_rank_profile, the attack's original scan;
 scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
 Gauss-Jordan elimination over F_q^s on scalar tower ops that the
-regular-representation kernel replaced; and digit_fq_matmul /
-digit_matmul / digit_scalar_matmul, the products that contracted base-p
-digits against F_p structure tensors before every product became one
-integer matmul on a regular representation.  The scalar arithmetic the
-oracles are written in (fq_poly_mul, ext_add ... ext_inv) is the
-polynomial and tuple arithmetic the fields once ran on, before both
-extension steps were built from companion-matrix powers; ext_inv is
-Fermat's x^(q^s - 2) rather than polynomial Euclid.
+regular-representation kernel replaced; digit_fq_matmul / digit_matmul /
+digit_scalar_matmul, the products that contracted base-p digits against
+F_p structure tensors before every product became one integer matmul on
+a regular representation; and log_exp_tables / table_vmul /
+table_echelon, the discrete log/exp arithmetic of F_q and the
+elimination over F_q on top of it, before every elimination ran over F_p
+on blow-ups.  The tuple arithmetic of F_q^s (ext_add ... ext_inv) is the
+one the fields once ran on, before both extension steps were built from
+companion-matrix powers; ext_inv is Fermat's x^(q^s - 2) rather than
+polynomial Euclid.
 """
 
 from __future__ import annotations
@@ -27,14 +31,37 @@ from fractions import Fraction
 import numpy as np
 
 from hhw_pir.attack import drop_block
-from hhw_pir.errors import DivisionByZero, RankDeficientGenerator
+from hhw_pir.errors import RankDeficientGenerator
 from hhw_pir.fields import FieldTower, Fq
 from hhw_pir.linalg import rank_fq
 
 
+def fq_add(fq: Fq, a: int, b: int) -> int:
+    """Sum in F_q, digit by digit mod p."""
+    p = fq.p
+    if fq.e == 1:
+        return (a + b) % p
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(fq.e))
+
+
+def fq_sub(fq: Fq, a: int, b: int) -> int:
+    """Difference in F_q, digit by digit mod p."""
+    p = fq.p
+    if fq.e == 1:
+        return (a - b) % p
+    return sum((a // p**i - b // p**i) % p * p**i for i in range(fq.e))
+
+
+@functools.lru_cache(maxsize=1 << 16)
 def fq_poly_mul(fq: Fq, a: int, b: int) -> int:
-    """Product in F_q by multiplying digit polynomials and reducing by the base modulus."""
+    """Product in F_q by multiplying digit polynomials and reducing by the base modulus.
+
+    Cached, because the scalar oracles call it on the same few pairs of a
+    small field over and over.
+    """
     p, e = fq.p, fq.e
+    if e == 1:
+        return a * b % p
     da, db = ([x // p**i % p for i in range(e)] for x in (a, b))
     prod = [0] * (2 * e - 1)
     for i, x in enumerate(da):
@@ -47,16 +74,33 @@ def fq_poly_mul(fq: Fq, a: int, b: int) -> int:
     return sum(c * p**i for i, c in enumerate(prod[:e]))
 
 
+def fq_inv(fq: Fq, a: int) -> int:
+    """Inverse in F_q by Fermat's little theorem, a^(q - 2)."""
+    if a == 0:
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    out, base, n = 1, a, fq.q - 2
+    while n:
+        if n & 1:
+            out = fq_poly_mul(fq, out, base)
+        base = fq_poly_mul(fq, base, base)
+        n >>= 1
+    return out
+
+
+def ext_zero(tower: FieldTower) -> tuple:
+    return (0,) * tower.s
+
+
 def ext_add(tower: FieldTower, a, b) -> tuple:
-    return tuple(tower.fq.add(x, y) for x, y in zip(a, b))
+    return tuple(fq_add(tower.fq, x, y) for x, y in zip(a, b))
 
 
 def ext_sub(tower: FieldTower, a, b) -> tuple:
-    return tuple(tower.fq.sub(x, y) for x, y in zip(a, b))
+    return tuple(fq_sub(tower.fq, x, y) for x, y in zip(a, b))
 
 
 def ext_neg(tower: FieldTower, a) -> tuple:
-    return tuple(tower.fq.sub(0, x) for x in a)
+    return tuple(fq_sub(tower.fq, 0, x) for x in a)
 
 
 def ext_mul(tower: FieldTower, a, b) -> tuple:
@@ -65,11 +109,11 @@ def ext_mul(tower: FieldTower, a, b) -> tuple:
     prod = [0] * (2 * s - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            prod[i + j] = fq.add(prod[i + j], fq.mul(int(x), int(y)))
+            prod[i + j] = fq_add(fq, prod[i + j], fq_poly_mul(fq, int(x), int(y)))
     for d in range(2 * s - 2, s - 1, -1):
         c, prod[d] = prod[d], 0
         for t in range(s):
-            prod[d - s + t] = fq.sub(prod[d - s + t], fq.mul(c, tower.top_modulus[t]))
+            prod[d - s + t] = fq_sub(fq, prod[d - s + t], fq_poly_mul(fq, c, tower.top_modulus[t]))
     return tuple(prod[:s])
 
 
@@ -86,7 +130,7 @@ def ext_pow(tower: FieldTower, a, n: int) -> tuple:
 def ext_inv(tower: FieldTower, a) -> tuple:
     """Inverse in F_q^s by Fermat's little theorem, a^(q^s - 2)."""
     if not any(a):
-        raise DivisionByZero("zero has no multiplicative inverse")
+        raise ZeroDivisionError("zero has no multiplicative inverse")
     return ext_pow(tower, a, tower.order - 2)
 
 
@@ -102,12 +146,12 @@ def naive_rank_fq(rows, fq: Fq) -> int:
         if src is None:
             continue
         work[pivot], work[src] = work[src], work[pivot]
-        inv = fq.inv(work[pivot][col])
-        work[pivot] = [fq.mul(inv, x) for x in work[pivot]]
+        inv = fq_inv(fq, work[pivot][col])
+        work[pivot] = [fq_poly_mul(fq, inv, x) for x in work[pivot]]
         for r in range(len(work)):
             if r != pivot and work[r][col] != 0:
                 c = work[r][col]
-                work[r] = [fq.sub(x, fq.mul(c, y)) for x, y in zip(work[r], work[pivot])]
+                work[r] = [fq_sub(fq, x, fq_poly_mul(fq, c, y)) for x, y in zip(work[r], work[pivot])]
         pivot += 1
         if pivot == len(work):
             break
@@ -151,7 +195,7 @@ def scalar_rank_ext(rows, tower: FieldTower) -> int:
 def scalar_ext_inv(rows, tower: FieldTower) -> list[list[tuple]]:
     """Inverse over F_q^s by Gauss-Jordan on [M | I]; ValueError when singular."""
     n = len(rows)
-    aug = [[tuple(int(c) for c in x) for x in row] + [tower.one if i == j else tower.zero for j in range(n)]
+    aug = [[tuple(int(c) for c in x) for x in row] + [tower.one if i == j else ext_zero(tower) for j in range(n)]
            for i, row in enumerate(rows)]
     for c in range(n):
         pivot = next((i for i in range(c, n) if any(aug[i][c])), None)
@@ -169,7 +213,7 @@ def scalar_ext_inv(rows, tower: FieldTower) -> list[list[tuple]]:
 
 def scalar_is_information_set(gen, columns, tower: FieldTower) -> bool:
     """Information-set test of a k x n generator by scalar ranks over F_q^s."""
-    rows = gen.to_rows()
+    rows = gen.data.tolist()
     k = len(rows)
     if scalar_rank_ext(rows, tower) != k:
         raise RankDeficientGenerator("generator matrix does not have full row rank")
@@ -179,10 +223,82 @@ def scalar_is_information_set(gen, columns, tower: FieldTower) -> bool:
 
 
 @functools.cache
+def log_exp_tables(fq: Fq) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete exp/log tables of F_q (e > 1) over its smallest primitive element g.
+
+    exp[i] = g^i for i < q - 1 and log inverts it; log[0] = -1.  The powers
+    are taken with fq_poly_mul, and g is the smallest encoding >= 2 whose
+    powers reach every nonzero element.
+    """
+    q = fq.q
+    for g in range(2, q):
+        exp = [1]
+        while len(exp) < q - 1 and (x := fq_poly_mul(fq, exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == q - 1:
+            break
+    else:
+        raise ValueError(f"F_{q} has no primitive element; its modulus is reducible")
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    return np.array(exp, dtype=np.int64), log
+
+
+def table_vmul(fq: Fq, a, b) -> np.ndarray:
+    """Entrywise product of encoding arrays through the log/exp tables."""
+    exp, log = log_exp_tables(fq)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    out = np.zeros(a.shape, dtype=np.int64)
+    mask = (a != 0) & (b != 0)
+    out[mask] = exp[(log[a[mask]] + log[b[mask]]) % (fq.q - 1)]
+    return out
+
+
+def _table_vsub(fq: Fq, a, b) -> np.ndarray:
+    powers = fq.p ** np.arange(fq.e, dtype=np.int64)
+    da, db = (np.asarray(x, dtype=np.int64)[..., None] // powers % fq.p for x in (a, b))
+    return (da - db) % fq.p @ powers
+
+
+def table_echelon(arr, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over F_q on the table arithmetic, with the pivoting of fq_echelon."""
+    exp, log = log_exp_tables(fq)
+    R = np.array(arr, dtype=np.int64, copy=True)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = R[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        R[[r, i]] = R[[i, r]]
+        R[r] = table_vmul(fq, exp[-log[R[r, c]] % (fq.q - 1)], R[r])
+        others = R[:, c].nonzero()[0] if reduced else R[r + 1 :, c].nonzero()[0] + (r + 1)
+        others = others[others != r]
+        if others.size:
+            R[others] = _table_vsub(fq, R[others], table_vmul(fq, R[others, c][:, None], R[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def table_inv_matrix(arr, fq: Fq) -> np.ndarray:
+    """Inverse over F_q by table elimination of [M | I]; ValueError when singular."""
+    n = len(arr)
+    R, pivots = table_echelon(np.hstack([np.asarray(arr, dtype=np.int64), np.eye(n, dtype=np.int64)]), fq, True)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return R[:, n:]
+
+
+@functools.cache
 def _fq_digit_tensor(fq: Fq) -> np.ndarray:
-    """F_p structure tensor T of F_q, (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], from fq.mul."""
+    """F_p structure tensor T of F_q, (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], from fq_poly_mul."""
     basis = [fq.p**i for i in range(fq.e)]
-    return np.array([[fq.to_digits(fq.mul(x, y)) for y in basis] for x in basis], dtype=np.int64)
+    return np.array([[fq.to_digits(fq_poly_mul(fq, x, y)) for y in basis] for x in basis], dtype=np.int64)
 
 
 @functools.cache
@@ -229,7 +345,7 @@ def scalar_ext_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.nda
     out = np.zeros((a.shape[0], b.shape[1], tower.s), dtype=np.int64)
     for i in range(a.shape[0]):
         for j in range(b.shape[1]):
-            acc = tower.zero
+            acc = ext_zero(tower)
             for k in range(a.shape[1]):
                 acc = ext_add(tower, acc, ext_mul(tower, tuple(map(int, a[i, k])), tuple(map(int, b[k, j]))))
             out[i, j] = acc
@@ -282,7 +398,7 @@ def rank_ext_oracle(m, tower: FieldTower) -> int:
 def det_ext_oracle(mat_rows, tower: FieldTower):
     """Determinant over F_q^s by permutation expansion; fine up to 4x4."""
     n = len(mat_rows)
-    total = tower.zero
+    total = ext_zero(tower)
     for perm in itertools.permutations(range(n)):
         sign_neg = _parity(perm)
         term = tower.one
@@ -301,8 +417,8 @@ def det_oracle(mat, fq: Fq) -> int:
         sign_neg = _parity(perm)
         term = 1
         for i in range(n):
-            term = fq.mul(term, m[i][perm[i]])
-        total = fq.add(total, fq.sub(0, term) if sign_neg else term)
+            term = fq_poly_mul(fq, term, m[i][perm[i]])
+        total = fq_add(fq, total, fq_sub(fq, 0, term) if sign_neg else term)
     return total
 
 
@@ -443,15 +559,15 @@ def micro_decode(response_row, secrets, tower: FieldTower):
     # 2x2 inverse of the basis by adjugate: [[d,-b],[-c,a]] / det
     a, b = int(basis[0][0]), int(basis[0][1])
     c, d = int(basis[1][0]), int(basis[1][1])
-    det = fq.sub(fq.mul(a, d), fq.mul(b, c))
-    det_inv = fq.inv(det)
-    binv = [[fq.mul(det_inv, d), fq.mul(det_inv, fq.sub(0, b))],
-            [fq.mul(det_inv, fq.sub(0, c)), fq.mul(det_inv, a)]]
+    det = fq_sub(fq, fq_poly_mul(fq, a, d), fq_poly_mul(fq, b, c))
+    det_inv = fq_inv(fq, det)
+    binv = [[fq_poly_mul(fq, det_inv, d), fq_poly_mul(fq, det_inv, fq_sub(fq, 0, b))],
+            [fq_poly_mul(fq, det_inv, fq_sub(fq, 0, c)), fq_poly_mul(fq, det_inv, a)]]
 
     def w_coordinate(element):
         # coordinates of the element in the split basis; W part is index 1
-        return fq.add(fq.mul(int(element[0]), binv[0][1]),
-                      fq.mul(int(element[1]), binv[1][1]))
+        return fq_add(fq, fq_poly_mul(fq, int(element[0]), binv[0][1]),
+                      fq_poly_mul(fq, int(element[1]), binv[1][1]))
 
     w_parts = []
     for colidx in outside:
@@ -462,13 +578,13 @@ def micro_decode(response_row, secrets, tower: FieldTower):
     sel_cols = [[w_coordinate(sel[r][colidx]) for colidx in outside] for r in range(2)]
     sa, sb = sel_cols[0]
     sc, sd = sel_cols[1]
-    sdet = fq.sub(fq.mul(sa, sd), fq.mul(sb, sc))
-    sdet_inv = fq.inv(sdet)
-    sinv = [[fq.mul(sdet_inv, sd), fq.mul(sdet_inv, fq.sub(0, sb))],
-            [fq.mul(sdet_inv, fq.sub(0, sc)), fq.mul(sdet_inv, sa)]]
+    sdet = fq_sub(fq, fq_poly_mul(fq, sa, sd), fq_poly_mul(fq, sb, sc))
+    sdet_inv = fq_inv(fq, sdet)
+    sinv = [[fq_poly_mul(fq, sdet_inv, sd), fq_poly_mul(fq, sdet_inv, fq_sub(fq, 0, sb))],
+            [fq_poly_mul(fq, sdet_inv, fq_sub(fq, 0, sc)), fq_poly_mul(fq, sdet_inv, sa)]]
 
-    x0 = fq.add(fq.mul(w_parts[0], sinv[0][0]), fq.mul(w_parts[1], sinv[1][0]))
-    x1 = fq.add(fq.mul(w_parts[0], sinv[0][1]), fq.mul(w_parts[1], sinv[1][1]))
+    x0 = fq_add(fq, fq_poly_mul(fq, w_parts[0], sinv[0][0]), fq_poly_mul(fq, w_parts[1], sinv[1][0]))
+    x1 = fq_add(fq, fq_poly_mul(fq, w_parts[0], sinv[0][1]), fq_poly_mul(fq, w_parts[1], sinv[1][1]))
     return [x0, x1]
 
 
@@ -482,12 +598,12 @@ def scalar_respond(db_files, query_data, tower: FieldTower) -> list[list[tuple]]
     for row in range(L):
         out_row = []
         for col in range(n):
-            acc = tower.zero
+            acc = ext_zero(tower)
             for r in range(m):
                 for t in range(delta):
                     x = int(db_files[r][row, t])
                     qe = tuple(int(u) for u in query_data[r * delta + t, col])
-                    scaled = tuple(tower.fq.mul(x, u) for u in qe)
+                    scaled = tuple(fq_poly_mul(tower.fq, x, u) for u in qe)
                     acc = ext_add(tower, acc, scaled)
             out_row.append(acc)
         out.append(out_row)

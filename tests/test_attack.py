@@ -44,9 +44,10 @@ def _naive_profile(qm, delta, fq):
     return [subfield_rank_oracle(drop_block(qm, j, delta).data, fq) for j in range(1, qm.rows // delta + 1)]
 
 
-# (fixture, queries checked against naive_rank_fq as well); the preset's
-# 56 x 32 deletions are slow in plain Python, so it gets the smallest subset
-SCAN_FIXTURES = [("preset", 5), ("tight", 100), ("micro", 100), ("ternary", 100)]
+# (fixture, queries checked against naive_rank_fq as well); the 56 x 32
+# deletions of the preset and the 54 x 18 ones over F_4 are slow in plain
+# Python, so they get the smallest subset
+SCAN_FIXTURES = [("preset", 5), ("tight", 100), ("micro", 100), ("ternary", 100), ("q4", 5)]
 
 
 @pytest.mark.parametrize("name,naive_count", SCAN_FIXTURES)
@@ -77,11 +78,8 @@ def _sparse_deficient(rng, fq, m, delta, width):
 @pytest.mark.parametrize("name", ["preset", "tight", "micro", "ternary", "q4"])
 def test_rank_profile_matches_per_deletion_on_degenerate_matrices(name, request):
     """Rank-deficient inputs the scheme never emits: zero blocks, full-rank prefixes, m = 1."""
-    if name == "q4":  # table arithmetic over F_4
-        base, tower = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=1), build_tower(2, 2, 3)
-    else:
-        base = request.getfixturevalue(f"{name}_params")
-        tower = request.getfixturevalue(f"{name}_tower")
+    base = request.getfixturevalue(f"{name}_params")
+    tower = request.getfixturevalue(f"{name}_tower")
     rng = np.random.default_rng(0x5EED)
     d, width = base.delta, base.n * tower.s
     for i in range(200):

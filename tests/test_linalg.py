@@ -17,7 +17,7 @@ from hhw_pir.linalg import (
     IndexSet,
     change_basis,
     ext_inv_matrix,
-    extend_by_zeros,
+    fq_deletion_ranks,
     fq_echelon,
     fq_inv_matrix,
     fq_rank,
@@ -36,6 +36,7 @@ from .oracles import (
     embed_subfield,
     ext_add,
     ext_mul,
+    ext_zero,
     naive_rank_fq,
     rank_ext_oracle,
     scalar_ext_inv,
@@ -43,6 +44,9 @@ from .oracles import (
     scalar_is_information_set,
     scalar_rank_ext,
     subfield_rank_oracle,
+    table_echelon,
+    table_inv_matrix,
+    table_vmul,
 )
 
 TOWERS = [build_tower(2, 1, 2), build_tower(3, 1, 2), build_tower(2, 2, 2)]
@@ -87,7 +91,7 @@ def test_ext_matrix_shape_validation():
 def test_ext_matrix_round_trip_and_eq(rng):
     tower = TOWERS[1]
     m = ExtMatrix.random(tower, 3, 4, rng)
-    again = ExtMatrix.from_rows(tower, m.to_rows())
+    again = ExtMatrix(tower, np.array(m.data.tolist()))
     assert again == m
     assert m.copy() == m
     cpy = m.copy()
@@ -105,10 +109,10 @@ def test_ext_matrix_add_sub_matmul_scalar_check(rng):
     prod = a @ c
     for i in range(2):
         for j in range(2):
-            acc = tower.zero
+            acc = ext_zero(tower)
             for t in range(3):
-                acc = ext_add(tower, acc, ext_mul(tower, a.entry(i, t), c.entry(t, j)))
-            assert prod.entry(i, j) == acc
+                acc = ext_add(tower, acc, ext_mul(tower, tuple(a.data[i, t]), tuple(c.data[t, j])))
+            assert tuple(prod.data[i, j]) == acc
     with pytest.raises(DimensionMismatch):
         a + c
     with pytest.raises(DimensionMismatch):
@@ -139,6 +143,14 @@ def test_fq_rank_matches_naive_oracle(tower, rng):
         cols = int(rng.integers(1, 6))
         arr = fq.rand(rng, (rows, cols))
         assert fq_rank(arr, fq) == naive_rank_fq(arr, fq)
+
+
+def test_fq_echelon_refuses_extension_fields():
+    fq = build_tower(2, 2, 2).fq
+    with pytest.raises(ValueError, match="F_p only"):
+        fq_echelon(np.eye(2, dtype=np.int64), fq)
+    R, pivots = fq_echelon(fq.blow_up(np.eye(2, dtype=np.int64)), fq.fp)
+    assert pivots == [0, 1, 2, 3]
 
 
 def test_fq_rank_empty_and_degenerate():
@@ -245,24 +257,6 @@ def test_change_basis_composes_and_validates(rng):
         change_basis(m, np.zeros((3, 1), dtype=np.int64))
 
 
-# -- column selection ------------------------------------------------------------------
-
-
-def test_puncture_extend_round_trip(rng):
-    tower = TOWERS[2]
-    m = ExtMatrix.random(tower, 3, 4, rng)
-    where = IndexSet((2, 3, 5, 7))
-    wide = extend_by_zeros(m, where, 8)
-    assert wide.shape == (3, 8)
-    assert puncture(wide, where) == m
-    untouched = IndexSet((1, 4, 6, 8))
-    assert not np.any(puncture(wide, untouched).data)
-    with pytest.raises(DimensionMismatch):
-        extend_by_zeros(m, IndexSet((1, 2)), 8)
-    with pytest.raises(IndexOutOfRange):
-        puncture(m, IndexSet((5,)))
-
-
 # -- information sets and solving ------------------------------------------------------
 
 
@@ -278,8 +272,8 @@ def test_is_information_set_matches_determinant(rng):
     gen = _random_full_rank(tower, 2, 4, rng)
     for cols in itertools.combinations(range(1, 5), 2):
         sub = puncture(gen, IndexSet(cols))
-        det = det_ext_oracle(sub.to_rows(), tower)
-        assert is_information_set(gen, IndexSet(cols)) == (det != tower.zero)
+        det = det_ext_oracle(sub.data, tower)
+        assert is_information_set(gen, IndexSet(cols)) == (det != ext_zero(tower))
 
 
 def test_is_information_set_edge_cases(rng):
@@ -295,9 +289,8 @@ def test_ext_inv_matrix_round_trip(rng):
     tower = TOWERS[2]
     m = _random_full_rank(tower, 3, 3, rng)
     inv = ext_inv_matrix(m)
-    eye = ExtMatrix.from_rows(
-        tower, [[tower.one if i == j else tower.zero for j in range(3)] for i in range(3)]
-    )
+    eye = ExtMatrix.zeros(tower, 3, 3)
+    eye.data[np.arange(3), np.arange(3), 0] = 1
     assert m @ inv == eye
     assert inv @ m == eye
     singular = ExtMatrix.zeros(tower, 2, 2)
@@ -323,10 +316,8 @@ def test_solve_on_columns_solves(rng):
 
 def test_solve_on_columns_rejects_bad_inputs(rng):
     tower = TOWERS[0]
-    gen = ExtMatrix.from_rows(
-        tower,
-        [[tower.one, tower.zero, tower.one], [tower.zero, tower.one, tower.zero]],
-    )
+    gen = ExtMatrix.zeros(tower, 2, 3)
+    gen.data[[0, 1, 0], [0, 1, 2], 0] = 1  # rows (1, 0, 1) and (0, 1, 0)
     # columns 1 and 3 are linearly dependent for this generator
     dependent = IndexSet((1, 3))
     assert not is_information_set(gen, dependent)
@@ -345,7 +336,7 @@ def test_solve_on_columns_rejects_bad_inputs(rng):
 
 # -- differential tests against the scalar elimination over F_q^s ------------------
 
-# (p, e, s): preset, tight, ternary, q=3 s=4, q=4 s=3 (table arithmetic), q=9 s=2
+# (p, e, s): preset, tight, ternary, q=3 s=4, q=4 s=3 (F_2 blow-ups), q=9 s=2
 DIFF_TOWERS = [build_tower(*pes) for pes in [(2, 1, 4), (2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 3), (3, 2, 2)]]
 DIFF_MATRICES = 1000
 
@@ -382,7 +373,7 @@ def test_ext_elimination_matches_scalar_gauss_jordan(tower):
     singular = 0
     for t in range(DIFF_MATRICES):
         m = _hard_matrix(tower, rng, t % 6)
-        rows = m.to_rows()
+        rows = m.data.tolist()
         assert rank_ext(m) == scalar_rank_ext(rows, tower)
         if m.rows == m.cols:
             try:
@@ -392,7 +383,7 @@ def test_ext_elimination_matches_scalar_gauss_jordan(tower):
                 with pytest.raises(ValueError):
                     ext_inv_matrix(m)
             else:
-                assert ext_inv_matrix(m) == ExtMatrix.from_rows(tower, expected)
+                assert ext_inv_matrix(m) == ExtMatrix(tower, np.array(expected))
         if m.rows <= m.cols:
             columns = IndexSet(tuple(sorted(int(c) + 1 for c in rng.permutation(m.cols)[: m.rows])))
             try:
@@ -402,6 +393,63 @@ def test_ext_elimination_matches_scalar_gauss_jordan(tower):
                     is_information_set(m, columns)
             else:
                 assert is_information_set(m, columns) == expected
+    assert singular >= DIFF_MATRICES // 6
+
+
+# -- differential tests against the log/exp table elimination over F_q --------------
+
+# q = 4, 8, 9, 16, 25, 27: every proper subfield the F_p blow-ups must handle
+TABLE_FIELDS = [build_tower(p, e, 2).fq for p, e in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]]
+
+
+def _hard_fq_matrix(fq, rng, kind: int) -> np.ndarray:
+    """A small seeded F_q matrix, of the six kinds of _hard_matrix."""
+    rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    if kind == 0:
+        return fq.rand(rng, (rows, cols))
+    if kind == 1:
+        arr = fq.rand(rng, (rows, cols))
+        arr[rng.random((rows, cols)) < 0.6] = 0
+        return arr
+    if kind == 2:
+        inner = int(rng.integers(1, max(min(rows, cols), 2)))
+        return fq.matmul(fq.rand(rng, (rows, inner)), fq.rand(rng, (inner, cols)))
+    if kind == 3:
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == 4:
+        return fq.rand(rng, (1, 1)) if rng.random() < 0.8 else np.zeros((1, 1), dtype=np.int64)
+    n = max(rows, 2)
+    return fq.matmul(fq.rand(rng, (n, n - 1)), fq.rand(rng, (n - 1, n)))
+
+
+def _table_rank(arr, fq) -> int:
+    return len(table_echelon(arr, fq)[1])
+
+
+@pytest.mark.parametrize("fq", TABLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_blow_up_routing_matches_table_arithmetic(fq):
+    """fq_rank, fq_inv_matrix, Fq.vmul and fq_deletion_ranks against the log/exp path."""
+    rng = np.random.default_rng(0x7AB1E + fq.q)
+    singular = 0
+    for t in range(DIFF_MATRICES):
+        arr = _hard_fq_matrix(fq, rng, t % 6)
+        rows = len(arr)
+        assert fq_rank(arr, fq) == _table_rank(arr, fq)
+        if arr.shape == (rows, rows):
+            try:
+                expected = table_inv_matrix(arr, fq)
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError):
+                    fq_inv_matrix(arr, fq)
+            else:
+                assert np.array_equal(fq_inv_matrix(arr, fq), expected)
+        other = fq.rand(rng, arr.shape)
+        assert np.array_equal(fq.vmul(arr, other), table_vmul(fq, arr, other))
+        assert np.array_equal(fq.vmul(arr[:1], other), table_vmul(fq, arr[:1], other))  # broadcast
+        block = int(rng.choice([d for d in range(1, rows + 1) if rows % d == 0]))
+        deleted = [_table_rank(np.delete(arr, slice(lo, lo + block), axis=0), fq) for lo in range(0, rows, block)]
+        assert fq_deletion_ranks(arr, block, fq) == deleted
     assert singular >= DIFF_MATRICES // 6
 
 

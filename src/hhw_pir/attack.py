@@ -98,21 +98,16 @@ def rank_profile(query: Query | ExtMatrix, params: SchemeParams, tower: FieldTow
     return fq_deletion_ranks(qm.data.reshape(rows, cols * tower.s), params.delta, tower.fq)
 
 
-def recover_index(
-    query: Query | ExtMatrix,
-    params: SchemeParams,
-    tower: FieldTower,
-    fallback_argmin: bool = False,
-) -> AttackReport:
-    """Scan all block deletions and name the target if it is unambiguous.
+def rank_profiles(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -> np.ndarray:
+    """rank_profile of every query of a (count, m*delta, n, s) stack, as a (count, m) array."""
+    queries = np.asarray(queries, dtype=np.int64)
+    if queries.shape[1:] != (params.block_rows, params.n, tower.s):
+        raise DimensionMismatch(f"query stack is {queries.shape[1:]}, expected ({params.block_rows}, {params.n}, {tower.s})")
+    count, rows, cols, s = queries.shape
+    return fq_deletion_ranks(queries.reshape(count, rows, cols * s), params.delta, tower.fq)
 
-    Only public information goes in: the query matrix and the parameters.
-    With ``fallback_argmin`` an ambiguous or empty threshold scan falls
-    back to the block of smallest deleted rank (lowest block index on
-    ties), the natural heuristic for experiments, with no guarantee.
-    """
-    start = time.perf_counter()
-    profile = rank_profile(query, params, tower)
+
+def _verdict(profile: list[int], params: SchemeParams, elapsed: float, fallback_argmin: bool) -> AttackReport:
     threshold = params.rank_threshold
     candidates = [j + 1 for j, r in enumerate(profile) if r <= threshold]
     recovered = candidates[0] if len(candidates) == 1 else None
@@ -125,6 +120,32 @@ def recover_index(
         rank_profile=profile,
         threshold=threshold,
         below_threshold=candidates,
-        elapsed=time.perf_counter() - start,
+        elapsed=elapsed,
         fallback_used=fallback_used,
     )
+
+
+def recover_index(
+    query: Query | ExtMatrix | np.ndarray,
+    params: SchemeParams,
+    tower: FieldTower,
+    fallback_argmin: bool = False,
+) -> AttackReport | list[AttackReport]:
+    """Scan all block deletions and name the target if it is unambiguous.
+
+    Only public information goes in: the query matrix and the parameters.
+    With ``fallback_argmin`` an ambiguous or empty threshold scan falls
+    back to the block of smallest deleted rank (lowest block index on
+    ties), the natural heuristic for experiments, with no guarantee.
+
+    A (count, m*delta, n, s) array is a stack of query matrices, scanned
+    together (rank_profiles); the result is then a list of count reports,
+    each timed at its share of the scan.
+    """
+    start = time.perf_counter()
+    if isinstance(query, np.ndarray) and query.ndim == 4:
+        profiles = rank_profiles(query, params, tower).tolist()
+        share = (time.perf_counter() - start) / max(len(profiles), 1)
+        return [_verdict(profile, params, share, fallback_argmin) for profile in profiles]
+    profile = rank_profile(query, params, tower)
+    return _verdict(profile, params, time.perf_counter() - start, fallback_argmin)

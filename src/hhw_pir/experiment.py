@@ -4,6 +4,13 @@ Every trial owns an independent RNG stream derived from the master seed by
 a counter-based split (splitmix64 of master + golden-ratio increments), so
 a trial's result depends only on the master seed and its index.
 
+Trials run in rounds of ROUND_SIZE: a round generates its queries as one
+stack (scheme.generate_queries, where each stream still draws in its own
+order) and attacks them as one stack (attack.recover_index), so the
+Python cost of each kernel call is paid once per round.  A round's
+records equal those of rounds of one (run_trial); a round that raises is
+re-run as rounds of one, so only the failing trials record the error.
+
 Reports exist in two serializations: the full JSON includes wall-clock
 timings, while the canonical form strips them so that two runs of the same
 configuration compare byte-for-byte.  The canonical form's SHA-256 digest
@@ -17,6 +24,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,11 +37,12 @@ from .attack import recover_index
 from .errors import BadArguments
 from .fields import FieldTower, build_tower
 from .params import SchemeParams
-from .scheme import generate_query
+from .scheme import DRAW_PHASES, generate_queries
 
 __all__ = [
     "splitmix64",
     "trial_seed",
+    "ROUND_SIZE",
     "ExperimentConfig",
     "TrialRecord",
     "ExperimentReport",
@@ -47,6 +56,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Trials generated and attacked together as one stack of queries.
+ROUND_SIZE = 64
 
 
 def splitmix64(x: int) -> int:
@@ -71,6 +83,14 @@ class ExperimentConfig:
     fallback_argmin: bool = False
 
     def __post_init__(self):
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise BadArguments(f"{name} must be an integer, got {value!r}")
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise BadArguments(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise BadArguments(f"trials must be at least 1, got {self.trials}")
         if not 0 <= self.master_seed <= _MASK64:
@@ -100,9 +120,12 @@ class TrialRecord:
     success: bool
     failure_reason: Optional[str]
     rank_profile: list[int]
-    elapsed_ms: float
+    elapsed_ms: float  # the trial's share of its round
+    # draws per rejection-sampling phase of scheme.DRAW_PHASES (zero after an error)
+    draws: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self, include_timings: bool = True) -> dict:
+        """The record; timings and draw counts only with include_timings."""
         doc = {
             "trial": self.trial,
             "seed": self.seed,
@@ -114,6 +137,7 @@ class TrialRecord:
         }
         if include_timings:
             doc["elapsed_ms"] = self.elapsed_ms
+            doc["draws"] = dict(self.draws)
         return doc
 
 
@@ -153,40 +177,53 @@ def _criterion_threshold(bound: Fraction, trials: int) -> float:
 
 def run_trial(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
               trial: int) -> TrialRecord:
-    """One seeded trial; generation or attack errors become failure records."""
-    seed = trial_seed(cfg.master_seed, trial)
-    rng = np.random.default_rng(seed)
+    """One seeded trial, a round of one; generation or attack errors become failure records."""
+    return _run_round(params, tower, cfg, [trial])[0]
+
+
+def _run_round(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
+               trials: list[int]) -> list[TrialRecord]:
+    """The records of ``trials``, generated and attacked as one stack."""
+    seeds = [trial_seed(cfg.master_seed, t) for t in trials]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if cfg.target_policy == "uniform":
-        target = int(rng.integers(1, params.m + 1))
+        targets = [int(rng.integers(1, params.m + 1)) for rng in rngs]
     else:
-        target = int(cfg.target_policy)
+        targets = [int(cfg.target_policy)] * len(trials)
     start = time.perf_counter()
     try:
-        query, _ = generate_query(params, tower, target, rng)
-        report = recover_index(query, params, tower, fallback_argmin=cfg.fallback_argmin)
-        recovered = report.recovered_index
-        profile = list(report.rank_profile)
-        reason = report.failure_reason
+        batch = generate_queries(params, tower, targets, rngs)
+        outcomes = recover_index(batch.data, params, tower, fallback_argmin=cfg.fallback_argmin)
+        draws = batch.draws.tolist()
     except Exception as exc:  # noqa: BLE001 - a trial must never abort the run
-        recovered = None
-        profile = []
-        reason = f"error:{type(exc).__name__}: {exc}"
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    success = recovered == target
-    if success:
-        reason = None
-    elif reason is None:
-        reason = "wrong_index"
-    return TrialRecord(
-        trial=trial,
-        seed=seed,
-        target=target,
-        recovered=recovered,
-        success=success,
-        failure_reason=reason,
-        rank_profile=profile,
-        elapsed_ms=elapsed_ms,
-    )
+        if len(trials) > 1:
+            return [run_trial(params, tower, cfg, t) for t in trials]
+        outcomes, draws = [exc], [[0] * len(DRAW_PHASES)]
+    share_ms = (time.perf_counter() - start) * 1000.0 / len(trials)
+    records = []
+    for trial, seed, target, outcome, counts in zip(trials, seeds, targets, outcomes, draws):
+        if isinstance(outcome, Exception):
+            recovered, profile = None, []
+            reason = f"error:{type(outcome).__name__}: {outcome}"
+        else:
+            recovered, profile, reason = outcome.recovered_index, list(outcome.rank_profile), outcome.failure_reason
+        success = recovered == target
+        if success:
+            reason = None
+        elif reason is None:
+            reason = "wrong_index"
+        records.append(TrialRecord(
+            trial=trial,
+            seed=seed,
+            target=target,
+            recovered=recovered,
+            success=success,
+            failure_reason=reason,
+            rank_profile=profile,
+            elapsed_ms=share_ms,
+            draws=dict(zip(DRAW_PHASES, counts)),
+        ))
+    return records
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -201,7 +238,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     params = cfg.params
     tower = build_tower(params.p, params.e, params.s)
     start = time.perf_counter()
-    records = [run_trial(params, tower, cfg, t) for t in range(1, cfg.trials + 1)]
+    records = []
+    for first in range(1, cfg.trials + 1, ROUND_SIZE):
+        records += _run_round(params, tower, cfg, list(range(first, min(first + ROUND_SIZE, cfg.trials + 1))))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     successes = sum(r.success for r in records)

@@ -31,6 +31,8 @@ ranks and inverses over F_q (fq_rank, fq_inv_matrix) and over F_q^s
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from dataclasses import dataclass
@@ -161,29 +163,32 @@ class Fq:
         return self.from_digits((self.to_digits(a)[..., None, :] @ regular)[..., 0, :])
 
     def blow_up(self, b: np.ndarray) -> np.ndarray:
-        """The (t*e, c*e) F_p regular representation of a (t, c) encoding array.
+        """The (..., t*e, c*e) F_p regular representation of a (..., t, c) encoding array.
 
         Block (k, j) is the e x e matrix of y -> b_kj * y on digits: its
-        row i holds the digits of x^i * b_kj.
+        row i holds the digits of x^i * b_kj.  Leading axes are a stack.
         """
         b = np.asarray(b, dtype=np.int64)
-        (t, c), e = b.shape, self.e
+        *lead, t, c = b.shape
+        e = self.e
         regular = self.to_digits(b) @ self.mul_tensor.reshape(e, e * e) % self.p
-        return regular.reshape(t, c, e, e).transpose(0, 2, 1, 3).reshape(t * e, c * e)
+        return regular.reshape(*lead, t, c, e, e).swapaxes(-3, -2).reshape(*lead, t * e, c * e)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over F_q of two encoding arrays (r,t) @ (t,c).
+        """Matrix product over F_q of two encoding arrays (..., r, t) @ (..., t, c).
 
         For e > 1 the base-p digits of a multiply the (t*e, c*e) F_p
         regular representation of b as integers.  No int64 sum exceeds
         (p-1)^2 * t * e < 2^32 * t * e (p^e <= 2^16), far below 2^63.
+        Leading axes broadcast as stacks of matrices.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
             return a @ b % self.p
-        (r, t), c, e = a.shape, b.shape[1], self.e
-        return self.from_digits((self.to_digits(a).reshape(r, t * e) @ self.blow_up(b)).reshape(r, c, e))
+        *lead, r, t = a.shape
+        out = self.to_digits(a).reshape(*lead, r, t * self.e) @ self.blow_up(b)
+        return self.from_digits(out.reshape(*out.shape[:-1], b.shape[-1], self.e))
 
     def rand(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
@@ -231,15 +236,18 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
 
     Returns:
         The echelon form and the list of pivot column indices.
+
+    Only the columns holding a nonzero entry on entry are walked: row
+    operations keep a zero column zero, so no pivot can appear in one.
     """
     if fq.e != 1:
         raise ValueError(f"fq_echelon eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
     p = fq.p
     R = np.array(arr, dtype=np.int64, copy=True)
-    rows, cols = R.shape
+    rows = R.shape[0]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in R.any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
         nz = R[r:, c].nonzero()[0]
@@ -263,13 +271,81 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
     return R, pivots
 
 
-def fq_rank(arr: np.ndarray, fq: Fq) -> int:
-    """Rank over F_q; for e > 1 the F_p rank of the blow-up, which is e times it."""
+@functools.lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """inverses[a] = a^-1 mod p for 0 < a < p, and inverses[0] = 0."""
+    table = np.zeros(p, dtype=np.int64)
+    table[1:] = [pow(a, -1, p) for a in range(1, p)]
+    table.setflags(write=False)
+    return table
+
+
+def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fq_echelon on every matrix of a (count, rows, cols) stack at once.
+
+    Step r finds the r-th pivot of every matrix: the leftmost column with
+    a nonzero entry in rows r and below, and the topmost such entry.  The
+    step swaps that row into row r (a no-op where the row is r already,
+    or where a matrix has no pivot left), normalises it from a table of
+    inverses mod p, and eliminates with it across the whole stack, so the
+    Python loop runs once per pivot, not once per matrix.  Each matrix
+    gets exactly the row operations fq_echelon applies to it, so the
+    echelon forms agree entry for entry.  A stack of one runs fq_echelon.
+
+    Returns:
+        The echelon stack, the rank of each matrix, and a (count,
+        min(rows, cols)) array whose row b lists the pivot columns of
+        matrix b in row order, padded with -1 past its rank.
+    """
+    if fq.e != 1:
+        raise ValueError(f"fq_echelon_stack eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
+    p = fq.p
+    count, rows, cols = np.shape(arr)
+    depth = min(rows, cols)
+    if count == 1:
+        R, found = fq_echelon(arr[0], fq, reduced)
+        return R[None], np.array([len(found)]), np.array([found + [-1] * (depth - len(found))], dtype=np.int64)
+    R = np.array(arr, dtype=np.int64, copy=True)
+    inverses = _inverses(p)
+    stack = np.arange(count)
+    flat = R.reshape(count * rows, cols)
+    first_row = stack * rows
+    for r in range(depth):
+        below = R[:, r:] != 0
+        live_cols = below.any(axis=1)
+        if not live_cols.any():
+            break
+        c = live_cols.argmax(axis=1)
+        i = first_row + r + below[stack, :, c].argmax(axis=1)
+        top = flat[i]
+        flat[i] = R[:, r]
+        if p != 2:  # over F_2 every pivot is 1 already
+            top = top * inverses[top[stack, c]][:, None] % p
+        R[:, r] = top
+        lo = 0 if reduced else r + 1
+        factors = R[stack, lo:, c]
+        if reduced:
+            factors[:, r] = 0
+        R[:, lo:] = (R[:, lo:] - factors[:, :, None] * top[:, None, :]) % p
+    # row r of an echelon form is zero past the rank, else it starts at its pivot
+    leading = R[:, :depth] != 0
+    pivot_rows = leading.any(axis=2)
+    return R, pivot_rows.sum(axis=1), np.where(pivot_rows, leading.argmax(axis=2), -1)
+
+
+def fq_rank(arr: np.ndarray, fq: Fq):
+    """Rank over F_q; for e > 1 the F_p rank of the blow-up, which is e times it.
+
+    A (..., rows, cols) stack gives the array of the ranks of its matrices.
+    """
     arr = np.asarray(arr)
-    if not arr.any():
+    if arr.ndim == 2 and not arr.any():
         return 0
     if fq.e > 1:
         return fq_rank(fq.blow_up(arr), fq.fp) // fq.e
+    if arr.ndim > 2:
+        *lead, rows, cols = arr.shape
+        return fq_echelon_stack(arr.reshape(-1, rows, cols), fq)[1].reshape(lead)
     return len(fq_echelon(arr, fq)[1])
 
 
@@ -386,27 +462,28 @@ class FieldTower:
         return rng.integers(0, self.q, size=tuple(shape) + (self.s,), dtype=np.int64)
 
     def blow_up(self, data: np.ndarray) -> np.ndarray:
-        """The (r*s, c*s) F_q regular representation of an (r, c, s) coordinate array.
+        """The (..., r*s, c*s) F_q regular representation of an (..., r, c, s) coordinate array.
 
         Block (a, b) is the s x s matrix of y -> m_ab * y in the power basis:
         its row i holds the coordinates of x^i * m_ab.  The map is an
         injective ring homomorphism, so the F_q rank of the blow-up is s times
         the rank over F_q^s, the blow-up of an inverse is the inverse of the
         blow-up, and a @ b over F_q^s is a (with rows flattened) times the
-        blow-up of b over F_q.
+        blow-up of b over F_q.  Leading axes are a stack.
         """
-        r, c, s = np.shape(data)
-        shifted = self.fq.matmul(np.reshape(data, (r * c, s)), self.power_table)
-        return shifted.reshape(r, c, s, s).transpose(0, 2, 1, 3).reshape(r * s, c * s)
+        *lead, r, c, s = np.shape(data)
+        shifted = self.fq.matmul(np.reshape(data, (-1, s)), self.power_table)
+        return shifted.reshape(*lead, r, c, s, s).swapaxes(-3, -2).reshape(*lead, r * s, c * s)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product over F_q^s of coordinate arrays (r,t,s) @ (t,c,s) -> (r,c,s)."""
+        """Product over F_q^s of coordinate arrays (..., r, t, s) @ (..., t, c, s) -> (..., r, c, s)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if a.shape[1] != b.shape[0]:
+        if a.shape[-2] != b.shape[-3]:
             raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-        r, t, s = a.shape
-        return self.fq.matmul(a.reshape(r, t * s), self.blow_up(b)).reshape(r, b.shape[1], s)
+        *lead, r, t, s = a.shape
+        out = self.fq.matmul(a.reshape(*lead, r, t * s), self.blow_up(b))
+        return out.reshape(*out.shape[:-1], b.shape[-2], s)
 
     def scalar_matmul(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of an F_q matrix (r,t) with a coordinate array (t,c,s).
@@ -465,21 +542,68 @@ class BasisSplit:
         return self.basis.shape[0]
 
 
-def sample_basis_split(tower: FieldTower, v: int, rng: np.random.Generator, max_tries: int = 1000) -> BasisSplit:
-    """Uniform basis of F_q^s over F_q, split after position v.
+def redraw_rejected(rngs, draw, accept, max_tries: int, exhausted: str) -> tuple[np.ndarray, np.ndarray]:
+    """One accepted candidate per RNG stream, by rejection sampling over a stack.
+
+    Every pending stream draws one candidate with ``draw(rng)``;
+    ``accept(indices, candidates)`` tests the stacked candidates of the
+    streams at ``indices`` at once and returns a bool per candidate, and
+    only the rejected streams draw again.  A stream's draws thus come in
+    the order a loop over that stream alone would make them.
+
+    Returns the stack of accepted candidates and the number of draws each
+    stream made; a stream still rejected after ``max_tries`` draws raises
+    SamplingExhausted with the message ``exhausted``.
+    """
+    if len(rngs) == 1:  # one stream: the same draws without the bookkeeping over streams
+        only = np.zeros(1, dtype=np.int64)
+        for tries in range(1, max_tries + 1):
+            candidate = draw(rngs[0])[None]
+            if accept(only, candidate)[0]:
+                return candidate, np.array([tries])
+        raise SamplingExhausted(exhausted)
+    chosen = [None] * len(rngs)
+    draws = [0] * len(rngs)
+    pending = list(range(len(rngs)))
+    for _ in range(max_tries):
+        candidates = [draw(rngs[i]) for i in pending]
+        ok = accept(np.array(pending), np.array(candidates)).tolist()
+        rejected = []
+        for i, candidate, good in zip(pending, candidates, ok):
+            draws[i] += 1
+            if good:
+                chosen[i] = candidate
+            else:
+                rejected.append(i)
+        pending = rejected
+        if not pending:
+            return np.array(chosen), np.array(draws)
+    raise SamplingExhausted(exhausted)
+
+
+def sample_split_bases(tower: FieldTower, v: int, rngs, max_tries: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform basis matrix of F_q^s over F_q per RNG stream, and each stream's draws.
 
     Rejection-samples uniform s x s matrices over F_q until invertible.
     The retry cap only exists to surface broken RNGs; a uniform sampler
     passes within a handful of draws.
     """
-    s = tower.s
+    s, fq = tower.s, tower.fq
     if not 0 < v < s:
         raise BadSplit(f"split position must satisfy 0 < v < {s}, got {v}")
-    for _ in range(max_tries):
-        cand = tower.fq.rand(rng, (s, s))
-        if fq_rank(cand, tower.fq) == s:
-            return BasisSplit(basis=cand, v=v)
-    raise SamplingExhausted(f"no invertible basis matrix in {max_tries} draws")
+    return redraw_rejected(
+        rngs,
+        lambda rng: fq.rand(rng, (s, s)),
+        lambda _, candidates: fq_rank(candidates, fq) == s,
+        max_tries,
+        f"no invertible basis matrix in {max_tries} draws",
+    )
+
+
+def sample_basis_split(tower: FieldTower, v: int, rng: np.random.Generator, max_tries: int = 1000) -> BasisSplit:
+    """Uniform basis of F_q^s over F_q, split after position v (sample_split_bases for one stream)."""
+    bases, _ = sample_split_bases(tower, v, [rng], max_tries)
+    return BasisSplit(basis=bases[0], v=v)
 
 
 def project_split(split: BasisSplit, tower: FieldTower, x: ExtElement) -> tuple[ExtElement, ExtElement]:

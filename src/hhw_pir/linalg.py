@@ -26,7 +26,7 @@ from .errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from .fields import FieldTower, Fq, fq_echelon, fq_inv_matrix, fq_rank
+from .fields import FieldTower, Fq, fq_echelon, fq_echelon_stack, fq_inv_matrix, fq_rank
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _fq_extend_basis(basis: np.ndarray, pivots: list[int], rows: np.ndarray, fq:
     return np.vstack([basis, new]), pivots + new_pivots
 
 
-def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
+def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
     """Rank over F_q of ``arr`` with each run of ``block`` rows deleted, in order.
 
     With B_1..B_m the row blocks, rank(arr minus B_j) is the dimension of
@@ -159,14 +159,23 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
     scan never eliminates a (m-1)*block-row matrix.  For e > 1 the scan
     runs once over F_p on the blow-up, whose blocks have block*e rows and
     whose ranks are e times those over F_q.
+
+    A (count, rows, cols) stack gives a (count, m) array: the chains then
+    run over the whole stack at once (_stacked_deletion_ranks), except
+    for a stack of one, which takes the scan of a single matrix.
     """
     arr = np.asarray(arr, dtype=np.int64)
-    rows, cols = arr.shape
+    rows, cols = arr.shape[-2:]
     m, rem = divmod(rows, block)
     if rem:
         raise DimensionMismatch(f"{rows} rows do not split into blocks of {block}")
     if fq.e > 1:
-        return [r // fq.e for r in fq_deletion_ranks(fq.blow_up(arr), block * fq.e, fq.fp)]
+        ranks = fq_deletion_ranks(fq.blow_up(arr), block * fq.e, fq.fp)
+        return ranks // fq.e if arr.ndim == 3 else [r // fq.e for r in ranks]
+    if arr.ndim == 3:
+        if len(arr) == 1:
+            return np.array([fq_deletion_ranks(arr[0], block, fq)], dtype=np.int64)
+        return _stacked_deletion_ranks(arr.reshape(len(arr), m, block, cols), fq)
     blocks = [arr[i * block : (i + 1) * block] for i in range(m)]
     empty = (np.zeros((0, cols), dtype=np.int64), [])
     before = [empty]  # before[j] spans blocks[:j]
@@ -185,6 +194,68 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
         small = fq.vsub(small, fq.matmul(small[:, big_pivots], big))
         ranks.append(len(big_pivots) + fq_rank(small, fq))
     return ranks
+
+
+# A stack of reduced bases is kept pivot-indexed: a (count, cols, cols)
+# array whose row c is the basis vector with pivot column c, and zero when
+# c is no pivot.  The diagonal then marks the pivots, and x - x @ basis
+# clears every pivot column of a row x in one product.
+
+
+def _extend_indexed(basis: np.ndarray, rank: np.ndarray, rows: np.ndarray, fq: Fq) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot-indexed stack of bases of rowspace(basis) + rowspace(rows), per matrix, and their ranks.
+
+    Only the bases short of full rank are extended; a full one spans
+    every row already.
+    """
+    p = fq.p
+    open_ = np.flatnonzero(rank < basis.shape[-1])
+    if not open_.size:
+        return basis, rank
+    old, rows = basis[open_], rows[open_]
+    residual = (rows - rows @ old) % p
+    new, added, pivots = fq_echelon_stack(residual, fq, reduced=True)
+    new = new[:, : pivots.shape[1]]  # rows past the rank are zero
+    at = np.maximum(pivots, 0)  # a padded pivot meets a zero row of new
+    old = (old - old[np.arange(len(old))[:, None], :, at].swapaxes(1, 2) @ new) % p
+    found = pivots >= 0
+    old[np.nonzero(found)[0], pivots[found]] = new[found]
+    basis, rank = basis.copy(), rank.copy()
+    basis[open_], rank[open_] = old, rank[open_] + added
+    return basis, rank
+
+
+def _stacked_deletion_ranks(blocks: np.ndarray, fq: Fq) -> np.ndarray:
+    """fq_deletion_ranks over F_p of a (count, m, block, cols) stack of row blocks.
+
+    The prefix and the suffix chain extend one pivot-indexed stack of
+    2*count bases, the first count matrices by blocks 1, 2, ... and the
+    others by blocks m, m-1, ...  The deletions are then ranked in one
+    stacked elimination: wherever the larger basis of a deletion falls
+    short of full rank and the smaller one is not empty, the pivot rows
+    of the smaller basis, reduced against the larger one, padded with
+    zero rows to the largest such count.
+    """
+    count, m, _, cols = blocks.shape
+    chain = [(np.zeros((2 * count, cols, cols), dtype=np.int64), np.zeros(2 * count, dtype=np.int64))]
+    for j in range(m - 1):
+        chain.append(_extend_indexed(*chain[-1], np.concatenate([blocks[:, j], blocks[:, m - 1 - j]]), fq))
+    bases = np.stack([basis for basis, _ in chain])
+    rank = np.stack([rank for _, rank in chain])
+    # deletion j merges the span of blocks[:, :j] with the span of blocks[:, j+1:]
+    head, tail = bases[:, :count], bases[::-1, count:]
+    head_rank, tail_rank = rank[:, :count], rank[::-1, count:]
+    ranks = np.maximum(head_rank, tail_rank)
+    pairs = np.nonzero((ranks < cols) & (np.minimum(head_rank, tail_rank) > 0))
+    if pairs[0].size:
+        head, tail = head[pairs], tail[pairs]
+        swap = (tail_rank[pairs] > head_rank[pairs])[:, None, None]
+        big, small = np.where(swap, tail, head), np.where(swap, head, tail)
+        width = int(np.minimum(head_rank, tail_rank)[pairs].max())
+        order = np.argsort(np.diagonal(small, axis1=-2, axis2=-1) == 0, axis=-1, kind="stable")[:, :width]
+        small = np.take_along_axis(small, order[..., None], axis=-2)  # pivot rows first
+        ranks[pairs] += fq_echelon_stack((small - small @ big) % fq.p, fq)[1]
+    return ranks.T
 
 
 # -- ranks over the two fields ---------------------------------------------------

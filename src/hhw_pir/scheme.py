@@ -23,18 +23,9 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DecodeFailure, DimensionMismatch, IndexOutOfRange, SamplingExhausted
-from .fields import BasisSplit, FieldTower, sample_basis_split
-from .linalg import (
-    ExtMatrix,
-    IndexSet,
-    fq_inv_matrix,
-    is_information_set,
-    puncture,
-    rank_ext,
-    rank_fq,
-    solve_on_columns,
-)
+from .errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
+from .fields import BasisSplit, FieldTower, fq_rank, redraw_rejected, sample_split_bases
+from .linalg import ExtMatrix, IndexSet, fq_inv_matrix, puncture, solve_on_columns
 from .params import SchemeParams
 
 # Retry cap for rejection sampling of codes and information sets.
@@ -106,78 +97,165 @@ class QuerySecrets:
     selector_part: ExtMatrix | None = None
 
 
-def sample_code(params: SchemeParams, tower: FieldTower, rng: np.random.Generator) -> tuple[ExtMatrix, IndexSet]:
-    """A uniform k-dimensional code of length n with a uniform information set.
+# The rejection-sampling phases of query generation, in draw order; each
+# counts its draws per stream in QueryBatch.draws.
+DRAW_PHASES = ("generator", "info_set", "basis", "selector")
+
+
+@dataclass
+class QueryBatch:
+    """Queries of several RNG streams, stacked along a leading axis.
+
+    data is the public query stack and the other arrays are the secrets
+    of each query: generators, sorted 0-based information sets, split
+    bases, selector blocks and the three layers whose sum is data.
+    draws[b] counts the draws stream b made in each of DRAW_PHASES.
+    """
+
+    data: np.ndarray  # (count, m*delta, n, s)
+    generator: np.ndarray  # (count, k, n, s)
+    info_set: np.ndarray  # (count, k)
+    basis: np.ndarray  # (count, s, s)
+    selector_block: np.ndarray  # (count, delta, n, s)
+    codeword: np.ndarray  # (count, m*delta, n, s)
+    mask: np.ndarray
+    selector: np.ndarray
+    draws: np.ndarray  # (count, len(DRAW_PHASES))
+
+
+def _ext_ranks(stack: np.ndarray, tower: FieldTower) -> np.ndarray:
+    """Rank over F_q^s of every matrix of an (count, rows, cols, s) stack."""
+    return fq_rank(tower.blow_up(stack), tower.fq) // tower.s
+
+
+def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A uniform k-dimensional code of length n with a uniform information set, per RNG stream.
 
     Generator matrices are rejection-sampled until full rank, which makes
     the row space uniform over k-dimensional subspaces; column sets are
     rejection-sampled until invertible, uniform over valid information
-    sets of the drawn code.
+    sets of the drawn code.  Both tests run on the stack of pending
+    streams (fields.redraw_rejected).
+
+    Returns the (count, k, n, s) generators, the (count, k) sorted 0-based
+    information sets and the draws each stream made in the two phases.
     """
     k, n = params.k, params.n
-    for _ in range(MAX_SAMPLING_TRIES):
-        gen = ExtMatrix.random(tower, k, n, rng)
-        if rank_ext(gen) == k:
-            break
-    else:
-        raise SamplingExhausted("no full-rank generator found; RNG looks broken")
-    for _ in range(MAX_SAMPLING_TRIES):
-        choice = rng.permutation(n)[:k]
-        columns = IndexSet(tuple(sorted(int(c) + 1 for c in choice)))
-        if is_information_set(gen, columns):
-            return gen, columns
-    raise SamplingExhausted("no information set found; RNG looks broken")
+    gens, gen_draws = redraw_rejected(
+        rngs,
+        lambda rng: tower.rand(rng, (k, n)),
+        lambda _, candidates: _ext_ranks(candidates, tower) == k,
+        MAX_SAMPLING_TRIES,
+        "no full-rank generator found; RNG looks broken",
+    )
+
+    def invertible(streams, columns):
+        picked = gens[streams[:, None], :, columns].swapaxes(1, 2)
+        return _ext_ranks(picked, tower) == k
+
+    columns, column_draws = redraw_rejected(
+        rngs,
+        lambda rng: np.sort(rng.permutation(n)[:k]),
+        invertible,
+        MAX_SAMPLING_TRIES,
+        "no information set found; RNG looks broken",
+    )
+    return gens, columns, (gen_draws, column_draws)
+
+
+def sample_code(params: SchemeParams, tower: FieldTower, rng: np.random.Generator) -> tuple[ExtMatrix, IndexSet]:
+    """sample_codes for one stream: a generator and a 1-based information set."""
+    gens, columns, _ = sample_codes(params, tower, [rng])
+    return ExtMatrix(tower, gens[0]), IndexSet(tuple(int(c) + 1 for c in columns[0]))
+
+
+def _scatter_columns(values: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
+    """(count, rows, n, s) zeros holding values[b] (count, rows, len, s) at columns[b]."""
+    count, rows, _, s = values.shape
+    out = np.zeros((count, rows, n, s), dtype=np.int64)
+    out[np.arange(count)[:, None], :, columns] = values.swapaxes(1, 2)
+    return out
+
+
+def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> QueryBatch:
+    """Queries for the 1-based files ``targets``, one per RNG stream in ``rngs``.
+
+    Each phase draws for every pending stream and redraws only the
+    rejected ones, so each stream draws in the same order as it would
+    alone, and its query depends on nothing but its own stream.
+    """
+    if (tower.p, tower.e, tower.s) != (params.p, params.e, params.s):
+        raise DimensionMismatch(f"tower {tower} does not match params (p={params.p}, e={params.e}, s={params.s})")
+    for target in targets:
+        if not 1 <= target <= params.m:
+            raise IndexOutOfRange(f"target must be in [1, {params.m}], got {target}")
+    fq = tower.fq
+    delta, n, k, s, v, m = params.delta, params.n, params.k, params.s, params.v, params.m
+    total_rows, count = params.block_rows, len(rngs)
+
+    gens, info_sets, code_draws = sample_codes(params, tower, rngs)
+    bases, basis_draws = sample_split_bases(tower, v, rngs)
+    inside = np.zeros((count, n), dtype=bool)
+    inside[np.arange(count)[:, None], info_sets] = True
+    outside = np.nonzero(~inside)[1].reshape(count, n - k)
+
+    # codeword layer: uniform coefficient rows times the generator;
+    # mask layer: uniform V-entries on the columns outside the information set
+    coeffs, v_coeffs = [], []
+    for rng in rngs:
+        coeffs.append(tower.rand(rng, (total_rows, k)))
+        v_coeffs.append(fq.rand(rng, (total_rows, n - k, v)))
+    codeword = tower.matmul(np.array(coeffs), gens)
+    masked = fq.matmul(np.array(v_coeffs).reshape(count, total_rows * (n - k), v), bases[:, :v])
+    mask = _scatter_columns(masked.reshape(count, total_rows, n - k, s), outside, n)
+
+    # selector layer: W-entries in row block ``target`` whose subfield rank is full
+    blocks = np.zeros((count, delta, n - k, s), dtype=np.int64)  # of each stream's latest draw
+
+    def full_rank(streams, w_coeffs):
+        entries = fq.matmul(w_coeffs.reshape(len(streams), delta * (n - k), s - v), bases[streams, v:])
+        blocks[streams] = entries.reshape(len(streams), delta, n - k, s)
+        return fq_rank(entries.reshape(len(streams), delta, (n - k) * s), fq) == delta
+
+    _, selector_draws = redraw_rejected(
+        rngs,
+        lambda rng: fq.rand(rng, (delta, n - k, s - v)),
+        full_rank,
+        MAX_SAMPLING_TRIES,
+        "no full-rank selector block found; RNG looks broken",
+    )
+    sel_rows = _scatter_columns(blocks, outside, n)
+    selector = np.zeros((count, m, delta, n, s), dtype=np.int64)
+    selector[np.arange(count), np.asarray(targets) - 1] = sel_rows
+    selector = selector.reshape(count, total_rows, n, s)
+
+    return QueryBatch(
+        data=fq.vadd(fq.vadd(codeword, mask), selector),
+        generator=gens,
+        info_set=info_sets,
+        basis=bases,
+        selector_block=sel_rows,
+        codeword=codeword,
+        mask=mask,
+        selector=selector,
+        draws=np.array([*code_draws, basis_draws, selector_draws]).T,
+    )
 
 
 def generate_query(params: SchemeParams, tower: FieldTower, target: int, rng: np.random.Generator) -> tuple[Query, QuerySecrets]:
-    """Build the query for file ``target`` (1-based) and its secrets."""
-    if (tower.p, tower.e, tower.s) != (params.p, params.e, params.s):
-        raise DimensionMismatch(f"tower {tower} does not match params (p={params.p}, e={params.e}, s={params.s})")
-    if not 1 <= target <= params.m:
-        raise IndexOutOfRange(f"target must be in [1, {params.m}], got {target}")
-    fq = tower.fq
-    delta, n, k, s, v = params.delta, params.n, params.k, params.s, params.v
-    total_rows = params.block_rows
-
-    gen, info_set = sample_code(params, tower, rng)
-    split = sample_basis_split(tower, v, rng)
-    outside = info_set.complement(n).zero_based()
-
-    # codeword layer: uniform coefficient rows times the generator
-    coeffs = tower.rand(rng, (total_rows, k))
-    codeword = tower.matmul(coeffs, gen.data)
-
-    # mask layer: uniform V-entries on the columns outside the information set
-    mask = np.zeros((total_rows, n, s), dtype=np.int64)
-    v_coeff = fq.rand(rng, (total_rows, len(outside), v))
-    mask[:, outside, :] = fq.matmul(v_coeff.reshape(-1, v), split.basis[:v]).reshape(total_rows, len(outside), s)
-
-    # selector layer: W-entries in row block ``target`` whose subfield rank is full
-    for _ in range(MAX_SAMPLING_TRIES):
-        w_coeff = fq.rand(rng, (delta, len(outside), s - v))
-        block = fq.matmul(w_coeff.reshape(-1, s - v), split.basis[v:]).reshape(delta, len(outside), s)
-        if rank_fq(ExtMatrix(tower, block)) == delta:
-            break
-    else:
-        raise SamplingExhausted("no full-rank selector block found; RNG looks broken")
-    selector = np.zeros((total_rows, n, s), dtype=np.int64)
-    lo = (target - 1) * delta
-    sel_rows = np.zeros((delta, n, s), dtype=np.int64)
-    sel_rows[:, outside, :] = block
-    selector[lo : lo + delta] = sel_rows
-
-    query_data = fq.vadd(fq.vadd(codeword, mask), selector)
+    """Build the query for file ``target`` (1-based) and its secrets: generate_queries for one stream."""
+    batch = generate_queries(params, tower, [target], [rng])
     secrets = QuerySecrets(
-        generator=gen,
-        info_set=info_set,
-        split=split,
+        generator=ExtMatrix(tower, batch.generator[0]),
+        info_set=IndexSet(tuple(int(c) + 1 for c in batch.info_set[0])),
+        split=BasisSplit(basis=batch.basis[0], v=params.v),
         target=target,
-        codeword_part=ExtMatrix(tower, codeword),
-        mask_part=ExtMatrix(tower, mask),
-        selector_part=ExtMatrix(tower, selector),
-        selector_block=ExtMatrix(tower, sel_rows),
+        codeword_part=ExtMatrix(tower, batch.codeword[0]),
+        mask_part=ExtMatrix(tower, batch.mask[0]),
+        selector_part=ExtMatrix(tower, batch.selector[0]),
+        selector_block=ExtMatrix(tower, batch.selector_block[0]),
     )
-    return Query(ExtMatrix(tower, query_data)), secrets
+    return Query(ExtMatrix(tower, batch.data[0])), secrets
 
 
 def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower) -> Response:

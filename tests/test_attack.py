@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from hhw_pir.attack import drop_block, rank_profile, recover_index
+from hhw_pir.attack import drop_block, rank_profile, rank_profiles, recover_index
 from hhw_pir.errors import DimensionMismatch
 from hhw_pir.fields import build_tower
 from hhw_pir.linalg import ExtMatrix, change_basis, fq_deletion_ranks, fq_rank, rank_fq
 from hhw_pir.params import SchemeParams
-from hhw_pir.scheme import generate_query
+from hhw_pir.scheme import generate_queries, generate_query
 
 from .oracles import per_deletion_rank_profile, subfield_rank_oracle
 
@@ -97,6 +97,41 @@ def test_rank_profile_matches_per_deletion_on_degenerate_matrices(name, request)
             assert profile == _naive_profile(qm, d, tower.fq), (name, i)
     one = dataclasses.replace(base, m=1)
     assert rank_profile(ExtMatrix.random(tower, d, base.n, rng), one, tower) == [0]
+
+
+@pytest.mark.parametrize("name", ["preset", "tight", "micro", "ternary", "q4"])
+def test_stacked_scan_matches_per_deletion_scan(name, request):
+    """Stacks of queries and of degenerate matrices, scanned at once, against the oracle and the 2-D scan."""
+    params = request.getfixturevalue(f"{name}_params")
+    tower = request.getfixturevalue(f"{name}_tower")
+    rng = np.random.default_rng(0x57AC)
+    d, width = params.delta, params.n * tower.s
+    for i in range(12):
+        count = int(rng.integers(1, 34))
+        if i % 3:
+            rngs = [np.random.default_rng([i, b]) for b in range(count)]
+            targets = [int(r.integers(1, params.m + 1)) for r in rngs]
+            stack = generate_queries(params, tower, targets, rngs).data
+        else:
+            stack = np.stack([_sparse_deficient(rng, tower.fq, params.m, d, width) for _ in range(count)])
+            stack = stack.reshape(count, params.block_rows, params.n, tower.s)
+        profiles = rank_profiles(stack, params, tower)
+        assert profiles.shape == (count, params.m)
+        for b, data in enumerate(stack):
+            qm = ExtMatrix(tower, data)
+            assert profiles[b].tolist() == per_deletion_rank_profile(qm, d) == rank_profile(qm, params, tower), (name, i, b)
+
+
+def test_recover_index_scans_a_stack(tight_params, tight_tower):
+    rngs = [np.random.default_rng([7, b]) for b in range(9)]
+    stack = generate_queries(tight_params, tight_tower, [1 + b % tight_params.m for b in range(9)], rngs).data
+    for fallback in (False, True):
+        reports = recover_index(stack, tight_params, tight_tower, fallback_argmin=fallback)
+        singles = [recover_index(ExtMatrix(tight_tower, q), tight_params, tight_tower, fallback_argmin=fallback) for q in stack]
+        strip = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k != "elapsed"}  # noqa: E731
+        assert [strip(r) for r in reports] == [strip(r) for r in singles]
+    with pytest.raises(DimensionMismatch):
+        rank_profiles(stack[:, :-1], tight_params, tight_tower)
 
 
 def test_deletion_ranks_need_whole_blocks(tight_tower):

@@ -1,14 +1,18 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hhw_pir import experiment
 from hhw_pir.errors import BadArguments
 from hhw_pir.experiment import (
     CSV_FIELDS,
+    ROUND_SIZE,
     ExperimentConfig,
     canonical_json,
     report_to_csv,
@@ -17,7 +21,11 @@ from hhw_pir.experiment import (
     splitmix64,
     trial_seed,
 )
-from hhw_pir.params import SchemeParams
+from hhw_pir.fields import build_tower
+from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
+from hhw_pir.scheme import DRAW_PHASES, generate_query
+
+from .conftest import Q4_PARAMS, TERNARY_PARAMS
 
 
 FAST_PARAMS = SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=4, L=1)
@@ -66,6 +74,23 @@ def test_config_validation():
         ExperimentConfig(params=FAST_PARAMS, trials=1, target_policy=5)
     with pytest.raises(BadArguments):
         ExperimentConfig(params=FAST_PARAMS, trials=1, target_policy=True)
+    # booleans, floats and strings are no integers, as in SchemeParams.from_dict
+    for fields in [
+        {"trials": True},
+        {"trials": 2.5},
+        {"trials": "3"},
+        {"trials": 1, "master_seed": True},
+        {"trials": 1, "master_seed": 1.5},
+        {"trials": 1, "master_seed": "7"},
+    ]:
+        with pytest.raises(BadArguments, match="must be an integer"):
+            ExperimentConfig(params=FAST_PARAMS, **fields)
+
+
+def test_config_takes_integer_likes_as_int():
+    cfg = ExperimentConfig(params=FAST_PARAMS, trials=np.int64(3), master_seed=np.uint64(5))
+    assert (type(cfg.trials), type(cfg.master_seed)) == (int, int)
+    assert json.loads(json.dumps(cfg.to_dict()))["trials"] == 3
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -209,3 +234,71 @@ def test_single_file_run_is_trivially_successful():
     params = SchemeParams(p=2, e=1, s=2, v=1, n=3, k=1, m=1, L=1)
     report = run_experiment(ExperimentConfig(params=params, trials=4, master_seed=1))
     assert report.successes == 4
+
+
+# -- rounds -----------------------------------------------------------------------------
+
+# every fixture gets 4 x 504 >= 2000 trials: both target policies, fallback on and off
+ROUND_FIXTURES = {f"tight-m{m}": dataclasses.replace(FAST_PARAMS, m=m) for m in range(2, 11)}
+ROUND_FIXTURES.update(preset=DEFAULT_PARAMS, q4=Q4_PARAMS, ternary=TERNARY_PARAMS)
+ROUND_TRIALS = 504
+
+
+def _records(report):
+    return [r.to_dict(include_timings=False) for r in report.records], [r.draws for r in report.records]
+
+
+@pytest.mark.parametrize("name", list(ROUND_FIXTURES))
+def test_rounds_match_rounds_of_one(name, monkeypatch):
+    """Records and draw counts do not depend on how trials are grouped into rounds."""
+    params = ROUND_FIXTURES[name]
+    assert ROUND_SIZE > 1 and ROUND_TRIALS % ROUND_SIZE  # a partial last round too
+    configs = [
+        ExperimentConfig(params=params, trials=ROUND_TRIALS, master_seed=1000 + i, target_policy=policy, fallback_argmin=fallback)
+        for i, (policy, fallback) in enumerate([("uniform", False), ("uniform", True), (params.m, False), (params.m, True)])
+    ]
+    batched = [run_experiment(cfg) for cfg in configs]
+    monkeypatch.setattr(experiment, "ROUND_SIZE", 1)
+    for cfg, report in zip(configs, batched):
+        single = run_experiment(cfg)
+        assert _records(report) == _records(single)
+        assert report.digest == single.digest
+    for report in batched:
+        for record in report.records:
+            assert list(record.draws) == list(DRAW_PHASES) and min(record.draws.values()) >= 1
+
+
+def test_a_failing_trial_fails_alone(monkeypatch):
+    """A round that raises is re-run as rounds of one, so only the bad trial records the error."""
+    params = dataclasses.replace(FAST_PARAMS, m=6)
+    cfg = ExperimentConfig(params=params, trials=ROUND_SIZE + 10, master_seed=3)
+    clean = run_experiment(cfg)
+    rng = np.random.default_rng(trial_seed(3, 7))
+    target = int(rng.integers(1, params.m + 1))
+    bad = generate_query(params, build_tower(2, 1, 2), target, rng)[0].matrix.data
+    real = experiment.recover_index
+
+    def poisoned(stack, *args, **kwargs):
+        if any(np.array_equal(q, bad) for q in stack):
+            raise RuntimeError("injected")
+        return real(stack, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "recover_index", poisoned)
+    report = run_experiment(cfg)
+    failed = [r for r in report.records if (r.failure_reason or "").startswith("error:")]
+    assert [r.trial for r in failed] == [7]
+    assert failed[0].failure_reason == "error:RuntimeError: injected"
+    assert failed[0].rank_profile == [] and failed[0].draws == dict.fromkeys(DRAW_PHASES, 0)
+    got, want = _records(report), _records(clean)
+    keep = [i for i in range(cfg.trials) if i != 6]
+    assert [(got[0][i], got[1][i]) for i in keep] == [(want[0][i], want[1][i]) for i in keep]
+
+
+def test_draw_counts_are_reported_beside_timings():
+    report = run_experiment(ExperimentConfig(params=FAST_PARAMS, trials=5, master_seed=4))
+    full = json.loads(report_to_json(report))
+    for doc, record in zip(full["trials"], report.records):
+        assert doc["draws"] == record.draws and "elapsed_ms" in doc
+    lean = json.loads(report_to_json(report, include_timings=False))
+    assert all("draws" not in t for t in lean["trials"])
+    assert "draws" not in canonical_json(report)

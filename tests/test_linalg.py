@@ -11,7 +11,7 @@ from hhw_pir.errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from hhw_pir.fields import build_tower
+from hhw_pir.fields import Fq, build_tower, fq_echelon_stack
 from hhw_pir.linalg import (
     ExtMatrix,
     IndexSet,
@@ -151,6 +151,69 @@ def test_fq_echelon_refuses_extension_fields():
         fq_echelon(np.eye(2, dtype=np.int64), fq)
     R, pivots = fq_echelon(fq.blow_up(np.eye(2, dtype=np.int64)), fq.fp)
     assert pivots == [0, 1, 2, 3]
+
+
+# F_p itself for p in 2, 3, 5, 7, and the F_2 and F_3 blow-ups of F_4 and F_9
+STACK_FIELDS = [(Fq(p, 1, (0, 1)), None) for p in (2, 3, 5, 7)] + [
+    (build_tower(p, 2, 2).fq.fp, build_tower(p, 2, 2).fq) for p in (2, 3)
+]
+STACKS = 1000
+
+
+def _stack_member(rng, base, shape, kind):
+    """One matrix of a stack over ``base``: uniform, sparse, rank-deficient or zero."""
+    rows, cols = shape
+    if kind == 0:
+        arr = base.rand(rng, shape)
+    elif kind == 1:
+        arr = base.rand(rng, shape) * (rng.random(shape) < 0.25)
+    elif kind == 2:
+        inner = int(rng.integers(0, min(shape)))
+        arr = base.matmul(base.rand(rng, (rows, inner)), base.rand(rng, (inner, cols)))
+    else:
+        arr = np.zeros(shape, dtype=np.int64)
+    return arr
+
+
+@pytest.mark.parametrize("field", STACK_FIELDS, ids=lambda f: f"p{f[0].p}" + (f"-of-q{f[1].q}" if f[1] else ""))
+def test_fq_echelon_stack_matches_fq_echelon(field):
+    """Each matrix of a stack gets the echelon form, rank and pivots of the 2-D loop."""
+    fp, fq = field
+    rng = np.random.default_rng(0x57AC + fp.p + (fq.q if fq else 0))
+    most = 4 if fq else 8  # a blow-up has e times the rows and columns
+    for trial in range(STACKS):
+        count = int(rng.integers(1, 34))
+        shape = (int(rng.integers(1, most + 1)), int(rng.integers(1, most + 1)))
+        members = np.stack([_stack_member(rng, fq or fp, shape, int(rng.integers(0, 4))) for _ in range(count)])
+        stack = members if fq is None else fq.blow_up(members)
+        reduced = bool(trial % 2)
+        echelon, ranks, pivots = fq_echelon_stack(stack, fp, reduced=reduced)
+        assert echelon.shape == stack.shape and pivots.shape == (count, min(stack.shape[1:]))
+        for b in range(count):
+            want, want_pivots = fq_echelon(stack[b], fp, reduced=reduced)
+            assert np.array_equal(echelon[b], want), (trial, b)
+            assert ranks[b] == len(want_pivots)
+            assert pivots[b].tolist() == want_pivots + [-1] * (pivots.shape[1] - len(want_pivots))
+        assert np.array_equal(fq_rank(stack, fp), ranks)
+        if fq is not None:
+            assert np.array_equal(fq_rank(members, fq), ranks // fq.e)
+
+
+def test_fq_echelon_stack_refuses_extension_fields():
+    fq = build_tower(2, 2, 2).fq
+    with pytest.raises(ValueError, match="F_p only"):
+        fq_echelon_stack(np.zeros((2, 2, 2), dtype=np.int64), fq)
+
+
+def test_blow_ups_take_a_leading_batch_axis(rng):
+    tower = build_tower(2, 2, 3)
+    fq = tower.fq
+    coords = tower.rand(rng, (5, 2, 3))
+    assert np.array_equal(tower.blow_up(coords), np.stack([tower.blow_up(c) for c in coords]))
+    enc = fq.rand(rng, (5, 2, 3))
+    assert np.array_equal(fq.blow_up(enc), np.stack([fq.blow_up(e) for e in enc]))
+    other = tower.rand(rng, (5, 3, 4))
+    assert np.array_equal(tower.matmul(coords, other), np.stack([tower.matmul(a, b) for a, b in zip(coords, other)]))
 
 
 def test_fq_rank_empty_and_degenerate():

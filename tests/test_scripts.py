@@ -4,6 +4,7 @@ The scripts import the package the way a user would, so a deleted or
 renamed public name breaks them without breaking any other test.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "argv",
-    [["rank_gap_demo.py"], ["success_vs_m.py", "--m-max", "3", "--trials", "20"]],
+    [
+        ["rank_gap_demo.py"],
+        ["success_vs_m.py", "--m-max", "3", "--trials", "20"],
+        ["bench_trials.py", "--sweeps", "1", "--trials", "1", "--repeats", "1", "--out", os.devnull],
+    ],
     ids=lambda argv: argv[0],
 )
 def test_script_runs(argv):

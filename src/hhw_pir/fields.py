@@ -16,12 +16,14 @@ F_q, C^0..C^(s-1) is the power table of F_q^s (FieldTower.power_table).
 The irreducibility test of a candidate modulus (Rabin's test on its C)
 is a chain of matrix powers as well, so no polynomial arithmetic is left.
 
-Bulk arithmetic runs on one product kernel, an integer matrix product
-mod p against a regular representation, which replaces every entry of
-the right factor by the matrix of multiplication by it: e x e over F_p
-for F_q (Fq.blow_up), s x s over F_q for F_q^s (FieldTower.blow_up), so
-a product over the top field is one F_q product, which is in turn one
-integer product over F_p.
+Bulk arithmetic runs on one product kernel, residue_matmul, a matrix
+product mod p of residue arrays against a regular representation, which
+replaces every entry of the right factor by the matrix of multiplication
+by it: e x e over F_p for F_q (Fq.blow_up), s x s over F_q for F_q^s
+(FieldTower.blow_up), so a product over the top field is one F_q
+product, which is in turn one product over F_p.  The kernel runs on
+float64 BLAS and is exact: it splits the inner axis into chunks whose
+sums stay below 2^51 and reduces each partial sum without a division.
 
 The one elimination kernel of the package, fq_echelon, works over F_p
 only.  An F_q-space of dimension r is an F_p-space of dimension e*r, so
@@ -32,10 +34,12 @@ ranks and inverses over F_q (fq_rank, fq_inv_matrix) and over F_q^s
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     BadSplit,
@@ -51,7 +55,8 @@ from .errors import (
 # An element of F_q^s: s coordinates over F_q in the power basis.
 ExtElement = tuple[int, ...]
 
-# Fq.matmul's int64 sums stay far below 2^63 only up to this order (see its docstring).
+# Up to this order a product's float64 sums stay exact in chunks of at least
+# (2^51 - p) / (p - 1)^2 >= 2^19 terms, and digit tables stay small (see residue_matmul).
 MAX_SUBFIELD_ORDER = 1 << 16
 # Guideline cap on the top field order.
 MAX_TOWER_ORDER = 1 << 64
@@ -83,6 +88,60 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# A float64 holds every integer below 2^53 exactly.  Below this bound the
+# reduction in _reduce is exact too (see residue_matmul).
+_EXACT_BELOW = 1 << 51
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_above(p: int) -> np.float64:
+    """The smallest float64 not below 1/p."""
+    inv = np.float64(1.0) / p
+    return inv if Fraction(float(inv)) >= Fraction(1, p) else np.nextafter(inv, np.inf)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, for a float64 array of integers in [0, _EXACT_BELOW)."""
+    quotient = x * _inverse_above(p)
+    np.floor(quotient, quotient)
+    quotient *= p
+    x -= quotient
+    return x
+
+
+def residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for arrays of residues in [0, p); leading axes broadcast as stacks.
+
+    The product runs on float64 BLAS and returns the residues as exact
+    integers in a float64 array.  Each term is at most (p-1)^2, so a chunk
+    of (2^51 - p) // (p-1)^2 terms of the inner axis, plus the residue
+    carried over from the chunks before it, sums to an integer below
+    2^51, which float64 holds exactly.  Each sum x = k*p + r is reduced as
+    x - p*floor(x*inv) with inv the smallest float not below 1/p: the
+    rounded x*inv is at least k and exceeds x/p by at most 2^-51 * x/p,
+    which is below 1/p for x < 2^51, so it stays below k + 1 and the floor
+    is the exact quotient k.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    chunk = (_EXACT_BELOW - p) // (p - 1) ** 2
+    out = np.matmul(a[..., :chunk], b[..., :chunk, :], dtype=np.float64)
+    for start in range(chunk, a.shape[-1], chunk):
+        _reduce(out, p)
+        out += np.matmul(a[..., start : start + chunk], b[..., start : start + chunk, :], dtype=np.float64)
+    return _reduce(out, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(p: int, e: int) -> np.ndarray:
+    """(p^e, e) table whose row x holds the base-p digits of x, least significant first."""
+    table = np.empty((p**e, e), dtype=np.uint8 if p <= 256 else np.uint16)
+    values = np.arange(p**e)
+    for i in range(e):
+        values, table[:, i] = np.divmod(values, p)
+    table.setflags(write=False)
+    return table
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -124,33 +183,36 @@ class Fq:
             raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{self.p}")
         # structure tensor over F_p: (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], T[a] = C^a
         self.mul_tensor = companion_powers(self.fp, self.modulus, self.e)
+        self._weights = self.p ** np.arange(self.e, dtype=np.float64)  # digit i weighs p^i
 
     # -- vectorised arithmetic on encoding arrays -----------------------------
 
     def to_digits(self, arr: np.ndarray) -> np.ndarray:
-        """(...,) encodings -> (..., e) base-p digit array."""
-        arr = np.asarray(arr, dtype=np.int64)
-        out = np.empty(arr.shape + (self.e,), dtype=np.int64)
-        t = arr
-        for i in range(self.e):
-            out[..., i] = t % self.p
-            t = t // self.p
-        return out
+        """(...,) encodings -> (..., e) base-p digit array, least significant digit first.
+
+        The digits are gathered from a table of all q encodings, in the
+        narrowest unsigned dtype that holds p - 1, so arithmetic that can
+        leave [0, p) has to widen them first.
+        """
+        return np.take(_digit_table(self.p, self.e), np.asarray(arr, dtype=np.int64), axis=0)
 
     def from_digits(self, digits: np.ndarray) -> np.ndarray:
-        digits = np.asarray(digits, dtype=np.int64) % self.p
-        powers = self.p ** np.arange(self.e, dtype=np.int64)
-        return digits @ powers
+        """(..., e) integer digits, each taken mod p -> (...,) encodings."""
+        return self._encode(np.asarray(digits, dtype=np.int64) % self.p)
+
+    def _encode(self, digits: np.ndarray) -> np.ndarray:
+        """(..., e) digits in [0, p) -> (...,) int64 encodings, as one 2-D product, which numpy hands to BLAS."""
+        return (digits.reshape(-1, self.e) @ self._weights).astype(np.int64).reshape(digits.shape[:-1])
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
             return (np.asarray(a) + np.asarray(b)) % self.p
-        return self.from_digits(self.to_digits(a) + self.to_digits(b))
+        return self.from_digits(np.add(self.to_digits(a), self.to_digits(b), dtype=np.int64))
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
             return (np.asarray(a) - np.asarray(b)) % self.p
-        return self.from_digits(self.to_digits(a) - self.to_digits(b))
+        return self.from_digits(np.subtract(self.to_digits(a), self.to_digits(b), dtype=np.int64))
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Entrywise product: the digits of a times the e x e regular representation of b."""
@@ -158,9 +220,8 @@ class Fq:
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
             return a * b % self.p
-        e = self.e
-        regular = (self.to_digits(b) @ self.mul_tensor.reshape(e, e * e) % self.p).reshape(b.shape + (e, e))
-        return self.from_digits((self.to_digits(a)[..., None, :] @ regular)[..., 0, :])
+        digits = residue_matmul(self.to_digits(a)[..., None, :], self.blow_up(b[..., None, None]), self.p)
+        return self._encode(digits[..., 0, :])
 
     def blow_up(self, b: np.ndarray) -> np.ndarray:
         """The (..., t*e, c*e) F_p regular representation of a (..., t, c) encoding array.
@@ -171,24 +232,24 @@ class Fq:
         b = np.asarray(b, dtype=np.int64)
         *lead, t, c = b.shape
         e = self.e
-        regular = self.to_digits(b) @ self.mul_tensor.reshape(e, e * e) % self.p
+        regular = residue_matmul(self.to_digits(b), self.mul_tensor.reshape(e, e * e), self.p).astype(np.int64)
         return regular.reshape(*lead, t, c, e, e).swapaxes(-3, -2).reshape(*lead, t * e, c * e)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product over F_q of two encoding arrays (..., r, t) @ (..., t, c).
 
         For e > 1 the base-p digits of a multiply the (t*e, c*e) F_p
-        regular representation of b as integers.  No int64 sum exceeds
-        (p-1)^2 * t * e < 2^32 * t * e (p^e <= 2^16), far below 2^63.
-        Leading axes broadcast as stacks of matrices.
+        regular representation of b, one residue_matmul, whose output
+        digits are reduced already.  Leading axes broadcast as stacks of
+        matrices.
         """
+        if self.e == 1:
+            return residue_matmul(a, b, self.p).astype(np.int64)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.e == 1:
-            return a @ b % self.p
         *lead, r, t = a.shape
-        out = self.to_digits(a).reshape(*lead, r, t * self.e) @ self.blow_up(b)
-        return self.from_digits(out.reshape(*out.shape[:-1], b.shape[-1], self.e))
+        out = residue_matmul(self.to_digits(a).reshape(*lead, r, t * self.e), self.blow_up(b), self.p)
+        return self._encode(out.reshape(*out.shape[:-1], b.shape[-1], self.e))
 
     def rand(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
@@ -336,17 +397,19 @@ def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np
 def fq_rank(arr: np.ndarray, fq: Fq):
     """Rank over F_q; for e > 1 the F_p rank of the blow-up, which is e times it.
 
-    A (..., rows, cols) stack gives the array of the ranks of its matrices.
+    A (..., rows, cols) stack gives the array of the ranks of its matrices;
+    a stack of one matrix is ranked by the 2-D fq_echelon.
     """
     arr = np.asarray(arr)
     if arr.ndim == 2 and not arr.any():
         return 0
     if fq.e > 1:
         return fq_rank(fq.blow_up(arr), fq.fp) // fq.e
-    if arr.ndim > 2:
-        *lead, rows, cols = arr.shape
+    *lead, rows, cols = arr.shape
+    if math.prod(lead) != 1:
         return fq_echelon_stack(arr.reshape(-1, rows, cols), fq)[1].reshape(lead)
-    return len(fq_echelon(arr, fq)[1])
+    rank = len(fq_echelon(arr.reshape(rows, cols), fq)[1])
+    return np.full(lead, rank) if lead else rank
 
 
 def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
@@ -372,7 +435,7 @@ def _is_irreducible(fq: Fq, poly: list[int]) -> bool:
     rank d minus the degree of gcd(x^n - x, poly).  poly is irreducible iff
     C^(q^d) = C and C^(q^(d/r)) - C has rank d for every prime r | d.  The
     q-th powers run along one chain C, C^q, C^(q^2), ... on the blow-up of
-    C over F_p, where a product is one integer matmul and the rank is e
+    C over F_p, where a product is one residue_matmul and the rank is e
     times the rank over F_q; each rank is checked as the chain reaches it,
     so most reducible candidates stop early.
     """

@@ -208,16 +208,15 @@ def _extend_indexed(basis: np.ndarray, rank: np.ndarray, rows: np.ndarray, fq: F
     Only the bases short of full rank are extended; a full one spans
     every row already.
     """
-    p = fq.p
     open_ = np.flatnonzero(rank < basis.shape[-1])
     if not open_.size:
         return basis, rank
     old, rows = basis[open_], rows[open_]
-    residual = (rows - rows @ old) % p
+    residual = fq.vsub(rows, fq.matmul(rows, old))
     new, added, pivots = fq_echelon_stack(residual, fq, reduced=True)
     new = new[:, : pivots.shape[1]]  # rows past the rank are zero
     at = np.maximum(pivots, 0)  # a padded pivot meets a zero row of new
-    old = (old - old[np.arange(len(old))[:, None], :, at].swapaxes(1, 2) @ new) % p
+    old = fq.vsub(old, fq.matmul(old[np.arange(len(old))[:, None], :, at].swapaxes(1, 2), new))
     found = pivots >= 0
     old[np.nonzero(found)[0], pivots[found]] = new[found]
     basis, rank = basis.copy(), rank.copy()
@@ -254,7 +253,7 @@ def _stacked_deletion_ranks(blocks: np.ndarray, fq: Fq) -> np.ndarray:
         width = int(np.minimum(head_rank, tail_rank)[pairs].max())
         order = np.argsort(np.diagonal(small, axis1=-2, axis2=-1) == 0, axis=-1, kind="stable")[:, :width]
         small = np.take_along_axis(small, order[..., None], axis=-2)  # pivot rows first
-        ranks[pairs] += fq_echelon_stack((small - small @ big) % fq.p, fq)[1]
+        ranks[pairs] += fq_echelon_stack(fq.vsub(small, fq.matmul(small, big)), fq)[1]
     return ranks.T
 
 

@@ -5,15 +5,18 @@ oracles compute in is their own (digitwise fq_add/fq_sub, the digit
 polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
 by plain-Python elimination over it, subspaces are enumerated rather
 than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Four kinds of entry are paths
+recovery pipeline with explicit scalars.  Five kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
 scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
 Gauss-Jordan elimination over F_q^s on scalar tower ops that the
 regular-representation kernel replaced; digit_fq_matmul / digit_matmul /
 digit_scalar_matmul, the products that contracted base-p digits against
-F_p structure tensors before every product became one integer matmul on
-a regular representation; and log_exp_tables / table_vmul /
+F_p structure tensors before every product became one product on a
+regular representation; int64_residue_matmul / int64_fq_matmul /
+loop_digits, the int64 product mod p and the %-and-// digit loop that
+kernel ran on before the exact float64 kernel (fields.residue_matmul) and
+the digit table replaced them; and log_exp_tables / table_vmul /
 table_echelon, the discrete log/exp arithmetic of F_q and the
 elimination over F_q on top of it, before every elimination ran over F_p
 on blow-ups.  The tuple arithmetic of F_q^s (ext_add ... ext_inv) is the
@@ -294,11 +297,49 @@ def table_inv_matrix(arr, fq: Fq) -> np.ndarray:
     return R[:, n:]
 
 
+def loop_digits(arr, fq: Fq) -> np.ndarray:
+    """(..., e) int64 base-p digits of encodings by repeated % and //, as Fq.to_digits ran before its digit table."""
+    t = np.asarray(arr, dtype=np.int64)
+    out = np.empty(t.shape + (fq.e,), dtype=np.int64)
+    for i in range(fq.e):
+        out[..., i] = t % fq.p
+        t = t // fq.p
+    return out
+
+
+def _from_digits(digits: np.ndarray, fq: Fq) -> np.ndarray:
+    """Encodings of an (..., e) array of integer digits, each taken mod p."""
+    return np.asarray(digits, dtype=np.int64) % fq.p @ fq.p ** np.arange(fq.e, dtype=np.int64)
+
+
+def int64_residue_matmul(a, b, p: int) -> np.ndarray:
+    """a @ b mod p as one int64 product, the kernel fields.residue_matmul replaced (sums below 2^63)."""
+    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % p
+
+
+def int64_fq_matmul(a, b, fq: Fq) -> np.ndarray:
+    """Fq.matmul as it ran on the int64 kernel: loop digits of a times the int64 blow-up of b, mod p.
+
+    Leading axes broadcast as stacks, as in Fq.matmul.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    p, e = fq.p, fq.e
+    if e == 1:
+        return int64_residue_matmul(a, b, p)
+    *lead, r, t = a.shape
+    *b_lead, _, c = b.shape
+    regular = int64_residue_matmul(loop_digits(b, fq), fq.mul_tensor.reshape(e, e * e), p)
+    big = regular.reshape(*b_lead, t, c, e, e).swapaxes(-3, -2).reshape(*b_lead, t * e, c * e)
+    out = int64_residue_matmul(loop_digits(a, fq).reshape(*lead, r, t * e), big, p)
+    return _from_digits(out.reshape(*out.shape[:-1], c, e), fq)
+
+
 @functools.cache
 def _fq_digit_tensor(fq: Fq) -> np.ndarray:
     """F_p structure tensor T of F_q, (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], from fq_poly_mul."""
     basis = [fq.p**i for i in range(fq.e)]
-    return np.array([[fq.to_digits(fq_poly_mul(fq, x, y)) for y in basis] for x in basis], dtype=np.int64)
+    return np.array([[loop_digits(fq_poly_mul(fq, x, y), fq) for y in basis] for x in basis], dtype=np.int64)
 
 
 @functools.cache
@@ -307,37 +348,35 @@ def _tower_digit_tensor(tower: FieldTower) -> np.ndarray:
     of coordinate j), from ext_mul."""
     fq = tower.fq
     basis = [tuple(fq.p**i if j == jj else 0 for jj in range(tower.s)) for j in range(tower.s) for i in range(fq.e)]
-    return np.array([[fq.to_digits(np.array(ext_mul(tower, x, y))).reshape(-1) for y in basis] for x in basis],
+    return np.array([[loop_digits(ext_mul(tower, x, y), fq).reshape(-1) for y in basis] for x in basis],
                     dtype=np.int64)
 
 
 def digit_fq_matmul(a: np.ndarray, b: np.ndarray, fq: Fq) -> np.ndarray:
     """F_q product (r,t) @ (t,c) by contracting base-p digits against the F_q tensor."""
-    tmp = np.tensordot(fq.to_digits(a), fq.to_digits(b), axes=([1], [0]))  # (r, e, c, e)
-    return fq.from_digits(np.einsum("racb,abd->rcd", tmp, _fq_digit_tensor(fq)) % fq.p)
+    tmp = np.tensordot(loop_digits(a, fq), loop_digits(b, fq), axes=([1], [0]))  # (r, e, c, e)
+    return _from_digits(np.einsum("racb,abd->rcd", tmp, _fq_digit_tensor(fq)), fq)
 
 
 def _coords_to_digits(arr: np.ndarray, tower: FieldTower) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.int64)
-    return tower.fq.to_digits(arr).reshape(arr.shape[:-1] + (tower.s * tower.e,))
+    return loop_digits(arr, tower.fq).reshape(arr.shape[:-1] + (tower.s * tower.e,))
 
 
 def _digits_to_coords(digits: np.ndarray, tower: FieldTower) -> np.ndarray:
-    return tower.fq.from_digits(digits.reshape(digits.shape[:-1] + (tower.s, tower.e)))
+    return _from_digits(digits.reshape(digits.shape[:-1] + (tower.s, tower.e)), tower.fq)
 
 
 def digit_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
     """F_q^s product (r,t,s) @ (t,c,s) by contracting digits against the top-field tensor."""
     tmp = np.tensordot(_coords_to_digits(a, tower), _coords_to_digits(b, tower), axes=([1], [0]))
-    digits = np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)) % tower.p
-    return _digits_to_coords(digits, tower)
+    return _digits_to_coords(np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)), tower)
 
 
 def digit_scalar_matmul(x: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
     """F_q (r,t) times F_q^s (t,c,s): only the first e rows of the top-field tensor take part."""
-    tmp = np.tensordot(tower.fq.to_digits(x), _coords_to_digits(b, tower), axes=([1], [0]))
-    digits = np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)[: tower.e]) % tower.p
-    return _digits_to_coords(digits, tower)
+    tmp = np.tensordot(loop_digits(x, tower.fq), _coords_to_digits(b, tower), axes=([1], [0]))
+    return _digits_to_coords(np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)[: tower.e]), tower)
 
 
 def scalar_ext_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import signal
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hhw_pir
+from hhw_pir import fields
 from hhw_pir.errors import (
     BadSplit,
     DegreeTooSmall,
@@ -21,12 +23,14 @@ from hhw_pir.fields import (
     fq_inv_matrix,
     is_prime,
     project_split,
+    residue_matmul,
     sample_basis_split,
     smallest_irreducible,
 )
 from hhw_pir.linalg import ExtMatrix, ext_inv_matrix
 
 from .oracles import (
+    digit_fq_matmul,
     ext_add,
     ext_mul,
     ext_zero,
@@ -34,6 +38,8 @@ from .oracles import (
     fq_inv,
     fq_poly_mul,
     fq_sub,
+    int64_fq_matmul,
+    int64_residue_matmul,
     log_exp_tables,
     naive_rank_fq,
     table_vmul,
@@ -445,6 +451,78 @@ def test_mul_tensor_reproduces_products():
             da, db = fq.to_digits(a), fq.to_digits(b)
             digits = np.einsum("a,b,abd->d", da, db, T) % fq.p
             assert fq.from_digits(digits) == fq_poly_mul(fq, a, b)
+
+
+# -- the float64 product kernel at its edges --------------------------------------------
+
+# every (p, e) with p in {2, 3, 251, 65521}, e in {1, 2, 4, 8} and p^e within the order cap
+KERNEL_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4), (3, 8), (251, 1), (251, 2), (65521, 1)]
+
+
+@functools.cache
+def _kernel_field(p, e):
+    return Fq(p, e, smallest_irreducible(Fq(p, 1, (0, 1)), e))
+
+
+@pytest.mark.parametrize("p,e", KERNEL_FIELDS)
+def test_fq_matmul_matches_int64_kernel_on_stacks(p, e, rng):
+    fq = _kernel_field(p, e)
+    a = fq.rand(rng, (2, 3, 5, 7))
+    b = fq.rand(rng, (3, 7, 4))  # one right factor per matrix of a's last stack axis
+    got = fq.matmul(a, b)
+    assert got.dtype == np.int64 and got.shape == (2, 3, 5, 4)
+    assert np.array_equal(got, int64_fq_matmul(a, b, fq))
+    assert np.array_equal(got[1, 2], digit_fq_matmul(a[1, 2], b[2], fq))
+
+
+@pytest.mark.parametrize("p,e", KERNEL_FIELDS)
+def test_chunked_products_at_the_exactness_edge(p, e, rng, monkeypatch):
+    """With the bound lowered to chunks of three terms, operands whose every
+    digit is p - 1 fill each chunk up to the bound: three terms of (p-1)^2
+    plus the carried residue p - 1 sum to the bound minus one."""
+    monkeypatch.setattr(fields, "_EXACT_BELOW", 3 * (p - 1) ** 2 + p)
+    top = np.full((2, 3, 10), p - 1)
+    assert np.array_equal(residue_matmul(top, top.swapaxes(-1, -2), p), int64_residue_matmul(top, top.swapaxes(-1, -2), p))
+    fq = _kernel_field(p, e)
+    top_a, top_b = np.full((2, 4, 11), fq.q - 1), np.full((11, 3), fq.q - 1)
+    a, b = fq.rand(rng, (2, 4, 11)), fq.rand(rng, (2, 11, 3))
+    for x, y in [(top_a, top_b), (a, b)]:
+        assert np.array_equal(fq.matmul(x, y), int64_fq_matmul(x, y, fq))
+    assert np.array_equal(fq.matmul(top_a, top_b)[1], digit_fq_matmul(top_a[1], top_b, fq))
+
+
+@pytest.mark.parametrize("p", sorted({p for p, _ in KERNEL_FIELDS}))
+def test_multiples_of_p_reduce_to_zero(p):
+    """Row u sums to u*(p-1) + u = u*p: an inverse of p rounded down would floor some to u - 1."""
+    u = np.arange(p)
+    got = residue_matmul(np.stack([u, u], axis=1), np.array([[p - 1], [1]]), p)
+    assert not got.any()
+
+
+@pytest.mark.parametrize("value", ["top", "odd"])
+def test_inner_axis_past_one_chunk(value):
+    """F_65521 products whose exact sums no single float64 sum holds.
+
+    Every term of p - 1 (square 1 mod p) over two full chunks and one more
+    term fills every chunk up to the kernel's own bound.  Every term of
+    p - 2 (square 4 mod p, odd) over just over 2^53 / (p-2)^2 terms gives an
+    odd sum in (2^53, 2^54), where float64 holds only even integers, so a
+    sum in one piece is off before any reduction.  Its residue is odd as
+    well, while x - p*floor(x/p) on such floats is even, so no rounding in
+    the reduction can make up for it.
+    """
+    p = 65521
+    chunk = (fields._EXACT_BELOW - p) // (p - 1) ** 2
+    if value == "top":
+        entry, t = p - 1, 2 * chunk + 1
+    else:
+        entry = p - 2
+        t = (1 << 53) // entry**2 + 1
+        while t % 2 == 0 or 4 * t % p % 2 == 0:
+            t += 1
+        assert (1 << 53) < t * entry**2 < (1 << 54)
+    got = residue_matmul(np.full((1, t), entry), np.full((t, 1), entry), p)
+    assert got.tolist() == [[t * entry**2 % p]]
 
 
 # -- construction errors -------------------------------------------------------------

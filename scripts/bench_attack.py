@@ -93,10 +93,10 @@ def summary(samples_ms: list[float]) -> dict:
 def bench_fixture(name: str, params: SchemeParams, seed: int, queries: int, repeats: int) -> dict:
     tower = build_tower(params.p, params.e, params.s)
     rng = np.random.default_rng(seed)
-    sampled = [generate_query(params, tower, int(rng.integers(1, params.m + 1)), rng)[0]
+    sampled = [generate_query(params, tower, int(rng.integers(1, params.m + 1)), rng)[0].matrix.data
                for _ in range(queries)]
     paths = {
-        "before": lambda q: per_deletion_rank_profile(q, params.delta),
+        "before": lambda q: per_deletion_rank_profile(q, params.delta, tower.fq),
         "after": lambda q: rank_profile(q, params, tower),
     }
     times = {side: [] for side in paths}

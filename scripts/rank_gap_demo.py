@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     print()
 
     query, _ = generate_query(params, tower, target, rng)
-    profile = rank_profile(query, params, tower)
+    profile = rank_profile(query.matrix.data, params, tower)
     print(f"rank of the query with block j deleted (true target: {target}):")
     for j, r in enumerate(profile, start=1):
         marks = []
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         transform = fq.rand(rng, (tower.s, tower.s))
         if fq_rank(transform, fq) == tower.s:
             break
-    disguised = change_basis(query.matrix, transform)
+    disguised = change_basis(query.matrix.data, tower, transform)
     same = rank_profile(disguised, params, tower) == profile
     print(f"profile after re-expressing the query in a random basis: "
           f"{'identical' if same else 'DIFFERENT'}")

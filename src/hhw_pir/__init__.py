@@ -18,7 +18,7 @@ from .analysis import (
     measured_rate_limit,
     rate_report,
 )
-from .attack import AttackReport, drop_block, rank_profile, recover_index
+from .attack import AttackReport, rank_profile, recover_index
 from .errors import (
     BadArguments,
     BadSplit,
@@ -39,7 +39,7 @@ from .experiment import (
     trial_seed,
 )
 from .fields import BasisSplit, FieldTower, Fq, build_tower, sample_basis_split
-from .linalg import ExtMatrix, IndexSet, change_basis, fq_rank, rank_ext, rank_fq
+from .linalg import ExtMatrix, change_basis, fq_rank, rank_ext, rank_fq
 from .params import DEFAULT_PARAMS, SchemeParams
 from .scheme import (
     Database,
@@ -70,7 +70,6 @@ __all__ = [
     "FailureBound",
     "FieldTower",
     "Fq",
-    "IndexSet",
     "InvalidParams",
     "MatrixFileError",
     "NotInformationSet",
@@ -87,7 +86,6 @@ __all__ = [
     "change_basis",
     "decode",
     "derive",
-    "drop_block",
     "failure_bound",
     "fq_rank",
     "gaussian_binomial",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .fields import FieldTower
-from .linalg import ExtMatrix, fq_deletion_ranks
+from .linalg import fq_deletion_ranks
 from .params import SchemeParams
 from .scheme import Query
 
@@ -71,40 +71,18 @@ class AttackReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _query_matrix(query: Query | ExtMatrix) -> ExtMatrix:
-    return query.matrix if isinstance(query, Query) else query
+def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -> list[int] | np.ndarray:
+    """Subfield rank of every block-deleted submatrix, in block order.
 
-
-def drop_block(query: Query | ExtMatrix, block: int, delta: int) -> ExtMatrix:
-    """The query matrix with row block ``block`` (1-based) deleted."""
-    qm = _query_matrix(query)
-    m, rem = divmod(qm.rows, delta)
-    if rem:
-        raise DimensionMismatch(f"{qm.rows} rows do not split into blocks of {delta}")
-    if not 1 <= block <= m:
-        raise DimensionMismatch(f"block must be in [1, {m}], got {block}")
-    lo = (block - 1) * delta
-    return ExtMatrix(qm.tower, np.delete(qm.data, slice(lo, lo + delta), axis=0))
-
-
-def rank_profile(query: Query | ExtMatrix, params: SchemeParams, tower: FieldTower) -> list[int]:
-    """Subfield rank of every block-deleted submatrix, in block order."""
-    qm = _query_matrix(query)
-    if qm.shape != (params.block_rows, params.n):
-        raise DimensionMismatch(f"query is {qm.shape}, expected ({params.block_rows}, {params.n})")
-    if not tower.same_field(qm.tower):
-        raise DimensionMismatch("query tower does not match the supplied tower")
-    rows, cols = qm.shape
-    return fq_deletion_ranks(qm.data.reshape(rows, cols * tower.s), params.delta, tower.fq)
-
-
-def rank_profiles(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -> np.ndarray:
-    """rank_profile of every query of a (count, m*delta, n, s) stack, as a (count, m) array."""
+    An (m*delta, n, s) query matrix gives the list of its m ranks; a
+    (count, m*delta, n, s) stack of them is scanned together and gives a
+    (count, m) array.
+    """
     queries = np.asarray(queries, dtype=np.int64)
-    if queries.shape[1:] != (params.block_rows, params.n, tower.s):
-        raise DimensionMismatch(f"query stack is {queries.shape[1:]}, expected ({params.block_rows}, {params.n}, {tower.s})")
-    count, rows, cols, s = queries.shape
-    return fq_deletion_ranks(queries.reshape(count, rows, cols * s), params.delta, tower.fq)
+    if queries.ndim not in (3, 4) or queries.shape[-3:] != (params.block_rows, params.n, tower.s):
+        raise DimensionMismatch(f"query is {queries.shape}, expected [count,] ({params.block_rows}, {params.n}, {tower.s})")
+    *lead, rows, cols, s = queries.shape
+    return fq_deletion_ranks(queries.reshape(*lead, rows, cols * s), params.delta, tower.fq)
 
 
 def _verdict(profile: list[int], params: SchemeParams, elapsed: float, fallback_argmin: bool) -> AttackReport:
@@ -126,7 +104,7 @@ def _verdict(profile: list[int], params: SchemeParams, elapsed: float, fallback_
 
 
 def recover_index(
-    query: Query | ExtMatrix | np.ndarray,
+    query: Query | np.ndarray,
     params: SchemeParams,
     tower: FieldTower,
     fallback_argmin: bool = False,
@@ -138,14 +116,16 @@ def recover_index(
     back to the block of smallest deleted rank (lowest block index on
     ties), the natural heuristic for experiments, with no guarantee.
 
-    A (count, m*delta, n, s) array is a stack of query matrices, scanned
-    together (rank_profiles); the result is then a list of count reports,
-    each timed at its share of the scan.
+    The query is a Query or its (m*delta, n, s) coordinate array.  A
+    (count, m*delta, n, s) array is a stack of query matrices, scanned
+    together; the result is then a list of count reports, each timed at
+    its share of the scan.
     """
     start = time.perf_counter()
-    if isinstance(query, np.ndarray) and query.ndim == 4:
-        profiles = rank_profiles(query, params, tower).tolist()
+    data = query.matrix.data if isinstance(query, Query) else np.asarray(query)
+    profile = rank_profile(data, params, tower)
+    if data.ndim == 4:
+        profiles = profile.tolist()
         share = (time.perf_counter() - start) / max(len(profiles), 1)
-        return [_verdict(profile, params, share, fallback_argmin) for profile in profiles]
-    profile = rank_profile(query, params, tower)
+        return [_verdict(p, params, share, fallback_argmin) for p in profiles]
     return _verdict(profile, params, time.perf_counter() - start, fallback_argmin)

@@ -17,10 +17,6 @@ class ReducibleModulus(ValueError):
     """A field modulus factors, so its quotient ring is not a field."""
 
 
-class WrongLength(ValueError):
-    """A coordinate vector has the wrong number of entries."""
-
-
 class BadSplit(ValueError):
     """A basis split position is outside the open interval (0, s)."""
 

@@ -100,6 +100,9 @@ class ExperimentConfig:
             raise BadArguments(f"target policy must be 'uniform' or an index, got {policy!r}")
         if isinstance(policy, int) and not 1 <= policy <= self.params.m:
             raise BadArguments(f"fixed target {policy} outside [1, {self.params.m}]")
+        if not isinstance(self.fallback_argmin, (bool, np.bool_)):
+            raise BadArguments(f"fallback_argmin must be a bool, got {self.fallback_argmin!r}")
+        object.__setattr__(self, "fallback_argmin", bool(self.fallback_argmin))
 
     def to_dict(self) -> dict:
         return {

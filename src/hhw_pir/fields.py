@@ -2,11 +2,12 @@
 
 Elements of the subfield F_q (q = p^e) are encoded as integers in [0, q):
 the base-p digits of the encoding are the coefficients of the element in
-the power basis of the base modulus.  Elements of the top field F_q^s are
-length-s tuples of such encodings, i.e. coordinates in the power basis of
-the top modulus.  Both moduli are the lexicographically smallest monic
-irreducible polynomials of the required degrees, found by exhaustive
-search in coefficient order, so a tower is fully determined by (p, e, s).
+the power basis of the base modulus.  An element of the top field F_q^s
+is s such encodings, its coordinates in the power basis of the top
+modulus, held on the last axis of a coordinate array.  Both moduli are
+the lexicographically smallest monic irreducible polynomials of the
+required degrees, found by exhaustive search in coefficient order, so a
+tower is fully determined by (p, e, s).
 
 Both extension steps are built by one construction: the powers of the
 companion matrix C of the step's monic modulus, the matrix of y -> x*y
@@ -28,7 +29,7 @@ sums stay below 2^51 and reduces each partial sum without a division.
 The one elimination kernel of the package, fq_echelon, works over F_p
 only.  An F_q-space of dimension r is an F_p-space of dimension e*r, so
 ranks and inverses over F_q (fq_rank, fq_inv_matrix) and over F_q^s
-(see linalg.rank_ext) run on it through the same regular representations.
+(see linalg.ext_rank) run on it through the same regular representations.
 """
 
 from __future__ import annotations
@@ -49,11 +50,7 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
     SamplingExhausted,
-    WrongLength,
 )
-
-# An element of F_q^s: s coordinates over F_q in the power basis.
-ExtElement = tuple[int, ...]
 
 # Up to this order a product's float64 sums stay exact in chunks of at least
 # (2^51 - p) / (p - 1)^2 >= 2^19 terms, and digit tables stay small (see residue_matmul).
@@ -477,8 +474,8 @@ def smallest_irreducible(fq: Fq, degree: int) -> tuple[int, ...]:
 class FieldTower:
     """Immutable arithmetic context for F_p <= F_q <= F_q^s.
 
-    Elements are ExtElement tuples or numpy coordinate arrays of shape
-    (..., s); the arithmetic runs on whole arrays (matmul, scalar_matmul).
+    Elements are numpy coordinate arrays of shape (..., s); the arithmetic
+    runs on whole arrays (matmul, scalar_matmul).
     """
 
     def __init__(self, fq: Fq, s: int, top_modulus: tuple[int, ...]):
@@ -499,22 +496,10 @@ class FieldTower:
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, s={self.s})"
 
-    def same_field(self, other: "FieldTower") -> bool:
-        return (self.p, self.e, self.s) == (other.p, other.e, other.s)
-
-    # -- elements --------------------------------------------------------------
-
     @property
-    def one(self) -> ExtElement:
+    def one(self) -> tuple[int, ...]:
+        """The coordinates of 1."""
         return (1,) + (0,) * (self.s - 1)
-
-    def validate(self, x) -> ExtElement:
-        x = tuple(int(c) for c in x)
-        if len(x) != self.s:
-            raise WrongLength(f"expected {self.s} coordinates, got {len(x)}")
-        if any(c < 0 or c >= self.q for c in x):
-            raise ValueError("coordinate outside [0, q)")
-        return x
 
     # -- vectorised operations on coordinate arrays ------------------------------
 
@@ -668,16 +653,3 @@ def sample_basis_split(tower: FieldTower, v: int, rng: np.random.Generator, max_
     bases, _ = sample_split_bases(tower, v, [rng], max_tries)
     return BasisSplit(basis=bases[0], v=v)
 
-
-def project_split(split: BasisSplit, tower: FieldTower, x: ExtElement) -> tuple[ExtElement, ExtElement]:
-    """Decompose x = v_part + w_part along the split basis.
-
-    v_part lies in the span of the first v basis vectors, w_part in the
-    span of the rest.  Both projections are F_q-linear and idempotent.
-    """
-    fq, v = tower.fq, split.v
-    x = np.asarray([tower.validate(x)], dtype=np.int64)
-    y = fq.matmul(x, fq_inv_matrix(split.basis, fq))  # coordinates in the split basis
-    v_part = fq.matmul(y[:, :v], split.basis[:v])[0]
-    w_part = fq.matmul(y[:, v:], split.basis[v:])[0]
-    return tuple(map(int, v_part)), tuple(map(int, w_part))

@@ -1,4 +1,11 @@
-"""Matrices over the top field and rank computations over both fields.
+"""Ranks, inverses and information sets over the top field, and subfield ranks.
+
+Everything here takes coordinate arrays: a matrix over F_q^s is an
+(rows, cols, s) int64 array of the F_q coordinates of its entries in the
+power basis, passed together with its FieldTower, and an information set
+is a sorted int64 array of 0-based column positions.  ExtMatrix, a tower
+with a validated coordinate array, is only the type of the public query
+and response matrices and the argument of rank_ext and rank_fq.
 
 Two rank notions coexist here.  rank_ext is the usual rank of a matrix
 over F_q^s.  rank_fq expands every entry into its s coordinates over F_q,
@@ -18,8 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -29,41 +34,8 @@ from .errors import (
 from .fields import FieldTower, Fq, fq_echelon, fq_echelon_stack, fq_inv_matrix, fq_rank
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing set of 1-based column positions."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
-        if idx and idx[0] < 1:
-            raise IndexOutOfRange("positions are 1-based")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def zero_based(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64) - 1
-
-    def check_range(self, n: int):
-        if self.indices and self.indices[-1] > n:
-            raise IndexOutOfRange(f"position {self.indices[-1]} exceeds width {n}")
-
-    def complement(self, n: int) -> "IndexSet":
-        self.check_range(n)
-        inside = set(self.indices)
-        return IndexSet(tuple(i for i in range(1, n + 1) if i not in inside))
-
-
 class ExtMatrix:
-    """Dense matrix over F_q^s stored as an (rows, cols, s) coordinate array."""
+    """A matrix over F_q^s: its tower and its (rows, cols, s) coordinate array."""
 
     __slots__ = ("tower", "data")
 
@@ -85,41 +57,6 @@ class ExtMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape[0], self.data.shape[1]
-
-    def copy(self) -> "ExtMatrix":
-        return ExtMatrix(self.tower, self.data.copy())
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtMatrix):
-            return NotImplemented
-        return self.tower.same_field(other.tower) and self.data.shape == other.data.shape and np.array_equal(self.data, other.data)
-
-    def __add__(self, other: "ExtMatrix") -> "ExtMatrix":
-        self._check_same(other)
-        return ExtMatrix(self.tower, self.tower.fq.vadd(self.data, other.data))
-
-    def __sub__(self, other: "ExtMatrix") -> "ExtMatrix":
-        self._check_same(other)
-        return ExtMatrix(self.tower, self.tower.fq.vsub(self.data, other.data))
-
-    def __matmul__(self, other: "ExtMatrix") -> "ExtMatrix":
-        if not isinstance(other, ExtMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        return ExtMatrix(self.tower, self.tower.matmul(self.data, other.data))
-
-    def _check_same(self, other: "ExtMatrix"):
-        if not self.tower.same_field(other.tower) or self.shape != other.shape:
-            raise DimensionMismatch(f"{self.shape} vs {other.shape}")
-
-    @classmethod
-    def zeros(cls, tower: FieldTower, rows: int, cols: int) -> "ExtMatrix":
-        return cls(tower, np.zeros((rows, cols, tower.s), dtype=np.int64))
-
-    @classmethod
-    def random(cls, tower: FieldTower, rows: int, cols: int, rng: np.random.Generator) -> "ExtMatrix":
-        return cls(tower, tower.rand(rng, (rows, cols)))
 
 
 # -- subfield matrix toolkit (numpy arrays of F_q encodings) --------------------
@@ -260,9 +197,14 @@ def _stacked_deletion_ranks(blocks: np.ndarray, fq: Fq) -> np.ndarray:
 # -- ranks over the two fields ---------------------------------------------------
 
 
+def ext_rank(data: np.ndarray, tower: FieldTower):
+    """Rank over F_q^s of an (..., rows, cols, s) coordinate array; a stack gives an array of ranks."""
+    return fq_rank(tower.blow_up(data), tower.fq) // tower.s
+
+
 def rank_ext(m: ExtMatrix) -> int:
     """Rank of the matrix over the top field F_q^s."""
-    return fq_rank(m.tower.blow_up(m.data), m.tower.fq) // m.tower.s
+    return ext_rank(m.data, m.tower)
 
 
 def rank_fq(m: ExtMatrix) -> int:
@@ -275,75 +217,73 @@ def rank_fq(m: ExtMatrix) -> int:
     return fq_rank(m.data.reshape(r, c * m.tower.s), m.tower.fq)
 
 
-def change_basis(m: ExtMatrix, transform: np.ndarray) -> ExtMatrix:
+def change_basis(data: np.ndarray, tower: FieldTower, transform: np.ndarray) -> np.ndarray:
     """Apply an F_q-linear map entrywise: coordinates become coords @ transform.
 
     For invertible transforms this re-expresses every entry in another
     basis of F_q^s over F_q; rank_fq does not change under such maps.
     """
     transform = np.asarray(transform, dtype=np.int64)
-    s = m.tower.s
+    s = tower.s
     if transform.shape != (s, s):
         raise DimensionMismatch(f"expected ({s}, {s}) transform, got {transform.shape}")
-    r, c = m.shape
-    flat = m.data.reshape(r * c, s)
-    out = m.tower.fq.matmul(flat, transform).reshape(r, c, s)
-    return ExtMatrix(m.tower, out)
-
-
-# -- column selection --------------------------------------------------------------
-
-
-def puncture(m: ExtMatrix, where: IndexSet) -> ExtMatrix:
-    """Keep only the columns listed in ``where`` (in increasing order)."""
-    where.check_range(m.cols)
-    return ExtMatrix(m.tower, m.data[:, where.zero_based(), :])
+    data = np.asarray(data, dtype=np.int64)
+    return tower.fq.matmul(data.reshape(-1, s), transform).reshape(data.shape)
 
 
 # -- information sets ----------------------------------------------------------------
+#
+# An information set is a sorted array of 0-based column positions.
 
 
-def is_information_set(gen: ExtMatrix, columns: IndexSet) -> bool:
+def _columns_in_range(columns, n: int) -> np.ndarray:
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.size and (columns.min() < 0 or columns.max() >= n):
+        raise IndexOutOfRange(f"columns {columns.tolist()} are not all in [0, {n})")
+    return columns
+
+
+def is_information_set(gen: np.ndarray, columns: np.ndarray, tower: FieldTower) -> bool:
     """Whether the selected k columns of a full-rank k x n generator are invertible.
 
     Invertible selected columns already give the generator full rank, so
     the whole generator is ranked only on the way to a negative answer.
     """
-    k = gen.rows
-    if len(columns) == k and max(columns, default=0) <= gen.cols and rank_ext(puncture(gen, columns)) == k:
+    k, n = gen.shape[:2]
+    columns = _columns_in_range(columns, n)
+    if len(columns) == k and ext_rank(gen[:, columns], tower) == k:
         return True
-    if rank_ext(gen) != k:
+    if ext_rank(gen, tower) != k:
         raise RankDeficientGenerator("generator matrix does not have full row rank")
-    columns.check_range(gen.cols)
     return False
 
 
-def ext_inv_matrix(m: ExtMatrix) -> ExtMatrix:
-    """Inverse of a square matrix over F_q^s; ValueError when singular."""
-    n = m.rows
-    if m.cols != n:
-        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    s = m.tower.s
-    inv = fq_inv_matrix(m.tower.blow_up(m.data), m.tower.fq)
+def ext_inv_matrix(data: np.ndarray, tower: FieldTower) -> np.ndarray:
+    """Inverse of a square (n, n, s) matrix over F_q^s; ValueError when singular."""
+    n, cols = data.shape[:2]
+    if cols != n:
+        raise DimensionMismatch(f"expected square matrix, got {(n, cols)}")
+    s = tower.s
+    inv = fq_inv_matrix(tower.blow_up(data), tower.fq)
     # row 0 of every block of the inverse blow-up holds the entry times x^0
-    return ExtMatrix(m.tower, inv[::s].reshape(n, n, s))
+    return inv[::s].reshape(n, n, s)
 
 
-def solve_on_columns(gen: ExtMatrix, columns: IndexSet, targets: ExtMatrix) -> ExtMatrix:
+def solve_on_columns(gen: np.ndarray, columns: np.ndarray, targets: np.ndarray, tower: FieldTower) -> np.ndarray:
     """Coefficients L with (L @ gen) restricted to ``columns`` equal to ``targets``.
 
     The selected submatrix is inverted once and reused for every row of
     ``targets``, so solving for many rows costs one inversion plus a
     matrix product; a singular selection raises NotInformationSet.
     """
-    k = gen.rows
+    k, n = gen.shape[:2]
+    columns = _columns_in_range(columns, n)
     if len(columns) != k:
         raise NotInformationSet(f"{len(columns)} columns cannot be an information set of a {k}-row generator")
-    if targets.cols != k:
-        raise DimensionMismatch(f"targets have {targets.cols} columns, expected {k}")
-    block = puncture(gen, columns)
+    if targets.shape[1] != k:
+        raise DimensionMismatch(f"targets have {targets.shape[1]} columns, expected {k}")
     try:
-        inv = ext_inv_matrix(block)
+        inv = ext_inv_matrix(gen[:, columns], tower)
     except ValueError as exc:  # the block is square, so this is the singular case
-        raise NotInformationSet(f"columns {tuple(columns)} are not an information set") from exc
-    return targets @ inv
+        raise NotInformationSet(f"columns {columns.tolist()} are not an information set") from exc
+    return tower.matmul(targets, inv)

@@ -15,6 +15,12 @@ F_q scalars.  Because rows of D are codewords and E, Z vanish on I, the
 client can rebuild the codeword layer of A from its I columns alone,
 subtract it, project what remains onto W to erase E, and invert the
 delta x delta coordinate matrix of the Z block to recover file i exactly.
+
+Matrices over F_q^s are (rows, cols, s) coordinate arrays throughout and
+information sets are sorted 0-based column arrays; only the public query
+and the response travel as ExtMatrix, a tower with its coordinate array.
+generate_queries builds the queries of many RNG streams as one stack
+(QueryBatch); generate_query is that stack for one stream.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
 from .fields import BasisSplit, FieldTower, fq_rank, redraw_rejected, sample_split_bases
-from .linalg import ExtMatrix, IndexSet, fq_inv_matrix, puncture, solve_on_columns
+from .linalg import ExtMatrix, ext_rank, fq_inv_matrix, solve_on_columns
 from .params import SchemeParams
 
 # Retry cap for rejection sampling of codes and information sets.
@@ -78,23 +84,24 @@ class Response:
 
 @dataclass
 class QuerySecrets:
-    """Everything the client keeps private about one query.
+    """Everything the client keeps private about one query, as coordinate arrays.
 
     codeword_part, mask_part and selector_part are the three layers whose
     sum is the public query; selector_block is the delta x n nonzero block
     of selector_part, the only rows that carry the target file.
     """
 
-    generator: ExtMatrix
-    info_set: IndexSet
+    generator: np.ndarray  # (k, n, s)
+    info_set: np.ndarray  # (k,) sorted 0-based columns
     split: BasisSplit
     target: int
-    selector_block: ExtMatrix
-    # The full layers are kept for in-process inspection but are not needed
-    # to decode, so a secrets file restores them as None.
-    codeword_part: ExtMatrix | None = None
-    mask_part: ExtMatrix | None = None
-    selector_part: ExtMatrix | None = None
+    selector_block: np.ndarray  # (delta, n, s)
+    # The full layers, each (m*delta, n, s), are kept for in-process
+    # inspection but are not needed to decode, so a secrets file restores
+    # them as None.
+    codeword_part: np.ndarray | None = None
+    mask_part: np.ndarray | None = None
+    selector_part: np.ndarray | None = None
 
 
 # The rejection-sampling phases of query generation, in draw order; each
@@ -123,11 +130,6 @@ class QueryBatch:
     draws: np.ndarray  # (count, len(DRAW_PHASES))
 
 
-def _ext_ranks(stack: np.ndarray, tower: FieldTower) -> np.ndarray:
-    """Rank over F_q^s of every matrix of an (count, rows, cols, s) stack."""
-    return fq_rank(tower.blow_up(stack), tower.fq) // tower.s
-
-
 def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A uniform k-dimensional code of length n with a uniform information set, per RNG stream.
 
@@ -144,14 +146,14 @@ def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndar
     gens, gen_draws = redraw_rejected(
         rngs,
         lambda rng: tower.rand(rng, (k, n)),
-        lambda _, candidates: _ext_ranks(candidates, tower) == k,
+        lambda _, candidates: ext_rank(candidates, tower) == k,
         MAX_SAMPLING_TRIES,
         "no full-rank generator found; RNG looks broken",
     )
 
     def invertible(streams, columns):
         picked = gens[streams[:, None], :, columns].swapaxes(1, 2)
-        return _ext_ranks(picked, tower) == k
+        return ext_rank(picked, tower) == k
 
     columns, column_draws = redraw_rejected(
         rngs,
@@ -163,10 +165,10 @@ def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndar
     return gens, columns, (gen_draws, column_draws)
 
 
-def sample_code(params: SchemeParams, tower: FieldTower, rng: np.random.Generator) -> tuple[ExtMatrix, IndexSet]:
-    """sample_codes for one stream: a generator and a 1-based information set."""
+def sample_code(params: SchemeParams, tower: FieldTower, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """sample_codes for one stream: a (k, n, s) generator and its sorted 0-based information set."""
     gens, columns, _ = sample_codes(params, tower, [rng])
-    return ExtMatrix(tower, gens[0]), IndexSet(tuple(int(c) + 1 for c in columns[0]))
+    return gens[0], columns[0]
 
 
 def _scatter_columns(values: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
@@ -186,6 +188,8 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
     """
     if (tower.p, tower.e, tower.s) != (params.p, params.e, params.s):
         raise DimensionMismatch(f"tower {tower} does not match params (p={params.p}, e={params.e}, s={params.s})")
+    if len(targets) != len(rngs):
+        raise DimensionMismatch(f"{len(targets)} targets for {len(rngs)} RNG streams")
     for target in targets:
         if not 1 <= target <= params.m:
             raise IndexOutOfRange(f"target must be in [1, {params.m}], got {target}")
@@ -246,14 +250,14 @@ def generate_query(params: SchemeParams, tower: FieldTower, target: int, rng: np
     """Build the query for file ``target`` (1-based) and its secrets: generate_queries for one stream."""
     batch = generate_queries(params, tower, [target], [rng])
     secrets = QuerySecrets(
-        generator=ExtMatrix(tower, batch.generator[0]),
-        info_set=IndexSet(tuple(int(c) + 1 for c in batch.info_set[0])),
+        generator=batch.generator[0],
+        info_set=batch.info_set[0],
         split=BasisSplit(basis=batch.basis[0], v=params.v),
         target=target,
-        codeword_part=ExtMatrix(tower, batch.codeword[0]),
-        mask_part=ExtMatrix(tower, batch.mask[0]),
-        selector_part=ExtMatrix(tower, batch.selector[0]),
-        selector_block=ExtMatrix(tower, batch.selector_block[0]),
+        codeword_part=batch.codeword[0],
+        mask_part=batch.mask[0],
+        selector_part=batch.selector[0],
+        selector_block=batch.selector_block[0],
     )
     return Query(ExtMatrix(tower, batch.data[0])), secrets
 
@@ -289,10 +293,10 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     if A.cols != n:
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
     gen, info_set = secrets.generator, secrets.info_set
-    outside = info_set.complement(n).zero_based()
+    outside = np.delete(np.arange(n), info_set)
 
-    coeff = solve_on_columns(gen, info_set, puncture(A, info_set))
-    remainder = fq.vsub(A.data[:, outside, :], tower.matmul(coeff.data, gen.data[:, outside, :]))
+    coeff = solve_on_columns(gen, info_set, A.data[:, info_set], tower)
+    remainder = fq.vsub(A.data[:, outside], tower.matmul(coeff, gen[:, outside]))
 
     basis_inv = fq_inv_matrix(secrets.split.basis, fq)
     L = remainder.shape[0]
@@ -300,7 +304,7 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     split_coords = fq.matmul(remainder.reshape(L * width, s), basis_inv).reshape(L, width, s)
     w_coords = split_coords[:, :, v:].reshape(L, delta)
 
-    sel_out = secrets.selector_block.data[:, outside, :]
+    sel_out = secrets.selector_block[:, outside]
     sel_coords = fq.matmul(sel_out.reshape(delta * width, s), basis_inv).reshape(delta, width, s)
     if np.any(sel_coords[:, :, :v]):
         raise DecodeFailure("selector block leaks outside the W part of the split")

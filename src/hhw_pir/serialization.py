@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import MatrixFileError
 from .fields import BasisSplit, FieldTower, is_prime
-from .linalg import ExtMatrix, IndexSet, fq_rank
+from .linalg import ExtMatrix, fq_rank
 from .params import SchemeParams
 from .scheme import Database, Query, QuerySecrets, Response
 
@@ -241,11 +241,11 @@ def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemePa
         "version": SECRETS_VERSION,
         "params": params.to_dict(),
         "target": secrets.target,
-        "info_set": list(secrets.info_set.indices),
+        "info_set": (secrets.info_set + 1).tolist(),  # 1-based on disk
         "split_v": secrets.split.v,
         "basis": _coords_to_lists(secrets.split.basis),
-        "generator": _coords_to_lists(secrets.generator.data),
-        "selector_block": _coords_to_lists(secrets.selector_block.data),
+        "generator": _coords_to_lists(secrets.generator),
+        "selector_block": _coords_to_lists(secrets.selector_block),
     }
     Path(dest).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -306,17 +306,14 @@ def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower)
     generator = _as_coord_array(doc.get("generator"), (k, n, s), q, "generator")
     selector = _as_coord_array(doc.get("selector_block"), (delta, n, s), q, "selector_block")
 
-    try:
-        info_set = IndexSet(tuple(info))
-        info_set.check_range(n)
-    except (ValueError, IndexError) as exc:
-        raise MatrixFileError(f"bad information set: {exc}") from exc
+    if not (1 <= info[0] and info[-1] <= n and all(a < b for a, b in zip(info, info[1:]))):
+        raise MatrixFileError(f"bad information set: {info} is not a strictly increasing list of columns in [1, {n}]")
     if fq_rank(basis, tower.fq) != s:
         raise MatrixFileError("basis matrix is singular")
     return QuerySecrets(
-        generator=ExtMatrix(tower, generator),
-        info_set=info_set,
+        generator=generator,
+        info_set=np.array(info, dtype=np.int64) - 1,
         split=BasisSplit(basis=basis, v=params.v),
         target=target,
-        selector_block=ExtMatrix(tower, selector),
+        selector_block=selector,
     )

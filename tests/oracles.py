@@ -33,10 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from hhw_pir.attack import drop_block
 from hhw_pir.errors import RankDeficientGenerator
-from hhw_pir.fields import FieldTower, Fq
-from hhw_pir.linalg import rank_fq
+from hhw_pir.fields import FieldTower, Fq, fq_rank
 
 
 def fq_add(fq: Fq, a: int, b: int) -> int:
@@ -161,15 +159,21 @@ def naive_rank_fq(rows, fq: Fq) -> int:
     return pivot
 
 
-def per_deletion_rank_profile(query, delta: int) -> list[int]:
-    """Rank profile of a query by one full subfield elimination per deleted block.
+def delete_block(data: np.ndarray, j: int, delta: int) -> np.ndarray:
+    """The rows of ``data`` without row block ``j`` (1-based) of ``delta`` rows."""
+    return np.delete(data, slice((j - 1) * delta, j * delta), axis=0)
+
+
+def per_deletion_rank_profile(data: np.ndarray, delta: int, fq: Fq) -> list[int]:
+    """Rank profile of an (m*delta, n, s) query array by one full subfield elimination per deleted block.
 
     Each of the m deletions is ranked from scratch with the package's
-    rank_fq, so this shares the elimination routine with the package; the
+    fq_rank, so this shares the elimination routine with the package; the
     tests pair it with naive_rank_fq, which shares nothing.
     """
-    qm = getattr(query, "matrix", query)
-    return [rank_fq(drop_block(qm, j, delta)) for j in range(1, qm.rows // delta + 1)]
+    rows, cols, s = data.shape
+    shape = (rows - delta, cols * s)
+    return [fq_rank(delete_block(data, j, delta).reshape(shape), fq) for j in range(1, rows // delta + 1)]
 
 
 def scalar_rank_ext(rows, tower: FieldTower) -> int:
@@ -215,14 +219,14 @@ def scalar_ext_inv(rows, tower: FieldTower) -> list[list[tuple]]:
 
 
 def scalar_is_information_set(gen, columns, tower: FieldTower) -> bool:
-    """Information-set test of a k x n generator by scalar ranks over F_q^s."""
-    rows = gen.data.tolist()
+    """Information-set test of a (k, n, s) generator and 0-based columns by scalar ranks over F_q^s."""
+    rows = np.asarray(gen).tolist()
     k = len(rows)
     if scalar_rank_ext(rows, tower) != k:
         raise RankDeficientGenerator("generator matrix does not have full row rank")
     if len(columns) != k:
         return False
-    return scalar_rank_ext([[row[c - 1] for c in columns] for row in rows], tower) == k
+    return scalar_rank_ext([[row[c] for c in columns] for row in rows], tower) == k
 
 
 @functools.cache
@@ -415,17 +419,17 @@ def regular_representation(x, tower: FieldTower) -> list[list[int]]:
     return rows
 
 
-def rank_ext_oracle(m, tower: FieldTower) -> int:
-    """Rank over F_q^s computed without any extension-field elimination.
+def rank_ext_oracle(data: np.ndarray, tower: FieldTower) -> int:
+    """Rank over F_q^s of an (r, c, s) array computed without any extension-field elimination.
 
     Replacing every entry by its regular-representation block gives an
     F_q matrix whose rank is exactly s times the extension rank.
     """
-    r, c = m.shape
+    r, c = data.shape[:2]
     big = [[0] * (c * tower.s) for _ in range(r * tower.s)]
     for i in range(r):
         for j in range(c):
-            block = regular_representation(m.data[i, j], tower)
+            block = regular_representation(data[i, j], tower)
             for a in range(tower.s):
                 for b in range(tower.s):
                     big[i * tower.s + a][j * tower.s + b] = block[a][b]
@@ -579,8 +583,8 @@ def micro_decode(response_row, secrets, tower: FieldTower):
     coordinate matrix (inverted by adjugate).
     """
     fq = tower.fq
-    gen = secrets.generator.data[0]          # (n, s) single codeword generator row
-    info_col = secrets.info_set.zero_based()[0]
+    gen = secrets.generator[0]               # (n, s) single codeword generator row
+    info_col = secrets.info_set[0]
     n = gen.shape[0]
     outside = [c for c in range(n) if c != info_col]
     basis = secrets.split.basis              # (2, 2) over F_q
@@ -613,7 +617,7 @@ def micro_decode(response_row, secrets, tower: FieldTower):
         y = esub(response_row[colidx], emul(coeff, gen[colidx]))
         w_parts.append(w_coordinate(y))
 
-    sel = secrets.selector_block.data        # (2, n, s)
+    sel = secrets.selector_block             # (2, n, s)
     sel_cols = [[w_coordinate(sel[r][colidx]) for colidx in outside] for r in range(2)]
     sa, sb = sel_cols[0]
     sc, sd = sel_cols[1]

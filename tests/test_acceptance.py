@@ -38,15 +38,15 @@ from hhw_pir.analysis import (
     measured_rate_limit,
     rate_report,
 )
-from hhw_pir.attack import drop_block, rank_profile
+from hhw_pir.attack import rank_profile
 from hhw_pir.experiment import ExperimentConfig, canonical_json, run_experiment
-from hhw_pir.linalg import change_basis, fq_rank, rank_fq
+from hhw_pir.linalg import change_basis, fq_rank
 from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import Database, decode, generate_query, respond
 from hhw_pir.serialization import load_matrix, save_matrix
 
 from .conftest import TIGHT_PARAMS
-from .oracles import subspaces_materialized
+from .oracles import delete_block, per_deletion_rank_profile, subspaces_materialized
 
 
 def _verdict(label: str, ok: bool, detail: str) -> bool:
@@ -89,7 +89,8 @@ def test_02_target_deletion_rank_bound(preset_params, preset_tower):
     for _ in range(trials):
         target = int(rng.integers(1, preset_params.m + 1))
         query, _ = generate_query(preset_params, preset_tower, target, rng)
-        worst = max(worst, rank_fq(drop_block(query, target, preset_params.delta)))
+        kept = delete_block(query.matrix.data, target, preset_params.delta)
+        worst = max(worst, fq_rank(kept.reshape(len(kept), -1), preset_tower.fq))
     ok = worst <= d.k0
     assert _verdict(
         "check 2, target-deletion rank bound",
@@ -107,21 +108,21 @@ def test_03_deleted_rank_decomposition(preset_params, preset_tower):
     are demanded across 200 queries.
     """
     rng = np.random.default_rng(0xACCE_0003)
-    delta = preset_params.delta
+    delta, fq = preset_params.delta, preset_tower.fq
     queries = 200
     checked = 0
     mismatches = 0
     for _ in range(queries):
         target = int(rng.integers(1, preset_params.m + 1))
         query, secrets = generate_query(preset_params, preset_tower, target, rng)
-        noise = secrets.codeword_part + secrets.mask_part
+        noise = fq.vadd(secrets.codeword_part, secrets.mask_part)
+        lhs = per_deletion_rank_profile(query.matrix.data, delta, fq)
+        rhs = per_deletion_rank_profile(noise, delta, fq)
         for j in range(1, preset_params.m + 1):
             if j == target:
                 continue
-            lhs = rank_fq(drop_block(query, j, delta))
-            rhs = rank_fq(drop_block(noise, j, delta)) + delta
             checked += 1
-            mismatches += lhs != rhs
+            mismatches += lhs[j - 1] != rhs[j - 1] + delta
     ok = mismatches == 0
     assert _verdict(
         "check 3, deleted-rank decomposition",
@@ -352,9 +353,9 @@ def test_09_basis_blindness(preset_params, preset_tower):
             transform = fq.rand(rng, (preset_tower.s, preset_tower.s))
             if fq_rank(transform, fq) == preset_tower.s:
                 break
-        disguised = change_basis(query.matrix, transform)
+        disguised = change_basis(query.matrix.data, preset_tower, transform)
         agree += rank_profile(disguised, preset_params, preset_tower) == rank_profile(
-            query, preset_params, preset_tower
+            query.matrix.data, preset_params, preset_tower
         )
     ok = agree == trials
     assert _verdict(

@@ -4,44 +4,31 @@ import json
 import numpy as np
 import pytest
 
-from hhw_pir.attack import drop_block, rank_profile, rank_profiles, recover_index
+from hhw_pir.attack import rank_profile, recover_index
 from hhw_pir.errors import DimensionMismatch
 from hhw_pir.fields import build_tower
-from hhw_pir.linalg import ExtMatrix, change_basis, fq_deletion_ranks, fq_rank, rank_fq
+from hhw_pir.linalg import change_basis, fq_deletion_ranks, fq_rank
 from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import generate_queries, generate_query
 
-from .oracles import per_deletion_rank_profile, subfield_rank_oracle
-
-
-def test_drop_block_partitions_rows(tight_params, tight_tower, rng):
-    params = tight_params
-    query, _ = generate_query(params, tight_tower, 2, rng)
-    d = params.delta
-    for j in range(1, params.m + 1):
-        kept = drop_block(query, j, d)
-        assert kept.shape == ((params.m - 1) * d, params.n)
-        lo = (j - 1) * d
-        want = np.delete(query.matrix.data, slice(lo, lo + d), axis=0)
-        assert np.array_equal(kept.data, want)
-    with pytest.raises(DimensionMismatch):
-        drop_block(query, 0, d)
-    with pytest.raises(DimensionMismatch):
-        drop_block(query, params.m + 1, d)
-    with pytest.raises(DimensionMismatch):
-        drop_block(query, 1, 5)  # 5 does not divide the 12 query rows
+from .oracles import delete_block, per_deletion_rank_profile, subfield_rank_oracle
 
 
 def test_rank_profile_matches_naive_oracle(tight_params, tight_tower, rng):
     query, _ = generate_query(tight_params, tight_tower, 4, rng)
-    profile = rank_profile(query, tight_params, tight_tower)
+    profile = rank_profile(query.matrix.data, tight_params, tight_tower)
     for j in range(1, tight_params.m + 1):
-        kept = drop_block(query, j, tight_params.delta)
-        assert profile[j - 1] == subfield_rank_oracle(kept.data, tight_tower.fq)
+        kept = delete_block(query.matrix.data, j, tight_params.delta)
+        assert profile[j - 1] == subfield_rank_oracle(kept, tight_tower.fq)
 
 
-def _naive_profile(qm, delta, fq):
-    return [subfield_rank_oracle(drop_block(qm, j, delta).data, fq) for j in range(1, qm.rows // delta + 1)]
+def _naive_profile(data, delta, fq):
+    return [subfield_rank_oracle(delete_block(data, j, delta), fq) for j in range(1, len(data) // delta + 1)]
+
+
+def _subfield_rank(data, fq):
+    """rank over F_q of an (r, n, s) array with its rows flattened."""
+    return fq_rank(data.reshape(len(data), -1), fq)
 
 
 # (fixture, queries checked against naive_rank_fq as well); the 56 x 32
@@ -59,10 +46,11 @@ def test_rank_profile_matches_per_deletion_scan(name, naive_count, request):
     for i in range(1000):
         target = int(rng.integers(1, params.m + 1))
         query, _ = generate_query(params, tower, target, rng)
-        profile = rank_profile(query, params, tower)
-        assert profile == per_deletion_rank_profile(query, params.delta), (name, i)
+        data = query.matrix.data
+        profile = rank_profile(data, params, tower)
+        assert profile == per_deletion_rank_profile(data, params.delta, tower.fq), (name, i)
         if i < naive_count:
-            assert profile == _naive_profile(query.matrix, params.delta, tower.fq), (name, i)
+            assert profile == _naive_profile(data, params.delta, tower.fq), (name, i)
 
 
 def _sparse_deficient(rng, fq, m, delta, width):
@@ -90,13 +78,13 @@ def test_rank_profile_matches_per_deletion_on_degenerate_matrices(name, request)
             coords[:lead, :lead] = np.eye(lead, dtype=np.int64)
         elif i % 4 == 2:
             coords[:] = 0
-        qm = ExtMatrix(tower, coords.reshape(params.block_rows, params.n, tower.s))
+        qm = coords.reshape(params.block_rows, params.n, tower.s)
         profile = rank_profile(qm, params, tower)
-        assert profile == per_deletion_rank_profile(qm, d), (name, i)
+        assert profile == per_deletion_rank_profile(qm, d, tower.fq), (name, i)
         if i < 20:
             assert profile == _naive_profile(qm, d, tower.fq), (name, i)
     one = dataclasses.replace(base, m=1)
-    assert rank_profile(ExtMatrix.random(tower, d, base.n, rng), one, tower) == [0]
+    assert rank_profile(tower.rand(rng, (d, base.n)), one, tower) == [0]
 
 
 @pytest.mark.parametrize("name", ["preset", "tight", "micro", "ternary", "q4"])
@@ -115,11 +103,10 @@ def test_stacked_scan_matches_per_deletion_scan(name, request):
         else:
             stack = np.stack([_sparse_deficient(rng, tower.fq, params.m, d, width) for _ in range(count)])
             stack = stack.reshape(count, params.block_rows, params.n, tower.s)
-        profiles = rank_profiles(stack, params, tower)
+        profiles = rank_profile(stack, params, tower)
         assert profiles.shape == (count, params.m)
         for b, data in enumerate(stack):
-            qm = ExtMatrix(tower, data)
-            assert profiles[b].tolist() == per_deletion_rank_profile(qm, d) == rank_profile(qm, params, tower), (name, i, b)
+            assert profiles[b].tolist() == per_deletion_rank_profile(data, d, tower.fq) == rank_profile(data, params, tower), (name, i, b)
 
 
 def test_recover_index_scans_a_stack(tight_params, tight_tower):
@@ -127,11 +114,11 @@ def test_recover_index_scans_a_stack(tight_params, tight_tower):
     stack = generate_queries(tight_params, tight_tower, [1 + b % tight_params.m for b in range(9)], rngs).data
     for fallback in (False, True):
         reports = recover_index(stack, tight_params, tight_tower, fallback_argmin=fallback)
-        singles = [recover_index(ExtMatrix(tight_tower, q), tight_params, tight_tower, fallback_argmin=fallback) for q in stack]
+        singles = [recover_index(q, tight_params, tight_tower, fallback_argmin=fallback) for q in stack]
         strip = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k != "elapsed"}  # noqa: E731
         assert [strip(r) for r in reports] == [strip(r) for r in singles]
     with pytest.raises(DimensionMismatch):
-        rank_profiles(stack[:, :-1], tight_params, tight_tower)
+        rank_profile(stack[:, :-1], tight_params, tight_tower)
 
 
 def test_deletion_ranks_need_whole_blocks(tight_tower):
@@ -140,13 +127,13 @@ def test_deletion_ranks_need_whole_blocks(tight_tower):
 
 
 def test_rank_profile_validates_shape(tight_params, tight_tower, rng):
-    short = ExtMatrix.random(tight_tower, tight_params.block_rows - 1, tight_params.n, rng)
+    rows, n = tight_params.block_rows, tight_params.n
+    for shape in [(rows - 1, n), (rows, n + 1), (1, rows, n + 1), (rows * n,)]:
+        with pytest.raises(DimensionMismatch):
+            rank_profile(tight_tower.rand(rng, shape), tight_params, tight_tower)
+    foreign = build_tower(2, 1, 3)  # coordinates of another degree s
     with pytest.raises(DimensionMismatch):
-        rank_profile(short, tight_params, tight_tower)
-    other = build_tower(3, 1, 2)
-    foreign = ExtMatrix.random(other, tight_params.block_rows, tight_params.n, rng)
-    with pytest.raises(DimensionMismatch):
-        rank_profile(foreign, tight_params, tight_tower)
+        rank_profile(foreign.rand(rng, (rows, n)), tight_params, tight_tower)
 
 
 def test_recovery_at_default_params(preset_params, preset_tower, rng):
@@ -169,7 +156,7 @@ def test_default_params_profile_shape(preset_params, preset_tower, rng):
     # at the default point every non-target deletion keeps full subfield rank
     params, tower = preset_params, preset_tower
     query, _ = generate_query(params, tower, 3, rng)
-    profile = rank_profile(query, params, tower)
+    profile = rank_profile(query.matrix.data, params, tower)
     assert profile[2] == params.rank_threshold
     full = min((params.m - 1) * params.delta, params.n * params.s)
     assert all(r == full for j, r in enumerate(profile) if j != 2)
@@ -184,8 +171,8 @@ def test_attack_needs_no_basis_knowledge(preset_params, preset_tower, rng):
         transform = fq.rand(rng, (tower.s, tower.s))
         if fq_rank(transform, fq) == tower.s:
             break
-    disguised = change_basis(query.matrix, transform)
-    assert rank_profile(disguised, params, tower) == rank_profile(query, params, tower)
+    disguised = change_basis(query.matrix.data, tower, transform)
+    assert rank_profile(disguised, params, tower) == rank_profile(query.matrix.data, params, tower)
     assert recover_index(disguised, params, tower).recovered_index == 6
 
 
@@ -206,13 +193,13 @@ def test_deleted_rank_identity_exact(tight_params, tight_tower, rng):
     for trial in range(40):
         target = int(rng.integers(1, params.m + 1))
         query, secrets = generate_query(params, tower, target, rng)
-        layers = secrets.codeword_part + secrets.mask_part
+        layers = tower.fq.vadd(secrets.codeword_part, secrets.mask_part)
         for j in range(1, params.m + 1):
             if j == target:
                 continue
-            lhs = rank_fq(drop_block(query, j, d))
-            both_dropped = drop_block(drop_block(layers, max(j, target), d), min(j, target), d)
-            assert lhs == d + rank_fq(both_dropped)
+            lhs = _subfield_rank(delete_block(query.matrix.data, j, d), tower.fq)
+            both_dropped = delete_block(delete_block(layers, max(j, target), d), min(j, target), d)
+            assert lhs == d + _subfield_rank(both_dropped, tower.fq)
 
 
 def test_deleted_rank_generic_form_at_default(preset_params, preset_tower, rng):
@@ -222,12 +209,12 @@ def test_deleted_rank_generic_form_at_default(preset_params, preset_tower, rng):
     for trial in range(5):
         target = int(rng.integers(1, params.m + 1))
         query, secrets = generate_query(params, tower, target, rng)
-        layers = secrets.codeword_part + secrets.mask_part
+        layers = tower.fq.vadd(secrets.codeword_part, secrets.mask_part)
         for j in range(1, params.m + 1):
             if j == target:
                 continue
-            lhs = rank_fq(drop_block(query, j, d))
-            assert lhs == d + rank_fq(drop_block(layers, j, d))
+            lhs = _subfield_rank(delete_block(query.matrix.data, j, d), tower.fq)
+            assert lhs == d + _subfield_rank(delete_block(layers, j, d), tower.fq)
 
 
 def test_target_deletion_rank_never_exceeds_threshold(tight_params, tight_tower, rng):
@@ -237,8 +224,8 @@ def test_target_deletion_rank_never_exceeds_threshold(tight_params, tight_tower,
     for _ in range(50):
         target = int(rng.integers(1, params.m + 1))
         query, _ = generate_query(params, tower, target, rng)
-        deleted = drop_block(query, target, params.delta)
-        assert rank_fq(deleted) <= params.rank_threshold
+        deleted = delete_block(query.matrix.data, target, params.delta)
+        assert _subfield_rank(deleted, tower.fq) <= params.rank_threshold
 
 
 # -- degenerate scans --------------------------------------------------------------
@@ -254,7 +241,7 @@ def test_single_file_scan_is_trivial(micro_params, micro_tower, rng):
 
 def test_all_zero_query_is_ambiguous(tight_params, tight_tower):
     params = tight_params
-    zero = ExtMatrix.zeros(tight_tower, params.block_rows, params.n)
+    zero = np.zeros((params.block_rows, params.n, tight_tower.s), dtype=np.int64)
     report = recover_index(zero, params, tight_tower)
     assert report.recovered_index is None
     assert report.failure_reason == "ambiguous"
@@ -263,7 +250,7 @@ def test_all_zero_query_is_ambiguous(tight_params, tight_tower):
 
 def test_fallback_argmin_breaks_ties(tight_params, tight_tower):
     params = tight_params
-    zero = ExtMatrix.zeros(tight_tower, params.block_rows, params.n)
+    zero = np.zeros((params.block_rows, params.n, tight_tower.s), dtype=np.int64)
     report = recover_index(zero, params, tight_tower, fallback_argmin=True)
     assert report.fallback_used is True
     assert report.recovered_index == 1  # lowest index on ties
@@ -276,7 +263,7 @@ def test_no_candidate_scan(rng):
     params = SchemeParams(p=2, e=1, s=2, v=1, n=6, k=1, m=4, L=1)
     tower = build_tower(2, 1, 2)
     for _ in range(10):
-        noise = ExtMatrix.random(tower, params.block_rows, params.n, rng)
+        noise = tower.rand(rng, (params.block_rows, params.n))
         report = recover_index(noise, params, tower)
         if report.failure_reason == "no_candidate":
             assert report.below_threshold == []

@@ -85,12 +85,20 @@ def test_config_validation():
     ]:
         with pytest.raises(BadArguments, match="must be an integer"):
             ExperimentConfig(params=FAST_PARAMS, **fields)
+    # the fallback switch is a bool: a string or number would be written into the digest as is
+    for flag in ["no", "yes", 0, 1, None]:
+        with pytest.raises(BadArguments, match="must be a bool"):
+            ExperimentConfig(params=FAST_PARAMS, trials=1, fallback_argmin=flag)
 
 
 def test_config_takes_integer_likes_as_int():
     cfg = ExperimentConfig(params=FAST_PARAMS, trials=np.int64(3), master_seed=np.uint64(5))
     assert (type(cfg.trials), type(cfg.master_seed)) == (int, int)
     assert json.loads(json.dumps(cfg.to_dict()))["trials"] == 3
+    for flag in (np.bool_(True), np.bool_(False)):
+        flagged = ExperimentConfig(params=FAST_PARAMS, trials=1, fallback_argmin=flag)
+        assert type(flagged.fallback_argmin) is bool and flagged.fallback_argmin == flag
+        canonical_json(run_experiment(flagged))  # the digest serialises the flag as a JSON bool
 
 
 # -- determinism -----------------------------------------------------------------------

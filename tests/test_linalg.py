@@ -14,15 +14,14 @@ from hhw_pir.errors import (
 from hhw_pir.fields import Fq, build_tower, fq_echelon_stack
 from hhw_pir.linalg import (
     ExtMatrix,
-    IndexSet,
     change_basis,
     ext_inv_matrix,
+    ext_rank,
     fq_deletion_ranks,
     fq_echelon,
     fq_inv_matrix,
     fq_rank,
     is_information_set,
-    puncture,
     rank_ext,
     rank_fq,
     solve_on_columns,
@@ -52,31 +51,6 @@ from .oracles import (
 TOWERS = [build_tower(2, 1, 2), build_tower(3, 1, 2), build_tower(2, 2, 2)]
 
 
-# -- IndexSet ---------------------------------------------------------------------
-
-
-def test_index_set_basics():
-    s = IndexSet((1, 3, 4))
-    assert len(s) == 3
-    assert list(s) == [1, 3, 4]
-    assert s.zero_based().tolist() == [0, 2, 3]
-    assert s.complement(5).indices == (2, 5)
-    assert IndexSet(()).complement(3).indices == (1, 2, 3)
-
-
-def test_index_set_rejects_unsorted_and_zero():
-    with pytest.raises(ValueError):
-        IndexSet((2, 1))
-    with pytest.raises(ValueError):
-        IndexSet((1, 1))
-    with pytest.raises(IndexOutOfRange):
-        IndexSet((0, 1))
-    with pytest.raises(IndexOutOfRange):
-        IndexSet((1, 9)).check_range(8)
-    with pytest.raises(IndexOutOfRange):
-        IndexSet((3,)).complement(2)
-
-
 # -- ExtMatrix --------------------------------------------------------------------
 
 
@@ -90,33 +64,30 @@ def test_ext_matrix_shape_validation():
 
 def test_ext_matrix_round_trip_and_eq(rng):
     tower = TOWERS[1]
-    m = ExtMatrix.random(tower, 3, 4, rng)
-    again = ExtMatrix(tower, np.array(m.data.tolist()))
-    assert again == m
-    assert m.copy() == m
-    cpy = m.copy()
-    cpy.data[0, 0, 0] = (cpy.data[0, 0, 0] + 1) % tower.q
-    assert cpy != m
-    assert ExtMatrix.zeros(tower, 2, 2) != ExtMatrix.zeros(tower, 2, 3)
+    data = tower.rand(rng, (3, 4))
+    m = ExtMatrix(tower, data.tolist())
+    assert m.data.dtype == np.int64 and np.array_equal(m.data, data)
+    assert (m.rows, m.cols, m.shape) == (3, 4, (3, 4))
+    assert m.tower is tower
 
 
 def test_ext_matrix_add_sub_matmul_scalar_check(rng):
+    """Sums, differences and products of (rows, cols, s) arrays over F_q^s against scalar tuples."""
     tower = TOWERS[2]
-    a = ExtMatrix.random(tower, 2, 3, rng)
-    b = ExtMatrix.random(tower, 2, 3, rng)
-    c = ExtMatrix.random(tower, 3, 2, rng)
-    assert (a + b) - b == a
-    prod = a @ c
+    fq = tower.fq
+    a = tower.rand(rng, (2, 3))
+    b = tower.rand(rng, (2, 3))
+    c = tower.rand(rng, (3, 2))
+    assert np.array_equal(fq.vsub(fq.vadd(a, b), b), a)
+    prod = tower.matmul(a, c)
     for i in range(2):
         for j in range(2):
             acc = ext_zero(tower)
             for t in range(3):
-                acc = ext_add(tower, acc, ext_mul(tower, tuple(a.data[i, t]), tuple(c.data[t, j])))
-            assert tuple(prod.data[i, j]) == acc
-    with pytest.raises(DimensionMismatch):
-        a + c
-    with pytest.raises(DimensionMismatch):
-        a @ b
+                acc = ext_add(tower, acc, ext_mul(tower, tuple(a[i, t]), tuple(c[t, j])))
+            assert tuple(prod[i, j]) == acc
+    with pytest.raises(ValueError):
+        tower.matmul(a, b)
 
 
 # -- echelon and F_q rank ------------------------------------------------------------
@@ -247,15 +218,24 @@ def test_ranks_match_oracles(tower, rng):
     for _ in range(120):
         rows = int(rng.integers(1, 5))
         cols = int(rng.integers(1, 5))
-        m = ExtMatrix.random(tower, rows, cols, rng)
-        assert rank_fq(m) == subfield_rank_oracle(m.data, tower.fq)
-        assert rank_ext(m) == rank_ext_oracle(m, tower)
+        data = tower.rand(rng, (rows, cols))
+        m = ExtMatrix(tower, data)
+        assert rank_fq(m) == subfield_rank_oracle(data, tower.fq)
+        assert rank_ext(m) == ext_rank(data, tower) == rank_ext_oracle(data, tower)
 
 
 def test_rank_empty_matrices():
     tower = TOWERS[0]
-    assert rank_fq(ExtMatrix.zeros(tower, 0, 3)) == 0
-    assert rank_ext(ExtMatrix.zeros(tower, 3, 0)) == 0
+    assert rank_fq(ExtMatrix(tower, np.zeros((0, 3, tower.s)))) == 0
+    assert rank_ext(ExtMatrix(tower, np.zeros((3, 0, tower.s)))) == 0
+
+
+def test_ext_rank_of_a_stack(rng):
+    for tower in TOWERS:
+        stack = tower.rand(rng, (7, 3, 4))
+        stack[2, 1] = stack[2, 0]
+        stack[5] = 0
+        assert ext_rank(stack, tower).tolist() == [rank_ext_oracle(m, tower) for m in stack]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -264,7 +244,7 @@ def test_rank_sandwich(seed):
     # rank over the big field, counted in F_q dimensions, brackets rank_fq
     rng = np.random.default_rng(seed)
     tower = TOWERS[seed % len(TOWERS)]
-    m = ExtMatrix.random(tower, int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
+    m = ExtMatrix(tower, tower.rand(rng, (int(rng.integers(1, 6)), int(rng.integers(1, 6)))))
     re, rf = rank_ext(m), rank_fq(m)
     assert re <= rf <= re * tower.s
     assert rf <= min(m.rows, m.cols * tower.s)
@@ -276,48 +256,50 @@ def test_rank_fq_blind_to_entrywise_basis_change(seed):
     rng = np.random.default_rng(seed)
     tower = TOWERS[seed % len(TOWERS)]
     fq = tower.fq
-    m = ExtMatrix.random(tower, int(rng.integers(1, 6)), int(rng.integers(2, 5)), rng)
+    data = tower.rand(rng, (int(rng.integers(1, 6)), int(rng.integers(2, 5))))
     while True:
         transform = fq.rand(rng, (tower.s, tower.s))
         if fq_rank(transform, fq) == tower.s:
             break
-    assert rank_fq(change_basis(m, transform)) == rank_fq(m)
+    assert rank_fq(ExtMatrix(tower, change_basis(data, tower, transform))) == rank_fq(ExtMatrix(tower, data))
 
 
 def test_rank_fq_invariant_under_fq_row_ops(rng):
     # left multiplication by an invertible subfield matrix is a row operation
     tower = TOWERS[0]
     fq = tower.fq
-    m = ExtMatrix.random(tower, 4, 3, rng)
+    data = tower.rand(rng, (4, 3))
     while True:
         U = fq.rand(rng, (4, 4))
         if fq_rank(U, fq) == 4:
             break
-    mixed = ExtMatrix(tower, tower.scalar_matmul(U, m.data))
-    assert rank_fq(mixed) == rank_fq(m)
+    mixed = ExtMatrix(tower, tower.scalar_matmul(U, data))
+    assert rank_fq(mixed) == rank_fq(ExtMatrix(tower, data))
 
 
 def test_rank_fq_additive_on_disjoint_blocks(rng):
     tower = TOWERS[1]
-    a = ExtMatrix.random(tower, 3, 2, rng)
-    b = ExtMatrix.random(tower, 2, 3, rng)
+    a = tower.rand(rng, (3, 2))
+    b = tower.rand(rng, (2, 3))
     block = np.zeros((5, 5, tower.s), dtype=np.int64)
-    block[:3, :2] = a.data
-    block[3:, 2:] = b.data
-    assert rank_fq(ExtMatrix(tower, block)) == rank_fq(a) + rank_fq(b)
+    block[:3, :2] = a
+    block[3:, 2:] = b
+    assert rank_fq(ExtMatrix(tower, block)) == rank_fq(ExtMatrix(tower, a)) + rank_fq(ExtMatrix(tower, b))
 
 
 def test_change_basis_composes_and_validates(rng):
     tower = TOWERS[0]
     fq = tower.fq
-    m = ExtMatrix.random(tower, 3, 3, rng)
+    data = tower.rand(rng, (3, 3))
     A = fq.rand(rng, (tower.s, tower.s))
     B = fq.rand(rng, (tower.s, tower.s))
-    lhs = change_basis(m, fq.matmul(A, B))
-    rhs = change_basis(change_basis(m, A), B)
-    assert lhs == rhs
+    lhs = change_basis(data, tower, fq.matmul(A, B))
+    rhs = change_basis(change_basis(data, tower, A), tower, B)
+    assert np.array_equal(lhs, rhs)
+    stack = tower.rand(rng, (2, 3, 3))
+    assert np.array_equal(change_basis(stack, tower, A)[1], change_basis(stack[1], tower, A))
     with pytest.raises(DimensionMismatch):
-        change_basis(m, np.zeros((3, 1), dtype=np.int64))
+        change_basis(data, tower, np.zeros((3, 1), dtype=np.int64))
 
 
 # -- information sets and solving ------------------------------------------------------
@@ -325,42 +307,44 @@ def test_change_basis_composes_and_validates(rng):
 
 def _random_full_rank(tower, k, n, rng):
     while True:
-        gen = ExtMatrix.random(tower, k, n, rng)
-        if rank_ext(gen) == k:
+        gen = tower.rand(rng, (k, n))
+        if ext_rank(gen, tower) == k:
             return gen
 
 
 def test_is_information_set_matches_determinant(rng):
     tower = TOWERS[1]
     gen = _random_full_rank(tower, 2, 4, rng)
-    for cols in itertools.combinations(range(1, 5), 2):
-        sub = puncture(gen, IndexSet(cols))
-        det = det_ext_oracle(sub.data, tower)
-        assert is_information_set(gen, IndexSet(cols)) == (det != ext_zero(tower))
+    for cols in itertools.combinations(range(4), 2):
+        det = det_ext_oracle(gen[:, list(cols)], tower)
+        assert is_information_set(gen, np.array(cols), tower) == (det != ext_zero(tower))
 
 
 def test_is_information_set_edge_cases(rng):
     tower = TOWERS[0]
     gen = _random_full_rank(tower, 2, 4, rng)
-    assert not is_information_set(gen, IndexSet((1,)))  # wrong size
-    degenerate = ExtMatrix.zeros(tower, 2, 4)
+    assert not is_information_set(gen, np.array([0]), tower)  # wrong size
+    for outside in ([0, 4], [-1, 2]):
+        with pytest.raises(IndexOutOfRange):
+            is_information_set(gen, np.array(outside), tower)
+    degenerate = np.zeros((2, 4, tower.s), dtype=np.int64)
     with pytest.raises(RankDeficientGenerator):
-        is_information_set(degenerate, IndexSet((1, 2)))
+        is_information_set(degenerate, np.array([0, 1]), tower)
 
 
 def test_ext_inv_matrix_round_trip(rng):
     tower = TOWERS[2]
     m = _random_full_rank(tower, 3, 3, rng)
-    inv = ext_inv_matrix(m)
-    eye = ExtMatrix.zeros(tower, 3, 3)
-    eye.data[np.arange(3), np.arange(3), 0] = 1
-    assert m @ inv == eye
-    assert inv @ m == eye
-    singular = ExtMatrix.zeros(tower, 2, 2)
+    inv = ext_inv_matrix(m, tower)
+    eye = np.zeros((3, 3, tower.s), dtype=np.int64)
+    eye[np.arange(3), np.arange(3), 0] = 1
+    assert np.array_equal(tower.matmul(m, inv), eye)
+    assert np.array_equal(tower.matmul(inv, m), eye)
+    singular = np.zeros((2, 2, tower.s), dtype=np.int64)
     with pytest.raises(ValueError):
-        ext_inv_matrix(singular)
+        ext_inv_matrix(singular, tower)
     with pytest.raises(DimensionMismatch):
-        ext_inv_matrix(ExtMatrix.zeros(tower, 2, 3))
+        ext_inv_matrix(np.zeros((2, 3, tower.s), dtype=np.int64), tower)
 
 
 def test_solve_on_columns_solves(rng):
@@ -368,33 +352,34 @@ def test_solve_on_columns_solves(rng):
     for _ in range(10):
         gen = _random_full_rank(tower, 3, 5, rng)
         cols = next(
-            IndexSet(c)
-            for c in itertools.combinations(range(1, 6), 3)
-            if is_information_set(gen, IndexSet(c))
+            np.array(c)
+            for c in itertools.combinations(range(5), 3)
+            if is_information_set(gen, np.array(c), tower)
         )
-        targets = ExtMatrix.random(tower, 4, 3, rng)
-        coeff = solve_on_columns(gen, cols, targets)
-        assert puncture(coeff @ gen, cols) == targets
+        targets = tower.rand(rng, (4, 3))
+        coeff = solve_on_columns(gen, cols, targets, tower)
+        assert np.array_equal(tower.matmul(coeff, gen)[:, cols], targets)
 
 
 def test_solve_on_columns_rejects_bad_inputs(rng):
     tower = TOWERS[0]
-    gen = ExtMatrix.zeros(tower, 2, 3)
-    gen.data[[0, 1, 0], [0, 1, 2], 0] = 1  # rows (1, 0, 1) and (0, 1, 0)
-    # columns 1 and 3 are linearly dependent for this generator
-    dependent = IndexSet((1, 3))
-    assert not is_information_set(gen, dependent)
+    gen = np.zeros((2, 3, tower.s), dtype=np.int64)
+    gen[[0, 1, 0], [0, 1, 2], 0] = 1  # rows (1, 0, 1) and (0, 1, 0)
+    # columns 0 and 2 are linearly dependent for this generator
+    dependent = np.array([0, 2])
+    assert not is_information_set(gen, dependent, tower)
     with pytest.raises(NotInformationSet):
-        solve_on_columns(gen, dependent, ExtMatrix.random(tower, 2, 2, rng))
-    good = IndexSet((1, 2))
+        solve_on_columns(gen, dependent, tower.rand(rng, (2, 2)), tower)
+    good = np.array([0, 1])
     with pytest.raises(DimensionMismatch):
-        solve_on_columns(gen, good, ExtMatrix.random(tower, 2, 3, rng))
+        solve_on_columns(gen, good, tower.rand(rng, (2, 3)), tower)
     with pytest.raises(NotInformationSet):
-        solve_on_columns(gen, IndexSet((1,)), ExtMatrix.random(tower, 2, 2, rng))
-    with pytest.raises(IndexOutOfRange):
-        solve_on_columns(gen, IndexSet((1, 4)), ExtMatrix.random(tower, 2, 2, rng))
+        solve_on_columns(gen, np.array([0]), tower.rand(rng, (2, 2)), tower)
+    for outside in ([0, 3], [-1, 1]):
+        with pytest.raises(IndexOutOfRange):
+            solve_on_columns(gen, np.array(outside), tower.rand(rng, (2, 2)), tower)
     with pytest.raises(NotInformationSet):
-        solve_on_columns(ExtMatrix.zeros(tower, 2, 3), good, ExtMatrix.random(tower, 2, 2, rng))
+        solve_on_columns(np.zeros((2, 3, tower.s), dtype=np.int64), good, tower.rand(rng, (2, 2)), tower)
 
 
 # -- differential tests against the scalar elimination over F_q^s ------------------
@@ -404,29 +389,29 @@ DIFF_TOWERS = [build_tower(*pes) for pes in [(2, 1, 4), (2, 1, 2), (3, 1, 2), (3
 DIFF_MATRICES = 1000
 
 
-def _hard_matrix(tower, rng, kind: int) -> ExtMatrix:
-    """A small seeded matrix of one of six kinds, most of them degenerate.
+def _hard_matrix(tower, rng, kind: int) -> np.ndarray:
+    """A small seeded (rows, cols, s) matrix of one of six kinds, most of them degenerate.
 
     0 uniform, 1 sparse (most entries zero, the rest often in F_q),
     2 rank-deficient product, 3 all-zero, 4 1 x 1, 5 singular square.
     """
     rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     if kind == 0:
-        return ExtMatrix.random(tower, rows, cols, rng)
+        return tower.rand(rng, (rows, cols))
     if kind == 1:
         data = tower.rand(rng, (rows, cols))
         data[rng.random((rows, cols)) < 0.6] = 0
         data[..., 1:][rng.random((rows, cols)) < 0.5] = 0
-        return ExtMatrix(tower, data)
+        return data
     if kind == 2:
         inner = int(rng.integers(1, max(min(rows, cols), 2)))
-        return ExtMatrix.random(tower, rows, inner, rng) @ ExtMatrix.random(tower, inner, cols, rng)
+        return tower.matmul(tower.rand(rng, (rows, inner)), tower.rand(rng, (inner, cols)))
     if kind == 3:
-        return ExtMatrix.zeros(tower, rows, cols)
+        return np.zeros((rows, cols, tower.s), dtype=np.int64)
     if kind == 4:
-        return ExtMatrix.random(tower, 1, 1, rng) if rng.random() < 0.8 else ExtMatrix.zeros(tower, 1, 1)
+        return tower.rand(rng, (1, 1)) if rng.random() < 0.8 else np.zeros((1, 1, tower.s), dtype=np.int64)
     n = max(rows, 2)
-    return ExtMatrix.random(tower, n, n - 1, rng) @ ExtMatrix.random(tower, n - 1, n, rng)
+    return tower.matmul(tower.rand(rng, (n, n - 1)), tower.rand(rng, (n - 1, n)))
 
 
 @pytest.mark.parametrize("tower", DIFF_TOWERS, ids=lambda t: f"q{t.q}s{t.s}")
@@ -436,26 +421,27 @@ def test_ext_elimination_matches_scalar_gauss_jordan(tower):
     singular = 0
     for t in range(DIFF_MATRICES):
         m = _hard_matrix(tower, rng, t % 6)
-        rows = m.data.tolist()
-        assert rank_ext(m) == scalar_rank_ext(rows, tower)
-        if m.rows == m.cols:
+        rows, cols = m.shape[:2]
+        entries = m.tolist()
+        assert rank_ext(ExtMatrix(tower, m)) == scalar_rank_ext(entries, tower)
+        if rows == cols:
             try:
-                expected = scalar_ext_inv(rows, tower)
+                expected = scalar_ext_inv(entries, tower)
             except ValueError:
                 singular += 1
                 with pytest.raises(ValueError):
-                    ext_inv_matrix(m)
+                    ext_inv_matrix(m, tower)
             else:
-                assert ext_inv_matrix(m) == ExtMatrix(tower, np.array(expected))
-        if m.rows <= m.cols:
-            columns = IndexSet(tuple(sorted(int(c) + 1 for c in rng.permutation(m.cols)[: m.rows])))
+                assert np.array_equal(ext_inv_matrix(m, tower), np.array(expected))
+        if rows <= cols:
+            columns = np.sort(rng.permutation(cols)[:rows])
             try:
                 expected = scalar_is_information_set(m, columns, tower)
             except RankDeficientGenerator:
                 with pytest.raises(RankDeficientGenerator):
-                    is_information_set(m, columns)
+                    is_information_set(m, columns, tower)
             else:
-                assert is_information_set(m, columns) == expected
+                assert is_information_set(m, columns, tower) == expected
     assert singular >= DIFF_MATRICES // 6
 
 

@@ -3,10 +3,10 @@ import pytest
 
 from hhw_pir import fields, linalg
 from hhw_pir.errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
-from hhw_pir.fields import build_tower, project_split
-from hhw_pir.linalg import ExtMatrix, IndexSet, is_information_set, puncture, rank_ext, rank_fq
+from hhw_pir.fields import build_tower, fq_inv_matrix, fq_rank
+from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set
 from hhw_pir.params import SchemeParams
-from hhw_pir.scheme import Database, decode, generate_query, respond, sample_code
+from hhw_pir.scheme import Database, Response, decode, generate_queries, generate_query, respond, sample_code
 
 from .oracles import ext_inv, ext_mul, ext_zero, micro_decode, scalar_respond
 
@@ -36,10 +36,11 @@ def test_database_stacking(rng, tight_params):
 def test_sample_code_valid(tight_params, tight_tower, rng):
     for _ in range(25):
         gen, info = sample_code(tight_params, tight_tower, rng)
-        assert gen.shape == (tight_params.k, tight_params.n)
-        assert rank_ext(gen) == tight_params.k
-        assert is_information_set(gen, info)
+        assert gen.shape == (tight_params.k, tight_params.n, tight_tower.s)
+        assert ext_rank(gen, tight_tower) == tight_params.k
+        assert is_information_set(gen, info, tight_tower)
         assert len(info) == tight_params.k
+        assert np.all(np.diff(info) > 0) and 0 <= info[0] and info[-1] < tight_params.n
 
 
 def test_sample_code_uniform_over_lines(rng):
@@ -50,7 +51,7 @@ def test_sample_code_uniform_over_lines(rng):
     trials = 5000
     for _ in range(trials):
         gen, _ = sample_code(params, tower, rng)
-        a, b = tuple(gen.data[0, 0]), tuple(gen.data[0, 1])
+        a, b = tuple(gen[0, 0]), tuple(gen[0, 1])
         # normalise the generator to a canonical projective representative
         if a != ext_zero(tower):
             key = (tower.one, ext_mul(tower, ext_inv(tower, a), b))
@@ -74,35 +75,29 @@ def _layers(params, tower, target, rng):
 
 def test_query_layers_satisfy_construction(tight_params, tight_tower, rng):
     params, tower = tight_params, tight_tower
-    delta, n = params.delta, params.n
+    fq = tower.fq
+    delta, n, v = params.delta, params.n, params.v
     for target in [1, 3, params.m]:
         query, secrets = _layers(params, tower, target, rng)
         D, E, Z = secrets.codeword_part, secrets.mask_part, secrets.selector_part
-        assert query.matrix == (D + E) + Z
+        assert np.array_equal(query.matrix.data, fq.vadd(fq.vadd(D, E), Z))
         assert query.matrix.shape == (params.m * delta, n)
 
         # codeword layer: adding its rows to the generator must not grow the rank
-        stacked = ExtMatrix(tower, np.concatenate([secrets.generator.data, D.data]))
-        assert rank_ext(stacked) == params.k
+        assert ext_rank(np.concatenate([secrets.generator, D]), tower) == params.k
 
-        info_cols = secrets.info_set.zero_based()
-        assert not np.any(E.data[:, info_cols, :])
-        assert not np.any(Z.data[:, info_cols, :])
+        assert not np.any(E[:, secrets.info_set])
+        assert not np.any(Z[:, secrets.info_set])
 
-        # mask entries decompose into pure V parts, selector entries into pure W
-        for i in range(E.rows):
-            for j in range(E.cols):
-                x = tuple(E.data[i, j])
-                assert project_split(secrets.split, tower, x) == (x, ext_zero(tower))
+        # in split-basis coordinates mask entries are pure V parts, selector entries pure W
+        split_inv = fq_inv_matrix(secrets.split.basis, fq)
+        assert not np.any(fq.matmul(E, split_inv)[..., v:])
         lo = (target - 1) * delta
-        assert not np.any(Z.data[:lo]) and not np.any(Z.data[lo + delta :])
-        block = ExtMatrix(tower, Z.data[lo : lo + delta])
-        assert block == secrets.selector_block
-        for i in range(delta):
-            for j in range(n):
-                x = tuple(block.data[i, j])
-                assert project_split(secrets.split, tower, x) == (ext_zero(tower), x)
-        assert rank_fq(block) == delta
+        assert not np.any(Z[:lo]) and not np.any(Z[lo + delta :])
+        block = Z[lo : lo + delta]
+        assert np.array_equal(block, secrets.selector_block)
+        assert not np.any(fq.matmul(block, split_inv)[..., :v])
+        assert fq_rank(block.reshape(delta, n * tower.s), fq) == delta
 
 
 def test_generate_query_validates(tight_params, tight_tower, rng):
@@ -113,6 +108,13 @@ def test_generate_query_validates(tight_params, tight_tower, rng):
     other_tower = build_tower(3, 1, 2)
     with pytest.raises(DimensionMismatch):
         generate_query(tight_params, other_tower, 1, rng)
+
+
+def test_generate_queries_needs_one_target_per_stream(tight_params, tight_tower):
+    rngs = [np.random.default_rng(b) for b in range(3)]
+    for targets in ([2], [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(DimensionMismatch, match="targets"):
+            generate_queries(tight_params, tight_tower, targets, rngs)
 
 
 # -- responding -------------------------------------------------------------------
@@ -226,7 +228,7 @@ def test_decode_is_additive_in_the_database(tight_params, tight_tower, rng):
     query, secrets = generate_query(params, tower, 3, rng)
     resp_a = respond(a, query, params, tower)
     resp_b = respond(b, query, params, tower)
-    summed = type(resp_a)(resp_a.matrix + resp_b.matrix)
+    summed = Response(ExtMatrix(tower, fq.vadd(resp_a.matrix.data, resp_b.matrix.data)))
     out = decode(summed, secrets, params, tower)
     want = fq.vadd(a.files[2], b.files[2])
     assert np.array_equal(out, want)
@@ -236,7 +238,7 @@ def test_decode_rejects_wrong_width(tight_params, tight_tower, rng):
     db = Database.random(tight_params, rng)
     query, secrets = generate_query(tight_params, tight_tower, 1, rng)
     response = respond(db, query, tight_params, tight_tower)
-    clipped = type(response)(puncture(response.matrix, IndexSet((1, 2, 3))))
+    clipped = Response(ExtMatrix(tight_tower, response.matrix.data[:, :3]))
     with pytest.raises(DimensionMismatch):
         decode(clipped, secrets, tight_params, tight_tower)
 
@@ -246,9 +248,9 @@ def test_decode_singular_selector_raises_typed_error(tight_params, tight_tower, 
     db = Database.random(tight_params, rng)
     query, secrets = generate_query(tight_params, tight_tower, 2, rng)
     response = respond(db, query, tight_params, tight_tower)
-    block = secrets.selector_block.data.copy()
+    block = secrets.selector_block.copy()
     block[1] = block[0]
-    secrets.selector_block = ExtMatrix(tight_tower, block)
+    secrets.selector_block = block
     with pytest.raises(DecodeFailure, match="singular"):
         decode(response, secrets, tight_params, tight_tower)
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import struct
@@ -65,6 +66,39 @@ def test_save_matrix_golden_bytes():
         + bytes([0b01, 0b10, 0b11])  # value = c0 + 2*c1, one byte each
     )
     assert buf.getvalue() == want
+
+
+# sha256 of the query file, the response file and the secrets JSON of one
+# fixed-seed query, so that neither format nor the sampling behind it can drift
+FILE_PINS = {
+    "preset": (
+        "0539e9fc855558f00427b34f86400aaa94f62f923d85d6a9e1b009b76a60c076",
+        "451ff8e54d3079f046c7af005d979d1ec20ad30effb46449e4f2a65665cef0ad",
+        "f85a83fe76ac5729dae69d28ab68fc159182640c94a61994c84bf13016f8e389",
+    ),
+    "q4": (
+        "900056cd00909afabf08f8f5451d2c36328453b09012f735d0f37249ba30a17f",
+        "cc6c11702bc79a3f30ee3275e1887b94a5fa8dc8b9a65823736f4379680aa0b7",
+        "650f8b25681da79c3892a902302866d9e6f3824a7d8901649a0ab9a1ff513bf6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_PINS))
+def test_query_response_and_secrets_bytes_are_pinned(name, request, tmp_path):
+    params = request.getfixturevalue(f"{name}_params")
+    tower = request.getfixturevalue(f"{name}_tower")
+    rng = np.random.default_rng(2020)
+    db = Database.random(params, rng)
+    query, secrets = generate_query(params, tower, 3, rng)
+    blobs = []
+    for save, obj in [(save_query, query), (save_response, respond(db, query, params, tower))]:
+        buf = io.BytesIO()
+        save(buf, obj, params)
+        blobs.append(buf.getvalue())
+    save_secrets(tmp_path / "s.json", secrets, params)
+    blobs.append((tmp_path / "s.json").read_bytes())
+    assert tuple(hashlib.sha256(blob).hexdigest() for blob in blobs) == FILE_PINS[name]
 
 
 def test_element_integers_are_base_q_positional():
@@ -175,7 +209,7 @@ def test_query_round_trip(tight_params, tight_tower, rng, tmp_path):
     path = tmp_path / "query.hhwm"
     save_query(path, query, tight_params)
     loaded = load_query(path, tight_params, tight_tower)
-    assert loaded.matrix == query.matrix
+    assert np.array_equal(loaded.matrix.data, query.matrix.data)
 
 
 def test_query_shape_and_field_checks(tight_params, tight_tower, ternary_params, ternary_tower, rng, tmp_path):
@@ -202,7 +236,7 @@ def test_response_round_trip(tight_params, tight_tower, rng, tmp_path):
     path = tmp_path / "resp.hhwm"
     save_response(path, response, tight_params)
     loaded = load_response(path, tight_params, tight_tower)
-    assert loaded.matrix == response.matrix
+    assert np.array_equal(loaded.matrix.data, response.matrix.data)
     assert np.array_equal(
         decode(loaded, secrets, tight_params, tight_tower), db.files[1]
     )
@@ -243,11 +277,12 @@ def test_secrets_round_trip(tight_params, tight_tower, rng, tmp_path):
     save_secrets(path, secrets, tight_params)
     loaded = load_secrets(path, tight_params, tight_tower)
     assert loaded.target == 4
-    assert loaded.info_set.indices == secrets.info_set.indices
+    assert loaded.info_set.dtype == np.int64 and np.array_equal(loaded.info_set, secrets.info_set)
+    assert json.loads(path.read_text())["info_set"] == (secrets.info_set + 1).tolist()  # 1-based on disk
     assert loaded.split.v == secrets.split.v
     assert np.array_equal(loaded.split.basis, secrets.split.basis)
-    assert loaded.generator == secrets.generator
-    assert loaded.selector_block == secrets.selector_block
+    assert np.array_equal(loaded.generator, secrets.generator)
+    assert np.array_equal(loaded.selector_block, secrets.selector_block)
     # full layers are deliberately not persisted
     assert loaded.codeword_part is None
     assert loaded.mask_part is None
@@ -296,6 +331,9 @@ def test_secrets_rejects_garbage_file(tmp_path, tight_params, tight_tower):
         ({"generator": [[["1", 0]] * 4] * 2}, "not an integer array"),
         ({"selector_block": [[0]]}, "shape"),
         ({"generator": [[[9, 0], [0, 0], [0, 0], [0, 0]]] * 2}, "outside"),
+        ({"info_set": [1, 1]}, "bad information set"),
+        ({"info_set": [0, 1]}, "bad information set"),
+        ({"info_set": [-(2**70), 2**70]}, "bad information set"),
     ],
 )
 def test_secrets_rejects_malformed_fields(

@@ -573,24 +573,52 @@ def test_basis_split_uniform_over_gl2(rng):
     assert chi2 < 20.5, counts
 
 
-def test_v_part_spans_only_leading_rows(rng):
-    """Coordinates in a split basis, as decode takes them, split x into a V part and a W part.
+def _split_parts(split, tower, x):
+    """The V and W parts of x in a split basis, as decode takes them.
 
-    With y = x @ basis^-1, the V part y[:v] @ basis[:v] lies in the span of
-    the first v basis rows, the W part y[v:] @ basis[v:] in the span of the
-    rest, the two sum to x, and both are F_q-linear in x.
+    With y = x @ basis^-1, the V part is y[:v] @ basis[:v] and the W part
+    y[v:] @ basis[v:].
     """
+    fq, v = tower.fq, split.v
+    y = fq.matmul(x, fq_inv_matrix(split.basis, fq))
+    return fq.matmul(y[:, :v], split.basis[:v]), fq.matmul(y[:, v:], split.basis[v:])
+
+
+def test_project_split_reconstructs_and_separates(rng):
     for key in [(2, 1, 2), (3, 1, 2), (2, 1, 4)]:
         tower = TOWERS[key]
-        fq = tower.fq
+        zero = np.zeros((10, tower.s), dtype=np.int64)
         for v in range(1, tower.s):
             split = sample_basis_split(tower, v, rng)
             x = tower.rand(rng, (10,))
-            y = fq.matmul(x, fq_inv_matrix(split.basis, fq))
-            v_part = fq.matmul(y[:, :v], split.basis[:v])
-            w_part = fq.matmul(y[:, v:], split.basis[v:])
-            assert np.array_equal(fq.vadd(v_part, w_part), x)
-            for part, rows in ((v_part, split.basis[:v]), (w_part, split.basis[v:])):
-                assert naive_rank_fq(np.vstack([rows, part]), fq) == naive_rank_fq(rows, fq) == len(rows)
-            # F_q-linear: the coordinates of a sum are the sums of the coordinates
-            assert np.array_equal(fq.matmul(fq.vadd(x[:5], x[5:]), fq_inv_matrix(split.basis, fq)), fq.vadd(y[:5], y[5:]))
+            vp, wp = _split_parts(split, tower, x)
+            assert np.array_equal(tower.fq.vadd(vp, wp), x)
+            # idempotent: the V part has no W component and vice versa
+            for got, want in zip(_split_parts(split, tower, vp), (vp, zero)):
+                assert np.array_equal(got, want)
+            for got, want in zip(_split_parts(split, tower, wp), (zero, wp)):
+                assert np.array_equal(got, want)
+
+
+def test_project_split_is_fq_linear(rng):
+    tower = TOWERS[(2, 1, 4)]
+    fq = tower.fq
+    split = sample_basis_split(tower, 2, rng)
+    x = tower.rand(rng, (5,))
+    y = tower.rand(rng, (5,))
+    vx, wx = _split_parts(split, tower, x)
+    vy, wy = _split_parts(split, tower, y)
+    vs, ws = _split_parts(split, tower, fq.vadd(x, y))
+    assert np.array_equal(vs, fq.vadd(vx, vy))
+    assert np.array_equal(ws, fq.vadd(wx, wy))
+
+
+def test_v_part_spans_only_leading_rows(rng):
+    # every V part must be an F_q-combination of the first v rows
+    tower = TOWERS[(2, 1, 4)]
+    split = sample_basis_split(tower, 2, rng)
+    fq = tower.fq
+    vp, _ = _split_parts(split, tower, tower.rand(rng, (5,)))
+    for row in vp:
+        stacked = np.vstack([split.basis[:2], row])
+        assert naive_rank_fq(stacked, fq) == naive_rank_fq(split.basis[:2], fq)

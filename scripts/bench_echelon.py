@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Time the elimination kernel over F_2: the numpy loop it replaced against packed rows.
+
+Every rank and inverse over a field of characteristic 2 reaches
+hhw_pir.fields.fq_echelon over F_2 through blow-ups.  The script times
+the same eliminations and per-query stages twice:
+
+  before  the numpy loop, patched in from tests/oracles.py for the run
+          (loop_echelon as fields.fq_echelon and linalg.fq_echelon), one
+          column at a time with numpy row operations, as fq_echelon ran
+          for every p;
+  after   the kernel of the package, which over F_2 packs each row into
+          one Python int and eliminates with XOR.
+
+Kernel rows (seeded F_2 matrices) in the shapes the q4 fixture's
+blow-ups hand the kernel: 18x36, the rank of a 3x6 generator over F_64
+and the [M | I] of a 3x3 inverse over F_64; 12x24, the [M | I] of the
+6x6 selector inverse over F_4; and a larger rank, 60x120.  Stage rows:
+generate_query, decode and the attack's recover_index of one query at a
+time at the preset, tight and q4 fixtures (p = 2, on the packed rows),
+and at the q=3 m=16 fixture as the control, whose eliminations run the
+numpy loop on both sides; over --queries fixed-seed queries per fixture.
+
+Each row is timed --repeats times per side, alternating which side goes
+first, and reported as microseconds of wall time per call (median and
+interquartile range).  Both sides must give identical outputs on every
+row (echelon forms and pivots, query matrices, decoded files, rank
+profiles and recovered indices), or the script exits 1.  The timing and
+comparison of a row are those of scripts/bench_products.py.  It writes the
+results with the machine it ran on to BENCH_echelon.json.  Uses only the
+standard library and numpy.
+
+    python3 scripts/bench_echelon.py
+    python3 scripts/bench_echelon.py --calls 1 --queries 1 --repeats 1 --out bench.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from hhw_pir import attack, fields, linalg, scheme  # noqa: E402
+from hhw_pir.params import DEFAULT_PARAMS, SchemeParams  # noqa: E402
+from scripts.bench_products import bench_row  # noqa: E402
+from tests import oracles  # noqa: E402
+
+# the four baseline fixtures of ROADMAP.md
+FIXTURES = [
+    ("preset", DEFAULT_PARAMS),
+    ("tight", SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=4)),
+    ("q4", SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=64)),
+    ("q3_m16 (control)", SchemeParams(p=3, e=1, s=4, v=2, n=10, k=5, m=16, L=256)),
+]
+MATRIX_SEED = 400
+QUERY_SEED = 401
+DATABASE_SEED = 402
+
+
+@contextmanager
+def loop_kernel():
+    """Eliminate on the numpy loop of tests/oracles.py until the block exits."""
+    saved = fields.fq_echelon
+    fields.fq_echelon = linalg.fq_echelon = oracles.loop_echelon
+    try:
+        yield
+    finally:
+        fields.fq_echelon = linalg.fq_echelon = saved
+
+
+def kernels(calls: int):
+    """(name, call, calls per timing) of every F_2 kernel row, on seeded matrices."""
+    rng = np.random.default_rng(MATRIX_SEED)
+    f2 = fields.Fq(2, 1, (0, 1))
+
+    def with_identity(n):
+        return np.hstack([f2.rand(rng, (n, n)), np.eye(n, dtype=np.int64)])
+
+    def echelon(arr, reduced):
+        # fields.fq_echelon is looked up at call time, so the patched loop runs on the before side
+        R, pivots = fields.fq_echelon(arr, f2, reduced)
+        return [R, np.array(pivots, dtype=np.int64)]
+
+    rows = [
+        ("F_2 18x36 rank", f2.rand(rng, (18, 36)), False, calls),
+        ("F_2 18x36 [M | I] reduced", with_identity(18), True, calls),
+        ("F_2 12x24 [M | I] reduced", with_identity(12), True, calls),
+        ("F_2 60x120 rank", f2.rand(rng, (60, 120)), False, max(calls // 5, 1)),
+    ]
+    return [(name, lambda arr=arr, reduced=reduced: echelon(arr, reduced), n) for name, arr, reduced, n in rows]
+
+
+def stages(queries: int):
+    """(name, call, calls per timing) of generate, decode and attack per fixture, over fixed-seed queries."""
+    rows = []
+    for index, (fixture, p) in enumerate(FIXTURES):
+        tower = fields.build_tower(p.p, p.e, p.s)
+        db = scheme.Database.random(p, np.random.default_rng(DATABASE_SEED + index))
+        seeds = np.random.default_rng(QUERY_SEED + index).integers(0, 2**63, size=queries)
+        jobs = [(1 + i % p.m, int(seed)) for i, seed in enumerate(seeds)]
+        made = [scheme.generate_query(p, tower, target, np.random.default_rng(seed)) for target, seed in jobs]
+        answers = [scheme.respond(db, query, p, tower) for query, _ in made]
+
+        def generate(p=p, tower=tower, jobs=jobs):
+            return [scheme.generate_query(p, tower, target, np.random.default_rng(seed))[0].matrix.data
+                    for target, seed in jobs]
+
+        def decode(p=p, tower=tower, made=made, answers=answers):
+            return [scheme.decode(answer, secrets, p, tower) for answer, (_, secrets) in zip(answers, made)]
+
+        def recover(p=p, tower=tower, made=made):
+            reports = [attack.recover_index(query, p, tower) for query, _ in made]
+            return [np.array([r.recovered_index or 0, *r.rank_profile]) for r in reports]
+
+        rows += [(f"{fixture} {name} (one query)", call, 1)
+                 for name, call in (("generate_query", generate), ("decode", decode), ("recover_index", recover))]
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--calls", type=int, default=200, help="calls per timing of a kernel row (a fifth at 60x120)")
+    parser.add_argument("--queries", type=int, default=10, help="fixed-seed queries per timing of a stage row")
+    parser.add_argument("--repeats", type=int, default=11, help="timings per side and row")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_echelon.json"))
+    args = parser.parse_args(argv)
+
+    doc = {
+        "topic": "elimination over F_2, microseconds of wall time per call (stage rows: per query)",
+        "before": "tests/oracles.py loop_echelon (numpy row operations, one column at a time) patched in as fq_echelon",
+        "after": "fields.fq_echelon, which over F_2 eliminates on rows packed into Python ints with XOR",
+        "command": f"python3 scripts/bench_echelon.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+        "seeds": {"matrices": MATRIX_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED},
+        "fixtures": {name: p.to_dict() for name, p in FIXTURES},
+        "rows": [],
+    }
+    rows = [(name, call, n, 1) for name, call, n in kernels(args.calls)]
+    rows += [(name, call, n, args.queries) for name, call, n in stages(args.queries)]
+    for name, call, calls, per in rows:
+        row = bench_row(name, call, calls, args.repeats, per, before=loop_kernel)
+        doc["rows"].append(row)
+        print(f"{name:40s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
+              f"after {row['after']['us_median']:9.1f} us (IQR {row['after']['us_iqr']:.1f})  "
+              f"x{row['speedup_median']}  identical={row['identical']}")
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0 if all(row["identical"] for row in doc["rows"]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -135,9 +135,9 @@ def summary(us: list[float]) -> dict:
             "us_iqr": round(float(q3 - q1), 1), "repeats": len(us)}
 
 
-def bench_row(name: str, call, calls: int, repeats: int, per: int = 1) -> dict:
-    """One row: ``call`` timed on both kernels; ``per`` divides the time of one call into per-item units."""
-    sides = {"before": int64_kernel, "after": nullcontext}
+def bench_row(name: str, call, calls: int, repeats: int, per: int = 1, before=int64_kernel) -> dict:
+    """One row: ``call`` timed inside the ``before`` context and as it is; ``per`` divides the time of one call into per-item units."""
+    sides = {"before": before, "after": nullcontext}
     us = {side: [] for side in sides}
     outputs = {}
     for side, kernel in sides.items():

@@ -126,6 +126,9 @@ class TrialRecord:
     elapsed_ms: float  # the trial's share of its round
     # draws per rejection-sampling phase of scheme.DRAW_PHASES (zero after an error)
     draws: dict[str, int] = field(default_factory=dict)
+    # the trial's shares of its round's query generation and attack, which make up elapsed_ms
+    generate_ms: float = 0.0
+    attack_ms: float = 0.0
 
     def to_dict(self, include_timings: bool = True) -> dict:
         """The record; timings and draw counts only with include_timings."""
@@ -141,6 +144,8 @@ class TrialRecord:
         if include_timings:
             doc["elapsed_ms"] = self.elapsed_ms
             doc["draws"] = dict(self.draws)
+            doc["generate_ms"] = self.generate_ms
+            doc["attack_ms"] = self.attack_ms
         return doc
 
 
@@ -194,15 +199,20 @@ def _run_round(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
     else:
         targets = [int(cfg.target_policy)] * len(trials)
     start = time.perf_counter()
+    generated = None
     try:
         batch = generate_queries(params, tower, targets, rngs)
+        generated = time.perf_counter()
         outcomes = recover_index(batch.data, params, tower, fallback_argmin=cfg.fallback_argmin)
         draws = batch.draws.tolist()
     except Exception as exc:  # noqa: BLE001 - a trial must never abort the run
         if len(trials) > 1:
             return [run_trial(params, tower, cfg, t) for t in trials]
         outcomes, draws = [exc], [[0] * len(DRAW_PHASES)]
-    share_ms = (time.perf_counter() - start) * 1000.0 / len(trials)
+    end = time.perf_counter()
+    if generated is None:  # generation raised
+        generated = end
+    per_trial_ms = 1000.0 / len(trials)
     records = []
     for trial, seed, target, outcome, counts in zip(trials, seeds, targets, outcomes, draws):
         if isinstance(outcome, Exception):
@@ -223,8 +233,10 @@ def _run_round(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
             success=success,
             failure_reason=reason,
             rank_profile=profile,
-            elapsed_ms=share_ms,
+            elapsed_ms=(end - start) * per_trial_ms,
             draws=dict(zip(DRAW_PHASES, counts)),
+            generate_ms=(generated - start) * per_trial_ms,
+            attack_ms=(end - generated) * per_trial_ms,
         ))
     return records
 

@@ -30,12 +30,18 @@ The one elimination kernel of the package, fq_echelon, works over F_p
 only.  An F_q-space of dimension r is an F_p-space of dimension e*r, so
 ranks and inverses over F_q (fq_rank, fq_inv_matrix) and over F_q^s
 (see linalg.ext_rank) run on it through the same regular representations.
+Over F_2 it packs each row into one Python int and eliminates with XOR
+(after the M4RI library of Albrecht and Bard, without its tables); for
+odd p it steps through the columns with numpy row operations.  Its loop
+over a stack of matrices, fq_echelon_stack, runs numpy row operations
+for every p: one Python step per pivot serves the whole stack there.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -293,14 +299,20 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
         reduced: eliminate above pivots too and normalise them to 1.
 
     Returns:
-        The echelon form and the list of pivot column indices.
+        The echelon form, a new (rows, cols) int64 array, and the list of
+        pivot column indices.
 
-    Only the columns holding a nonzero entry on entry are walked: row
+    Over F_2 the rows are packed into Python ints (_gf2_echelon).  For odd
+    p only the columns holding a nonzero entry on entry are walked: row
     operations keep a zero column zero, so no pivot can appear in one.
+    Both make the same swaps and row operations, so the result depends
+    only on the matrix.
     """
     if fq.e != 1:
         raise ValueError(f"fq_echelon eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
     p = fq.p
+    if p == 2:
+        return _gf2_echelon(arr, reduced)
     R = np.array(arr, dtype=np.int64, copy=True)
     rows = R.shape[0]
     pivots: list[int] = []
@@ -327,6 +339,44 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
         pivots.append(c)
         r += 1
     return R, pivots
+
+
+def _gf2_echelon(arr: np.ndarray, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """fq_echelon over F_2 on rows packed into Python ints, row operations by XOR.
+
+    Row i becomes the integer whose bits, from the top, are its entries
+    (np.packbits, big-endian), padded at the bottom to whole bytes, so
+    column c is bit width - 1 - c.  The rows from r down are zero left of
+    the next pivot column, so that column is the top bit of their OR and
+    the pivot row is the topmost of them with that bit set; it is swapped
+    into row r and XORed into every other row with the bit set (below
+    row r only, unless reduced).
+    """
+    arr = np.asarray(arr)
+    rows, cols = arr.shape
+    nbytes = -(-cols // 8)
+    data = np.packbits(arr != 0, axis=1).tobytes()
+    R = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(rows)]
+    top = 8 * nbytes - 1
+    pivots: list[int] = []
+    for r in range(rows):
+        live = functools.reduce(operator.or_, R[r:])
+        if not live:
+            break
+        bit = live.bit_length() - 1
+        mask = 1 << bit
+        i = r
+        while not R[i] & mask:
+            i += 1
+        pivot = R[i]
+        R[i] = R[r]
+        R[r] = pivot
+        R[r + 1 :] = [x ^ pivot if x & mask else x for x in R[r + 1 :]]
+        if reduced:
+            R[:r] = [x ^ pivot if x & mask else x for x in R[:r]]
+        pivots.append(top - bit)
+    packed = np.frombuffer(b"".join(x.to_bytes(nbytes, "big") for x in R), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(rows, nbytes), axis=1, count=cols).astype(np.int64), pivots
 
 
 @functools.lru_cache(maxsize=None)

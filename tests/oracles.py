@@ -5,7 +5,7 @@ oracles compute in is their own (digitwise fq_add/fq_sub, the digit
 polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
 by plain-Python elimination over it, subspaces are enumerated rather
 than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Five kinds of entry are paths
+recovery pipeline with explicit scalars.  Six kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
 scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
@@ -16,10 +16,12 @@ F_p structure tensors before every product became one product on a
 regular representation; int64_residue_matmul / int64_fq_matmul /
 loop_digits, the int64 product mod p and the %-and-// digit loop that
 kernel ran on before the exact float64 kernel (fields.residue_matmul) and
-the digit table replaced them; and log_exp_tables / table_vmul /
+the digit table replaced them; log_exp_tables / table_vmul /
 table_echelon, the discrete log/exp arithmetic of F_q and the
 elimination over F_q on top of it, before every elimination ran over F_p
-on blow-ups.  The tuple arithmetic of F_q^s (ext_add ... ext_inv) is the
+on blow-ups; and loop_echelon, the numpy elimination over F_p that
+fields.fq_echelon ran for every p before its rows over F_2 were packed
+into ints.  The tuple arithmetic of F_q^s (ext_add ... ext_inv) is the
 one the fields once ran on, before both extension steps were built from
 companion-matrix powers; ext_inv is Fermat's x^(q^s - 2) rather than
 polynomial Euclid.
@@ -299,6 +301,37 @@ def table_inv_matrix(arr, fq: Fq) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return R[:, n:]
+
+
+def loop_echelon(arr, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+    """fields.fq_echelon as it ran for every p before the packed F_2 rows: one column at a time on numpy rows."""
+    p = fq.p
+    R = np.array(arr, dtype=np.int64, copy=True)
+    rows = R.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c in R.any(axis=0).nonzero()[0].tolist():
+        if r == rows:
+            break
+        nz = R[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        pinv = pow(int(R[r, c]), -1, p)
+        if pinv != 1:
+            R[r] = R[r] * pinv % p
+        if reduced:
+            others = R[:, c].nonzero()[0]
+            others = others[others != r]
+        else:
+            others = R[r + 1 :, c].nonzero()[0] + (r + 1)
+        if others.size:
+            R[others] = (R[others] - R[others, c][:, None] * R[r][None, :]) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
 
 
 def loop_digits(arr, fq: Fq) -> np.ndarray:

@@ -196,7 +196,8 @@ def test_experiment_deterministic_across_processes(tmp_path):
         doc.pop("digest")
         doc["aggregate"].pop("elapsed_ms")
         for t in doc["trials"]:
-            t.pop("elapsed_ms")
+            for timing in ("elapsed_ms", "generate_ms", "attack_ms"):
+                t.pop(timing)
         outs.append(json.dumps(doc, sort_keys=True))
     assert outs[0] == outs[1]
 

@@ -114,6 +114,12 @@ def test_same_config_same_canonical_output():
     assert "elapsed" not in canonical_json(a)
 
 
+PINNED_CONFIG = ExperimentConfig(
+    params=SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=1), trials=400, master_seed=20200401
+)
+PINNED_DIGEST = "f311594e64f014d513fd35223a83d1920443b9d97e68d193fdb1b1f5cff3c369"
+
+
 def test_tight_regime_digest_is_pinned():
     """The canonical report of a fixed tight run is the same across commits.
 
@@ -122,11 +128,23 @@ def test_tight_regime_digest_is_pinned():
     the grading or the canonical serialization shows up here; a change
     that alters outputs on purpose must update the value and say why.
     """
-    params = SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=1)
-    report = run_experiment(ExperimentConfig(params=params, trials=400, master_seed=20200401))
+    report = run_experiment(PINNED_CONFIG)
     assert (report.successes, report.failures) == (380, 20)
-    assert report.digest == "f311594e64f014d513fd35223a83d1920443b9d97e68d193fdb1b1f5cff3c369"
+    assert report.digest == PINNED_DIGEST
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == report.digest
+
+
+def test_stage_shares_are_reported_and_stay_out_of_the_digest():
+    """Each trial's generate and attack shares reach the JSON report, not the pinned canonical form."""
+    report = run_experiment(PINNED_CONFIG)
+    assert report.digest == PINNED_DIGEST
+    for doc, record in zip(json.loads(report_to_json(report))["trials"], report.records):
+        assert (doc["generate_ms"], doc["attack_ms"]) == (record.generate_ms, record.attack_ms)
+        assert record.generate_ms > 0 and record.attack_ms > 0
+        assert record.generate_ms + record.attack_ms == pytest.approx(record.elapsed_ms)
+    lean = json.loads(report_to_json(report, include_timings=False))
+    assert all("generate_ms" not in t and "attack_ms" not in t for t in lean["trials"])
+    assert "generate_ms" not in canonical_json(report) and "attack_ms" not in canonical_json(report)
 
 
 def test_different_seeds_differ():
@@ -236,6 +254,7 @@ def test_error_trials_are_recorded_not_raised():
     assert record.recovered is None
     assert record.failure_reason.startswith("error:DimensionMismatch")
     assert record.rank_profile == []
+    assert record.attack_ms == 0 and record.generate_ms == record.elapsed_ms
 
 
 def test_single_file_run_is_trivially_successful():

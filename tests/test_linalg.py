@@ -36,6 +36,7 @@ from .oracles import (
     ext_add,
     ext_mul,
     ext_zero,
+    loop_echelon,
     naive_rank_fq,
     rank_ext_oracle,
     scalar_ext_inv,
@@ -122,6 +123,84 @@ def test_fq_echelon_refuses_extension_fields():
         fq_echelon(np.eye(2, dtype=np.int64), fq)
     R, pivots = fq_echelon(fq.blow_up(np.eye(2, dtype=np.int64)), fq.fp)
     assert pivots == [0, 1, 2, 3]
+
+
+# -- the packed F_2 kernel against the numpy loop it replaced -------------------------
+
+F2 = Fq(2, 1, (0, 1))
+# a packed row is whole bytes, so widths on and around the byte and 64-bit boundaries
+GF2_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130)
+GF2_EDGE_SHAPES = [(0, 0), (0, 9), (9, 0), (0, 130), (1, 1), (1, 130), (130, 1)]
+GF2_MATRICES = 3000
+
+
+def _gf2_matrix(rng, shape, kind: int) -> np.ndarray:
+    """A seeded F_2 matrix: uniform, sparse, rank-deficient, zero, identity or with repeated rows."""
+    rows, cols = shape
+    if kind == 0:
+        return F2.rand(rng, shape)
+    if kind == 1:
+        return (rng.random(shape) < 0.08).astype(np.int64)
+    if kind == 2:
+        inner = int(rng.integers(0, max(min(rows, cols), 1)))
+        return F2.matmul(F2.rand(rng, (rows, inner)), F2.rand(rng, (inner, cols)))
+    if kind == 3:
+        return np.zeros(shape, dtype=np.int64)
+    if kind == 4:
+        return np.eye(rows, cols, k=int(rng.integers(-2, 3)), dtype=np.int64)
+    distinct = max(rows // 3, 1)
+    return F2.rand(rng, (distinct, cols))[rng.integers(0, distinct, size=rows)]
+
+
+def test_packed_gf2_echelon_matches_the_numpy_loop():
+    """fq_echelon over F_2 against the numpy loop it replaced, entry for entry, and naive_rank_fq."""
+    rng = np.random.default_rng(0x6F2)
+    shapes = GF2_EDGE_SHAPES + [
+        (int(rng.integers(0, 25)), int(rng.choice(GF2_WIDTHS) if t % 2 else rng.integers(0, 131)))
+        for t in range(GF2_MATRICES - len(GF2_EDGE_SHAPES))
+    ]
+    full = deficient = 0
+    for t, shape in enumerate(shapes):
+        arr = _gf2_matrix(rng, shape, t % 6)
+        before = arr.copy()
+        for reduced in (False, True):
+            R, pivots = fq_echelon(arr, F2, reduced=reduced)
+            want, want_pivots = loop_echelon(arr, F2, reduced=reduced)
+            assert R.dtype == np.int64 and R.shape == arr.shape, (t, shape)
+            assert np.array_equal(R, want), (t, shape, reduced)
+            assert pivots == want_pivots and all(type(c) is int for c in pivots), (t, shape, reduced)
+        assert np.array_equal(arr, before)
+        rank = len(pivots)
+        assert fq_rank(arr, F2) == rank
+        if t % 10 == 0 and arr.size <= 1000:
+            assert rank == naive_rank_fq(arr, F2), (t, shape)
+        if 0 < min(shape):
+            full += rank == min(shape)
+            deficient += rank < min(shape)
+    assert min(full, deficient) >= GF2_MATRICES // 5
+
+
+@pytest.mark.parametrize("fq", [build_tower(2, e, 2).fq for e in (2, 3, 4)], ids=lambda f: f"q{f.q}")
+def test_gf2_blow_ups_match_table_arithmetic(fq):
+    """fq_rank and fq_inv_matrix over F_4, F_8 and F_16 on blow-ups up to 96 bits wide, against the tables."""
+    rng = np.random.default_rng(0xB10 + fq.q)
+    singular = 0
+    for t in range(60):
+        n = int(rng.integers(7, 13))
+        arr = _hard_fq_matrix(fq, rng, t % 6) if t % 3 == 0 else fq.rand(rng, (n, n))
+        if t % 3 == 1:
+            arr[int(rng.integers(0, n))] = arr[int(rng.integers(0, n))]
+        assert fq_rank(arr, fq) == _table_rank(arr, fq)
+        if arr.shape[0] == arr.shape[1]:
+            try:
+                expected = table_inv_matrix(arr, fq)
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError):
+                    fq_inv_matrix(arr, fq)
+            else:
+                assert np.array_equal(fq_inv_matrix(arr, fq), expected)
+    assert singular >= 10
 
 
 # F_p itself for p in 2, 3, 5, 7, and the F_2 and F_3 blow-ups of F_4 and F_9

@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["bench_trials.py", "--sweeps", "1", "--trials", "1", "--repeats", "1", "--out", os.devnull],
         ["bench_attack.py", "--queries", "2", "--repeats", "1", "--out", os.devnull],
         ["bench_products.py", "--calls", "1", "--queries", "1", "--repeats", "1", "--out", os.devnull],
+        ["bench_echelon.py", "--calls", "1", "--queries", "1", "--repeats", "1", "--out", os.devnull],
     ],
     ids=lambda argv: argv[0],
 )

@@ -304,36 +304,38 @@ def test_secrets_rejects_garbage_file(tmp_path, tight_params, tight_tower):
         load_secrets(path, tight_params, tight_tower)
 
 
+# Each case carries its own id (the positional one pytest gave it before the
+# ids were written out), so a case added anywhere renames no other test.
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
-        ({"version": 9}, "version"),
-        ({"version": True}, "version"),
-        ({"version": 1.0}, "version"),
-        ({"target": 0}, "target"),
-        ({"target": 7}, "target"),
-        ({"target": "2"}, "target"),
-        ({"target": True}, "target"),
-        ({"target": 2.0}, "target"),
-        ({"info_set": [1]}, "information set"),
-        ({"info_set": [True, 2]}, "information set"),
-        ({"info_set": [2, 1]}, "bad information set"),
-        ({"info_set": [1, 9]}, "bad information set"),
-        ({"split_v": 2}, "split width"),
-        ({"split_v": True}, "split width"),
-        ({"basis": [[0, 0], [0, 0]]}, "singular"),
-        ({"basis": [[1, 0, 0], [0, 1, 0]]}, "shape"),
-        ({"basis": "nope"}, "not an integer array"),
-        ({"basis": [[1.5, True], [0, 1]]}, "not an integer array"),
-        ({"basis": [[True, 0], [0, 1]]}, "not an integer array"),
-        ({"basis": [[1.0, 0], [0, 1]]}, "not an integer array"),
-        ({"basis": [["1", 0], [0, 1]]}, "not an integer array"),
-        ({"generator": [[["1", 0]] * 4] * 2}, "not an integer array"),
-        ({"selector_block": [[0]]}, "shape"),
-        ({"generator": [[[9, 0], [0, 0], [0, 0], [0, 0]]] * 2}, "outside"),
-        ({"info_set": [1, 1]}, "bad information set"),
-        ({"info_set": [0, 1]}, "bad information set"),
-        ({"info_set": [-(2**70), 2**70]}, "bad information set"),
+        pytest.param({"version": 9}, "version", id="overrides0-version"),
+        pytest.param({"version": True}, "version", id="overrides1-version"),
+        pytest.param({"version": 1.0}, "version", id="overrides2-version"),
+        pytest.param({"target": 0}, "target", id="overrides3-target"),
+        pytest.param({"target": 7}, "target", id="overrides4-target"),
+        pytest.param({"target": "2"}, "target", id="overrides5-target"),
+        pytest.param({"target": True}, "target", id="overrides6-target"),
+        pytest.param({"target": 2.0}, "target", id="overrides7-target"),
+        pytest.param({"info_set": [1]}, "information set", id="overrides8-information set"),
+        pytest.param({"info_set": [True, 2]}, "information set", id="overrides9-information set"),
+        pytest.param({"info_set": [2, 1]}, "bad information set", id="overrides10-bad information set"),
+        pytest.param({"info_set": [1, 9]}, "bad information set", id="overrides11-bad information set"),
+        pytest.param({"split_v": 2}, "split width", id="overrides12-split width"),
+        pytest.param({"split_v": True}, "split width", id="overrides13-split width"),
+        pytest.param({"basis": [[0, 0], [0, 0]]}, "singular", id="overrides14-singular"),
+        pytest.param({"basis": [[1, 0, 0], [0, 1, 0]]}, "shape", id="overrides15-shape"),
+        pytest.param({"basis": "nope"}, "not an integer array", id="overrides16-not an integer array"),
+        pytest.param({"basis": [[1.5, True], [0, 1]]}, "not an integer array", id="overrides17-not an integer array"),
+        pytest.param({"basis": [[True, 0], [0, 1]]}, "not an integer array", id="overrides18-not an integer array"),
+        pytest.param({"basis": [[1.0, 0], [0, 1]]}, "not an integer array", id="overrides19-not an integer array"),
+        pytest.param({"basis": [["1", 0], [0, 1]]}, "not an integer array", id="overrides20-not an integer array"),
+        pytest.param({"generator": [[["1", 0]] * 4] * 2}, "not an integer array", id="overrides21-not an integer array"),
+        pytest.param({"selector_block": [[0]]}, "shape", id="overrides22-shape"),
+        pytest.param({"generator": [[[9, 0], [0, 0], [0, 0], [0, 0]]] * 2}, "outside", id="overrides23-outside"),
+        pytest.param({"info_set": [1, 1]}, "bad information set", id="overrides24-bad information set"),
+        pytest.param({"info_set": [0, 1]}, "bad information set", id="overrides25-bad information set"),
+        pytest.param({"info_set": [-(2**70), 2**70]}, "bad information set", id="overrides26-bad information set"),
     ],
 )
 def test_secrets_rejects_malformed_fields(

@@ -1,25 +1,31 @@
 #!/usr/bin/env python3
-"""Time the elimination kernel over F_2: the numpy loop it replaced against packed rows.
+"""Time the elimination kernel over F_p: the numpy loop it replaced against packed rows.
 
-Every rank and inverse over a field of characteristic 2 reaches
-hhw_pir.fields.fq_echelon over F_2 through blow-ups.  The script times
-the same eliminations and per-query stages twice:
+Every rank and inverse of the package reaches hhw_pir.fields.fq_echelon
+over F_p, directly or through blow-ups.  The script times the same
+eliminations and per-query stages twice:
 
   before  the numpy loop, patched in from tests/oracles.py for the run
           (loop_echelon as fields.fq_echelon and linalg.fq_echelon), one
           column at a time with numpy row operations, as fq_echelon ran
           for every p;
-  after   the kernel of the package, which over F_2 packs each row into
-          one Python int and eliminates with XOR.
+  after   the kernel of the package, which packs each row into one
+          Python int, a field of bits per entry, and eliminates whole
+          rows at once: with XOR over F_2, with a multiply-add and a
+          division-free reduction of every field for odd p.
 
-Kernel rows (seeded F_2 matrices) in the shapes the q4 fixture's
+Kernel rows (seeded matrices).  Over F_2, the shapes the q4 fixture's
 blow-ups hand the kernel: 18x36, the rank of a 3x6 generator over F_64
 and the [M | I] of a 3x3 inverse over F_64; 12x24, the [M | I] of the
-6x6 selector inverse over F_4; and a larger rank, 60x120.  Stage rows:
-generate_query, decode and the attack's recover_index of one query at a
-time at the preset, tight and q4 fixtures (p = 2, on the packed rows),
-and at the q=3 m=16 fixture as the control, whose eliminations run the
-numpy loop on both sides; over --queries fixed-seed queries per fixture.
+6x6 selector inverse over F_4; and a larger rank, 60x120.  Over F_3,
+the shapes of the attack at the q=3 m=16 fixture: 10x40 reduced, the
+extension of a prefix or suffix basis by one row block, and a 30x40
+rank, a merge of two bases.  One 10x40 reduced row each over F_5,
+F_251 and F_65521, whose packed fields are 16, 32 and 64 bits wide (8
+over F_3).  Stage rows: generate_query, decode and the attack's
+recover_index of one query at a time at the preset, tight and q4
+fixtures (p = 2) and at the q=3 m=16 fixture (p = 3), over --queries
+fixed-seed queries per fixture.
 
 Each row is timed --repeats times per side, alternating which side goes
 first, and reported as microseconds of wall time per call (median and
@@ -61,7 +67,7 @@ FIXTURES = [
     ("preset", DEFAULT_PARAMS),
     ("tight", SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=4)),
     ("q4", SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=64)),
-    ("q3_m16 (control)", SchemeParams(p=3, e=1, s=4, v=2, n=10, k=5, m=16, L=256)),
+    ("q3_m16", SchemeParams(p=3, e=1, s=4, v=2, n=10, k=5, m=16, L=256)),
 ]
 MATRIX_SEED = 400
 QUERY_SEED = 401
@@ -80,25 +86,31 @@ def loop_kernel():
 
 
 def kernels(calls: int):
-    """(name, call, calls per timing) of every F_2 kernel row, on seeded matrices."""
+    """(name, call, calls per timing) of every kernel row, on seeded matrices."""
     rng = np.random.default_rng(MATRIX_SEED)
-    f2 = fields.Fq(2, 1, (0, 1))
+    f2, f3, f5, f251, f65521 = (fields.Fq(p, 1, (0, 1)) for p in (2, 3, 5, 251, 65521))
 
     def with_identity(n):
         return np.hstack([f2.rand(rng, (n, n)), np.eye(n, dtype=np.int64)])
 
-    def echelon(arr, reduced):
+    def echelon(arr, fp, reduced):
         # fields.fq_echelon is looked up at call time, so the patched loop runs on the before side
-        R, pivots = fields.fq_echelon(arr, f2, reduced)
+        R, pivots = fields.fq_echelon(arr, fp, reduced)
         return [R, np.array(pivots, dtype=np.int64)]
 
     rows = [
-        ("F_2 18x36 rank", f2.rand(rng, (18, 36)), False, calls),
-        ("F_2 18x36 [M | I] reduced", with_identity(18), True, calls),
-        ("F_2 12x24 [M | I] reduced", with_identity(12), True, calls),
-        ("F_2 60x120 rank", f2.rand(rng, (60, 120)), False, max(calls // 5, 1)),
+        ("F_2 18x36 rank", f2, f2.rand(rng, (18, 36)), False, calls),
+        ("F_2 18x36 [M | I] reduced", f2, with_identity(18), True, calls),
+        ("F_2 12x24 [M | I] reduced", f2, with_identity(12), True, calls),
+        ("F_2 60x120 rank", f2, f2.rand(rng, (60, 120)), False, max(calls // 5, 1)),
+        ("F_3 10x40 reduced", f3, f3.rand(rng, (10, 40)), True, calls),
+        ("F_3 30x40 rank", f3, f3.rand(rng, (30, 40)), False, calls),
+        ("F_5 10x40 reduced (16-bit fields)", f5, f5.rand(rng, (10, 40)), True, calls),
+        ("F_251 10x40 reduced (32-bit fields)", f251, f251.rand(rng, (10, 40)), True, calls),
+        ("F_65521 10x40 reduced (64-bit fields)", f65521, f65521.rand(rng, (10, 40)), True, calls),
     ]
-    return [(name, lambda arr=arr, reduced=reduced: echelon(arr, reduced), n) for name, arr, reduced, n in rows]
+    return [(name, lambda fp=fp, arr=arr, reduced=reduced: echelon(arr, fp, reduced), n)
+            for name, fp, arr, reduced, n in rows]
 
 
 def stages(queries: int):
@@ -137,9 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     doc = {
-        "topic": "elimination over F_2, microseconds of wall time per call (stage rows: per query)",
+        "topic": "elimination over F_p, microseconds of wall time per call (stage rows: per query)",
         "before": "tests/oracles.py loop_echelon (numpy row operations, one column at a time) patched in as fq_echelon",
-        "after": "fields.fq_echelon, which over F_2 eliminates on rows packed into Python ints with XOR",
+        "after": "fields.fq_echelon on rows packed into Python ints: XOR over F_2, multiply-add and a division-free field reduction for odd p",
         "command": f"python3 scripts/bench_echelon.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
         "machine": {
             "python": platform.python_version(),
@@ -156,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, call, calls, per in rows:
         row = bench_row(name, call, calls, args.repeats, per, before=loop_kernel)
         doc["rows"].append(row)
-        print(f"{name:40s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
+        print(f"{name:42s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
               f"after {row['after']['us_median']:9.1f} us (IQR {row['after']['us_iqr']:.1f})  "
               f"x{row['speedup_median']}  identical={row['identical']}")
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

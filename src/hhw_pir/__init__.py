@@ -22,6 +22,7 @@ from .attack import AttackReport, rank_profile, recover_index
 from .errors import (
     BadArguments,
     BadSplit,
+    CoordinateOutOfRange,
     DecodeFailure,
     DimensionMismatch,
     InvalidParams,
@@ -59,6 +60,7 @@ __all__ = [
     "BadArguments",
     "BadSplit",
     "BasisSplit",
+    "CoordinateOutOfRange",
     "Database",
     "DecodeFailure",
     "DerivedParams",

@@ -29,7 +29,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
+from .errors import CoordinateOutOfRange, DimensionMismatch
 from .fields import FieldTower
 from .linalg import fq_deletion_ranks
 from .params import SchemeParams
@@ -76,11 +76,15 @@ def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -
 
     An (m*delta, n, s) query matrix gives the list of its m ranks; a
     (count, m*delta, n, s) stack of them is scanned together and gives a
-    (count, m) array.
+    (count, m) array.  A coordinate outside [0, q) raises
+    CoordinateOutOfRange: the elimination packs each coordinate into a
+    field of bits that it would overflow without a trace.
     """
     queries = np.asarray(queries, dtype=np.int64)
     if queries.ndim not in (3, 4) or queries.shape[-3:] != (params.block_rows, params.n, tower.s):
         raise DimensionMismatch(f"query is {queries.shape}, expected [count,] ({params.block_rows}, {params.n}, {tower.s})")
+    if queries.size and (queries.min() < 0 or queries.max() >= tower.q):
+        raise CoordinateOutOfRange(f"query coordinates span [{queries.min()}, {queries.max()}], outside [0, {tower.q})")
     *lead, rows, cols, s = queries.shape
     return fq_deletion_ranks(queries.reshape(*lead, rows, cols * s), params.delta, tower.fq)
 

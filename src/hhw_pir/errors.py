@@ -41,6 +41,10 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
+class CoordinateOutOfRange(ValueError):
+    """A matrix holds an F_q coordinate outside [0, q)."""
+
+
 class DecodeFailure(RuntimeError):
     """Response decoding hit an inconsistency and cannot recover the file."""
 

@@ -30,11 +30,13 @@ The one elimination kernel of the package, fq_echelon, works over F_p
 only.  An F_q-space of dimension r is an F_p-space of dimension e*r, so
 ranks and inverses over F_q (fq_rank, fq_inv_matrix) and over F_q^s
 (see linalg.ext_rank) run on it through the same regular representations.
-Over F_2 it packs each row into one Python int and eliminates with XOR
-(after the M4RI library of Albrecht and Bard, without its tables); for
-odd p it steps through the columns with numpy row operations.  Its loop
-over a stack of matrices, fq_echelon_stack, runs numpy row operations
-for every p: one Python step per pivot serves the whole stack there.
+For every p it packs each row into one Python int, an entry to a field of
+bits (after the M4RI library of Albrecht and Bard, without its tables),
+and eliminates whole rows at once: over F_2 with XOR, for odd p with one
+integer multiply-add and a division-free reduction of every field.  Its
+loop over a stack of matrices, fq_echelon_stack, runs numpy row
+operations for every p: one Python step per pivot serves the whole stack
+there.
 """
 
 from __future__ import annotations
@@ -289,6 +291,27 @@ def _matpow(a: np.ndarray, n: int, matmul) -> np.ndarray:
 # -- the elimination kernel over F_p (numpy arrays of residues) -----------------
 
 
+@functools.lru_cache(maxsize=256)
+def _row_layout(p: int, cols: int) -> tuple[int, int, int, int]:
+    """(w, s, m, low) of a packed row of ``cols`` entries over odd F_p (see fq_echelon).
+
+    w, the field width in bits, is the narrowest of 8, 16, 32 and 64 with
+    (p^2 - 1) * m < 2^w (every odd p < 2^16 fits in 64); s = bitlen(p^3)
+    and m = ceil(2^s / p) are the shift and multiplier of the reduction;
+    low holds the low w - s bits of each of the cols fields.
+    """
+    s = (p**3).bit_length()
+    m = -(-(1 << s) // p)
+    w = next(w for w in (8, 16, 32, 64) if (p * p - 1) * m < 1 << w)
+    # (2^(w*cols) - 1) / (2^w - 1) has a 1 at the bottom of every field
+    return w, s, m, ((1 << w - s) - 1) * ((1 << w * cols) - 1) // ((1 << w) - 1)
+
+
+def _reduce_fields(x: int, p: int, s: int, m: int, low: int) -> int:
+    """Every field of a packed row, each below p^2, reduced mod p with no division (see fq_echelon)."""
+    return x - p * ((x * m >> s) & low)
+
+
 def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
     """Row echelon form over the prime field F_p with leftmost-column, topmost-row pivoting.
 
@@ -296,87 +319,100 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
         arr: (rows, cols) array of residues mod p.
         fq: a prime-field context (e = 1); larger fields reach this kernel
             through their F_p regular representation (Fq.blow_up).
-        reduced: eliminate above pivots too and normalise them to 1.
+        reduced: eliminate above pivots too.
 
     Returns:
-        The echelon form, a new (rows, cols) int64 array, and the list of
-        pivot column indices.
+        The echelon form, a new (rows, cols) int64 array whose pivots are
+        normalised to 1, and the list of pivot column indices.
 
-    Over F_2 the rows are packed into Python ints (_gf2_echelon).  For odd
-    p only the columns holding a nonzero entry on entry are walked: row
-    operations keep a zero column zero, so no pivot can appear in one.
-    Both make the same swaps and row operations, so the result depends
-    only on the matrix.
+    Row i becomes one Python int whose fields of w bits (one over F_2,
+    _row_layout for odd p), from the top, are its entries, so column c is
+    the c-th field from the top (over F_2, np.packbits pads the row at the
+    bottom to whole bytes).
+    The rows from r down are zero left of the next pivot column, so that
+    column is the top nonzero field of their OR, and the pivot row is the
+    topmost of them with that field nonzero.  It is swapped into row r,
+    normalised, and eliminated from every other row with that field
+    nonzero (below row r only, unless reduced).  Over F_2 the row
+    operation is XOR.  For odd p it is x + (p - c) * pivot, with c the
+    field of x in the pivot column, and every field of the result is then
+    reduced mod p at once, with no division:
+
+        x - p * (((x * m) >> s) & LOW),   LOW the low w - s bits of each field.
+
+    This is exact field by field.  Each field y of x stays below p^2: a
+    field of a row is below p, one of (p - c) * pivot is at most
+    (p - 1)^2, and so is one of a pivot times its inverse.  So y * m <=
+    (p^2 - 1) * m < 2^w carries nothing into the next field; the shift
+    puts floor(y * m / 2^s), which is below 2^(w - s), in the low w - s
+    bits of the field, and LOW drops the s bits shifted in from the field
+    above.  With y = k * p + r and m * p = 2^s + d, 0 <= d < p,
+    y * m / 2^s = k + (r + y * d / 2^s) / p, and y * d < p^3 <= 2^s keeps
+    r + y * d / 2^s below p, so the floor is the quotient k and each field
+    drops to y - k * p = r with no borrow.  Over every p the swaps and row
+    operations are those of the numpy loop this kernel replaced
+    (tests/oracles.py:loop_echelon), so the result depends only on the
+    matrix.
     """
     if fq.e != 1:
         raise ValueError(f"fq_echelon eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
     p = fq.p
-    if p == 2:
-        return _gf2_echelon(arr, reduced)
-    R = np.array(arr, dtype=np.int64, copy=True)
-    rows = R.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for c in R.any(axis=0).nonzero()[0].tolist():
-        if r == rows:
-            break
-        nz = R[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        pinv = pow(int(R[r, c]), -1, p)
-        if pinv != 1:
-            R[r] = R[r] * pinv % p
-        if reduced:
-            others = R[:, c].nonzero()[0]
-            others = others[others != r]
-        else:
-            others = R[r + 1 :, c].nonzero()[0] + (r + 1)
-        if others.size:
-            R[others] = (R[others] - R[others, c][:, None] * R[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def _gf2_echelon(arr: np.ndarray, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """fq_echelon over F_2 on rows packed into Python ints, row operations by XOR.
-
-    Row i becomes the integer whose bits, from the top, are its entries
-    (np.packbits, big-endian), padded at the bottom to whole bytes, so
-    column c is bit width - 1 - c.  The rows from r down are zero left of
-    the next pivot column, so that column is the top bit of their OR and
-    the pivot row is the topmost of them with that bit set; it is swapped
-    into row r and XORed into every other row with the bit set (below
-    row r only, unless reduced).
-    """
     arr = np.asarray(arr)
     rows, cols = arr.shape
-    nbytes = -(-cols // 8)
-    data = np.packbits(arr != 0, axis=1).tobytes()
+    if p == 2:  # one bit per field, no reduction
+        w, fields = 1, 8 * -(-cols // 8)
+        data = np.packbits(arr != 0, axis=1).tobytes()
+    else:
+        w, s, m, low = _row_layout(p, cols)
+        fields = cols
+        dtype = f">u{w // 8}"
+        data = arr.astype(dtype).tobytes()
+    nbytes = fields * w // 8
     R = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(rows)]
-    top = 8 * nbytes - 1
+    field = (1 << w) - 1
     pivots: list[int] = []
     for r in range(rows):
         live = functools.reduce(operator.or_, R[r:])
         if not live:
             break
-        bit = live.bit_length() - 1
-        mask = 1 << bit
+        shift = (live.bit_length() - 1) // w * w
+        mask = field << shift
         i = r
         while not R[i] & mask:
             i += 1
         pivot = R[i]
         R[i] = R[r]
+        if p == 2:
+            R[r + 1 :] = [x ^ pivot if x & mask else x for x in R[r + 1 :]]
+            if reduced:
+                R[:r] = [x ^ pivot if x & mask else x for x in R[:r]]
+        else:
+            # the pivot row is zero left of the pivot column, so its top field is its leading entry
+            inverse = pow(pivot >> shift, -1, p)
+            if inverse != 1:
+                pivot = _reduce_fields(pivot * inverse, p, s, m, low)
+            R[r + 1 :] = _eliminate(R[r + 1 :], pivot, shift, field, p, s, m, low)
+            if reduced:
+                R[:r] = _eliminate(R[:r], pivot, shift, field, p, s, m, low)
         R[r] = pivot
-        R[r + 1 :] = [x ^ pivot if x & mask else x for x in R[r + 1 :]]
-        if reduced:
-            R[:r] = [x ^ pivot if x & mask else x for x in R[:r]]
-        pivots.append(top - bit)
-    packed = np.frombuffer(b"".join(x.to_bytes(nbytes, "big") for x in R), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(rows, nbytes), axis=1, count=cols).astype(np.int64), pivots
+        pivots.append(fields - 1 - shift // w)
+    packed = b"".join([x.to_bytes(nbytes, "big") for x in R])
+    if p == 2:
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(rows, nbytes)
+        return np.unpackbits(bits, axis=1, count=cols).astype(np.int64), pivots
+    return np.frombuffer(packed, dtype=dtype).reshape(rows, cols).astype(np.int64), pivots
+
+
+def _eliminate(rows: list[int], pivot: int, shift: int, field: int, p: int, s: int, m: int, low: int) -> list[int]:
+    """Clear the field at ``shift`` of every packed row with the normalised pivot row, mod p (see fq_echelon)."""
+    out = []
+    for x in rows:
+        c = x >> shift & field
+        if c:
+            x += (p - c) * pivot
+            x -= p * ((x * m >> s) & low)  # _reduce_fields, inlined
+        out.append(x)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

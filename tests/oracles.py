@@ -20,9 +20,9 @@ the digit table replaced them; log_exp_tables / table_vmul /
 table_echelon, the discrete log/exp arithmetic of F_q and the
 elimination over F_q on top of it, before every elimination ran over F_p
 on blow-ups; and loop_echelon, the numpy elimination over F_p that
-fields.fq_echelon ran for every p before its rows over F_2 were packed
-into ints.  The tuple arithmetic of F_q^s (ext_add ... ext_inv) is the
-one the fields once ran on, before both extension steps were built from
+fields.fq_echelon ran for every p before its rows were packed into ints.
+The tuple arithmetic of F_q^s (ext_add ... ext_inv) is the one the
+fields once ran on, before both extension steps were built from
 companion-matrix powers; ext_inv is Fermat's x^(q^s - 2) rather than
 polynomial Euclid.
 """
@@ -304,7 +304,12 @@ def table_inv_matrix(arr, fq: Fq) -> np.ndarray:
 
 
 def loop_echelon(arr, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """fields.fq_echelon as it ran for every p before the packed F_2 rows: one column at a time on numpy rows."""
+    """fields.fq_echelon as it ran before its rows were packed into ints: one column at a time on numpy rows.
+
+    The packed kernel replaced it over F_2 first and then for odd p too;
+    it is the reference the kernel is checked against, entry for entry,
+    over every field width of a packed row.
+    """
     p = fq.p
     R = np.array(arr, dtype=np.int64, copy=True)
     rows = R.shape[0]

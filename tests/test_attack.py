@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hhw_pir.attack import rank_profile, recover_index
-from hhw_pir.errors import DimensionMismatch
+from hhw_pir.errors import CoordinateOutOfRange, DimensionMismatch
 from hhw_pir.fields import build_tower
 from hhw_pir.linalg import change_basis, fq_deletion_ranks, fq_rank
 from hhw_pir.params import SchemeParams
@@ -134,6 +134,23 @@ def test_rank_profile_validates_shape(tight_params, tight_tower, rng):
     foreign = build_tower(2, 1, 3)  # coordinates of another degree s
     with pytest.raises(DimensionMismatch):
         rank_profile(foreign.rand(rng, (rows, n)), tight_params, tight_tower)
+
+
+def test_rank_profile_rejects_coordinates_outside_the_subfield(rng):
+    """A coordinate outside [0, q) raises CoordinateOutOfRange rather than overflowing a packed field."""
+    params = SchemeParams(p=3, e=1, s=2, v=1, n=4, k=2, m=6, L=4)
+    tower = build_tower(3, 1, 2)
+    query, _ = generate_query(params, tower, 2, rng)
+    data = query.matrix.data
+    assert len(rank_profile(data, params, tower)) == params.m
+    for bad in (tower.q, -1, 2**40):
+        for lead in ((), (3,)):
+            corrupt = np.broadcast_to(data, lead + data.shape).copy()
+            corrupt[(0,) * len(lead) + (1, 2, 0)] = bad
+            with pytest.raises(CoordinateOutOfRange, match=r"outside \[0, 3\)"):
+                rank_profile(corrupt, params, tower)
+            with pytest.raises(CoordinateOutOfRange):
+                recover_index(corrupt, params, tower)
 
 
 def test_recovery_at_default_params(preset_params, preset_tower, rng):

@@ -11,7 +11,7 @@ from hhw_pir.errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from hhw_pir.fields import Fq, build_tower, fq_echelon_stack
+from hhw_pir.fields import Fq, _reduce_fields, _row_layout, build_tower, fq_echelon_stack, is_prime
 from hhw_pir.linalg import (
     ExtMatrix,
     change_basis,
@@ -125,59 +125,111 @@ def test_fq_echelon_refuses_extension_fields():
     assert pivots == [0, 1, 2, 3]
 
 
-# -- the packed F_2 kernel against the numpy loop it replaced -------------------------
+# -- the packed kernel against the numpy loop it replaced -----------------------------
 
 F2 = Fq(2, 1, (0, 1))
 # a packed row is whole bytes, so widths on and around the byte and 64-bit boundaries
 GF2_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130)
-GF2_EDGE_SHAPES = [(0, 0), (0, 9), (9, 0), (0, 130), (1, 1), (1, 130), (130, 1)]
+PACKED_EDGE_SHAPES = [(0, 0), (0, 9), (9, 0), (0, 130), (1, 1), (1, 130), (130, 1)]
 GF2_MATRICES = 3000
 
 
-def _gf2_matrix(rng, shape, kind: int) -> np.ndarray:
-    """A seeded F_2 matrix: uniform, sparse, rank-deficient, zero, identity or with repeated rows."""
+PACKED_KINDS = 7
+
+
+def _packed_matrix(fq, rng, shape, kind: int) -> np.ndarray:
+    """A seeded matrix over F_p: uniform, sparse, rank-deficient, zero, (shifted) identity, repeated rows or all p - 1."""
     rows, cols = shape
     if kind == 0:
-        return F2.rand(rng, shape)
+        return fq.rand(rng, shape)
     if kind == 1:
-        return (rng.random(shape) < 0.08).astype(np.int64)
+        return fq.rand(rng, shape) * (rng.random(shape) < 0.08)
     if kind == 2:
         inner = int(rng.integers(0, max(min(rows, cols), 1)))
-        return F2.matmul(F2.rand(rng, (rows, inner)), F2.rand(rng, (inner, cols)))
+        return fq.matmul(fq.rand(rng, (rows, inner)), fq.rand(rng, (inner, cols)))
     if kind == 3:
         return np.zeros(shape, dtype=np.int64)
     if kind == 4:
         return np.eye(rows, cols, k=int(rng.integers(-2, 3)), dtype=np.int64)
-    distinct = max(rows // 3, 1)
-    return F2.rand(rng, (distinct, cols))[rng.integers(0, distinct, size=rows)]
+    if kind == 5:
+        distinct = max(rows // 3, 1)
+        return fq.rand(rng, (distinct, cols))[rng.integers(0, distinct, size=rows)]
+    return np.full(shape, fq.p - 1, dtype=np.int64)
 
 
-def test_packed_gf2_echelon_matches_the_numpy_loop():
-    """fq_echelon over F_2 against the numpy loop it replaced, entry for entry, and naive_rank_fq."""
-    rng = np.random.default_rng(0x6F2)
-    shapes = GF2_EDGE_SHAPES + [
-        (int(rng.integers(0, 25)), int(rng.choice(GF2_WIDTHS) if t % 2 else rng.integers(0, 131)))
-        for t in range(GF2_MATRICES - len(GF2_EDGE_SHAPES))
-    ]
+def _check_against_the_numpy_loop(fq, shapes, rng, naive_size: int) -> tuple[int, int]:
+    """fq_echelon against loop_echelon on seeded matrices of the given shapes; (full-rank, deficient) counts.
+
+    Entry for entry, dtype, shape, pivots as Python ints and the input left
+    untouched, reduced and not; every tenth matrix of at most naive_size
+    entries is also ranked by naive_rank_fq.
+    """
     full = deficient = 0
     for t, shape in enumerate(shapes):
-        arr = _gf2_matrix(rng, shape, t % 6)
+        arr = _packed_matrix(fq, rng, shape, t % PACKED_KINDS)
         before = arr.copy()
         for reduced in (False, True):
-            R, pivots = fq_echelon(arr, F2, reduced=reduced)
-            want, want_pivots = loop_echelon(arr, F2, reduced=reduced)
+            R, pivots = fq_echelon(arr, fq, reduced=reduced)
+            want, want_pivots = loop_echelon(arr, fq, reduced=reduced)
             assert R.dtype == np.int64 and R.shape == arr.shape, (t, shape)
             assert np.array_equal(R, want), (t, shape, reduced)
             assert pivots == want_pivots and all(type(c) is int for c in pivots), (t, shape, reduced)
         assert np.array_equal(arr, before)
         rank = len(pivots)
-        assert fq_rank(arr, F2) == rank
-        if t % 10 == 0 and arr.size <= 1000:
-            assert rank == naive_rank_fq(arr, F2), (t, shape)
+        assert fq_rank(arr, fq) == rank
+        if t % 10 == 0 and arr.size <= naive_size:
+            assert rank == naive_rank_fq(arr, fq), (t, shape)
         if 0 < min(shape):
             full += rank == min(shape)
             deficient += rank < min(shape)
+    return full, deficient
+
+
+def test_packed_gf2_echelon_matches_the_numpy_loop():
+    """fq_echelon over F_2 against the numpy loop it replaced, entry for entry, and naive_rank_fq."""
+    rng = np.random.default_rng(0x6F2)
+    shapes = PACKED_EDGE_SHAPES + [
+        (int(rng.integers(0, 25)), int(rng.choice(GF2_WIDTHS) if t % 2 else rng.integers(0, 131)))
+        for t in range(GF2_MATRICES - len(PACKED_EDGE_SHAPES))
+    ]
+    full, deficient = _check_against_the_numpy_loop(F2, shapes, rng, naive_size=1000)
     assert min(full, deficient) >= GF2_MATRICES // 5
+
+
+# one odd prime per field width of a packed row: 8, 16, 32 and 64 bits
+ODD_PACKED_PRIMES = (3, 5, 251, 65521)
+ODD_MATRICES = 1600
+
+
+@pytest.mark.parametrize("p", ODD_PACKED_PRIMES)
+def test_packed_odd_p_echelon_matches_the_numpy_loop(p):
+    """fq_echelon over odd F_p against the numpy loop it replaced, entry for entry, and naive_rank_fq."""
+    fp = Fq(p, 1, (0, 1))
+    assert _row_layout(p, 1)[0] == {3: 8, 5: 16, 251: 32, 65521: 64}[p]
+    rng = np.random.default_rng(0x0DD + p)
+    shapes = PACKED_EDGE_SHAPES + [
+        (int(rng.integers(0, 25)), int(rng.integers(0, 131))) for _ in range(ODD_MATRICES - len(PACKED_EDGE_SHAPES))
+    ]
+    full, deficient = _check_against_the_numpy_loop(fp, shapes, rng, naive_size=300)
+    assert min(full, deficient) >= ODD_MATRICES // 5
+
+
+def test_packed_row_layout_holds_for_every_odd_prime():
+    """2^s >= p^3 and (p^2 - 1) * m < 2^w for every odd p < 2^16; the reduction is exact on every x < p^2 for p < 2^8."""
+    odd_primes = [p for p in range(3, 1 << 16, 2) if is_prime(p)]
+    for p in odd_primes:
+        w, s, m, low = _row_layout.__wrapped__(p, 2)
+        assert (1 << s) >= p**3 and m * p >= 1 << s > (m - 1) * p, p
+        assert (p * p - 1) * m < 1 << w and w in (8, 16, 32, 64), p
+        assert w == 8 or (p * p - 1) * m >= 1 << w // 2, p  # the narrowest width that holds
+        assert low == ((1 << w - s) - 1) * (1 | 1 << w), p
+    for p in [p for p in odd_primes if p < 1 << 8]:
+        # every x < p^2, one per field of a single packed row, reduced all at once
+        w, s, m, low = _row_layout.__wrapped__(p, p * p)
+        dtype = f">u{w // 8}"
+        x = int.from_bytes(np.arange(p * p).astype(dtype).tobytes(), "big")
+        reduced = _reduce_fields(x, p, s, m, low).to_bytes(p * p * w // 8, "big")
+        assert np.array_equal(np.frombuffer(reduced, dtype=dtype), np.arange(p * p) % p), p
 
 
 @pytest.mark.parametrize("fq", [build_tower(2, e, 2).fq for e in (2, 3, 4)], ids=lambda f: f"q{f.q}")

@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Time the elimination kernel over F_p: the numpy loop it replaced against packed rows.
+"""Time the kernels over F_p on packed rows: elimination and ranks, against the paths they replaced.
 
-Every rank and inverse of the package reaches hhw_pir.fields.fq_echelon
-over F_p, directly or through blow-ups.  The script times the same
-eliminations and per-query stages twice:
+Every inverse and echelon form of the package reaches
+hhw_pir.fields.fq_echelon over F_p, and every rank hhw_pir.fields.fq_rank,
+directly or through blow-ups.  Both pack each row into one Python int, a
+field of bits per entry: fq_echelon eliminates whole rows at once (XOR
+over F_2, a multiply-add and a division-free reduction of every field for
+odd p), fq_rank inserts each row into a basis keyed by its top field.
+The script times each row twice, before and after:
 
-  before  the numpy loop, patched in from tests/oracles.py for the run
-          (loop_echelon as fields.fq_echelon and linalg.fq_echelon), one
-          column at a time with numpy row operations, as fq_echelon ran
-          for every p;
-  after   the kernel of the package, which packs each row into one
-          Python int, a field of bits per entry, and eliminates whole
-          rows at once: with XOR over F_2, with a multiply-add and a
-          division-free reduction of every field for odd p.
+  kernel rows  fq_echelon against the numpy loop it replaced, patched in
+               from tests/oracles.py (loop_echelon), one column at a time
+               with numpy row operations, as fq_echelon ran for every p;
+  rank rows    fq_rank against the ranks it took before its packed
+               kernel, patched in as echelon_rank: the ranks of the numpy
+               fq_echelon_stack for a stack, len(fq_echelon(...)[1]) on
+               the packed fq_echelon for a single matrix;
+  stage rows   the package against both old paths at once.
 
 Kernel rows (seeded matrices).  Over F_2, the shapes the q4 fixture's
 blow-ups hand the kernel: 18x36, the rank of a 3x6 generator over F_64
@@ -22,15 +26,23 @@ the shapes of the attack at the q=3 m=16 fixture: 10x40 reduced, the
 extension of a prefix or suffix basis by one row block, and a 30x40
 rank, a merge of two bases.  One 10x40 reduced row each over F_5,
 F_251 and F_65521, whose packed fields are 16, 32 and 64 bits wide (8
-over F_3).  Stage rows: generate_query, decode and the attack's
-recover_index of one query at a time at the preset, tight and q4
-fixtures (p = 2) and at the q=3 m=16 fixture (p = 3), over --queries
-fixed-seed queries per fixture.
+over F_3).
+
+Rank rows.  The 2-D ranks 18x36 over F_2 and 30x40 over F_3, the stacks
+64x16x32 over F_2 and 64x20x40 over F_3 (seeded), and per fixture every
+fq_rank call of one generation round of 64 fixed-seed streams
+(scheme.generate_queries, captured once), replayed in order, and apart
+from them the tail calls among them, stacks of 1 to 3 matrices, which
+the rejection phases rank once few streams are still pending.
+
+Stage rows: generate_query, decode and the attack's recover_index of one
+query at a time at the preset, tight and q4 fixtures (p = 2) and at the
+q=3 m=16 fixture (p = 3), over --queries fixed-seed queries per fixture.
 
 Each row is timed --repeats times per side, alternating which side goes
 first, and reported as microseconds of wall time per call (median and
 interquartile range).  Both sides must give identical outputs on every
-row (echelon forms and pivots, query matrices, decoded files, rank
+row (echelon forms and pivots, ranks, query matrices, decoded files, rank
 profiles and recovered indices), or the script exits 1.  The timing and
 comparison of a row are those of scripts/bench_products.py.  It writes the
 results with the machine it ran on to BENCH_echelon.json.  Uses only the
@@ -43,6 +55,7 @@ standard library and numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -57,7 +70,7 @@ for path in (ROOT / "src", ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from hhw_pir import attack, fields, linalg, scheme  # noqa: E402
+from hhw_pir import attack, experiment, fields, linalg, scheme  # noqa: E402
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams  # noqa: E402
 from scripts.bench_products import bench_row  # noqa: E402
 from tests import oracles  # noqa: E402
@@ -72,17 +85,39 @@ FIXTURES = [
 MATRIX_SEED = 400
 QUERY_SEED = 401
 DATABASE_SEED = 402
+ROUND_SEED = 403
+
+
+def echelon_rank(arr, fq):
+    """fields.fq_rank before its packed kernel: fq_echelon_stack's ranks, or fq_echelon's pivots for one matrix."""
+    arr = np.asarray(arr)
+    if fq.e > 1:
+        return echelon_rank(fq.blow_up(arr), fq.fp) // fq.e
+    *lead, rows, cols = arr.shape
+    if lead:
+        # fields.* is looked up at call time, so a stack of one runs the patched fq_echelon too
+        return fields.fq_echelon_stack(arr.reshape(-1, rows, cols), fq)[1].reshape(lead)
+    return len(fields.fq_echelon(arr, fq)[1])
 
 
 @contextmanager
-def loop_kernel():
-    """Eliminate on the numpy loop of tests/oracles.py until the block exits."""
-    saved = fields.fq_echelon
-    fields.fq_echelon = linalg.fq_echelon = oracles.loop_echelon
+def swapped(**kernels):
+    """Replace kernels of the package by name, in every module that imported them, until the block exits."""
+    saved = [(module, name, getattr(module, name))
+             for name in kernels for module in (fields, linalg, scheme) if hasattr(module, name)]
+    for module, name, _ in saved:
+        setattr(module, name, kernels[name])
     try:
         yield
     finally:
-        fields.fq_echelon = linalg.fq_echelon = saved
+        for module, name, kernel in saved:
+            setattr(module, name, kernel)
+
+
+# the numpy loop for echelon forms and inverses, and ranks on top of it
+loop_kernel = functools.partial(swapped, fq_echelon=oracles.loop_echelon, fq_rank=echelon_rank)
+# ranks as they were taken before the packed rank kernel, on the packed fq_echelon
+echelon_ranks = functools.partial(swapped, fq_rank=echelon_rank)
 
 
 def kernels(calls: int):
@@ -111,6 +146,43 @@ def kernels(calls: int):
     ]
     return [(name, lambda fp=fp, arr=arr, reduced=reduced: echelon(arr, fp, reduced), n)
             for name, fp, arr, reduced, n in rows]
+
+
+def captured_ranks(p, tower) -> list:
+    """Every (arr, fq) that fields.fq_rank receives in one generation round of fixed-seed streams."""
+    calls = []
+
+    def record(arr, fq, rank=fields.fq_rank):
+        calls.append((np.array(arr), fq))
+        return rank(arr, fq)
+
+    streams = [np.random.default_rng([ROUND_SEED, i]) for i in range(experiment.ROUND_SIZE)]
+    with swapped(fq_rank=record):
+        scheme.generate_queries(p, tower, [1 + i % p.m for i in range(len(streams))], streams)
+    return calls
+
+
+def ranks(calls: int):
+    """(name, call, calls per timing) of every rank row: seeded shapes and the captured generation rounds."""
+    rng = np.random.default_rng(MATRIX_SEED + 1)
+    f2, f3 = (fields.Fq(p, 1, (0, 1)) for p in (2, 3))
+
+    def replay(jobs):
+        # fields.fq_rank is looked up at call time, so echelon_rank runs on the before side
+        return [np.asarray(fields.fq_rank(arr, fq)) for arr, fq in jobs]
+
+    rows = [
+        ("F_2 18x36", [(f2.rand(rng, (18, 36)), f2)], calls),
+        ("F_3 30x40", [(f3.rand(rng, (30, 40)), f3)], calls),
+        ("F_2 64x16x32 stack", [(f2.rand(rng, (64, 16, 32)), f2)], max(calls // 20, 1)),
+        ("F_3 64x20x40 stack", [(f3.rand(rng, (64, 20, 40)), f3)], max(calls // 40, 1)),
+    ]
+    for fixture, p in FIXTURES:
+        jobs = [(arr, fq) for arr, fq in captured_ranks(p, fields.build_tower(p.p, p.e, p.s)) if arr.ndim == 3]
+        tails = [(arr, fq) for arr, fq in jobs if len(arr) <= 3]
+        rows += [(f"{fixture} generation round: {len(jobs)} stacks", jobs, max(calls // 20, 1)),
+                 (f"{fixture} generation round: its {len(tails)} stacks of 1-3", tails, max(calls // 10, 1))]
+    return [(f"rank {name}", lambda jobs=jobs: replay(jobs), n) for name, jobs, n in rows]
 
 
 def stages(queries: int):
@@ -149,9 +221,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     doc = {
-        "topic": "elimination over F_p, microseconds of wall time per call (stage rows: per query)",
-        "before": "tests/oracles.py loop_echelon (numpy row operations, one column at a time) patched in as fq_echelon",
-        "after": "fields.fq_echelon on rows packed into Python ints: XOR over F_2, multiply-add and a division-free field reduction for odd p",
+        "topic": "elimination and ranks over F_p, microseconds of wall time per call (stage rows: per query)",
+        "before": "kernel rows: tests/oracles.py loop_echelon (numpy row operations, one column at a time) "
+                  "patched in as fq_echelon; rank rows: echelon_rank (fq_echelon_stack(...)[1], or "
+                  "len(fq_echelon(...)[1]) for one matrix) patched in as fq_rank; stage rows: both",
+        "after": "fields.fq_echelon on rows packed into Python ints (XOR over F_2, multiply-add and a "
+                 "division-free field reduction for odd p) and fields.fq_rank on the same rows, each "
+                 "inserted into a basis keyed by its top field",
         "command": f"python3 scripts/bench_echelon.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
         "machine": {
             "python": platform.python_version(),
@@ -159,16 +235,17 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
         },
-        "seeds": {"matrices": MATRIX_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED},
+        "seeds": {"matrices": MATRIX_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED, "rounds": ROUND_SEED},
         "fixtures": {name: p.to_dict() for name, p in FIXTURES},
         "rows": [],
     }
-    rows = [(name, call, n, 1) for name, call, n in kernels(args.calls)]
-    rows += [(name, call, n, args.queries) for name, call, n in stages(args.queries)]
-    for name, call, calls, per in rows:
-        row = bench_row(name, call, calls, args.repeats, per, before=loop_kernel)
+    rows = [(name, call, n, 1, loop_kernel) for name, call, n in kernels(args.calls)]
+    rows += [(name, call, n, 1, echelon_ranks) for name, call, n in ranks(args.calls)]
+    rows += [(name, call, n, args.queries, loop_kernel) for name, call, n in stages(args.queries)]
+    for name, call, calls, per, before in rows:
+        row = bench_row(name, call, calls, args.repeats, per, before=before)
         doc["rows"].append(row)
-        print(f"{name:42s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
+        print(f"{name:52s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
               f"after {row['after']['us_median']:9.1f} us (IQR {row['after']['us_iqr']:.1f})  "
               f"x{row['speedup_median']}  identical={row['identical']}")
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

@@ -26,17 +26,21 @@ product, which is in turn one product over F_p.  The kernel runs on
 float64 BLAS and is exact: it splits the inner axis into chunks whose
 sums stay below 2^51 and reduces each partial sum without a division.
 
-The one elimination kernel of the package, fq_echelon, works over F_p
-only.  An F_q-space of dimension r is an F_p-space of dimension e*r, so
-ranks and inverses over F_q (fq_rank, fq_inv_matrix) and over F_q^s
-(see linalg.ext_rank) run on it through the same regular representations.
-For every p it packs each row into one Python int, an entry to a field of
-bits (after the M4RI library of Albrecht and Bard, without its tables),
-and eliminates whole rows at once: over F_2 with XOR, for odd p with one
-integer multiply-add and a division-free reduction of every field.  Its
-loop over a stack of matrices, fq_echelon_stack, runs numpy row
-operations for every p: one Python step per pivot serves the whole stack
-there.
+Elimination and ranks work over F_p only.  An F_q-space of dimension r
+is an F_p-space of dimension e*r, so ranks and inverses over F_q
+(fq_rank, fq_inv_matrix) and over F_q^s (see linalg.ext_rank) reach them
+through the same regular representations.  Both kernels pack each row
+into one Python int, an entry to a field of bits (_pack_rows, after the
+M4RI library of Albrecht and Bard, without its tables), and act on whole
+rows at once: over F_2 with XOR, for odd p with one integer multiply-add
+and a division-free reduction of every field.  fq_echelon computes
+echelon forms, and through them inverses; fq_rank ranks a matrix or a
+stack of any size without it, by inserting each row into a basis keyed
+by top field.  fq_echelon_stack, the reduced echelon forms of a stack by
+numpy row operations, one Python step per pivot for the whole stack,
+serves the attack's chains of bases (linalg._extend_indexed).  fq_rank
+and fq_inv_matrix raise CoordinateOutOfRange on an entry outside [0, q),
+which a packed field would wrap.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from fractions import Fraction
 
 from .errors import (
     BadSplit,
+    CoordinateOutOfRange,
     DegreeTooSmall,
     DimensionMismatch,
     FieldTooLarge,
@@ -312,6 +317,25 @@ def _reduce_fields(x: int, p: int, s: int, m: int, low: int) -> int:
     return x - p * ((x * m >> s) & low)
 
 
+def _pack_rows(arr: np.ndarray, w: int) -> list[int]:
+    """Every row of a (..., cols) array of residues mod p as one Python int, with fields of w bits.
+
+    Column c of a row is its c-th field from the top: w = 1 over F_2, where
+    np.packbits pads the row at the bottom to whole bytes, and w from
+    _row_layout(p, cols) for odd p.  The whole array is packed by one numpy
+    call, and the rows come in C order of the leading axes whatever the
+    memory order of arr.  A row of at most 8 bytes is read as one big-endian
+    64-bit word, whose zero bytes on top leave its value unchanged.
+    """
+    data = np.packbits(arr, axis=-1) if w == 1 else arr.astype(f">u{w // 8}")
+    raw, nbytes = data.tobytes(), data.shape[-1] * data.itemsize  # tobytes is in C order
+    if nbytes > 8:
+        return [int.from_bytes(raw[i : i + nbytes], "big") for i in range(0, len(raw), nbytes)]
+    words = np.zeros((math.prod(arr.shape[:-1]), 8), dtype=np.uint8)
+    words[:, 8 - nbytes :] = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), nbytes)
+    return words.view(">u8").ravel().tolist()
+
+
 def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
     """Row echelon form over the prime field F_p with leftmost-column, topmost-row pivoting.
 
@@ -326,9 +350,7 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
         normalised to 1, and the list of pivot column indices.
 
     Row i becomes one Python int whose fields of w bits (one over F_2,
-    _row_layout for odd p), from the top, are its entries, so column c is
-    the c-th field from the top (over F_2, np.packbits pads the row at the
-    bottom to whole bytes).
+    _row_layout for odd p), from the top, are its entries (_pack_rows).
     The rows from r down are zero left of the next pivot column, so that
     column is the top nonzero field of their OR, and the pivot row is the
     topmost of them with that field nonzero.  It is swapped into row r,
@@ -361,14 +383,12 @@ def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarr
     rows, cols = arr.shape
     if p == 2:  # one bit per field, no reduction
         w, fields = 1, 8 * -(-cols // 8)
-        data = np.packbits(arr != 0, axis=1).tobytes()
     else:
         w, s, m, low = _row_layout(p, cols)
         fields = cols
         dtype = f">u{w // 8}"
-        data = arr.astype(dtype).tobytes()
+    R = _pack_rows(arr, w)
     nbytes = fields * w // 8
-    R = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(rows)]
     field = (1 << w) - 1
     pivots: list[int] = []
     for r in range(rows):
@@ -435,6 +455,8 @@ def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np
     Python loop runs once per pivot, not once per matrix.  Each matrix
     gets exactly the row operations fq_echelon applies to it, so the
     echelon forms agree entry for entry.  A stack of one runs fq_echelon.
+    Ranks alone come faster from fq_rank; this loop serves the reduced
+    bases of linalg._extend_indexed.
 
     Returns:
         The echelon stack, the rank of each matrix, and a (count,
@@ -449,7 +471,8 @@ def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np
     if count == 1:
         R, found = fq_echelon(arr[0], fq, reduced)
         return R[None], np.array([len(found)]), np.array([found + [-1] * (depth - len(found))], dtype=np.int64)
-    R = np.array(arr, dtype=np.int64, copy=True)
+    # a C-ordered copy, so that flat below is a view and the row swaps written through it land in R
+    R = np.array(arr, dtype=np.int64, order="C")
     inverses = _inverses(p)
     stack = np.arange(count)
     flat = R.reshape(count * rows, cols)
@@ -477,38 +500,91 @@ def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np
     return R, pivot_rows.sum(axis=1), np.where(pivot_rows, leading.argmax(axis=2), -1)
 
 
-def fq_rank(arr: np.ndarray, fq: Fq):
-    """Rank over F_q; for e > 1 the F_p rank of the blow-up, which is e times it.
+def _encodings(arr, fq: Fq) -> np.ndarray:
+    """arr as an array of F_q encodings; CoordinateOutOfRange if an entry lies outside [0, q).
 
-    A (..., rows, cols) stack gives the array of the ranks of its matrices;
-    a stack of one matrix is ranked by the 2-D fq_echelon.
+    A packed field would wrap such an entry without a trace, so the kernel's
+    entry points check the range once, before any blow-up, with one
+    maximum over the entries read as unsigned: a negative one reads as at
+    least 2^63.
     """
-    arr = np.asarray(arr)
+    arr = np.asarray(arr, dtype=np.int64)
+    if arr.size and arr.view(np.uint64).max() >= fq.q:
+        raise CoordinateOutOfRange(f"entries span [{arr.min()}, {arr.max()}], outside [0, {fq.q})")
+    return arr
+
+
+def fq_rank(arr: np.ndarray, fq: Fq):
+    """Rank over F_q of a (rows, cols) matrix, or the int64 array of the ranks of a (..., rows, cols) stack.
+
+    For e > 1 it is the F_p rank of the blow-up divided by e.  The whole
+    array is packed at once (_pack_rows, the row layout of fq_echelon), and
+    each matrix's rows are inserted one at a time into a basis of
+    normalised rows keyed by the shift of their top field, so no rank
+    reaches fq_echelon.  While a row x is nonzero, its top field is looked
+    up: if a basis row b has that top field, x is cleared there (x XOR b
+    over F_2; x + (p - c) * b with c the top field of x, then
+    _reduce_fields, for odd p, whose fields stay below p^2 as fq_echelon
+    shows); otherwise x is normalised, stored, and the insertion stops.
+    The basis rows have distinct top fields, so they are independent and
+    span every row inserted so far: the rank is their number, whatever the
+    insertion order.  Each step clears the top field of x, so a row takes
+    at most rank + 1 steps, with no pivot search, no OR over the remaining
+    rows and no unpacking.
+    """
+    arr = _encodings(arr, fq)
     if arr.ndim == 2 and not arr.any():
         return 0
     if fq.e > 1:
-        return fq_rank(fq.blow_up(arr), fq.fp) // fq.e
+        arr = fq.blow_up(arr)
     *lead, rows, cols = arr.shape
-    if math.prod(lead) != 1:
-        return fq_echelon_stack(arr.reshape(-1, rows, cols), fq)[1].reshape(lead)
-    rank = len(fq_echelon(arr.reshape(rows, cols), fq)[1])
-    return np.full(lead, rank) if lead else rank
+    p = fq.p
+    layout = (1, 0, 0, 0) if p == 2 else _row_layout(p, cols)  # over F_2 one bit per field, no reduction
+    packed = _pack_rows(arr, layout[0])
+    ranks = [_basis_rank(packed[i * rows : (i + 1) * rows], p, *layout) // fq.e for i in range(math.prod(lead))]
+    return np.array(ranks, dtype=np.int64).reshape(lead) if lead else ranks[0]
+
+
+def _basis_rank(rows: list[int], p: int, w: int, s: int, m: int, low: int) -> int:
+    """Rank over F_p of packed rows with fields of w bits, inserted into a basis keyed by top field (see fq_rank)."""
+    basis: dict[int, int] = {}
+    for x in rows:
+        while x:
+            shift = (x.bit_length() - 1) & -w  # rounded down to a field boundary, w a power of 2
+            b = basis.get(shift)
+            if b is None:
+                c = x >> shift  # 1 over F_2
+                if c != 1:
+                    x = _reduce_fields(x * pow(c, -1, p), p, s, m, low)
+                basis[shift] = x
+                break
+            if p == 2:
+                x ^= b
+            else:
+                x += (p - (x >> shift)) * b
+                x -= p * ((x * m >> s) & low)  # _reduce_fields, inlined
+    return len(basis)
 
 
 def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
-    """Inverse of a square matrix of F_q encodings; ValueError when singular."""
-    arr = np.asarray(arr, dtype=np.int64)
+    """Inverse of a square matrix of F_q encodings; ValueError when singular.
+
+    For e > 1 it inverts the blow-up over F_p, whose inverse is the
+    blow-up of the inverse.
+    """
+    arr = _encodings(arr, fq)
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise DimensionMismatch(f"expected square matrix, got {arr.shape}")
-    if fq.e > 1:
-        inv = fq_inv_matrix(fq.blow_up(arr), fq.fp)
-        # row 0 of every block of the inverse blow-up holds the digits of the entry
-        return fq.from_digits(inv[:: fq.e].reshape(n, n, fq.e))
-    R, pivots = fq_echelon(np.hstack([arr, np.eye(n, dtype=np.int64)]), fq, reduced=True)
-    if pivots[:n] != list(range(n)):
+    size = n * fq.e
+    big = fq.blow_up(arr) if fq.e > 1 else arr
+    R, pivots = fq_echelon(np.hstack([big, np.eye(size, dtype=np.int64)]), fq.fp, reduced=True)
+    if pivots[:size] != list(range(size)):
         raise ValueError("matrix is singular")
-    return R[:, n:]
+    if fq.e == 1:
+        return R[:, size:]
+    # row 0 of every block of the inverse blow-up holds the digits of the entry
+    return fq.from_digits(R[:: fq.e, size:].reshape(n, n, fq.e))
 
 
 def _is_irreducible(fq: Fq, poly: list[int]) -> bool:

@@ -15,10 +15,11 @@ of the PIR scheme leak: it cannot exceed rank_ext * s and it is invariant
 under applying any fixed invertible F_q-linear map to every entry, so an
 observer needs no knowledge of the hidden basis to evaluate it.
 
-Both run on the one elimination kernel, fields.fq_echelon over F_p: work
-over F_q^s goes through the regular representation (FieldTower.blow_up),
-which replaces every entry by the s x s F_q matrix of multiplication by
-it, and work over F_q through Fq.blow_up, its e x e F_p counterpart.
+Both run on the packed kernels over F_p of fields, ranks on fq_rank and
+inverses on fq_echelon: work over F_q^s goes through the regular
+representation (FieldTower.blow_up), which replaces every entry by the
+s x s F_q matrix of multiplication by it, and work over F_q through
+Fq.blow_up, its e x e F_p counterpart.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def _stacked_deletion_ranks(blocks: np.ndarray, fq: Fq) -> np.ndarray:
 
     The prefix and the suffix chain extend one pivot-indexed stack of
     2*count bases, the first count matrices by blocks 1, 2, ... and the
-    others by blocks m, m-1, ...  The deletions are then ranked in one
-    stacked elimination: wherever the larger basis of a deletion falls
+    others by blocks m, m-1, ...  The deletions are then ranked by one
+    fq_rank call on a stack: wherever the larger basis of a deletion falls
     short of full rank and the smaller one is not empty, the pivot rows
     of the smaller basis, reduced against the larger one, padded with
     zero rows to the largest such count.
@@ -190,7 +191,7 @@ def _stacked_deletion_ranks(blocks: np.ndarray, fq: Fq) -> np.ndarray:
         width = int(np.minimum(head_rank, tail_rank)[pairs].max())
         order = np.argsort(np.diagonal(small, axis1=-2, axis2=-1) == 0, axis=-1, kind="stable")[:, :width]
         small = np.take_along_axis(small, order[..., None], axis=-2)  # pivot rows first
-        ranks[pairs] += fq_echelon_stack(fq.vsub(small, fq.matmul(small, big)), fq)[1]
+        ranks[pairs] += fq_rank(fq.vsub(small, fq.matmul(small, big)), fq)
     return ranks.T
 
 

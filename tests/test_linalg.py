@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhw_pir.errors import (
+    CoordinateOutOfRange,
     DimensionMismatch,
     IndexOutOfRange,
     NotInformationSet,
@@ -305,6 +306,85 @@ def test_fq_echelon_stack_refuses_extension_fields():
     fq = build_tower(2, 2, 2).fq
     with pytest.raises(ValueError, match="F_p only"):
         fq_echelon_stack(np.zeros((2, 2, 2), dtype=np.int64), fq)
+
+
+def test_stacks_in_any_memory_order_match_their_c_ordered_copy():
+    """fq_echelon_stack and fq_rank on transposed, swapped and strided-slice stacks, over F_2 and F_3."""
+    for p in (2, 3):
+        fp = Fq(p, 1, (0, 1))
+        rng = np.random.default_rng(0x5D + p)
+        square = fp.rand(rng, (5, 4, 4))
+        square[0, 3] = square[0, 1]
+        square[1, :, 2] = 0
+        wide = fp.rand(rng, (6, 5, 9)) * (rng.random((6, 5, 9)) < 0.5)
+        views = [square.transpose(0, 2, 1), square.swapaxes(0, 1), square.swapaxes(0, 2), wide[::2, 1:, ::2],
+                 wide[:, ::-1, 3:], np.asfortranarray(wide)]
+        for view in views:
+            copy = np.ascontiguousarray(view)
+            assert not view.flags.c_contiguous
+            for reduced in (False, True):
+                for got, want in zip(fq_echelon_stack(view, fp, reduced), fq_echelon_stack(copy, fp, reduced)):
+                    assert np.array_equal(got, want), (p, view.shape, reduced)
+            ranks = [naive_rank_fq(matrix, fp) for matrix in copy]
+            assert fq_rank(view, fp).tolist() == fq_rank(copy, fp).tolist() == ranks, (p, view.shape)
+            assert [fq_rank(matrix, fp) for matrix in view] == ranks
+
+
+def test_rank_and_inverse_reject_entries_outside_the_field():
+    """A packed field would wrap an entry outside [0, q): fq_rank and fq_inv_matrix raise instead."""
+    f2, f3, f4 = Fq(2, 1, (0, 1)), Fq(3, 1, (0, 1)), build_tower(2, 2, 2).fq
+    # 256 would wrap to 0 in an 8-bit field; 2 would pack as bit 1 over F_2
+    cases = [(f3, [[256]]), (f2, [[2, 0], [0, 2]]), (f3, [[1, 0], [-1, 1]]), (f4, [[1, 4], [0, 1]])]
+    for fq, entries in cases:
+        arr = np.array(entries)
+        for call in (fq_rank, fq_inv_matrix):
+            with pytest.raises(CoordinateOutOfRange):
+                call(arr, fq)
+        with pytest.raises(CoordinateOutOfRange):
+            fq_rank(np.stack([arr % fq.q, arr]), fq)
+    assert fq_rank(np.array([[3, 0], [0, 1]]), f4) == 2
+    assert np.array_equal(fq_inv_matrix(np.array([[2]]), f3), [[2]])
+
+
+# one prime per field width of a packed row: 1, 8, 16, 32 and 64 bits
+RANK_PRIMES = (2,) + ODD_PACKED_PRIMES
+# leading shapes: a matrix, stacks of 0, 1, 2, 3 and 64, and 4-D stacks
+RANK_LEADS = [(), (0,), (1,), (2,), (3,), (64,), (2, 3), (3, 0)]
+RANK_CASES = 400
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_packed_rank_matches_the_oracles(p):
+    """fq_rank against naive_rank_fq and the pivot count of loop_echelon, on seeded matrices and stacks.
+
+    A 2-D input gives an int, a stack an int64 array of its leading shape,
+    and the input is left untouched.
+    """
+    fp = Fq(p, 1, (0, 1))
+    rng = np.random.default_rng(0x4A2C + p)
+    matrices = naive = 0
+    for t in range(RANK_CASES):
+        lead = RANK_LEADS[t % len(RANK_LEADS)]
+        if t < len(PACKED_EDGE_SHAPES):
+            shape = PACKED_EDGE_SHAPES[t]
+        else:
+            shape = (int(rng.integers(0, 25)), int(rng.integers(0, 131)))
+        members = [_packed_matrix(fp, rng, shape, (t + i) % PACKED_KINDS) for i in range(int(np.prod(lead)))]
+        arr = np.array(members, dtype=np.int64).reshape(*lead, *shape)
+        before = arr.copy()
+        ranks = fq_rank(arr, fp)
+        assert np.array_equal(arr, before)
+        if lead:
+            assert isinstance(ranks, np.ndarray) and ranks.dtype == np.int64 and ranks.shape == lead, (t, lead)
+        else:
+            assert type(ranks) is int, t
+        for member, rank in zip(members, np.ravel(ranks).tolist()):
+            assert rank == len(loop_echelon(member, fp)[1]), (t, lead, shape)
+            if member.size <= 300:
+                assert rank == naive_rank_fq(member, fp), (t, lead, shape)
+                naive += 1
+        matrices += len(members)
+    assert matrices >= 2000 and naive >= 500
 
 
 def test_blow_ups_take_a_leading_batch_axis(rng):

@@ -13,11 +13,14 @@ the unique block whose deletion stays at or below the threshold.
 The scan needs no knowledge of the secret code, information set or basis
 split: subfield rank is invariant under the basis used to expand entries.
 
-Cost: the m deletions share their work.  Reduced echelon bases of every
-prefix B_1..B_i and every suffix B_i..B_m of the row blocks are built one
-block at a time, and each deletion merges the prefix before it with the
-suffix after it: about 3m merges of bases with at most n*s rows each,
-instead of m eliminations of ((m-1)*delta) x (n*s) subfield matrices.
+Cost: the m deletions share their work.  Bases of every prefix
+B_1..B_i and every suffix B_i..B_m of the row blocks are built one block
+at a time, and each deletion merges the prefix before it with the suffix
+after it: about 3m merges of bases with at most n*s rows each, instead of
+m eliminations of ((m-1)*delta) x (n*s) subfield matrices.  Over F_2 and
+F_(2^e) the bases are rows packed into Python ints, each row inserted by
+XOR into a basis keyed by its top bit; for odd p they are numpy arrays in
+reduced echelon form (see linalg.fq_deletion_ranks).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import CoordinateOutOfRange, DimensionMismatch
+from .errors import DimensionMismatch
 from .fields import FieldTower
 from .linalg import fq_deletion_ranks
 from .params import SchemeParams
@@ -77,14 +80,13 @@ def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -
     An (m*delta, n, s) query matrix gives the list of its m ranks; a
     (count, m*delta, n, s) stack of them is scanned together and gives a
     (count, m) array.  A coordinate outside [0, q) raises
-    CoordinateOutOfRange: the elimination packs each coordinate into a
-    field of bits that it would overflow without a trace.
+    CoordinateOutOfRange (linalg.fq_deletion_ranks checks it): the scan
+    packs each coordinate into a field of bits that it would overflow
+    without a trace.
     """
     queries = np.asarray(queries, dtype=np.int64)
     if queries.ndim not in (3, 4) or queries.shape[-3:] != (params.block_rows, params.n, tower.s):
         raise DimensionMismatch(f"query is {queries.shape}, expected [count,] ({params.block_rows}, {params.n}, {tower.s})")
-    if queries.size and (queries.min() < 0 or queries.max() >= tower.q):
-        raise CoordinateOutOfRange(f"query coordinates span [{queries.min()}, {queries.max()}], outside [0, {tower.q})")
     *lead, rows, cols, s = queries.shape
     return fq_deletion_ranks(queries.reshape(*lead, rows, cols * s), params.delta, tower.fq)
 

@@ -36,11 +36,13 @@ rows at once: over F_2 with XOR, for odd p with one integer multiply-add
 and a division-free reduction of every field.  fq_echelon computes
 echelon forms, and through them inverses; fq_rank ranks a matrix or a
 stack of any size without it, by inserting each row into a basis keyed
-by top field.  fq_echelon_stack, the reduced echelon forms of a stack by
+by top field (_insert_rows).  Over F_2 the attack's deletion scan
+(linalg.fq_deletion_ranks) builds its chains of bases by the same
+insertion.  fq_echelon_stack, the reduced echelon forms of a stack by
 numpy row operations, one Python step per pivot for the whole stack,
-serves the attack's chains of bases (linalg._extend_indexed).  fq_rank
-and fq_inv_matrix raise CoordinateOutOfRange on an entry outside [0, q),
-which a packed field would wrap.
+serves those chains for odd p (linalg._extend_indexed).  fq_rank,
+fq_inv_matrix and linalg.fq_deletion_ranks raise CoordinateOutOfRange on
+an entry outside [0, q), which a packed field would wrap.
 """
 
 from __future__ import annotations
@@ -456,7 +458,7 @@ def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np
     gets exactly the row operations fq_echelon applies to it, so the
     echelon forms agree entry for entry.  A stack of one runs fq_echelon.
     Ranks alone come faster from fq_rank; this loop serves the reduced
-    bases of linalg._extend_indexed.
+    bases of linalg._extend_indexed, which the deletion scan runs for odd p.
 
     Returns:
         The echelon stack, the rank of each matrix, and a (count,
@@ -530,7 +532,9 @@ def fq_rank(arr: np.ndarray, fq: Fq):
     span every row inserted so far: the rank is their number, whatever the
     insertion order.  Each step clears the top field of x, so a row takes
     at most rank + 1 steps, with no pivot search, no OR over the remaining
-    rows and no unpacking.
+    rows and no unpacking.  The insertion (_insert_rows, which
+    linalg.fq_deletion_ranks shares over F_2) stops once a matrix's basis
+    holds cols rows.
     """
     arr = _encodings(arr, fq)
     if arr.ndim == 2 and not arr.any():
@@ -541,13 +545,20 @@ def fq_rank(arr: np.ndarray, fq: Fq):
     p = fq.p
     layout = (1, 0, 0, 0) if p == 2 else _row_layout(p, cols)  # over F_2 one bit per field, no reduction
     packed = _pack_rows(arr, layout[0])
-    ranks = [_basis_rank(packed[i * rows : (i + 1) * rows], p, *layout) // fq.e for i in range(math.prod(lead))]
+    ranks = []
+    for i in range(math.prod(lead)):
+        basis: dict[int, int] = {}
+        _insert_rows(basis, packed[i * rows : (i + 1) * rows], cols, p, *layout)
+        ranks.append(len(basis) // fq.e)
     return np.array(ranks, dtype=np.int64).reshape(lead) if lead else ranks[0]
 
 
-def _basis_rank(rows: list[int], p: int, w: int, s: int, m: int, low: int) -> int:
-    """Rank over F_p of packed rows with fields of w bits, inserted into a basis keyed by top field (see fq_rank)."""
-    basis: dict[int, int] = {}
+def _insert_rows(basis: dict[int, int], rows, full: int, p: int, w: int, s: int, m: int, low: int) -> None:
+    """Insert packed rows over F_p, fields of w bits, into a basis keyed by top field (see fq_rank).
+
+    The basis is extended in place, and the insertion stops once it holds
+    ``full`` rows, the number of columns: it then spans every row.
+    """
     for x in rows:
         while x:
             shift = (x.bit_length() - 1) & -w  # rounded down to a field boundary, w a power of 2
@@ -557,13 +568,14 @@ def _basis_rank(rows: list[int], p: int, w: int, s: int, m: int, low: int) -> in
                 if c != 1:
                     x = _reduce_fields(x * pow(c, -1, p), p, s, m, low)
                 basis[shift] = x
+                if len(basis) == full:
+                    return
                 break
             if p == 2:
                 x ^= b
             else:
                 x += (p - (x >> shift)) * b
                 x -= p * ((x * m >> s) & low)  # _reduce_fields, inlined
-    return len(basis)
 
 
 def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:

@@ -20,6 +20,12 @@ inverses on fq_echelon: work over F_q^s goes through the regular
 representation (FieldTower.blow_up), which replaces every entry by the
 s x s F_q matrix of multiplication by it, and work over F_q through
 Fq.blow_up, its e x e F_p counterpart.
+
+fq_deletion_ranks, the attack's scan of every block deletion, shares
+prefix and suffix bases among the deletions.  Over F_2 these are dicts of
+packed rows, extended by the insertion of fq_rank (fields._insert_rows);
+for odd p they are numpy arrays in reduced echelon form, extended with
+products and fq_echelon (one matrix) or fq_echelon_stack (a stack).
 """
 
 from __future__ import annotations
@@ -32,7 +38,17 @@ from .errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from .fields import FieldTower, Fq, fq_echelon, fq_echelon_stack, fq_inv_matrix, fq_rank
+from .fields import (
+    FieldTower,
+    Fq,
+    _encodings,
+    _insert_rows,
+    _pack_rows,
+    fq_echelon,
+    fq_echelon_stack,
+    fq_inv_matrix,
+    fq_rank,
+)
 
 
 class ExtMatrix:
@@ -92,29 +108,93 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
     With B_1..B_m the row blocks, rank(arr minus B_j) is the dimension of
     rowspace(B_1..B_(j-1)) + rowspace(B_(j+1)..B_m).  Both chains of
     bases are built incrementally, 2(m-1) extensions by one block, and
-    each deletion costs one merge: the smaller basis reduced against the
-    larger one, then ranked.  No basis has more than ``cols`` rows, so the
-    scan never eliminates a (m-1)*block-row matrix.  For e > 1 the scan
-    runs once over F_p on the blow-up, whose blocks have block*e rows and
-    whose ranks are e times those over F_q.
+    each deletion costs one merge of the smaller basis into the larger
+    one.  No basis has more than ``cols`` rows, so the scan never
+    eliminates a (m-1)*block-row matrix.  For e > 1 the scan runs once
+    over F_p on the blow-up, whose blocks have block*e rows and whose
+    ranks are e times those over F_q.
 
-    A (count, rows, cols) stack gives a (count, m) array: the chains then
-    run over the whole stack at once (_stacked_deletion_ranks), except
-    for a stack of one, which takes the scan of a single matrix.
+    Over F_2 the bases are packed rows (_packed_deletion_ranks), for one
+    matrix and for a stack alike.  For odd p they are numpy arrays in
+    reduced echelon form (_chained_deletion_ranks, and for a stack of more
+    than one _stacked_deletion_ranks), because there a row already in the
+    span costs about rank x 11 big-int steps to clear, while the numpy
+    chain clears a whole block with one product; in the attack most blocks
+    are, as the prefix saturates at s*n - delta before the target block.
+
+    A (rows, cols) matrix gives the list of its m ranks, a (count, rows,
+    cols) stack a (count, m) int64 array.  An entry outside [0, q) raises
+    CoordinateOutOfRange, which a packed field would wrap, and any other
+    shape, a block below 1 or rows that do not split into one or more
+    blocks raise DimensionMismatch.
     """
-    arr = np.asarray(arr, dtype=np.int64)
-    rows, cols = arr.shape[-2:]
-    m, rem = divmod(rows, block)
-    if rem:
-        raise DimensionMismatch(f"{rows} rows do not split into blocks of {block}")
+    arr = _encodings(arr, fq)
+    if arr.ndim not in (2, 3) or block < 1:
+        raise DimensionMismatch(f"expected [count,] (rows, cols) and a block >= 1, got {arr.shape} and {block}")
+    stack = arr if arr.ndim == 3 else arr[None]
+    rows = stack.shape[1]
+    if not rows or rows % block:
+        raise DimensionMismatch(f"{rows} rows do not split into one or more blocks of {block}")
     if fq.e > 1:
-        ranks = fq_deletion_ranks(fq.blow_up(arr), block * fq.e, fq.fp)
-        return ranks // fq.e if arr.ndim == 3 else [r // fq.e for r in ranks]
-    if arr.ndim == 3:
-        if len(arr) == 1:
-            return np.array([fq_deletion_ranks(arr[0], block, fq)], dtype=np.int64)
-        return _stacked_deletion_ranks(arr.reshape(len(arr), m, block, cols), fq)
-    blocks = [arr[i * block : (i + 1) * block] for i in range(m)]
+        stack, block = fq.blow_up(stack), block * fq.e
+    if fq.p == 2:
+        ranks = _packed_deletion_ranks(stack, block)
+    elif len(stack) == 1:
+        ranks = np.array([_chained_deletion_ranks(stack[0], block, fq.fp)], dtype=np.int64)
+    else:
+        count, rows, cols = stack.shape
+        ranks = _stacked_deletion_ranks(stack.reshape(count, rows // block, block, cols), fq.fp)
+    if fq.e > 1:
+        ranks //= fq.e
+    return ranks if arr.ndim == 3 else ranks[0].tolist()
+
+
+def _packed_deletion_ranks(stack: np.ndarray, block: int) -> np.ndarray:
+    """fq_deletion_ranks over F_2 of a (count, rows, cols) stack, on rows packed into Python ints.
+
+    The whole stack is packed at once (_pack_rows).  Each basis is a dict
+    of packed rows keyed by top bit, as in fq_rank, and a chain extends a
+    copy of its last basis by one block (_insert_rows), until the basis
+    holds cols rows and so spans every later block too.  Deletion j
+    inserts the rows of the smaller of its two bases into a copy of the
+    larger one, unless the larger is full or the smaller empty.
+    """
+    count, rows, cols = stack.shape
+    m = rows // block
+    packed = _pack_rows(stack, 1)
+    out = []
+    for i in range(count):
+        blocks = [packed[i * rows + j * block : i * rows + (j + 1) * block] for j in range(m)]
+        before = [{}]  # before[j] spans blocks[:j]
+        for b in blocks[:-1]:
+            before.append(_extended(before[-1], b, cols))
+        after = [{}]  # after[j] spans blocks[j+1:], once reversed
+        for b in reversed(blocks[1:]):
+            after.append(_extended(after[-1], b, cols))
+        after.reverse()
+        for head, tail in zip(before, after):
+            big, small = (head, tail) if len(head) >= len(tail) else (tail, head)
+            out.append(len(big) if len(big) == cols or not small else len(_extended(big, small.values(), cols)))
+    return np.array(out, dtype=np.int64).reshape(count, m)
+
+
+def _extended(basis: dict[int, int], rows, cols: int) -> dict[int, int]:
+    """A packed F_2 basis of rowspace(basis) + rowspace(rows): basis itself when it is full, else a new dict."""
+    if len(basis) == cols:
+        return basis
+    basis = basis.copy()
+    _insert_rows(basis, rows, cols, 2, 1, 0, 0, 0)
+    return basis
+
+
+def _chained_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
+    """fq_deletion_ranks over F_p of one (rows, cols) matrix, on numpy chains of reduced bases.
+
+    Each deletion reduces the smaller basis against the larger one and
+    ranks the residual.
+    """
+    rows, cols = arr.shape
+    blocks = [arr[i * block : (i + 1) * block] for i in range(rows // block)]
     empty = (np.zeros((0, cols), dtype=np.int64), [])
     before = [empty]  # before[j] spans blocks[:j]
     for b in blocks[:-1]:

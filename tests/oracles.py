@@ -5,9 +5,12 @@ oracles compute in is their own (digitwise fq_add/fq_sub, the digit
 polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
 by plain-Python elimination over it, subspaces are enumerated rather
 than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Six kinds of entry are paths
+recovery pipeline with explicit scalars.  Seven kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
+chain_deletion_ranks, the scan on numpy chains of reduced bases, which
+the package still runs for odd p and ran over F_2 as well before its
+bases were packed into ints;
 scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
 Gauss-Jordan elimination over F_q^s on scalar tower ops that the
 regular-representation kernel replaced; digit_fq_matmul / digit_matmul /
@@ -37,6 +40,7 @@ import numpy as np
 
 from hhw_pir.errors import RankDeficientGenerator
 from hhw_pir.fields import FieldTower, Fq, fq_rank
+from hhw_pir.linalg import _chained_deletion_ranks, _stacked_deletion_ranks
 
 
 def fq_add(fq: Fq, a: int, b: int) -> int:
@@ -176,6 +180,23 @@ def per_deletion_rank_profile(data: np.ndarray, delta: int, fq: Fq) -> list[int]
     rows, cols, s = data.shape
     shape = (rows - delta, cols * s)
     return [fq_rank(delete_block(data, j, delta).reshape(shape), fq) for j in range(1, rows // delta + 1)]
+
+
+def chain_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
+    """linalg.fq_deletion_ranks on the numpy chains of reduced bases, at every p.
+
+    The chains are called directly, so over F_2 and F_(2^e) this is the
+    path the packed scan replaced: the 2-D chain for a (rows, cols)
+    matrix, which gives a list, and the stacked chain for a (count, rows,
+    cols) stack, which gives a (count, m) array.
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    if fq.e > 1:
+        arr, block = fq.blow_up(arr), block * fq.e
+    if arr.ndim == 2:
+        return [r // fq.e for r in _chained_deletion_ranks(arr, block, fq.fp)]
+    count, rows, cols = arr.shape
+    return _stacked_deletion_ranks(arr.reshape(count, rows // block, block, cols), fq.fp) // fq.e
 
 
 def scalar_rank_ext(rows, tower: FieldTower) -> int:

@@ -11,7 +11,7 @@ from hhw_pir.linalg import change_basis, fq_deletion_ranks, fq_rank
 from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import generate_queries, generate_query
 
-from .oracles import delete_block, per_deletion_rank_profile, subfield_rank_oracle
+from .oracles import chain_deletion_ranks, delete_block, naive_rank_fq, per_deletion_rank_profile, subfield_rank_oracle
 
 
 def test_rank_profile_matches_naive_oracle(tight_params, tight_tower, rng):
@@ -122,8 +122,81 @@ def test_recover_index_scans_a_stack(tight_params, tight_tower):
 
 
 def test_deletion_ranks_need_whole_blocks(tight_tower):
-    with pytest.raises(DimensionMismatch):
-        fq_deletion_ranks(np.zeros((5, 4), dtype=np.int64), 2, tight_tower.fq)
+    """Rows that do not split into one or more blocks, a 4-D array (not a stack of blocks) and a block below 1."""
+    for shape, block in [((5, 4), 2), ((0, 4), 2), ((3, 0, 4), 1), ((2, 2, 4, 8), 2), ((4, 8), 0), ((3, 4, 8), -1)]:
+        with pytest.raises(DimensionMismatch):
+            fq_deletion_ranks(np.zeros(shape, dtype=np.int64), block, tight_tower.fq)
+
+
+def test_deletion_ranks_reject_entries_outside_the_field():
+    """An entry outside [0, q) raises for every p and shape, where a packed field would wrap it.
+
+    Over F_2 the entry 2 is 0 mod 2, so the true ranks of np.full((4, 8), 2)
+    are zeros; a packed row would read it as bit 1.
+    """
+    for tower in (build_tower(2, 1, 2), build_tower(3, 1, 2), build_tower(2, 2, 2)):
+        fq = tower.fq
+        for bad in (fq.q, -1, 2**40):
+            for lead in ((), (1,), (3,)):
+                arr = np.full(lead + (4, 8), bad, dtype=np.int64)
+                with pytest.raises(CoordinateOutOfRange, match=rf"outside \[0, {fq.q}\)"):
+                    fq_deletion_ranks(arr, 2, fq)
+
+
+# the kinds of seeded input of the deletion-scan differential test
+DELETION_KINDS = ["uniform", "sparse", "low rank", "zero blocks", "repeated blocks", "full first block", "deficient block"]
+
+
+def _deletion_case(rng, fq, count, m, block, width, kind):
+    """A (count, m*block, width) stack over F_q of the given kind."""
+    shape = (count, m, block, width)
+    arr = fq.rand(rng, shape)
+    if kind == "sparse":
+        arr[rng.random(shape) < 0.8] = 0
+    elif kind == "low rank":
+        inner = int(rng.integers(0, 4))
+        arr = fq.matmul(fq.rand(rng, (count, m * block, inner)), fq.rand(rng, (count, inner, width)))
+    elif kind == "zero blocks":
+        arr[:, rng.random(m) < 0.5] = 0
+    elif kind == "repeated blocks":
+        arr = arr[:, rng.integers(0, m, size=m)]
+    elif kind == "full first block":  # the first block alone spans every column
+        arr = arr[..., :block]
+        lead = arr.shape[-1]
+        arr[:, 0, :lead] = np.eye(lead, dtype=np.int64)
+    elif kind == "deficient block":  # one block of rank below min(block, width)
+        j, inner = int(rng.integers(0, m)), max(min(block, width) - 1, 0)
+        arr[:, j] = fq.matmul(fq.rand(rng, (count, block, inner)), fq.rand(rng, (count, inner, arr.shape[-1])))
+    return np.ascontiguousarray(arr.reshape(count, m * block, arr.shape[-1]))
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_packed_deletion_scan_matches_numpy_chains(q):
+    """Over F_2 and F_4 the packed scan gives the ranks of the numpy chains, and of naive ranks on small cases.
+
+    Widths run to 130 bits (over F_4 to 65 entries, 130 bits of blow-up),
+    across the 8-byte words of _pack_rows and the padding of packbits.
+    """
+    fq = build_tower(2, q.bit_length() - 1, 2).fq
+    rng = np.random.default_rng(0xDE1 + q)
+    for trial in range(20 * len(DELETION_KINDS)):
+        kind = DELETION_KINDS[trial % len(DELETION_KINDS)]
+        count = int(rng.choice([0, 1, 2, 25, 64])) if trial % 3 else int(rng.integers(0, 3))
+        m, block = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        width = int(rng.integers(0, 130 // fq.e + 1))
+        stack = _deletion_case(rng, fq, count, m, block, width, kind)
+        before = stack.copy()
+        ranks = fq_deletion_ranks(stack, block, fq)
+        assert type(ranks) is np.ndarray and ranks.dtype == np.int64 and ranks.shape == (count, m), (trial, kind)
+        assert np.array_equal(ranks, chain_deletion_ranks(stack, block, fq)), (trial, kind)
+        for b, matrix in enumerate(stack[:2]):
+            single = fq_deletion_ranks(matrix, block, fq)
+            assert type(single) is list and all(type(r) is int for r in single), (trial, kind)
+            assert single == chain_deletion_ranks(matrix, block, fq) == ranks[b].tolist(), (trial, kind, b)
+            if m * block <= 12 and stack.shape[-1] <= 16:
+                naive = [naive_rank_fq(np.delete(matrix, slice(j * block, (j + 1) * block), axis=0), fq) for j in range(m)]
+                assert single == naive, (trial, kind, b)
+        assert np.array_equal(stack, before), (trial, kind)
 
 
 def test_rank_profile_validates_shape(tight_params, tight_tower, rng):

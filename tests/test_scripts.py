@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["rank_gap_demo.py"],
         ["success_vs_m.py", "--m-max", "3", "--trials", "20"],
         ["bench_trials.py", "--sweeps", "1", "--trials", "1", "--repeats", "1", "--out", os.devnull],
-        ["bench_attack.py", "--queries", "2", "--repeats", "1", "--out", os.devnull],
+        ["bench_attack.py", "--queries", "2", "--stacks", "1", "--repeats", "1", "--out", os.devnull],
         ["bench_products.py", "--calls", "1", "--queries", "1", "--repeats", "1", "--out", os.devnull],
         ["bench_echelon.py", "--calls", "1", "--queries", "1", "--repeats", "1", "--out", os.devnull],
     ],

@@ -172,28 +172,30 @@ def test_save_matrix_rejects_bad_input():
 # -- load-side rejection catalog ---------------------------------------------------------
 
 
+# Each case carries a short id of its own: ids made from the raw header
+# bytes ran to 126 characters and agreed in their first 100.
 @pytest.mark.parametrize(
     "raw,fragment",
     [
-        (b"HHW", "too short"),
-        (_header()[:20], "too short"),
-        (_header(magic=b"HHWX") + bytes([0]), "bad magic"),
-        (_header(version=2) + bytes([0]), "version"),
-        (_header(p=4) + bytes([0]), "not prime"),
-        (_header(p=0) + bytes([0]), "not prime"),
-        (_header(e=0) + bytes([0]), "degrees"),
-        (_header(s=0) + bytes([0]), "degrees"),
-        (_header(rows=0) + b"", "dimensions"),
-        (_header(cols=0) + b"", "dimensions"),
-        (_header(p=2, e=1, s=65), "exceeds"),
-        (_header(p=2, e=2**31, s=2**31), "exceeds"),
-        (_header(p=2, e=2**32 - 1, s=1), "exceeds"),
-        (_header(p=2, e=64, s=1) + bytes(8), "int64"),
-        (_header(p=4294967291, e=2, s=1) + bytes(8), "int64"),
-        (_header() + bytes([0, 0, 0]), "expected 1"),
-        (_header(rows=2, cols=2) + bytes([0]), "expected 4"),
-        (_header(p=3, e=1, s=1) + bytes([3]), "outside"),
-        (_header(p=2, e=1, s=2) + bytes([4]), "outside"),
+        pytest.param(b"HHW", "too short", id="HHW-too short"),
+        pytest.param(_header()[:20], "too short", id="cut header"),
+        pytest.param(_header(magic=b"HHWX") + bytes([0]), "bad magic", id="magic HHWX"),
+        pytest.param(_header(version=2) + bytes([0]), "version", id="version 2"),
+        pytest.param(_header(p=4) + bytes([0]), "not prime", id="p 4"),
+        pytest.param(_header(p=0) + bytes([0]), "not prime", id="p 0"),
+        pytest.param(_header(e=0) + bytes([0]), "degrees", id="e 0"),
+        pytest.param(_header(s=0) + bytes([0]), "degrees", id="s 0"),
+        pytest.param(_header(rows=0) + b"", "dimensions", id="rows 0"),
+        pytest.param(_header(cols=0) + b"", "dimensions", id="cols 0"),
+        pytest.param(_header(p=2, e=1, s=65), "exceeds", id="order 2^65"),
+        pytest.param(_header(p=2, e=2**31, s=2**31), "exceeds", id="order 2^(2^62)"),
+        pytest.param(_header(p=2, e=2**32 - 1, s=1), "exceeds", id="order 2^(2^32-1)"),
+        pytest.param(_header(p=2, e=64, s=1) + bytes(8), "int64", id="order 2^64"),
+        pytest.param(_header(p=4294967291, e=2, s=1) + bytes(8), "int64", id="order above 2^63"),
+        pytest.param(_header() + bytes([0, 0, 0]), "expected 1", id="3 bytes for 1"),
+        pytest.param(_header(rows=2, cols=2) + bytes([0]), "expected 4", id="1 byte for 4"),
+        pytest.param(_header(p=3, e=1, s=1) + bytes([3]), "outside", id="entry 3 mod 3"),
+        pytest.param(_header(p=2, e=1, s=2) + bytes([4]), "outside", id="entry 4 of F_4"),
     ],
 )
 def test_load_matrix_rejects_malformed(raw, fragment):

@@ -5,7 +5,7 @@ For each baseline fixture of ROADMAP.md the script samples a fixed set of
 seeded queries and times, query by query, three ways of computing the
 rank profile:
 
-  before  tests/oracles.py:per_deletion_rank_profile, one fq_echelon on
+  before  tests/oracles.py:per_deletion_rank_profile, one fq_rank of
           each (m-1)*delta x n*s block-deleted matrix;
   chain   tests/oracles.py:chain_deletion_ranks, prefix and suffix
           bases in reduced echelon form as numpy arrays, merged once per
@@ -20,13 +20,11 @@ the preset, q4 and q=3 m=16: the numpy chains (chain_deletion_ranks on
 the stack) against linalg.fq_deletion_ranks.  The q=3 m=16 rows are the
 odd-p control, with numpy chains on both sides.
 
-Every side must return the same profiles on every input, or the script
-exits 1.  It also counts the elimination work per query, as the rows x
-columns handed to fq_echelon summed over its calls.  fq_echelon works
-over F_p, so for e > 1 these are cells of the F_p blow-up, e^2 per F_q
-entry.  The script writes the medians and interquartile ranges with the
-machine it ran on to BENCH_attack.json.
-Uses only the standard library and numpy.
+Each query or stack is timed --repeats times per side and reported as
+milliseconds of wall time (median and interquartile range over every
+query or stack and repeat).  Every side must return the same profiles on
+every input, or the script exits 1; the timing, comparison and record
+follow scripts/benchkit.py.  It writes the results to BENCH_attack.json.
 
     python3 scripts/bench_attack.py
     python3 scripts/bench_attack.py --queries 10 --stacks 2 --repeats 3 --out bench.json
@@ -35,28 +33,19 @@ Uses only the standard library and numpy.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
+import functools
 import sys
-import time
-from contextlib import contextmanager
-from pathlib import Path
+from contextlib import nullcontext
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-for path in (ROOT, ROOT / "src"):
-    if str(path) not in sys.path:
-        sys.path.insert(0, str(path))
-
-from hhw_pir import fields, linalg  # noqa: E402
-from hhw_pir.attack import rank_profile  # noqa: E402
-from hhw_pir.fields import build_tower  # noqa: E402
-from hhw_pir.linalg import fq_deletion_ranks  # noqa: E402
-from hhw_pir.params import DEFAULT_PARAMS, SchemeParams  # noqa: E402
-from hhw_pir.scheme import generate_queries, generate_query  # noqa: E402
-from tests.oracles import chain_deletion_ranks, per_deletion_rank_profile  # noqa: E402
+import benchkit
+from hhw_pir.attack import rank_profile
+from hhw_pir.fields import build_tower
+from hhw_pir.linalg import fq_deletion_ranks
+from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
+from hhw_pir.scheme import generate_queries, generate_query
+from tests.oracles import chain_deletion_ranks, per_deletion_rank_profile
 
 # The four baseline fixtures of ROADMAP.md, each with its own fixed seed.
 FIXTURES = [
@@ -76,52 +65,18 @@ STACK_FIXTURES = [
 ROUNDS = (25, 64)
 
 
-@contextmanager
-def counting_echelon():
-    """Count calls and rows x cols cells of every fq_echelon call made meanwhile.
-
-    The kernel is defined in fields and imported into linalg, so both
-    names are replaced.
-    """
-    tally = {"calls": 0, "cells": 0}
-    original = fields.fq_echelon
-
-    def counted(arr, fq, reduced=False):
-        shape = np.shape(arr)
-        tally["calls"] += 1
-        tally["cells"] += shape[0] * shape[1]
-        return original(arr, fq, reduced)
-
-    fields.fq_echelon = linalg.fq_echelon = counted
-    try:
-        yield tally
-    finally:
-        fields.fq_echelon = linalg.fq_echelon = original
-
-
-def summary(samples_ms: list[float]) -> dict:
-    q1, median, q3 = np.percentile(samples_ms, [25, 50, 75])
-    return {
-        "ms_median": round(float(median), 4),
-        "ms_q1": round(float(q1), 4),
-        "ms_q3": round(float(q3), 4),
-        "ms_iqr": round(float(q3 - q1), 4),
-        "samples": len(samples_ms),
-    }
-
-
-def timed_sides(paths: dict, inputs: list, repeats: int) -> dict[str, list[float]]:
-    """Milliseconds of every side on every input, ``repeats`` times each."""
-    times = {side: [] for side in paths}
+def timed_inputs(paths: dict, inputs: list, repeats: int) -> tuple[bool, dict[str, list[float]]]:
+    """Whether every side gives the same output on every input, and each side's milliseconds per run."""
+    identical, ms = True, {side: [] for side in paths}
     for i, item in enumerate(inputs):
-        # alternate which side goes first so slow drift hits both equally
+        # odd inputs start from the last side, so that each side leads as often over an even count of inputs
         order = list(paths) if i % 2 == 0 else list(reversed(paths))
-        for _ in range(repeats):
-            for side in order:
-                start = time.perf_counter()
-                paths[side](item)
-                times[side].append((time.perf_counter() - start) * 1000.0)
-    return times
+        sides = {side: (nullcontext, functools.partial(paths[side], item)) for side in order}
+        same, seconds = benchkit.timed_sides(sides, repeats)
+        identical = identical and same
+        for side in paths:
+            ms[side] += [t * 1000.0 for t in seconds[side]]
+    return identical, ms
 
 
 def bench_fixture(name: str, params: SchemeParams, seed: int, queries: int, repeats: int) -> dict:
@@ -135,26 +90,16 @@ def bench_fixture(name: str, params: SchemeParams, seed: int, queries: int, repe
         "chain": lambda q: chain_deletion_ranks(q.reshape(len(q), width), params.delta, tower.fq),
         "after": lambda q: rank_profile(q, params, tower),
     }
-    profiles, work = {}, {}
-    for side, run in paths.items():
-        with counting_echelon() as tally:
-            profiles[side] = [run(q) for q in sampled]
-        work[side] = {key: value / queries for key, value in tally.items()}
-    times = timed_sides(paths, sampled, repeats)
+    identical, ms = timed_inputs(paths, sampled, repeats)
     out = {
         "name": name,
         "params": params.to_dict(),
         "seed": seed,
         "queries": queries,
         "query_shape_over_fq": [params.block_rows, width],
-        "profiles_identical": profiles["before"] == profiles["chain"] == profiles["after"],
+        "profiles_identical": identical,
+        **{side: benchkit.summary(ms[side], "ms", 4, "samples") for side in paths},
     }
-    for side in paths:
-        out[side] = {
-            **summary(times[side]),
-            "fq_echelon_calls_per_query": work[side]["calls"],
-            "fq_echelon_cells_per_query": work[side]["cells"],
-        }
     out["speedup_median"] = round(out["before"]["ms_median"] / out["after"]["ms_median"], 2)
     out["speedup_vs_chain_median"] = round(out["chain"]["ms_median"] / out["after"]["ms_median"], 2)
     return out
@@ -173,8 +118,7 @@ def bench_stack(name: str, params: SchemeParams, seed: int, count: int, stacks: 
         "chain": lambda st: chain_deletion_ranks(st, params.delta, tower.fq),
         "after": lambda st: fq_deletion_ranks(st, params.delta, tower.fq),
     }
-    identical = all(np.array_equal(paths["chain"](st), paths["after"](st)) for st in sampled)
-    times = timed_sides(paths, sampled, repeats)
+    identical, ms = timed_inputs(paths, sampled, repeats)
     out = {
         "name": name,
         "params": params.to_dict(),
@@ -183,7 +127,7 @@ def bench_stack(name: str, params: SchemeParams, seed: int, count: int, stacks: 
         "stacks": stacks,
         "stack_shape_over_fq": [count, params.block_rows, width],
         "profiles_identical": identical,
-        **{side: summary(times[side]) for side in paths},
+        **{side: benchkit.summary(ms[side], "ms", 4, "samples") for side in paths},
     }
     out["speedup_median"] = round(out["chain"]["ms_median"] / out["after"]["ms_median"], 2)
     return out
@@ -194,23 +138,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--queries", type=int, default=40, help="seeded queries per fixture")
     parser.add_argument("--stacks", type=int, default=5, help="seeded stacks per stacked row")
     parser.add_argument("--repeats", type=int, default=5, help="timed runs of each query or stack per side")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_attack.json"))
+    parser.add_argument("--out", default=str(benchkit.ROOT / "BENCH_attack.json"))
     args = parser.parse_args(argv)
 
     doc = {
         "topic": "attack rank profile",
-        "before": "tests/oracles.py:per_deletion_rank_profile (one fq_echelon per deleted block)",
+        "before": "tests/oracles.py:per_deletion_rank_profile (one fq_rank per deleted block)",
         "chain": "tests/oracles.py:chain_deletion_ranks (prefix/suffix bases as numpy arrays in reduced echelon form)",
         "after": "hhw_pir.attack.rank_profile and linalg.fq_deletion_ranks (prefix/suffix bases of packed rows "
                  "over F_2 and F_(2^e), numpy chains for odd p)",
         "command": "python3 scripts/bench_attack.py"
                    f" --queries {args.queries} --stacks {args.stacks} --repeats {args.repeats}",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-        },
+        "machine": benchkit.machine(),
         "fixtures": [],
         "stacks": [],
     }
@@ -221,9 +160,7 @@ def main(argv: list[str] | None = None) -> int:
               f"(IQR {row['before']['ms_iqr']:.3f})  chain {row['chain']['ms_median']:7.3f} ms "
               f"(IQR {row['chain']['ms_iqr']:.3f})  after {row['after']['ms_median']:7.3f} ms "
               f"(IQR {row['after']['ms_iqr']:.3f})  x{row['speedup_median']} (x{row['speedup_vs_chain_median']} "
-              f"vs chain)  cells/query {row['before']['fq_echelon_cells_per_query']:.0f} -> "
-              f"{row['after']['fq_echelon_cells_per_query']:.0f}  "
-              f"identical={row['profiles_identical']}")
+              f"vs chain)  identical={row['profiles_identical']}")
     for name, params, seed in STACK_FIXTURES:
         for count in ROUNDS:
             row = bench_stack(name, params, seed, count, args.stacks, args.repeats)
@@ -232,9 +169,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"(IQR {row['chain']['ms_iqr']:.3f})  after {row['after']['ms_median']:8.3f} ms "
                   f"(IQR {row['after']['ms_iqr']:.3f})  x{row['speedup_median']}  "
                   f"identical={row['profiles_identical']}")
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if all(row["profiles_identical"] for row in doc["fixtures"] + doc["stacks"]) else 1
+    return benchkit.write(doc, args.out, all(row["profiles_identical"] for row in doc["fixtures"] + doc["stacks"]))
 
 
 if __name__ == "__main__":

@@ -39,14 +39,12 @@ Stage rows: generate_query, decode and the attack's recover_index of one
 query at a time at the preset, tight and q4 fixtures (p = 2) and at the
 q=3 m=16 fixture (p = 3), over --queries fixed-seed queries per fixture.
 
-Each row is timed --repeats times per side, alternating which side goes
-first, and reported as microseconds of wall time per call (median and
-interquartile range).  Both sides must give identical outputs on every
-row (echelon forms and pivots, ranks, query matrices, decoded files, rank
-profiles and recovered indices), or the script exits 1.  The timing and
-comparison of a row are those of scripts/bench_products.py.  It writes the
-results with the machine it ran on to BENCH_echelon.json.  Uses only the
-standard library and numpy.
+Each row is timed --repeats times per side and reported as
+microseconds of wall time per call.  Both sides must give identical
+outputs on every row (echelon forms and pivots, ranks, query matrices,
+decoded files, rank profiles and recovered indices), or the script exits
+1; the timing, comparison and record follow scripts/benchkit.py.  It
+writes the results to BENCH_echelon.json.
 
     python3 scripts/bench_echelon.py
     python3 scripts/bench_echelon.py --calls 1 --queries 1 --repeats 1 --out bench.json
@@ -56,24 +54,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import os
-import platform
 import sys
-from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-for path in (ROOT / "src", ROOT):
-    if str(path) not in sys.path:
-        sys.path.insert(0, str(path))
-
-from hhw_pir import attack, experiment, fields, linalg, scheme  # noqa: E402
-from hhw_pir.params import DEFAULT_PARAMS, SchemeParams  # noqa: E402
-from scripts.bench_products import bench_row  # noqa: E402
-from tests import oracles  # noqa: E402
+import benchkit
+from hhw_pir import attack, experiment, fields, scheme
+from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
+from tests import oracles
 
 # the four baseline fixtures of ROADMAP.md
 FIXTURES = [
@@ -100,24 +88,10 @@ def echelon_rank(arr, fq):
     return len(fields.fq_echelon(arr, fq)[1])
 
 
-@contextmanager
-def swapped(**kernels):
-    """Replace kernels of the package by name, in every module that imported them, until the block exits."""
-    saved = [(module, name, getattr(module, name))
-             for name in kernels for module in (fields, linalg, scheme) if hasattr(module, name)]
-    for module, name, _ in saved:
-        setattr(module, name, kernels[name])
-    try:
-        yield
-    finally:
-        for module, name, kernel in saved:
-            setattr(module, name, kernel)
-
-
 # the numpy loop for echelon forms and inverses, and ranks on top of it
-loop_kernel = functools.partial(swapped, fq_echelon=oracles.loop_echelon, fq_rank=echelon_rank)
+loop_kernel = functools.partial(benchkit.patched, fq_echelon=oracles.loop_echelon, fq_rank=echelon_rank)
 # ranks as they were taken before the packed rank kernel, on the packed fq_echelon
-echelon_ranks = functools.partial(swapped, fq_rank=echelon_rank)
+echelon_ranks = functools.partial(benchkit.patched, fq_rank=echelon_rank)
 
 
 def kernels(calls: int):
@@ -157,7 +131,7 @@ def captured_ranks(p, tower) -> list:
         return rank(arr, fq)
 
     streams = [np.random.default_rng([ROUND_SEED, i]) for i in range(experiment.ROUND_SIZE)]
-    with swapped(fq_rank=record):
+    with benchkit.patched(fq_rank=record):
         scheme.generate_queries(p, tower, [1 + i % p.m for i in range(len(streams))], streams)
     return calls
 
@@ -217,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--calls", type=int, default=200, help="calls per timing of a kernel row (a fifth at 60x120)")
     parser.add_argument("--queries", type=int, default=10, help="fixed-seed queries per timing of a stage row")
     parser.add_argument("--repeats", type=int, default=11, help="timings per side and row")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_echelon.json"))
+    parser.add_argument("--out", default=str(benchkit.ROOT / "BENCH_echelon.json"))
     args = parser.parse_args(argv)
 
     doc = {
@@ -229,12 +203,7 @@ def main(argv: list[str] | None = None) -> int:
                  "division-free field reduction for odd p) and fields.fq_rank on the same rows, each "
                  "inserted into a basis keyed by its top field",
         "command": f"python3 scripts/bench_echelon.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-        },
+        "machine": benchkit.machine(),
         "seeds": {"matrices": MATRIX_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED, "rounds": ROUND_SEED},
         "fixtures": {name: p.to_dict() for name, p in FIXTURES},
         "rows": [],
@@ -243,14 +212,12 @@ def main(argv: list[str] | None = None) -> int:
     rows += [(name, call, n, 1, echelon_ranks) for name, call, n in ranks(args.calls)]
     rows += [(name, call, n, args.queries, loop_kernel) for name, call, n in stages(args.queries)]
     for name, call, calls, per, before in rows:
-        row = bench_row(name, call, calls, args.repeats, per, before=before)
+        row = benchkit.bench_row(name, call, before, calls, args.repeats, per)
         doc["rows"].append(row)
         print(f"{name:52s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
               f"after {row['after']['us_median']:9.1f} us (IQR {row['after']['us_iqr']:.1f})  "
               f"x{row['speedup_median']}  identical={row['identical']}")
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if all(row["identical"] for row in doc["rows"]) else 1
+    return benchkit.write(doc, args.out, all(row["identical"] for row in doc["rows"]))
 
 
 if __name__ == "__main__":

@@ -14,13 +14,12 @@ Fixtures: the tight base of scripts/success_vs_m.py at m = 2..10 in
 and q=3 m=16 fixtures of ROADMAP.md in calls of --trials trials.  The
 q=3 m=16 row gains least: its 40-column bases make the stacked chains
 heavy, so stacking there saves little Python overhead.  Each fixture is
-timed --repeats times per side, alternating which side goes first, and
-reported as trials per second of wall time (median and interquartile
-range).
+timed --repeats times per side and reported as trials per second of wall
+time (median and interquartile range).
 
 Both sides must give the same canonical report digest on every call, or
-the script exits 1.  It writes the results with the machine it ran on to
-BENCH_trials.json.  Uses only the standard library and numpy.
+the script exits 1; the timing, comparison and record follow
+scripts/benchkit.py.  It writes the results to BENCH_trials.json.
 
     python3 scripts/bench_trials.py
     python3 scripts/bench_trials.py --sweeps 1 --trials 2 --repeats 1 --out bench.json
@@ -29,22 +28,15 @@ BENCH_trials.json.  Uses only the standard library and numpy.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
+import functools
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-
-from hhw_pir import experiment  # noqa: E402
-from hhw_pir.experiment import ExperimentConfig, run_experiment  # noqa: E402
-from hhw_pir.params import DEFAULT_PARAMS, SchemeParams  # noqa: E402
+import benchkit
+from hhw_pir import experiment
+from hhw_pir.experiment import ExperimentConfig, run_experiment
+from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 
 SWEEP_BASE = dict(p=2, e=1, s=2, v=1, n=4, k=2, L=1)
 SWEEP_M = range(2, 11)
@@ -71,49 +63,24 @@ def fixture_configs(sweeps: int, trials: int) -> list[tuple[str, list[Experiment
     return rows
 
 
-def timed_run(configs: list[ExperimentConfig], round_size: int) -> tuple[float, list[str]]:
-    """Wall seconds of running every config with the given round size, and the report digests."""
-    saved = experiment.ROUND_SIZE
-    experiment.ROUND_SIZE = round_size
-    try:
-        start = time.perf_counter()
-        digests = [run_experiment(cfg).digest for cfg in configs]
-        return time.perf_counter() - start, digests
-    finally:
-        experiment.ROUND_SIZE = saved
-
-
-def summary(rates: list[float]) -> dict:
-    q1, median, q3 = np.percentile(rates, [25, 50, 75])
-    return {
-        "trials_per_s_median": round(float(median), 1),
-        "trials_per_s_q1": round(float(q1), 1),
-        "trials_per_s_q3": round(float(q3), 1),
-        "trials_per_s_iqr": round(float(q3 - q1), 1),
-        "repeats": len(rates),
-    }
-
-
 def bench_fixture(name: str, configs: list[ExperimentConfig], repeats: int) -> dict:
     trials = sum(cfg.trials for cfg in configs)
-    sides = {"before": 1, "after": experiment.ROUND_SIZE}
-    rates = {side: [] for side in sides}
-    digests = {}
-    for rep in range(repeats):
-        # alternate which side goes first so slow drift hits both equally
-        order = list(sides) if rep % 2 == 0 else list(reversed(sides))
-        for side in order:
-            seconds, digests[side] = timed_run(configs, sides[side])
-            rates[side].append(trials / seconds)
+    sizes = {"before": 1, "after": experiment.ROUND_SIZE}
+
+    def digests():
+        return [run_experiment(cfg).digest for cfg in configs]
+
+    sides = {side: (functools.partial(benchkit.patched, ROUND_SIZE=size), digests) for side, size in sizes.items()}
+    identical, seconds = benchkit.timed_sides(sides, repeats)
     row = {
         "name": name,
         "params": [cfg.params.to_dict() for cfg in configs[: len(SWEEP_M)]],
         "calls": len(configs),
         "trials_per_call": configs[0].trials,
         "master_seeds": [cfg.master_seed for cfg in configs],
-        "digests_identical": digests["before"] == digests["after"],
-        "before": {"round_size": 1, **summary(rates["before"])},
-        "after": {"round_size": experiment.ROUND_SIZE, **summary(rates["after"])},
+        "digests_identical": identical,
+        **{side: {"round_size": size, **benchkit.summary([trials / s for s in seconds[side]], "trials_per_s")}
+           for side, size in sizes.items()},
     }
     row["speedup_median"] = round(row["after"]["trials_per_s_median"] / row["before"]["trials_per_s_median"], 2)
     return row
@@ -124,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sweeps", type=int, default=8, help="tight m = 2..10 sweeps, 25 trials per call")
     parser.add_argument("--trials", type=int, default=200, help="trials of the preset, q4 and q=3 m=16 calls")
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per side and fixture")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_trials.json"))
+    parser.add_argument("--out", default=str(benchkit.ROOT / "BENCH_trials.json"))
     args = parser.parse_args(argv)
 
     doc = {
@@ -132,12 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         "before": "run_experiment in rounds of one trial (experiment.ROUND_SIZE = 1)",
         "after": f"run_experiment in rounds of experiment.ROUND_SIZE = {experiment.ROUND_SIZE} trials",
         "command": f"python3 scripts/bench_trials.py --sweeps {args.sweeps} --trials {args.trials} --repeats {args.repeats}",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-        },
+        "machine": benchkit.machine(),
         "fixtures": [],
     }
     for name, configs in fixture_configs(args.sweeps, args.trials):
@@ -147,9 +109,7 @@ def main(argv: list[str] | None = None) -> int:
               f"(IQR {row['before']['trials_per_s_iqr']:.1f})  after {row['after']['trials_per_s_median']:8.1f} "
               f"(IQR {row['after']['trials_per_s_iqr']:.1f})  x{row['speedup_median']}  "
               f"identical={row['digests_identical']}")
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if all(row["digests_identical"] for row in doc["fixtures"]) else 1
+    return benchkit.write(doc, args.out, all(row["digests_identical"] for row in doc["fixtures"]))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,33 @@
-"""Smoke runs of the scripts under scripts/, each in a fresh subprocess.
+"""Smoke runs of the scripts under scripts/, each in a fresh subprocess, and the bench harness.
 
 The scripts import the package the way a user would, so a deleted or
-renamed public name breaks them without breaking any other test.
+renamed public name breaks them without breaking any other test.  Each
+bench's smoke run writes its record, whose rows must keep the names and
+keys of the committed BENCH_<topic>.json.
 """
 
-import os
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hhw_pir
+from hhw_pir import cli, experiment, fields, linalg, scheme, serialization
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def shape(value):
+    """The key structure of a record: dicts by key, lists by their first item, anything else by type."""
+    if isinstance(value, dict):
+        return {key: shape(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [shape(value[0])] if value else []
+    return type(value).__name__
 
 
 @pytest.mark.parametrize(
@@ -19,16 +35,18 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ["rank_gap_demo.py"],
         ["success_vs_m.py", "--m-max", "3", "--trials", "20"],
-        ["bench_trials.py", "--sweeps", "1", "--trials", "1", "--repeats", "1", "--out", os.devnull],
-        ["bench_attack.py", "--queries", "2", "--stacks", "1", "--repeats", "1", "--out", os.devnull],
-        ["bench_products.py", "--calls", "1", "--queries", "1", "--repeats", "1", "--out", os.devnull],
-        ["bench_echelon.py", "--calls", "1", "--queries", "1", "--repeats", "1", "--out", os.devnull],
+        ["bench_trials.py", "--sweeps", "1", "--trials", "1", "--repeats", "1"],
+        ["bench_attack.py", "--queries", "2", "--stacks", "1", "--repeats", "1"],
+        ["bench_products.py", "--calls", "1", "--queries", "1", "--repeats", "1"],
+        ["bench_echelon.py", "--calls", "1", "--queries", "1", "--repeats", "1"],
     ],
     ids=lambda argv: argv[0],
 )
-def test_script_runs(argv):
+def test_script_runs(argv, tmp_path):
+    out = tmp_path / "bench.json"
+    bench = argv[0].startswith("bench_")
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:], *(["--out", str(out)] if bench else [])],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -36,3 +54,78 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
     assert proc.stdout
+    if not bench:
+        return
+    written = json.loads(out.read_text())
+    committed = json.loads((ROOT / f"BENCH_{argv[0][len('bench_'):-len('.py')]}.json").read_text())
+    del written["machine"], committed["machine"]
+    assert written.keys() == committed.keys()
+    for key, value in committed.items():
+        if isinstance(value, list):
+            assert [row["name"] for row in written[key]] == [row["name"] for row in value], key
+            assert [shape(row) for row in written[key]] == [shape(row) for row in value], key
+        else:
+            assert shape(written[key]) == shape(value), key
+
+
+@pytest.fixture
+def bench_scripts(monkeypatch):
+    """The scripts directory on sys.path, as when a bench runs as a script."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module("benchkit"), importlib.import_module("bench_products")
+
+
+def test_a_differing_side_marks_its_row_and_exits_1(bench_scripts, monkeypatch, tmp_path):
+    _, bench_products = bench_scripts
+    kernel = fields.residue_matmul
+    order = []
+
+    def side():
+        # the before side runs with the int64 kernel patched in
+        order.append("after" if fields.residue_matmul is kernel else "before")
+        return [np.zeros(2, dtype=np.int64)]
+
+    def differs():
+        return [np.array([fields.residue_matmul is kernel])]
+
+    monkeypatch.setattr(bench_products, "products", lambda calls: [("same", side, calls), ("differs", differs, calls)])
+    monkeypatch.setattr(bench_products, "stages", lambda queries: ([], queries))
+    out = tmp_path / "bench.json"
+    assert bench_products.main(["--calls", "1", "--repeats", "4", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["name"], row["identical"]) for row in rows] == [("same", True), ("differs", False)]
+    # one untimed run per side, then the first side leads on even repeats and trails on odd ones
+    assert order == ["before", "after"] + ["before", "after", "after", "before"] * 2
+    assert fields.residue_matmul is kernel
+
+
+def test_patched_rebinds_every_binding_and_restores_it(bench_scripts):
+    benchkit, _ = bench_scripts
+    rank, to_digits, round_size = fields.fq_rank, fields.Fq.to_digits, experiment.ROUND_SIZE
+    stand_in = object()
+    with benchkit.patched(fq_rank=stand_in, to_digits=stand_in, ROUND_SIZE=1):
+        assert all(module.fq_rank is stand_in for module in (hhw_pir, cli, fields, linalg, scheme, serialization))
+        assert fields.Fq.to_digits is stand_in
+        assert experiment.ROUND_SIZE == 1
+    assert all(module.fq_rank is rank for module in (hhw_pir, cli, fields, linalg, scheme, serialization))
+    assert fields.Fq.to_digits is to_digits and experiment.ROUND_SIZE == round_size
+    with pytest.raises(KeyError):
+        with benchkit.patched(no_such_kernel=stand_in):
+            pass
+
+
+def test_machine_record_names_the_blas_build_and_threads(bench_scripts, monkeypatch):
+    benchkit, _ = bench_scripts
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    record = benchkit.machine()
+    assert {"python", "numpy", "cpu_count", "platform"} <= record.keys()
+    assert record["OPENBLAS_NUM_THREADS"] == "1" and record["OMP_NUM_THREADS"] is None
+    assert record["blas"] is None or record["blas"].keys() == {"name", "version", "openblas configuration"}
+    json.dumps(record)
+
+    def old_show_config():
+        """numpy before 1.25: no mode argument."""
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    assert benchkit.machine()["blas"] is None

@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
 """Time the attack's rank profile: one elimination per deletion, the numpy chains and the packed scan.
 
-For each baseline fixture of ROADMAP.md the script samples a fixed set of
-seeded queries and times, query by query, three ways of computing the
-rank profile:
+For each baseline fixture of ROADMAP.md, and for two paper-scale shapes
+(q=2 n=64 and q=3 n=32, both m = 16, on an eighth as many queries), the
+script samples a fixed set of seeded queries and times, query by query,
+three ways of computing the rank profile:
 
   before  tests/oracles.py:per_deletion_rank_profile, one fq_rank of
           each (m-1)*delta x n*s block-deleted matrix;
   chain   tests/oracles.py:chain_deletion_ranks, prefix and suffix
           bases in reduced echelon form as numpy arrays, merged once per
-          deletion (the path of linalg.fq_deletion_ranks for odd p);
-  after   hhw_pir.attack.rank_profile (linalg.fq_deletion_ranks): over
-          F_2 and F_(2^e) the same chains as dicts of rows packed into
-          Python ints, for odd p the numpy chains.
+          deletion, the reference for the scan that replaced it;
+  after   hhw_pir.attack.rank_profile (linalg.fq_deletion_ranks): every
+          deletion read off one echelon basis of the transposed query,
+          rows packed into Python ints, at every p.
 
 It then times stacks of seeded queries, in rounds of 25 and of 64 as the
 experiment engine scans them, at the tight base with m = 6 and m = 10,
 the preset, q4 and q=3 m=16: the numpy chains (chain_deletion_ranks on
-the stack) against linalg.fq_deletion_ranks.  The q=3 m=16 rows are the
-odd-p control, with numpy chains on both sides.
+the stack) against linalg.fq_deletion_ranks.
 
 Each query or stack is timed --repeats times per side and reported as
 milliseconds of wall time (median and interquartile range over every
@@ -53,6 +53,11 @@ FIXTURES = [
     ("tight", SchemeParams(p=2, e=1, s=2, v=1, n=4, k=2, m=6, L=4), 102),
     ("q4", SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=64), 103),
     ("q3_m16", SchemeParams(p=3, e=1, s=4, v=2, n=10, k=5, m=16, L=256), 104),
+]
+# Paper-scale shapes, whose transposed queries have rows of 1024 bits (F_2) and 4096 bits (F_3).
+PAPER_FIXTURES = [
+    ("q2_n64", SchemeParams(p=2, e=1, s=4, v=2, n=64, k=32, m=16, L=16), 110),
+    ("q3_n32", SchemeParams(p=3, e=1, s=4, v=2, n=32, k=16, m=16, L=16), 111),
 ]
 # The stacked rows: (name, params, seed), each scanned in rounds of ROUNDS.
 STACK_FIXTURES = [
@@ -144,17 +149,20 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "topic": "attack rank profile",
         "before": "tests/oracles.py:per_deletion_rank_profile (one fq_rank per deleted block)",
-        "chain": "tests/oracles.py:chain_deletion_ranks (prefix/suffix bases as numpy arrays in reduced echelon form)",
-        "after": "hhw_pir.attack.rank_profile and linalg.fq_deletion_ranks (prefix/suffix bases of packed rows "
-                 "over F_2 and F_(2^e), numpy chains for odd p)",
+        "chain": "tests/oracles.py:chain_deletion_ranks (prefix/suffix bases as numpy arrays in reduced echelon "
+                 "form), the reference for the scan that replaced it",
+        "after": "hhw_pir.attack.rank_profile and linalg.fq_deletion_ranks (every deletion read off one echelon "
+                 "basis of the transposed query, rows packed into Python ints, at every p)",
         "command": "python3 scripts/bench_attack.py"
                    f" --queries {args.queries} --stacks {args.stacks} --repeats {args.repeats}",
         "machine": benchkit.machine(),
         "fixtures": [],
         "stacks": [],
     }
-    for name, params, seed in FIXTURES:
-        row = bench_fixture(name, params, seed, args.queries, args.repeats)
+    fixtures = [(*fixture, args.queries) for fixture in FIXTURES]
+    fixtures += [(*fixture, max(args.queries // 8, 1)) for fixture in PAPER_FIXTURES]
+    for name, params, seed, queries in fixtures:
+        row = bench_fixture(name, params, seed, queries, args.repeats)
         doc["fixtures"].append(row)
         print(f"{name:9s} before {row['before']['ms_median']:8.3f} ms "
               f"(IQR {row['before']['ms_iqr']:.3f})  chain {row['chain']['ms_median']:7.3f} ms "

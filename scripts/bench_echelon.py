@@ -14,8 +14,9 @@ The script times each row twice, before and after:
                with numpy row operations, as fq_echelon ran for every p;
   rank rows    fq_rank against the ranks it took before its packed
                kernel, patched in as echelon_rank: the ranks of the numpy
-               fq_echelon_stack for a stack, len(fq_echelon(...)[1]) on
-               the packed fq_echelon for a single matrix;
+               fq_echelon_stack, now in tests/oracles.py, for a stack,
+               len(fq_echelon(...)[1]) on the packed fq_echelon for a
+               single matrix;
   stage rows   the package against both old paths at once.
 
 Kernel rows (seeded matrices).  Over F_2, the shapes the q4 fixture's
@@ -83,8 +84,8 @@ def echelon_rank(arr, fq):
         return echelon_rank(fq.blow_up(arr), fq.fp) // fq.e
     *lead, rows, cols = arr.shape
     if lead:
-        # fields.* is looked up at call time, so a stack of one runs the patched fq_echelon too
-        return fields.fq_echelon_stack(arr.reshape(-1, rows, cols), fq)[1].reshape(lead)
+        # a stack of one runs fields.fq_echelon, looked up at call time, so the patched loop runs there too
+        return oracles.fq_echelon_stack(arr.reshape(-1, rows, cols), fq)[1].reshape(lead)
     return len(fields.fq_echelon(arr, fq)[1])
 
 

@@ -13,14 +13,15 @@ the unique block whose deletion stays at or below the threshold.
 The scan needs no knowledge of the secret code, information set or basis
 split: subfield rank is invariant under the basis used to expand entries.
 
-Cost: the m deletions share their work.  Bases of every prefix
-B_1..B_i and every suffix B_i..B_m of the row blocks are built one block
-at a time, and each deletion merges the prefix before it with the suffix
-after it: about 3m merges of bases with at most n*s rows each, instead of
-m eliminations of ((m-1)*delta) x (n*s) subfield matrices.  Over F_2 and
-F_(2^e) the bases are rows packed into Python ints, each row inserted by
-XOR into a basis keyed by its top bit; for odd p they are numpy arrays in
-reduced echelon form (see linalg.fq_deletion_ranks).
+Cost: the m deletions share one basis.  Deleting block j of the query's
+rows deletes block j of the columns of its transpose, so every deletion
+rank is read off one echelon basis of the row space of the transposed
+subfield matrix, at most n*s rows packed into Python ints: a block that
+holds none of the basis's leading columns keeps the full rank, and for
+each of the few that do, the basis rows leading in it (at most one per
+row of the block) are masked and reduced against the others.  That
+replaces m eliminations of ((m-1)*delta) x (n*s) subfield matrices, for
+every p (see linalg.fq_deletion_ranks).
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ from .scheme import Query
 class AttackReport:
     """Outcome of one rank scan over a query matrix.
 
-    recovered_index is set only when exactly one block falls at or below
-    the threshold; otherwise failure_reason says whether the scan saw
-    none ("no_candidate") or several ("ambiguous").
+    recovered_index is set when exactly one block falls at or below the
+    threshold; otherwise failure_reason says whether the scan saw none
+    ("no_candidate") or several ("ambiguous").  With fallback_argmin such
+    a scan names the block of smallest rank instead, and fallback_used
+    marks that guess, in to_dict too.
     """
 
     recovered_index: int | None
@@ -67,6 +70,7 @@ class AttackReport:
             "rank_profile": list(self.rank_profile),
             "threshold": self.threshold,
             "candidates": list(self.below_threshold),
+            "fallback_used": self.fallback_used,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
 

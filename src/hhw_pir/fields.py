@@ -36,13 +36,11 @@ rows at once: over F_2 with XOR, for odd p with one integer multiply-add
 and a division-free reduction of every field.  fq_echelon computes
 echelon forms, and through them inverses; fq_rank ranks a matrix or a
 stack of any size without it, by inserting each row into a basis keyed
-by top field (_insert_rows).  Over F_2 the attack's deletion scan
-(linalg.fq_deletion_ranks) builds its chains of bases by the same
-insertion.  fq_echelon_stack, the reduced echelon forms of a stack by
-numpy row operations, one Python step per pivot for the whole stack,
-serves those chains for odd p (linalg._extend_indexed).  fq_rank,
-fq_inv_matrix and linalg.fq_deletion_ranks raise CoordinateOutOfRange on
-an entry outside [0, q), which a packed field would wrap.
+by top field (_insert_rows).  The attack's deletion scan
+(linalg.fq_deletion_ranks) builds its basis of the transposed query by
+the same insertion, at every p.  fq_rank, fq_inv_matrix and
+linalg.fq_deletion_ranks raise CoordinateOutOfRange on an entry outside
+[0, q), which a packed field would wrap.
 """
 
 from __future__ import annotations
@@ -437,71 +435,6 @@ def _eliminate(rows: list[int], pivot: int, shift: int, field: int, p: int, s: i
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _inverses(p: int) -> np.ndarray:
-    """inverses[a] = a^-1 mod p for 0 < a < p, and inverses[0] = 0."""
-    table = np.zeros(p, dtype=np.int64)
-    table[1:] = [pow(a, -1, p) for a in range(1, p)]
-    table.setflags(write=False)
-    return table
-
-
-def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """fq_echelon on every matrix of a (count, rows, cols) stack at once.
-
-    Step r finds the r-th pivot of every matrix: the leftmost column with
-    a nonzero entry in rows r and below, and the topmost such entry.  The
-    step swaps that row into row r (a no-op where the row is r already,
-    or where a matrix has no pivot left), normalises it from a table of
-    inverses mod p, and eliminates with it across the whole stack, so the
-    Python loop runs once per pivot, not once per matrix.  Each matrix
-    gets exactly the row operations fq_echelon applies to it, so the
-    echelon forms agree entry for entry.  A stack of one runs fq_echelon.
-    Ranks alone come faster from fq_rank; this loop serves the reduced
-    bases of linalg._extend_indexed, which the deletion scan runs for odd p.
-
-    Returns:
-        The echelon stack, the rank of each matrix, and a (count,
-        min(rows, cols)) array whose row b lists the pivot columns of
-        matrix b in row order, padded with -1 past its rank.
-    """
-    if fq.e != 1:
-        raise ValueError(f"fq_echelon_stack eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
-    p = fq.p
-    count, rows, cols = np.shape(arr)
-    depth = min(rows, cols)
-    if count == 1:
-        R, found = fq_echelon(arr[0], fq, reduced)
-        return R[None], np.array([len(found)]), np.array([found + [-1] * (depth - len(found))], dtype=np.int64)
-    # a C-ordered copy, so that flat below is a view and the row swaps written through it land in R
-    R = np.array(arr, dtype=np.int64, order="C")
-    inverses = _inverses(p)
-    stack = np.arange(count)
-    flat = R.reshape(count * rows, cols)
-    first_row = stack * rows
-    for r in range(depth):
-        below = R[:, r:] != 0
-        live_cols = below.any(axis=1)
-        if not live_cols.any():
-            break
-        c = live_cols.argmax(axis=1)
-        i = first_row + r + below[stack, :, c].argmax(axis=1)
-        top = flat[i]
-        flat[i] = R[:, r]
-        if p != 2:  # over F_2 every pivot is 1 already
-            top = top * inverses[top[stack, c]][:, None] % p
-        R[:, r] = top
-        lo = 0 if reduced else r + 1
-        factors = R[stack, lo:, c]
-        if reduced:
-            factors[:, r] = 0
-        R[:, lo:] = (R[:, lo:] - factors[:, :, None] * top[:, None, :]) % p
-    # row r of an echelon form is zero past the rank, else it starts at its pivot
-    leading = R[:, :depth] != 0
-    pivot_rows = leading.any(axis=2)
-    return R, pivot_rows.sum(axis=1), np.where(pivot_rows, leading.argmax(axis=2), -1)
-
-
 def _encodings(arr, fq: Fq) -> np.ndarray:
     """arr as an array of F_q encodings; CoordinateOutOfRange if an entry lies outside [0, q).
 
@@ -533,8 +466,8 @@ def fq_rank(arr: np.ndarray, fq: Fq):
     insertion order.  Each step clears the top field of x, so a row takes
     at most rank + 1 steps, with no pivot search, no OR over the remaining
     rows and no unpacking.  The insertion (_insert_rows, which
-    linalg.fq_deletion_ranks shares over F_2) stops once a matrix's basis
-    holds cols rows.
+    linalg.fq_deletion_ranks shares to build its basis of the transpose)
+    stops once a matrix's basis holds cols rows.
     """
     arr = _encodings(arr, fq)
     if arr.ndim == 2 and not arr.any():

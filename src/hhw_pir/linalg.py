@@ -21,11 +21,12 @@ representation (FieldTower.blow_up), which replaces every entry by the
 s x s F_q matrix of multiplication by it, and work over F_q through
 Fq.blow_up, its e x e F_p counterpart.
 
-fq_deletion_ranks, the attack's scan of every block deletion, shares
-prefix and suffix bases among the deletions.  Over F_2 these are dicts of
-packed rows, extended by the insertion of fq_rank (fields._insert_rows);
-for odd p they are numpy arrays in reduced echelon form, extended with
-products and fq_echelon (one matrix) or fq_echelon_stack (a stack).
+fq_deletion_ranks, the attack's scan of every block deletion, ranks
+them all from one basis of the row space of the transposed matrix, built
+by the insertion of fq_rank (fields._insert_rows) at every p: deleting a
+block of rows masks a block of that basis's columns, and only the basis
+rows leading in the block need work (the rank formula of the dual
+matroid, see fq_deletion_ranks).
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from .fields import (
     _encodings,
     _insert_rows,
     _pack_rows,
-    fq_echelon,
-    fq_echelon_stack,
+    _reduce_fields,
+    _row_layout,
+    fq_echelon,  # not called here: perfbench/layers.py traces the elimination kernel as linalg.fq_echelon
     fq_inv_matrix,
     fq_rank,
 )
@@ -76,51 +78,36 @@ class ExtMatrix:
         return self.data.shape[0], self.data.shape[1]
 
 
-# -- subfield matrix toolkit (numpy arrays of F_q encodings) --------------------
-
-
-def _fq_extend_basis(basis: np.ndarray, pivots: list[int], rows: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:
-    """Reduced basis of rowspace(basis) + rowspace(rows).
-
-    ``basis`` is reduced on ``pivots``: basis[:, pivots] is the identity.
-    The new rows are cleared on the old pivots with one product, the
-    residual is brought to reduced echelon form, and its pivots are
-    back-substituted into the old rows, so the result is reduced on
-    pivots + new pivots (in that row order).
-    """
-    if len(pivots) == basis.shape[1]:
-        return basis, pivots
-    if pivots:
-        rows = fq.vsub(rows, fq.matmul(rows[:, pivots], basis))
-    if not rows.any():
-        return basis, pivots
-    new, new_pivots = fq_echelon(rows, fq, reduced=True)
-    new = new[: len(new_pivots)]
-    if not pivots:
-        return new, new_pivots
-    basis = fq.vsub(basis, fq.matmul(basis[:, new_pivots], new))
-    return np.vstack([basis, new]), pivots + new_pivots
+# -- the block-deletion scan ------------------------------------------------------
 
 
 def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
     """Rank over F_q of ``arr`` with each run of ``block`` rows deleted, in order.
 
-    With B_1..B_m the row blocks, rank(arr minus B_j) is the dimension of
-    rowspace(B_1..B_(j-1)) + rowspace(B_(j+1)..B_m).  Both chains of
-    bases are built incrementally, 2(m-1) extensions by one block, and
-    each deletion costs one merge of the smaller basis into the larger
-    one.  No basis has more than ``cols`` rows, so the scan never
-    eliminates a (m-1)*block-row matrix.  For e > 1 the scan runs once
-    over F_p on the blow-up, whose blocks have block*e rows and whose
-    ranks are e times those over F_q.
+    The scan rests on the rank formula of the dual matroid.  Deleting rows
+    J of a matrix Q deletes columns J of its transpose, so rank(Q - J) is
+    the dimension of the row space of Q^T with the columns in J masked
+    to zero.  Let B be a basis of that row space in echelon form, its rows
+    with distinct leading columns P: these are the greedy pivot rows of Q,
+    the rows not in the span of the rows above them, and r = |P| is the
+    rank.  Masking J leaves the leading entry of every row of B that leads
+    outside J, so those r - |J & P| rows stay independent; the rank is
+    their count plus the number of rows leading in J that stay independent
+    of them, and of each other, once masked.  No reduced echelon form is
+    needed, because a row's leading column survives the masking of any
+    other columns.
 
-    Over F_2 the bases are packed rows (_packed_deletion_ranks), for one
-    matrix and for a stack alike.  For odd p they are numpy arrays in
-    reduced echelon form (_chained_deletion_ranks, and for a stack of more
-    than one _stacked_deletion_ranks), because there a row already in the
-    span costs about rank x 11 big-int steps to clear, while the numpy
-    chain clears a whole block with one product; in the attack most blocks
-    are, as the prefix saturates at s*n - delta before the target block.
+    Q^T is packed once (_pack_rows, row i of Q as field i from the top of
+    every packed row, in the layout of fq_rank for ``rows`` entries), and
+    B is built by the insertion of fq_rank (_insert_rows).  A block that
+    holds no leading column of B has rank r with no further work; in the
+    attack that is every block but the first few and the target's.  For a
+    block that holds some, its rows of B are masked to the fields outside
+    it and reduced against B and against each other, masked again after
+    every step, and the ones left nonzero are counted.  One algorithm
+    serves every p, one matrix and a stack alike.  For e > 1 the scan runs
+    once over F_p on the blow-up, whose blocks have block*e rows and whose
+    ranks are e times those over F_q.
 
     A (rows, cols) matrix gives the list of its m ranks, a (count, rows,
     cols) stack a (count, m) int64 array.  An entry outside [0, q) raises
@@ -137,142 +124,49 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
         raise DimensionMismatch(f"{rows} rows do not split into one or more blocks of {block}")
     if fq.e > 1:
         stack, block = fq.blow_up(stack), block * fq.e
-    if fq.p == 2:
-        ranks = _packed_deletion_ranks(stack, block)
-    elif len(stack) == 1:
-        ranks = np.array([_chained_deletion_ranks(stack[0], block, fq.fp)], dtype=np.int64)
+    count, rows, cols = stack.shape
+    p = fq.p
+    if p == 2:  # one bit per field, packbits padding the rows to whole bytes, no reduction
+        layout, fields = (1, 0, 0, 0), 8 * -(-rows // 8)
     else:
-        count, rows, cols = stack.shape
-        ranks = _stacked_deletion_ranks(stack.reshape(count, rows // block, block, cols), fq.fp)
+        layout, fields = _row_layout(p, rows), rows
+    w, s, m, low = layout
+    span = (1 << w * block) - 1  # the fields of one block, at the bottom
+    packed = _pack_rows(stack.swapaxes(-1, -2), w)
+    out = []
+    for i in range(count):
+        basis: dict[int, int] = {}
+        _insert_rows(basis, packed[i * cols : (i + 1) * cols], rows, p, *layout)
+        rank = len(basis)
+        leading: dict[int, list[int]] = {}  # block -> the rows of the basis leading in it
+        for shift, x in basis.items():
+            leading.setdefault((fields - 1 - shift // w) // block, []).append(x)
+        for j in range(rows // block):
+            held = leading.get(j)
+            if held is None:
+                out.append(rank)
+                continue
+            keep = ~(span << (fields - (j + 1) * block) * w)
+            new: dict[int, int] = {}  # independent residues, keyed by top field as in basis
+            for x in held:
+                x &= keep
+                while x:
+                    shift = (x.bit_length() - 1) & -w
+                    b = basis.get(shift) or new.get(shift)
+                    if b is None:
+                        c = x >> shift  # 1 over F_2
+                        new[shift] = x if c == 1 else _reduce_fields(x * pow(c, -1, p), p, s, m, low)
+                        break
+                    if p == 2:
+                        x = (x ^ b) & keep
+                    else:
+                        x += (p - (x >> shift)) * b
+                        x = (x - p * ((x * m >> s) & low)) & keep  # _reduce_fields, inlined, then masked
+            out.append(rank - len(held) + len(new))
+    ranks = np.array(out, dtype=np.int64).reshape(count, rows // block)
     if fq.e > 1:
         ranks //= fq.e
     return ranks if arr.ndim == 3 else ranks[0].tolist()
-
-
-def _packed_deletion_ranks(stack: np.ndarray, block: int) -> np.ndarray:
-    """fq_deletion_ranks over F_2 of a (count, rows, cols) stack, on rows packed into Python ints.
-
-    The whole stack is packed at once (_pack_rows).  Each basis is a dict
-    of packed rows keyed by top bit, as in fq_rank, and a chain extends a
-    copy of its last basis by one block (_insert_rows), until the basis
-    holds cols rows and so spans every later block too.  Deletion j
-    inserts the rows of the smaller of its two bases into a copy of the
-    larger one, unless the larger is full or the smaller empty.
-    """
-    count, rows, cols = stack.shape
-    m = rows // block
-    packed = _pack_rows(stack, 1)
-    out = []
-    for i in range(count):
-        blocks = [packed[i * rows + j * block : i * rows + (j + 1) * block] for j in range(m)]
-        before = [{}]  # before[j] spans blocks[:j]
-        for b in blocks[:-1]:
-            before.append(_extended(before[-1], b, cols))
-        after = [{}]  # after[j] spans blocks[j+1:], once reversed
-        for b in reversed(blocks[1:]):
-            after.append(_extended(after[-1], b, cols))
-        after.reverse()
-        for head, tail in zip(before, after):
-            big, small = (head, tail) if len(head) >= len(tail) else (tail, head)
-            out.append(len(big) if len(big) == cols or not small else len(_extended(big, small.values(), cols)))
-    return np.array(out, dtype=np.int64).reshape(count, m)
-
-
-def _extended(basis: dict[int, int], rows, cols: int) -> dict[int, int]:
-    """A packed F_2 basis of rowspace(basis) + rowspace(rows): basis itself when it is full, else a new dict."""
-    if len(basis) == cols:
-        return basis
-    basis = basis.copy()
-    _insert_rows(basis, rows, cols, 2, 1, 0, 0, 0)
-    return basis
-
-
-def _chained_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
-    """fq_deletion_ranks over F_p of one (rows, cols) matrix, on numpy chains of reduced bases.
-
-    Each deletion reduces the smaller basis against the larger one and
-    ranks the residual.
-    """
-    rows, cols = arr.shape
-    blocks = [arr[i * block : (i + 1) * block] for i in range(rows // block)]
-    empty = (np.zeros((0, cols), dtype=np.int64), [])
-    before = [empty]  # before[j] spans blocks[:j]
-    for b in blocks[:-1]:
-        before.append(_fq_extend_basis(*before[-1], b, fq))
-    after = [empty]  # after[j] spans blocks[j+1:], once reversed
-    for b in reversed(blocks[1:]):
-        after.append(_fq_extend_basis(*after[-1], b, fq))
-    after.reverse()
-    ranks = []
-    for head, tail in zip(before, after):
-        (big, big_pivots), (small, small_pivots) = (head, tail) if len(head[1]) >= len(tail[1]) else (tail, head)
-        if len(big_pivots) == cols or not small_pivots:
-            ranks.append(len(big_pivots))
-            continue
-        small = fq.vsub(small, fq.matmul(small[:, big_pivots], big))
-        ranks.append(len(big_pivots) + fq_rank(small, fq))
-    return ranks
-
-
-# A stack of reduced bases is kept pivot-indexed: a (count, cols, cols)
-# array whose row c is the basis vector with pivot column c, and zero when
-# c is no pivot.  The diagonal then marks the pivots, and x - x @ basis
-# clears every pivot column of a row x in one product.
-
-
-def _extend_indexed(basis: np.ndarray, rank: np.ndarray, rows: np.ndarray, fq: Fq) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot-indexed stack of bases of rowspace(basis) + rowspace(rows), per matrix, and their ranks.
-
-    Only the bases short of full rank are extended; a full one spans
-    every row already.
-    """
-    open_ = np.flatnonzero(rank < basis.shape[-1])
-    if not open_.size:
-        return basis, rank
-    old, rows = basis[open_], rows[open_]
-    residual = fq.vsub(rows, fq.matmul(rows, old))
-    new, added, pivots = fq_echelon_stack(residual, fq, reduced=True)
-    new = new[:, : pivots.shape[1]]  # rows past the rank are zero
-    at = np.maximum(pivots, 0)  # a padded pivot meets a zero row of new
-    old = fq.vsub(old, fq.matmul(old[np.arange(len(old))[:, None], :, at].swapaxes(1, 2), new))
-    found = pivots >= 0
-    old[np.nonzero(found)[0], pivots[found]] = new[found]
-    basis, rank = basis.copy(), rank.copy()
-    basis[open_], rank[open_] = old, rank[open_] + added
-    return basis, rank
-
-
-def _stacked_deletion_ranks(blocks: np.ndarray, fq: Fq) -> np.ndarray:
-    """fq_deletion_ranks over F_p of a (count, m, block, cols) stack of row blocks.
-
-    The prefix and the suffix chain extend one pivot-indexed stack of
-    2*count bases, the first count matrices by blocks 1, 2, ... and the
-    others by blocks m, m-1, ...  The deletions are then ranked by one
-    fq_rank call on a stack: wherever the larger basis of a deletion falls
-    short of full rank and the smaller one is not empty, the pivot rows
-    of the smaller basis, reduced against the larger one, padded with
-    zero rows to the largest such count.
-    """
-    count, m, _, cols = blocks.shape
-    chain = [(np.zeros((2 * count, cols, cols), dtype=np.int64), np.zeros(2 * count, dtype=np.int64))]
-    for j in range(m - 1):
-        chain.append(_extend_indexed(*chain[-1], np.concatenate([blocks[:, j], blocks[:, m - 1 - j]]), fq))
-    bases = np.stack([basis for basis, _ in chain])
-    rank = np.stack([rank for _, rank in chain])
-    # deletion j merges the span of blocks[:, :j] with the span of blocks[:, j+1:]
-    head, tail = bases[:, :count], bases[::-1, count:]
-    head_rank, tail_rank = rank[:, :count], rank[::-1, count:]
-    ranks = np.maximum(head_rank, tail_rank)
-    pairs = np.nonzero((ranks < cols) & (np.minimum(head_rank, tail_rank) > 0))
-    if pairs[0].size:
-        head, tail = head[pairs], tail[pairs]
-        swap = (tail_rank[pairs] > head_rank[pairs])[:, None, None]
-        big, small = np.where(swap, tail, head), np.where(swap, head, tail)
-        width = int(np.minimum(head_rank, tail_rank)[pairs].max())
-        order = np.argsort(np.diagonal(small, axis1=-2, axis2=-1) == 0, axis=-1, kind="stable")[:, :width]
-        small = np.take_along_axis(small, order[..., None], axis=-2)  # pivot rows first
-        ranks[pairs] += fq_rank(fq.vsub(small, fq.matmul(small, big)), fq)
-    return ranks.T
 
 
 # -- ranks over the two fields ---------------------------------------------------

@@ -8,9 +8,11 @@ than counted by formula, and the micro-instance decoder evaluates the
 recovery pipeline with explicit scalars.  Seven kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
-chain_deletion_ranks, the scan on numpy chains of reduced bases, which
-the package still runs for odd p and ran over F_2 as well before its
-bases were packed into ints;
+chain_deletion_ranks, the scan on numpy chains of reduced bases of every
+prefix and suffix of the row blocks, with fq_echelon_stack, the numpy
+reduced echelon forms of a stack under its stacked chain, which the
+package ran before every deletion was read off one basis of the
+transpose (linalg.fq_deletion_ranks);
 scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
 Gauss-Jordan elimination over F_q^s on scalar tower ops that the
 regular-representation kernel replaced; digit_fq_matmul / digit_matmul /
@@ -38,9 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from hhw_pir import fields
 from hhw_pir.errors import RankDeficientGenerator
 from hhw_pir.fields import FieldTower, Fq, fq_rank
-from hhw_pir.linalg import _chained_deletion_ranks, _stacked_deletion_ranks
 
 
 def fq_add(fq: Fq, a: int, b: int) -> int:
@@ -183,12 +185,14 @@ def per_deletion_rank_profile(data: np.ndarray, delta: int, fq: Fq) -> list[int]
 
 
 def chain_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
-    """linalg.fq_deletion_ranks on the numpy chains of reduced bases, at every p.
+    """linalg.fq_deletion_ranks on numpy chains of reduced bases of every prefix and suffix of the row blocks.
 
-    The chains are called directly, so over F_2 and F_(2^e) this is the
-    path the packed scan replaced: the 2-D chain for a (rows, cols)
-    matrix, which gives a list, and the stacked chain for a (count, rows,
-    cols) stack, which gives a (count, m) array.
+    With B_1..B_m the row blocks, rank(arr minus B_j) is the dimension of
+    rowspace(B_1..B_(j-1)) + rowspace(B_(j+1)..B_m).  Both chains of bases
+    are built one block at a time, and each deletion merges the smaller
+    basis into the larger one.  A (rows, cols) matrix runs the 2-D chain
+    and gives a list, a (count, rows, cols) stack the stacked chain and a
+    (count, m) array; for e > 1 both run over F_p on the blow-up.
     """
     arr = np.asarray(arr, dtype=np.int64)
     if fq.e > 1:
@@ -197,6 +201,180 @@ def chain_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
         return [r // fq.e for r in _chained_deletion_ranks(arr, block, fq.fp)]
     count, rows, cols = arr.shape
     return _stacked_deletion_ranks(arr.reshape(count, rows // block, block, cols), fq.fp) // fq.e
+
+
+def _fq_extend_basis(basis: np.ndarray, pivots: list[int], rows: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:
+    """Reduced basis of rowspace(basis) + rowspace(rows).
+
+    ``basis`` is reduced on ``pivots``: basis[:, pivots] is the identity.
+    The new rows are cleared on the old pivots with one product, the
+    residual is brought to reduced echelon form, and its pivots are
+    back-substituted into the old rows, so the result is reduced on
+    pivots + new pivots (in that row order).
+    """
+    if len(pivots) == basis.shape[1]:
+        return basis, pivots
+    if pivots:
+        rows = fq.vsub(rows, fq.matmul(rows[:, pivots], basis))
+    if not rows.any():
+        return basis, pivots
+    new, new_pivots = fields.fq_echelon(rows, fq, reduced=True)
+    new = new[: len(new_pivots)]
+    if not pivots:
+        return new, new_pivots
+    basis = fq.vsub(basis, fq.matmul(basis[:, new_pivots], new))
+    return np.vstack([basis, new]), pivots + new_pivots
+
+
+def _chained_deletion_ranks(arr: np.ndarray, block: int, fq: Fq) -> list[int]:
+    """chain_deletion_ranks over F_p of one (rows, cols) matrix.
+
+    Each deletion reduces the smaller basis against the larger one and
+    ranks the residual.
+    """
+    rows, cols = arr.shape
+    blocks = [arr[i * block : (i + 1) * block] for i in range(rows // block)]
+    empty = (np.zeros((0, cols), dtype=np.int64), [])
+    before = [empty]  # before[j] spans blocks[:j]
+    for b in blocks[:-1]:
+        before.append(_fq_extend_basis(*before[-1], b, fq))
+    after = [empty]  # after[j] spans blocks[j+1:], once reversed
+    for b in reversed(blocks[1:]):
+        after.append(_fq_extend_basis(*after[-1], b, fq))
+    after.reverse()
+    ranks = []
+    for head, tail in zip(before, after):
+        (big, big_pivots), (small, small_pivots) = (head, tail) if len(head[1]) >= len(tail[1]) else (tail, head)
+        if len(big_pivots) == cols or not small_pivots:
+            ranks.append(len(big_pivots))
+            continue
+        small = fq.vsub(small, fq.matmul(small[:, big_pivots], big))
+        ranks.append(len(big_pivots) + fq_rank(small, fq))
+    return ranks
+
+
+# A stack of reduced bases is kept pivot-indexed: a (count, cols, cols)
+# array whose row c is the basis vector with pivot column c, and zero when
+# c is no pivot.  The diagonal then marks the pivots, and x - x @ basis
+# clears every pivot column of a row x in one product.
+
+
+def _extend_indexed(basis: np.ndarray, rank: np.ndarray, rows: np.ndarray, fq: Fq) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot-indexed stack of bases of rowspace(basis) + rowspace(rows), per matrix, and their ranks.
+
+    Only the bases short of full rank are extended; a full one spans
+    every row already.
+    """
+    open_ = np.flatnonzero(rank < basis.shape[-1])
+    if not open_.size:
+        return basis, rank
+    old, rows = basis[open_], rows[open_]
+    residual = fq.vsub(rows, fq.matmul(rows, old))
+    new, added, pivots = fq_echelon_stack(residual, fq, reduced=True)
+    new = new[:, : pivots.shape[1]]  # rows past the rank are zero
+    at = np.maximum(pivots, 0)  # a padded pivot meets a zero row of new
+    old = fq.vsub(old, fq.matmul(old[np.arange(len(old))[:, None], :, at].swapaxes(1, 2), new))
+    found = pivots >= 0
+    old[np.nonzero(found)[0], pivots[found]] = new[found]
+    basis, rank = basis.copy(), rank.copy()
+    basis[open_], rank[open_] = old, rank[open_] + added
+    return basis, rank
+
+
+def _stacked_deletion_ranks(blocks: np.ndarray, fq: Fq) -> np.ndarray:
+    """chain_deletion_ranks over F_p of a (count, m, block, cols) stack of row blocks.
+
+    The prefix and the suffix chain extend one pivot-indexed stack of
+    2*count bases, the first count matrices by blocks 1, 2, ... and the
+    others by blocks m, m-1, ...  The deletions are then ranked by one
+    fq_rank call on a stack: wherever the larger basis of a deletion falls
+    short of full rank and the smaller one is not empty, the pivot rows
+    of the smaller basis, reduced against the larger one, padded with
+    zero rows to the largest such count.
+    """
+    count, m, _, cols = blocks.shape
+    chain = [(np.zeros((2 * count, cols, cols), dtype=np.int64), np.zeros(2 * count, dtype=np.int64))]
+    for j in range(m - 1):
+        chain.append(_extend_indexed(*chain[-1], np.concatenate([blocks[:, j], blocks[:, m - 1 - j]]), fq))
+    bases = np.stack([basis for basis, _ in chain])
+    rank = np.stack([rank for _, rank in chain])
+    # deletion j merges the span of blocks[:, :j] with the span of blocks[:, j+1:]
+    head, tail = bases[:, :count], bases[::-1, count:]
+    head_rank, tail_rank = rank[:, :count], rank[::-1, count:]
+    ranks = np.maximum(head_rank, tail_rank)
+    pairs = np.nonzero((ranks < cols) & (np.minimum(head_rank, tail_rank) > 0))
+    if pairs[0].size:
+        head, tail = head[pairs], tail[pairs]
+        swap = (tail_rank[pairs] > head_rank[pairs])[:, None, None]
+        big, small = np.where(swap, tail, head), np.where(swap, head, tail)
+        width = int(np.minimum(head_rank, tail_rank)[pairs].max())
+        order = np.argsort(np.diagonal(small, axis1=-2, axis2=-1) == 0, axis=-1, kind="stable")[:, :width]
+        small = np.take_along_axis(small, order[..., None], axis=-2)  # pivot rows first
+        ranks[pairs] += fq_rank(fq.vsub(small, fq.matmul(small, big)), fq)
+    return ranks.T
+
+
+@functools.cache
+def _inverses(p: int) -> np.ndarray:
+    """inverses[a] = a^-1 mod p for 0 < a < p, and inverses[0] = 0."""
+    return np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+
+
+def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fields.fq_echelon on every matrix of a (count, rows, cols) stack at once, by numpy row operations.
+
+    Step r finds the r-th pivot of every matrix: the leftmost column with
+    a nonzero entry in rows r and below, and the topmost such entry.  The
+    step swaps that row into row r (a no-op where the row is r already,
+    or where a matrix has no pivot left), normalises it from a table of
+    inverses mod p, and eliminates with it across the whole stack, so the
+    Python loop runs once per pivot, not once per matrix.  Each matrix
+    gets exactly the row operations fq_echelon applies to it, so the
+    echelon forms agree entry for entry.  A stack of one runs
+    fields.fq_echelon, looked up at call time, so that a kernel patched
+    in there runs too.  This loop served the stacked chains above while
+    they were the package's scan for odd p.
+
+    Returns:
+        The echelon stack, the rank of each matrix, and a (count,
+        min(rows, cols)) array whose row b lists the pivot columns of
+        matrix b in row order, padded with -1 past its rank.
+    """
+    if fq.e != 1:
+        raise ValueError(f"fq_echelon_stack eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
+    p = fq.p
+    count, rows, cols = np.shape(arr)
+    depth = min(rows, cols)
+    if count == 1:
+        R, found = fields.fq_echelon(arr[0], fq, reduced)
+        return R[None], np.array([len(found)]), np.array([found + [-1] * (depth - len(found))], dtype=np.int64)
+    # a C-ordered copy, so that flat below is a view and the row swaps written through it land in R
+    R = np.array(arr, dtype=np.int64, order="C")
+    inverses = _inverses(p)
+    stack = np.arange(count)
+    flat = R.reshape(count * rows, cols)
+    first_row = stack * rows
+    for r in range(depth):
+        below = R[:, r:] != 0
+        live_cols = below.any(axis=1)
+        if not live_cols.any():
+            break
+        c = live_cols.argmax(axis=1)
+        i = first_row + r + below[stack, :, c].argmax(axis=1)
+        top = flat[i]
+        flat[i] = R[:, r]
+        if p != 2:  # over F_2 every pivot is 1 already
+            top = top * inverses[top[stack, c]][:, None] % p
+        R[:, r] = top
+        lo = 0 if reduced else r + 1
+        factors = R[stack, lo:, c]
+        if reduced:
+            factors[:, r] = 0
+        R[:, lo:] = (R[:, lo:] - factors[:, :, None] * top[:, None, :]) % p
+    # row r of an echelon form is zero past the rank, else it starts at its pivot
+    leading = R[:, :depth] != 0
+    pivot_rows = leading.any(axis=2)
+    return R, pivot_rows.sum(axis=1), np.where(pivot_rows, leading.argmax(axis=2), -1)
 
 
 def scalar_rank_ext(rows, tower: FieldTower) -> int:

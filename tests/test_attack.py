@@ -170,25 +170,38 @@ def _deletion_case(rng, fq, count, m, block, width, kind):
     return np.ascontiguousarray(arr.reshape(count, m * block, arr.shape[-1]))
 
 
-@pytest.mark.parametrize("q", [2, 4])
-def test_packed_deletion_scan_matches_numpy_chains(q):
-    """Over F_2 and F_4 the packed scan gives the ranks of the numpy chains, and of naive ranks on small cases.
+def _memory_orders(stack):
+    """Views of a (count, rows, cols) stack with its entries but not C-contiguous: the scan packs a swapaxes view."""
+    return [np.asfortranarray(stack), np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2),
+            np.ascontiguousarray(stack[:, ::-1, ::-1])[:, ::-1, ::-1]]
 
-    Widths run to 130 bits (over F_4 to 65 entries, 130 bits of blow-up),
-    across the 8-byte words of _pack_rows and the padding of packbits.
+
+@pytest.mark.parametrize("q", [2, 4, 3, 5, 251, 65521])
+def test_deletion_scan_matches_numpy_chains(q):
+    """fq_deletion_ranks gives the ranks of the numpy chains at every field width, and naive ranks on small cases.
+
+    Over F_2 and F_4 the widths run to 130 bits (over F_4 to 65 entries,
+    130 bits of blow-up), across the 8-byte words of _pack_rows and the
+    padding of packbits; for odd p the packed rows of the transpose have
+    fields of 8 (F_3, F_5), 32 (F_251) and 64 bits (F_65521).  Every
+    stack is also scanned through views in other memory orders.
     """
-    fq = build_tower(2, q.bit_length() - 1, 2).fq
+    fq = build_tower(2, q.bit_length() - 1, 2).fq if q in (2, 4) else build_tower(q, 1, 2).fq
     rng = np.random.default_rng(0xDE1 + q)
     for trial in range(20 * len(DELETION_KINDS)):
         kind = DELETION_KINDS[trial % len(DELETION_KINDS)]
         count = int(rng.choice([0, 1, 2, 25, 64])) if trial % 3 else int(rng.integers(0, 3))
         m, block = int(rng.integers(1, 13)), int(rng.integers(1, 5))
-        width = int(rng.integers(0, 130 // fq.e + 1))
+        width = int(rng.integers(0, (130 // fq.e if fq.p == 2 else 40) + 1))
         stack = _deletion_case(rng, fq, count, m, block, width, kind)
         before = stack.copy()
         ranks = fq_deletion_ranks(stack, block, fq)
         assert type(ranks) is np.ndarray and ranks.dtype == np.int64 and ranks.shape == (count, m), (trial, kind)
         assert np.array_equal(ranks, chain_deletion_ranks(stack, block, fq)), (trial, kind)
+        for view in _memory_orders(stack):
+            assert np.array_equal(fq_deletion_ranks(view, block, fq), ranks), (trial, kind)
+            if count:
+                assert fq_deletion_ranks(view[0], block, fq) == ranks[0].tolist(), (trial, kind)
         for b, matrix in enumerate(stack[:2]):
             single = fq_deletion_ranks(matrix, block, fq)
             assert type(single) is list and all(type(r) is int for r in single), (trial, kind)
@@ -197,6 +210,26 @@ def test_packed_deletion_scan_matches_numpy_chains(q):
                 naive = [naive_rank_fq(np.delete(matrix, slice(j * block, (j + 1) * block), axis=0), fq) for j in range(m)]
                 assert single == naive, (trial, kind, b)
         assert np.array_equal(stack, before), (trial, kind)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SchemeParams(p=2, e=1, s=4, v=2, n=64, k=32, m=16, L=16),
+     SchemeParams(p=3, e=1, s=4, v=2, n=32, k=16, m=16, L=16)],
+    ids=["q2-n64", "q3-n32"],
+)
+def test_deletion_scan_matches_numpy_chains_at_paper_scale(params):
+    """Seeded queries whose transposes have rows of 1024 bits (F_2) and 4096 bits (F_3, 512 fields of 8)."""
+    tower = build_tower(params.p, params.e, params.s)
+    rngs = [np.random.default_rng([0x5CA1E, b]) for b in range(2)]
+    targets = [1, params.m]
+    stack = generate_queries(params, tower, targets, rngs).data.reshape(2, params.block_rows, params.n * params.s)
+    d, fq = params.delta, tower.fq
+    ranks = fq_deletion_ranks(stack, d, fq)
+    assert np.array_equal(ranks, chain_deletion_ranks(stack, d, fq))
+    for b, target in enumerate(targets):
+        assert fq_deletion_ranks(stack[b], d, fq) == chain_deletion_ranks(stack[b], d, fq) == ranks[b].tolist()
+        assert [j + 1 for j, r in enumerate(ranks[b]) if r <= params.rank_threshold] == [target]
 
 
 def test_rank_profile_validates_shape(tight_params, tight_tower, rng):
@@ -371,4 +404,5 @@ def test_report_serialises(tight_params, tight_tower, rng):
     assert blob["rank_profile"] == report.rank_profile
     assert blob["threshold"] == tight_params.rank_threshold
     assert blob["candidates"] == report.below_threshold
+    assert blob["fallback_used"] is report.fallback_used is False
     assert blob["elapsed_ms"] >= 0

@@ -133,14 +133,17 @@ def test_attack_exit_code_on_ambiguity(tmp_path):
     assert doc["candidates"] == [1, 2, 3, 4, 5, 6]
 
 
-def test_attack_fallback_argmin(tmp_path):
+def test_attack_fallback_argmin(tmp_path, pipeline):
+    """An ambiguous scan names its argmin and says so; a scan the threshold decides says it did not guess."""
     import struct
 
     path = tmp_path / "zero.hhwm"
     header = struct.pack("<4sBIIIII", b"HHWM", 1, 2, 1, 2, 12, 4)
     path.write_bytes(header + bytes(48))
-    proc = run_cli("attack", "--params", TIGHT, "--query", str(path), "--fallback-argmin")
-    assert json.loads(proc.stdout)["recovered_index"] == 1
+    doc = json.loads(run_cli("attack", "--params", TIGHT, "--query", str(path), "--fallback-argmin").stdout)
+    assert doc["recovered_index"] == 1 and doc["fallback_used"] is True
+    doc = json.loads(run_cli("attack", "--params", TIGHT, "--query", pipeline["query"], "--fallback-argmin").stdout)
+    assert doc["recovered_index"] == 4 and doc["candidates"] == [4] and doc["fallback_used"] is False
 
 
 def test_malformed_query_file_is_reported(tmp_path):

@@ -12,7 +12,7 @@ from hhw_pir.errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from hhw_pir.fields import Fq, _reduce_fields, _row_layout, build_tower, fq_echelon_stack, is_prime
+from hhw_pir.fields import Fq, _reduce_fields, _row_layout, build_tower, is_prime
 from hhw_pir.linalg import (
     ExtMatrix,
     change_basis,
@@ -37,6 +37,7 @@ from .oracles import (
     ext_add,
     ext_mul,
     ext_zero,
+    fq_echelon_stack,
     loop_echelon,
     naive_rank_fq,
     rank_ext_oracle,

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Time the kernels over F_p on packed rows: elimination and ranks, against the paths they replaced.
 
-Every inverse and echelon form of the package reaches
+Every inverse of the package reaches the reduced echelon form of
 hhw_pir.fields.fq_echelon over F_p, and every rank hhw_pir.fields.fq_rank,
 directly or through blow-ups.  Both pack each row into one Python int, a
-field of bits per entry: fq_echelon eliminates whole rows at once (XOR
-over F_2, a multiply-add and a division-free reduction of every field for
-odd p), fq_rank inserts each row into a basis keyed by its top field.
-The script times each row twice, before and after:
+field of bits per entry, and insert the rows into a basis keyed by top
+field (XOR over F_2, a multiply-add and a division-free reduction of every
+field for odd p); fq_echelon then clears the basis on its pivots.  The
+script times each row twice, before and after:
 
   kernel rows  fq_echelon against the numpy loop it replaced, patched in
-               from tests/oracles.py (loop_echelon), one column at a time
-               with numpy row operations, as fq_echelon ran for every p;
+               from tests/oracles.py (loop_echelon, reduced), one column
+               at a time with numpy row operations, as fq_echelon ran for
+               every p;
   rank rows    fq_rank against the ranks it took before its packed
                kernel, patched in as echelon_rank: the ranks of the numpy
                fq_echelon_stack, now in tests/oracles.py, for a stack,
@@ -19,15 +20,11 @@ The script times each row twice, before and after:
                single matrix;
   stage rows   the package against both old paths at once.
 
-Kernel rows (seeded matrices).  Over F_2, the shapes the q4 fixture's
-blow-ups hand the kernel: 18x36, the rank of a 3x6 generator over F_64
-and the [M | I] of a 3x3 inverse over F_64; 12x24, the [M | I] of the
-6x6 selector inverse over F_4; and a larger rank, 60x120.  Over F_3,
-the shapes of the attack at the q=3 m=16 fixture: 10x40 reduced, the
-extension of a prefix or suffix basis by one row block, and a 30x40
-rank, a merge of two bases.  One 10x40 reduced row each over F_5,
-F_251 and F_65521, whose packed fields are 16, 32 and 64 bits wide (8
-over F_3).
+Kernel rows (seeded matrices).  Over F_2, the [M | I] the q4 fixture's
+inverses hand the kernel: 18x36, a 3x3 inverse over F_64, and 12x24, the
+6x6 selector inverse over F_4; and a larger inverse, 60x120.  One 10x40
+matrix each over F_3, F_5, F_251 and F_65521, whose packed fields are 8,
+16, 32 and 64 bits wide.
 
 Rank rows.  The 2-D ranks 18x36 over F_2 and 30x40 over F_3, the stacks
 64x16x32 over F_2 and 64x20x40 over F_3 (seeded), and per fixture every
@@ -36,16 +33,18 @@ fq_rank call of one generation round of 64 fixed-seed streams
 from them the tail calls among them, stacks of 1 to 3 matrices, which
 the rejection phases rank once few streams are still pending.
 
-Stage rows: generate_query, decode and the attack's recover_index of one
-query at a time at the preset, tight and q4 fixtures (p = 2) and at the
-q=3 m=16 fixture (p = 3), over --queries fixed-seed queries per fixture.
+Stage rows: generate_query and decode of one query at a time at the
+preset, tight and q4 fixtures (p = 2) and at the q=3 m=16 fixture
+(p = 3), over --queries fixed-seed queries per fixture.  The attack's
+recover_index runs neither kernel (scripts/bench_attack.py times its
+scan).
 
 Each row is timed --repeats times per side and reported as
 microseconds of wall time per call.  Both sides must give identical
-outputs on every row (echelon forms and pivots, ranks, query matrices,
-decoded files, rank profiles and recovered indices), or the script exits
-1; the timing, comparison and record follow scripts/benchkit.py.  It
-writes the results to BENCH_echelon.json.
+outputs on every row (echelon forms and pivots, ranks, query matrices
+and decoded files), or the script exits 1; the timing, comparison and
+record follow scripts/benchkit.py.  It writes the results to
+BENCH_echelon.json.
 
     python3 scripts/bench_echelon.py
     python3 scripts/bench_echelon.py --calls 1 --queries 1 --repeats 1 --out bench.json
@@ -60,7 +59,7 @@ import sys
 import numpy as np
 
 import benchkit
-from hhw_pir import attack, experiment, fields, scheme
+from hhw_pir import experiment, fields, scheme
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 from tests import oracles
 
@@ -84,13 +83,13 @@ def echelon_rank(arr, fq):
         return echelon_rank(fq.blow_up(arr), fq.fp) // fq.e
     *lead, rows, cols = arr.shape
     if lead:
-        # a stack of one runs fields.fq_echelon, looked up at call time, so the patched loop runs there too
         return oracles.fq_echelon_stack(arr.reshape(-1, rows, cols), fq)[1].reshape(lead)
     return len(fields.fq_echelon(arr, fq)[1])
 
 
 # the numpy loop for echelon forms and inverses, and ranks on top of it
-loop_kernel = functools.partial(benchkit.patched, fq_echelon=oracles.loop_echelon, fq_rank=echelon_rank)
+loop_kernel = functools.partial(benchkit.patched, fq_echelon=functools.partial(oracles.loop_echelon, reduced=True),
+                                fq_rank=echelon_rank)
 # ranks as they were taken before the packed rank kernel, on the packed fq_echelon
 echelon_ranks = functools.partial(benchkit.patched, fq_rank=echelon_rank)
 
@@ -103,24 +102,21 @@ def kernels(calls: int):
     def with_identity(n):
         return np.hstack([f2.rand(rng, (n, n)), np.eye(n, dtype=np.int64)])
 
-    def echelon(arr, fp, reduced):
+    def echelon(arr, fp):
         # fields.fq_echelon is looked up at call time, so the patched loop runs on the before side
-        R, pivots = fields.fq_echelon(arr, fp, reduced)
+        R, pivots = fields.fq_echelon(arr, fp)
         return [R, np.array(pivots, dtype=np.int64)]
 
     rows = [
-        ("F_2 18x36 rank", f2, f2.rand(rng, (18, 36)), False, calls),
-        ("F_2 18x36 [M | I] reduced", f2, with_identity(18), True, calls),
-        ("F_2 12x24 [M | I] reduced", f2, with_identity(12), True, calls),
-        ("F_2 60x120 rank", f2, f2.rand(rng, (60, 120)), False, max(calls // 5, 1)),
-        ("F_3 10x40 reduced", f3, f3.rand(rng, (10, 40)), True, calls),
-        ("F_3 30x40 rank", f3, f3.rand(rng, (30, 40)), False, calls),
-        ("F_5 10x40 reduced (16-bit fields)", f5, f5.rand(rng, (10, 40)), True, calls),
-        ("F_251 10x40 reduced (32-bit fields)", f251, f251.rand(rng, (10, 40)), True, calls),
-        ("F_65521 10x40 reduced (64-bit fields)", f65521, f65521.rand(rng, (10, 40)), True, calls),
+        ("F_2 18x36 [M | I]", f2, with_identity(18), calls),
+        ("F_2 12x24 [M | I]", f2, with_identity(12), calls),
+        ("F_2 60x120 [M | I]", f2, with_identity(60), max(calls // 5, 1)),
+        ("F_3 10x40", f3, f3.rand(rng, (10, 40)), calls),
+        ("F_5 10x40 (16-bit fields)", f5, f5.rand(rng, (10, 40)), calls),
+        ("F_251 10x40 (32-bit fields)", f251, f251.rand(rng, (10, 40)), calls),
+        ("F_65521 10x40 (64-bit fields)", f65521, f65521.rand(rng, (10, 40)), calls),
     ]
-    return [(name, lambda fp=fp, arr=arr, reduced=reduced: echelon(arr, fp, reduced), n)
-            for name, fp, arr, reduced, n in rows]
+    return [(name, lambda fp=fp, arr=arr: echelon(arr, fp), n) for name, fp, arr, n in rows]
 
 
 def captured_ranks(p, tower) -> list:
@@ -161,7 +157,7 @@ def ranks(calls: int):
 
 
 def stages(queries: int):
-    """(name, call, calls per timing) of generate, decode and attack per fixture, over fixed-seed queries."""
+    """(name, call, calls per timing) of generate and decode per fixture, over fixed-seed queries."""
     rows = []
     for index, (fixture, p) in enumerate(FIXTURES):
         tower = fields.build_tower(p.p, p.e, p.s)
@@ -178,12 +174,7 @@ def stages(queries: int):
         def decode(p=p, tower=tower, made=made, answers=answers):
             return [scheme.decode(answer, secrets, p, tower) for answer, (_, secrets) in zip(answers, made)]
 
-        def recover(p=p, tower=tower, made=made):
-            reports = [attack.recover_index(query, p, tower) for query, _ in made]
-            return [np.array([r.recovered_index or 0, *r.rank_profile]) for r in reports]
-
-        rows += [(f"{fixture} {name} (one query)", call, 1)
-                 for name, call in (("generate_query", generate), ("decode", decode), ("recover_index", recover))]
+        rows += [(f"{fixture} generate_query (one query)", generate, 1), (f"{fixture} decode (one query)", decode, 1)]
     return rows
 
 
@@ -197,12 +188,12 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = {
         "topic": "elimination and ranks over F_p, microseconds of wall time per call (stage rows: per query)",
-        "before": "kernel rows: tests/oracles.py loop_echelon (numpy row operations, one column at a time) "
-                  "patched in as fq_echelon; rank rows: echelon_rank (fq_echelon_stack(...)[1], or "
+        "before": "kernel rows: tests/oracles.py loop_echelon, reduced (numpy row operations, one column at a "
+                  "time) patched in as fq_echelon; rank rows: echelon_rank (fq_echelon_stack(...)[1], or "
                   "len(fq_echelon(...)[1]) for one matrix) patched in as fq_rank; stage rows: both",
-        "after": "fields.fq_echelon on rows packed into Python ints (XOR over F_2, multiply-add and a "
-                 "division-free field reduction for odd p) and fields.fq_rank on the same rows, each "
-                 "inserted into a basis keyed by its top field",
+        "after": "fields.fq_echelon and fields.fq_rank on rows packed into Python ints, each inserted into a "
+                 "basis keyed by its top field (XOR over F_2, multiply-add and a division-free field reduction "
+                 "for odd p); fq_echelon then clears the basis on its pivots",
         "command": f"python3 scripts/bench_echelon.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
         "machine": benchkit.machine(),
         "seeds": {"matrices": MATRIX_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED, "rounds": ROUND_SEED},

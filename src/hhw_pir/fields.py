@@ -29,17 +29,17 @@ sums stay below 2^51 and reduces each partial sum without a division.
 Elimination and ranks work over F_p only.  An F_q-space of dimension r
 is an F_p-space of dimension e*r, so ranks and inverses over F_q
 (fq_rank, fq_inv_matrix) and over F_q^s (see linalg.ext_rank) reach them
-through the same regular representations.  Both kernels pack each row
+through the same regular representations.  Every kernel packs each row
 into one Python int, an entry to a field of bits (_pack_rows, after the
-M4RI library of Albrecht and Bard, without its tables), and act on whole
+M4RI library of Albrecht and Bard, without its tables), and acts on whole
 rows at once: over F_2 with XOR, for odd p with one integer multiply-add
-and a division-free reduction of every field.  fq_echelon computes
-echelon forms, and through them inverses; fq_rank ranks a matrix or a
-stack of any size without it, by inserting each row into a basis keyed
-by top field (_insert_rows).  The attack's deletion scan
-(linalg.fq_deletion_ranks) builds its basis of the transposed query by
-the same insertion, at every p.  fq_rank, fq_inv_matrix and
-linalg.fq_deletion_ranks raise CoordinateOutOfRange on an entry outside
+and a division-free reduction of every field (_reduce_fields).  One loop
+row-reduces: _insert_rows inserts each row into a basis keyed by top
+field.  fq_rank counts the basis of a matrix or of each matrix of a
+stack; fq_echelon clears the basis on its pivots into the reduced echelon
+form, and through it fq_inv_matrix inverts; the attack's deletion scan
+(linalg.fq_deletion_ranks) builds its basis of the transposed query the
+same way.  All four raise CoordinateOutOfRange on an entry outside
 [0, q), which a packed field would wrap.
 """
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -297,32 +296,52 @@ def _matpow(a: np.ndarray, n: int, matmul) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_layout(p: int, cols: int) -> tuple[int, int, int, int]:
-    """(w, s, m, low) of a packed row of ``cols`` entries over odd F_p (see fq_echelon).
+def _row_layout(p: int, cols: int) -> tuple[int, tuple[int, int, int, int]]:
+    """(fields, (w, s, m, low)) of a packed row of ``cols`` entries over F_p (see _pack_rows).
 
-    w, the field width in bits, is the narrowest of 8, 16, 32 and 64 with
-    (p^2 - 1) * m < 2^w (every odd p < 2^16 fits in 64); s = bitlen(p^3)
-    and m = ceil(2^s / p) are the shift and multiplier of the reduction;
-    low holds the low w - s bits of each of the cols fields.
+    A packed row holds ``fields`` fields of w bits.  Over F_2, w = 1 and
+    fields is cols rounded up to whole bytes; a row operation is XOR and
+    reduces nothing, so s = m = low = 0.  For odd p, fields = cols and w is
+    the narrowest of 8, 16, 32 and 64 with (p^2 - 1) * m < 2^w (every odd
+    p < 2^16 fits in 64); s = bitlen(p^3) and m = ceil(2^s / p) are the
+    shift and multiplier of the reduction (_reduce_fields), and low holds
+    the low w - s bits of each of the cols fields.
     """
+    if p == 2:
+        return 8 * -(-cols // 8), (1, 0, 0, 0)
     s = (p**3).bit_length()
     m = -(-(1 << s) // p)
     w = next(w for w in (8, 16, 32, 64) if (p * p - 1) * m < 1 << w)
     # (2^(w*cols) - 1) / (2^w - 1) has a 1 at the bottom of every field
-    return w, s, m, ((1 << w - s) - 1) * ((1 << w * cols) - 1) // ((1 << w) - 1)
+    return cols, (w, s, m, ((1 << w - s) - 1) * ((1 << w * cols) - 1) // ((1 << w) - 1))
 
 
 def _reduce_fields(x: int, p: int, s: int, m: int, low: int) -> int:
-    """Every field of a packed row, each below p^2, reduced mod p with no division (see fq_echelon)."""
+    """Every field of a packed row over odd F_p, each below p^2, reduced mod p with no division.
+
+        x - p * (((x * m) >> s) & low),   low the low w - s bits of each field.
+
+    This is exact field by field.  Each field y of x stays below p^2: a
+    field of a row is below p, one of (p - c) * b, b a row, is at most
+    (p - 1)^2, and so is one of a row times the inverse of its top field.
+    So y * m <= (p^2 - 1) * m < 2^w carries nothing into the next field;
+    the shift puts floor(y * m / 2^s), which is below 2^(w - s), in the
+    low w - s bits of the field, and low drops the s bits shifted in from
+    the field above.  With y = k * p + r and m * p = 2^s + d, 0 <= d < p,
+    y * m / 2^s = k + (r + y * d / 2^s) / p, and y * d < p^3 <= 2^s keeps
+    r + y * d / 2^s below p, so the floor is the quotient k and each field
+    drops to y - k * p = r with no borrow.  The row operations of the
+    kernels inline it.
+    """
     return x - p * ((x * m >> s) & low)
 
 
 def _pack_rows(arr: np.ndarray, w: int) -> list[int]:
     """Every row of a (..., cols) array of residues mod p as one Python int, with fields of w bits.
 
-    Column c of a row is its c-th field from the top: w = 1 over F_2, where
-    np.packbits pads the row at the bottom to whole bytes, and w from
-    _row_layout(p, cols) for odd p.  The whole array is packed by one numpy
+    Column c of a row is its c-th field from the top, w from
+    _row_layout(p, cols): over F_2, w = 1 and np.packbits pads the row at
+    the bottom to whole bytes.  The whole array is packed by one numpy
     call, and the rows come in C order of the leading axes whatever the
     memory order of arr.  A row of at most 8 bytes is read as one big-endian
     64-bit word, whose zero bytes on top leave its value unchanged.
@@ -336,103 +355,60 @@ def _pack_rows(arr: np.ndarray, w: int) -> list[int]:
     return words.view(">u8").ravel().tolist()
 
 
-def fq_echelon(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over the prime field F_p with leftmost-column, topmost-row pivoting.
+def fq_echelon(arr: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over the prime field F_p.
 
     Args:
-        arr: (rows, cols) array of residues mod p.
+        arr: (rows, cols) array of residues mod p; an entry outside [0, p)
+            raises CoordinateOutOfRange.
         fq: a prime-field context (e = 1); larger fields reach this kernel
             through their F_p regular representation (Fq.blow_up).
-        reduced: eliminate above pivots too.
 
     Returns:
-        The echelon form, a new (rows, cols) int64 array whose pivots are
-        normalised to 1, and the list of pivot column indices.
+        The echelon form, a new (rows, cols) int64 array with its zero rows
+        last, whose pivots are 1 and the only nonzero entries of their
+        columns, and the ascending list of pivot column indices.
 
-    Row i becomes one Python int whose fields of w bits (one over F_2,
-    _row_layout for odd p), from the top, are its entries (_pack_rows).
-    The rows from r down are zero left of the next pivot column, so that
-    column is the top nonzero field of their OR, and the pivot row is the
-    topmost of them with that field nonzero.  It is swapped into row r,
-    normalised, and eliminated from every other row with that field
-    nonzero (below row r only, unless reduced).  Over F_2 the row
-    operation is XOR.  For odd p it is x + (p - c) * pivot, with c the
-    field of x in the pivot column, and every field of the result is then
-    reduced mod p at once, with no division:
-
-        x - p * (((x * m) >> s) & LOW),   LOW the low w - s bits of each field.
-
-    This is exact field by field.  Each field y of x stays below p^2: a
-    field of a row is below p, one of (p - c) * pivot is at most
-    (p - 1)^2, and so is one of a pivot times its inverse.  So y * m <=
-    (p^2 - 1) * m < 2^w carries nothing into the next field; the shift
-    puts floor(y * m / 2^s), which is below 2^(w - s), in the low w - s
-    bits of the field, and LOW drops the s bits shifted in from the field
-    above.  With y = k * p + r and m * p = 2^s + d, 0 <= d < p,
-    y * m / 2^s = k + (r + y * d / 2^s) / p, and y * d < p^3 <= 2^s keeps
-    r + y * d / 2^s below p, so the floor is the quotient k and each field
-    drops to y - k * p = r with no borrow.  Over every p the swaps and row
-    operations are those of the numpy loop this kernel replaced
-    (tests/oracles.py:loop_echelon), so the result depends only on the
-    matrix.
+    The rows are packed (_pack_rows) and inserted into a basis keyed by
+    top field (_insert_rows), whose rows, normalised and with distinct top
+    fields, are the pivot rows.  From the rightmost pivot leftwards, each
+    basis row is then cleared on the pivot fields right of its own by the
+    rows already done; those are zero on each other's pivot fields, so one
+    pass clears every one.  The rows are emitted by pivot column.  The
+    reduced echelon form of a matrix is unique, so the result depends only
+    on the matrix, and it is the one of the numpy loop this kernel replaced
+    (tests/oracles.py:loop_echelon, reduced).
     """
     if fq.e != 1:
         raise ValueError(f"fq_echelon eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
-    p = fq.p
-    arr = np.asarray(arr)
+    arr = _encodings(arr, fq)
     rows, cols = arr.shape
-    if p == 2:  # one bit per field, no reduction
-        w, fields = 1, 8 * -(-cols // 8)
-    else:
-        w, s, m, low = _row_layout(p, cols)
-        fields = cols
-        dtype = f">u{w // 8}"
-    R = _pack_rows(arr, w)
-    nbytes = fields * w // 8
+    p = fq.p
+    fields, layout = _row_layout(p, cols)
+    w, s, m, low = layout
+    basis: dict[int, int] = {}
+    _insert_rows(basis, _pack_rows(arr, w), cols, p, *layout)
     field = (1 << w) - 1
-    pivots: list[int] = []
-    for r in range(rows):
-        live = functools.reduce(operator.or_, R[r:])
-        if not live:
-            break
-        shift = (live.bit_length() - 1) // w * w
-        mask = field << shift
-        i = r
-        while not R[i] & mask:
-            i += 1
-        pivot = R[i]
-        R[i] = R[r]
-        if p == 2:
-            R[r + 1 :] = [x ^ pivot if x & mask else x for x in R[r + 1 :]]
-            if reduced:
-                R[:r] = [x ^ pivot if x & mask else x for x in R[:r]]
-        else:
-            # the pivot row is zero left of the pivot column, so its top field is its leading entry
-            inverse = pow(pivot >> shift, -1, p)
-            if inverse != 1:
-                pivot = _reduce_fields(pivot * inverse, p, s, m, low)
-            R[r + 1 :] = _eliminate(R[r + 1 :], pivot, shift, field, p, s, m, low)
-            if reduced:
-                R[:r] = _eliminate(R[:r], pivot, shift, field, p, s, m, low)
-        R[r] = pivot
-        pivots.append(fields - 1 - shift // w)
-    packed = b"".join([x.to_bytes(nbytes, "big") for x in R])
+    done: list[tuple[int, int]] = []  # (shift, row), from the rightmost pivot
+    for shift in sorted(basis):
+        x = basis[shift]
+        for right, b in done:
+            c = x >> right & field
+            if c:
+                if p == 2:
+                    x ^= b
+                else:
+                    x += (p - c) * b
+                    x -= p * ((x * m >> s) & low)  # _reduce_fields, inlined
+        done.append((shift, x))
+    done.reverse()
+    nbytes = fields * w // 8
+    packed = b"".join([x.to_bytes(nbytes, "big") for _, x in done]) + bytes(nbytes * (rows - len(done)))
+    pivots = [fields - 1 - shift // w for shift, _ in done]
     if p == 2:
         bits = np.frombuffer(packed, dtype=np.uint8).reshape(rows, nbytes)
         return np.unpackbits(bits, axis=1, count=cols).astype(np.int64), pivots
-    return np.frombuffer(packed, dtype=dtype).reshape(rows, cols).astype(np.int64), pivots
-
-
-def _eliminate(rows: list[int], pivot: int, shift: int, field: int, p: int, s: int, m: int, low: int) -> list[int]:
-    """Clear the field at ``shift`` of every packed row with the normalised pivot row, mod p (see fq_echelon)."""
-    out = []
-    for x in rows:
-        c = x >> shift & field
-        if c:
-            x += (p - c) * pivot
-            x -= p * ((x * m >> s) & low)  # _reduce_fields, inlined
-        out.append(x)
-    return out
+    return np.frombuffer(packed, dtype=f">u{w // 8}").reshape(rows, cols).astype(np.int64), pivots
 
 
 def _encodings(arr, fq: Fq) -> np.ndarray:
@@ -453,21 +429,9 @@ def fq_rank(arr: np.ndarray, fq: Fq):
     """Rank over F_q of a (rows, cols) matrix, or the int64 array of the ranks of a (..., rows, cols) stack.
 
     For e > 1 it is the F_p rank of the blow-up divided by e.  The whole
-    array is packed at once (_pack_rows, the row layout of fq_echelon), and
-    each matrix's rows are inserted one at a time into a basis of
-    normalised rows keyed by the shift of their top field, so no rank
-    reaches fq_echelon.  While a row x is nonzero, its top field is looked
-    up: if a basis row b has that top field, x is cleared there (x XOR b
-    over F_2; x + (p - c) * b with c the top field of x, then
-    _reduce_fields, for odd p, whose fields stay below p^2 as fq_echelon
-    shows); otherwise x is normalised, stored, and the insertion stops.
-    The basis rows have distinct top fields, so they are independent and
-    span every row inserted so far: the rank is their number, whatever the
-    insertion order.  Each step clears the top field of x, so a row takes
-    at most rank + 1 steps, with no pivot search, no OR over the remaining
-    rows and no unpacking.  The insertion (_insert_rows, which
-    linalg.fq_deletion_ranks shares to build its basis of the transpose)
-    stops once a matrix's basis holds cols rows.
+    array is packed at once (_pack_rows), and each matrix's rows are
+    inserted into a basis of its own (_insert_rows), whose size is the
+    rank; no echelon form is built.
     """
     arr = _encodings(arr, fq)
     if arr.ndim == 2 and not arr.any():
@@ -476,7 +440,7 @@ def fq_rank(arr: np.ndarray, fq: Fq):
         arr = fq.blow_up(arr)
     *lead, rows, cols = arr.shape
     p = fq.p
-    layout = (1, 0, 0, 0) if p == 2 else _row_layout(p, cols)  # over F_2 one bit per field, no reduction
+    layout = _row_layout(p, cols)[1]
     packed = _pack_rows(arr, layout[0])
     ranks = []
     for i in range(math.prod(lead)):
@@ -487,10 +451,18 @@ def fq_rank(arr: np.ndarray, fq: Fq):
 
 
 def _insert_rows(basis: dict[int, int], rows, full: int, p: int, w: int, s: int, m: int, low: int) -> None:
-    """Insert packed rows over F_p, fields of w bits, into a basis keyed by top field (see fq_rank).
+    """Insert packed rows over F_p, fields of w bits, into a basis of normalised rows keyed by top field.
 
-    The basis is extended in place, and the insertion stops once it holds
-    ``full`` rows, the number of columns: it then spans every row.
+    While a row x is nonzero, its top field is looked up: if a basis row b
+    has that top field, x is cleared there (x XOR b over F_2; x + (p - c) * b
+    with c the top field of x, then _reduce_fields, for odd p); otherwise x
+    is normalised, stored, and the insertion stops.  The basis rows have
+    distinct top fields, so they are independent and span every row
+    inserted so far, whatever the insertion order.  Each step clears the
+    top field of x, so a row takes at most rank + 1 steps, with no pivot
+    search and no unpacking.  The basis is extended in place, and the
+    insertion stops once it holds ``full`` rows, the number of columns: it
+    then spans every row.
     """
     for x in rows:
         while x:
@@ -523,7 +495,7 @@ def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
         raise DimensionMismatch(f"expected square matrix, got {arr.shape}")
     size = n * fq.e
     big = fq.blow_up(arr) if fq.e > 1 else arr
-    R, pivots = fq_echelon(np.hstack([big, np.eye(size, dtype=np.int64)]), fq.fp, reduced=True)
+    R, pivots = fq_echelon(np.hstack([big, np.eye(size, dtype=np.int64)]), fq.fp)
     if pivots[:size] != list(range(size)):
         raise ValueError("matrix is singular")
     if fq.e == 1:

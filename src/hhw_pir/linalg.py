@@ -16,17 +16,18 @@ under applying any fixed invertible F_q-linear map to every entry, so an
 observer needs no knowledge of the hidden basis to evaluate it.
 
 Both run on the packed kernels over F_p of fields, ranks on fq_rank and
-inverses on fq_echelon: work over F_q^s goes through the regular
-representation (FieldTower.blow_up), which replaces every entry by the
-s x s F_q matrix of multiplication by it, and work over F_q through
-Fq.blow_up, its e x e F_p counterpart.
+inverses on fq_inv_matrix, which reads them off the reduced echelon form
+of fq_echelon: work over F_q^s goes through the regular representation
+(FieldTower.blow_up), which replaces every entry by the s x s F_q matrix
+of multiplication by it, and work over F_q through Fq.blow_up, its e x e
+F_p counterpart.
 
 fq_deletion_ranks, the attack's scan of every block deletion, ranks
 them all from one basis of the row space of the transposed matrix, built
-by the insertion of fq_rank (fields._insert_rows) at every p: deleting a
-block of rows masks a block of that basis's columns, and only the basis
-rows leading in the block need work (the rank formula of the dual
-matroid, see fq_deletion_ranks).
+by the row insertion every kernel of fields shares (fields._insert_rows):
+deleting a block of rows masks a block of that basis's columns, and only
+the basis rows leading in the block need work (the rank formula of the
+dual matroid, see fq_deletion_ranks).
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
     other columns.
 
     Q^T is packed once (_pack_rows, row i of Q as field i from the top of
-    every packed row, in the layout of fq_rank for ``rows`` entries), and
-    B is built by the insertion of fq_rank (_insert_rows).  A block that
-    holds no leading column of B has rank r with no further work; in the
-    attack that is every block but the first few and the target's.  For a
+    every packed row, laid out by _row_layout for ``rows`` entries), and
+    B is built by _insert_rows.  A block that holds no leading column of B
+    has rank r with no further work; in the attack that is every block
+    but the first few and the target's.  For a
     block that holds some, its rows of B are masked to the fields outside
     it and reduced against B and against each other, masked again after
     every step, and the ones left nonzero are counted.  One algorithm
@@ -126,10 +127,7 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
         stack, block = fq.blow_up(stack), block * fq.e
     count, rows, cols = stack.shape
     p = fq.p
-    if p == 2:  # one bit per field, packbits padding the rows to whole bytes, no reduction
-        layout, fields = (1, 0, 0, 0), 8 * -(-rows // 8)
-    else:
-        layout, fields = _row_layout(p, rows), rows
+    fields, layout = _row_layout(p, rows)
     w, s, m, low = layout
     span = (1 << w * block) - 1  # the fields of one block, at the bottom
     packed = _pack_rows(stack.swapaxes(-1, -2), w)

@@ -40,7 +40,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from hhw_pir import fields
 from hhw_pir.errors import RankDeficientGenerator
 from hhw_pir.fields import FieldTower, Fq, fq_rank
 
@@ -218,7 +217,7 @@ def _fq_extend_basis(basis: np.ndarray, pivots: list[int], rows: np.ndarray, fq:
         rows = fq.vsub(rows, fq.matmul(rows[:, pivots], basis))
     if not rows.any():
         return basis, pivots
-    new, new_pivots = fields.fq_echelon(rows, fq, reduced=True)
+    new, new_pivots = loop_echelon(rows, fq, reduced=True)
     new = new[: len(new_pivots)]
     if not pivots:
         return new, new_pivots
@@ -321,7 +320,7 @@ def _inverses(p: int) -> np.ndarray:
 
 
 def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """fields.fq_echelon on every matrix of a (count, rows, cols) stack at once, by numpy row operations.
+    """loop_echelon on every matrix of a (count, rows, cols) stack at once, by numpy row operations.
 
     Step r finds the r-th pivot of every matrix: the leftmost column with
     a nonzero entry in rows r and below, and the topmost such entry.  The
@@ -329,11 +328,10 @@ def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np
     or where a matrix has no pivot left), normalises it from a table of
     inverses mod p, and eliminates with it across the whole stack, so the
     Python loop runs once per pivot, not once per matrix.  Each matrix
-    gets exactly the row operations fq_echelon applies to it, so the
-    echelon forms agree entry for entry.  A stack of one runs
-    fields.fq_echelon, looked up at call time, so that a kernel patched
-    in there runs too.  This loop served the stacked chains above while
-    they were the package's scan for odd p.
+    gets exactly the row operations loop_echelon applies to it, so the
+    echelon forms agree entry for entry; a stack of one runs
+    loop_echelon.  This loop served the stacked chains above while they
+    were the package's scan for odd p.
 
     Returns:
         The echelon stack, the rank of each matrix, and a (count,
@@ -346,7 +344,7 @@ def fq_echelon_stack(arr: np.ndarray, fq: Fq, reduced: bool = False) -> tuple[np
     count, rows, cols = np.shape(arr)
     depth = min(rows, cols)
     if count == 1:
-        R, found = fields.fq_echelon(arr[0], fq, reduced)
+        R, found = loop_echelon(arr[0], fq, reduced)
         return R[None], np.array([len(found)]), np.array([found + [-1] * (depth - len(found))], dtype=np.int64)
     # a C-ordered copy, so that flat below is a view and the row swaps written through it land in R
     R = np.array(arr, dtype=np.int64, order="C")
@@ -506,8 +504,9 @@ def loop_echelon(arr, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[i
     """fields.fq_echelon as it ran before its rows were packed into ints: one column at a time on numpy rows.
 
     The packed kernel replaced it over F_2 first and then for odd p too;
-    it is the reference the kernel is checked against, entry for entry,
-    over every field width of a packed row.
+    with reduced=True it is the reference the kernel is checked against,
+    entry for entry, over every field width of a packed row.  Reduced or
+    not, it is the reference of fq_echelon_stack's echelon forms.
     """
     p = fq.p
     R = np.array(arr, dtype=np.int64, copy=True)

@@ -99,7 +99,7 @@ def test_ext_matrix_add_sub_matmul_scalar_check(rng):
 def test_fq_echelon_reduced_properties(rng):
     fq = TOWERS[1].fq
     arr = fq.rand(rng, (5, 7))
-    R, pivots = fq_echelon(arr, fq, reduced=True)
+    R, pivots = fq_echelon(arr, fq)
     assert pivots == sorted(pivots)
     for r, c in enumerate(pivots):
         col = R[:, c]
@@ -160,22 +160,21 @@ def _packed_matrix(fq, rng, shape, kind: int) -> np.ndarray:
 
 
 def _check_against_the_numpy_loop(fq, shapes, rng, naive_size: int) -> tuple[int, int]:
-    """fq_echelon against loop_echelon on seeded matrices of the given shapes; (full-rank, deficient) counts.
+    """fq_echelon against reduced loop_echelon on seeded matrices of the given shapes; (full-rank, deficient) counts.
 
     Entry for entry, dtype, shape, pivots as Python ints and the input left
-    untouched, reduced and not; every tenth matrix of at most naive_size
-    entries is also ranked by naive_rank_fq.
+    untouched; every tenth matrix of at most naive_size entries is also
+    ranked by naive_rank_fq.
     """
     full = deficient = 0
     for t, shape in enumerate(shapes):
         arr = _packed_matrix(fq, rng, shape, t % PACKED_KINDS)
         before = arr.copy()
-        for reduced in (False, True):
-            R, pivots = fq_echelon(arr, fq, reduced=reduced)
-            want, want_pivots = loop_echelon(arr, fq, reduced=reduced)
-            assert R.dtype == np.int64 and R.shape == arr.shape, (t, shape)
-            assert np.array_equal(R, want), (t, shape, reduced)
-            assert pivots == want_pivots and all(type(c) is int for c in pivots), (t, shape, reduced)
+        R, pivots = fq_echelon(arr, fq)
+        want, want_pivots = loop_echelon(arr, fq, reduced=True)
+        assert R.dtype == np.int64 and R.shape == arr.shape, (t, shape)
+        assert np.array_equal(R, want), (t, shape)
+        assert pivots == want_pivots and all(type(c) is int for c in pivots), (t, shape)
         assert np.array_equal(arr, before)
         rank = len(pivots)
         assert fq_rank(arr, fq) == rank
@@ -207,7 +206,7 @@ ODD_MATRICES = 1600
 def test_packed_odd_p_echelon_matches_the_numpy_loop(p):
     """fq_echelon over odd F_p against the numpy loop it replaced, entry for entry, and naive_rank_fq."""
     fp = Fq(p, 1, (0, 1))
-    assert _row_layout(p, 1)[0] == {3: 8, 5: 16, 251: 32, 65521: 64}[p]
+    assert _row_layout(p, 1)[1][0] == {3: 8, 5: 16, 251: 32, 65521: 64}[p]
     rng = np.random.default_rng(0x0DD + p)
     shapes = PACKED_EDGE_SHAPES + [
         (int(rng.integers(0, 25)), int(rng.integers(0, 131))) for _ in range(ODD_MATRICES - len(PACKED_EDGE_SHAPES))
@@ -217,21 +216,64 @@ def test_packed_odd_p_echelon_matches_the_numpy_loop(p):
 
 
 def test_packed_row_layout_holds_for_every_odd_prime():
-    """2^s >= p^3 and (p^2 - 1) * m < 2^w for every odd p < 2^16; the reduction is exact on every x < p^2 for p < 2^8."""
+    """2^s >= p^3 and (p^2 - 1) * m < 2^w for every odd p < 2^16; the reduction is exact on every x < p^2 for p < 2^8.
+
+    Over F_2 a row is one bit per entry, padded to whole bytes, with no reduction.
+    """
+    assert [_row_layout.__wrapped__(2, cols) for cols in (0, 1, 8, 9)] == [(0, (1, 0, 0, 0)), (8, (1, 0, 0, 0)),
+                                                                          (8, (1, 0, 0, 0)), (16, (1, 0, 0, 0))]
     odd_primes = [p for p in range(3, 1 << 16, 2) if is_prime(p)]
     for p in odd_primes:
-        w, s, m, low = _row_layout.__wrapped__(p, 2)
+        fields, (w, s, m, low) = _row_layout.__wrapped__(p, 2)
+        assert fields == 2, p
         assert (1 << s) >= p**3 and m * p >= 1 << s > (m - 1) * p, p
         assert (p * p - 1) * m < 1 << w and w in (8, 16, 32, 64), p
         assert w == 8 or (p * p - 1) * m >= 1 << w // 2, p  # the narrowest width that holds
         assert low == ((1 << w - s) - 1) * (1 | 1 << w), p
     for p in [p for p in odd_primes if p < 1 << 8]:
         # every x < p^2, one per field of a single packed row, reduced all at once
-        w, s, m, low = _row_layout.__wrapped__(p, p * p)
+        w, s, m, low = _row_layout.__wrapped__(p, p * p)[1]
         dtype = f">u{w // 8}"
         x = int.from_bytes(np.arange(p * p).astype(dtype).tobytes(), "big")
         reduced = _reduce_fields(x, p, s, m, low).to_bytes(p * p * w // 8, "big")
         assert np.array_equal(np.frombuffer(reduced, dtype=dtype), np.arange(p * p) % p), p
+
+
+# packed rows of 256, 1024 and 4096 bits: one bit per column over F_2, one byte over F_3
+WIDE_ROWS = [(2, 256), (2, 1024), (2, 4096), (3, 32), (3, 128), (3, 512)]
+WIDE_MATRICES = 8
+# an inverse eliminates [M | I], 2n columns; the numpy loop is too slow for n = 2048
+WIDE_INVERSE_MAX = 512
+
+
+@pytest.mark.parametrize("p, cols", WIDE_ROWS, ids=lambda x: str(x))
+def test_wide_packed_rows_match_the_numpy_loop(p, cols):
+    """fq_echelon, fq_rank and fq_inv_matrix on rows of 256 to 4096 bits against reduced loop_echelon."""
+    fp = Fq(p, 1, (0, 1))
+    rng = np.random.default_rng(0x1DE + p * cols)
+    for t in range(WIDE_MATRICES):
+        arr = _packed_matrix(fp, rng, (int(rng.integers(1, 25)), cols), t % PACKED_KINDS)
+        R, pivots = fq_echelon(arr, fp)
+        want, want_pivots = loop_echelon(arr, fp, reduced=True)
+        assert np.array_equal(R, want) and pivots == want_pivots, t
+        assert fq_rank(arr, fp) == len(want_pivots), t
+    n = cols // 2
+    if n > WIDE_INVERSE_MAX:
+        return
+    eye = np.eye(n, dtype=np.int64)
+    for singular in (False, True):
+        # a row permutation of L @ U, unit triangular factors, is invertible; a row the sum of two others is not
+        M = fp.matmul(np.tril(fp.rand(rng, (n, n)), -1) + eye, np.triu(fp.rand(rng, (n, n)), 1) + eye)
+        M = M[rng.permutation(n)]
+        if singular:
+            M[0] = fp.vadd(M[1], M[2])
+        want, want_pivots = loop_echelon(np.hstack([M, eye]), fp, reduced=True)
+        assert (want_pivots[:n] == list(range(n))) != singular
+        if singular:
+            with pytest.raises(ValueError, match="singular"):
+                fq_inv_matrix(M, fp)
+        else:
+            assert np.array_equal(fq_inv_matrix(M, fp), want[:, n:])
 
 
 @pytest.mark.parametrize("fq", [build_tower(2, e, 2).fq for e in (2, 3, 4)], ids=lambda f: f"q{f.q}")
@@ -281,7 +323,7 @@ def _stack_member(rng, base, shape, kind):
 
 @pytest.mark.parametrize("field", STACK_FIELDS, ids=lambda f: f"p{f[0].p}" + (f"-of-q{f[1].q}" if f[1] else ""))
 def test_fq_echelon_stack_matches_fq_echelon(field):
-    """Each matrix of a stack gets the echelon form, rank and pivots of the 2-D loop."""
+    """Each matrix of a stack gets the echelon form, rank and pivots of the 2-D loop (loop_echelon), reduced and not."""
     fp, fq = field
     rng = np.random.default_rng(0x57AC + fp.p + (fq.q if fq else 0))
     most = 4 if fq else 8  # a blow-up has e times the rows and columns
@@ -294,7 +336,7 @@ def test_fq_echelon_stack_matches_fq_echelon(field):
         echelon, ranks, pivots = fq_echelon_stack(stack, fp, reduced=reduced)
         assert echelon.shape == stack.shape and pivots.shape == (count, min(stack.shape[1:]))
         for b in range(count):
-            want, want_pivots = fq_echelon(stack[b], fp, reduced=reduced)
+            want, want_pivots = loop_echelon(stack[b], fp, reduced=reduced)
             assert np.array_equal(echelon[b], want), (trial, b)
             assert ranks[b] == len(want_pivots)
             assert pivots[b].tolist() == want_pivots + [-1] * (pivots.shape[1] - len(want_pivots))
@@ -332,13 +374,14 @@ def test_stacks_in_any_memory_order_match_their_c_ordered_copy():
 
 
 def test_rank_and_inverse_reject_entries_outside_the_field():
-    """A packed field would wrap an entry outside [0, q): fq_rank and fq_inv_matrix raise instead."""
+    """A packed field would wrap an entry outside [0, q): fq_rank, fq_inv_matrix and fq_echelon raise instead."""
     f2, f3, f4 = Fq(2, 1, (0, 1)), Fq(3, 1, (0, 1)), build_tower(2, 2, 2).fq
-    # 256 would wrap to 0 in an 8-bit field; 2 would pack as bit 1 over F_2
-    cases = [(f3, [[256]]), (f2, [[2, 0], [0, 2]]), (f3, [[1, 0], [-1, 1]]), (f4, [[1, 4], [0, 1]])]
+    # 256 would wrap to 0 in an 8-bit field, though 256 = 1 mod 3; 2 would pack as bit 1 over F_2
+    cases = [(f3, [[256]]), (f2, [[2, 0], [0, 2]]), (f3, [[1, 0], [-1, 1]]), (f4, [[1, 4], [0, 1]]),
+             (f3, [[256, 0]]), (f3, [[-1, 0]])]
     for fq, entries in cases:
         arr = np.array(entries)
-        for call in (fq_rank, fq_inv_matrix):
+        for call in (fq_rank, fq_inv_matrix) + ((fq_echelon,) if fq.e == 1 else ()):
             with pytest.raises(CoordinateOutOfRange):
                 call(arr, fq)
         with pytest.raises(CoordinateOutOfRange):

@@ -270,13 +270,13 @@ def test_decode_eliminates_each_matrix_once(monkeypatch, rng):
     seen = []
     original = fields.fq_echelon
 
-    def counted(arr, fq, reduced=False):
+    def counted(arr, fq):
         key = arr = np.asarray(arr)
         n = len(arr)
         if arr.shape[1] == 2 * n and np.array_equal(arr[:, n:], np.eye(n)):
             key = arr[:, :n]
         seen.append((key.shape, key.tobytes()))
-        return original(arr, fq, reduced)
+        return original(arr, fq)
 
     monkeypatch.setattr(fields, "fq_echelon", counted)
     monkeypatch.setattr(linalg, "fq_echelon", counted)

@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Time the F_q product kernel: the int64 kernel it replaced against the float64 one.
+"""Time the product paths: the float64 kernel, the two-step blow-up and the stepwise decode against one F_p representation.
 
 Every product over F_q and F_(q^s) runs on one kernel,
-hhw_pir.fields.residue_matmul, with base-p digits gathered by
-Fq.to_digits.  The script times the same products and retrieval stages
-twice:
+hhw_pir.fields.residue_matmul.  The script times the same products and
+retrieval stages twice:
 
-  before  the int64 kernel, patched in from tests/oracles.py for the run:
-          int64_residue_matmul (a @ b % p on int64) as residue_matmul and
-          the %-and-// loop (loop_digits) as Fq.to_digits;
-  after   the kernel of the package, exact products on float64 BLAS and
-          digits gathered from a table.
+  before  the paths the package replaced, patched in from tests/oracles.py
+          for the run: float64_residue_matmul (every product on float64
+          BLAS) as residue_matmul, two_step_blow_up (the power table of
+          F_q^s, an F_q blow-up and then an F_p one) as FieldTower.blow_up,
+          and stepwise_decode (every step on all L rows) as scheme.decode;
+  after   the package: one float32 product wherever its sums stay exact
+          (float64 otherwise), the F_p blow-up of a tower in one product
+          with its structure tensor, and decoding as one F_q-linear map of
+          the response.
 
 Products (fixed shapes, seeded operands): the retrieval fixture's
-respond product (512x60 @ 60x18 over F_4) and decode products (512x9 @
-9x9, 1536x3 @ 3x3), and the stacks of the tight sweep base (F_2 and
-F_(2^2)): the codeword stack, the tower blow-up of a round and of one
-stream's redraw (the tiny product, where the kernel's fixed cost per call
+respond product (512x60 @ 60x18 over F_4), decode product (512x18 @ 18x6
+over F_4, the map applied to the response) and codeword product (30x3 @
+3x6 over F_(4^3)), and at the tight sweep base (F_2 and F_(2^2)): the
+codeword stack, the tower blow-up of a round (64 generators of 2x4) and
+of one stream's redraw (one 2x2 block, where the fixed cost per call
 shows), and the "tight chain", "tight back-substitution" and "tight
 merge" stacks.  Those three are the products of the numpy deletion
-chain at the tight base.  Over F_2 the package no longer makes them: its
-deletion scan runs on packed rows, and the numpy chain is left to odd p
-and to tests/oracles.py chain_deletion_ranks.  The rows keep their names
-so that BENCH_products.json stays comparable.
+chain at the tight base, which the package no longer makes (its
+deletion scan runs on packed rows); they stay as plain kernel rows.
 Stages: generate_query, respond and decode at the retrieval fixture
 (q=4 s=3 v=1 n=6 k=3 m=10 L=512), over --queries fixed-seed queries.
 
@@ -54,24 +56,26 @@ PRODUCT_SEED = 300
 QUERY_SEED = 301
 DATABASE_SEED = 302
 
-# fields on the int64 kernel of tests/oracles.py
-int64_kernel = functools.partial(benchkit.patched, residue_matmul=oracles.int64_residue_matmul,
-                                 to_digits=lambda fq, arr: oracles.loop_digits(arr, fq))
+# the replaced paths of tests/oracles.py
+replaced_paths = functools.partial(benchkit.patched, residue_matmul=oracles.float64_residue_matmul,
+                                   decode=oracles.stepwise_decode,
+                                   **{"FieldTower.blow_up": lambda tower, data: oracles.two_step_blow_up(data, tower)})
 
 
 def products(calls: int):
     """(name, call, calls per timing) of every product row, on seeded operands."""
     rng = np.random.default_rng(PRODUCT_SEED)
-    f4 = fields.build_tower(2, 2, 3).fq
+    f64 = fields.build_tower(2, 2, 3)
+    f4 = f64.fq
     tight = fields.build_tower(2, 1, 2)
     f2 = tight.fq
     rows = [
         ("respond F_4 512x60 @ 60x18", f4.matmul, (f4.rand(rng, (512, 60)), f4.rand(rng, (60, 18))), calls),
-        ("decode F_4 512x9 @ 9x9", f4.matmul, (f4.rand(rng, (512, 9)), f4.rand(rng, (9, 9))), calls),
-        ("decode F_4 1536x3 @ 3x3", f4.matmul, (f4.rand(rng, (1536, 3)), f4.rand(rng, (3, 3))), calls),
+        ("decode F_4 512x18 @ 18x6", f4.matmul, (f4.rand(rng, (512, 18)), f4.rand(rng, (18, 6))), calls),
+        ("codeword F_(4^3) 30x3 @ 3x6", f64.matmul, (f64.rand(rng, (30, 3)), f64.rand(rng, (3, 6))), 4 * calls),
         ("tight codeword F_(2^2) 64 x (12x2 @ 2x4)", tight.matmul, (tight.rand(rng, (64, 12, 2)), tight.rand(rng, (64, 2, 4))), 4 * calls),
-        ("tight blow-up F_2 512x2 @ 2x4", f2.matmul, (f2.rand(rng, (512, 2)), tight.power_table), 4 * calls),
-        ("tight one-stream blow-up F_2 4x2 @ 2x4", f2.matmul, (f2.rand(rng, (4, 2)), tight.power_table), 40 * calls),
+        ("tight blow-up F_(2^2) 64 x (2x4)", tight.blow_up, (tight.rand(rng, (64, 2, 4)),), 4 * calls),
+        ("tight one-stream blow-up F_(2^2) 2x2", tight.blow_up, (tight.rand(rng, (2, 2)),), 40 * calls),
         ("tight chain F_2 128 x (2x8 @ 8x8)", f2.matmul, (f2.rand(rng, (128, 2, 8)), f2.rand(rng, (128, 8, 8))), 4 * calls),
         ("tight back-substitution F_2 128 x (8x2 @ 2x8)", f2.matmul, (f2.rand(rng, (128, 8, 2)), f2.rand(rng, (128, 2, 8))), 4 * calls),
         ("tight merge F_2 230 x (4x8 @ 8x8)", f2.matmul, (f2.rand(rng, (230, 4, 8)), f2.rand(rng, (230, 8, 8))), 4 * calls),
@@ -111,9 +115,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     doc = {
-        "topic": "F_q product kernel, microseconds of wall time per call",
-        "before": "int64 kernel: tests/oracles.py int64_residue_matmul (a @ b % p) and loop_digits (% and //) patched in",
-        "after": "fields.residue_matmul (exact chunked float64 BLAS product, reduced without division) and the digit table",
+        "topic": "F_q and F_(q^s) products and the retrieval stages, microseconds of wall time per call",
+        "before": "tests/oracles.py patched in: float64_residue_matmul (every product float64), "
+                  "two_step_blow_up (power table, F_q then F_p blow-up) and stepwise_decode (every step on all L rows)",
+        "after": "fields.residue_matmul (one float32 product where exact, else chunked float64), "
+                 "FieldTower.blow_up (one product with the F_p structure tensor) and decode as one F_q-linear map",
         "command": f"python3 scripts/bench_products.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
         "machine": benchkit.machine(),
         "seeds": {"products": PRODUCT_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED},
@@ -124,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = [(name, call, n, 1) for name, call, n in products(args.calls)]
     rows += [(name, call, n, queries) for name, call, n in stage_rows]
     for name, call, calls, per in rows:
-        row = benchkit.bench_row(name, call, int64_kernel, calls, args.repeats, per)
+        row = benchkit.bench_row(name, call, replaced_paths, calls, args.repeats, per)
         doc["rows"].append(row)
         print(f"{name:48s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
               f"after {row['after']['us_median']:9.1f} us (IQR {row['after']['us_iqr']:.1f})  "

@@ -60,22 +60,28 @@ def patched(**names):
     That is every module global of that name (a kernel imported by name
     into other modules, or a constant such as experiment.ROUND_SIZE) and
     every attribute a class of the package defines under it (such as
-    Fq.to_digits), so no importing module keeps the old binding.  A name
-    bound nowhere raises KeyError.
+    Fq.to_digits), so no importing module keeps the old binding.  A key
+    "Class.name", passed as **{"FieldTower.blow_up": ...}, rebinds only the
+    attribute of the package's classes of that name.  A name bound nowhere
+    raises KeyError.
     """
     modules = [module for key, module in list(sys.modules.items()) if key.split(".")[0] == "hhw_pir"]
-    owners = modules + [cls for module in modules for cls in vars(module).values()
-                        if isinstance(cls, type) and cls.__module__ == module.__name__]
-    saved = [(owner, name, vars(owner)[name]) for owner in owners for name in names if name in vars(owner)]
-    unbound = set(names).difference(name for _, name, _ in saved)
+    classes = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__]
+    saved = []
+    for key, value in names.items():
+        cls_name, _, name = key.rpartition(".")
+        owners = [cls for cls in classes if cls.__name__ == cls_name] if cls_name else modules + classes
+        saved += [(owner, name, vars(owner)[name], key) for owner in owners if name in vars(owner)]
+    unbound = set(names).difference(key for *_, key in saved)
     if unbound:
         raise KeyError(f"no module or class of hhw_pir binds {sorted(unbound)}")
-    for owner, name, _ in saved:
-        setattr(owner, name, names[name])
+    for owner, name, _, key in saved:
+        setattr(owner, name, names[key])
     try:
         yield
     finally:
-        for owner, name, value in saved:
+        for owner, name, value, _ in saved:
             setattr(owner, name, value)
 
 

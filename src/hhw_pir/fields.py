@@ -12,24 +12,29 @@ tower is fully determined by (p, e, s).
 Both extension steps are built by one construction: the powers of the
 companion matrix C of the step's monic modulus, the matrix of y -> x*y
 modulo it, so that row i of C^j holds the coordinates of x^(i+j).  Over
-F_p, C^0..C^(e-1) is the structure tensor of F_q (Fq.mul_tensor); over
-F_q, C^0..C^(s-1) is the power table of F_q^s (FieldTower.power_table).
-The irreducibility test of a candidate modulus (Rabin's test on its C)
-is a chain of matrix powers as well, so no polynomial arithmetic is left.
+F_p, C^0..C^(e-1) is the structure tensor of F_q (Fq.mul_tensor); the
+F_p blow-ups of C^0..C^(s-1) over F_q, times those of the powers of the
+generator of F_q, give the structure tensor of F_q^s over F_p
+(FieldTower.mul_tensor).  The irreducibility test of a candidate modulus
+(Rabin's test on its C) is a chain of matrix powers as well, so no
+polynomial arithmetic is left.
 
 Bulk arithmetic runs on one product kernel, residue_matmul, a matrix
-product mod p of residue arrays against a regular representation, which
-replaces every entry of the right factor by the matrix of multiplication
-by it: e x e over F_p for F_q (Fq.blow_up), s x s over F_q for F_q^s
-(FieldTower.blow_up), so a product over the top field is one F_q
-product, which is in turn one product over F_p.  The kernel runs on
-float64 BLAS and is exact: it splits the inner axis into chunks whose
-sums stay below 2^51 and reduces each partial sum without a division.
+product mod p of residue arrays against an F_p regular representation,
+which replaces every entry of the right factor by the matrix of
+multiplication by it on base-p digits: e x e for F_q (Fq.blow_up) and
+(s*e) x (s*e) for F_q^s (FieldTower.blow_up), each one product of the
+digits with the field's structure tensor.  So a product over either
+field is two kernel calls, the blow-up and the digits of the left factor
+times it.  The kernel is exact on BLAS: one float32 product when every
+sum stays below 2^22, else a float64 one whose inner axis is split into
+chunks whose sums stay below 2^51; each sum is reduced without a
+division.
 
 Elimination and ranks work over F_p only.  An F_q-space of dimension r
 is an F_p-space of dimension e*r, so ranks and inverses over F_q
 (fq_rank, fq_inv_matrix) and over F_q^s (see linalg.ext_rank) reach them
-through the same regular representations.  Every kernel packs each row
+through the same F_p regular representations.  Every kernel packs each row
 into one Python int, an entry to a field of bits (_pack_rows, after the
 M4RI library of Albrecht and Bard, without its tables), and acts on whole
 rows at once: over F_2 with XOR, for odd p with one integer multiply-add
@@ -37,7 +42,8 @@ and a division-free reduction of every field (_reduce_fields).  One loop
 row-reduces: _insert_rows inserts each row into a basis keyed by top
 field.  fq_rank counts the basis of a matrix or of each matrix of a
 stack; fq_echelon clears the basis on its pivots into the reduced echelon
-form, and through it fq_inv_matrix inverts; the attack's deletion scan
+form, by a body (_echelon) that fq_inv_matrix shares to invert with one
+range check; the attack's deletion scan
 (linalg.fq_deletion_ranks) builds its basis of the transposed query the
 same way.  All four raise CoordinateOutOfRange on an entry outside
 [0, q), which a packed field would wrap.
@@ -65,7 +71,9 @@ from .errors import (
 )
 
 # Up to this order a product's float64 sums stay exact in chunks of at least
-# (2^51 - p) / (p - 1)^2 >= 2^19 terms, and digit tables stay small (see residue_matmul).
+# (2^51 - p) / (p - 1)^2 >= 2^19 terms, and digit tables stay small; a product
+# runs in float32 instead while its whole sum stays below 2^22, which for
+# p < 2^11 holds up to (2^22 - p) / (p - 1)^2 terms (see residue_matmul).
 MAX_SUBFIELD_ORDER = 1 << 16
 # Guideline cap on the top field order.
 MAX_TOWER_ORDER = 1 << 64
@@ -99,21 +107,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# A float64 holds every integer below 2^53 exactly.  Below this bound the
-# reduction in _reduce is exact too (see residue_matmul).
+# A float64 holds every integer below 2^53 exactly, a float32 every one below
+# 2^24.  Below these bounds the reduction in _reduce is exact too (see residue_matmul).
 _EXACT_BELOW = 1 << 51
+_EXACT_BELOW_FLOAT32 = 1 << 22
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_above(p: int) -> np.float64:
-    """The smallest float64 not below 1/p."""
-    inv = np.float64(1.0) / p
-    return inv if Fraction(float(inv)) >= Fraction(1, p) else np.nextafter(inv, np.inf)
+def _inverse_above(p: int, dtype: type) -> np.floating:
+    """The smallest float of ``dtype`` (np.float32 or np.float64) not below 1/p."""
+    inv = dtype(1.0) / dtype(p)
+    return inv if Fraction(float(inv)) >= Fraction(1, p) else np.nextafter(inv, dtype(np.inf))
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p, in place, for a float64 array of integers in [0, _EXACT_BELOW)."""
-    quotient = x * _inverse_above(p)
+    """x mod p, in place, for a float array of integers below its dtype's exactness bound."""
+    quotient = x * _inverse_above(p, x.dtype.type)
     np.floor(quotient, quotient)
     quotient *= p
     x -= quotient
@@ -123,17 +132,25 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 def residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for arrays of residues in [0, p); leading axes broadcast as stacks.
 
-    The product runs on float64 BLAS and returns the residues as exact
-    integers in a float64 array.  Each term is at most (p-1)^2, so a chunk
-    of (2^51 - p) // (p-1)^2 terms of the inner axis, plus the residue
-    carried over from the chunks before it, sums to an integer below
-    2^51, which float64 holds exactly.  Each sum x = k*p + r is reduced as
-    x - p*floor(x*inv) with inv the smallest float not below 1/p: the
-    rounded x*inv is at least k and exceeds x/p by at most 2^-51 * x/p,
-    which is below 1/p for x < 2^51, so it stays below k + 1 and the floor
-    is the exact quotient k.
+    The product runs on BLAS and returns the residues as exact integers in
+    a float array: float32 when the whole inner sum fits, float64
+    otherwise.  Each term is at most (p-1)^2.  When (p-1)^2 * t + p <= 2^22
+    for the t terms of the inner axis, every sum is an integer below 2^22,
+    which float32 (24-bit significand) holds exactly, and the product is one
+    float32 product.  Otherwise a chunk of (2^51 - p) // (p-1)^2 terms, plus
+    the residue carried over from the chunks before it, sums to an integer
+    below 2^51, which float64 (53 bits) holds exactly, and the chunks run
+    as float64 products.  Each sum x = k*p + r is reduced as
+    x - p*floor(x*inv) with inv the smallest float of the product's dtype
+    not below 1/p.  With u = 2^-23 or 2^-52 the spacing of that dtype's
+    floats at 1, inv and the rounding of x*inv each err by at most u in
+    relative terms, so the rounded x*inv is at least k and exceeds x/p by
+    less than 2u * x/p, which is below 1/p for x below 2^22 or 2^51: it
+    stays below k + 1 and the floor is the exact quotient k.
     """
     a, b = np.asarray(a), np.asarray(b)
+    if (p - 1) ** 2 * a.shape[-1] + p <= _EXACT_BELOW_FLOAT32:
+        return _reduce(np.matmul(a, b, dtype=np.float32), p)
     chunk = (_EXACT_BELOW - p) // (p - 1) ** 2
     out = np.matmul(a[..., :chunk], b[..., :chunk, :], dtype=np.float64)
     for start in range(chunk, a.shape[-1], chunk):
@@ -381,9 +398,12 @@ def fq_echelon(arr: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:
     """
     if fq.e != 1:
         raise ValueError(f"fq_echelon eliminates over F_p only, got F_{fq.q}; pass the blow-up over fq.fp")
-    arr = _encodings(arr, fq)
+    return _echelon(_encodings(arr, fq), fq.p)
+
+
+def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """fq_echelon of a (rows, cols) int64 array whose entries are known to lie in [0, p)."""
     rows, cols = arr.shape
-    p = fq.p
     fields, layout = _row_layout(p, cols)
     w, s, m, low = layout
     basis: dict[int, int] = {}
@@ -487,7 +507,9 @@ def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
     """Inverse of a square matrix of F_q encodings; ValueError when singular.
 
     For e > 1 it inverts the blow-up over F_p, whose inverse is the
-    blow-up of the inverse.
+    blow-up of the inverse.  The entries are range-checked once, here: the
+    [M | I] handed to the echelon body (_echelon) holds residues by
+    construction.
     """
     arr = _encodings(arr, fq)
     n = arr.shape[0]
@@ -495,7 +517,7 @@ def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
         raise DimensionMismatch(f"expected square matrix, got {arr.shape}")
     size = n * fq.e
     big = fq.blow_up(arr) if fq.e > 1 else arr
-    R, pivots = fq_echelon(np.hstack([big, np.eye(size, dtype=np.int64)]), fq.fp)
+    R, pivots = _echelon(np.hstack([big, np.eye(size, dtype=np.int64)]), fq.p)
     if pivots[:size] != list(range(size)):
         raise ValueError("matrix is singular")
     if fq.e == 1:
@@ -566,11 +588,18 @@ class FieldTower:
         self.top_modulus = tuple(int(c) for c in top_modulus)
         if len(self.top_modulus) != self.s + 1 or self.top_modulus[self.s] != 1:
             raise ValueError("top modulus must be monic of degree s")
-        # (s, s*s) F_q matrix with y @ power_table = [y, x*y, ..., x^(s-1)*y]
-        # on coordinates: row j holds x^(j+i) for i < s, so one product with
-        # it gives every row of the multiplication map of y (see blow_up)
-        powers = companion_powers(self.fq, self.top_modulus, self.s)
-        self.power_table = powers.transpose(1, 0, 2).reshape(self.s, self.s * self.s)
+        # (s*e, (s*e)^2) F_p structure tensor: the digits of y @ mul_tensor are
+        # the flattened F_p regular representation of y (see blow_up).  The
+        # F_p basis of F_q^s is x^j * a^i, a the generator of F_q, flattened
+        # as e*j + i like the digits of a coordinate array, and multiplication
+        # by it is the product of the representations of x^j (the blow-up of
+        # C^j over F_q) and of a^i (C_base^i on every coordinate).
+        fq, n = self.fq, self.s * self.e
+        x_powers = fq.blow_up(companion_powers(fq, self.top_modulus, self.s))
+        a_powers = np.kron(np.eye(self.s, dtype=np.int64), fq.mul_tensor)
+        tensor = residue_matmul(x_powers[:, None], a_powers[None], self.p).astype(np.int64)
+        self.mul_tensor = tensor.reshape(n, n * n)
+        self.mul_tensor.setflags(write=False)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, s={self.s})"
@@ -589,28 +618,39 @@ class FieldTower:
         return rng.integers(0, self.q, size=tuple(shape) + (self.s,), dtype=np.int64)
 
     def blow_up(self, data: np.ndarray) -> np.ndarray:
-        """The (..., r*s, c*s) F_q regular representation of an (..., r, c, s) coordinate array.
+        """The (..., r*d, c*d) F_p regular representation of an (..., r, c, s) coordinate array, d = s*e.
 
-        Block (a, b) is the s x s matrix of y -> m_ab * y in the power basis:
-        its row i holds the coordinates of x^i * m_ab.  The map is an
-        injective ring homomorphism, so the F_q rank of the blow-up is s times
-        the rank over F_q^s, the blow-up of an inverse is the inverse of the
-        blow-up, and a @ b over F_q^s is a (with rows flattened) times the
-        blow-up of b over F_q.  Leading axes are a stack.
+        Block (a, b) is the d x d matrix of y -> m_ab * y on the base-p
+        digits of y's coordinates (digit e*j + i is digit i of coordinate
+        j): its row e*j + i holds the digits of x^j * a^i * m_ab.  It is one
+        product, the digits of every entry times the structure tensor
+        (mul_tensor).  The map is an injective ring homomorphism, so the F_p
+        rank of the blow-up is d times the rank over F_q^s, the blow-up of
+        an inverse is the inverse of the blow-up, and a @ b over F_q^s is
+        the digits of a (with rows flattened) times the blow-up of b over
+        F_p.  Leading axes are a stack.
         """
         *lead, r, c, s = np.shape(data)
-        shifted = self.fq.matmul(np.reshape(data, (-1, s)), self.power_table)
-        return shifted.reshape(*lead, r, c, s, s).swapaxes(-3, -2).reshape(*lead, r * s, c * s)
+        d = s * self.e
+        digits = self.fq.to_digits(data).reshape(-1, d)
+        regular = residue_matmul(digits, self.mul_tensor, self.p).astype(np.int64)
+        return regular.reshape(*lead, r, c, d, d).swapaxes(-3, -2).reshape(*lead, r * d, c * d)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product over F_q^s of coordinate arrays (..., r, t, s) @ (..., t, c, s) -> (..., r, c, s)."""
+        """Product over F_q^s of coordinate arrays (..., r, t, s) @ (..., t, c, s) -> (..., r, c, s).
+
+        Two products over F_p: the blow-up of b (blow_up), and the base-p
+        digits of a, rows flattened, times it, whose output digits are
+        reduced already and only need encoding.
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if a.shape[-2] != b.shape[-3]:
             raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
         *lead, r, t, s = a.shape
-        out = self.fq.matmul(a.reshape(*lead, r, t * s), self.blow_up(b))
-        return out.reshape(*out.shape[:-1], b.shape[-2], s)
+        digits = self.fq.to_digits(a).reshape(*lead, r, t * s * self.e)
+        out = residue_matmul(digits, self.blow_up(b), self.p)
+        return self.fq._encode(out.reshape(*out.shape[:-1], b.shape[-2], s, self.e))
 
     def scalar_matmul(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of an F_q matrix (r,t) with a coordinate array (t,c,s).

@@ -16,11 +16,13 @@ under applying any fixed invertible F_q-linear map to every entry, so an
 observer needs no knowledge of the hidden basis to evaluate it.
 
 Both run on the packed kernels over F_p of fields, ranks on fq_rank and
-inverses on fq_inv_matrix, which reads them off the reduced echelon form
-of fq_echelon: work over F_q^s goes through the regular representation
-(FieldTower.blow_up), which replaces every entry by the s x s F_q matrix
-of multiplication by it, and work over F_q through Fq.blow_up, its e x e
-F_p counterpart.
+inverses on fq_inv_matrix, which reads them off the reduced echelon
+form: work over F_q^s goes through one F_p regular representation
+(FieldTower.blow_up), which replaces every entry by the (s*e) x (s*e)
+F_p matrix of multiplication by it, built in one product, and work over
+F_q through Fq.blow_up, its e x e counterpart.  A rank over F_q^s is one
+fq_rank over F_p of one blow-up, and an inverse one fq_inv_matrix over
+F_p.
 
 fq_deletion_ranks, the attack's scan of every block deletion, ranks
 them all from one basis of the row space of the transposed matrix, built
@@ -172,7 +174,7 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
 
 def ext_rank(data: np.ndarray, tower: FieldTower):
     """Rank over F_q^s of an (..., rows, cols, s) coordinate array; a stack gives an array of ranks."""
-    return fq_rank(tower.blow_up(data), tower.fq) // tower.s
+    return fq_rank(tower.blow_up(data), tower.fq.fp) // (tower.s * tower.e)
 
 
 def rank_ext(m: ExtMatrix) -> int:
@@ -236,10 +238,10 @@ def ext_inv_matrix(data: np.ndarray, tower: FieldTower) -> np.ndarray:
     n, cols = data.shape[:2]
     if cols != n:
         raise DimensionMismatch(f"expected square matrix, got {(n, cols)}")
-    s = tower.s
-    inv = fq_inv_matrix(tower.blow_up(data), tower.fq)
-    # row 0 of every block of the inverse blow-up holds the entry times x^0
-    return inv[::s].reshape(n, n, s)
+    d = tower.s * tower.e
+    inv = fq_inv_matrix(tower.blow_up(data), tower.fq.fp)
+    # row 0 of every block of the inverse blow-up holds the digits of the entry times 1
+    return tower.fq.from_digits(inv[::d].reshape(n, n, tower.s, tower.e))
 
 
 def solve_on_columns(gen: np.ndarray, columns: np.ndarray, targets: np.ndarray, tower: FieldTower) -> np.ndarray:

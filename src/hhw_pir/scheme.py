@@ -30,7 +30,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
-from .fields import BasisSplit, FieldTower, fq_rank, redraw_rejected, sample_split_bases
+from .fields import BasisSplit, FieldTower, _encodings, fq_rank, redraw_rejected, sample_split_bases
 from .linalg import ExtMatrix, ext_rank, fq_inv_matrix, solve_on_columns
 from .params import SchemeParams
 
@@ -263,29 +263,37 @@ def generate_query(params: SchemeParams, tower: FieldTower, target: int, rng: np
 
 
 def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower) -> Response:
-    """Server side: multiply the stacked database into the query matrix."""
+    """Server side: multiply the stacked database into the query matrix.
+
+    An entry outside [0, q) raises CoordinateOutOfRange, a ValueError.
+    """
     stacked = db.stacked()
     qm = query.matrix
     if stacked.shape[1] != qm.rows or qm.cols != params.n or db.file_count != params.m:
         raise DimensionMismatch(
             f"database {stacked.shape} with {db.file_count} files does not fit query {qm.shape} under m={params.m}, n={params.n}"
         )
-    if np.any(stacked >= params.q) or np.any(stacked < 0):
-        raise ValueError("database entries must be F_q encodings")
-    return Response(ExtMatrix(tower, tower.scalar_matmul(stacked, qm.data)))
+    return Response(ExtMatrix(tower, tower.scalar_matmul(_encodings(stacked, tower.fq), qm.data)))
 
 
 def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, tower: FieldTower) -> np.ndarray:
     """Recover the target file from a response, exactly.
 
-    Steps: rebuild the codeword layer's contribution from the information
-    set columns and subtract it on the complement columns, the only ones
-    the projection reads; express what remains in the split basis and keep
-    the trailing (W) coordinates, which erases the mask layer; stack those
-    coordinates into L x delta over F_q and multiply by the inverse of the
-    selector block's coordinate matrix.
+    Decoding is one F_q-linear map of the response, read as an L x (n*s)
+    F_q matrix of coordinates, built from the secrets as an (n*s) x delta
+    matrix.  Its steps: rebuild the codeword layer's contribution from the
+    information set columns and subtract it on the complement columns, the
+    only ones the projection reads; express what remains in the split
+    basis and keep the trailing (W) coordinates, which erases the mask
+    layer; multiply those delta coordinates by the inverse of the selector
+    block's coordinate matrix.  They run once, on the n*s unit rows (row
+    c*s + j holds x^j in column c), whose images are the rows of the map;
+    the L rows of the response then take one product with it.
 
-    Returns the (L, delta) F_q matrix of the target file.
+    Returns the (L, delta) F_q matrix of the target file.  A selection
+    that is not an information set raises NotInformationSet, and a
+    selector block that leaves W or whose coordinate matrix is singular
+    raises DecodeFailure.
     """
     fq = tower.fq
     n, s, v, delta = params.n, params.s, params.v, params.delta
@@ -294,18 +302,16 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
     gen, info_set = secrets.generator, secrets.info_set
     outside = np.delete(np.arange(n), info_set)
+    units = np.eye(n * s, dtype=np.int64).reshape(n * s, n, s)
 
-    coeff = solve_on_columns(gen, info_set, A.data[:, info_set], tower)
-    remainder = fq.vsub(A.data[:, outside], tower.matmul(coeff, gen[:, outside]))
+    coeff = solve_on_columns(gen, info_set, units[:, info_set], tower)
+    remainder = fq.vsub(units[:, outside], tower.matmul(coeff, gen[:, outside]))
 
-    basis_inv = fq_inv_matrix(secrets.split.basis, fq)
-    L = remainder.shape[0]
-    width = len(outside)
-    split_coords = fq.matmul(remainder.reshape(L * width, s), basis_inv).reshape(L, width, s)
-    w_coords = split_coords[:, :, v:].reshape(L, delta)
-
+    # the remainder rows and the selector block's rows, in the split basis by one product
     sel_out = secrets.selector_block[:, outside]
-    sel_coords = fq.matmul(sel_out.reshape(delta * width, s), basis_inv).reshape(delta, width, s)
+    stacked = np.concatenate([remainder.reshape(-1, s), sel_out.reshape(-1, s)])
+    coords = fq.matmul(stacked, fq_inv_matrix(secrets.split.basis, fq)).reshape(-1, len(outside), s)
+    w_coords, sel_coords = coords[: n * s, :, v:].reshape(n * s, delta), coords[n * s :]
     if np.any(sel_coords[:, :, :v]):
         raise DecodeFailure("selector block leaks outside the W part of the split")
     try:
@@ -313,4 +319,4 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
         sel_inv = fq_inv_matrix(sel_coords[:, :, v:].reshape(delta, delta), fq)
     except ValueError as exc:
         raise DecodeFailure("selector block coordinate matrix is singular") from exc
-    return fq.matmul(w_coords, sel_inv)
+    return fq.matmul(A.data.reshape(A.rows, n * s), fq.matmul(w_coords, sel_inv))

@@ -5,7 +5,7 @@ oracles compute in is their own (digitwise fq_add/fq_sub, the digit
 polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
 by plain-Python elimination over it, subspaces are enumerated rather
 than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Seven kinds of entry are paths
+recovery pipeline with explicit scalars.  Ten kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
 chain_deletion_ranks, the scan on numpy chains of reduced bases of every
@@ -20,8 +20,16 @@ digit_scalar_matmul, the products that contracted base-p digits against
 F_p structure tensors before every product became one product on a
 regular representation; int64_residue_matmul / int64_fq_matmul /
 loop_digits, the int64 product mod p and the %-and-// digit loop that
-kernel ran on before the exact float64 kernel (fields.residue_matmul) and
-the digit table replaced them; log_exp_tables / table_vmul /
+kernel ran on before the exact float64 kernel and the digit table
+replaced them; float64_residue_matmul, that float64-only kernel, before
+fields.residue_matmul ran one float32 product wherever float32 is exact;
+power_table / two_step_blow_up / two_step_matmul / two_step_ext_rank /
+two_step_ext_inv, the F_(q^s) products, ranks and inverses through the
+power table of F_q^s, an F_q blow-up and then an F_p one, before one F_p
+structure tensor per tower (FieldTower.mul_tensor) gave the F_p blow-up
+in one product; stepwise_decode, scheme.decode as it pushed all L rows
+of the response through its steps, before decoding became one F_q-linear
+map built from the secrets; log_exp_tables / table_vmul /
 table_echelon, the discrete log/exp arithmetic of F_q and the
 elimination over F_q on top of it, before every elimination ran over F_p
 on blow-ups; and loop_echelon, the numpy elimination over F_p that
@@ -40,8 +48,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from hhw_pir.errors import RankDeficientGenerator
-from hhw_pir.fields import FieldTower, Fq, fq_rank
+from hhw_pir.errors import DecodeFailure, DimensionMismatch, RankDeficientGenerator
+from hhw_pir.fields import FieldTower, Fq, companion_powers, fq_inv_matrix, fq_rank
+from hhw_pir.linalg import solve_on_columns
 
 
 def fq_add(fq: Fq, a: int, b: int) -> int:
@@ -573,6 +582,113 @@ def int64_fq_matmul(a, b, fq: Fq) -> np.ndarray:
     big = regular.reshape(*b_lead, t, c, e, e).swapaxes(-3, -2).reshape(*b_lead, t * e, c * e)
     out = int64_residue_matmul(loop_digits(a, fq).reshape(*lead, r, t * e), big, p)
     return _from_digits(out.reshape(*out.shape[:-1], c, e), fq)
+
+
+def float64_residue_matmul(a, b, p: int) -> np.ndarray:
+    """a @ b mod p on float64 BLAS only, as fields.residue_matmul ran before its float32 product.
+
+    The inner axis is cut into chunks of (2^51 - p) // (p-1)^2 terms, whose
+    sums plus the carried residue stay below 2^51, and each partial sum x
+    is reduced as x - p*floor(x*inv) with inv the smallest float64 not
+    below 1/p.  Returns the residues in a float64 array.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    inv = 1.0 / p
+    if Fraction(inv) < Fraction(1, p):
+        inv = np.nextafter(inv, np.inf)
+
+    def reduce(x):
+        x -= p * np.floor(x * inv)
+        return x
+
+    chunk = ((1 << 51) - p) // (p - 1) ** 2
+    out = np.matmul(a[..., :chunk], b[..., :chunk, :], dtype=np.float64)
+    for start in range(chunk, a.shape[-1], chunk):
+        reduce(out)
+        out += np.matmul(a[..., start : start + chunk], b[..., start : start + chunk, :], dtype=np.float64)
+    return reduce(out)
+
+
+@functools.cache
+def power_table(tower: FieldTower) -> np.ndarray:
+    """(s, s*s) F_q matrix with y @ power_table = [y, x*y, ..., x^(s-1)*y] on coordinates.
+
+    Row j holds x^(j+i) for i < s, from the companion-matrix powers of the
+    top modulus: one product with it gives every row of the F_q
+    multiplication map of y.
+    """
+    s = tower.s
+    return companion_powers(tower.fq, tower.top_modulus, s).transpose(1, 0, 2).reshape(s, s * s)
+
+
+def two_step_fq_blow_up(data, tower: FieldTower) -> np.ndarray:
+    """The (..., r*s, c*s) F_q regular representation of an (..., r, c, s) coordinate array, by the power table."""
+    *lead, r, c, s = np.shape(data)
+    shifted = tower.fq.matmul(np.reshape(data, (-1, s)), power_table(tower))
+    return shifted.reshape(*lead, r, c, s, s).swapaxes(-3, -2).reshape(*lead, r * s, c * s)
+
+
+def two_step_blow_up(data, tower: FieldTower) -> np.ndarray:
+    """FieldTower.blow_up in two steps: the F_q blow-up by the power table, then its F_p blow-up."""
+    return tower.fq.blow_up(two_step_fq_blow_up(data, tower))
+
+
+def two_step_matmul(a, b, tower: FieldTower) -> np.ndarray:
+    """FieldTower.matmul as an F_q product of the coordinates of a with the F_q blow-up of b."""
+    a = np.asarray(a, dtype=np.int64)
+    *lead, r, t, s = a.shape
+    out = tower.fq.matmul(a.reshape(*lead, r, t * s), two_step_fq_blow_up(b, tower))
+    return out.reshape(*out.shape[:-1], np.shape(b)[-2], s)
+
+
+def two_step_ext_rank(data, tower: FieldTower):
+    """linalg.ext_rank as the F_q rank of the F_q blow-up (itself blown up over F_p by fq_rank)."""
+    return fq_rank(two_step_fq_blow_up(data, tower), tower.fq) // tower.s
+
+
+def two_step_ext_inv(data, tower: FieldTower) -> np.ndarray:
+    """linalg.ext_inv_matrix as the F_q inverse of the F_q blow-up; ValueError when singular."""
+    n = len(data)
+    inv = fq_inv_matrix(two_step_fq_blow_up(data, tower), tower.fq)
+    # row 0 of every block of the inverse blow-up holds the entry times x^0
+    return inv[:: tower.s].reshape(n, n, tower.s)
+
+
+def stepwise_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
+    """scheme.decode with every step on all L rows of the response.
+
+    Rebuild the codeword layer's contribution from the information set
+    columns and subtract it on the complement columns; express what
+    remains in the split basis and keep the trailing (W) coordinates; stack
+    those into L x delta over F_q and multiply by the inverse of the
+    selector block's coordinate matrix.
+    """
+    fq = tower.fq
+    n, s, v, delta = params.n, params.s, params.v, params.delta
+    A = response.matrix
+    if A.cols != n:
+        raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
+    gen, info_set = secrets.generator, secrets.info_set
+    outside = np.delete(np.arange(n), info_set)
+
+    coeff = solve_on_columns(gen, info_set, A.data[:, info_set], tower)
+    remainder = fq.vsub(A.data[:, outside], tower.matmul(coeff, gen[:, outside]))
+
+    basis_inv = fq_inv_matrix(secrets.split.basis, fq)
+    L = remainder.shape[0]
+    width = len(outside)
+    split_coords = fq.matmul(remainder.reshape(L * width, s), basis_inv).reshape(L, width, s)
+    w_coords = split_coords[:, :, v:].reshape(L, delta)
+
+    sel_out = secrets.selector_block[:, outside]
+    sel_coords = fq.matmul(sel_out.reshape(delta * width, s), basis_inv).reshape(delta, width, s)
+    if np.any(sel_coords[:, :, :v]):
+        raise DecodeFailure("selector block leaks outside the W part of the split")
+    try:
+        sel_inv = fq_inv_matrix(sel_coords[:, :, v:].reshape(delta, delta), fq)
+    except ValueError as exc:
+        raise DecodeFailure("selector block coordinate matrix is singular") from exc
+    return fq.matmul(w_coords, sel_inv)
 
 
 @functools.cache

@@ -27,6 +27,7 @@ from hhw_pir.fields import (
 )
 from hhw_pir.linalg import ext_inv_matrix
 
+from . import oracles
 from .oracles import (
     digit_fq_matmul,
     ext_add,
@@ -443,7 +444,7 @@ def test_mul_tensor_reproduces_products():
             assert fq.from_digits(digits) == fq_poly_mul(fq, a, b)
 
 
-# -- the float64 product kernel at its edges --------------------------------------------
+# -- the product kernel at its edges ------------------------------------------------------
 
 # every (p, e) with p in {2, 3, 251, 65521}, e in {1, 2, 4, 8} and p^e within the order cap
 KERNEL_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4), (3, 8), (251, 1), (251, 2), (65521, 1)]
@@ -467,9 +468,11 @@ def test_fq_matmul_matches_int64_kernel_on_stacks(p, e, rng):
 
 @pytest.mark.parametrize("p,e", KERNEL_FIELDS)
 def test_chunked_products_at_the_exactness_edge(p, e, rng, monkeypatch):
-    """With the bound lowered to chunks of three terms, operands whose every
-    digit is p - 1 fill each chunk up to the bound: three terms of (p-1)^2
-    plus the carried residue p - 1 sum to the bound minus one."""
+    """With the float32 product switched off and the float64 bound lowered
+    to chunks of three terms, operands whose every digit is p - 1 fill each
+    chunk up to the bound: three terms of (p-1)^2 plus the carried residue
+    p - 1 sum to the bound minus one."""
+    monkeypatch.setattr(fields, "_EXACT_BELOW_FLOAT32", 0)
     monkeypatch.setattr(fields, "_EXACT_BELOW", 3 * (p - 1) ** 2 + p)
     top = np.full((2, 3, 10), p - 1)
     assert np.array_equal(residue_matmul(top, top.swapaxes(-1, -2), p), int64_residue_matmul(top, top.swapaxes(-1, -2), p))
@@ -479,6 +482,87 @@ def test_chunked_products_at_the_exactness_edge(p, e, rng, monkeypatch):
     for x, y in [(top_a, top_b), (a, b)]:
         assert np.array_equal(fq.matmul(x, y), int64_fq_matmul(x, y, fq))
     assert np.array_equal(fq.matmul(top_a, top_b)[1], digit_fq_matmul(top_a[1], top_b, fq))
+
+
+# the primes of KERNEL_FIELDS with a float32 product for some inner length: (p-1)^2 + p <= 2^22
+FLOAT32_PRIMES = sorted({p for p, _ in KERNEL_FIELDS if (p - 1) ** 2 + p <= 1 << 22})
+
+
+def _float32_edge(p):
+    """The longest inner axis whose products over F_p run in float32: (p-1)^2 * t + p <= 2^22."""
+    return ((1 << 22) - p) // (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", FLOAT32_PRIMES)
+def test_float32_products_at_their_exactness_edge(p):
+    """Every term (p-1)^2 over the longest float32 inner axis fills the sum up to
+    2^22 - p (exactly, for p = 2); one term more takes the float64 path.
+    Both agree with the int64 kernel."""
+    t = _float32_edge(p)
+    assert (p - 1) ** 2 * t + p <= 1 << 22 < (p - 1) ** 2 * (t + 1) + p
+    if p == 2:
+        assert (p - 1) ** 2 * t + p == 1 << 22
+    for length, dtype in [(t, np.float32), (t + 1, np.float64)]:
+        top = np.full((1, length), p - 1, dtype=np.uint8 if p < 256 else np.int64)
+        got = residue_matmul(top, top.T, p)
+        assert got.dtype == dtype
+        assert np.array_equal(got, int64_residue_matmul(top, top.T, p))
+        assert got.tolist() == [[(p - 1) ** 2 * length % p]]
+
+
+# the KERNEL_FIELDS entries with a float32 product whose edge F_q product stays
+# small: the blow-up of its right factor has edge * 2e int64 entries, at most
+# 32 MiB here (p = 2 runs its edge on the kernel alone, in the tests around this one)
+FLOAT32_EDGE_FIELDS = [(p, e) for p, e in KERNEL_FIELDS if p in FLOAT32_PRIMES and _float32_edge(p) * e <= 1 << 21]
+
+
+@pytest.mark.parametrize("p,e", FLOAT32_EDGE_FIELDS)
+def test_fq_matmul_across_the_float32_edge(p, e, rng, monkeypatch):
+    """F_q products whose F_p inner axis (t digits of e) ends at the float32
+    edge and just past it, on top and random entries, against the int64 kernel."""
+    fq = _kernel_field(p, e)
+    dtypes = []
+
+    def spied(a, b, p):
+        out = residue_matmul(a, b, p)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(fields, "residue_matmul", spied)
+    t = _float32_edge(p) // e
+    for length, dtype in [(t, np.float32), (t + 1, np.float64)]:
+        a = np.concatenate([np.full((1, length), fq.q - 1), fq.rand(rng, (1, length))])
+        b = np.concatenate([np.full((length, 1), fq.q - 1), fq.rand(rng, (length, 1))], axis=1)
+        got = fq.matmul(a, b)
+        assert dtypes[-1] == dtype
+        assert np.array_equal(got, int64_fq_matmul(a, b, fq))
+
+
+@pytest.mark.parametrize("p", FLOAT32_PRIMES)
+def test_float32_products_of_random_residues_at_the_edge(p, rng):
+    t = _float32_edge(p)
+    a = rng.integers(0, p, size=(1, t), dtype=np.uint8)
+    b = rng.integers(0, p, size=(t, 1), dtype=np.uint8)
+    got = residue_matmul(a, b, p)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, int64_residue_matmul(a, b, p))
+    assert np.array_equal(got, oracles.float64_residue_matmul(a, b, p))
+
+
+@pytest.mark.parametrize("p", FLOAT32_PRIMES)
+def test_multiples_of_p_near_the_float32_edge_reduce_to_zero(p):
+    """Row i has c = t - 1 - i terms of (p-1)^2 = 1 mod p and one of
+    (c mod p) * (p-1) = -c mod p: each sum is a multiple of p just below
+    2^22, where an inverse of p rounded down, or an inexact float32 sum,
+    would leave p - 1 or an off residue."""
+    t = _float32_edge(p)
+    a = np.zeros((3, t), dtype=np.uint8)
+    for i, row in enumerate(a):
+        c = t - 1 - i
+        row[:c], row[c] = p - 1, c % p
+    got = residue_matmul(a, np.full((t, 1), p - 1, dtype=np.uint8), p)
+    assert got.dtype == np.float32
+    assert not got.any()
 
 
 @pytest.mark.parametrize("p", sorted({p for p, _ in KERNEL_FIELDS}))

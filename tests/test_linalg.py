@@ -49,6 +49,10 @@ from .oracles import (
     table_echelon,
     table_inv_matrix,
     table_vmul,
+    two_step_blow_up,
+    two_step_ext_inv,
+    two_step_ext_rank,
+    two_step_matmul,
 )
 
 TOWERS = [build_tower(2, 1, 2), build_tower(3, 1, 2), build_tower(2, 2, 2)]
@@ -698,6 +702,56 @@ def test_ext_elimination_matches_scalar_gauss_jordan(tower):
             else:
                 assert is_information_set(m, columns, tower) == expected
     assert singular >= DIFF_MATRICES // 6
+
+
+# -- differential tests against the two-step blow-up by the power table ------------
+
+# q = 2, 3, 4, 8, 9, 16
+TWO_STEP_TOWERS = [build_tower(*pes) for pes in [(2, 1, 3), (3, 1, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 4, 2)]]
+TWO_STEP_STACKS = 150
+
+
+def _mixed_stack(tower, rng, count: int, rows: int, cols: int) -> np.ndarray:
+    """(count, rows, cols, s): uniform, sparse, rank-deficient and zero members in turn."""
+    members = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 2:
+            inner = int(rng.integers(1, max(min(rows, cols), 2)))
+            members.append(tower.matmul(tower.rand(rng, (rows, inner)), tower.rand(rng, (inner, cols))))
+            continue
+        data = tower.rand(rng, (rows, cols)) if kind < 3 else np.zeros((rows, cols, tower.s), dtype=np.int64)
+        if kind == 1:
+            data[rng.random((rows, cols)) < 0.6] = 0
+        members.append(data)
+    return np.array(members).reshape(count, rows, cols, tower.s)
+
+
+@pytest.mark.parametrize("tower", TWO_STEP_TOWERS, ids=lambda t: f"q{t.q}s{t.s}")
+def test_one_structure_tensor_matches_the_two_step_blow_up(tower):
+    """FieldTower.blow_up, FieldTower.matmul, ext_rank and ext_inv_matrix on stacks against the power-table route."""
+    rng = np.random.default_rng(0x2573 + tower.order)
+    singular = 0
+    for t in range(TWO_STEP_STACKS):
+        count, rows, inner, cols = (int(d) for d in rng.integers(1, 6, size=4))
+        a = _mixed_stack(tower, rng, count, rows, inner)
+        b = _mixed_stack(tower, rng, count, inner, cols)
+        assert np.array_equal(tower.blow_up(b), two_step_blow_up(b, tower))
+        assert np.array_equal(tower.matmul(a, b), two_step_matmul(a, b, tower))
+        assert np.array_equal(tower.matmul(a, b[0]), two_step_matmul(a, b[0], tower))  # one right factor for the stack
+        ranks = ext_rank(a, tower)
+        assert ranks.dtype == np.int64 and ranks.tolist() == two_step_ext_rank(a, tower).tolist()
+        square = _mixed_stack(tower, rng, count, rows, rows)
+        for member in square:
+            try:
+                expected = two_step_ext_inv(member, tower)
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError):
+                    ext_inv_matrix(member, tower)
+            else:
+                assert np.array_equal(ext_inv_matrix(member, tower), expected)
+    assert singular >= TWO_STEP_STACKS // 4
 
 
 # -- differential tests against the log/exp table elimination over F_q --------------

@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
 
-from hhw_pir import fields, linalg
+from hhw_pir import fields
 from hhw_pir.errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
-from hhw_pir.fields import build_tower, fq_inv_matrix, fq_rank
+from hhw_pir.fields import BasisSplit, build_tower, fq_inv_matrix, fq_rank
 from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set
-from hhw_pir.params import SchemeParams
-from hhw_pir.scheme import Database, Response, decode, generate_queries, generate_query, respond, sample_code
+from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
+from hhw_pir.scheme import (
+    Database,
+    Query,
+    QuerySecrets,
+    Response,
+    decode,
+    generate_queries,
+    generate_query,
+    respond,
+    sample_code,
+)
 
-from .oracles import ext_inv, ext_mul, ext_zero, micro_decode, scalar_respond
+from .conftest import MICRO_PARAMS, TERNARY_PARAMS, TIGHT_PARAMS
+from .oracles import ext_inv, ext_mul, ext_zero, micro_decode, scalar_respond, stepwise_decode
 
 
 # -- database ---------------------------------------------------------------------
@@ -255,11 +266,51 @@ def test_decode_singular_selector_raises_typed_error(tight_params, tight_tower, 
         decode(response, secrets, tight_params, tight_tower)
 
 
-def test_decode_eliminates_each_matrix_once(monkeypatch, rng):
-    """One q=4 decode hands fq_echelon every matrix at most once.
+DECODE_QUERIES = 2000
+DECODE_ROUND = 250
 
-    An inversion eliminates [M | I], so that call is keyed on M; a rank
-    check of M followed by its inverse counts as eliminating M twice.
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        DEFAULT_PARAMS,
+        TIGHT_PARAMS,
+        MICRO_PARAMS,
+        TERNARY_PARAMS,
+        SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=64),
+    ],
+    ids=["preset", "tight", "micro", "ternary", "retrieval"],
+)
+def test_decode_matches_the_stepwise_decode(params):
+    """The one linear map against every step on all L rows, over 2000 seeded queries per fixture.
+
+    The queries come in rounds of generate_queries, every target in turn,
+    against one seeded database; both decodes must return the target file.
+    """
+    tower = build_tower(params.p, params.e, params.s)
+    rng = np.random.default_rng(0xDEC0 + params.q * params.m)
+    db = Database.random(params, rng)
+    for start in range(0, DECODE_QUERIES, DECODE_ROUND):
+        targets = [1 + (start + i) % params.m for i in range(DECODE_ROUND)]
+        rngs = [np.random.default_rng([0xDEC0, start + i]) for i in range(DECODE_ROUND)]
+        batch = generate_queries(params, tower, targets, rngs)
+        for b, target in enumerate(targets):
+            secrets = QuerySecrets(generator=batch.generator[b], info_set=batch.info_set[b],
+                                   split=BasisSplit(basis=batch.basis[b], v=params.v), target=target,
+                                   selector_block=batch.selector_block[b])
+            response = respond(db, Query(ExtMatrix(tower, batch.data[b])), params, tower)
+            out = decode(response, secrets, params, tower)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, stepwise_decode(response, secrets, params, tower)), (start + b, target)
+            assert np.array_equal(out, db.files[target - 1]), (start + b, target)
+
+
+def test_decode_eliminates_each_matrix_once(monkeypatch, rng):
+    """One q=4 decode hands the echelon kernel every matrix at most once.
+
+    fq_echelon and the inverses share one body, fields._echelon, which is
+    counted.  An inversion eliminates [M | I], so that call is keyed on M;
+    a rank check of M followed by its inverse counts as eliminating M twice.
     """
     params = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=64)
     tower = build_tower(params.p, params.e, params.s)
@@ -268,18 +319,17 @@ def test_decode_eliminates_each_matrix_once(monkeypatch, rng):
     response = respond(db, query, params, tower)
 
     seen = []
-    original = fields.fq_echelon
+    original = fields._echelon
 
-    def counted(arr, fq):
+    def counted(arr, p):
         key = arr = np.asarray(arr)
         n = len(arr)
         if arr.shape[1] == 2 * n and np.array_equal(arr[:, n:], np.eye(n)):
             key = arr[:, :n]
         seen.append((key.shape, key.tobytes()))
-        return original(arr, fq)
+        return original(arr, p)
 
-    monkeypatch.setattr(fields, "fq_echelon", counted)
-    monkeypatch.setattr(linalg, "fq_echelon", counted)
+    monkeypatch.setattr(fields, "_echelon", counted)
     out = decode(response, secrets, params, tower)
     assert np.array_equal(out, db.files[3])
     assert seen, "decode eliminated nothing"

@@ -81,7 +81,7 @@ def test_a_differing_side_marks_its_row_and_exits_1(bench_scripts, monkeypatch, 
     order = []
 
     def side():
-        # the before side runs with the int64 kernel patched in
+        # the before side runs with the float64 kernel of tests/oracles.py patched in
         order.append("after" if fields.residue_matmul is kernel else "before")
         return [np.zeros(2, dtype=np.int64)]
 
@@ -109,9 +109,14 @@ def test_patched_rebinds_every_binding_and_restores_it(bench_scripts):
         assert experiment.ROUND_SIZE == 1
     assert all(module.fq_rank is rank for module in (hhw_pir, cli, fields, linalg, scheme, serialization))
     assert fields.Fq.to_digits is to_digits and experiment.ROUND_SIZE == round_size
-    with pytest.raises(KeyError):
-        with benchkit.patched(no_such_kernel=stand_in):
-            pass
+    blow_ups = fields.Fq.blow_up, fields.FieldTower.blow_up
+    with benchkit.patched(**{"FieldTower.blow_up": stand_in}):
+        assert fields.FieldTower.blow_up is stand_in and fields.Fq.blow_up is blow_ups[0]
+    assert (fields.Fq.blow_up, fields.FieldTower.blow_up) == blow_ups
+    for unbound in ("no_such_kernel", "Fq.no_such_method", "NoSuchClass.blow_up"):
+        with pytest.raises(KeyError):
+            with benchkit.patched(**{unbound: stand_in}):
+                pass
 
 
 def test_machine_record_names_the_blas_build_and_threads(bench_scripts, monkeypatch):

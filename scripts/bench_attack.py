@@ -11,14 +11,16 @@ three ways of computing the rank profile:
   chain   tests/oracles.py:chain_deletion_ranks, prefix and suffix
           bases in reduced echelon form as numpy arrays, merged once per
           deletion, the reference for the scan that replaced it;
-  after   hhw_pir.attack.rank_profile (linalg.fq_deletion_ranks): every
+  after   hhw_pir.attack.rank_profile (fields.fq_deletion_ranks): every
           deletion read off one echelon basis of the transposed query,
-          rows packed into Python ints, at every p.
+          rows packed into Python ints, at every p; the basis rows leading
+          in a block are masked, inserted into the basis itself and
+          popped again.
 
 It then times stacks of seeded queries, in rounds of 25 and of 64 as the
 experiment engine scans them, at the tight base with m = 6 and m = 10,
 the preset, q4 and q=3 m=16: the numpy chains (chain_deletion_ranks on
-the stack) against linalg.fq_deletion_ranks.
+the stack) against fields.fq_deletion_ranks.
 
 Each query or stack is timed --repeats times per side and reported as
 milliseconds of wall time (median and interquartile range over every
@@ -41,8 +43,7 @@ import numpy as np
 
 import benchkit
 from hhw_pir.attack import rank_profile
-from hhw_pir.fields import build_tower
-from hhw_pir.linalg import fq_deletion_ranks
+from hhw_pir.fields import build_tower, fq_deletion_ranks
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 from hhw_pir.scheme import generate_queries, generate_query
 from tests.oracles import chain_deletion_ranks, per_deletion_rank_profile
@@ -151,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         "before": "tests/oracles.py:per_deletion_rank_profile (one fq_rank per deleted block)",
         "chain": "tests/oracles.py:chain_deletion_ranks (prefix/suffix bases as numpy arrays in reduced echelon "
                  "form), the reference for the scan that replaced it",
-        "after": "hhw_pir.attack.rank_profile and linalg.fq_deletion_ranks (every deletion read off one echelon "
-                 "basis of the transposed query, rows packed into Python ints, at every p)",
+        "after": "hhw_pir.attack.rank_profile and fields.fq_deletion_ranks (every deletion read off one echelon "
+                 "basis of the transposed query, rows packed into Python ints, at every p; the basis rows leading "
+                 "in a block are masked, inserted into the basis itself and popped again)",
         "command": "python3 scripts/bench_attack.py"
                    f" --queries {args.queries} --stacks {args.stacks} --repeats {args.repeats}",
         "machine": benchkit.machine(),

@@ -92,9 +92,7 @@ def derive(params: SchemeParams) -> DerivedParams:
     is taken on exact integers so boundary cases cannot be pushed over by
     float rounding.
     """
-    s, v, n, k = params.s, params.v, params.n, params.k
-    delta = (s - v) * (n - k)
-    k0 = k * s + v * (n - k)
+    delta, k0 = params.delta, params.rank_threshold
     m0 = 1 + _ceil_div((delta + 1) * (k0 - delta), delta * delta)
     return DerivedParams(delta=delta, k0=k0, m0=m0)
 
@@ -238,7 +236,7 @@ def rate_report(params: SchemeParams, m: int | None = None) -> RateReport:
     upper = (1 + Fraction(1, delta)) / (m + 1 + Fraction(2, delta))
     return RateReport(
         m=m,
-        r_pir_approx=Fraction(delta, params.s * params.n),
+        r_pir_approx=measured_rate_limit(params),
         trivial_rate=Fraction(1, m),
         upper_bound=upper,
         coarse_bound=Fraction(2, m + 3),

@@ -19,9 +19,10 @@ rank is read off one echelon basis of the row space of the transposed
 subfield matrix, at most n*s rows packed into Python ints: a block that
 holds none of the basis's leading columns keeps the full rank, and for
 each of the few that do, the basis rows leading in it (at most one per
-row of the block) are masked and reduced against the others.  That
-replaces m eliminations of ((m-1)*delta) x (n*s) subfield matrices, for
-every p (see linalg.fq_deletion_ranks).
+row of the block) are masked, inserted into the basis, which reduces
+them against the basis rows leading after the block, and popped again.
+That replaces m eliminations of ((m-1)*delta) x (n*s) subfield matrices,
+for every p (see fields.fq_deletion_ranks).
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
-from .fields import FieldTower
-from .linalg import fq_deletion_ranks
+from .fields import FieldTower, fq_deletion_ranks
 from .params import SchemeParams
 from .scheme import Query
 
@@ -84,7 +84,7 @@ def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -
     An (m*delta, n, s) query matrix gives the list of its m ranks; a
     (count, m*delta, n, s) stack of them is scanned together and gives a
     (count, m) array.  A coordinate outside [0, q) raises
-    CoordinateOutOfRange (linalg.fq_deletion_ranks checks it): the scan
+    CoordinateOutOfRange (fields.fq_deletion_ranks checks it): the scan
     packs each coordinate into a field of bits that it would overflow
     without a trace.
     """

@@ -53,10 +53,6 @@ def _load_params(raw: str | None) -> SchemeParams:
     return SchemeParams.from_dict(doc)
 
 
-def _seed_rng(seed: int | None) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _print(doc: dict) -> None:
     print(json.dumps(doc, indent=1))
 
@@ -105,7 +101,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_gendb(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
-    rng = _seed_rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     db = Database.random(params, rng)
     serialization.save_database(args.out, db, params)
     _print({"out": args.out, "files": params.m,
@@ -116,7 +112,7 @@ def _cmd_gendb(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     tower = build_tower(params.p, params.e, params.s)
-    rng = _seed_rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     query, secrets = generate_query(params, tower, args.target, rng)
     secrets_path = args.secrets_out or args.out + ".secrets.json"
     serialization.save_query(args.out, query, params)
@@ -231,7 +227,7 @@ def _small_rank(mat, fq: Fq) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    rng = _seed_rng(args.seed if args.seed is not None else 7)
+    rng = np.random.default_rng(args.seed if args.seed is not None else 7)
     checks = 0
 
     def ok(label: str) -> None:

@@ -40,13 +40,15 @@ M4RI library of Albrecht and Bard, without its tables), and acts on whole
 rows at once: over F_2 with XOR, for odd p with one integer multiply-add
 and a division-free reduction of every field (_reduce_fields).  One loop
 row-reduces: _insert_rows inserts each row into a basis keyed by top
-field.  fq_rank counts the basis of a matrix or of each matrix of a
-stack; fq_echelon clears the basis on its pivots into the reduced echelon
-form, by a body (_echelon) that fq_inv_matrix shares to invert with one
-range check; the attack's deletion scan
-(linalg.fq_deletion_ranks) builds its basis of the transposed query the
-same way.  All four raise CoordinateOutOfRange on an entry outside
-[0, q), which a packed field would wrap.
+field.  Every kernel opens with _bases, which packs a matrix or a stack
+at once and builds the basis of each matrix.  fq_rank counts those
+bases; fq_echelon clears the basis on its pivots into the reduced
+echelon form, by a body (_echelon) that fq_inv_matrix shares to invert
+with one range check; and fq_deletion_ranks, the attack's scan of every
+block deletion, reads all of them off the basis of the transposed
+query, inserting the masked rows that lead in a block into that basis
+and popping what they added.  All four raise CoordinateOutOfRange on an
+entry outside [0, q), which a packed field would wrap.
 """
 
 from __future__ import annotations
@@ -404,10 +406,7 @@ def fq_echelon(arr: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:
 def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """fq_echelon of a (rows, cols) int64 array whose entries are known to lie in [0, p)."""
     rows, cols = arr.shape
-    fields, layout = _row_layout(p, cols)
-    w, s, m, low = layout
-    basis: dict[int, int] = {}
-    _insert_rows(basis, _pack_rows(arr, w), cols, p, *layout)
+    fields, (w, s, m, low), (basis,) = _bases(arr, p)
     field = (1 << w) - 1
     done: list[tuple[int, int]] = []  # (shift, row), from the rightmost pivot
     for shift in sorted(basis):
@@ -448,26 +447,34 @@ def _encodings(arr, fq: Fq) -> np.ndarray:
 def fq_rank(arr: np.ndarray, fq: Fq):
     """Rank over F_q of a (rows, cols) matrix, or the int64 array of the ranks of a (..., rows, cols) stack.
 
-    For e > 1 it is the F_p rank of the blow-up divided by e.  The whole
-    array is packed at once (_pack_rows), and each matrix's rows are
-    inserted into a basis of its own (_insert_rows), whose size is the
-    rank; no echelon form is built.
+    For e > 1 it is the F_p rank of the blow-up divided by e: the size of
+    each matrix's basis (_bases).  No echelon form is built.
     """
     arr = _encodings(arr, fq)
-    if arr.ndim == 2 and not arr.any():
-        return 0
     if fq.e > 1:
         arr = fq.blow_up(arr)
+    ranks = [len(basis) // fq.e for basis in _bases(arr, fq.p)[2]]
+    lead = arr.shape[:-2]
+    return np.array(ranks, dtype=np.int64).reshape(lead) if lead else ranks[0]
+
+
+def _bases(arr: np.ndarray, p: int) -> tuple[int, tuple[int, int, int, int], list[dict[int, int]]]:
+    """(fields, layout, bases) of a (..., rows, cols) array of residues mod p, the prologue of every packed kernel.
+
+    fields and layout = (w, s, m, low) are _row_layout(p, cols); bases
+    holds, for each matrix in C order of the leading axes, the basis that
+    _insert_rows builds from its rows.  The whole array is packed by one
+    call (_pack_rows).
+    """
     *lead, rows, cols = arr.shape
-    p = fq.p
-    layout = _row_layout(p, cols)[1]
+    fields, layout = _row_layout(p, cols)
     packed = _pack_rows(arr, layout[0])
-    ranks = []
+    bases = []
     for i in range(math.prod(lead)):
         basis: dict[int, int] = {}
         _insert_rows(basis, packed[i * rows : (i + 1) * rows], cols, p, *layout)
-        ranks.append(len(basis) // fq.e)
-    return np.array(ranks, dtype=np.int64).reshape(lead) if lead else ranks[0]
+        bases.append(basis)
+    return fields, layout, bases
 
 
 def _insert_rows(basis: dict[int, int], rows, full: int, p: int, w: int, s: int, m: int, low: int) -> None:
@@ -501,6 +508,74 @@ def _insert_rows(basis: dict[int, int], rows, full: int, p: int, w: int, s: int,
             else:
                 x += (p - (x >> shift)) * b
                 x -= p * ((x * m >> s) & low)  # _reduce_fields, inlined
+
+
+def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
+    """Rank over F_q of ``arr`` with each run of ``block`` rows deleted, in order: the attack's scan.
+
+    The scan rests on the rank formula of the dual matroid.  Deleting rows
+    J of a matrix Q deletes columns J of its transpose, so rank(Q - J) is
+    the dimension of the row space of Q^T with the columns in J masked
+    to zero.  Let B be the basis of that row space that _bases builds,
+    row i of Q as field i from the top of every packed row: its rows have
+    distinct leading columns P, the greedy pivot rows of Q, and r = |P| is
+    the rank.  Masking J leaves the leading entry of every row of B that
+    leads outside J, so those r - |J & P| rows stay independent; the rank
+    is their count plus the number of rows leading in J that stay
+    independent of them, and of each other, once masked.
+
+    A block j that holds no leading column of B has rank r with no further
+    work; in the attack that is every block but the first few and the
+    target's.  For one that holds some, those rows of B are masked to the
+    fields outside j and inserted into B itself (_insert_rows); the rank
+    is r - (rows leading in j) + (rows the insertion added), and the added
+    rows are popped again (dict.popitem removes the latest entry first).
+    This is exact with no masking while the rows are reduced.  A masked
+    row is zero on block j and on every field above it, so each row of B
+    it meets leads after j, and that row is zero there too: the mask
+    leaves it as it is, and the reduced row stays zero on block j.  The
+    rows of B leading before j, the only ones the mask changes, never
+    take part: their leading fields are distinct and lie above block j,
+    where every combination of the masked rows is zero.  One algorithm
+    serves every p, one matrix and a stack alike.  For e > 1 the
+    scan runs once over F_p on the blow-up, whose blocks have block*e rows
+    and whose ranks are e times those over F_q.
+
+    A (rows, cols) matrix gives the list of its m ranks, a (count, rows,
+    cols) stack a (count, m) int64 array.  An entry outside [0, q) raises
+    CoordinateOutOfRange, which a packed field would wrap, and any other
+    shape, a block below 1 or rows that do not split into one or more
+    blocks raise DimensionMismatch.
+    """
+    arr = _encodings(arr, fq)
+    if arr.ndim not in (2, 3) or block < 1:
+        raise DimensionMismatch(f"expected [count,] (rows, cols) and a block >= 1, got {arr.shape} and {block}")
+    rows = arr.shape[-2]
+    if not rows or rows % block:
+        raise DimensionMismatch(f"{rows} rows do not split into one or more blocks of {block}")
+    if fq.e > 1:
+        arr, block, rows = fq.blow_up(arr), block * fq.e, rows * fq.e
+    fields, layout, bases = _bases(arr.swapaxes(-1, -2), fq.p)
+    w = layout[0]
+    span = (1 << w * block) - 1  # the fields of one block, at the bottom
+    out = []
+    for basis in bases:
+        rank = len(basis)
+        leading: dict[int, list[int]] = {}  # block -> the rows of the basis leading in it
+        for shift, x in basis.items():
+            leading.setdefault((fields - 1 - shift // w) // block, []).append(x)
+        for j in range(rows // block):
+            held = leading.get(j)
+            if held is None:
+                out.append(rank)
+                continue
+            keep = ~(span << (fields - (j + 1) * block) * w)
+            _insert_rows(basis, [x & keep for x in held], rows, fq.p, *layout)
+            out.append(len(basis) - len(held))  # r - |held| + the rows added
+            while len(basis) > rank:
+                basis.popitem()
+    ranks = np.array(out, dtype=np.int64).reshape(len(bases), rows // block) // fq.e
+    return ranks if arr.ndim == 3 else ranks[0].tolist()
 
 
 def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:

@@ -23,13 +23,6 @@ F_p matrix of multiplication by it, built in one product, and work over
 F_q through Fq.blow_up, its e x e counterpart.  A rank over F_q^s is one
 fq_rank over F_p of one blow-up, and an inverse one fq_inv_matrix over
 F_p.
-
-fq_deletion_ranks, the attack's scan of every block deletion, ranks
-them all from one basis of the row space of the transposed matrix, built
-by the row insertion every kernel of fields shares (fields._insert_rows):
-deleting a block of rows masks a block of that basis's columns, and only
-the basis rows leading in the block need work (the rank formula of the
-dual matroid, see fq_deletion_ranks).
 """
 
 from __future__ import annotations
@@ -44,12 +37,6 @@ from .errors import (
 )
 from .fields import (
     FieldTower,
-    Fq,
-    _encodings,
-    _insert_rows,
-    _pack_rows,
-    _reduce_fields,
-    _row_layout,
     fq_echelon,  # not called here: perfbench/layers.py traces the elimination kernel as linalg.fq_echelon
     fq_inv_matrix,
     fq_rank,
@@ -79,94 +66,6 @@ class ExtMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape[0], self.data.shape[1]
-
-
-# -- the block-deletion scan ------------------------------------------------------
-
-
-def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
-    """Rank over F_q of ``arr`` with each run of ``block`` rows deleted, in order.
-
-    The scan rests on the rank formula of the dual matroid.  Deleting rows
-    J of a matrix Q deletes columns J of its transpose, so rank(Q - J) is
-    the dimension of the row space of Q^T with the columns in J masked
-    to zero.  Let B be a basis of that row space in echelon form, its rows
-    with distinct leading columns P: these are the greedy pivot rows of Q,
-    the rows not in the span of the rows above them, and r = |P| is the
-    rank.  Masking J leaves the leading entry of every row of B that leads
-    outside J, so those r - |J & P| rows stay independent; the rank is
-    their count plus the number of rows leading in J that stay independent
-    of them, and of each other, once masked.  No reduced echelon form is
-    needed, because a row's leading column survives the masking of any
-    other columns.
-
-    Q^T is packed once (_pack_rows, row i of Q as field i from the top of
-    every packed row, laid out by _row_layout for ``rows`` entries), and
-    B is built by _insert_rows.  A block that holds no leading column of B
-    has rank r with no further work; in the attack that is every block
-    but the first few and the target's.  For a
-    block that holds some, its rows of B are masked to the fields outside
-    it and reduced against B and against each other, masked again after
-    every step, and the ones left nonzero are counted.  One algorithm
-    serves every p, one matrix and a stack alike.  For e > 1 the scan runs
-    once over F_p on the blow-up, whose blocks have block*e rows and whose
-    ranks are e times those over F_q.
-
-    A (rows, cols) matrix gives the list of its m ranks, a (count, rows,
-    cols) stack a (count, m) int64 array.  An entry outside [0, q) raises
-    CoordinateOutOfRange, which a packed field would wrap, and any other
-    shape, a block below 1 or rows that do not split into one or more
-    blocks raise DimensionMismatch.
-    """
-    arr = _encodings(arr, fq)
-    if arr.ndim not in (2, 3) or block < 1:
-        raise DimensionMismatch(f"expected [count,] (rows, cols) and a block >= 1, got {arr.shape} and {block}")
-    stack = arr if arr.ndim == 3 else arr[None]
-    rows = stack.shape[1]
-    if not rows or rows % block:
-        raise DimensionMismatch(f"{rows} rows do not split into one or more blocks of {block}")
-    if fq.e > 1:
-        stack, block = fq.blow_up(stack), block * fq.e
-    count, rows, cols = stack.shape
-    p = fq.p
-    fields, layout = _row_layout(p, rows)
-    w, s, m, low = layout
-    span = (1 << w * block) - 1  # the fields of one block, at the bottom
-    packed = _pack_rows(stack.swapaxes(-1, -2), w)
-    out = []
-    for i in range(count):
-        basis: dict[int, int] = {}
-        _insert_rows(basis, packed[i * cols : (i + 1) * cols], rows, p, *layout)
-        rank = len(basis)
-        leading: dict[int, list[int]] = {}  # block -> the rows of the basis leading in it
-        for shift, x in basis.items():
-            leading.setdefault((fields - 1 - shift // w) // block, []).append(x)
-        for j in range(rows // block):
-            held = leading.get(j)
-            if held is None:
-                out.append(rank)
-                continue
-            keep = ~(span << (fields - (j + 1) * block) * w)
-            new: dict[int, int] = {}  # independent residues, keyed by top field as in basis
-            for x in held:
-                x &= keep
-                while x:
-                    shift = (x.bit_length() - 1) & -w
-                    b = basis.get(shift) or new.get(shift)
-                    if b is None:
-                        c = x >> shift  # 1 over F_2
-                        new[shift] = x if c == 1 else _reduce_fields(x * pow(c, -1, p), p, s, m, low)
-                        break
-                    if p == 2:
-                        x = (x ^ b) & keep
-                    else:
-                        x += (p - (x >> shift)) * b
-                        x = (x - p * ((x * m >> s) & low)) & keep  # _reduce_fields, inlined, then masked
-            out.append(rank - len(held) + len(new))
-    ranks = np.array(out, dtype=np.int64).reshape(count, rows // block)
-    if fq.e > 1:
-        ranks //= fq.e
-    return ranks if arr.ndim == 3 else ranks[0].tolist()
 
 
 # -- ranks over the two fields ---------------------------------------------------

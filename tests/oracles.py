@@ -12,7 +12,9 @@ chain_deletion_ranks, the scan on numpy chains of reduced bases of every
 prefix and suffix of the row blocks, with fq_echelon_stack, the numpy
 reduced echelon forms of a stack under its stacked chain, which the
 package ran before every deletion was read off one basis of the
-transpose (linalg.fq_deletion_ranks);
+transpose (fields.fq_deletion_ranks, which merges the basis rows leading
+in a deleted block by inserting them, masked, into that basis and
+popping what the insertion added);
 scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
 Gauss-Jordan elimination over F_q^s on scalar tower ops that the
 regular-representation kernel replaced; digit_fq_matmul / digit_matmul /
@@ -193,12 +195,14 @@ def per_deletion_rank_profile(data: np.ndarray, delta: int, fq: Fq) -> list[int]
 
 
 def chain_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
-    """linalg.fq_deletion_ranks on numpy chains of reduced bases of every prefix and suffix of the row blocks.
+    """fields.fq_deletion_ranks on numpy chains of reduced bases of every prefix and suffix of the row blocks.
 
     With B_1..B_m the row blocks, rank(arr minus B_j) is the dimension of
     rowspace(B_1..B_(j-1)) + rowspace(B_(j+1)..B_m).  Both chains of bases
     are built one block at a time, and each deletion merges the smaller
-    basis into the larger one.  A (rows, cols) matrix runs the 2-D chain
+    basis into the larger one, where the scan that replaced it inserts the
+    masked basis rows leading in the block into one basis and pops them
+    again.  A (rows, cols) matrix runs the 2-D chain
     and gives a list, a (count, rows, cols) stack the stacked chain and a
     (count, m) array; for e > 1 both run over F_p on the blow-up.
     """

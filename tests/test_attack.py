@@ -6,8 +6,8 @@ import pytest
 
 from hhw_pir.attack import rank_profile, recover_index
 from hhw_pir.errors import CoordinateOutOfRange, DimensionMismatch
-from hhw_pir.fields import build_tower
-from hhw_pir.linalg import change_basis, fq_deletion_ranks, fq_rank
+from hhw_pir.fields import build_tower, fq_deletion_ranks
+from hhw_pir.linalg import change_basis, fq_rank
 from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import generate_queries, generate_query
 

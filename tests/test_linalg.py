@@ -12,13 +12,12 @@ from hhw_pir.errors import (
     NotInformationSet,
     RankDeficientGenerator,
 )
-from hhw_pir.fields import Fq, _reduce_fields, _row_layout, build_tower, is_prime
+from hhw_pir.fields import Fq, _reduce_fields, _row_layout, build_tower, fq_deletion_ranks, is_prime
 from hhw_pir.linalg import (
     ExtMatrix,
     change_basis,
     ext_inv_matrix,
     ext_rank,
-    fq_deletion_ranks,
     fq_echelon,
     fq_inv_matrix,
     fq_rank,
@@ -447,10 +446,15 @@ def test_blow_ups_take_a_leading_batch_axis(rng):
 
 
 def test_fq_rank_empty_and_degenerate():
-    fq = TOWERS[0].fq
-    assert fq_rank(np.zeros((0, 4), dtype=np.int64), fq) == 0
-    assert fq_rank(np.zeros((3, 3), dtype=np.int64), fq) == 0
-    assert fq_rank(np.eye(3, dtype=np.int64), fq) == 3
+    """Zero and empty matrices rank 0 by insertion alone, as Python ints, and empty stacks keep their shape."""
+    for fq in [tower.fq for tower in TOWERS] + [Fq(65521, 1, (0, 1))]:
+        for shape in ((0, 4), (0, 0), (5, 0), (3, 3), (4, 7)):
+            rank = fq_rank(np.zeros(shape, dtype=np.int64), fq)
+            assert type(rank) is int and rank == 0, (fq.q, shape)
+        assert fq_rank(np.eye(3, dtype=np.int64), fq) == 3
+        for shape, want in (((3, 0, 4), [0, 0, 0]), ((3, 4, 0), [0, 0, 0]), ((0, 4, 4), [])):
+            ranks = fq_rank(np.zeros(shape, dtype=np.int64), fq)
+            assert ranks.dtype == np.int64 and ranks.tolist() == want, (fq.q, shape)
 
 
 def test_fq_inv_matrix_round_trip(rng):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the product paths: the float64 kernel, the two-step blow-up and the stepwise decode against one F_p representation.
+"""Time the product paths: the float64 kernel, the two-step blow-up, the stepwise decode and the per-query respond against one F_p representation.
 
 Every product over F_q and F_(q^s) runs on one kernel,
 hhw_pir.fields.residue_matmul.  The script times the same products and
@@ -10,10 +10,14 @@ retrieval stages twice:
           BLAS) as residue_matmul, two_step_blow_up (the power table of
           F_q^s, an F_q blow-up and then an F_p one) as FieldTower.blow_up,
           and stepwise_decode (every step on all L rows) as scheme.decode;
+          on the respond row only concatenated_respond (the files
+          concatenated, range-checked and expanded to F_p digits on every
+          query) as scheme.respond;
   after   the package: one float32 product wherever its sums stay exact
           (float64 otherwise), the F_p blow-up of a tower in one product
-          with its structure tensor, and decoding as one F_q-linear map of
-          the response.
+          with its structure tensor, decoding as one F_q-linear map of
+          the response, and respond as one product of the database's F_p
+          digits, built once per database, with the query's blow-up.
 
 Products (fixed shapes, seeded operands): the retrieval fixture's
 respond product (512x60 @ 60x18 over F_4), decode product (512x18 @ 18x6
@@ -26,7 +30,9 @@ merge" stacks.  Those three are the products of the numpy deletion
 chain at the tight base, which the package no longer makes (its
 deletion scan runs on packed rows); they stay as plain kernel rows.
 Stages: generate_query, respond and decode at the retrieval fixture
-(q=4 s=3 v=1 n=6 k=3 m=10 L=512), over --queries fixed-seed queries.
+(q=4 s=3 v=1 n=6 k=3 m=10 L=512), over --queries fixed-seed queries,
+and the one-off preprocessing of its database (Database.digits on a
+fresh copy), which both sides time alike.
 
 Each row is timed --repeats times per side and reported as
 microseconds of wall time per call (median and interquartile range).
@@ -60,6 +66,7 @@ DATABASE_SEED = 302
 replaced_paths = functools.partial(benchkit.patched, residue_matmul=oracles.float64_residue_matmul,
                                    decode=oracles.stepwise_decode,
                                    **{"FieldTower.blow_up": lambda tower, data: oracles.two_step_blow_up(data, tower)})
+replaced_respond = functools.partial(benchkit.patched, respond=oracles.concatenated_respond)
 
 
 def products(calls: int):
@@ -84,7 +91,14 @@ def products(calls: int):
 
 
 def stages(queries: int):
-    """(name, call, calls per timing) of the three retrieval stages over fixed-seed queries."""
+    """(name, call, calls per timing, items per call, before context) of the retrieval rows, and the query count.
+
+    The respond row's before side is the replaced respond alone, so the
+    row shows what answering from a preprocessed database saves per
+    query.  The preprocessing row builds that database's F_p digits once
+    per call; it has no replaced counterpart, so both of its sides time
+    the same call and show the cost moved out of every respond.
+    """
     p = RETRIEVAL
     tower = fields.build_tower(p.p, p.e, p.s)
     db = scheme.Database.random(p, np.random.default_rng(DATABASE_SEED))
@@ -102,8 +116,15 @@ def stages(queries: int):
     def decode():
         return [scheme.decode(answer, secrets, p, tower) for answer, (_, secrets) in zip(answers, made)]
 
-    return [(f"retrieval {name} (one query)", call, 1) for name, call in
-            (("generate_query", generate), ("respond", respond), ("decode", decode))], queries
+    def preprocess():
+        return scheme.Database(db.files).digits(tower.fq)
+
+    return [
+        ("retrieval generate_query (one query)", generate, 1, queries, replaced_paths),
+        ("retrieval respond (one query)", respond, 1, queries, replaced_respond),
+        ("retrieval decode (one query)", decode, 1, queries, replaced_paths),
+        ("retrieval database preprocessing (one database)", preprocess, queries, 1, replaced_respond),
+    ], queries
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,9 +138,11 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "topic": "F_q and F_(q^s) products and the retrieval stages, microseconds of wall time per call",
         "before": "tests/oracles.py patched in: float64_residue_matmul (every product float64), "
-                  "two_step_blow_up (power table, F_q then F_p blow-up) and stepwise_decode (every step on all L rows)",
+                  "two_step_blow_up (power table, F_q then F_p blow-up) and stepwise_decode (every step on all L rows); "
+                  "on the respond row only concatenated_respond (files concatenated and expanded to F_p digits per query)",
         "after": "fields.residue_matmul (one float32 product where exact, else chunked float64), "
-                 "FieldTower.blow_up (one product with the F_p structure tensor) and decode as one F_q-linear map",
+                 "FieldTower.blow_up (one product with the F_p structure tensor), decode as one F_q-linear map "
+                 "and respond as one product with the database's F_p digits, built once per database",
         "command": f"python3 scripts/bench_products.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
         "machine": benchkit.machine(),
         "seeds": {"products": PRODUCT_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED},
@@ -127,10 +150,9 @@ def main(argv: list[str] | None = None) -> int:
         "rows": [],
     }
     stage_rows, queries = stages(args.queries)
-    rows = [(name, call, n, 1) for name, call, n in products(args.calls)]
-    rows += [(name, call, n, queries) for name, call, n in stage_rows]
-    for name, call, calls, per in rows:
-        row = benchkit.bench_row(name, call, replaced_paths, calls, args.repeats, per)
+    rows = [(name, call, n, 1, replaced_paths) for name, call, n in products(args.calls)] + stage_rows
+    for name, call, calls, per, before in rows:
+        row = benchkit.bench_row(name, call, before, calls, args.repeats, per)
         doc["rows"].append(row)
         print(f"{name:48s} before {row['before']['us_median']:9.1f} us (IQR {row['before']['us_iqr']:.1f})  "
               f"after {row['after']['us_median']:9.1f} us (IQR {row['after']['us_iqr']:.1f})  "

@@ -131,6 +131,16 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def product_dtype(p: int, terms: int) -> type:
+    """The float dtype residue_matmul multiplies in for an inner axis of ``terms`` terms mod p.
+
+    np.float32 while (p-1)^2 * terms + p <= 2^22, else np.float64.  A left
+    factor kept in this dtype (scheme.Database.digits) enters the product
+    without a cast.
+    """
+    return np.float32 if (p - 1) ** 2 * terms + p <= _EXACT_BELOW_FLOAT32 else np.float64
+
+
 def residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for arrays of residues in [0, p); leading axes broadcast as stacks.
 
@@ -151,7 +161,7 @@ def residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     stays below k + 1 and the floor is the exact quotient k.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if (p - 1) ** 2 * a.shape[-1] + p <= _EXACT_BELOW_FLOAT32:
+    if product_dtype(p, a.shape[-1]) is np.float32:
         return _reduce(np.matmul(a, b, dtype=np.float32), p)
     chunk = (_EXACT_BELOW - p) // (p - 1) ** 2
     out = np.matmul(a[..., :chunk], b[..., :chunk, :], dtype=np.float64)

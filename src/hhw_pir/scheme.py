@@ -11,10 +11,17 @@ information set I and a secret basis split V + W of F_q^s:
     entries lie in W and its block has full subfield rank delta.
 
 The server answers with A = [X^1 ... X^m] @ Q, treating file entries as
-F_q scalars.  Because rows of D are codewords and E, Z vanish on I, the
-client can rebuild the codeword layer of A from its I columns alone,
-subtract it, project what remains onto W to erase E, and invert the
-delta x delta coordinate matrix of the Z block to recover file i exactly.
+F_q scalars.  X never changes between queries, so a Database is
+preprocessed once: its files live in one read-only int64 array, and on
+first use with a field it keeps the F_p digit matrix of X beside it, an
+L x (m*delta*e) float array of 4 bytes an entry while the product runs
+in float32 (else 8), against the 8 bytes an entry of the array.  Each
+respond is then one product of those digits with the F_p blow-up of Q.
+
+Because rows of D are codewords and E, Z vanish on I, the client can
+rebuild the codeword layer of A from its I columns alone, subtract it,
+project what remains onto W to erase E, and invert the delta x delta
+coordinate matrix of the Z block to recover file i exactly.
 
 Matrices over F_q^s are (rows, cols, s) coordinate arrays throughout and
 information sets are sorted 0-based column arrays; only the public query
@@ -30,7 +37,17 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
-from .fields import BasisSplit, FieldTower, _encodings, fq_rank, redraw_rejected, sample_split_bases
+from .fields import (
+    BasisSplit,
+    FieldTower,
+    Fq,
+    _encodings,
+    fq_rank,
+    product_dtype,
+    redraw_rejected,
+    residue_matmul,
+    sample_split_bases,
+)
 from .linalg import ExtMatrix, ext_rank, fq_inv_matrix, solve_on_columns
 from .params import SchemeParams
 
@@ -38,25 +55,54 @@ from .params import SchemeParams
 MAX_SAMPLING_TRIES = 10**6
 
 
-@dataclass
 class Database:
-    """m files of identical shape (L, delta), entries encoded over F_q."""
+    """m files of identical shape (L, delta), entries encoded over F_q, stored side by side.
 
-    files: list[np.ndarray]
+    The files live in one read-only (L, m*delta) int64 array, copied once
+    at construction; ``files`` are read-only column views of it and
+    ``stacked()`` is the array itself.  On first use with a field F_q,
+    ``digits`` builds the F_p digit matrix that respond multiplies and
+    keeps it keyed by (p, e).  Storage never changes, so the digits never
+    go stale.  The digit matrix costs L*m*delta*e floats (4 bytes each
+    while its products run in float32, else 8) beside the 8*L*m*delta
+    bytes of the array.
+    """
 
-    def __post_init__(self):
-        self.files = [np.asarray(f, dtype=np.int64) for f in self.files]
-        shapes = {f.shape for f in self.files}
-        if len(shapes) > 1:
-            raise DimensionMismatch(f"files disagree on shape: {sorted(shapes)}")
+    def __init__(self, files):
+        files = [np.asarray(f, dtype=np.int64) for f in files]
+        shapes = {f.shape for f in files}
+        if len(shapes) != 1 or len(min(shapes)) != 2:
+            raise DimensionMismatch(f"files must share one 2-D shape, got {sorted(shapes)}")
+        self._data = np.concatenate(files, axis=1)
+        self._data.setflags(write=False)
+        self.files = np.split(self._data, len(files), axis=1)
+        self._digits: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def file_count(self) -> int:
         return len(self.files)
 
     def stacked(self) -> np.ndarray:
-        """All files side by side: an (L, m*delta) F_q matrix."""
-        return np.concatenate(self.files, axis=1)
+        """All files side by side: the read-only (L, m*delta) F_q matrix."""
+        return self._data
+
+    def digits(self, fq: Fq) -> np.ndarray:
+        """The read-only (L, m*delta*e) F_p digits of the stored entries, built on first use with (p, e).
+
+        Entry (l, c) contributes its e base-p digits, least significant
+        first, at columns c*e .. c*e + e - 1, in the float dtype that
+        residue_matmul multiplies for that inner length, so a product with
+        the F_p blow-up of a query takes them as they are.  An entry
+        outside [0, q) raises CoordinateOutOfRange, a ValueError.
+        """
+        key = (fq.p, fq.e)
+        if key not in self._digits:
+            rows, cols = self._data.shape
+            digits = fq.to_digits(_encodings(self._data, fq)).reshape(rows, cols * fq.e)
+            digits = digits.astype(product_dtype(fq.p, cols * fq.e))
+            digits.setflags(write=False)
+            self._digits[key] = digits
+        return self._digits[key]
 
     @classmethod
     def random(cls, params: SchemeParams, rng: np.random.Generator) -> "Database":
@@ -65,7 +111,7 @@ class Database:
     def __eq__(self, other):
         if not isinstance(other, Database):
             return NotImplemented
-        return len(self.files) == len(other.files) and all(np.array_equal(a, b) for a, b in zip(self.files, other.files))
+        return self.file_count == other.file_count and np.array_equal(self._data, other._data)
 
 
 @dataclass
@@ -263,17 +309,24 @@ def generate_query(params: SchemeParams, tower: FieldTower, target: int, rng: np
 
 
 def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower) -> Response:
-    """Server side: multiply the stacked database into the query matrix.
+    """Server side: A = [X^1 ... X^m] @ Q, the stacked database times the query matrix.
 
-    An entry outside [0, q) raises CoordinateOutOfRange, a ValueError.
+    File entries are F_q scalars and act on each coordinate of Q alike,
+    so the product is one residue_matmul: the database's F_p digits
+    (Database.digits, built once per database and field) times the F_p
+    blow-up of the (m*delta, n*s) F_q matrix of Q's coordinates (Q itself
+    for e = 1), whose output digits are then encoded.  An entry outside
+    [0, q) raises CoordinateOutOfRange, a ValueError.
     """
-    stacked = db.stacked()
-    qm = query.matrix
-    if stacked.shape[1] != qm.rows or qm.cols != params.n or db.file_count != params.m:
+    qm, fq = query.matrix, tower.fq
+    rows, cols = db.stacked().shape
+    if cols != qm.rows or qm.cols != params.n or db.file_count != params.m:
         raise DimensionMismatch(
-            f"database {stacked.shape} with {db.file_count} files does not fit query {qm.shape} under m={params.m}, n={params.n}"
+            f"database {(rows, cols)} with {db.file_count} files does not fit query {qm.shape} under m={params.m}, n={params.n}"
         )
-    return Response(ExtMatrix(tower, tower.scalar_matmul(_encodings(stacked, tower.fq), qm.data)))
+    coords = qm.data.reshape(qm.rows, qm.cols * tower.s)
+    out = residue_matmul(db.digits(fq), fq.blow_up(coords) if fq.e > 1 else coords, fq.p)
+    return Response(ExtMatrix(tower, fq._encode(out.reshape(rows, -1, fq.e)).reshape(rows, qm.cols, tower.s)))
 
 
 def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, tower: FieldTower) -> np.ndarray:

@@ -115,8 +115,7 @@ def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> 
         raise MatrixFileError(f"coordinates must lie in [0, {q})")
 
     rows, cols = arr.shape[0], arr.shape[1]
-    weights = (q ** np.arange(s, dtype=object)).astype(np.uint64)
-    values = (arr.reshape(-1, s).astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    values = arr.reshape(-1, s).astype(np.uint64) @ np.array([q**j for j in range(s)], dtype=np.uint64)
     width = bytes_per_element(p, e, s)
     octets = values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
 
@@ -225,9 +224,8 @@ def load_database(src: PathOrFile, params: SchemeParams) -> Database:
     expected = (params.L, params.m * params.delta)
     if (found.rows, found.cols) != expected:
         raise MatrixFileError(f"database is {found.rows}x{found.cols}, expected {expected[0]}x{expected[1]}")
-    flat = found.data[:, :, 0]
-    files = [flat[:, r * params.delta:(r + 1) * params.delta].copy() for r in range(params.m)]
-    return Database(files)
+    # the files as views of the loaded array, which Database copies once
+    return Database(np.split(found.data[:, :, 0], params.m, axis=1))
 
 
 def _coords_to_lists(data: np.ndarray) -> list:

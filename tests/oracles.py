@@ -5,7 +5,7 @@ oracles compute in is their own (digitwise fq_add/fq_sub, the digit
 polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
 by plain-Python elimination over it, subspaces are enumerated rather
 than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Ten kinds of entry are paths
+recovery pipeline with explicit scalars.  Eleven kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
 chain_deletion_ranks, the scan on numpy chains of reduced bases of every
@@ -31,7 +31,10 @@ power table of F_q^s, an F_q blow-up and then an F_p one, before one F_p
 structure tensor per tower (FieldTower.mul_tensor) gave the F_p blow-up
 in one product; stepwise_decode, scheme.decode as it pushed all L rows
 of the response through its steps, before decoding became one F_q-linear
-map built from the secrets; log_exp_tables / table_vmul /
+map built from the secrets; concatenated_respond, scheme.respond as it
+concatenated the files and expanded them to F_p digits on every query,
+before each database kept its digits (scheme.Database.digits);
+log_exp_tables / table_vmul /
 table_echelon, the discrete log/exp arithmetic of F_q and the
 elimination over F_q on top of it, before every elimination ran over F_p
 on blow-ups; and loop_echelon, the numpy elimination over F_p that
@@ -51,8 +54,9 @@ from fractions import Fraction
 import numpy as np
 
 from hhw_pir.errors import DecodeFailure, DimensionMismatch, RankDeficientGenerator
-from hhw_pir.fields import FieldTower, Fq, companion_powers, fq_inv_matrix, fq_rank
-from hhw_pir.linalg import solve_on_columns
+from hhw_pir.fields import FieldTower, Fq, _encodings, companion_powers, fq_inv_matrix, fq_rank
+from hhw_pir.linalg import ExtMatrix, solve_on_columns
+from hhw_pir.scheme import Response
 
 
 def fq_add(fq: Fq, a: int, b: int) -> int:
@@ -658,6 +662,19 @@ def two_step_ext_inv(data, tower: FieldTower) -> np.ndarray:
     return inv[:: tower.s].reshape(n, n, tower.s)
 
 
+def concatenated_respond(db, query, params, tower: FieldTower):
+    """scheme.respond as it redid its database work on every query.
+
+    It concatenates the m files, range-checks every entry and multiplies
+    the (L, m*delta) F_q matrix into the query's coordinates with
+    FieldTower.scalar_matmul, which expands the entries to F_p digits
+    again each time.  The package now builds those digits once per
+    database (scheme.Database.digits).
+    """
+    stacked = _encodings(np.concatenate(db.files, axis=1), tower.fq)
+    return Response(ExtMatrix(tower, tower.scalar_matmul(stacked, query.matrix.data)))
+
+
 def stepwise_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
     """scheme.decode with every step on all L rows of the response.
 
@@ -987,23 +1004,19 @@ def micro_decode(response_row, secrets, tower: FieldTower):
     return [x0, x1]
 
 
-def scalar_respond(db_files, query_data, tower: FieldTower) -> list[list[tuple]]:
-    """Response computed entry by entry with scalar tower ops."""
-    m = len(db_files)
-    L = db_files[0].shape[0]
-    delta = db_files[0].shape[1]
-    n = query_data.shape[1]
-    out = []
-    for row in range(L):
-        out_row = []
-        for col in range(n):
-            acc = ext_zero(tower)
-            for r in range(m):
-                for t in range(delta):
-                    x = int(db_files[r][row, t])
-                    qe = tuple(int(u) for u in query_data[r * delta + t, col])
-                    scaled = tuple(fq_poly_mul(tower.fq, x, u) for u in qe)
-                    acc = ext_add(tower, acc, scaled)
-            out_row.append(acc)
-        out.append(out_row)
+def scalar_respond(db_files, query_data, tower: FieldTower) -> np.ndarray:
+    """The (L, n, s) response from the oracle's scalar F_q arithmetic.
+
+    Every file entry x scales each coordinate u of its query row, and the
+    scaled rows are summed coordinate by coordinate, with every product
+    and sum looked up in q x q tables that fq_poly_mul and fq_add fill
+    pair by pair.
+    """
+    fq = tower.fq
+    pairs = [(a, b) for a in range(fq.q) for b in range(fq.q)]
+    mul, add = (np.array([op(fq, a, b) for a, b in pairs], dtype=np.int64).reshape(fq.q, fq.q) for op in (fq_poly_mul, fq_add))
+    stacked = np.concatenate([np.asarray(f, dtype=np.int64) for f in db_files], axis=1)
+    out = np.zeros((stacked.shape[0],) + query_data.shape[1:], dtype=np.int64)
+    for t, row in enumerate(np.asarray(query_data, dtype=np.int64)):
+        out = add[out, mul[stacked[:, t, None, None], row]]
     return out

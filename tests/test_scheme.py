@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hhw_pir import fields
-from hhw_pir.errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
+from hhw_pir.errors import CoordinateOutOfRange, DecodeFailure, DimensionMismatch, IndexOutOfRange
 from hhw_pir.fields import BasisSplit, build_tower, fq_inv_matrix, fq_rank
 from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
@@ -19,7 +19,7 @@ from hhw_pir.scheme import (
 )
 
 from .conftest import MICRO_PARAMS, TERNARY_PARAMS, TIGHT_PARAMS
-from .oracles import ext_inv, ext_mul, ext_zero, micro_decode, scalar_respond, stepwise_decode
+from .oracles import concatenated_respond, ext_inv, ext_mul, ext_zero, micro_decode, scalar_respond, stepwise_decode
 
 
 # -- database ---------------------------------------------------------------------
@@ -39,6 +39,22 @@ def test_database_stacking(rng, tight_params):
         assert np.array_equal(stacked[:, i * d : (i + 1) * d], f)
     assert db == Database([f.copy() for f in db.files])
     assert db != Database.random(tight_params, rng)
+
+
+def test_database_storage_is_read_only(tight_params, tight_tower, rng):
+    source = [f.copy() for f in Database.random(tight_params, rng).files]
+    db = Database(source)
+    stacked = db.stacked().copy()
+    source[0][0, 0] ^= 1  # construction copied the files
+    assert np.array_equal(db.stacked(), stacked)
+    for i in range(db.file_count):
+        with pytest.raises(ValueError):
+            db.files[i][0, 0] ^= 1
+    with pytest.raises(ValueError):
+        db.stacked()[0, 0] ^= 1
+    with pytest.raises(ValueError):
+        db.digits(tight_tower.fq)[0, 0] = 1
+    assert np.array_equal(db.stacked(), stacked)
 
 
 # -- code sampling -----------------------------------------------------------------
@@ -131,32 +147,60 @@ def test_generate_queries_needs_one_target_per_stream(tight_params, tight_tower)
 # -- responding -------------------------------------------------------------------
 
 
-def test_respond_matches_scalar_oracle(micro_params, micro_tower, rng):
-    db = Database.random(micro_params, rng)
-    query, _ = generate_query(micro_params, micro_tower, 1, rng)
-    got = respond(db, query, micro_params, micro_tower)
-    want = scalar_respond(db.files, query.matrix.data, micro_tower)
-    assert np.array_equal(got.matrix.data, np.array(want))
-
-
-def test_respond_matches_scalar_oracle_ternary(ternary_params, ternary_tower, rng):
-    db = Database.random(ternary_params, rng)
-    query, _ = generate_query(ternary_params, ternary_tower, 2, rng)
-    got = respond(db, query, ternary_params, ternary_tower)
-    want = scalar_respond(db.files, query.matrix.data, ternary_tower)
-    assert np.array_equal(got.matrix.data, np.array(want))
-
-
 def test_respond_validates(tight_params, tight_tower, rng):
     db = Database.random(tight_params, rng)
     query, _ = generate_query(tight_params, tight_tower, 1, rng)
     wrong_m = SchemeParams(**{**tight_params.to_dict(), "m": tight_params.m - 1})
     with pytest.raises(DimensionMismatch):
         respond(Database.random(wrong_m, rng), query, tight_params, tight_tower)
-    bad = Database.random(tight_params, rng)
-    bad.files[0][0, 0] = tight_params.q
+    files = [f.copy() for f in Database.random(tight_params, rng).files]
+    files[0][0, 0] = tight_params.q
     with pytest.raises(ValueError):
-        respond(bad, query, tight_params, tight_tower)
+        respond(Database(files), query, tight_params, tight_tower)
+
+
+# A retrieval fixture (q=4) with a small L, so the scalar oracle keeps up.
+SMALL_RETRIEVAL_PARAMS = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=2)
+DIFFERENTIAL_QUERIES = 1000
+
+
+@pytest.mark.parametrize(
+    "params",
+    [DEFAULT_PARAMS, TIGHT_PARAMS, MICRO_PARAMS, TERNARY_PARAMS, SMALL_RETRIEVAL_PARAMS],
+    ids=["preset", "tight", "micro", "ternary", "retrieval"],
+)
+def test_respond_matches_the_replaced_path_and_the_scalar_oracle(params):
+    """One database answers 1000 seeded queries as the concatenating path and the scalar oracle do."""
+    tower = build_tower(params.p, params.e, params.s)
+    db = Database.random(params, np.random.default_rng([params.q, params.m, 0]))
+    for start in range(0, DIFFERENTIAL_QUERIES, 250):
+        seeds = range(start, start + 250)
+        batch = generate_queries(params, tower, [1 + i % params.m for i in seeds], [np.random.default_rng(i) for i in seeds])
+        for data in batch.data:
+            query = Query(ExtMatrix(tower, data))
+            got = respond(db, query, params, tower).matrix.data
+            assert got.dtype == np.int64
+            assert np.array_equal(got, concatenated_respond(db, query, params, tower).matrix.data)
+            assert np.array_equal(got, scalar_respond(db.files, data, tower))
+
+
+def test_one_database_answers_under_towers_of_different_fields(rng):
+    """The F_p digits are kept per (p, e): each field gets its own, and a range check of its own."""
+    shape = dict(s=2, v=1, n=4, k=2, m=3, L=3)
+    db = Database([rng.integers(0, 2, size=(3, 2)) for _ in range(3)])
+    wide = Database([rng.integers(0, 4, size=(3, 2)) for _ in range(3)])
+    for p, e in ((2, 1), (2, 2), (3, 1), (2, 1)):
+        params, tower = SchemeParams(p=p, e=e, **shape), build_tower(p, e, 2)
+        query, secrets = generate_query(params, tower, 2, rng)
+        for base in (db, wide) if p**e == 4 else (db,):
+            got = respond(base, query, params, tower)
+            assert np.array_equal(got.matrix.data, scalar_respond(base.files, query.matrix.data, tower))
+            assert np.array_equal(decode(got, secrets, params, tower), base.files[1])
+        assert db.digits(tower.fq).shape == (3, 6 * e)
+        assert db.digits(tower.fq) is db.digits(tower.fq)
+        if p**e < 4:
+            with pytest.raises(CoordinateOutOfRange):
+                respond(wide, query, params, tower)
 
 
 # -- end to end -------------------------------------------------------------------

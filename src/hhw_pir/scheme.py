@@ -27,16 +27,19 @@ Matrices over F_q^s are (rows, cols, s) coordinate arrays throughout and
 information sets are sorted 0-based column arrays; only the public query
 and the response travel as ExtMatrix, a tower with its coordinate array.
 generate_queries builds the queries of many RNG streams as one stack
-(QueryBatch); generate_query is that stack for one stream.
+(QueryBatch); generate_query is that stack for one stream.  The layers
+are never stored: generation adds the E and Z entries into D in place.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DecodeFailure, DimensionMismatch, IndexOutOfRange
+from .errors import BadArguments, DecodeFailure, DimensionMismatch, IndexOutOfRange
 from .fields import (
     BasisSplit,
     FieldTower,
@@ -132,9 +135,9 @@ class Response:
 class QuerySecrets:
     """Everything the client keeps private about one query, as coordinate arrays.
 
-    codeword_part, mask_part and selector_part are the three layers whose
-    sum is the public query; selector_block is the delta x n nonzero block
-    of selector_part, the only rows that carry the target file.
+    selector_block is the delta x n block of the selector layer, the only
+    rows of the query that carry the target file; it sits in rows
+    (target - 1)*delta .. target*delta - 1.
     """
 
     generator: np.ndarray  # (k, n, s)
@@ -142,12 +145,6 @@ class QuerySecrets:
     split: BasisSplit
     target: int
     selector_block: np.ndarray  # (delta, n, s)
-    # The full layers, each (m*delta, n, s), are kept for in-process
-    # inspection but are not needed to decode, so a secrets file restores
-    # them as None.
-    codeword_part: np.ndarray | None = None
-    mask_part: np.ndarray | None = None
-    selector_part: np.ndarray | None = None
 
 
 # The rejection-sampling phases of query generation, in draw order; each
@@ -159,9 +156,9 @@ DRAW_PHASES = ("generator", "info_set", "basis", "selector")
 class QueryBatch:
     """Queries of several RNG streams, stacked along a leading axis.
 
-    data is the public query stack and the other arrays are the secrets
-    of each query: generators, sorted 0-based information sets, split
-    bases, selector blocks and the three layers whose sum is data.
+    data is the public query stack, the only full-size array a batch
+    holds; the other arrays are the secrets of each query: generators,
+    sorted 0-based information sets, split bases and selector blocks.
     draws[b] counts the draws stream b made in each of DRAW_PHASES.
     """
 
@@ -170,9 +167,6 @@ class QueryBatch:
     info_set: np.ndarray  # (count, k)
     basis: np.ndarray  # (count, s, s)
     selector_block: np.ndarray  # (count, delta, n, s)
-    codeword: np.ndarray  # (count, m*delta, n, s)
-    mask: np.ndarray
-    selector: np.ndarray
     draws: np.ndarray  # (count, len(DRAW_PHASES))
 
 
@@ -217,47 +211,44 @@ def sample_code(params: SchemeParams, tower: FieldTower, rng: np.random.Generato
     return gens[0], columns[0]
 
 
-def _scatter_columns(values: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
-    """(count, rows, n, s) zeros holding values[b] (count, rows, len, s) at columns[b]."""
-    count, rows, _, s = values.shape
-    out = np.zeros((count, rows, n, s), dtype=np.int64)
-    out[np.arange(count)[:, None], :, columns] = values.swapaxes(1, 2)
-    return out
-
-
 def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> QueryBatch:
     """Queries for the 1-based files ``targets``, one per RNG stream in ``rngs``.
 
     Each phase draws for every pending stream and redraws only the
     rejected ones, so each stream draws in the same order as it would
-    alone, and its query depends on nothing but its own stream.
+    alone, and its query depends on nothing but its own stream.  A target
+    that is not an integer, a bool among them, raises BadArguments, and
+    one outside [1, m] raises IndexOutOfRange.
     """
     if (tower.p, tower.e, tower.s) != (params.p, params.e, params.s):
         raise DimensionMismatch(f"tower {tower} does not match params (p={params.p}, e={params.e}, s={params.s})")
     if len(targets) != len(rngs):
         raise DimensionMismatch(f"{len(targets)} targets for {len(rngs)} RNG streams")
     for target in targets:
-        if not 1 <= target <= params.m:
+        if isinstance(target, bool) or not hasattr(type(target), "__index__"):
+            raise BadArguments(f"target must be an integer, got {target!r}")
+        if not 1 <= operator.index(target) <= params.m:
             raise IndexOutOfRange(f"target must be in [1, {params.m}], got {target}")
+    targets = [operator.index(target) for target in targets]
     fq = tower.fq
-    delta, n, k, s, v, m = params.delta, params.n, params.k, params.s, params.v, params.m
+    delta, n, k, s, v = params.delta, params.n, params.k, params.s, params.v
     total_rows, count = params.block_rows, len(rngs)
 
     gens, info_sets, code_draws = sample_codes(params, tower, rngs)
     bases, basis_draws = sample_split_bases(tower, v, rngs)
+    all_streams = np.arange(count)[:, None]
     inside = np.zeros((count, n), dtype=bool)
-    inside[np.arange(count)[:, None], info_sets] = True
+    inside[all_streams, info_sets] = True
     outside = np.nonzero(~inside)[1].reshape(count, n - k)
 
-    # codeword layer: uniform coefficient rows times the generator;
-    # mask layer: uniform V-entries on the columns outside the information set
+    # codeword layer: uniform coefficient rows times the generator, which becomes
+    # the query; noise: the mask layer's uniform V-entries on the columns outside I
     coeffs, v_coeffs = [], []
     for rng in rngs:
         coeffs.append(tower.rand(rng, (total_rows, k)))
         v_coeffs.append(fq.rand(rng, (total_rows, n - k, v)))
-    codeword = tower.matmul(np.array(coeffs), gens)
-    masked = fq.matmul(np.array(v_coeffs).reshape(count, total_rows * (n - k), v), bases[:, :v])
-    mask = _scatter_columns(masked.reshape(count, total_rows, n - k, s), outside, n)
+    data = tower.matmul(np.array(coeffs), gens)
+    noise = fq.matmul(np.array(v_coeffs).reshape(count, -1, v), bases[:, :v]).reshape(count, total_rows, n - k, s)
 
     # selector layer: W-entries in row block ``target`` whose subfield rank is full
     blocks = np.zeros((count, delta, n - k, s), dtype=np.int64)  # of each stream's latest draw
@@ -274,20 +265,20 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
         MAX_SAMPLING_TRIES,
         "no full-rank selector block found; RNG looks broken",
     )
-    sel_rows = _scatter_columns(blocks, outside, n)
-    selector = np.zeros((count, m, delta, n, s), dtype=np.int64)
-    selector[np.arange(count), np.asarray(targets) - 1] = sel_rows
-    selector = selector.reshape(count, total_rows, n, s)
+    # the selector block goes into its stream's target rows, and mask and
+    # selector, both zero on I, into the codeword layer's outside columns
+    target_rows = (np.array(targets, dtype=np.int64)[:, None] - 1) * delta + np.arange(delta)
+    noise[all_streams, target_rows] = fq.vadd(noise[all_streams, target_rows], blocks)
+    data[all_streams, :, outside] = fq.vadd(data[all_streams, :, outside], noise.swapaxes(1, 2))
+    selector_block = np.zeros((count, delta, n, s), dtype=np.int64)
+    selector_block[all_streams, :, outside] = blocks.swapaxes(1, 2)
 
     return QueryBatch(
-        data=fq.vadd(fq.vadd(codeword, mask), selector),
+        data=data,
         generator=gens,
         info_set=info_sets,
         basis=bases,
-        selector_block=sel_rows,
-        codeword=codeword,
-        mask=mask,
-        selector=selector,
+        selector_block=selector_block,
         draws=np.array([*code_draws, basis_draws, selector_draws]).T,
     )
 
@@ -299,10 +290,7 @@ def generate_query(params: SchemeParams, tower: FieldTower, target: int, rng: np
         generator=batch.generator[0],
         info_set=batch.info_set[0],
         split=BasisSplit(basis=batch.basis[0], v=params.v),
-        target=target,
-        codeword_part=batch.codeword[0],
-        mask_part=batch.mask[0],
-        selector_part=batch.selector[0],
+        target=operator.index(target),
         selector_block=batch.selector_block[0],
     )
     return Query(ExtMatrix(tower, batch.data[0])), secrets

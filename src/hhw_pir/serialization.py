@@ -233,7 +233,7 @@ def _coords_to_lists(data: np.ndarray) -> list:
 
 
 def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemeParams) -> None:
-    """Write the decode-side secrets as JSON (no layer matrices included)."""
+    """Write every field of the secrets as JSON, the information set 1-based."""
     doc = {
         "format": SECRETS_FORMAT,
         "version": SECRETS_VERSION,

@@ -186,6 +186,14 @@ def delete_block(data: np.ndarray, j: int, delta: int) -> np.ndarray:
     return np.delete(data, slice((j - 1) * delta, j * delta), axis=0)
 
 
+def noise_part(query_data: np.ndarray, secrets, delta: int, fq: Fq) -> np.ndarray:
+    """D + E of an (m*delta, n, s) query Q = D + E + Z: Q with the selector block taken off the target rows."""
+    rows = slice((secrets.target - 1) * delta, secrets.target * delta)
+    noise = np.array(query_data, dtype=np.int64)
+    noise[rows] = _table_vsub(fq, noise[rows], secrets.selector_block)
+    return noise
+
+
 def per_deletion_rank_profile(data: np.ndarray, delta: int, fq: Fq) -> list[int]:
     """Rank profile of an (m*delta, n, s) query array by one full subfield elimination per deleted block.
 

@@ -46,7 +46,7 @@ from hhw_pir.scheme import Database, decode, generate_query, respond
 from hhw_pir.serialization import load_matrix, save_matrix
 
 from .conftest import TIGHT_PARAMS
-from .oracles import delete_block, per_deletion_rank_profile, subspaces_materialized
+from .oracles import delete_block, noise_part, per_deletion_rank_profile, subspaces_materialized
 
 
 def _verdict(label: str, ok: bool, detail: str) -> bool:
@@ -115,7 +115,7 @@ def test_03_deleted_rank_decomposition(preset_params, preset_tower):
     for _ in range(queries):
         target = int(rng.integers(1, preset_params.m + 1))
         query, secrets = generate_query(preset_params, preset_tower, target, rng)
-        noise = fq.vadd(secrets.codeword_part, secrets.mask_part)
+        noise = noise_part(query.matrix.data, secrets, delta, fq)
         lhs = per_deletion_rank_profile(query.matrix.data, delta, fq)
         rhs = per_deletion_rank_profile(noise, delta, fq)
         for j in range(1, preset_params.m + 1):

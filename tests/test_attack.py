@@ -11,7 +11,7 @@ from hhw_pir.linalg import change_basis, fq_rank
 from hhw_pir.params import SchemeParams
 from hhw_pir.scheme import generate_queries, generate_query
 
-from .oracles import chain_deletion_ranks, delete_block, naive_rank_fq, per_deletion_rank_profile, subfield_rank_oracle
+from .oracles import chain_deletion_ranks, delete_block, naive_rank_fq, noise_part, per_deletion_rank_profile, subfield_rank_oracle
 
 
 def test_rank_profile_matches_naive_oracle(tight_params, tight_tower, rng):
@@ -316,7 +316,7 @@ def test_deleted_rank_identity_exact(tight_params, tight_tower, rng):
     for trial in range(40):
         target = int(rng.integers(1, params.m + 1))
         query, secrets = generate_query(params, tower, target, rng)
-        layers = tower.fq.vadd(secrets.codeword_part, secrets.mask_part)
+        layers = noise_part(query.matrix.data, secrets, d, tower.fq)
         for j in range(1, params.m + 1):
             if j == target:
                 continue
@@ -332,7 +332,7 @@ def test_deleted_rank_generic_form_at_default(preset_params, preset_tower, rng):
     for trial in range(5):
         target = int(rng.integers(1, params.m + 1))
         query, secrets = generate_query(params, tower, target, rng)
-        layers = tower.fq.vadd(secrets.codeword_part, secrets.mask_part)
+        layers = noise_part(query.matrix.data, secrets, d, tower.fq)
         for j in range(1, params.m + 1):
             if j == target:
                 continue

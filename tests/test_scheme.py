@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hhw_pir import fields
-from hhw_pir.errors import CoordinateOutOfRange, DecodeFailure, DimensionMismatch, IndexOutOfRange
+from hhw_pir.errors import BadArguments, CoordinateOutOfRange, DecodeFailure, DimensionMismatch, IndexOutOfRange
 from hhw_pir.fields import BasisSplit, build_tower, fq_inv_matrix, fq_rank
-from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set
+from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set, solve_on_columns
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 from hhw_pir.scheme import (
     Database,
@@ -17,6 +19,7 @@ from hhw_pir.scheme import (
     respond,
     sample_code,
 )
+from hhw_pir.serialization import load_secrets, save_secrets
 
 from .conftest import MICRO_PARAMS, TERNARY_PARAMS, TIGHT_PARAMS
 from .oracles import concatenated_respond, ext_inv, ext_mul, ext_zero, micro_decode, scalar_respond, stepwise_decode
@@ -95,36 +98,69 @@ def test_sample_code_uniform_over_lines(rng):
 # -- query layer invariants ----------------------------------------------------------
 
 
-def _layers(params, tower, target, rng):
-    query, secrets = generate_query(params, tower, target, rng)
-    return query, secrets
+# A retrieval fixture (q=4) with a small L, so the scalar oracle keeps up.
+SMALL_RETRIEVAL_PARAMS = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=2)
+FIXTURES = [DEFAULT_PARAMS, TIGHT_PARAMS, MICRO_PARAMS, TERNARY_PARAMS, SMALL_RETRIEVAL_PARAMS]
+FIXTURE_IDS = ["preset", "tight", "micro", "ternary", "retrieval"]
+LAYER_QUERIES = 64
 
 
-def test_query_layers_satisfy_construction(tight_params, tight_tower, rng):
-    params, tower = tight_params, tight_tower
+@pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
+def test_query_layers_satisfy_construction(params):
+    """The layers rebuilt from each query of a stack and its secrets are those of the construction.
+
+    Z is the selector block at the target rows; D is the one codeword
+    layer that agrees with Q on I, since E and Z vanish there; E is
+    Q - D - Z.
+    """
+    tower = build_tower(params.p, params.e, params.s)
     fq = tower.fq
     delta, n, v = params.delta, params.n, params.v
-    for target in [1, 3, params.m]:
-        query, secrets = _layers(params, tower, target, rng)
-        D, E, Z = secrets.codeword_part, secrets.mask_part, secrets.selector_part
-        assert np.array_equal(query.matrix.data, fq.vadd(fq.vadd(D, E), Z))
-        assert query.matrix.shape == (params.m * delta, n)
+    targets = [1 + b % params.m for b in range(LAYER_QUERIES)]
+    batch = generate_queries(params, tower, targets, [np.random.default_rng([0x1A7E, b]) for b in range(LAYER_QUERIES)])
+    for b, target in enumerate(targets):
+        Q, generator, info_set = batch.data[b], batch.generator[b], batch.info_set[b]
+        lo = (target - 1) * delta
+        Z = np.zeros_like(Q)
+        Z[lo : lo + delta] = batch.selector_block[b]
+        D = tower.matmul(solve_on_columns(generator, info_set, Q[:, info_set], tower), generator)
+        E = fq.vsub(fq.vsub(Q, D), Z)
+        assert np.array_equal(Q, fq.vadd(fq.vadd(D, E), Z))
+        assert Q.shape == (params.m * delta, n, tower.s)
 
         # codeword layer: adding its rows to the generator must not grow the rank
-        assert ext_rank(np.concatenate([secrets.generator, D]), tower) == params.k
+        assert ext_rank(np.concatenate([generator, D]), tower) == params.k
 
-        assert not np.any(E[:, secrets.info_set])
-        assert not np.any(Z[:, secrets.info_set])
+        assert not np.any(E[:, info_set])
+        assert not np.any(Z[:, info_set])
 
         # in split-basis coordinates mask entries are pure V parts, selector entries pure W
-        split_inv = fq_inv_matrix(secrets.split.basis, fq)
-        assert not np.any(fq.matmul(E, split_inv)[..., v:])
-        lo = (target - 1) * delta
+        split_inv = fq_inv_matrix(batch.basis[b], fq)
+        assert not np.any(fq.matmul(E, split_inv)[..., v:]), (b, target)
         assert not np.any(Z[:lo]) and not np.any(Z[lo + delta :])
         block = Z[lo : lo + delta]
-        assert np.array_equal(block, secrets.selector_block)
+        assert np.array_equal(block, batch.selector_block[b])
         assert not np.any(fq.matmul(block, split_inv)[..., :v])
         assert fq_rank(block.reshape(delta, n * tower.s), fq) == delta
+
+
+def test_generation_holds_one_full_size_array():
+    """A round of 8 streams at q=2 s=4 v=2 n=32 k=16 m=16 peaks below 4.5 times its query stack.
+
+    The codeword layer, which becomes the query, is the only (count,
+    m*delta, n, s) array generation builds; with the codeword, mask and
+    selector layers kept beside it the peak read 7.39 times.
+    """
+    params, tower = SchemeParams(p=2, e=1, s=4, v=2, n=32, k=16, m=16, L=1), build_tower(2, 1, 4)
+    targets = [1 + 2 * b for b in range(8)]
+    generate_queries(params, tower, targets, [np.random.default_rng([0, b]) for b in range(8)])  # warm-up
+    tracemalloc.start()
+    try:
+        batch = generate_queries(params, tower, targets, [np.random.default_rng([1, b]) for b in range(8)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * batch.data.nbytes, peak / batch.data.nbytes
 
 
 def test_generate_query_validates(tight_params, tight_tower, rng):
@@ -135,6 +171,37 @@ def test_generate_query_validates(tight_params, tight_tower, rng):
     other_tower = build_tower(3, 1, 2)
     with pytest.raises(DimensionMismatch):
         generate_query(tight_params, other_tower, 1, rng)
+
+
+def test_generate_query_takes_a_numpy_integer_target_as_a_python_int(tight_params, tight_tower, tmp_path):
+    """An np.int64 target asks for the same query as the int, and its secrets save and load."""
+    db = Database.random(tight_params, np.random.default_rng(1))
+    query, secrets = generate_query(tight_params, tight_tower, np.int64(3), np.random.default_rng(2))
+    same_query, _ = generate_query(tight_params, tight_tower, 3, np.random.default_rng(2))
+    assert np.array_equal(query.matrix.data, same_query.matrix.data)
+    assert type(secrets.target) is int and secrets.target == 3
+    path = tmp_path / "secrets.json"
+    save_secrets(path, secrets, tight_params)
+    loaded = load_secrets(path, tight_params, tight_tower)
+    assert loaded.target == 3
+    response = respond(db, query, tight_params, tight_tower)
+    assert np.array_equal(decode(response, loaded, tight_params, tight_tower), db.files[2])
+    with pytest.raises(IndexOutOfRange):
+        generate_query(tight_params, tight_tower, np.int64(tight_params.m + 1), np.random.default_rng(2))
+
+
+def test_generate_query_refuses_a_bool_target(tight_params, tight_tower, rng):
+    for target in (True, np.True_):
+        with pytest.raises(BadArguments, match="integer"):
+            generate_query(tight_params, tight_tower, target, rng)
+    with pytest.raises(BadArguments, match="integer"):
+        generate_queries(tight_params, tight_tower, [2, False], [rng, rng])
+
+
+def test_generate_query_refuses_a_non_integer_target(tight_params, tight_tower, rng):
+    for target in (2.0, np.float64(2), "2", None):
+        with pytest.raises(BadArguments, match="integer"):
+            generate_query(tight_params, tight_tower, target, rng)
 
 
 def test_generate_queries_needs_one_target_per_stream(tight_params, tight_tower):
@@ -159,16 +226,10 @@ def test_respond_validates(tight_params, tight_tower, rng):
         respond(Database(files), query, tight_params, tight_tower)
 
 
-# A retrieval fixture (q=4) with a small L, so the scalar oracle keeps up.
-SMALL_RETRIEVAL_PARAMS = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=2)
 DIFFERENTIAL_QUERIES = 1000
 
 
-@pytest.mark.parametrize(
-    "params",
-    [DEFAULT_PARAMS, TIGHT_PARAMS, MICRO_PARAMS, TERNARY_PARAMS, SMALL_RETRIEVAL_PARAMS],
-    ids=["preset", "tight", "micro", "ternary", "retrieval"],
-)
+@pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
 def test_respond_matches_the_replaced_path_and_the_scalar_oracle(params):
     """One database answers 1000 seeded queries as the concatenating path and the scalar oracle do."""
     tower = build_tower(params.p, params.e, params.s)

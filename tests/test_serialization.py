@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hhw_pir.errors import InvalidParams, MatrixFileError
 from hhw_pir.fields import build_tower
 from hhw_pir.params import SchemeParams
-from hhw_pir.scheme import Database, decode, generate_query, respond
+from hhw_pir.scheme import Database, QuerySecrets, decode, generate_query, respond
 from hhw_pir.serialization import (
     MATRIX_MAGIC,
     MATRIX_VERSION,
@@ -272,6 +273,17 @@ def _secrets_doc(tmp_path, params, tower, rng, **overrides):
     return path, query, secrets
 
 
+def _same(a, b) -> bool:
+    """Equal values of one type: arrays by dtype and entries, dataclasses field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return a == b
+
+
 def test_secrets_round_trip(tight_params, tight_tower, rng, tmp_path):
     db = Database.random(tight_params, rng)
     query, secrets = generate_query(tight_params, tight_tower, 4, rng)
@@ -285,10 +297,9 @@ def test_secrets_round_trip(tight_params, tight_tower, rng, tmp_path):
     assert np.array_equal(loaded.split.basis, secrets.split.basis)
     assert np.array_equal(loaded.generator, secrets.generator)
     assert np.array_equal(loaded.selector_block, secrets.selector_block)
-    # full layers are deliberately not persisted
-    assert loaded.codeword_part is None
-    assert loaded.mask_part is None
-    assert loaded.selector_part is None
+    # every field round-trips, so a field added later and not persisted fails here
+    for field in dataclasses.fields(QuerySecrets):
+        assert _same(getattr(loaded, field.name), getattr(secrets, field.name)), field.name
     # and the restored secrets decode a fresh response
     response = respond(db, query, tight_params, tight_tower)
     assert np.array_equal(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the product paths: the float64 kernel, the two-step blow-up, the stepwise decode and the per-query respond against one F_p representation.
+"""Time the product paths: the float64 kernel, the two-step blow-up, the F_q decode map and the per-query respond against one F_p representation.
 
 Every product over F_q and F_(q^s) runs on one kernel,
 hhw_pir.fields.residue_matmul.  The script times the same products and
@@ -8,16 +8,19 @@ retrieval stages twice:
   before  the paths the package replaced, patched in from tests/oracles.py
           for the run: float64_residue_matmul (every product on float64
           BLAS) as residue_matmul, two_step_blow_up (the power table of
-          F_q^s, an F_q blow-up and then an F_p one) as FieldTower.blow_up,
-          and stepwise_decode (every step on all L rows) as scheme.decode;
+          F_q^s, an F_q blow-up and then an F_p one) as FieldTower.blow_up;
           on the respond row only concatenated_respond (the files
           concatenated, range-checked and expanded to F_p digits on every
-          query) as scheme.respond;
+          query) as scheme.respond, and on the decode rows only
+          unit_row_decode (the decoding map built over F_q from the images
+          of the n*s unit rows, with encodings between its steps) as
+          scheme.decode;
   after   the package: one float32 product wherever its sums stay exact
           (float64 otherwise), the F_p blow-up of a tower in one product
-          with its structure tensor, decoding as one F_q-linear map of
-          the response, and respond as one product of the database's F_p
-          digits, built once per database, with the query's blow-up.
+          with its structure tensor, respond as one product of the
+          database's F_p digits, built once per database, with the query's
+          blow-up, and decoding as one F_p map of the response's digits,
+          composed from three eliminations over F_p and encoded once.
 
 Products (fixed shapes, seeded operands): the retrieval fixture's
 respond product (512x60 @ 60x18 over F_4), decode product (512x18 @ 18x6
@@ -31,8 +34,10 @@ chain at the tight base, which the package no longer makes (its
 deletion scan runs on packed rows); they stay as plain kernel rows.
 Stages: generate_query, respond and decode at the retrieval fixture
 (q=4 s=3 v=1 n=6 k=3 m=10 L=512), over --queries fixed-seed queries,
-and the one-off preprocessing of its database (Database.digits on a
-fresh copy), which both sides time alike.
+the one-off preprocessing of its database (Database.digits on a fresh
+copy), which both sides time alike, and decode at two wide fixtures,
+q=2 s=4 v=2 k=n/2 m=16 L=64 with n=64 and n=128, over a quarter of
+--queries (at least one).
 
 Each row is timed --repeats times per side and reported as
 microseconds of wall time per call (median and interquartile range).
@@ -58,15 +63,16 @@ from hhw_pir.params import SchemeParams
 from tests import oracles
 
 RETRIEVAL = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=512)
+WIDE = [SchemeParams(p=2, e=1, s=4, v=2, n=n, k=n // 2, m=16, L=64) for n in (64, 128)]
 PRODUCT_SEED = 300
 QUERY_SEED = 301
 DATABASE_SEED = 302
 
 # the replaced paths of tests/oracles.py
 replaced_paths = functools.partial(benchkit.patched, residue_matmul=oracles.float64_residue_matmul,
-                                   decode=oracles.stepwise_decode,
                                    **{"FieldTower.blow_up": lambda tower, data: oracles.two_step_blow_up(data, tower)})
 replaced_respond = functools.partial(benchkit.patched, respond=oracles.concatenated_respond)
+replaced_decode = functools.partial(benchkit.patched, decode=oracles.unit_row_decode)
 
 
 def products(calls: int):
@@ -90,14 +96,27 @@ def products(calls: int):
     return [(name, lambda f=f, args=args: f(*args), n) for name, f, args, n in rows]
 
 
+def decode_stage(p: SchemeParams, queries: int):
+    """A call that decodes ``queries`` fixed-seed responses at ``p``; only their secrets and responses are kept."""
+    tower = fields.build_tower(p.p, p.e, p.s)
+    db = scheme.Database.random(p, np.random.default_rng(DATABASE_SEED))
+    seeds = np.random.default_rng(QUERY_SEED).integers(0, 2**63, size=queries)
+    answered = []
+    for i, seed in enumerate(seeds):
+        query, secrets = scheme.generate_query(p, tower, 1 + i % p.m, np.random.default_rng(int(seed)))
+        answered.append((scheme.respond(db, query, p, tower), secrets))
+    return lambda: [scheme.decode(answer, secrets, p, tower) for answer, secrets in answered]
+
+
 def stages(queries: int):
-    """(name, call, calls per timing, items per call, before context) of the retrieval rows, and the query count.
+    """(name, call, calls per timing, items per call, before context) of the stage rows, and the query count.
 
     The respond row's before side is the replaced respond alone, so the
     row shows what answering from a preprocessed database saves per
-    query.  The preprocessing row builds that database's F_p digits once
-    per call; it has no replaced counterpart, so both of its sides time
-    the same call and show the cost moved out of every respond.
+    query, and likewise the replaced decode alone on the decode rows.
+    The preprocessing row builds that database's F_p digits once per
+    call; it has no replaced counterpart, so both of its sides time the
+    same call and show the cost moved out of every respond.
     """
     p = RETRIEVAL
     tower = fields.build_tower(p.p, p.e, p.s)
@@ -105,7 +124,6 @@ def stages(queries: int):
     seeds = np.random.default_rng(QUERY_SEED).integers(0, 2**63, size=queries)
     jobs = [(1 + i % p.m, int(seed)) for i, seed in enumerate(seeds)]
     made = [scheme.generate_query(p, tower, target, np.random.default_rng(seed)) for target, seed in jobs]
-    answers = [scheme.respond(db, query, p, tower) for query, _ in made]
 
     def generate():
         return [scheme.generate_query(p, tower, target, np.random.default_rng(seed))[0].matrix.data for target, seed in jobs]
@@ -113,17 +131,17 @@ def stages(queries: int):
     def respond():
         return [scheme.respond(db, query, p, tower).matrix.data for query, _ in made]
 
-    def decode():
-        return [scheme.decode(answer, secrets, p, tower) for answer, (_, secrets) in zip(answers, made)]
-
     def preprocess():
         return scheme.Database(db.files).digits(tower.fq)
 
+    wide = max(1, queries // 4)
     return [
         ("retrieval generate_query (one query)", generate, 1, queries, replaced_paths),
         ("retrieval respond (one query)", respond, 1, queries, replaced_respond),
-        ("retrieval decode (one query)", decode, 1, queries, replaced_paths),
+        ("retrieval decode (one query)", decode_stage(p, queries), 1, queries, replaced_decode),
         ("retrieval database preprocessing (one database)", preprocess, queries, 1, replaced_respond),
+        *[(f"q=2 s=4 n={w.n} k={w.k} m={w.m} L={w.L} decode (one query)", decode_stage(w, wide), 1, wide, replaced_decode)
+          for w in WIDE],
     ], queries
 
 
@@ -137,12 +155,14 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = {
         "topic": "F_q and F_(q^s) products and the retrieval stages, microseconds of wall time per call",
-        "before": "tests/oracles.py patched in: float64_residue_matmul (every product float64), "
-                  "two_step_blow_up (power table, F_q then F_p blow-up) and stepwise_decode (every step on all L rows); "
-                  "on the respond row only concatenated_respond (files concatenated and expanded to F_p digits per query)",
+        "before": "tests/oracles.py patched in: float64_residue_matmul (every product float64) and "
+                  "two_step_blow_up (power table, F_q then F_p blow-up); on the respond row only concatenated_respond "
+                  "(files concatenated and expanded to F_p digits per query), on the decode rows only unit_row_decode "
+                  "(the decoding map built over F_q from the images of the unit rows)",
         "after": "fields.residue_matmul (one float32 product where exact, else chunked float64), "
-                 "FieldTower.blow_up (one product with the F_p structure tensor), decode as one F_q-linear map "
-                 "and respond as one product with the database's F_p digits, built once per database",
+                 "FieldTower.blow_up (one product with the F_p structure tensor), respond as one product with the "
+                 "database's F_p digits, built once per database, and decode as one F_p map of the response's digits, "
+                 "composed from three eliminations over F_p and encoded once",
         "command": f"python3 scripts/bench_products.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
         "machine": benchkit.machine(),
         "seeds": {"products": PRODUCT_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED},

@@ -171,10 +171,15 @@ def residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _reduce(out, p)
 
 
+def digit_dtype(p: int) -> type:
+    """The narrowest unsigned dtype that holds p - 1, in which digits and F_p blow-ups are kept."""
+    return np.uint8 if p <= 256 else np.uint16
+
+
 @functools.lru_cache(maxsize=None)
 def _digit_table(p: int, e: int) -> np.ndarray:
     """(p^e, e) table whose row x holds the base-p digits of x, least significant first."""
-    table = np.empty((p**e, e), dtype=np.uint8 if p <= 256 else np.uint16)
+    table = np.empty((p**e, e), dtype=digit_dtype(p))
     values = np.arange(p**e)
     for i in range(e):
         values, table[:, i] = np.divmod(values, p)
@@ -266,8 +271,11 @@ class Fq:
 
         Block (k, j) is the e x e matrix of y -> b_kj * y on digits: its
         row i holds the digits of x^i * b_kj.  Leading axes are a stack.
+        For e = 1 that is b itself, returned as int64 without a product.
         """
         b = np.asarray(b, dtype=np.int64)
+        if self.e == 1:
+            return b
         *lead, t, c = b.shape
         e = self.e
         regular = residue_matmul(self.to_digits(b), self.mul_tensor.reshape(e, e * e), self.p).astype(np.int64)
@@ -460,9 +468,7 @@ def fq_rank(arr: np.ndarray, fq: Fq):
     For e > 1 it is the F_p rank of the blow-up divided by e: the size of
     each matrix's basis (_bases).  No echelon form is built.
     """
-    arr = _encodings(arr, fq)
-    if fq.e > 1:
-        arr = fq.blow_up(arr)
+    arr = fq.blow_up(_encodings(arr, fq))
     ranks = [len(basis) // fq.e for basis in _bases(arr, fq.p)[2]]
     lead = arr.shape[:-2]
     return np.array(ranks, dtype=np.int64).reshape(lead) if lead else ranks[0]
@@ -601,8 +607,7 @@ def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
     if arr.shape != (n, n):
         raise DimensionMismatch(f"expected square matrix, got {arr.shape}")
     size = n * fq.e
-    big = fq.blow_up(arr) if fq.e > 1 else arr
-    R, pivots = _echelon(np.hstack([big, np.eye(size, dtype=np.int64)]), fq.p)
+    R, pivots = _echelon(np.hstack([fq.blow_up(arr), np.eye(size, dtype=np.int64)]), fq.p)
     if pivots[:size] != list(range(size)):
         raise ValueError("matrix is singular")
     if fq.e == 1:

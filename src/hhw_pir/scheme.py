@@ -23,6 +23,13 @@ rebuild the codeword layer of A from its I columns alone, subtract it,
 project what remains onto W to erase E, and invert the delta x delta
 coordinate matrix of the Z block to recover file i exactly.
 
+The client computes on base-p digits, like the server.  Generation blows
+each generator draw up to its F_p regular representation once
+(FieldTower.blow_up) and keeps the accepted ones: their rank, the rank of
+their information-set column blocks and the codeword product all read
+that one blow-up.  Decoding composes its three eliminations into one
+(n*s*e) x (delta*e) F_p matrix and encodes only the decoded file.
+
 Matrices over F_q^s are (rows, cols, s) coordinate arrays throughout and
 information sets are sorted 0-based column arrays; only the public query
 and the response travel as ExtMatrix, a tower with its coordinate array.
@@ -39,19 +46,22 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import BadArguments, DecodeFailure, DimensionMismatch, IndexOutOfRange
+from .errors import BadArguments, DecodeFailure, DimensionMismatch, IndexOutOfRange, NotInformationSet
 from .fields import (
     BasisSplit,
     FieldTower,
     Fq,
     _encodings,
+    digit_dtype,
+    fq_echelon,
+    fq_inv_matrix,
     fq_rank,
     product_dtype,
     redraw_rejected,
     residue_matmul,
     sample_split_bases,
 )
-from .linalg import ExtMatrix, ext_rank, fq_inv_matrix, solve_on_columns
+from .linalg import ExtMatrix
 from .params import SchemeParams
 
 # Retry cap for rejection sampling of codes and information sets.
@@ -157,9 +167,11 @@ class QueryBatch:
     """Queries of several RNG streams, stacked along a leading axis.
 
     data is the public query stack, the only full-size array a batch
-    holds; the other arrays are the secrets of each query: generators,
-    sorted 0-based information sets, split bases and selector blocks.
-    draws[b] counts the draws stream b made in each of DRAW_PHASES.
+    holds; the other arrays are the secrets of each query as F_q
+    encodings: generators, sorted 0-based information sets, split bases
+    and selector blocks.  The F_p blow-ups that generation ranks and
+    multiplies by are not kept.  draws[b] counts the draws stream b made
+    in each of DRAW_PHASES.
     """
 
     data: np.ndarray  # (count, m*delta, n, s)
@@ -170,30 +182,43 @@ class QueryBatch:
     draws: np.ndarray  # (count, len(DRAW_PHASES))
 
 
-def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """A uniform k-dimensional code of length n with a uniform information set, per RNG stream.
 
     Generator matrices are rejection-sampled until full rank, which makes
     the row space uniform over k-dimensional subspaces; column sets are
     rejection-sampled until invertible, uniform over valid information
     sets of the drawn code.  Both tests run on the stack of pending
-    streams (fields.redraw_rejected).
+    streams (fields.redraw_rejected) over F_p: each generator draw is
+    blown up once (FieldTower.blow_up, d = s*e), its rank is the rank of
+    that blow-up over d, and the blow-up of its columns I is the I column
+    blocks of it.
 
     Returns the (count, k, n, s) generators, the (count, k) sorted 0-based
-    information sets and the draws each stream made in the two phases.
+    information sets, the (count, k*d, n*d) blow-ups of the generators in
+    the narrowest unsigned dtype that holds p - 1 (fields.digit_dtype) and
+    the draws each stream made in the two phases.
     """
-    k, n = params.k, params.n
+    k, n, fp = params.k, params.n, tower.fq.fp
+    d = tower.s * tower.e
+    blown = np.empty((len(rngs), k * d, n * d), dtype=digit_dtype(tower.p))  # of each stream's latest draw
+
+    def full_rank(streams, candidates):
+        big = tower.blow_up(candidates)
+        blown[streams] = big
+        return fq_rank(big, fp) == k * d
+
     gens, gen_draws = redraw_rejected(
         rngs,
         lambda rng: tower.rand(rng, (k, n)),
-        lambda _, candidates: ext_rank(candidates, tower) == k,
+        full_rank,
         MAX_SAMPLING_TRIES,
         "no full-rank generator found; RNG looks broken",
     )
 
     def invertible(streams, columns):
-        picked = gens[streams[:, None], :, columns].swapaxes(1, 2)
-        return ext_rank(picked, tower) == k
+        picked = blown.reshape(-1, k * d, n, d)[streams[:, None], :, columns]  # (streams, k, k*d, d)
+        return fq_rank(picked.swapaxes(1, 2).reshape(len(streams), k * d, k * d), fp) == k * d
 
     columns, column_draws = redraw_rejected(
         rngs,
@@ -202,12 +227,12 @@ def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndar
         MAX_SAMPLING_TRIES,
         "no information set found; RNG looks broken",
     )
-    return gens, columns, (gen_draws, column_draws)
+    return gens, columns, blown, (gen_draws, column_draws)
 
 
 def sample_code(params: SchemeParams, tower: FieldTower, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """sample_codes for one stream: a (k, n, s) generator and its sorted 0-based information set."""
-    gens, columns, _ = sample_codes(params, tower, [rng])
+    gens, columns, _, _ = sample_codes(params, tower, [rng])
     return gens[0], columns[0]
 
 
@@ -224,6 +249,8 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
         raise DimensionMismatch(f"tower {tower} does not match params (p={params.p}, e={params.e}, s={params.s})")
     if len(targets) != len(rngs):
         raise DimensionMismatch(f"{len(targets)} targets for {len(rngs)} RNG streams")
+    if not rngs:
+        raise DimensionMismatch("no RNG streams: a batch holds at least one query")
     for target in targets:
         if isinstance(target, bool) or not hasattr(type(target), "__index__"):
             raise BadArguments(f"target must be an integer, got {target!r}")
@@ -234,37 +261,35 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
     delta, n, k, s, v = params.delta, params.n, params.k, params.s, params.v
     total_rows, count = params.block_rows, len(rngs)
 
-    gens, info_sets, code_draws = sample_codes(params, tower, rngs)
+    gens, info_sets, blown, code_draws = sample_codes(params, tower, rngs)
     bases, basis_draws = sample_split_bases(tower, v, rngs)
     all_streams = np.arange(count)[:, None]
     inside = np.zeros((count, n), dtype=bool)
     inside[all_streams, info_sets] = True
     outside = np.nonzero(~inside)[1].reshape(count, n - k)
 
-    # codeword layer: uniform coefficient rows times the generator, which becomes
-    # the query; noise: the mask layer's uniform V-entries on the columns outside I
+    # codeword layer: the digits of uniform coefficient rows times the generator's
+    # blow-up, which becomes the query; noise: the mask layer's uniform V-entries
+    # on the columns outside I
     coeffs, v_coeffs = [], []
     for rng in rngs:
         coeffs.append(tower.rand(rng, (total_rows, k)))
         v_coeffs.append(fq.rand(rng, (total_rows, n - k, v)))
-    data = tower.matmul(np.array(coeffs), gens)
+    digits = fq.to_digits(np.array(coeffs)).reshape(count, total_rows, k * s * fq.e)
+    data = fq._encode(residue_matmul(digits, blown, fq.p).reshape(count, total_rows, n, s, fq.e))
     noise = fq.matmul(np.array(v_coeffs).reshape(count, -1, v), bases[:, :v]).reshape(count, total_rows, n - k, s)
 
-    # selector layer: W-entries in row block ``target`` whose subfield rank is full
-    blocks = np.zeros((count, delta, n - k, s), dtype=np.int64)  # of each stream's latest draw
-
-    def full_rank(streams, w_coeffs):
-        entries = fq.matmul(w_coeffs.reshape(len(streams), delta * (n - k), s - v), bases[streams, v:])
-        blocks[streams] = entries.reshape(len(streams), delta, n - k, s)
-        return fq_rank(entries.reshape(len(streams), delta, (n - k) * s), fq) == delta
-
-    _, selector_draws = redraw_rejected(
+    # selector layer: W-entries in row block ``target`` whose subfield rank is
+    # full; the rows of B[v:] are independent, so that is the rank of the
+    # delta x delta matrix of their W-coordinates
+    w_coeffs, selector_draws = redraw_rejected(
         rngs,
         lambda rng: fq.rand(rng, (delta, n - k, s - v)),
-        full_rank,
+        lambda streams, candidates: fq_rank(candidates.reshape(len(streams), delta, -1), fq) == delta,
         MAX_SAMPLING_TRIES,
         "no full-rank selector block found; RNG looks broken",
     )
+    blocks = fq.matmul(w_coeffs.reshape(count, delta * (n - k), s - v), bases[:, v:]).reshape(count, delta, n - k, s)
     # the selector block goes into its stream's target rows, and mask and
     # selector, both zero on I, into the codeword layer's outside columns
     target_rows = (np.array(targets, dtype=np.int64)[:, None] - 1) * delta + np.arange(delta)
@@ -313,51 +338,66 @@ def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower)
             f"database {(rows, cols)} with {db.file_count} files does not fit query {qm.shape} under m={params.m}, n={params.n}"
         )
     coords = qm.data.reshape(qm.rows, qm.cols * tower.s)
-    out = residue_matmul(db.digits(fq), fq.blow_up(coords) if fq.e > 1 else coords, fq.p)
+    out = residue_matmul(db.digits(fq), fq.blow_up(coords), fq.p)
     return Response(ExtMatrix(tower, fq._encode(out.reshape(rows, -1, fq.e)).reshape(rows, qm.cols, tower.s)))
 
 
 def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, tower: FieldTower) -> np.ndarray:
     """Recover the target file from a response, exactly.
 
-    Decoding is one F_q-linear map of the response, read as an L x (n*s)
-    F_q matrix of coordinates, built from the secrets as an (n*s) x delta
-    matrix.  Its steps: rebuild the codeword layer's contribution from the
-    information set columns and subtract it on the complement columns, the
-    only ones the projection reads; express what remains in the split
-    basis and keep the trailing (W) coordinates, which erases the mask
-    layer; multiply those delta coordinates by the inverse of the selector
-    block's coordinate matrix.  They run once, on the n*s unit rows (row
-    c*s + j holds x^j in column c), whose images are the rows of the map;
-    the L rows of the response then take one product with it.
+    Decoding is one F_p-linear map of the response's base-p digits, an L x
+    (n*s*e) matrix, built from the secrets as an (n*s*e) x (delta*e) F_p
+    matrix; its product with the digits is encoded once, as the file.  The
+    map composes three eliminations over F_p, each of a blow-up:
+
+      * the codeword layer: the generator's blow-up (FieldTower.blow_up)
+        with its information-set column blocks first, [G_I | G_out], is
+        reduced to [I | P], P = G_I^-1 G_out, so a response row a leaves
+        a_out - a_I P on the columns outside I, the only ones read;
+      * the split: the inverse of the blow-up of the basis (Fq.blow_up)
+        puts coordinates in the split basis, whose trailing (W) ones
+        erase the mask layer; one product puts the selector block's
+        outside columns there too;
+      * the selector: the inverse of the blow-up of the selector block's
+        delta x delta W-coordinate matrix.
 
     Returns the (L, delta) F_q matrix of the target file.  A selection
     that is not an information set raises NotInformationSet, and a
     selector block that leaves W or whose coordinate matrix is singular
     raises DecodeFailure.
     """
-    fq = tower.fq
-    n, s, v, delta = params.n, params.s, params.v, params.delta
+    fq, fp = tower.fq, tower.fq.fp
+    n, k, s, v, e, delta = params.n, params.k, params.s, params.v, fq.e, params.delta
+    d, p = s * e, fq.p
     A = response.matrix
     if A.cols != n:
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
-    gen, info_set = secrets.generator, secrets.info_set
+    info_set = secrets.info_set
     outside = np.delete(np.arange(n), info_set)
-    units = np.eye(n * s, dtype=np.int64).reshape(n * s, n, s)
+    if len(info_set) != k or len(outside) != n - k:
+        raise NotInformationSet(f"columns {info_set.tolist()} cannot be an information set of a {k}-row generator")
 
-    coeff = solve_on_columns(gen, info_set, units[:, info_set], tower)
-    remainder = fq.vsub(units[:, outside], tower.matmul(coeff, gen[:, outside]))
+    big = tower.blow_up(secrets.generator).reshape(k * d, n, d)
+    reduced, pivots = fq_echelon(np.concatenate([big[:, info_set], big[:, outside]], axis=1).reshape(k * d, n * d), fp)
+    if pivots != list(range(k * d)):
+        raise NotInformationSet(f"columns {info_set.tolist()} are not an information set")
 
-    # the remainder rows and the selector block's rows, in the split basis by one product
-    sel_out = secrets.selector_block[:, outside]
-    stacked = np.concatenate([remainder.reshape(-1, s), sel_out.reshape(-1, s)])
-    coords = fq.matmul(stacked, fq_inv_matrix(secrets.split.basis, fq)).reshape(-1, len(outside), s)
-    w_coords, sel_coords = coords[: n * s, :, v:].reshape(n * s, delta), coords[n * s :]
-    if np.any(sel_coords[:, :, :v]):
+    to_split = fq_inv_matrix(fq.blow_up(secrets.split.basis), fp)
+    selector = fq.to_digits(secrets.selector_block[:, outside]).reshape(delta * (n - k), d)
+    selector = residue_matmul(selector, to_split, p).reshape(delta, n - k, d)
+    if np.any(selector[:, :, : v * e]):
         raise DecodeFailure("selector block leaks outside the W part of the split")
     try:
         # delta x delta by the reshape, so a ValueError means singular
-        sel_inv = fq_inv_matrix(sel_coords[:, :, v:].reshape(delta, delta), fq)
+        sel_inv = fq_inv_matrix(fq.blow_up(fq._encode(selector[:, :, v * e :].reshape(delta, delta, e))), fp)
     except ValueError as exc:
         raise DecodeFailure("selector block coordinate matrix is singular") from exc
-    return fq.matmul(A.data.reshape(A.rows, n * s), fq.matmul(w_coords, sel_inv))
+
+    # each outside column's digits to its W-coordinates, then through the
+    # selector's inverse; the I columns reach them through -P
+    from_outside = residue_matmul(to_split[:, v * e :], sel_inv.reshape(n - k, (s - v) * e, delta * e), p)
+    to_file = np.empty((n, d, delta * e), dtype=product_dtype(p, n * d))
+    to_file[outside] = from_outside
+    to_file[info_set] = residue_matmul(-reduced[:, k * d :] % p, from_outside.reshape(-1, delta * e), p).reshape(k, d, -1)
+    out = residue_matmul(fq.to_digits(A.data).reshape(A.rows, n * d), to_file.reshape(n * d, delta * e), p)
+    return fq._encode(out.reshape(A.rows, delta, e))

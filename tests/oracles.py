@@ -5,7 +5,7 @@ oracles compute in is their own (digitwise fq_add/fq_sub, the digit
 polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
 by plain-Python elimination over it, subspaces are enumerated rather
 than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Eleven kinds of entry are paths
+recovery pipeline with explicit scalars.  Twelve kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
 chain_deletion_ranks, the scan on numpy chains of reduced bases of every
@@ -31,7 +31,9 @@ power table of F_q^s, an F_q blow-up and then an F_p one, before one F_p
 structure tensor per tower (FieldTower.mul_tensor) gave the F_p blow-up
 in one product; stepwise_decode, scheme.decode as it pushed all L rows
 of the response through its steps, before decoding became one F_q-linear
-map built from the secrets; concatenated_respond, scheme.respond as it
+map built from the secrets; unit_row_decode, that map built on F_q
+encodings from the images of the unit rows, before it was composed on
+F_p digits with one encoding at the end; concatenated_respond, scheme.respond as it
 concatenated the files and expanded them to F_p digits on every query,
 before each database kept its digits (scheme.Database.digits);
 log_exp_tables / table_vmul /
@@ -719,6 +721,43 @@ def stepwise_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
         raise DecodeFailure("selector block coordinate matrix is singular") from exc
     return fq.matmul(w_coords, sel_inv)
 
+
+
+def unit_row_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
+    """scheme.decode as one F_q-linear map built on F_q encodings, before the map was built on F_p digits.
+
+    The map, an (n*s) x delta F_q matrix, is the image of the n*s unit
+    rows (row c*s + j holds x^j in column c) under the steps of
+    stepwise_decode: the codeword layer's contribution rebuilt from the
+    information set columns by solve_on_columns and subtracted on the
+    complement columns, what remains and the selector block's rows put in
+    the split basis by one F_q product, the W coordinates kept, and the
+    inverse of the selector block's coordinate matrix applied.  The L rows
+    of the response then take one F_q product with it.
+    """
+    fq = tower.fq
+    n, s, v, delta = params.n, params.s, params.v, params.delta
+    A = response.matrix
+    if A.cols != n:
+        raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
+    gen, info_set = secrets.generator, secrets.info_set
+    outside = np.delete(np.arange(n), info_set)
+    units = np.eye(n * s, dtype=np.int64).reshape(n * s, n, s)
+
+    coeff = solve_on_columns(gen, info_set, units[:, info_set], tower)
+    remainder = fq.vsub(units[:, outside], tower.matmul(coeff, gen[:, outside]))
+
+    sel_out = secrets.selector_block[:, outside]
+    stacked = np.concatenate([remainder.reshape(-1, s), sel_out.reshape(-1, s)])
+    coords = fq.matmul(stacked, fq_inv_matrix(secrets.split.basis, fq)).reshape(-1, len(outside), s)
+    w_coords, sel_coords = coords[: n * s, :, v:].reshape(n * s, delta), coords[n * s :]
+    if np.any(sel_coords[:, :, :v]):
+        raise DecodeFailure("selector block leaks outside the W part of the split")
+    try:
+        sel_inv = fq_inv_matrix(sel_coords[:, :, v:].reshape(delta, delta), fq)
+    except ValueError as exc:
+        raise DecodeFailure("selector block coordinate matrix is singular") from exc
+    return fq.matmul(A.data.reshape(A.rows, n * s), fq.matmul(w_coords, sel_inv))
 
 @functools.cache
 def _fq_digit_tensor(fq: Fq) -> np.ndarray:

@@ -1,10 +1,19 @@
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hhw_pir import fields
-from hhw_pir.errors import BadArguments, CoordinateOutOfRange, DecodeFailure, DimensionMismatch, IndexOutOfRange
+from hhw_pir.errors import (
+    BadArguments,
+    CoordinateOutOfRange,
+    DecodeFailure,
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotInformationSet,
+)
 from hhw_pir.fields import BasisSplit, build_tower, fq_inv_matrix, fq_rank
 from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set, solve_on_columns
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
@@ -22,7 +31,16 @@ from hhw_pir.scheme import (
 from hhw_pir.serialization import load_secrets, save_secrets
 
 from .conftest import MICRO_PARAMS, TERNARY_PARAMS, TIGHT_PARAMS
-from .oracles import concatenated_respond, ext_inv, ext_mul, ext_zero, micro_decode, scalar_respond, stepwise_decode
+from .oracles import (
+    concatenated_respond,
+    ext_inv,
+    ext_mul,
+    ext_zero,
+    micro_decode,
+    scalar_respond,
+    stepwise_decode,
+    unit_row_decode,
+)
 
 
 # -- database ---------------------------------------------------------------------
@@ -211,6 +229,39 @@ def test_generate_queries_needs_one_target_per_stream(tight_params, tight_tower)
             generate_queries(tight_params, tight_tower, targets, rngs)
 
 
+def test_generate_queries_needs_a_stream(tight_params, tight_tower, preset_params, preset_tower):
+    for params, tower in ((tight_params, tight_tower), (preset_params, preset_tower)):
+        with pytest.raises(DimensionMismatch, match="no RNG streams"):
+            generate_queries(params, tower, [], [])
+
+
+# sha256 over every QueryBatch field, draws included, of one round of 16 streams
+# (targets 1, 2, ..., m, 1, ...) seeded [0x9E4, b].  Every fixture rejects some
+# selector or information-set draws in it, so a rank test that decides
+# differently moves a pin; the pinned experiment digest leaves draws out.
+BATCH_PINS = {
+    "preset": "ec59dfbc12548e2c821a3fb36501f157a2f44a23abcf5a56da7e0fe7861db845",
+    "tight": "d52828a65926e3f479a82a070318f0e3c3cc5fa07ba8da356de236db723e13e1",
+    "micro": "7cae398eac75b5d6c235e0061834c15331f0c2dcd50bb1edf7aed8d2db01993c",
+    "ternary": "bd813b8eb5deaf94cc0ad97a4af34e5b1b414d3349d01fe9a49e835209021d2b",
+    "retrieval": "ba0f101def434944da82c11d075c63a3a8c7b764e3b741f8fc90df99d6292c5f",
+}
+
+
+@pytest.mark.parametrize("params, pin", [(p, BATCH_PINS[name]) for p, name in zip(FIXTURES, FIXTURE_IDS)], ids=FIXTURE_IDS)
+def test_generation_matches_its_pins(params, pin):
+    """Every array of a seeded round, the rejection draws of each phase among them, is pinned."""
+    tower = build_tower(params.p, params.e, params.s)
+    batch = generate_queries(params, tower, [1 + b % params.m for b in range(16)],
+                             [np.random.default_rng([0x9E4, b]) for b in range(16)])
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(batch):
+        arr = getattr(batch, field.name)
+        digest.update(repr((field.name, arr.shape)).encode())
+        digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == pin
+
+
 # -- responding -------------------------------------------------------------------
 
 
@@ -371,6 +422,37 @@ def test_decode_singular_selector_raises_typed_error(tight_params, tight_tower, 
         decode(response, secrets, tight_params, tight_tower)
 
 
+@pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
+def test_decode_refuses_a_generator_singular_on_the_information_set(params):
+    tower = build_tower(params.p, params.e, params.s)
+    rng = np.random.default_rng([0xB0D, params.q, params.m])
+    db = Database.random(params, rng)
+    for target in range(1, params.m + 1):
+        query, secrets = generate_query(params, tower, target, rng)
+        response = respond(db, query, params, tower)
+        generator = secrets.generator.copy()
+        generator[:, secrets.info_set[target % params.k]] = 0
+        with pytest.raises(NotInformationSet):
+            decode(response, dataclasses.replace(secrets, generator=generator), params, tower)
+
+
+@pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
+def test_decode_refuses_a_selector_block_that_leaves_W(params):
+    """A V basis vector added to one selector entry outside I leaks past the split."""
+    tower = build_tower(params.p, params.e, params.s)
+    rng = np.random.default_rng([0x1EA, params.q, params.m])
+    db = Database.random(params, rng)
+    for target in range(1, params.m + 1):
+        query, secrets = generate_query(params, tower, target, rng)
+        response = respond(db, query, params, tower)
+        outside = np.delete(np.arange(params.n), secrets.info_set)
+        block = secrets.selector_block.copy()
+        row, col = target % params.delta, outside[target % len(outside)]
+        block[row, col] = tower.fq.vadd(block[row, col], secrets.split.basis[0])
+        with pytest.raises(DecodeFailure, match="leaks"):
+            decode(response, dataclasses.replace(secrets, selector_block=block), params, tower)
+
+
 DECODE_QUERIES = 2000
 DECODE_ROUND = 250
 
@@ -390,7 +472,8 @@ def test_decode_matches_the_stepwise_decode(params):
     """The one linear map against every step on all L rows, over 2000 seeded queries per fixture.
 
     The queries come in rounds of generate_queries, every target in turn,
-    against one seeded database; both decodes must return the target file.
+    against one seeded database; every decode, and the map built on F_q
+    encodings that the F_p one replaced, must return the target file.
     """
     tower = build_tower(params.p, params.e, params.s)
     rng = np.random.default_rng(0xDEC0 + params.q * params.m)
@@ -407,6 +490,7 @@ def test_decode_matches_the_stepwise_decode(params):
             out = decode(response, secrets, params, tower)
             assert out.dtype == np.int64
             assert np.array_equal(out, stepwise_decode(response, secrets, params, tower)), (start + b, target)
+            assert np.array_equal(out, unit_row_decode(response, secrets, params, tower)), (start + b, target)
             assert np.array_equal(out, db.files[target - 1]), (start + b, target)
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the product paths: the float64 kernel, the two-step blow-up, the F_q decode map and the per-query respond against one F_p representation.
+"""Time the product paths and the round trip's small conversions against the paths they replaced.
 
 Every product over F_q and F_(q^s) runs on one kernel,
 hhw_pir.fields.residue_matmul.  The script times the same products and
@@ -8,8 +8,16 @@ retrieval stages twice:
   before  the paths the package replaced, patched in from tests/oracles.py
           for the run: float64_residue_matmul (every product on float64
           BLAS) as residue_matmul, two_step_blow_up (the power table of
-          F_q^s, an F_q blow-up and then an F_p one) as FieldTower.blow_up;
-          on the respond row only concatenated_respond (the files
+          F_q^s, an F_q blow-up and then an F_p one) as FieldTower.blow_up,
+          and the paths the lookups replaced: product_blow_up (the digits
+          times the structure tensor) as Fq.blow_up, product_encode (a
+          product also for e = 1) as Fq._encode, digit_vadd / digit_vsub
+          (sums through base-p digits) as Fq.vadd / Fq.vsub,
+          bytes_pack_rows (int.from_bytes for every row) as
+          fields._pack_rows and division_coordinates (s rounds of % and
+          //) as serialization._coordinates; on the load and
+          generate_queries rows only those lookups' paths; on the respond
+          row only concatenated_respond (the files
           concatenated, range-checked and expanded to F_p digits on every
           query) as scheme.respond, and on the decode rows only
           unit_row_decode (the decoding map built over F_q from the images
@@ -17,7 +25,11 @@ retrieval stages twice:
           scheme.decode;
   after   the package: one float32 product wherever its sums stay exact
           (float64 otherwise), the F_p blow-up of a tower in one product
-          with its structure tensor, respond as one product of the
+          with its structure tensor, the F_q blow-up looked up in a table
+          of all q regular representations, sums over F_(2^e) as XOR, an
+          F_p encoding as a cast, rows of at most 64 bits packed by one
+          uint64 product, matrix-file coordinates read from digit tables,
+          respond as one product of the
           database's F_p digits, built once per database, with the query's
           blow-up, and decoding as one F_p map of the response's digits,
           composed from three eliminations over F_p and encoded once.
@@ -32,12 +44,17 @@ shows), and the "tight chain", "tight back-substitution" and "tight
 merge" stacks.  Those three are the products of the numpy deletion
 chain at the tight base, which the package no longer makes (its
 deletion scan runs on packed rows); they stay as plain kernel rows.
+The F_4 blow-ups of a retrieval op (1x3, 3x3, 6x6 and 60x18) close the
+product rows; every product row looks its method up as it runs, so the
+before side calls the method patched in.
 Stages: generate_query, respond and decode at the retrieval fixture
 (q=4 s=3 v=1 n=6 k=3 m=10 L=512), over --queries fixed-seed queries,
 the one-off preprocessing of its database (Database.digits on a fresh
-copy), which both sides time alike, and decode at two wide fixtures,
-q=2 s=4 v=2 k=n/2 m=16 L=64 with n=64 and n=128, over a quarter of
---queries (at least one).
+copy), which both sides time alike, load_query and load_response of
+the saved files of those queries and their responses, and at two wide
+fixtures, q=2 s=4 v=2 k=n/2 m=16 L=64 with n=64 and n=128,
+generate_queries of one round of 4 fixed-seed streams and decode over a
+quarter of --queries (at least one).
 
 Each row is timed --repeats times per side and reported as
 microseconds of wall time per call (median and interquartile range).
@@ -53,47 +70,64 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 
 import numpy as np
 
 import benchkit
-from hhw_pir import fields, scheme
+from hhw_pir import fields, scheme, serialization
 from hhw_pir.params import SchemeParams
 from tests import oracles
 
 RETRIEVAL = SchemeParams(p=2, e=2, s=3, v=1, n=6, k=3, m=10, L=512)
 WIDE = [SchemeParams(p=2, e=1, s=4, v=2, n=n, k=n // 2, m=16, L=64) for n in (64, 128)]
+# F_4 blow-ups of one retrieval op: the basis row that spans V (the mask
+# product), the basis, the selector's delta x delta W-coordinate matrix and
+# the query that respond multiplies
+BLOW_UP_SHAPES = [(1, 3), (3, 3), (6, 6), (60, 18)]
 PRODUCT_SEED = 300
 QUERY_SEED = 301
 DATABASE_SEED = 302
 
-# the replaced paths of tests/oracles.py
-replaced_paths = functools.partial(benchkit.patched, residue_matmul=oracles.float64_residue_matmul,
+GENERATE_STREAMS = 4
+
+# the replaced paths of tests/oracles.py: those the lookups replaced, and all of them
+LOOKUPS = {"Fq.blow_up": lambda fq, b: oracles.product_blow_up(b, fq), "Fq._encode": oracles.product_encode,
+           "Fq.vadd": oracles.digit_vadd, "Fq.vsub": oracles.digit_vsub,
+           "_pack_rows": oracles.bytes_pack_rows, "_coordinates": oracles.division_coordinates}
+replaced_lookups = functools.partial(benchkit.patched, **LOOKUPS)
+replaced_paths = functools.partial(benchkit.patched, residue_matmul=oracles.float64_residue_matmul, **LOOKUPS,
                                    **{"FieldTower.blow_up": lambda tower, data: oracles.two_step_blow_up(data, tower)})
 replaced_respond = functools.partial(benchkit.patched, respond=oracles.concatenated_respond)
 replaced_decode = functools.partial(benchkit.patched, decode=oracles.unit_row_decode)
 
 
 def products(calls: int):
-    """(name, call, calls per timing) of every product row, on seeded operands."""
+    """(name, call, calls per timing) of every product row, on seeded operands.
+
+    A call looks its method up when it runs, so a method patched in for
+    the before side is the one it calls.
+    """
     rng = np.random.default_rng(PRODUCT_SEED)
     f64 = fields.build_tower(2, 2, 3)
     f4 = f64.fq
     tight = fields.build_tower(2, 1, 2)
     f2 = tight.fq
     rows = [
-        ("respond F_4 512x60 @ 60x18", f4.matmul, (f4.rand(rng, (512, 60)), f4.rand(rng, (60, 18))), calls),
-        ("decode F_4 512x18 @ 18x6", f4.matmul, (f4.rand(rng, (512, 18)), f4.rand(rng, (18, 6))), calls),
-        ("codeword F_(4^3) 30x3 @ 3x6", f64.matmul, (f64.rand(rng, (30, 3)), f64.rand(rng, (3, 6))), 4 * calls),
-        ("tight codeword F_(2^2) 64 x (12x2 @ 2x4)", tight.matmul, (tight.rand(rng, (64, 12, 2)), tight.rand(rng, (64, 2, 4))), 4 * calls),
-        ("tight blow-up F_(2^2) 64 x (2x4)", tight.blow_up, (tight.rand(rng, (64, 2, 4)),), 4 * calls),
-        ("tight one-stream blow-up F_(2^2) 2x2", tight.blow_up, (tight.rand(rng, (2, 2)),), 40 * calls),
-        ("tight chain F_2 128 x (2x8 @ 8x8)", f2.matmul, (f2.rand(rng, (128, 2, 8)), f2.rand(rng, (128, 8, 8))), 4 * calls),
-        ("tight back-substitution F_2 128 x (8x2 @ 2x8)", f2.matmul, (f2.rand(rng, (128, 8, 2)), f2.rand(rng, (128, 2, 8))), 4 * calls),
-        ("tight merge F_2 230 x (4x8 @ 8x8)", f2.matmul, (f2.rand(rng, (230, 4, 8)), f2.rand(rng, (230, 8, 8))), 4 * calls),
+        ("respond F_4 512x60 @ 60x18", f4, "matmul", (f4.rand(rng, (512, 60)), f4.rand(rng, (60, 18))), calls),
+        ("decode F_4 512x18 @ 18x6", f4, "matmul", (f4.rand(rng, (512, 18)), f4.rand(rng, (18, 6))), calls),
+        ("codeword F_(4^3) 30x3 @ 3x6", f64, "matmul", (f64.rand(rng, (30, 3)), f64.rand(rng, (3, 6))), 4 * calls),
+        ("tight codeword F_(2^2) 64 x (12x2 @ 2x4)", tight, "matmul", (tight.rand(rng, (64, 12, 2)), tight.rand(rng, (64, 2, 4))), 4 * calls),
+        ("tight blow-up F_(2^2) 64 x (2x4)", tight, "blow_up", (tight.rand(rng, (64, 2, 4)),), 4 * calls),
+        ("tight one-stream blow-up F_(2^2) 2x2", tight, "blow_up", (tight.rand(rng, (2, 2)),), 40 * calls),
+        ("tight chain F_2 128 x (2x8 @ 8x8)", f2, "matmul", (f2.rand(rng, (128, 2, 8)), f2.rand(rng, (128, 8, 8))), 4 * calls),
+        ("tight back-substitution F_2 128 x (8x2 @ 2x8)", f2, "matmul", (f2.rand(rng, (128, 8, 2)), f2.rand(rng, (128, 2, 8))), 4 * calls),
+        ("tight merge F_2 230 x (4x8 @ 8x8)", f2, "matmul", (f2.rand(rng, (230, 4, 8)), f2.rand(rng, (230, 8, 8))), 4 * calls),
+        *[(f"retrieval blow-up F_4 {t}x{c}", f4, "blow_up", (f4.rand(rng, (t, c)),), 4 * calls) for t, c in BLOW_UP_SHAPES],
     ]
-    return [(name, lambda f=f, args=args: f(*args), n) for name, f, args, n in rows]
+    return [(name, lambda owner=owner, method=method, args=args: getattr(owner, method)(*args), n)
+            for name, owner, method, args, n in rows]
 
 
 def decode_stage(p: SchemeParams, queries: int):
@@ -134,12 +168,33 @@ def stages(queries: int):
     def preprocess():
         return scheme.Database(db.files).digits(tower.fq)
 
+    files = {"query": [], "response": []}
+    for query, _ in made:
+        for kind, save, matrix in [("query", serialization.save_query, query),
+                                   ("response", serialization.save_response, scheme.respond(db, query, p, tower))]:
+            buf = io.BytesIO()
+            save(buf, matrix, p)
+            files[kind].append(buf.getvalue())
+
+    def load(kind, loader):
+        return lambda: [loader(io.BytesIO(raw), p, tower).matrix.data for raw in files[kind]]
+
+    def generate_round(w: SchemeParams):
+        wide_tower = fields.build_tower(w.p, w.e, w.s)
+        targets = [1 + i % w.m for i in range(GENERATE_STREAMS)]
+        return lambda: scheme.generate_queries(
+            w, wide_tower, targets, [np.random.default_rng([QUERY_SEED, i]) for i in range(GENERATE_STREAMS)]).data
+
     wide = max(1, queries // 4)
     return [
         ("retrieval generate_query (one query)", generate, 1, queries, replaced_paths),
         ("retrieval respond (one query)", respond, 1, queries, replaced_respond),
         ("retrieval decode (one query)", decode_stage(p, queries), 1, queries, replaced_decode),
         ("retrieval database preprocessing (one database)", preprocess, queries, 1, replaced_respond),
+        ("retrieval load_query (one query)", load("query", serialization.load_query), 1, queries, replaced_lookups),
+        ("retrieval load_response (one response)", load("response", serialization.load_response), 1, queries, replaced_lookups),
+        *[(f"q=2 s=4 n={w.n} k={w.k} m={w.m} generate_queries (one query, rounds of {GENERATE_STREAMS})",
+           generate_round(w), 1, GENERATE_STREAMS, replaced_lookups) for w in WIDE],
         *[(f"q=2 s=4 n={w.n} k={w.k} m={w.m} L={w.L} decode (one query)", decode_stage(w, wide), 1, wide, replaced_decode)
           for w in WIDE],
     ], queries
@@ -155,14 +210,18 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = {
         "topic": "F_q and F_(q^s) products and the retrieval stages, microseconds of wall time per call",
-        "before": "tests/oracles.py patched in: float64_residue_matmul (every product float64) and "
-                  "two_step_blow_up (power table, F_q then F_p blow-up); on the respond row only concatenated_respond "
-                  "(files concatenated and expanded to F_p digits per query), on the decode rows only unit_row_decode "
-                  "(the decoding map built over F_q from the images of the unit rows)",
+        "before": "tests/oracles.py patched in: float64_residue_matmul (every product float64), "
+                  "two_step_blow_up (power table, F_q then F_p blow-up) and the paths the lookups replaced "
+                  "(product_blow_up, product_encode, digit_vadd/digit_vsub, bytes_pack_rows, division_coordinates); "
+                  "on the load and generate_queries rows only those lookups' paths; on the respond row only "
+                  "concatenated_respond (files concatenated and expanded to F_p digits per query), on the decode rows "
+                  "only unit_row_decode (the decoding map built over F_q from the images of the unit rows)",
         "after": "fields.residue_matmul (one float32 product where exact, else chunked float64), "
-                 "FieldTower.blow_up (one product with the F_p structure tensor), respond as one product with the "
-                 "database's F_p digits, built once per database, and decode as one F_p map of the response's digits, "
-                 "composed from three eliminations over F_p and encoded once",
+                 "FieldTower.blow_up (one product with the F_p structure tensor), Fq.blow_up (a lookup in the table "
+                 "of all q regular representations), XOR sums over F_(2^e), an F_p encoding as a cast, short rows "
+                 "packed by one uint64 product, matrix-file coordinates from digit tables, respond as one product "
+                 "with the database's F_p digits, built once per database, and decode as one F_p map of the "
+                 "response's digits, composed from three eliminations over F_p and encoded once",
         "command": f"python3 scripts/bench_products.py --calls {args.calls} --queries {args.queries} --repeats {args.repeats}",
         "machine": benchkit.machine(),
         "seeds": {"products": PRODUCT_SEED, "queries": QUERY_SEED, "database": DATABASE_SEED},

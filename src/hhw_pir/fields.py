@@ -23,13 +23,16 @@ Bulk arithmetic runs on one product kernel, residue_matmul, a matrix
 product mod p of residue arrays against an F_p regular representation,
 which replaces every entry of the right factor by the matrix of
 multiplication by it on base-p digits: e x e for F_q (Fq.blow_up) and
-(s*e) x (s*e) for F_q^s (FieldTower.blow_up), each one product of the
-digits with the field's structure tensor.  So a product over either
-field is two kernel calls, the blow-up and the digits of the left factor
-times it.  The kernel is exact on BLAS: one float32 product when every
-sum stays below 2^22, else a float64 one whose inner axis is split into
-chunks whose sums stay below 2^51; each sum is reduced without a
-division.
+(s*e) x (s*e) for F_q^s (FieldTower.blow_up).  F_q has at most 2^16
+elements, so each Fq keeps the e x e matrices of all of them in one
+table, and its blow-up is a lookup; F_q^s is too large for that, and its
+blow-up is one product of the digits with its structure tensor.  So a
+product over either field is the blow-up and one kernel call, the digits
+of the left factor times it.  The kernel is exact on BLAS: one float32
+product when every sum stays below 2^22, else a float64 one whose inner
+axis is split into chunks whose sums stay below 2^51; each sum is
+reduced without a division.  Sums over F_(2^e) need no kernel: the base-2
+digits of an encoding are its bits, so they are XOR.
 
 Elimination and ranks work over F_p only.  An F_q-space of dimension r
 is an F_p-space of dimension e*r, so ranks and inverses over F_q
@@ -205,10 +208,11 @@ def _prime_factors(n: int) -> list[int]:
 class Fq:
     """Arithmetic context for F_q with q = p^e, elements encoded as ints in [0, q).
 
-    For e = 1 everything is plain arithmetic mod p.  For e >= 2 the
-    arithmetic runs on the F_p regular representation of each element,
-    built from the structure tensor; q is capped at MAX_SUBFIELD_ORDER and
-    a reducible modulus raises ReducibleModulus.
+    For e = 1 everything is plain arithmetic mod p.  For e >= 2 products
+    run on the F_p regular representation of each element, looked up in
+    ``regular_table``, which is built from the structure tensor on first
+    use; sums run digitwise, and over F_(2^e) as XOR.  q is capped at
+    MAX_SUBFIELD_ORDER and a reducible modulus raises ReducibleModulus.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -244,15 +248,27 @@ class Fq:
         return self._encode(np.asarray(digits, dtype=np.int64) % self.p)
 
     def _encode(self, digits: np.ndarray) -> np.ndarray:
-        """(..., e) digits in [0, p) -> (...,) int64 encodings, as one 2-D product, which numpy hands to BLAS."""
+        """(..., e) digits in [0, p) -> (...,) int64 encodings.
+
+        For e = 1 the encoding is the digit, so this is a cast; otherwise
+        one 2-D product with the digit weights, which numpy hands to BLAS.
+        """
+        if self.e == 1:
+            return digits[..., 0].astype(np.int64)
         return (digits.reshape(-1, self.e) @ self._weights).astype(np.int64).reshape(digits.shape[:-1])
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entrywise sum; over F_(2^e) the digits are the bits, so it is XOR."""
+        if self.p == 2:
+            return np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64)
         if self.e == 1:
             return (np.asarray(a) + np.asarray(b)) % self.p
         return self.from_digits(np.add(self.to_digits(a), self.to_digits(b), dtype=np.int64))
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entrywise difference; over F_(2^e) it is the sum."""
+        if self.p == 2:
+            return self.vadd(a, b)
         if self.e == 1:
             return (np.asarray(a) - np.asarray(b)) % self.p
         return self.from_digits(np.subtract(self.to_digits(a), self.to_digits(b), dtype=np.int64))
@@ -266,20 +282,49 @@ class Fq:
         digits = residue_matmul(self.to_digits(a)[..., None, :], self.blow_up(b[..., None, None]), self.p)
         return self._encode(digits[..., 0, :])
 
+    @functools.cached_property
+    def regular_table(self) -> np.ndarray:
+        """Read-only (q, e, e) table whose entry b is the e x e F_p matrix of y -> b*y on digits.
+
+        Row i of entry b holds the digits of x^i * b, x the generator.  The
+        matrix is F_p-linear in b, so with b = c*p^j + r, r < p^j and c < p,
+        entry b is entry r plus c*C^j mod p (C^j = mul_tensor[j]): digit
+        position j fills entries p^j .. p^(j+1) - 1 from those below them,
+        one broadcast sum and reduction per position.  The table is kept
+        in the digit dtype (digit_dtype), q*e^2 entries: 16 bytes for F_4,
+        5.9 MB for F_(3^10), 16 MiB for F_(2^16).
+        """
+        p, e = self.p, self.e
+        table = np.zeros((self.q, e, e), dtype=digit_dtype(p))
+        for j, power in enumerate(self.mul_tensor):
+            below = p**j
+            multiples = (np.arange(1, p)[:, None, None, None] * power % p).astype(table.dtype)  # c*C^j, c = 1..p-1
+            out = table[below : p * below].reshape(p - 1, below, e, e)
+            if p <= 128:  # a sum of two residues, at most 2p - 2, fits uint8: add and reduce in place
+                np.add(table[:below], multiples, out=out)
+                out %= p
+            else:
+                out[...] = np.add(table[:below], multiples, dtype=np.uint16) % p
+        table.setflags(write=False)
+        return table
+
     def blow_up(self, b: np.ndarray) -> np.ndarray:
-        """The (..., t*e, c*e) F_p regular representation of a (..., t, c) encoding array.
+        """The (..., t*e, c*e) F_p regular representation of a (..., t, c) encoding array, as int64.
 
         Block (k, j) is the e x e matrix of y -> b_kj * y on digits: its
-        row i holds the digits of x^i * b_kj.  Leading axes are a stack.
-        For e = 1 that is b itself, returned as int64 without a product.
+        row i holds the digits of x^i * b_kj, the entry of b_kj in
+        regular_table, so the blow-up is one lookup and a block transpose.
+        Leading axes are a stack.  For e = 1 that is b itself.  An entry
+        outside [0, q) is not checked here: a negative one wraps and one
+        past q raises IndexError, so entry points check with _encodings.
         """
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
             return b
         *lead, t, c = b.shape
         e = self.e
-        regular = residue_matmul(self.to_digits(b), self.mul_tensor.reshape(e, e * e), self.p).astype(np.int64)
-        return regular.reshape(*lead, t, c, e, e).swapaxes(-3, -2).reshape(*lead, t * e, c * e)
+        regular = np.take(self.regular_table, b, axis=0).swapaxes(-3, -2).astype(np.int64, order="C")
+        return regular.reshape(*lead, t * e, c * e)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product over F_q of two encoding arrays (..., r, t) @ (..., t, c).
@@ -373,23 +418,35 @@ def _reduce_fields(x: int, p: int, s: int, m: int, low: int) -> int:
     return x - p * ((x * m >> s) & low)
 
 
+@functools.lru_cache(maxsize=256)
+def _row_weights(cols: int, w: int) -> np.ndarray:
+    """The weight of each of ``cols`` fields of w bits in a packed row of at most 64 bits, as int64 (see _pack_rows)."""
+    top = 8 * -(-cols * w // 8)  # the row's bits, padded at the bottom to whole bytes
+    weights = np.array([1 << top - w * (c + 1) for c in range(cols)], dtype=np.uint64).view(np.int64)
+    weights.setflags(write=False)
+    return weights
+
+
 def _pack_rows(arr: np.ndarray, w: int) -> list[int]:
     """Every row of a (..., cols) array of residues mod p as one Python int, with fields of w bits.
 
     Column c of a row is its c-th field from the top, w from
-    _row_layout(p, cols): over F_2, w = 1 and np.packbits pads the row at
-    the bottom to whole bytes.  The whole array is packed by one numpy
-    call, and the rows come in C order of the leading axes whatever the
-    memory order of arr.  A row of at most 8 bytes is read as one big-endian
-    64-bit word, whose zero bytes on top leave its value unchanged.
+    _row_layout(p, cols): over F_2, w = 1 and the row is padded at the
+    bottom to whole bytes.  The rows come in C order of the leading axes
+    whatever the memory order of arr.  Rows of at most 64 bits are packed
+    all at once by one int64 product with the weight of each field
+    (_row_weights), read as uint64: the fields do not overlap, so each
+    sum is below 2^64, and int64 arithmetic wraps mod 2^64 to its bits
+    (the top weight, 2^63, is -2^63 in int64).  Longer rows are packed by
+    one numpy call (np.packbits, or a cast to big-endian fields) and read
+    with int.from_bytes.
     """
+    cols = arr.shape[-1]
+    if cols * w <= 64:
+        return (arr @ _row_weights(cols, w)).view(np.uint64).ravel().tolist()
     data = np.packbits(arr, axis=-1) if w == 1 else arr.astype(f">u{w // 8}")
     raw, nbytes = data.tobytes(), data.shape[-1] * data.itemsize  # tobytes is in C order
-    if nbytes > 8:
-        return [int.from_bytes(raw[i : i + nbytes], "big") for i in range(0, len(raw), nbytes)]
-    words = np.zeros((math.prod(arr.shape[:-1]), 8), dtype=np.uint8)
-    words[:, 8 - nbytes :] = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), nbytes)
-    return words.view(">u8").ravel().tolist()
+    return [int.from_bytes(raw[i : i + nbytes], "big") for i in range(0, len(raw), nbytes)]
 
 
 def fq_echelon(arr: np.ndarray, fq: Fq) -> tuple[np.ndarray, list[int]]:

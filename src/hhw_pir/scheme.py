@@ -328,8 +328,12 @@ def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower)
     so the product is one residue_matmul: the database's F_p digits
     (Database.digits, built once per database and field) times the F_p
     blow-up of the (m*delta, n*s) F_q matrix of Q's coordinates (Q itself
-    for e = 1), whose output digits are then encoded.  An entry outside
-    [0, q) raises CoordinateOutOfRange, a ValueError.
+    for e = 1), looked up in the field's table of regular representations
+    (Fq.blow_up), whose output digits are then encoded.  The query is
+    range-checked on every call (fields._encodings) and the database once,
+    as its digits are built: an entry outside [0, q), which the lookup
+    would wrap or the product reduce mod p, raises CoordinateOutOfRange,
+    a ValueError.
     """
     qm, fq = query.matrix, tower.fq
     rows, cols = db.stacked().shape
@@ -337,7 +341,7 @@ def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower)
         raise DimensionMismatch(
             f"database {(rows, cols)} with {db.file_count} files does not fit query {qm.shape} under m={params.m}, n={params.n}"
         )
-    coords = qm.data.reshape(qm.rows, qm.cols * tower.s)
+    coords = _encodings(qm.data, fq).reshape(qm.rows, qm.cols * tower.s)
     out = residue_matmul(db.digits(fq), fq.blow_up(coords), fq.p)
     return Response(ExtMatrix(tower, fq._encode(out.reshape(rows, -1, fq.e)).reshape(rows, qm.cols, tower.s)))
 
@@ -361,10 +365,11 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
       * the selector: the inverse of the blow-up of the selector block's
         delta x delta W-coordinate matrix.
 
-    Returns the (L, delta) F_q matrix of the target file.  A selection
-    that is not an information set raises NotInformationSet, and a
-    selector block that leaves W or whose coordinate matrix is singular
-    raises DecodeFailure.
+    Returns the (L, delta) F_q matrix of the target file.  A response
+    entry outside [0, q), which the digit lookup would wrap, raises
+    CoordinateOutOfRange (fields._encodings), a selection that is not an
+    information set raises NotInformationSet, and a selector block that
+    leaves W or whose coordinate matrix is singular raises DecodeFailure.
     """
     fq, fp = tower.fq, tower.fq.fp
     n, k, s, v, e, delta = params.n, params.k, params.s, params.v, fq.e, params.delta
@@ -372,6 +377,7 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     A = response.matrix
     if A.cols != n:
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
+    answer = _encodings(A.data, fq)
     info_set = secrets.info_set
     outside = np.delete(np.arange(n), info_set)
     if len(info_set) != k or len(outside) != n - k:
@@ -399,5 +405,5 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     to_file = np.empty((n, d, delta * e), dtype=product_dtype(p, n * d))
     to_file[outside] = from_outside
     to_file[info_set] = residue_matmul(-reduced[:, k * d :] % p, from_outside.reshape(-1, delta * e), p).reshape(k, d, -1)
-    out = residue_matmul(fq.to_digits(A.data).reshape(A.rows, n * d), to_file.reshape(n * d, delta * e), p)
+    out = residue_matmul(fq.to_digits(answer).reshape(A.rows, n * d), to_file.reshape(n * d, delta * e), p)
     return fq._encode(out.reshape(A.rows, delta, e))

@@ -33,7 +33,7 @@ from typing import BinaryIO, Union
 import numpy as np
 
 from .errors import MatrixFileError
-from .fields import BasisSplit, FieldTower, is_prime
+from .fields import BasisSplit, FieldTower, _digit_table, is_prime
 from .linalg import ExtMatrix, fq_rank
 from .params import SchemeParams
 from .scheme import Database, Query, QuerySecrets, Response
@@ -128,7 +128,37 @@ def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> 
             fh.close()
 
 
+def _coordinates(values: np.ndarray, q: int, s: int) -> np.ndarray:
+    """The (N, s) int64 base-q digits, least significant first, of N uint64 element values below q^s.
+
+    The digits are split off h at a time, h the largest count with q^h <=
+    2^16 (at most s): one np.divmod by q^h between chunks, and the h
+    digits of a chunk read from the table of all q^h of them
+    (fields._digit_table).  When h = 1 (q > 256, or s = 1) a chunk's digit
+    is the chunk itself, so no table is needed and orders up to 2^63 load
+    alike.
+    """
+    h = 1
+    while h < s and q ** (h + 1) <= 1 << 16:
+        h += 1
+    table = _digit_table(q, h) if h > 1 else None
+    coords = np.empty((values.size, s), dtype=np.int64)
+    rest = values
+    for j in range(0, s, h):
+        chunk = rest
+        if j + h < s:
+            rest, chunk = np.divmod(rest, np.uint64(q**h))
+        coords[:, j : j + h] = chunk[:, None] if table is None else np.take(table, chunk, axis=0)[:, : s - j]
+    return coords
+
+
 def load_matrix(src: PathOrFile) -> MatrixFileData:
+    """Read and validate a matrix file (see the module docstring for the layout).
+
+    Every malformed header or payload raises MatrixFileError.  The
+    little-endian element values are widened to uint64 and split into
+    their s coordinates by _coordinates.
+    """
     fh, owned = _readable(src)
     try:
         raw = fh.read()
@@ -170,13 +200,7 @@ def load_matrix(src: PathOrFile) -> MatrixFileData:
     if limit < 1 << 64 and values.size and int(values.max()) >= limit:
         raise MatrixFileError(f"element value {int(values.max())} outside [0, {limit})")
 
-    q = np.uint64(p**e)
-    coords = np.empty((values.size, s), dtype=np.int64)
-    rest = values.copy()
-    for j in range(s):
-        coords[:, j] = (rest % q).astype(np.int64)
-        rest //= q
-    return MatrixFileData(p=p, e=e, s=s, data=coords.reshape(rows, cols, s))
+    return MatrixFileData(p=p, e=e, s=s, data=_coordinates(values, p**e, s).reshape(rows, cols, s))
 
 
 def _check_field(found: MatrixFileData, params: SchemeParams, s: int, what: str) -> None:

@@ -5,7 +5,7 @@ oracles compute in is their own (digitwise fq_add/fq_sub, the digit
 polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
 by plain-Python elimination over it, subspaces are enumerated rather
 than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Twelve kinds of entry are paths
+recovery pipeline with explicit scalars.  Seventeen kinds of entry are paths
 the package replaced, kept as the reference for their replacement:
 per_deletion_rank_profile, the attack's original scan;
 chain_deletion_ranks, the scan on numpy chains of reduced bases of every
@@ -36,7 +36,17 @@ encodings from the images of the unit rows, before it was composed on
 F_p digits with one encoding at the end; concatenated_respond, scheme.respond as it
 concatenated the files and expanded them to F_p digits on every query,
 before each database kept its digits (scheme.Database.digits);
-log_exp_tables / table_vmul /
+product_blow_up, Fq.blow_up as one product of the digits with the
+structure tensor, before each Fq looked its blow-ups up in a table of
+all q regular representations (Fq.regular_table); product_encode,
+Fq._encode as a product with the digit weights also for e = 1, where it
+is a cast now; digit_vadd / digit_vsub, the sums of F_q through base-p
+digits, before those of F_(2^e) became XOR; division_coordinates, the s
+rounds of % and // by which serialization.load_matrix split element
+values, before it read h coordinates at a time from a digit table;
+bytes_pack_rows, fields._pack_rows reading every row with
+int.from_bytes, before rows of at most 64 bits were packed by one uint64
+product; log_exp_tables / table_vmul /
 table_echelon, the discrete log/exp arithmetic of F_q and the
 elimination over F_q on top of it, before every elimination ran over F_p
 on blow-ups; and loop_echelon, the numpy elimination over F_p that
@@ -51,12 +61,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from hhw_pir.errors import DecodeFailure, DimensionMismatch, RankDeficientGenerator
-from hhw_pir.fields import FieldTower, Fq, _encodings, companion_powers, fq_inv_matrix, fq_rank
+from hhw_pir.fields import FieldTower, Fq, _encodings, companion_powers, fq_inv_matrix, fq_rank, residue_matmul
 from hhw_pir.linalg import ExtMatrix, solve_on_columns
 from hhw_pir.scheme import Response
 
@@ -577,6 +588,63 @@ def loop_digits(arr, fq: Fq) -> np.ndarray:
 def _from_digits(digits: np.ndarray, fq: Fq) -> np.ndarray:
     """Encodings of an (..., e) array of integer digits, each taken mod p."""
     return np.asarray(digits, dtype=np.int64) % fq.p @ fq.p ** np.arange(fq.e, dtype=np.int64)
+
+
+def product_blow_up(b, fq: Fq) -> np.ndarray:
+    """Fq.blow_up as one product of the digits of b with the structure tensor, before the table lookup.
+
+    The (..., t*e, c*e) int64 F_p regular representation of a (..., t, c)
+    encoding array; b itself, as int64, for e = 1.
+    """
+    b = np.asarray(b, dtype=np.int64)
+    if fq.e == 1:
+        return b
+    *lead, t, c = b.shape
+    e = fq.e
+    regular = residue_matmul(fq.to_digits(b), fq.mul_tensor.reshape(e, e * e), fq.p).astype(np.int64)
+    return regular.reshape(*lead, t, c, e, e).swapaxes(-3, -2).reshape(*lead, t * e, c * e)
+
+
+def product_encode(fq: Fq, digits) -> np.ndarray:
+    """Fq._encode as one product of (..., e) digits with their weights p^i, for every e, before e = 1 became a cast."""
+    digits = np.asarray(digits)
+    weights = fq.p ** np.arange(fq.e, dtype=np.float64)
+    return (digits.reshape(-1, fq.e) @ weights).astype(np.int64).reshape(digits.shape[:-1])
+
+
+def digit_vadd(fq: Fq, a, b) -> np.ndarray:
+    """Fq.vadd through base-p digits for e > 1 (plain arithmetic mod p for e = 1), before F_(2^e) sums became XOR."""
+    if fq.e == 1:
+        return (np.asarray(a) + np.asarray(b)) % fq.p
+    return fq.from_digits(np.add(fq.to_digits(a), fq.to_digits(b), dtype=np.int64))
+
+
+def digit_vsub(fq: Fq, a, b) -> np.ndarray:
+    """Fq.vsub through base-p digits for e > 1 (plain arithmetic mod p for e = 1), before F_(2^e) differences became XOR."""
+    if fq.e == 1:
+        return (np.asarray(a) - np.asarray(b)) % fq.p
+    return fq.from_digits(np.subtract(fq.to_digits(a), fq.to_digits(b), dtype=np.int64))
+
+
+def division_coordinates(values, q: int, s: int) -> np.ndarray:
+    """The (N, s) int64 base-q digits of N uint64 element values by s rounds of % and //, as load_matrix split them before its digit tables."""
+    rest = np.array(values, dtype=np.uint64)
+    coords = np.empty((rest.size, s), dtype=np.int64)
+    for j in range(s):
+        coords[:, j] = (rest % np.uint64(q)).astype(np.int64)
+        rest //= np.uint64(q)
+    return coords
+
+
+def bytes_pack_rows(arr, w: int) -> list[int]:
+    """fields._pack_rows for every row length by bytes: np.packbits (w = 1) or big-endian fields of w bits, each row read with int.from_bytes.
+
+    The package packs rows of at most 64 bits by one uint64 product instead.
+    """
+    arr = np.asarray(arr)
+    data = np.packbits(arr, axis=-1) if w == 1 else arr.astype(f">u{w // 8}")
+    raw, nbytes = data.tobytes(), data.shape[-1] * data.itemsize  # tobytes is in C order
+    return [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "big") for i in range(math.prod(arr.shape[:-1]))]
 
 
 def int64_residue_matmul(a, b, p: int) -> np.ndarray:

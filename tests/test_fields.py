@@ -444,6 +444,68 @@ def test_mul_tensor_reproduces_products():
             assert fq.from_digits(digits) == fq_poly_mul(fq, a, b)
 
 
+# -- the lookups against the paths they replaced ---------------------------------------------
+
+# every TOWERS subfield, F_9 and F_(251^2) over all their encodings and F_(2^16) on a sample,
+# under their canonical moduli; and F_(251^2) under x^2 + x + 1, whose companion matrix, unlike
+# that of the canonical x^2 + 1, has a nonzero diagonal, so the table build adds residues past 255
+LOOKUP_FIELDS = [(p, e, None) for p, e in sorted({(t.p, t.e) for t in TOWERS.values()} | {(3, 2), (251, 2), (2, 16)})]
+LOOKUP_FIELDS.append((251, 2, (1, 1, 1)))
+LOOKUP_SAMPLE = 4096
+
+
+@pytest.mark.parametrize("p,e,modulus", LOOKUP_FIELDS)
+def test_blow_up_table_matches_the_product_blow_up(p, e, modulus):
+    """Fq.blow_up, a lookup in Fq.regular_table, against the product of the digits with the structure tensor."""
+    fq = _kernel_field(p, e) if modulus is None else Fq(p, e, modulus)
+    if fq.q < 1 << 16:
+        encodings = np.arange(fq.q)
+    else:
+        encodings = np.concatenate([[0, 1, fq.q - 1], np.random.default_rng(fq.q).integers(0, fq.q, LOOKUP_SAMPLE)])
+    got = fq.blow_up(encodings[:, None])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracles.product_blow_up(encodings[:, None], fq))
+    stack = np.resize(encodings[::-1], (2, 3, 5))
+    assert np.array_equal(fq.blow_up(stack), oracles.product_blow_up(stack, fq))
+    if e > 1:
+        table = fq.regular_table
+        assert table.shape == (fq.q, e, e) and table.dtype == fields.digit_dtype(p) and not table.flags.writeable
+
+
+@pytest.mark.parametrize("e", [1, 2, 16])
+def test_xor_sums_match_the_digit_path(e, rng):
+    """Over F_(2^e), vadd and vsub are XOR of the encodings: the digitwise sums, without the round trip."""
+    fq = _kernel_field(2, e)
+    a, b = fq.rand(rng, (3, 40)), fq.rand(rng, (40,))
+    for got, want in [(fq.vadd(a, b), oracles.digit_vadd(fq, a, b)), (fq.vsub(a, b), oracles.digit_vsub(fq, a, b)),
+                      (fq.vsub(0, b), oracles.digit_vsub(fq, 0, b))]:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (65521, 1), (2, 2), (3, 2)])
+def test_encode_matches_the_weighted_product(p, e, rng):
+    """Fq._encode, a cast for e = 1, against the product of the digits with their weights, on int and float digits."""
+    fq = _kernel_field(p, e)
+    digits = rng.integers(0, p, size=(4, 5, e))
+    for arr in (digits, digits.astype(np.float32)):
+        got = fq._encode(arr)
+        assert got.dtype == np.int64 and np.array_equal(got, oracles.product_encode(fq, arr))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 65521])
+def test_packed_rows_match_the_bytes_packer(p):
+    """_pack_rows against int.from_bytes for every row of 1 to 65 columns, stacks and empty shapes included."""
+    rng = np.random.default_rng(p)
+    for cols in range(66):
+        w = fields._row_layout(p, cols)[1][0]
+        for shape in [(1, cols), (7, cols), (3, 4, cols), (0, cols), (5, 0, cols)]:
+            arr = rng.integers(0, p, size=shape)
+            arr[..., :1] = p - 1  # a top field at its largest
+            assert fields._pack_rows(arr, w) == oracles.bytes_pack_rows(arr, w), (cols, shape)
+        transposed = rng.integers(0, p, size=(cols, 6)).T  # rows in C order whatever the memory order
+        assert fields._pack_rows(transposed, w) == oracles.bytes_pack_rows(transposed, w)
+
+
 # -- the product kernel at its edges ------------------------------------------------------
 
 # every (p, e) with p in {2, 3, 251, 65521}, e in {1, 2, 4, 8} and p^e within the order cap

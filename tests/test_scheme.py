@@ -277,6 +277,30 @@ def test_respond_validates(tight_params, tight_tower, rng):
         respond(Database(files), query, tight_params, tight_tower)
 
 
+@pytest.mark.parametrize("params", [TERNARY_PARAMS, SMALL_RETRIEVAL_PARAMS], ids=["ternary", "retrieval"])
+@pytest.mark.parametrize("bad", ["negative", "q"])
+def test_respond_and_decode_refuse_coordinates_out_of_range(params, bad):
+    """A query entry or a response entry outside [0, q) raises CoordinateOutOfRange at e = 1 and e = 2.
+
+    Unchecked, the blow-up's table lookup wraps -1 and fails on q with a
+    bare IndexError, and over a prime field the product reduces either
+    mod p without a trace.
+    """
+    tower = build_tower(params.p, params.e, params.s)
+    rng = np.random.default_rng(7)
+    db = Database.random(params, rng)
+    query, secrets = generate_query(params, tower, 1, rng)
+    value = -1 if bad == "negative" else params.q
+    data = query.matrix.data.copy()
+    data[0, 0, 0] = value
+    with pytest.raises(CoordinateOutOfRange):
+        respond(db, Query(ExtMatrix(tower, data)), params, tower)
+    answer = respond(db, query, params, tower).matrix.data.copy()
+    answer[-1, -1, -1] = value
+    with pytest.raises(CoordinateOutOfRange):
+        decode(Response(ExtMatrix(tower, answer)), secrets, params, tower)
+
+
 DIFFERENTIAL_QUERIES = 1000
 
 

@@ -32,6 +32,8 @@ from hhw_pir.serialization import (
     save_secrets,
 )
 
+from . import oracles
+
 _HEADER = struct.Struct("<4sBIIIII")
 
 
@@ -145,6 +147,28 @@ def test_matrix_round_trip_full_64_bit_order():
     buf.seek(0)
     found = load_matrix(buf)
     assert np.array_equal(found.data, arr)
+
+
+# element widths of 1, 2, 4 and 8 bytes, (2, 16, 4) and (2, 8, 8) at order 2^64, and
+# (2, 4, 5), (2, 1, 40) and (3, 1, 25), whose last table chunk holds fewer coordinates
+SPLIT_FIELDS = [(2, 2, 3), (3, 1, 4), (3, 1, 10), (65521, 1, 1), (2, 8, 4), (3, 1, 20),
+                (2, 16, 4), (2, 8, 8), (65521, 1, 4), (3, 1, 40), (251, 2, 4), (2, 1, 64),
+                (2, 4, 5), (2, 1, 40), (3, 1, 25)]
+
+
+@pytest.mark.parametrize("p,e,s", SPLIT_FIELDS)
+def test_load_matrix_matches_the_division_split(p, e, s):
+    """load_matrix splits element values through digit tables as s rounds of % and // by q do."""
+    q, limit = p**e, p ** (e * s)
+    rng = np.random.default_rng([p, e, s])
+    edges = [value for value in (0, 1, q - 1, q, limit - 1) if value < limit]
+    values = np.concatenate([np.array(edges, dtype=np.uint64),
+                             rng.integers(0, limit, size=600, dtype=np.uint64)])
+    width = bytes_per_element(p, e, s)
+    payload = values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+    found = load_matrix(io.BytesIO(_header(p=p, e=e, s=s, rows=len(values), cols=1) + payload))
+    assert found.data.dtype == np.int64
+    assert np.array_equal(found.data.reshape(-1, s), oracles.division_coordinates(values, q, s))
 
 
 def test_matrix_round_trip_on_disk(tmp_path, rng):

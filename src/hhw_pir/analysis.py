@@ -251,12 +251,15 @@ def transfer_digits(params: SchemeParams, m: int | None = None,
     A file holds L*delta subfield elements of e digits each; the query holds
     m*delta*n extension elements of e*s digits; the response holds L*n of
     them.  Container framing (magic, headers, byte padding) is excluded:
-    rates compare information content, not packaging overhead.
+    rates compare information content, not packaging overhead.  A file
+    count or file length below 1 raises BadArguments.
     """
     if m is None:
         m = params.m
     if L is None:
         L = params.L
+    if m < 1 or L < 1:
+        raise BadArguments(f"file count and file length must be at least 1, got m={m}, L={L}")
     e, s, n, delta = params.e, params.s, params.n, params.delta
     file_digits = L * delta * e
     query_digits = m * delta * n * e * s

@@ -102,8 +102,16 @@ def _readable(src: PathOrFile):
 
 def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> None:
     """Write coordinates of shape (rows, cols, s), or (rows, cols) when
-    s == 1, to the binary container."""
+    s == 1, to the binary container.
+
+    The coordinates must be an integer array with entries in [0, p^e),
+    p^e at most 2^63 as load_matrix requires; anything else raises
+    MatrixFileError.  The range check is one maximum over the entries
+    read as uint64, where a negative entry wraps to 2^63 or more.
+    """
     arr = np.asarray(array)
+    if arr.dtype.kind not in "iu":
+        raise MatrixFileError(f"coordinates must be an integer array, got dtype {arr.dtype}")
     if arr.ndim == 2 and s == 1:
         arr = arr[:, :, np.newaxis]
     if arr.ndim != 3 or arr.shape[2] != s:
@@ -111,11 +119,14 @@ def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> 
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise MatrixFileError("refusing to write a matrix with a zero dimension")
     q = p**e
-    if arr.size and (arr.min() < 0 or arr.max() >= q):
+    if q > 1 << 63:
+        raise MatrixFileError(f"subfield order {p}^{e} does not fit int64 coordinates")
+    coords = arr.reshape(-1, s).astype(np.uint64)
+    if coords.size and coords.max() >= q:
         raise MatrixFileError(f"coordinates must lie in [0, {q})")
 
     rows, cols = arr.shape[0], arr.shape[1]
-    values = arr.reshape(-1, s).astype(np.uint64) @ np.array([q**j for j in range(s)], dtype=np.uint64)
+    values = coords @ np.array([q**j for j in range(s)], dtype=np.uint64)
     width = bytes_per_element(p, e, s)
     octets = values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
 

@@ -1,60 +1,52 @@
-"""Independent reference implementations the test suite checks against.
+"""Reference implementations the test suite checks the package against.
 
-Nothing here shares arithmetic with the package: the scalar F_q the
-oracles compute in is their own (digitwise fq_add/fq_sub, the digit
-polynomial product fq_poly_mul and Fermat's fq_inv), ranks are computed
-by plain-Python elimination over it, subspaces are enumerated rather
-than counted by formula, and the micro-instance decoder evaluates the
-recovery pipeline with explicit scalars.  Seventeen kinds of entry are paths
-the package replaced, kept as the reference for their replacement:
-per_deletion_rank_profile, the attack's original scan;
-chain_deletion_ranks, the scan on numpy chains of reduced bases of every
-prefix and suffix of the row blocks, with fq_echelon_stack, the numpy
-reduced echelon forms of a stack under its stacked chain, which the
-package ran before every deletion was read off one basis of the
-transpose (fields.fq_deletion_ranks, which merges the basis rows leading
-in a deleted block by inserting them, masked, into that basis and
-popping what the insertion added);
-scalar_rank_ext / scalar_ext_inv / scalar_is_information_set, the
-Gauss-Jordan elimination over F_q^s on scalar tower ops that the
-regular-representation kernel replaced; digit_fq_matmul / digit_matmul /
-digit_scalar_matmul, the products that contracted base-p digits against
-F_p structure tensors before every product became one product on a
-regular representation; int64_residue_matmul / int64_fq_matmul /
-loop_digits, the int64 product mod p and the %-and-// digit loop that
-kernel ran on before the exact float64 kernel and the digit table
-replaced them; float64_residue_matmul, that float64-only kernel, before
-fields.residue_matmul ran one float32 product wherever float32 is exact;
-power_table / two_step_blow_up / two_step_matmul / two_step_ext_rank /
-two_step_ext_inv, the F_(q^s) products, ranks and inverses through the
-power table of F_q^s, an F_q blow-up and then an F_p one, before one F_p
-structure tensor per tower (FieldTower.mul_tensor) gave the F_p blow-up
-in one product; stepwise_decode, scheme.decode as it pushed all L rows
-of the response through its steps, before decoding became one F_q-linear
-map built from the secrets; unit_row_decode, that map built on F_q
-encodings from the images of the unit rows, before it was composed on
-F_p digits with one encoding at the end; concatenated_respond, scheme.respond as it
-concatenated the files and expanded them to F_p digits on every query,
-before each database kept its digits (scheme.Database.digits);
-product_blow_up, Fq.blow_up as one product of the digits with the
-structure tensor, before each Fq looked its blow-ups up in a table of
-all q regular representations (Fq.regular_table); product_encode,
-Fq._encode as a product with the digit weights also for e = 1, where it
-is a cast now; digit_vadd / digit_vsub, the sums of F_q through base-p
-digits, before those of F_(2^e) became XOR; division_coordinates, the s
-rounds of % and // by which serialization.load_matrix split element
-values, before it read h coordinates at a time from a digit table;
-bytes_pack_rows, fields._pack_rows reading every row with
-int.from_bytes, before rows of at most 64 bits were packed by one uint64
-product; log_exp_tables / table_vmul /
-table_echelon, the discrete log/exp arithmetic of F_q and the
-elimination over F_q on top of it, before every elimination ran over F_p
-on blow-ups; and loop_echelon, the numpy elimination over F_p that
-fields.fq_echelon ran for every p before its rows were packed into ints.
-The tuple arithmetic of F_q^s (ext_add ... ext_inv) is the one the
-fields once ran on, before both extension steps were built from
-companion-matrix powers; ext_inv is Fermat's x^(q^s - 2) rather than
-polynomial Euclid.
+Every kernel of the package keeps two references here, each with its own
+differential test: an independent one, which shares no arithmetic with
+the package, and the path that the kernel's latest rewrite replaced,
+which may share the package's lower layers (named below).  When a kernel
+is rewritten again, the path it replaced until then is deleted in the
+same change and the newly replaced one takes its place, so no kernel
+collects references; tests/test_oracles.py fails on a function here that
+nothing calls.
+
+The independent references compute in scalar arithmetic of their own:
+digitwise fq_add/fq_sub, the digit polynomial product fq_poly_mul,
+Fermat's fq_inv, and tuples over F_q^s (ext_add ... ext_inv, Fermat's
+x^(q^s - 2)).  They read only the fields' moduli.
+
+kernel: independent reference; replaced path (what it shares)
+- fields.fq_echelon, fq_rank, fq_inv_matrix: naive_rank_fq,
+  subfield_rank_oracle, and M @ M^-1 = I in the tests; loop_echelon and,
+  on stacks, fq_echelon_stack (numpy row operations; nothing).
+- fields.fq_deletion_ranks: the deletions of delete_block ranked by
+  naive_rank_fq, beside per_deletion_rank_profile, the attack's original
+  scan (one fq_rank per deletion); chain_deletion_ranks (Fq.blow_up,
+  Fq.matmul, Fq.vsub and fq_rank).
+- fields.residue_matmul: int64_residue_matmul; float64_residue_matmul
+  (nothing).
+- Fq.matmul, Fq.vmul: scalar_fq_matmul, fq_poly_mul, and scalar_ext_matmul
+  on embed_subfield operands; product_matmul on product_blow_up
+  (Fq.to_digits, Fq.mul_tensor and residue_matmul on e x e products).
+- FieldTower.matmul, scalar_matmul, blow_up: scalar_ext_matmul;
+  two_step_blow_up, two_step_matmul (companion_powers, Fq.matmul,
+  Fq.blow_up).
+- linalg.ext_rank, ext_inv_matrix, is_information_set: scalar_rank_ext,
+  scalar_ext_inv, scalar_is_information_set; two_step_ext_rank,
+  two_step_ext_inv (as two_step_matmul, and fq_rank, fq_inv_matrix).
+- scheme.decode: micro_decode, and the stored file; unit_row_decode
+  (solve_on_columns, FieldTower.matmul, Fq.matmul, Fq.vsub, fq_inv_matrix).
+- scheme.respond: scalar_respond; concatenated_respond (_encodings,
+  FieldTower.scalar_matmul).
+- Fq.blow_up, Fq._encode, Fq.vadd/vsub, fields._pack_rows and the
+  coordinates of serialization.load_matrix: fq_poly_mul, fq_add/fq_sub
+  and plain integer arithmetic in the tests; product_blow_up,
+  product_encode, digit_vadd/digit_vsub (Fq.to_digits, Fq.from_digits),
+  bytes_pack_rows, division_coordinates.
+
+The rest serve the scheme and analysis tests: delete_block and noise_part
+take queries apart, and the subspace counts (subspaces_by_closure,
+subspaces_by_echelon, subspaces_materialized, p_rank_at_most) enumerate
+rather than use the package's formulas.
 """
 
 from __future__ import annotations
@@ -131,12 +123,8 @@ def ext_add(tower: FieldTower, a, b) -> tuple:
     return tuple(fq_add(tower.fq, x, y) for x, y in zip(a, b))
 
 
-def ext_sub(tower: FieldTower, a, b) -> tuple:
+def _ext_sub(tower: FieldTower, a, b) -> tuple:
     return tuple(fq_sub(tower.fq, x, y) for x, y in zip(a, b))
-
-
-def ext_neg(tower: FieldTower, a) -> tuple:
-    return tuple(fq_sub(tower.fq, 0, x) for x in a)
 
 
 def ext_mul(tower: FieldTower, a, b) -> tuple:
@@ -153,21 +141,17 @@ def ext_mul(tower: FieldTower, a, b) -> tuple:
     return tuple(prod[:s])
 
 
-def ext_pow(tower: FieldTower, a, n: int) -> tuple:
-    out, base = tower.one, tuple(a)
+def ext_inv(tower: FieldTower, a) -> tuple:
+    """Inverse in F_q^s by Fermat's little theorem, a^(q^s - 2)."""
+    if not any(a):
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    out, base, n = tower.one, tuple(a), tower.order - 2
     while n:
         if n & 1:
             out = ext_mul(tower, out, base)
         base = ext_mul(tower, base, base)
         n >>= 1
     return out
-
-
-def ext_inv(tower: FieldTower, a) -> tuple:
-    """Inverse in F_q^s by Fermat's little theorem, a^(q^s - 2)."""
-    if not any(a):
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    return ext_pow(tower, a, tower.order - 2)
 
 
 def naive_rank_fq(rows, fq: Fq) -> int:
@@ -203,7 +187,7 @@ def noise_part(query_data: np.ndarray, secrets, delta: int, fq: Fq) -> np.ndarra
     """D + E of an (m*delta, n, s) query Q = D + E + Z: Q with the selector block taken off the target rows."""
     rows = slice((secrets.target - 1) * delta, secrets.target * delta)
     noise = np.array(query_data, dtype=np.int64)
-    noise[rows] = _table_vsub(fq, noise[rows], secrets.selector_block)
+    noise[rows] = _digitwise_vsub(fq, noise[rows], secrets.selector_block)
     return noise
 
 
@@ -429,7 +413,7 @@ def scalar_rank_ext(rows, tower: FieldTower) -> int:
         for i in range(len(rows)):
             if i != rank and any(rows[i][c]):
                 f = rows[i][c]
-                rows[i] = [ext_sub(tower, x, ext_mul(tower, f, y)) for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [_ext_sub(tower, x, ext_mul(tower, f, y)) for x, y in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -451,7 +435,7 @@ def scalar_ext_inv(rows, tower: FieldTower) -> list[list[tuple]]:
         for i in range(n):
             if i != c and any(aug[i][c]):
                 f = aug[i][c]
-                aug[i] = [ext_sub(tower, x, ext_mul(tower, f, y)) for x, y in zip(aug[i], aug[c])]
+                aug[i] = [_ext_sub(tower, x, ext_mul(tower, f, y)) for x, y in zip(aug[i], aug[c])]
     return [row[n:] for row in aug]
 
 
@@ -466,76 +450,11 @@ def scalar_is_information_set(gen, columns, tower: FieldTower) -> bool:
     return scalar_rank_ext([[row[c] for c in columns] for row in rows], tower) == k
 
 
-@functools.cache
-def log_exp_tables(fq: Fq) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete exp/log tables of F_q (e > 1) over its smallest primitive element g.
-
-    exp[i] = g^i for i < q - 1 and log inverts it; log[0] = -1.  The powers
-    are taken with fq_poly_mul, and g is the smallest encoding >= 2 whose
-    powers reach every nonzero element.
-    """
-    q = fq.q
-    for g in range(2, q):
-        exp = [1]
-        while len(exp) < q - 1 and (x := fq_poly_mul(fq, exp[-1], g)) != 1:
-            exp.append(x)
-        if len(exp) == q - 1:
-            break
-    else:
-        raise ValueError(f"F_{q} has no primitive element; its modulus is reducible")
-    log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(q - 1)
-    return np.array(exp, dtype=np.int64), log
-
-
-def table_vmul(fq: Fq, a, b) -> np.ndarray:
-    """Entrywise product of encoding arrays through the log/exp tables."""
-    exp, log = log_exp_tables(fq)
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    out = np.zeros(a.shape, dtype=np.int64)
-    mask = (a != 0) & (b != 0)
-    out[mask] = exp[(log[a[mask]] + log[b[mask]]) % (fq.q - 1)]
-    return out
-
-
-def _table_vsub(fq: Fq, a, b) -> np.ndarray:
+def _digitwise_vsub(fq: Fq, a, b) -> np.ndarray:
+    """Difference of encoding arrays, base-p digit by digit mod p, the digits split by // and %."""
     powers = fq.p ** np.arange(fq.e, dtype=np.int64)
     da, db = (np.asarray(x, dtype=np.int64)[..., None] // powers % fq.p for x in (a, b))
     return (da - db) % fq.p @ powers
-
-
-def table_echelon(arr, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over F_q on the table arithmetic, with the pivoting of fq_echelon."""
-    exp, log = log_exp_tables(fq)
-    R = np.array(arr, dtype=np.int64, copy=True)
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = R[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        R[[r, i]] = R[[i, r]]
-        R[r] = table_vmul(fq, exp[-log[R[r, c]] % (fq.q - 1)], R[r])
-        others = R[:, c].nonzero()[0] if reduced else R[r + 1 :, c].nonzero()[0] + (r + 1)
-        others = others[others != r]
-        if others.size:
-            R[others] = _table_vsub(fq, R[others], table_vmul(fq, R[others, c][:, None], R[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def table_inv_matrix(arr, fq: Fq) -> np.ndarray:
-    """Inverse over F_q by table elimination of [M | I]; ValueError when singular."""
-    n = len(arr)
-    R, pivots = table_echelon(np.hstack([np.asarray(arr, dtype=np.int64), np.eye(n, dtype=np.int64)]), fq, True)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return R[:, n:]
 
 
 def loop_echelon(arr, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
@@ -575,21 +494,6 @@ def loop_echelon(arr, fq: Fq, reduced: bool = False) -> tuple[np.ndarray, list[i
     return R, pivots
 
 
-def loop_digits(arr, fq: Fq) -> np.ndarray:
-    """(..., e) int64 base-p digits of encodings by repeated % and //, as Fq.to_digits ran before its digit table."""
-    t = np.asarray(arr, dtype=np.int64)
-    out = np.empty(t.shape + (fq.e,), dtype=np.int64)
-    for i in range(fq.e):
-        out[..., i] = t % fq.p
-        t = t // fq.p
-    return out
-
-
-def _from_digits(digits: np.ndarray, fq: Fq) -> np.ndarray:
-    """Encodings of an (..., e) array of integer digits, each taken mod p."""
-    return np.asarray(digits, dtype=np.int64) % fq.p @ fq.p ** np.arange(fq.e, dtype=np.int64)
-
-
 def product_blow_up(b, fq: Fq) -> np.ndarray:
     """Fq.blow_up as one product of the digits of b with the structure tensor, before the table lookup.
 
@@ -603,6 +507,18 @@ def product_blow_up(b, fq: Fq) -> np.ndarray:
     e = fq.e
     regular = residue_matmul(fq.to_digits(b), fq.mul_tensor.reshape(e, e * e), fq.p).astype(np.int64)
     return regular.reshape(*lead, t, c, e, e).swapaxes(-3, -2).reshape(*lead, t * e, c * e)
+
+
+def product_matmul(a, b, fq: Fq) -> np.ndarray:
+    """Fq.matmul on product_blow_up: the digits of a times the blow-up of b, by int64_residue_matmul.
+
+    Row i of a block of the blow-up holds the digits of x^i times the
+    entry, so row 0 of each block row of a's blow-up is the digits of a's
+    row.  Leading axes broadcast as stacks, as in Fq.matmul.
+    """
+    e = fq.e
+    digits = int64_residue_matmul(product_blow_up(a, fq)[..., ::e, :], product_blow_up(b, fq), fq.p)
+    return digits.reshape(*digits.shape[:-1], -1, e) @ fq.p ** np.arange(e, dtype=np.int64)
 
 
 def product_encode(fq: Fq, digits) -> np.ndarray:
@@ -652,24 +568,6 @@ def int64_residue_matmul(a, b, p: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % p
 
 
-def int64_fq_matmul(a, b, fq: Fq) -> np.ndarray:
-    """Fq.matmul as it ran on the int64 kernel: loop digits of a times the int64 blow-up of b, mod p.
-
-    Leading axes broadcast as stacks, as in Fq.matmul.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    p, e = fq.p, fq.e
-    if e == 1:
-        return int64_residue_matmul(a, b, p)
-    *lead, r, t = a.shape
-    *b_lead, _, c = b.shape
-    regular = int64_residue_matmul(loop_digits(b, fq), fq.mul_tensor.reshape(e, e * e), p)
-    big = regular.reshape(*b_lead, t, c, e, e).swapaxes(-3, -2).reshape(*b_lead, t * e, c * e)
-    out = int64_residue_matmul(loop_digits(a, fq).reshape(*lead, r, t * e), big, p)
-    return _from_digits(out.reshape(*out.shape[:-1], c, e), fq)
-
-
 def float64_residue_matmul(a, b, p: int) -> np.ndarray:
     """a @ b mod p on float64 BLAS only, as fields.residue_matmul ran before its float32 product.
 
@@ -696,8 +594,8 @@ def float64_residue_matmul(a, b, p: int) -> np.ndarray:
 
 
 @functools.cache
-def power_table(tower: FieldTower) -> np.ndarray:
-    """(s, s*s) F_q matrix with y @ power_table = [y, x*y, ..., x^(s-1)*y] on coordinates.
+def _power_table(tower: FieldTower) -> np.ndarray:
+    """(s, s*s) F_q matrix with y @ _power_table = [y, x*y, ..., x^(s-1)*y] on coordinates.
 
     Row j holds x^(j+i) for i < s, from the companion-matrix powers of the
     top modulus: one product with it gives every row of the F_q
@@ -707,35 +605,35 @@ def power_table(tower: FieldTower) -> np.ndarray:
     return companion_powers(tower.fq, tower.top_modulus, s).transpose(1, 0, 2).reshape(s, s * s)
 
 
-def two_step_fq_blow_up(data, tower: FieldTower) -> np.ndarray:
+def _two_step_fq_blow_up(data, tower: FieldTower) -> np.ndarray:
     """The (..., r*s, c*s) F_q regular representation of an (..., r, c, s) coordinate array, by the power table."""
     *lead, r, c, s = np.shape(data)
-    shifted = tower.fq.matmul(np.reshape(data, (-1, s)), power_table(tower))
+    shifted = tower.fq.matmul(np.reshape(data, (-1, s)), _power_table(tower))
     return shifted.reshape(*lead, r, c, s, s).swapaxes(-3, -2).reshape(*lead, r * s, c * s)
 
 
 def two_step_blow_up(data, tower: FieldTower) -> np.ndarray:
     """FieldTower.blow_up in two steps: the F_q blow-up by the power table, then its F_p blow-up."""
-    return tower.fq.blow_up(two_step_fq_blow_up(data, tower))
+    return tower.fq.blow_up(_two_step_fq_blow_up(data, tower))
 
 
 def two_step_matmul(a, b, tower: FieldTower) -> np.ndarray:
     """FieldTower.matmul as an F_q product of the coordinates of a with the F_q blow-up of b."""
     a = np.asarray(a, dtype=np.int64)
     *lead, r, t, s = a.shape
-    out = tower.fq.matmul(a.reshape(*lead, r, t * s), two_step_fq_blow_up(b, tower))
+    out = tower.fq.matmul(a.reshape(*lead, r, t * s), _two_step_fq_blow_up(b, tower))
     return out.reshape(*out.shape[:-1], np.shape(b)[-2], s)
 
 
 def two_step_ext_rank(data, tower: FieldTower):
     """linalg.ext_rank as the F_q rank of the F_q blow-up (itself blown up over F_p by fq_rank)."""
-    return fq_rank(two_step_fq_blow_up(data, tower), tower.fq) // tower.s
+    return fq_rank(_two_step_fq_blow_up(data, tower), tower.fq) // tower.s
 
 
 def two_step_ext_inv(data, tower: FieldTower) -> np.ndarray:
     """linalg.ext_inv_matrix as the F_q inverse of the F_q blow-up; ValueError when singular."""
     n = len(data)
-    inv = fq_inv_matrix(two_step_fq_blow_up(data, tower), tower.fq)
+    inv = fq_inv_matrix(_two_step_fq_blow_up(data, tower), tower.fq)
     # row 0 of every block of the inverse blow-up holds the entry times x^0
     return inv[:: tower.s].reshape(n, n, tower.s)
 
@@ -753,50 +651,12 @@ def concatenated_respond(db, query, params, tower: FieldTower):
     return Response(ExtMatrix(tower, tower.scalar_matmul(stacked, query.matrix.data)))
 
 
-def stepwise_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
-    """scheme.decode with every step on all L rows of the response.
-
-    Rebuild the codeword layer's contribution from the information set
-    columns and subtract it on the complement columns; express what
-    remains in the split basis and keep the trailing (W) coordinates; stack
-    those into L x delta over F_q and multiply by the inverse of the
-    selector block's coordinate matrix.
-    """
-    fq = tower.fq
-    n, s, v, delta = params.n, params.s, params.v, params.delta
-    A = response.matrix
-    if A.cols != n:
-        raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
-    gen, info_set = secrets.generator, secrets.info_set
-    outside = np.delete(np.arange(n), info_set)
-
-    coeff = solve_on_columns(gen, info_set, A.data[:, info_set], tower)
-    remainder = fq.vsub(A.data[:, outside], tower.matmul(coeff, gen[:, outside]))
-
-    basis_inv = fq_inv_matrix(secrets.split.basis, fq)
-    L = remainder.shape[0]
-    width = len(outside)
-    split_coords = fq.matmul(remainder.reshape(L * width, s), basis_inv).reshape(L, width, s)
-    w_coords = split_coords[:, :, v:].reshape(L, delta)
-
-    sel_out = secrets.selector_block[:, outside]
-    sel_coords = fq.matmul(sel_out.reshape(delta * width, s), basis_inv).reshape(delta, width, s)
-    if np.any(sel_coords[:, :, :v]):
-        raise DecodeFailure("selector block leaks outside the W part of the split")
-    try:
-        sel_inv = fq_inv_matrix(sel_coords[:, :, v:].reshape(delta, delta), fq)
-    except ValueError as exc:
-        raise DecodeFailure("selector block coordinate matrix is singular") from exc
-    return fq.matmul(w_coords, sel_inv)
-
-
-
 def unit_row_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
     """scheme.decode as one F_q-linear map built on F_q encodings, before the map was built on F_p digits.
 
     The map, an (n*s) x delta F_q matrix, is the image of the n*s unit
-    rows (row c*s + j holds x^j in column c) under the steps of
-    stepwise_decode: the codeword layer's contribution rebuilt from the
+    rows (row c*s + j holds x^j in column c) under the steps of the
+    decode: the codeword layer's contribution rebuilt from the
     information set columns by solve_on_columns and subtracted on the
     complement columns, what remains and the selector block's rows put in
     the split basis by one F_q product, the W coordinates kept, and the
@@ -827,48 +687,14 @@ def unit_row_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
         raise DecodeFailure("selector block coordinate matrix is singular") from exc
     return fq.matmul(A.data.reshape(A.rows, n * s), fq.matmul(w_coords, sel_inv))
 
-@functools.cache
-def _fq_digit_tensor(fq: Fq) -> np.ndarray:
-    """F_p structure tensor T of F_q, (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], from fq_poly_mul."""
-    basis = [fq.p**i for i in range(fq.e)]
-    return np.array([[loop_digits(fq_poly_mul(fq, x, y), fq) for y in basis] for x in basis], dtype=np.int64)
 
-
-@functools.cache
-def _tower_digit_tensor(tower: FieldTower) -> np.ndarray:
-    """F_p structure tensor of F_q^s on flattened digits (digit e*j + i is digit i
-    of coordinate j), from ext_mul."""
-    fq = tower.fq
-    basis = [tuple(fq.p**i if j == jj else 0 for jj in range(tower.s)) for j in range(tower.s) for i in range(fq.e)]
-    return np.array([[loop_digits(ext_mul(tower, x, y), fq).reshape(-1) for y in basis] for x in basis],
-                    dtype=np.int64)
-
-
-def digit_fq_matmul(a: np.ndarray, b: np.ndarray, fq: Fq) -> np.ndarray:
-    """F_q product (r,t) @ (t,c) by contracting base-p digits against the F_q tensor."""
-    tmp = np.tensordot(loop_digits(a, fq), loop_digits(b, fq), axes=([1], [0]))  # (r, e, c, e)
-    return _from_digits(np.einsum("racb,abd->rcd", tmp, _fq_digit_tensor(fq)), fq)
-
-
-def _coords_to_digits(arr: np.ndarray, tower: FieldTower) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.int64)
-    return loop_digits(arr, tower.fq).reshape(arr.shape[:-1] + (tower.s * tower.e,))
-
-
-def _digits_to_coords(digits: np.ndarray, tower: FieldTower) -> np.ndarray:
-    return _from_digits(digits.reshape(digits.shape[:-1] + (tower.s, tower.e)), tower.fq)
-
-
-def digit_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
-    """F_q^s product (r,t,s) @ (t,c,s) by contracting digits against the top-field tensor."""
-    tmp = np.tensordot(_coords_to_digits(a, tower), _coords_to_digits(b, tower), axes=([1], [0]))
-    return _digits_to_coords(np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)), tower)
-
-
-def digit_scalar_matmul(x: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
-    """F_q (r,t) times F_q^s (t,c,s): only the first e rows of the top-field tensor take part."""
-    tmp = np.tensordot(loop_digits(x, tower.fq), _coords_to_digits(b, tower), axes=([1], [0]))
-    return _digits_to_coords(np.einsum("racb,abd->rcd", tmp, _tower_digit_tensor(tower)[: tower.e]), tower)
+def scalar_fq_matmul(a, b, fq: Fq) -> np.ndarray:
+    """F_q product (r, t) @ (t, c) entry by entry with fq_poly_mul and fq_add."""
+    out = np.zeros((len(a), np.shape(b)[1]), dtype=np.int64)
+    for i, j in np.ndindex(out.shape):
+        for k in range(len(b)):
+            out[i, j] = fq_add(fq, int(out[i, j]), fq_poly_mul(fq, int(a[i][k]), int(b[k][j])))
+    return out
 
 
 def scalar_ext_matmul(a: np.ndarray, b: np.ndarray, tower: FieldTower) -> np.ndarray:
@@ -895,68 +721,6 @@ def subfield_rank_oracle(coords: np.ndarray, fq: Fq) -> int:
     """Rank over F_q of an (r, c, s) coordinate array, rows flattened."""
     r, c, s = coords.shape
     return naive_rank_fq(coords.reshape(r, c * s), fq)
-
-
-def regular_representation(x, tower: FieldTower) -> list[list[int]]:
-    """s x s F_q matrix of multiplication by x in the power basis."""
-    s = tower.s
-    rows = []
-    for i in range(s):
-        basis_vec = tuple(1 if j == i else 0 for j in range(s))
-        rows.append(list(ext_mul(tower, basis_vec, tuple(int(c) for c in x))))
-    return rows
-
-
-def rank_ext_oracle(data: np.ndarray, tower: FieldTower) -> int:
-    """Rank over F_q^s of an (r, c, s) array computed without any extension-field elimination.
-
-    Replacing every entry by its regular-representation block gives an
-    F_q matrix whose rank is exactly s times the extension rank.
-    """
-    r, c = data.shape[:2]
-    big = [[0] * (c * tower.s) for _ in range(r * tower.s)]
-    for i in range(r):
-        for j in range(c):
-            block = regular_representation(data[i, j], tower)
-            for a in range(tower.s):
-                for b in range(tower.s):
-                    big[i * tower.s + a][j * tower.s + b] = block[a][b]
-    rank = naive_rank_fq(big, tower.fq)
-    assert rank % tower.s == 0
-    return rank // tower.s
-
-
-def det_ext_oracle(mat_rows, tower: FieldTower):
-    """Determinant over F_q^s by permutation expansion; fine up to 4x4."""
-    n = len(mat_rows)
-    total = ext_zero(tower)
-    for perm in itertools.permutations(range(n)):
-        sign_neg = _parity(perm)
-        term = tower.one
-        for i in range(n):
-            term = ext_mul(tower, term, tuple(int(c) for c in mat_rows[i][perm[i]]))
-        total = ext_add(tower, total, ext_neg(tower, term) if sign_neg else term)
-    return total
-
-
-def det_oracle(mat, fq: Fq) -> int:
-    """Determinant by permutation expansion; fine up to 4x4."""
-    m = [[int(x) for x in row] for row in mat]
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign_neg = _parity(perm)
-        term = 1
-        for i in range(n):
-            term = fq_poly_mul(fq, term, m[i][perm[i]])
-        total = fq_add(fq, total, fq_sub(fq, 0, term) if sign_neg else term)
-    return total
-
-
-def _parity(perm) -> bool:
-    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                     if perm[i] > perm[j])
-    return inversions % 2 == 1
 
 
 def subspaces_by_closure(b: int, a: int, p: int) -> int:
@@ -1042,7 +806,7 @@ def subspaces_materialized(b: int, p: int) -> dict[int, int]:
     return counts
 
 
-def surjective_tuples(N: int, r: int, q: int) -> int:
+def _surjective_tuples(N: int, r: int, q: int) -> int:
     """Number of N-tuples of vectors spanning all of F_q^r, by inclusion-exclusion."""
     total = 0
     for t in range(r + 1):
@@ -1055,7 +819,7 @@ def surjective_tuples(N: int, r: int, q: int) -> int:
 def p_rank_at_most(N: int, dim: int, r: int, q: int) -> Fraction:
     """P[rank <= r] for N iid uniform vectors of F_q^dim, exactly."""
     favorable = sum(
-        subspaces_by_echelon(dim, t, q) * surjective_tuples(N, t, q)
+        subspaces_by_echelon(dim, t, q) * _surjective_tuples(N, t, q)
         for t in range(min(r, dim) + 1)
     )
     return Fraction(favorable, q ** (dim * N))
@@ -1082,7 +846,7 @@ def micro_decode(response_row, secrets, tower: FieldTower):
         return ext_mul(tower, tuple(int(t) for t in x), tuple(int(t) for t in y))
 
     def esub(x, y):
-        return ext_sub(tower, tuple(int(t) for t in x), tuple(int(t) for t in y))
+        return _ext_sub(tower, tuple(int(t) for t in x), tuple(int(t) for t in y))
 
     # coefficient of the codeword layer from the information column
     coeff = emul(response_row[info_col], ext_inv(tower, tuple(int(t) for t in gen[info_col])))

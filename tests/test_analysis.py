@@ -279,6 +279,17 @@ def test_transfer_digits_frozen():
     assert transfer_digits(TIGHT_PARAMS) == (2, 96, 8)
 
 
+def test_rates_refuse_non_positive_file_counts_and_lengths():
+    """m < 1 or L < 1 raises BadArguments, where the digit counts would give rates such as -3/244 (L = -3)
+    and 1/2 (L = -128), above the 1/4 limit."""
+    for m, L in [(0, None), (-1, None), (None, 0), (None, -3), (None, -128), (0, 0)]:
+        with pytest.raises(BadArguments):
+            transfer_digits(DEFAULT_PARAMS, m=m, L=L)
+        with pytest.raises(BadArguments):
+            measured_rate(DEFAULT_PARAMS, m=m, L=L)
+    assert transfer_digits(DEFAULT_PARAMS, m=1, L=1) == (8, 256, 32)
+
+
 def test_measured_rate_values():
     assert measured_rate(DEFAULT_PARAMS) == Fraction(128, 2560)
     assert measured_rate(DEFAULT_PARAMS, L=2**14) == Fraction(64, 257)

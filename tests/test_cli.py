@@ -160,6 +160,14 @@ def test_bad_params_json_is_reported():
     assert err["error"]["type"] == "InvalidParams"
 
 
+def test_analyze_refuses_non_positive_file_rows():
+    """--file-rows 0 is a file length of 0, not the instance's L; it and negative lengths exit 1 with the JSON error."""
+    for rows in ("0", "-3"):
+        proc = run_cli("analyze", "--params", TIGHT, "--file-rows", rows, "--format", "json", expect=1)
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "BadArguments" and "L=" + rows in err["error"]["message"]
+
+
 def test_query_rejects_out_of_range_target(tmp_path):
     out = str(tmp_path / "q.hhwm")
     proc = run_cli("query", "--params", TIGHT, "--target", "7", "--out", out, expect=1)

@@ -29,7 +29,6 @@ from hhw_pir.linalg import ext_inv_matrix
 
 from . import oracles
 from .oracles import (
-    digit_fq_matmul,
     ext_add,
     ext_mul,
     ext_zero,
@@ -37,11 +36,11 @@ from .oracles import (
     fq_inv,
     fq_poly_mul,
     fq_sub,
-    int64_fq_matmul,
     int64_residue_matmul,
-    log_exp_tables,
     naive_rank_fq,
-    table_vmul,
+    product_blow_up,
+    product_matmul,
+    scalar_fq_matmul,
 )
 
 
@@ -201,23 +200,15 @@ def test_rabin_on_companion_matches_trial_division(p, e, max_degree):
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)],
                          ids=lambda v: str(v))
 def test_table_arithmetic_matches_polynomial_product(p, e):
-    """Fq.vmul and the reference table product on all pairs against the
-    digit-polynomial product, and exp[1] against the smallest element of
-    multiplicative order q - 1."""
+    """Fq.vmul on all pairs against the table of digit-polynomial products,
+    and against the product of their blow-ups on the replaced path."""
     fq = build_tower(p, e, 2).fq
     q = fq.q
     table = [[fq_poly_mul(fq, a, b) for b in range(q)] for a in range(q)]
     a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    assert fq.vmul(a, b).tolist() == table
-    assert table_vmul(fq, a, b).tolist() == table
-
-    def order(g):
-        n, x = 1, g
-        while x != 1:
-            n, x = n + 1, table[x][g]
-        return n
-
-    assert log_exp_tables(fq)[0][1] == next(g for g in range(1, q) if order(g) == q - 1)
+    got = fq.vmul(a, b)
+    assert got.tolist() == table
+    assert np.array_equal(got[..., None, None], product_matmul(a[..., None, None], b[..., None, None], fq))
 
 
 @pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (2, (1, 0, 1)), (3, (2, 0, 1))],
@@ -389,13 +380,7 @@ def test_fq_matmul_matches_scalar(rng):
     fq = Fq(2, 2, (1, 1, 1))
     a = fq.rand(rng, (4, 3))
     b = fq.rand(rng, (3, 5))
-    got = fq.matmul(a, b)
-    for i in range(4):
-        for j in range(5):
-            acc = 0
-            for t in range(3):
-                acc = fq_add(fq, acc, fq_poly_mul(fq, int(a[i, t]), int(b[t, j])))
-            assert got[i, j] == acc
+    assert np.array_equal(fq.matmul(a, b), scalar_fq_matmul(a, b, fq))
 
 
 def test_tower_matmul_matches_scalar(rng):
@@ -456,7 +441,8 @@ LOOKUP_SAMPLE = 4096
 
 @pytest.mark.parametrize("p,e,modulus", LOOKUP_FIELDS)
 def test_blow_up_table_matches_the_product_blow_up(p, e, modulus):
-    """Fq.blow_up, a lookup in Fq.regular_table, against the product of the digits with the structure tensor."""
+    """Fq.blow_up, a lookup in Fq.regular_table, against the product of the digits with the structure tensor,
+    and on a sample of 64 encodings b against the digits of x^i * b by the digit-polynomial product."""
     fq = _kernel_field(p, e) if modulus is None else Fq(p, e, modulus)
     if fq.q < 1 << 16:
         encodings = np.arange(fq.q)
@@ -464,9 +450,13 @@ def test_blow_up_table_matches_the_product_blow_up(p, e, modulus):
         encodings = np.concatenate([[0, 1, fq.q - 1], np.random.default_rng(fq.q).integers(0, fq.q, LOOKUP_SAMPLE)])
     got = fq.blow_up(encodings[:, None])
     assert got.dtype == np.int64
-    assert np.array_equal(got, oracles.product_blow_up(encodings[:, None], fq))
+    assert np.array_equal(got, product_blow_up(encodings[:, None], fq))
+    blocks = got.reshape(-1, e, e)
+    for n in range(0, len(encodings), max(len(encodings) // 64, 1)):
+        b = int(encodings[n])
+        assert blocks[n].tolist() == [[fq_poly_mul(fq, p**i, b) // p**d % p for d in range(e)] for i in range(e)], b
     stack = np.resize(encodings[::-1], (2, 3, 5))
-    assert np.array_equal(fq.blow_up(stack), oracles.product_blow_up(stack, fq))
+    assert np.array_equal(fq.blow_up(stack), product_blow_up(stack, fq))
     if e > 1:
         table = fq.regular_table
         assert table.shape == (fq.q, e, e) and table.dtype == fields.digit_dtype(p) and not table.flags.writeable
@@ -474,27 +464,33 @@ def test_blow_up_table_matches_the_product_blow_up(p, e, modulus):
 
 @pytest.mark.parametrize("e", [1, 2, 16])
 def test_xor_sums_match_the_digit_path(e, rng):
-    """Over F_(2^e), vadd and vsub are XOR of the encodings: the digitwise sums, without the round trip."""
+    """Over F_(2^e), vadd and vsub are XOR of the encodings: the digitwise sums, without the round trip,
+    and the scalar digitwise sums."""
     fq = _kernel_field(2, e)
     a, b = fq.rand(rng, (3, 40)), fq.rand(rng, (40,))
     for got, want in [(fq.vadd(a, b), oracles.digit_vadd(fq, a, b)), (fq.vsub(a, b), oracles.digit_vsub(fq, a, b)),
                       (fq.vsub(0, b), oracles.digit_vsub(fq, 0, b))]:
         assert got.dtype == np.int64 and np.array_equal(got, want)
+    for op, scalar in [(fq.vadd, fq_add), (fq.vsub, fq_sub)]:
+        assert op(a, b).tolist() == [[scalar(fq, int(x), int(y)) for x, y in zip(row, b)] for row in a]
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (65521, 1), (2, 2), (3, 2)])
 def test_encode_matches_the_weighted_product(p, e, rng):
-    """Fq._encode, a cast for e = 1, against the product of the digits with their weights, on int and float digits."""
+    """Fq._encode, a cast for e = 1, against the product of the digits with their weights, on int and float digits,
+    and against the integer sum of digit i times p^i."""
     fq = _kernel_field(p, e)
     digits = rng.integers(0, p, size=(4, 5, e))
     for arr in (digits, digits.astype(np.float32)):
         got = fq._encode(arr)
         assert got.dtype == np.int64 and np.array_equal(got, oracles.product_encode(fq, arr))
+        assert np.array_equal(got, (digits * p ** np.arange(e)).sum(axis=-1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251, 65521])
 def test_packed_rows_match_the_bytes_packer(p):
-    """_pack_rows against int.from_bytes for every row of 1 to 65 columns, stacks and empty shapes included."""
+    """_pack_rows against int.from_bytes for every row of 1 to 65 columns, stacks and empty shapes included,
+    and (7, cols) arrays against the sum of each field shifted to its place in the row."""
     rng = np.random.default_rng(p)
     for cols in range(66):
         w = fields._row_layout(p, cols)[1][0]
@@ -502,6 +498,10 @@ def test_packed_rows_match_the_bytes_packer(p):
             arr = rng.integers(0, p, size=shape)
             arr[..., :1] = p - 1  # a top field at its largest
             assert fields._pack_rows(arr, w) == oracles.bytes_pack_rows(arr, w), (cols, shape)
+            if shape == (7, cols):
+                top = -(-w * cols // 8) * 8  # the row's bits, padded at the bottom to whole bytes
+                assert fields._pack_rows(arr, w) == [sum(int(x) << top - w * (c + 1) for c, x in enumerate(row))
+                                                     for row in arr], cols
         transposed = rng.integers(0, p, size=(cols, 6)).T  # rows in C order whatever the memory order
         assert fields._pack_rows(transposed, w) == oracles.bytes_pack_rows(transposed, w)
 
@@ -519,13 +519,15 @@ def _kernel_field(p, e):
 
 @pytest.mark.parametrize("p,e", KERNEL_FIELDS)
 def test_fq_matmul_matches_int64_kernel_on_stacks(p, e, rng):
+    """Stacks against the int64 product on the replaced blow-up, and every matrix against the scalar loops."""
     fq = _kernel_field(p, e)
     a = fq.rand(rng, (2, 3, 5, 7))
     b = fq.rand(rng, (3, 7, 4))  # one right factor per matrix of a's last stack axis
     got = fq.matmul(a, b)
     assert got.dtype == np.int64 and got.shape == (2, 3, 5, 4)
-    assert np.array_equal(got, int64_fq_matmul(a, b, fq))
-    assert np.array_equal(got[1, 2], digit_fq_matmul(a[1, 2], b[2], fq))
+    assert np.array_equal(got, product_matmul(a, b, fq))
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(got[i, j], scalar_fq_matmul(a[i, j], b[j], fq))
 
 
 @pytest.mark.parametrize("p,e", KERNEL_FIELDS)
@@ -542,8 +544,8 @@ def test_chunked_products_at_the_exactness_edge(p, e, rng, monkeypatch):
     top_a, top_b = np.full((2, 4, 11), fq.q - 1), np.full((11, 3), fq.q - 1)
     a, b = fq.rand(rng, (2, 4, 11)), fq.rand(rng, (2, 11, 3))
     for x, y in [(top_a, top_b), (a, b)]:
-        assert np.array_equal(fq.matmul(x, y), int64_fq_matmul(x, y, fq))
-    assert np.array_equal(fq.matmul(top_a, top_b)[1], digit_fq_matmul(top_a[1], top_b, fq))
+        assert np.array_equal(fq.matmul(x, y), product_matmul(x, y, fq))
+    assert np.array_equal(fq.matmul(top_a, top_b)[1], scalar_fq_matmul(top_a[1], top_b, fq))
 
 
 # the primes of KERNEL_FIELDS with a float32 product for some inner length: (p-1)^2 + p <= 2^22
@@ -581,7 +583,7 @@ FLOAT32_EDGE_FIELDS = [(p, e) for p, e in KERNEL_FIELDS if p in FLOAT32_PRIMES a
 @pytest.mark.parametrize("p,e", FLOAT32_EDGE_FIELDS)
 def test_fq_matmul_across_the_float32_edge(p, e, rng, monkeypatch):
     """F_q products whose F_p inner axis (t digits of e) ends at the float32
-    edge and just past it, on top and random entries, against the int64 kernel."""
+    edge and just past it, on top and random entries, against the int64 product on the replaced blow-up."""
     fq = _kernel_field(p, e)
     dtypes = []
 
@@ -597,7 +599,7 @@ def test_fq_matmul_across_the_float32_edge(p, e, rng, monkeypatch):
         b = np.concatenate([np.full((length, 1), fq.q - 1), fq.rand(rng, (length, 1))], axis=1)
         got = fq.matmul(a, b)
         assert dtypes[-1] == dtype
-        assert np.array_equal(got, int64_fq_matmul(a, b, fq))
+        assert np.array_equal(got, product_matmul(a, b, fq))
 
 
 @pytest.mark.parametrize("p", FLOAT32_PRIMES)

@@ -28,26 +28,19 @@ from hhw_pir.linalg import (
 )
 
 from .oracles import (
-    det_ext_oracle,
-    digit_fq_matmul,
-    digit_matmul,
-    digit_scalar_matmul,
+    chain_deletion_ranks,
     embed_subfield,
-    ext_add,
-    ext_mul,
-    ext_zero,
     fq_echelon_stack,
+    fq_poly_mul,
     loop_echelon,
     naive_rank_fq,
-    rank_ext_oracle,
+    product_blow_up,
+    product_matmul,
     scalar_ext_inv,
     scalar_ext_matmul,
     scalar_is_information_set,
     scalar_rank_ext,
     subfield_rank_oracle,
-    table_echelon,
-    table_inv_matrix,
-    table_vmul,
     two_step_blow_up,
     two_step_ext_inv,
     two_step_ext_rank,
@@ -85,13 +78,7 @@ def test_ext_matrix_add_sub_matmul_scalar_check(rng):
     b = tower.rand(rng, (2, 3))
     c = tower.rand(rng, (3, 2))
     assert np.array_equal(fq.vsub(fq.vadd(a, b), b), a)
-    prod = tower.matmul(a, c)
-    for i in range(2):
-        for j in range(2):
-            acc = ext_zero(tower)
-            for t in range(3):
-                acc = ext_add(tower, acc, ext_mul(tower, tuple(a[i, t]), tuple(c[t, j])))
-            assert tuple(prod[i, j]) == acc
+    assert np.array_equal(tower.matmul(a, c), scalar_ext_matmul(a, c, tower))
     with pytest.raises(ValueError):
         tower.matmul(a, b)
 
@@ -279,9 +266,39 @@ def test_wide_packed_rows_match_the_numpy_loop(p, cols):
             assert np.array_equal(fq_inv_matrix(M, fp), want[:, n:])
 
 
+def _check_on_the_blow_up(arr, fq, naive: bool) -> bool:
+    """fq_rank and fq_inv_matrix of an F_q matrix against loop_echelon on its product blow-up over F_p.
+
+    The blow-up is an injective ring homomorphism: its F_p rank is e times
+    the rank, and the blow-up of the inverse is the right half of the
+    reduced [B | I], B the blow-up.  An inverse must also give M @ M^-1 = I,
+    and with ``naive`` the rank must be naive_rank_fq's.  True when arr is
+    square and singular.
+    """
+    big = product_blow_up(arr, fq)
+    rank = fq_rank(arr, fq)
+    assert rank == len(loop_echelon(big, fq.fp)[1]) // fq.e
+    if naive:
+        assert rank == naive_rank_fq(arr, fq)
+    rows, cols = arr.shape
+    if rows != cols:
+        return False
+    n = rows * fq.e
+    R, pivots = loop_echelon(np.hstack([big, np.eye(n, dtype=np.int64)]), fq.fp, reduced=True)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError):
+            fq_inv_matrix(arr, fq)
+        return True
+    inv = fq_inv_matrix(arr, fq)
+    assert np.array_equal(product_blow_up(inv, fq), R[:, n:])
+    assert np.array_equal(fq.matmul(arr, inv), np.eye(rows, dtype=np.int64))
+    return False
+
+
 @pytest.mark.parametrize("fq", [build_tower(2, e, 2).fq for e in (2, 3, 4)], ids=lambda f: f"q{f.q}")
 def test_gf2_blow_ups_match_table_arithmetic(fq):
-    """fq_rank and fq_inv_matrix over F_4, F_8 and F_16 on blow-ups up to 96 bits wide, against the tables."""
+    """fq_rank and fq_inv_matrix over F_4, F_8 and F_16 on blow-ups up to 96 bits wide,
+    against loop_echelon on the product blow-up and naive_rank_fq."""
     rng = np.random.default_rng(0xB10 + fq.q)
     singular = 0
     for t in range(60):
@@ -289,16 +306,7 @@ def test_gf2_blow_ups_match_table_arithmetic(fq):
         arr = _hard_fq_matrix(fq, rng, t % 6) if t % 3 == 0 else fq.rand(rng, (n, n))
         if t % 3 == 1:
             arr[int(rng.integers(0, n))] = arr[int(rng.integers(0, n))]
-        assert fq_rank(arr, fq) == _table_rank(arr, fq)
-        if arr.shape[0] == arr.shape[1]:
-            try:
-                expected = table_inv_matrix(arr, fq)
-            except ValueError:
-                singular += 1
-                with pytest.raises(ValueError):
-                    fq_inv_matrix(arr, fq)
-            else:
-                assert np.array_equal(fq_inv_matrix(arr, fq), expected)
+        singular += _check_on_the_blow_up(arr, fq, naive=True)
     assert singular >= 10
 
 
@@ -484,7 +492,7 @@ def test_ranks_match_oracles(tower, rng):
         data = tower.rand(rng, (rows, cols))
         m = ExtMatrix(tower, data)
         assert rank_fq(m) == subfield_rank_oracle(data, tower.fq)
-        assert rank_ext(m) == ext_rank(data, tower) == rank_ext_oracle(data, tower)
+        assert rank_ext(m) == ext_rank(data, tower) == scalar_rank_ext(data.tolist(), tower)
 
 
 def test_rank_empty_matrices():
@@ -498,7 +506,7 @@ def test_ext_rank_of_a_stack(rng):
         stack = tower.rand(rng, (7, 3, 4))
         stack[2, 1] = stack[2, 0]
         stack[5] = 0
-        assert ext_rank(stack, tower).tolist() == [rank_ext_oracle(m, tower) for m in stack]
+        assert ext_rank(stack, tower).tolist() == [scalar_rank_ext(m.tolist(), tower) for m in stack]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -576,11 +584,12 @@ def _random_full_rank(tower, k, n, rng):
 
 
 def test_is_information_set_matches_determinant(rng):
+    """Every pair of columns is an information set exactly when its 2 x 2 block is nonsingular, by scalar ranks."""
     tower = TOWERS[1]
     gen = _random_full_rank(tower, 2, 4, rng)
     for cols in itertools.combinations(range(4), 2):
-        det = det_ext_oracle(gen[:, list(cols)], tower)
-        assert is_information_set(gen, np.array(cols), tower) == (det != ext_zero(tower))
+        nonsingular = scalar_rank_ext(gen[:, list(cols)].tolist(), tower) == 2
+        assert is_information_set(gen, np.array(cols), tower) == nonsingular
 
 
 def test_is_information_set_edge_cases(rng):
@@ -758,7 +767,7 @@ def test_one_structure_tensor_matches_the_two_step_blow_up(tower):
     assert singular >= TWO_STEP_STACKS // 4
 
 
-# -- differential tests against the log/exp table elimination over F_q --------------
+# -- differential tests on the F_p blow-ups of proper subfields ---------------------
 
 # q = 4, 8, 9, 16, 25, 27: every proper subfield the F_p blow-ups must handle
 TABLE_FIELDS = [build_tower(p, e, 2).fq for p, e in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]]
@@ -784,38 +793,32 @@ def _hard_fq_matrix(fq, rng, kind: int) -> np.ndarray:
     return fq.matmul(fq.rand(rng, (n, n - 1)), fq.rand(rng, (n - 1, n)))
 
 
-def _table_rank(arr, fq) -> int:
-    return len(table_echelon(arr, fq)[1])
-
-
 @pytest.mark.parametrize("fq", TABLE_FIELDS, ids=lambda f: f"q{f.q}")
 def test_blow_up_routing_matches_table_arithmetic(fq):
-    """fq_rank, fq_inv_matrix, Fq.vmul and fq_deletion_ranks against the log/exp path."""
+    """fq_rank and fq_inv_matrix against loop_echelon on the product blow-up, Fq.vmul against the table of
+    digit-polynomial products, and fq_deletion_ranks against the numpy chains; a seeded 120 of the
+    matrices, 20 of each kind, also against naive_rank_fq, deletions included."""
     rng = np.random.default_rng(0x7AB1E + fq.q)
+    products = np.array([[fq_poly_mul(fq, a, b) for b in range(fq.q)] for a in range(fq.q)])
     singular = 0
     for t in range(DIFF_MATRICES):
         arr = _hard_fq_matrix(fq, rng, t % 6)
         rows = len(arr)
-        assert fq_rank(arr, fq) == _table_rank(arr, fq)
-        if arr.shape == (rows, rows):
-            try:
-                expected = table_inv_matrix(arr, fq)
-            except ValueError:
-                singular += 1
-                with pytest.raises(ValueError):
-                    fq_inv_matrix(arr, fq)
-            else:
-                assert np.array_equal(fq_inv_matrix(arr, fq), expected)
+        naive = t % 50 < 6
+        singular += _check_on_the_blow_up(arr, fq, naive)
         other = fq.rand(rng, arr.shape)
-        assert np.array_equal(fq.vmul(arr, other), table_vmul(fq, arr, other))
-        assert np.array_equal(fq.vmul(arr[:1], other), table_vmul(fq, arr[:1], other))  # broadcast
+        assert np.array_equal(fq.vmul(arr, other), products[arr, other])
+        assert np.array_equal(fq.vmul(arr[:1], other), products[arr[:1], other])  # broadcast
         block = int(rng.choice([d for d in range(1, rows + 1) if rows % d == 0]))
-        deleted = [_table_rank(np.delete(arr, slice(lo, lo + block), axis=0), fq) for lo in range(0, rows, block)]
-        assert fq_deletion_ranks(arr, block, fq) == deleted
+        ranks = fq_deletion_ranks(arr, block, fq)
+        assert ranks == chain_deletion_ranks(arr, block, fq)
+        if naive:
+            deleted = [np.delete(arr, slice(lo, lo + block), axis=0) for lo in range(0, rows, block)]
+            assert ranks == [naive_rank_fq(matrix, fq) for matrix in deleted]
     assert singular >= DIFF_MATRICES // 6
 
 
-# -- differential tests against the digit contraction and the scalar loops --------
+# -- differential tests against the replaced products and the scalar loops --------
 
 # the retrieval workload's database (L x m*delta) times its query (m*delta x n)
 RESPOND_SHAPE = (512, 60, 6)
@@ -848,11 +851,13 @@ def _product_operands(tower, rng, t: int):
 
 @pytest.mark.parametrize("tower", DIFF_TOWERS, ids=lambda t: f"q{t.q}s{t.s}")
 def test_products_match_digit_contraction_and_scalar_loops(tower):
-    """Fq.matmul, FieldTower.matmul and scalar_matmul against both references.
+    """Fq.matmul, FieldTower.matmul and scalar_matmul against the paths they replaced and the scalar loops.
 
-    The digit contraction checks every product in full; the ext_mul/ext_add
-    loops check every entry of the small products and two rows of the
-    respond-shaped ones.  Subfield operands enter the loops embedded as
+    The replaced paths check every product in full: the two-step route by
+    the power table for the tower's products, and the int64 product on the
+    product blow-up for F_q's.  The ext_mul/ext_add loops check every entry
+    of the small products and two rows of the respond-shaped ones.
+    Subfield operands enter the two-step route and the loops embedded as
     (x, 0, ..., 0).
     """
     rng = np.random.default_rng(0x9D0D + tower.order)
@@ -861,9 +866,9 @@ def test_products_match_digit_contraction_and_scalar_loops(tower):
         a, b, x, y = _product_operands(tower, rng, t)
         products = tower.matmul(a, b), tower.scalar_matmul(x, b), fq.matmul(x, y)
         assert products[0].shape == (len(a), b.shape[1], tower.s)
-        assert np.array_equal(products[0], digit_matmul(a, b, tower))
-        assert np.array_equal(products[1], digit_scalar_matmul(x, b, tower))
-        assert np.array_equal(products[2], digit_fq_matmul(x, y, fq))
+        assert np.array_equal(products[0], two_step_matmul(a, b, tower))
+        assert np.array_equal(products[1], two_step_matmul(embed_subfield(x, tower), b, tower))
+        assert np.array_equal(products[2], product_matmul(x, y, fq))
         rows = np.arange(len(a)) if len(a) <= 4 else rng.choice(len(a), 2, replace=False)
         assert np.array_equal(products[0][rows], scalar_ext_matmul(a[rows], b, tower))
         assert np.array_equal(products[1][rows], scalar_ext_matmul(embed_subfield(x[rows], tower), b, tower))

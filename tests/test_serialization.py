@@ -158,7 +158,8 @@ SPLIT_FIELDS = [(2, 2, 3), (3, 1, 4), (3, 1, 10), (65521, 1, 1), (2, 8, 4), (3, 
 
 @pytest.mark.parametrize("p,e,s", SPLIT_FIELDS)
 def test_load_matrix_matches_the_division_split(p, e, s):
-    """load_matrix splits element values through digit tables as s rounds of % and // by q do."""
+    """load_matrix splits element values through digit tables as s rounds of % and // by q do,
+    and the edge values as Python integers do."""
     q, limit = p**e, p ** (e * s)
     rng = np.random.default_rng([p, e, s])
     edges = [value for value in (0, 1, q - 1, q, limit - 1) if value < limit]
@@ -169,6 +170,7 @@ def test_load_matrix_matches_the_division_split(p, e, s):
     found = load_matrix(io.BytesIO(_header(p=p, e=e, s=s, rows=len(values), cols=1) + payload))
     assert found.data.dtype == np.int64
     assert np.array_equal(found.data.reshape(-1, s), oracles.division_coordinates(values, q, s))
+    assert found.data.reshape(-1, s)[: len(edges)].tolist() == [[v // q**j % q for j in range(s)] for v in edges]
 
 
 def test_matrix_round_trip_on_disk(tmp_path, rng):
@@ -183,6 +185,7 @@ def test_matrix_round_trip_on_disk(tmp_path, rng):
 
 
 def test_save_matrix_rejects_bad_input():
+    """Bad shapes, float and bool arrays (refused, not truncated), -1 and q in every integer dtype, and orders past 2^63."""
     buf = io.BytesIO()
     with pytest.raises(MatrixFileError, match="shape"):
         save_matrix(buf, np.zeros((2, 2), dtype=np.int64), 2, 1, 2)
@@ -192,6 +195,19 @@ def test_save_matrix_rejects_bad_input():
         save_matrix(buf, np.full((1, 1, 2), 2, dtype=np.int64), 2, 1, 2)
     with pytest.raises(MatrixFileError, match=r"\[0, 4\)"):
         save_matrix(buf, np.full((1, 1, 2), -1, dtype=np.int64), 2, 2, 2)
+    for bad in (np.full((1, 1, 1), 1.5), np.full((1, 1, 1), 1.0), np.array([[[True]]])):
+        with pytest.raises(MatrixFileError, match="integer array"):
+            save_matrix(buf, bad, 2, 1, 1)
+    for dtype in (np.int8, np.int16, np.int64, np.uint8, np.uint64):
+        for value in (-1, 3) if np.issubdtype(dtype, np.signedinteger) else (3,):
+            with pytest.raises(MatrixFileError, match=r"\[0, 3\)"):
+                save_matrix(buf, np.full((2, 1, 2), value, dtype=dtype), 3, 1, 2)
+        written = io.BytesIO()
+        save_matrix(written, np.full((2, 1, 2), 2, dtype=dtype), 3, 1, 2)
+        written.seek(0)
+        assert load_matrix(written).data.tolist() == [[[2, 2]], [[2, 2]]]
+    with pytest.raises(MatrixFileError, match="does not fit"):
+        save_matrix(buf, np.zeros((1, 1, 1), dtype=np.uint64), 2, 64, 1)
 
 
 # -- load-side rejection catalog ---------------------------------------------------------

@@ -13,6 +13,10 @@ class FieldTooLarge(ValueError):
     """The requested field exceeds the desk-scale sizes this package supports."""
 
 
+class ModulusSearchExhausted(FieldTooLarge):
+    """The search for a field modulus spent its work budget without finding one."""
+
+
 class ReducibleModulus(ValueError):
     """A field modulus factors, so its quotient ring is not a field."""
 

@@ -6,8 +6,11 @@ the power basis of the base modulus.  An element of the top field F_q^s
 is s such encodings, its coordinates in the power basis of the top
 modulus, held on the last axis of a coordinate array.  Both moduli are
 the lexicographically smallest monic irreducible polynomials of the
-required degrees, found by exhaustive search in coefficient order, so a
-tower is fully determined by (p, e, s).
+required degrees, found by a search in coefficient order that skips
+provably reducible candidates and tests the rest in stacks; it refuses
+with ModulusSearchExhausted once a fixed budget of F_p work is spent, so
+it finishes or refuses in bounded time.  A tower is fully determined by
+(p, e, s), and build_tower builds each one once per process.
 
 Both extension steps are built by one construction: the powers of the
 companion matrix C of the step's monic modulus, the matrix of y -> x*y
@@ -15,9 +18,10 @@ modulo it, so that row i of C^j holds the coordinates of x^(i+j).  Over
 F_p, C^0..C^(e-1) is the structure tensor of F_q (Fq.mul_tensor); the
 F_p blow-ups of C^0..C^(s-1) over F_q, times those of the powers of the
 generator of F_q, give the structure tensor of F_q^s over F_p
-(FieldTower.mul_tensor).  The irreducibility test of a candidate modulus
-(Rabin's test on its C) is a chain of matrix powers as well, so no
-polynomial arithmetic is left.
+(FieldTower.mul_tensor).  The irreducibility test of candidate moduli
+(Rabin's test on their C, _rabin) is a chain of matrix powers as well,
+run on a stack of candidates at once, so no polynomial arithmetic is
+left.
 
 Bulk arithmetic runs on one product kernel, residue_matmul, a matrix
 product mod p of residue arrays against an F_p regular representation,
@@ -57,6 +61,7 @@ entry outside [0, q), which a packed field would wrap.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -70,6 +75,7 @@ from .errors import (
     DegreeTooSmall,
     DimensionMismatch,
     FieldTooLarge,
+    ModulusSearchExhausted,
     NotPrime,
     ReducibleModulus,
     SamplingExhausted,
@@ -82,6 +88,12 @@ from .errors import (
 MAX_SUBFIELD_ORDER = 1 << 16
 # Guideline cap on the top field order.
 MAX_TOWER_ORDER = 1 << 64
+# The modulus search (smallest_irreducible) tests chunks of consecutive
+# candidates, doubling from 1 to _SEARCH_CHUNK, and starts no chunk once
+# its Rabin tests have spent MODULUS_SEARCH_BUDGET F_p multiply-adds: a
+# deterministic count of work, never wall time.
+_SEARCH_CHUNK = 256
+MODULUS_SEARCH_BUDGET = 1 << 34
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -226,11 +238,14 @@ class Fq:
             raise ValueError("modulus must be monic of degree e")
         # the prime field, over which every elimination and Rabin's test compute
         self.fp = self if self.e == 1 else Fq(self.p, 1, (0, 1))
-        if self.e > 1 and not _is_irreducible(self.fp, self.modulus):
+        if self.e > 1 and not _rabin(self.fp, [self.modulus[: self.e]])[0][0]:
             raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{self.p}")
         # structure tensor over F_p: (x*y)_d = sum_{a,b} x_a y_b T[a,b,d], T[a] = C^a
         self.mul_tensor = companion_powers(self.fp, self.modulus, self.e)
         self._weights = self.p ** np.arange(self.e, dtype=np.float64)  # digit i weighs p^i
+        # a context is shared (build_tower memoises towers), so its arrays are read-only
+        self.mul_tensor.setflags(write=False)
+        self._weights.setflags(write=False)
 
     # -- vectorised arithmetic on encoding arrays -----------------------------
 
@@ -354,12 +369,21 @@ def companion_powers(fq: Fq, modulus, count: int) -> np.ndarray:
     coordinates of x^(i+j).
     """
     d = len(modulus) - 1
-    C = np.eye(d, k=1, dtype=np.int64)
-    C[-1] = fq.vsub(0, np.asarray(modulus[:d], dtype=np.int64))
+    C = _companion(fq, modulus[:d])
     powers = [np.eye(d, dtype=np.int64), C]
     while len(powers) < count:
         powers.append(fq.matmul(powers[-1], C))
     return np.array(powers[:count])
+
+
+def _companion(fq: Fq, coeffs) -> np.ndarray:
+    """The (..., d, d) companion matrices over fq of the monic polynomials with non-leading coefficients (..., d)."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    d = coeffs.shape[-1]
+    C = np.zeros(coeffs.shape + (d,), dtype=np.int64)
+    C[..., :-1, 1:] = np.eye(d - 1, dtype=np.int64)
+    C[..., -1, :] = fq.vsub(0, coeffs)
+    return C
 
 
 def _matpow(a: np.ndarray, n: int, matmul) -> np.ndarray:
@@ -673,50 +697,98 @@ def fq_inv_matrix(arr: np.ndarray, fq: Fq) -> np.ndarray:
     return fq.from_digits(R[:: fq.e, size:].reshape(n, n, fq.e))
 
 
-def _is_irreducible(fq: Fq, poly: list[int]) -> bool:
-    """Rabin's test for a monic polynomial of degree d >= 1 over fq, on its companion matrix C.
+def _rabin(fq: Fq, coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rabin's test on a stack of monic polynomials of degree d >= 1 over fq, on their companion matrices.
 
-    C^n is the matrix of multiplication by x^n modulo poly, so C^n - C has
-    rank d minus the degree of gcd(x^n - x, poly).  poly is irreducible iff
+    ``coeffs`` holds the (N, d) non-leading coefficients of N candidates,
+    constant term first.  For one candidate f with companion matrix C, C^n
+    is the matrix of multiplication by x^n modulo f, so C^n - C has rank d
+    minus the degree of gcd(x^n - x, f), and f is irreducible iff
     C^(q^d) = C and C^(q^(d/r)) - C has rank d for every prime r | d.  The
-    q-th powers run along one chain C, C^q, C^(q^2), ... on the blow-up of
-    C over F_p, where a product is one residue_matmul and the rank is e
-    times the rank over F_q; each rank is checked as the chain reaches it,
-    so most reducible candidates stop early.
+    q-th powers of all N candidates run along one stacked chain C, C^q,
+    C^(q^2), ... on the blow-ups of the C over F_p, where a product is one
+    residue_matmul and the rank is e times the rank over F_q; each rank
+    check drops the candidates it refutes, so most reducible ones stop
+    early.  Returns the verdict of every candidate and the work the chain
+    spent, in F_p multiply-adds: size^3 per candidate and product of
+    size x size blow-ups, size = d*e.
     """
-    d, e = len(poly) - 1, fq.e
-    if d == 1:
-        return True
-    C = companion_powers(fq, poly, 2)[1]
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    count, d = coeffs.shape
+    size = d * fq.e
+    products = fq.q.bit_length() + bin(fq.q).count("1") - 2  # of one q-th power (_matpow)
     checks = {d // r for r in _prime_factors(d)}
-    power = big = fq.blow_up(C)
+    live = np.arange(count)
+    power = big = fq.blow_up(_companion(fq, coeffs))
+    work = 0
     for k in range(1, d + 1):
-        power = _matpow(power, fq.q, fq.fp.matmul)  # the blow-up of C^(q^k)
-        if k in checks and fq_rank((power - big) % fq.p, fq.fp) < d * e:
-            return False
-    return bool(np.array_equal(power, big))
+        power = _matpow(power, fq.q, fq.fp.matmul)  # the blow-ups of C^(q^k)
+        work += len(live) * products * size**3
+        if k in checks:
+            full = fq_rank((power - big) % fq.p, fq.fp) == size
+            live, power, big = live[full], power[full], big[full]
+            if not len(live):
+                break
+    verdict = np.zeros(count, dtype=bool)
+    verdict[live] = (power == big).all(axis=(-2, -1))
+    return verdict, work
+
+
+def _candidates(fq: Fq, degree: int):
+    """The non-leading coefficients (constant term first) of every monic candidate of a degree >= 2
+    over fq that is not provably reducible, one row at a time in enumeration order.
+
+    Candidates are enumerated by the integer value of their non-leading
+    coefficient vector in base q (constant term least significant), in
+    uint64 blocks of _SEARCH_CHUNK values.  Two kinds are provably
+    reducible and skipped: one with zero derivative (p divides every
+    exponent with a nonzero coefficient) is a p-th power over the perfect
+    field fq, and one with zero constant term is divisible by x.
+    """
+    p, q, total = fq.p, fq.q, fq.q**degree
+    weights = np.uint64(q) ** np.arange(degree, dtype=np.uint64)  # of the coefficients in a value
+    unshared = [i for i in range(degree) if i % p]  # exponents of which p is no factor
+    for start in range(0, total, _SEARCH_CHUNK):
+        values = np.arange(min(_SEARCH_CHUNK, total - start), dtype=np.uint64) + np.uint64(start)
+        coeffs = (values[:, None] // weights % np.uint64(q)).astype(np.int64)
+        testable = coeffs[:, 0] != 0
+        if degree % p == 0:
+            testable &= coeffs[:, unshared].any(axis=1)
+        yield from coeffs[testable]
 
 
 def smallest_irreducible(fq: Fq, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of the given degree over fq.
 
-    Candidates are enumerated by the integer value of their non-leading
-    coefficient vector in base q (constant term least significant), so the
-    result is deterministic for a given field.  A candidate with zero
-    derivative (p divides every exponent with a nonzero coefficient) is a
-    p-th power over the perfect field fq, hence reducible, and is skipped
-    without a test.
+    The candidates that are not provably reducible (_candidates) are
+    tested in chunks of consecutive ones by one stacked Rabin test
+    (_rabin) each, so the result is deterministic for a given field: the
+    first survivor of the first chunk with one.  Chunks double from 1 to
+    _SEARCH_CHUNK candidates, so a modulus found within a few candidates
+    costs no batch.  A chunk starts only while the work of the tests so
+    far stays below MODULUS_SEARCH_BUDGET; past it ModulusSearchExhausted
+    (a FieldTooLarge) is raised, so the search finishes or refuses in
+    bounded time.  Values are enumerated in uint64, so q^degree above
+    MAX_TOWER_ORDER raises FieldTooLarge.
     """
     if degree < 1:
         raise DegreeTooSmall("irreducible polynomials need degree >= 1")
-    p = fq.p
-    for value in range(fq.q**degree):
-        coeffs = [(value // fq.q**i) % fq.q for i in range(degree)] + [1]
-        if degree % p == 0 and not any(coeffs[i] for i in range(degree) if i % p):
-            continue
-        if _is_irreducible(fq, coeffs):
-            return tuple(coeffs)
-    raise RuntimeError("no irreducible polynomial found; field context is broken")
+    if fq.q**degree > MAX_TOWER_ORDER:
+        raise FieldTooLarge(f"{fq.q}^{degree} exceeds the desk-scale cap of 2^64")
+    if degree == 1:
+        return (0, 1)  # x, the first candidate, is irreducible
+    candidates = _candidates(fq, degree)
+    size, spent = 1, 0
+    while spent < MODULUS_SEARCH_BUDGET and (chunk := list(itertools.islice(candidates, size))):
+        verdict, work = _rabin(fq, chunk)
+        spent += work
+        if verdict.any():
+            return tuple(chunk[verdict.argmax()].tolist()) + (1,)
+        size = min(2 * size, _SEARCH_CHUNK)
+    raise ModulusSearchExhausted(
+        f"no monic irreducible of degree {degree} over F_({fq.p}^{fq.e}) within the search budget of"
+        f" {MODULUS_SEARCH_BUDGET} F_p multiply-adds ({spent} spent): F_({fq.p}^{fq.e})^{degree} is out of reach"
+    )
 
 
 class FieldTower:
@@ -813,12 +885,18 @@ class FieldTower:
         return self.fq.matmul(x, b.reshape(t, c * s)).reshape(len(x), c, s)
 
 
+@functools.lru_cache(maxsize=None)
 def build_tower(p: int, e: int, s: int) -> FieldTower:
-    """Construct the canonical tower for (p, e, s).
+    """The canonical tower for (p, e, s), built once per process.
 
-    Raises NotPrime for composite p, DegreeTooSmall for e < 1 or s < 2 and
-    FieldTooLarge beyond desk-scale orders.  The moduli are found by
-    exhaustive search, so equal inputs always yield identical towers.
+    Raises NotPrime for composite p, DegreeTooSmall for e < 1 or s < 2,
+    FieldTooLarge beyond desk-scale orders, and ModulusSearchExhausted (a
+    FieldTooLarge) when a modulus lies past the search budget.  The moduli
+    are the first irreducibles in a fixed enumeration (smallest_irreducible),
+    so equal inputs always yield identical towers.  A tower is memoised on
+    its (p, e, s): a tower that validates is built on the first call and
+    every later call returns the same object, which is immutable (its
+    arrays are read-only); build_tower.cache_clear() drops them.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")

@@ -16,7 +16,7 @@ Each element is the integer sum(coord_j * (p^e)^j) of its s subfield
 coordinates, stored in ceil(bitlen(p^(e*s) - 1) / 8) little-endian bytes.
 Readers reject anything malformed: wrong magic or version, composite p,
 zero dimensions, payload length mismatches, or element values outside
-[0, p^(e*s)).
+[0, p^(e*s)).  Writers refuse every field a reader would reject.
 
 Secrets travel separately as JSON so the public query file never contains
 them; the attack surface takes only the binary query.
@@ -100,15 +100,29 @@ def _readable(src: PathOrFile):
     return open(src, "rb"), True
 
 
+def _supported_field(p: int, e: int, s: int) -> None:
+    """MatrixFileError unless p is prime, e, s >= 1, p^(e*s) <= 2^64 and p^e fits int64 coordinates."""
+    if not is_prime(p):
+        raise MatrixFileError(f"characteristic {p} is not prime")
+    if e < 1 or s < 1:
+        raise MatrixFileError(f"degrees must be positive, got e={e}, s={s}")
+    # p >= 2: bound e*s first, so huge degrees never build a huge power
+    if e * s > 64 or p ** (e * s) > 1 << 64:
+        raise MatrixFileError(f"field order p^(e*s) = {p}^{e * s} exceeds the supported 2^64")
+    if p**e > 1 << 63:
+        raise MatrixFileError(f"subfield order {p}^{e} does not fit int64 coordinates")
+
+
 def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> None:
     """Write coordinates of shape (rows, cols, s), or (rows, cols) when
     s == 1, to the binary container.
 
-    The coordinates must be an integer array with entries in [0, p^e),
-    p^e at most 2^63 as load_matrix requires; anything else raises
-    MatrixFileError.  The range check is one maximum over the entries
-    read as uint64, where a negative entry wraps to 2^63 or more.
+    The field must be one load_matrix accepts (_supported_field) and the
+    coordinates an integer array with entries in [0, p^e); anything else
+    raises MatrixFileError.  The range check is one maximum over the
+    entries read as uint64, where a negative entry wraps to 2^63 or more.
     """
+    _supported_field(p, e, s)
     arr = np.asarray(array)
     if arr.dtype.kind not in "iu":
         raise MatrixFileError(f"coordinates must be an integer array, got dtype {arr.dtype}")
@@ -119,8 +133,6 @@ def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> 
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise MatrixFileError("refusing to write a matrix with a zero dimension")
     q = p**e
-    if q > 1 << 63:
-        raise MatrixFileError(f"subfield order {p}^{e} does not fit int64 coordinates")
     coords = arr.reshape(-1, s).astype(np.uint64)
     if coords.size and coords.max() >= q:
         raise MatrixFileError(f"coordinates must lie in [0, {q})")
@@ -184,17 +196,9 @@ def load_matrix(src: PathOrFile) -> MatrixFileData:
         raise MatrixFileError(f"bad magic {magic!r}")
     if version != MATRIX_VERSION:
         raise MatrixFileError(f"unsupported format version {version}")
-    if not is_prime(p):
-        raise MatrixFileError(f"header characteristic {p} is not prime")
-    if e < 1 or s < 1:
-        raise MatrixFileError(f"degrees must be positive, got e={e}, s={s}")
+    _supported_field(p, e, s)
     if rows < 1 or cols < 1:
         raise MatrixFileError(f"dimensions must be positive, got {rows}x{cols}")
-    # p >= 2: bound e*s first, so huge header degrees never build a huge power
-    if e * s > 64 or p ** (e * s) > 1 << 64:
-        raise MatrixFileError(f"field order p^(e*s) = {p}^{e * s} exceeds the supported 2^64")
-    if p**e > 1 << 63:
-        raise MatrixFileError(f"subfield order {p}^{e} does not fit int64 coordinates")
 
     width = bytes_per_element(p, e, s)
     expected = rows * cols * width

@@ -37,6 +37,10 @@ kernel: independent reference; replaced path (what it shares)
   (solve_on_columns, FieldTower.matmul, Fq.matmul, Fq.vsub, fq_inv_matrix).
 - scheme.respond: scalar_respond; concatenated_respond (_encodings,
   FieldTower.scalar_matmul).
+- fields.smallest_irreducible and its stacked Rabin test _rabin:
+  trial division (tests/test_fields.py) and FROZEN_MODULI;
+  scalar_smallest_irreducible, Rabin's test on one candidate at a time
+  (companion_powers, _matpow, Fq.blow_up, Fq.matmul and fq_rank).
 - Fq.blow_up, Fq._encode, Fq.vadd/vsub, fields._pack_rows and the
   coordinates of serialization.load_matrix: fq_poly_mul, fq_add/fq_sub
   and plain integer arithmetic in the tests; product_blow_up,
@@ -59,7 +63,17 @@ from fractions import Fraction
 import numpy as np
 
 from hhw_pir.errors import DecodeFailure, DimensionMismatch, RankDeficientGenerator
-from hhw_pir.fields import FieldTower, Fq, _encodings, companion_powers, fq_inv_matrix, fq_rank, residue_matmul
+from hhw_pir.fields import (
+    FieldTower,
+    Fq,
+    _encodings,
+    _matpow,
+    _prime_factors,
+    companion_powers,
+    fq_inv_matrix,
+    fq_rank,
+    residue_matmul,
+)
 from hhw_pir.linalg import ExtMatrix, solve_on_columns
 from hhw_pir.scheme import Response
 
@@ -113,6 +127,40 @@ def fq_inv(fq: Fq, a: int) -> int:
         base = fq_poly_mul(fq, base, base)
         n >>= 1
     return out
+
+
+def _scalar_is_irreducible(fq: Fq, poly: list[int]) -> bool:
+    """Rabin's test on the companion matrix C of one monic polynomial of degree d >= 1.
+
+    poly is irreducible iff C^(q^d) = C and C^(q^(d/r)) - C has rank d for
+    every prime r | d, checked along the chain C, C^q, ... on the blow-up of C.
+    """
+    d, e = len(poly) - 1, fq.e
+    if d == 1:
+        return True
+    C = companion_powers(fq, poly, 2)[1]
+    checks = {d // r for r in _prime_factors(d)}
+    power = big = fq.blow_up(C)
+    for k in range(1, d + 1):
+        power = _matpow(power, fq.q, fq.fp.matmul)  # the blow-up of C^(q^k)
+        if k in checks and fq_rank((power - big) % fq.p, fq.fp) < d * e:
+            return False
+    return bool(np.array_equal(power, big))
+
+
+def scalar_smallest_irreducible(fq: Fq, degree: int) -> tuple[int, ...]:
+    """The first irreducible in smallest_irreducible's order, one candidate and one Rabin test at a time.
+
+    It skips only the candidates of zero derivative, and has no budget.
+    """
+    p = fq.p
+    for value in range(fq.q**degree):
+        coeffs = [(value // fq.q**i) % fq.q for i in range(degree)] + [1]
+        if degree % p == 0 and not any(coeffs[i] for i in range(degree) if i % p):
+            continue
+        if _scalar_is_irreducible(fq, coeffs):
+            return tuple(coeffs)
+    raise RuntimeError("no irreducible polynomial found; field context is broken")
 
 
 def ext_zero(tower: FieldTower) -> tuple:

@@ -8,6 +8,7 @@ so nothing can lean on in-memory state.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def test_attack_recovers_target_cross_process(pipeline):
     assert doc["recovered_index"] == 4
     assert doc["candidates"] == [4]
     assert doc["threshold"] == 6
-    assert json.loads(open(report_path).read()) == doc
+    assert json.loads(Path(report_path).read_text()) == doc
 
 
 def test_attack_exit_code_on_ambiguity(tmp_path):

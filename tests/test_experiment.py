@@ -134,6 +134,14 @@ def test_tight_regime_digest_is_pinned():
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == report.digest
 
 
+def test_digest_does_not_depend_on_the_tower_cache():
+    """run_experiment builds its tower through build_tower's cache; a cold cache and a warm one agree."""
+    build_tower.cache_clear()
+    cold = run_experiment(PINNED_CONFIG).digest
+    warm = run_experiment(PINNED_CONFIG).digest
+    assert cold == warm == PINNED_DIGEST
+
+
 def test_stage_shares_are_reported_and_stay_out_of_the_digest():
     """Each trial's generate and attack shares reach the JSON report, not the pinned canonical form."""
     report = run_experiment(PINNED_CONFIG)

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import signal
 
@@ -12,12 +13,13 @@ from hhw_pir.errors import (
     BadSplit,
     DegreeTooSmall,
     FieldTooLarge,
+    ModulusSearchExhausted,
     NotPrime,
     ReducibleModulus,
 )
 from hhw_pir.fields import (
     Fq,
-    _is_irreducible,
+    _rabin,
     build_tower,
     fq_inv_matrix,
     is_prime,
@@ -165,20 +167,36 @@ def test_smallest_irreducible_is_smallest():
         assert not _poly_is_irreducible_bruteforce(coeffs, fq)
 
 
-def test_modulus_search_skips_pth_powers():
-    """Over F_(2^16) every x^2 + c is a square; the search must not test them one by one."""
+@contextlib.contextmanager
+def _alarm(seconds: int, what: str):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
 
     def timeout(signum, frame):
-        raise TimeoutError("build_tower(2, 16, 2) took more than 10 s")
+        raise TimeoutError(f"{what} took more than {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
+    signal.alarm(seconds)
     try:
-        tower = build_tower(2, 16, 2)
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_modulus_search_skips_pth_powers():
+    """Over F_(2^16) every x^2 + c is a square; the search must not test them one by one."""
+    build_tower.cache_clear()  # time the search, not a lookup
+    with _alarm(2, "build_tower(2, 16, 2)"):
+        tower = build_tower(2, 16, 2)
     assert tower.top_modulus == (2048, 1, 1)
+
+
+def test_modulus_search_refuses_past_its_budget():
+    """No x^8 + a*x + b over F_(2^8) is irreducible, so the search walks them until its budget runs out."""
+    with _alarm(10, "build_tower(2, 8, 8)"):
+        with pytest.raises(ModulusSearchExhausted, match=r"degree 8 over F_\(2\^8\)"):
+            build_tower(2, 8, 8)
+    assert issubclass(ModulusSearchExhausted, FieldTooLarge)
 
 
 def test_smallest_irreducible_rejects_degree_zero():
@@ -189,12 +207,66 @@ def test_smallest_irreducible_rejects_degree_zero():
 @pytest.mark.parametrize("p,e,max_degree", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 3), (3, 2, 3)],
                          ids=["F2", "F3", "F4", "F5", "F9"])
 def test_rabin_on_companion_matches_trial_division(p, e, max_degree):
-    """Every monic polynomial of degree 1..max_degree over the canonical F_q."""
+    """Every monic polynomial of degree 1..max_degree over the canonical F_q, one stacked test per degree."""
     fq = build_tower(p, e, 2).fq
     for d in range(1, max_degree + 1):
-        for value in range(fq.q**d):
-            coeffs = [(value // fq.q**i) % fq.q for i in range(d)] + [1]
-            assert _is_irreducible(fq, coeffs) == _poly_is_irreducible_bruteforce(coeffs, fq), coeffs
+        coeffs = [[(value // fq.q**i) % fq.q for i in range(d)] for value in range(fq.q**d)]
+        verdict, _ = _rabin(fq, coeffs)
+        assert verdict.tolist() == [_poly_is_irreducible_bruteforce(c + [1], fq) for c in coeffs], d
+
+
+_SEARCH_FIELDS = [Fq(p, 1, (0, 1)) for p in (2, 3, 5, 7)] + [build_tower(p, e, 2).fq for p, e in [(2, 2), (2, 3), (3, 2)]]
+
+
+@pytest.mark.parametrize("fq", _SEARCH_FIELDS, ids=lambda fq: f"q{fq.q}")
+def test_stacked_search_matches_the_scalar_search(fq):
+    """Every degree up to 4 over every F_q with q <= 9: the same modulus as one Rabin test per candidate."""
+    for degree in range(1, 5):
+        assert smallest_irreducible(fq, degree) == oracles.scalar_smallest_irreducible(fq, degree), degree
+
+
+@pytest.mark.parametrize("pes", sorted(FROZEN_MODULI), ids=lambda pes: "-".join(map(str, pes)))
+def test_stacked_search_matches_the_scalar_search_on_pinned_towers(pes):
+    p, e, s = pes
+    fp = Fq(p, 1, (0, 1))
+    fq = Fq(p, e, oracles.scalar_smallest_irreducible(fp, e))
+    assert smallest_irreducible(fp, e) == fq.modulus
+    assert smallest_irreducible(fq, s) == oracles.scalar_smallest_irreducible(fq, s)
+
+
+def test_search_refuses_degrees_past_the_tower_cap():
+    with pytest.raises(FieldTooLarge):
+        smallest_irreducible(Fq(2, 1, (0, 1)), 65)
+
+
+# -- the tower cache ----------------------------------------------------------------
+
+
+def _tower_arrays(tower):
+    """Every array a tower holds: both F_q contexts' tensors, digit weights and regular tables, and its own tensor."""
+    contexts = (tower.fq, tower.fq.fp)
+    return [array for fq in contexts for array in (fq.mul_tensor, fq._weights, fq.regular_table)] + [tower.mul_tensor]
+
+
+def test_build_tower_returns_one_tower_per_process():
+    assert build_tower(2, 2, 3) is build_tower(2, 2, 3)
+
+
+@pytest.mark.parametrize("pes", [(2, 1, 2), (2, 2, 3), (3, 2, 2)])
+def test_cached_tower_arrays_are_read_only(pes):
+    for array in _tower_arrays(build_tower(*pes)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+
+
+def test_rebuild_after_cache_clear_is_equal():
+    old = build_tower(2, 2, 3)
+    build_tower.cache_clear()
+    new = build_tower(2, 2, 3)
+    assert new is not old
+    assert (new.base_modulus, new.top_modulus) == (old.base_modulus, old.top_modulus)
+    for a, b in zip(_tower_arrays(new), _tower_arrays(old), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)],

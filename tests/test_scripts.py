@@ -39,6 +39,7 @@ def shape(value):
         ["bench_attack.py", "--queries", "2", "--stacks", "1", "--repeats", "1"],
         ["bench_products.py", "--calls", "1", "--queries", "1", "--repeats", "1"],
         ["bench_echelon.py", "--calls", "1", "--queries", "1", "--repeats", "1"],
+        ["bench_towers.py", "--calls", "1", "--repeats", "1"],
     ],
     ids=lambda argv: argv[0],
 )

@@ -210,6 +210,26 @@ def test_save_matrix_rejects_bad_input():
         save_matrix(buf, np.zeros((1, 1, 1), dtype=np.uint64), 2, 64, 1)
 
 
+@pytest.mark.parametrize(
+    "p,e,s,fragment",
+    [
+        pytest.param(4, 1, 2, "not prime", id="p 4"),
+        pytest.param(1, 1, 2, "not prime", id="p 1"),
+        pytest.param(2, 0, 2, "degrees", id="e 0"),
+        pytest.param(2, 1, 0, "degrees", id="s 0"),
+        pytest.param(2, 1, 65, "exceeds", id="order 2^65"),
+        pytest.param(3, 1, 41, "exceeds", id="order 3^41"),
+        pytest.param(2, 64, 1, "int64", id="subfield 2^64"),
+    ],
+)
+def test_save_matrix_refuses_fields_load_matrix_refuses(p, e, s, fragment):
+    """save_matrix writes no file for a field that load_matrix would reject, and raises no bare OverflowError."""
+    buf = io.BytesIO()
+    with pytest.raises(MatrixFileError, match=fragment):
+        save_matrix(buf, np.zeros((1, 1, s), dtype=np.int64), p, e, s)
+    assert buf.getvalue() == b""
+
+
 # -- load-side rejection catalog ---------------------------------------------------------
 
 

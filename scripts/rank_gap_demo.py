@@ -21,8 +21,8 @@ import numpy as np
 
 from hhw_pir.analysis import derive
 from hhw_pir.attack import rank_profile, recover_index
-from hhw_pir.fields import build_tower
-from hhw_pir.linalg import change_basis, fq_rank
+from hhw_pir.fields import build_tower, sample_basis_split
+from hhw_pir.linalg import change_basis
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 from hhw_pir.scheme import generate_query
 
@@ -69,12 +69,7 @@ def main(argv: list[str] | None = None) -> int:
           f"in {report.elapsed * 1000.0:.1f} ms")
 
     # same scan after hiding the basis the query was written in
-    fq = tower.fq
-    while True:
-        transform = fq.rand(rng, (tower.s, tower.s))
-        if fq_rank(transform, fq) == tower.s:
-            break
-    disguised = change_basis(query.matrix.data, tower, transform)
+    disguised = change_basis(query.matrix.data, tower, sample_basis_split(tower, rng))
     same = rank_profile(disguised, params, tower) == profile
     print(f"profile after re-expressing the query in a random basis: "
           f"{'identical' if same else 'DIFFERENT'}")

@@ -21,7 +21,6 @@ from .analysis import (
 from .attack import AttackReport, rank_profile, recover_index
 from .errors import (
     BadArguments,
-    BadSplit,
     CoordinateOutOfRange,
     DecodeFailure,
     DimensionMismatch,
@@ -39,8 +38,8 @@ from .experiment import (
     run_experiment,
     trial_seed,
 )
-from .fields import BasisSplit, FieldTower, Fq, build_tower, sample_basis_split
-from .linalg import ExtMatrix, change_basis, fq_rank, rank_ext, rank_fq
+from .fields import FieldTower, Fq, build_tower, fq_rank, sample_basis_split
+from .linalg import ExtMatrix, change_basis, rank_ext, rank_fq
 from .params import DEFAULT_PARAMS, SchemeParams
 from .scheme import (
     Database,
@@ -58,8 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackReport",
     "BadArguments",
-    "BadSplit",
-    "BasisSplit",
     "CoordinateOutOfRange",
     "Database",
     "DecodeFailure",

@@ -83,12 +83,12 @@ def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -
 
     An (m*delta, n, s) query matrix gives the list of its m ranks; a
     (count, m*delta, n, s) stack of them is scanned together and gives a
-    (count, m) array.  A coordinate outside [0, q) raises
-    CoordinateOutOfRange (fields.fq_deletion_ranks checks it): the scan
-    packs each coordinate into a field of bits that it would overflow
-    without a trace.
+    (count, m) array.  A coordinate outside [0, q), or an array that is
+    not of an integer dtype, raises CoordinateOutOfRange
+    (fields.fq_deletion_ranks checks it): the scan packs each coordinate
+    into a field of bits that it would overflow without a trace.
     """
-    queries = np.asarray(queries, dtype=np.int64)
+    queries = np.asarray(queries)
     if queries.ndim not in (3, 4) or queries.shape[-3:] != (params.block_rows, params.n, tower.s):
         raise DimensionMismatch(f"query is {queries.shape}, expected [count,] ({params.block_rows}, {params.n}, {tower.s})")
     *lead, rows, cols, s = queries.shape

@@ -21,10 +21,6 @@ class ReducibleModulus(ValueError):
     """A field modulus factors, so its quotient ring is not a field."""
 
 
-class BadSplit(ValueError):
-    """A basis split position is outside the open interval (0, s)."""
-
-
 class IndexOutOfRange(IndexError):
     """A column or block index is outside its valid range."""
 

@@ -66,11 +66,9 @@ import math
 
 import numpy as np
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BadSplit,
     CoordinateOutOfRange,
     DegreeTooSmall,
     DimensionMismatch,
@@ -530,14 +528,18 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _encodings(arr, fq: Fq) -> np.ndarray:
-    """arr as an array of F_q encodings; CoordinateOutOfRange if an entry lies outside [0, q).
+    """arr as an int64 array of F_q encodings; CoordinateOutOfRange if an entry lies outside [0, q).
 
     A packed field would wrap such an entry without a trace, so the kernel's
     entry points check the range once, before any blow-up, with one
     maximum over the entries read as unsigned: a negative one reads as at
-    least 2^63.
+    least 2^63.  A non-empty array that is not of an integer dtype (float,
+    bool, object) is refused too, where a cast would truncate it.
     """
-    arr = np.asarray(arr, dtype=np.int64)
+    arr = np.asarray(arr)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise CoordinateOutOfRange(f"entries must be integers, got an array of {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.size and arr.view(np.uint64).max() >= fq.q:
         raise CoordinateOutOfRange(f"entries span [{arr.min()}, {arr.max()}], outside [0, {fq.q})")
     return arr
@@ -911,30 +913,14 @@ def build_tower(p: int, e: int, s: int) -> FieldTower:
     return FieldTower(fq, s, smallest_irreducible(fq, s))
 
 
-# -- basis splits --------------------------------------------------------------
+# -- rejection sampling ------------------------------------------------------------
+
+# Draws per stream in one rejection phase before SamplingExhausted.  Each basis draw,
+# the least likely to pass, passes w.p. >= 0.2888, so even 1000 fail w.p. < 2^-490.
+MAX_SAMPLING_TRIES = 10**6
 
 
-@dataclass(frozen=True, eq=False)
-class BasisSplit:
-    """A basis of F_q^s over F_q split into a leading and a trailing part.
-
-    Row t of ``basis`` holds the power-basis coordinates of the t-th basis
-    vector.  The first v rows span the subspace V, the remaining s - v rows
-    span W, and V + W = F_q^s as F_q-spaces.
-    """
-
-    basis: np.ndarray  # (s, s) F_q encodings, invertible
-    v: int
-
-    def __post_init__(self):
-        self.basis.setflags(write=False)
-
-    @property
-    def s(self) -> int:
-        return self.basis.shape[0]
-
-
-def redraw_rejected(rngs, draw, accept, max_tries: int, exhausted: str) -> tuple[np.ndarray, np.ndarray]:
+def redraw_rejected(rngs, draw, accept, exhausted: str) -> tuple[np.ndarray, np.ndarray]:
     """One accepted candidate per RNG stream, by rejection sampling over a stack.
 
     Every pending stream draws one candidate with ``draw(rng)``;
@@ -944,56 +930,40 @@ def redraw_rejected(rngs, draw, accept, max_tries: int, exhausted: str) -> tuple
     the order a loop over that stream alone would make them.
 
     Returns the stack of accepted candidates and the number of draws each
-    stream made; a stream still rejected after ``max_tries`` draws raises
-    SamplingExhausted with the message ``exhausted``.
+    stream made; a stream still rejected after MAX_SAMPLING_TRIES draws
+    raises SamplingExhausted with the message ``exhausted``.
     """
-    if len(rngs) == 1:  # one stream: the same draws without the bookkeeping over streams
-        only = np.zeros(1, dtype=np.int64)
-        for tries in range(1, max_tries + 1):
-            candidate = draw(rngs[0])[None]
-            if accept(only, candidate)[0]:
-                return candidate, np.array([tries])
-        raise SamplingExhausted(exhausted)
     chosen = [None] * len(rngs)
     draws = [0] * len(rngs)
     pending = list(range(len(rngs)))
-    for _ in range(max_tries):
+    for _ in range(MAX_SAMPLING_TRIES):
         candidates = [draw(rngs[i]) for i in pending]
         ok = accept(np.array(pending), np.array(candidates)).tolist()
-        rejected = []
         for i, candidate, good in zip(pending, candidates, ok):
             draws[i] += 1
             if good:
                 chosen[i] = candidate
-            else:
-                rejected.append(i)
-        pending = rejected
+        pending = [i for i, good in zip(pending, ok) if not good]
         if not pending:
             return np.array(chosen), np.array(draws)
     raise SamplingExhausted(exhausted)
 
 
-def sample_split_bases(tower: FieldTower, v: int, rngs, max_tries: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """A uniform basis matrix of F_q^s over F_q per RNG stream, and each stream's draws.
+def sample_split_bases(tower: FieldTower, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform basis of F_q^s over F_q per RNG stream, and each stream's draws.
 
-    Rejection-samples uniform s x s matrices over F_q until invertible.
-    The retry cap only exists to surface broken RNGs; a uniform sampler
-    passes within a handful of draws.
+    Rejection-samples uniform s x s matrices over F_q until invertible; row t
+    of a basis holds the power-basis coordinates of its t-th vector.
     """
     s, fq = tower.s, tower.fq
-    if not 0 < v < s:
-        raise BadSplit(f"split position must satisfy 0 < v < {s}, got {v}")
     return redraw_rejected(
         rngs,
         lambda rng: fq.rand(rng, (s, s)),
         lambda _, candidates: fq_rank(candidates, fq) == s,
-        max_tries,
-        f"no invertible basis matrix in {max_tries} draws",
+        "no invertible basis matrix found; RNG looks broken",
     )
 
 
-def sample_basis_split(tower: FieldTower, v: int, rng: np.random.Generator, max_tries: int = 1000) -> BasisSplit:
-    """Uniform basis of F_q^s over F_q, split after position v (sample_split_bases for one stream)."""
-    bases, _ = sample_split_bases(tower, v, [rng], max_tries)
-    return BasisSplit(basis=bases[0], v=v)
-
+def sample_basis_split(tower: FieldTower, rng: np.random.Generator) -> np.ndarray:
+    """sample_split_bases for one stream: a uniform (s, s) basis of F_q^s over F_q."""
+    return sample_split_bases(tower, [rng])[0][0]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    CoordinateOutOfRange,
     DimensionMismatch,
     IndexOutOfRange,
     NotInformationSet,
@@ -44,12 +45,15 @@ from .fields import (
 
 
 class ExtMatrix:
-    """A matrix over F_q^s: its tower and its (rows, cols, s) coordinate array."""
+    """A matrix over F_q^s: its tower and its (rows, cols, s) coordinate array, of an integer dtype."""
 
     __slots__ = ("tower", "data")
 
     def __init__(self, tower: FieldTower, data: np.ndarray):
-        data = np.asarray(data, dtype=np.int64)
+        data = np.asarray(data)
+        if data.size and data.dtype.kind not in "iu":
+            raise CoordinateOutOfRange(f"coordinates must be integers, got an array of {data.dtype}")
+        data = data.astype(np.int64, copy=False)
         if data.ndim != 3 or data.shape[2] != tower.s:
             raise DimensionMismatch(f"expected (rows, cols, {tower.s}) array, got {data.shape}")
         self.tower = tower

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 from .errors import BadArguments, DecodeFailure, DimensionMismatch, IndexOutOfRange, NotInformationSet
 from .fields import (
-    BasisSplit,
     FieldTower,
     Fq,
     _encodings,
@@ -63,9 +62,6 @@ from .fields import (
 )
 from .linalg import ExtMatrix
 from .params import SchemeParams
-
-# Retry cap for rejection sampling of codes and information sets.
-MAX_SAMPLING_TRIES = 10**6
 
 
 class Database:
@@ -145,14 +141,15 @@ class Response:
 class QuerySecrets:
     """Everything the client keeps private about one query, as coordinate arrays.
 
-    selector_block is the delta x n block of the selector layer, the only
-    rows of the query that carry the target file; it sits in rows
-    (target - 1)*delta .. target*delta - 1.
+    basis holds a basis of F_q^s over F_q a vector a row: its first v rows
+    span V, the rest W.  selector_block is the delta x n block of the
+    selector layer, the only rows of the query that carry the target file;
+    it sits in rows (target - 1)*delta .. target*delta - 1.
     """
 
     generator: np.ndarray  # (k, n, s)
     info_set: np.ndarray  # (k,) sorted 0-based columns
-    split: BasisSplit
+    basis: np.ndarray  # (s, s) F_q encodings, invertible
     target: int
     selector_block: np.ndarray  # (delta, n, s)
 
@@ -192,7 +189,8 @@ def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndar
     streams (fields.redraw_rejected) over F_p: each generator draw is
     blown up once (FieldTower.blow_up, d = s*e), its rank is the rank of
     that blow-up over d, and the blow-up of its columns I is the I column
-    blocks of it.
+    blocks of it.  A stream still rejected after fields.MAX_SAMPLING_TRIES
+    draws in either phase raises SamplingExhausted.
 
     Returns the (count, k, n, s) generators, the (count, k) sorted 0-based
     information sets, the (count, k*d, n*d) blow-ups of the generators in
@@ -212,7 +210,6 @@ def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndar
         rngs,
         lambda rng: tower.rand(rng, (k, n)),
         full_rank,
-        MAX_SAMPLING_TRIES,
         "no full-rank generator found; RNG looks broken",
     )
 
@@ -224,7 +221,6 @@ def sample_codes(params: SchemeParams, tower: FieldTower, rngs) -> tuple[np.ndar
         rngs,
         lambda rng: np.sort(rng.permutation(n)[:k]),
         invertible,
-        MAX_SAMPLING_TRIES,
         "no information set found; RNG looks broken",
     )
     return gens, columns, blown, (gen_draws, column_draws)
@@ -262,7 +258,7 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
     total_rows, count = params.block_rows, len(rngs)
 
     gens, info_sets, blown, code_draws = sample_codes(params, tower, rngs)
-    bases, basis_draws = sample_split_bases(tower, v, rngs)
+    bases, basis_draws = sample_split_bases(tower, rngs)
     all_streams = np.arange(count)[:, None]
     inside = np.zeros((count, n), dtype=bool)
     inside[all_streams, info_sets] = True
@@ -286,7 +282,6 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
         rngs,
         lambda rng: fq.rand(rng, (delta, n - k, s - v)),
         lambda streams, candidates: fq_rank(candidates.reshape(len(streams), delta, -1), fq) == delta,
-        MAX_SAMPLING_TRIES,
         "no full-rank selector block found; RNG looks broken",
     )
     blocks = fq.matmul(w_coeffs.reshape(count, delta * (n - k), s - v), bases[:, v:]).reshape(count, delta, n - k, s)
@@ -314,7 +309,7 @@ def generate_query(params: SchemeParams, tower: FieldTower, target: int, rng: np
     secrets = QuerySecrets(
         generator=batch.generator[0],
         info_set=batch.info_set[0],
-        split=BasisSplit(basis=batch.basis[0], v=params.v),
+        basis=batch.basis[0],
         target=operator.index(target),
         selector_block=batch.selector_block[0],
     )
@@ -333,7 +328,7 @@ def respond(db: Database, query: Query, params: SchemeParams, tower: FieldTower)
     range-checked on every call (fields._encodings) and the database once,
     as its digits are built: an entry outside [0, q), which the lookup
     would wrap or the product reduce mod p, raises CoordinateOutOfRange,
-    a ValueError.
+    a ValueError, and so does a query that is not of an integer dtype.
     """
     qm, fq = query.matrix, tower.fq
     rows, cols = db.stacked().shape
@@ -366,10 +361,11 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
         delta x delta W-coordinate matrix.
 
     Returns the (L, delta) F_q matrix of the target file.  A response
-    entry outside [0, q), which the digit lookup would wrap, raises
-    CoordinateOutOfRange (fields._encodings), a selection that is not an
-    information set raises NotInformationSet, and a selector block that
-    leaves W or whose coordinate matrix is singular raises DecodeFailure.
+    entry outside [0, q), which the digit lookup would wrap, or of a
+    non-integer dtype raises CoordinateOutOfRange (fields._encodings), an
+    information-set column outside [0, n) IndexOutOfRange, a selection
+    that is not an information set NotInformationSet, and a selector block
+    that leaves W or whose coordinate matrix is singular DecodeFailure.
     """
     fq, fp = tower.fq, tower.fq.fp
     n, k, s, v, e, delta = params.n, params.k, params.s, params.v, fq.e, params.delta
@@ -379,6 +375,8 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
     answer = _encodings(A.data, fq)
     info_set = secrets.info_set
+    if np.any((info_set < 0) | (info_set >= n)):
+        raise IndexOutOfRange(f"information set {info_set.tolist()} is not within [0, {n})")
     outside = np.delete(np.arange(n), info_set)
     if len(info_set) != k or len(outside) != n - k:
         raise NotInformationSet(f"columns {info_set.tolist()} cannot be an information set of a {k}-row generator")
@@ -388,7 +386,7 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     if pivots != list(range(k * d)):
         raise NotInformationSet(f"columns {info_set.tolist()} are not an information set")
 
-    to_split = fq_inv_matrix(fq.blow_up(secrets.split.basis), fp)
+    to_split = fq_inv_matrix(fq.blow_up(secrets.basis), fp)
     selector = fq.to_digits(secrets.selector_block[:, outside]).reshape(delta * (n - k), d)
     selector = residue_matmul(selector, to_split, p).reshape(delta, n - k, d)
     if np.any(selector[:, :, : v * e]):

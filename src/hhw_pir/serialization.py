@@ -33,8 +33,8 @@ from typing import BinaryIO, Union
 import numpy as np
 
 from .errors import MatrixFileError
-from .fields import BasisSplit, FieldTower, _digit_table, is_prime
-from .linalg import ExtMatrix, fq_rank
+from .fields import FieldTower, _digit_table, fq_rank, is_prime
+from .linalg import ExtMatrix
 from .params import SchemeParams
 from .scheme import Database, Query, QuerySecrets, Response
 
@@ -279,8 +279,8 @@ def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemePa
         "params": params.to_dict(),
         "target": secrets.target,
         "info_set": (secrets.info_set + 1).tolist(),  # 1-based on disk
-        "split_v": secrets.split.v,
-        "basis": _coords_to_lists(secrets.split.basis),
+        "split_v": params.v,
+        "basis": _coords_to_lists(secrets.basis),
         "generator": _coords_to_lists(secrets.generator),
         "selector_block": _coords_to_lists(secrets.selector_block),
     }
@@ -350,7 +350,7 @@ def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower)
     return QuerySecrets(
         generator=generator,
         info_set=np.array(info, dtype=np.int64) - 1,
-        split=BasisSplit(basis=basis, v=params.v),
+        basis=basis,
         target=target,
         selector_block=selector,
     )

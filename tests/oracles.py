@@ -725,7 +725,7 @@ def unit_row_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:
 
     sel_out = secrets.selector_block[:, outside]
     stacked = np.concatenate([remainder.reshape(-1, s), sel_out.reshape(-1, s)])
-    coords = fq.matmul(stacked, fq_inv_matrix(secrets.split.basis, fq)).reshape(-1, len(outside), s)
+    coords = fq.matmul(stacked, fq_inv_matrix(secrets.basis, fq)).reshape(-1, len(outside), s)
     w_coords, sel_coords = coords[: n * s, :, v:].reshape(n * s, delta), coords[n * s :]
     if np.any(sel_coords[:, :, :v]):
         raise DecodeFailure("selector block leaks outside the W part of the split")
@@ -887,8 +887,8 @@ def micro_decode(response_row, secrets, tower: FieldTower):
     info_col = secrets.info_set[0]
     n = gen.shape[0]
     outside = [c for c in range(n) if c != info_col]
-    basis = secrets.split.basis              # (2, 2) over F_q
-    assert tower.s == 2 and secrets.split.v == 1
+    basis = secrets.basis                    # (2, 2) over F_q, split after row v = 1
+    assert tower.s == 2
 
     def emul(x, y):
         return ext_mul(tower, tuple(int(t) for t in x), tuple(int(t) for t in y))

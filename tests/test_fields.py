@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import hhw_pir
 from hhw_pir import fields
 from hhw_pir.errors import (
-    BadSplit,
     DegreeTooSmall,
     FieldTooLarge,
     ModulusSearchExhausted,
@@ -764,17 +763,9 @@ def test_fq_modulus_must_be_monic():
 def test_sample_basis_split_invertible(rng):
     tower = TOWERS[(2, 1, 4)]
     for _ in range(20):
-        split = sample_basis_split(tower, 2, rng)
-        assert naive_rank_fq(split.basis, tower.fq) == 4
-        assert split.v == 2 and split.s == 4
-        assert not split.basis.flags.writeable
-
-
-def test_sample_basis_split_rejects_bad_v(rng):
-    tower = TOWERS[(2, 1, 2)]
-    for v in [0, 2, -1, 5]:
-        with pytest.raises(BadSplit):
-            sample_basis_split(tower, v, rng)
+        basis = sample_basis_split(tower, rng)
+        assert basis.shape == (4, 4) and basis.dtype == np.int64
+        assert naive_rank_fq(basis, tower.fq) == 4
 
 
 def test_basis_split_uniform_over_gl2(rng):
@@ -783,8 +774,7 @@ def test_basis_split_uniform_over_gl2(rng):
     counts: dict[tuple, int] = {}
     trials = 6000
     for _ in range(trials):
-        split = sample_basis_split(tower, 1, rng)
-        key = tuple(split.basis.ravel().tolist())
+        key = tuple(sample_basis_split(tower, rng).ravel().tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     expected = trials / 6
@@ -793,15 +783,15 @@ def test_basis_split_uniform_over_gl2(rng):
     assert chi2 < 20.5, counts
 
 
-def _split_parts(split, tower, x):
-    """The V and W parts of x in a split basis, as decode takes them.
+def _split_parts(basis, v, tower, x):
+    """The V and W parts of x in a basis split after row v, as decode takes them.
 
     With y = x @ basis^-1, the V part is y[:v] @ basis[:v] and the W part
     y[v:] @ basis[v:].
     """
-    fq, v = tower.fq, split.v
-    y = fq.matmul(x, fq_inv_matrix(split.basis, fq))
-    return fq.matmul(y[:, :v], split.basis[:v]), fq.matmul(y[:, v:], split.basis[v:])
+    fq = tower.fq
+    y = fq.matmul(x, fq_inv_matrix(basis, fq))
+    return fq.matmul(y[:, :v], basis[:v]), fq.matmul(y[:, v:], basis[v:])
 
 
 def test_project_split_reconstructs_and_separates(rng):
@@ -809,26 +799,26 @@ def test_project_split_reconstructs_and_separates(rng):
         tower = TOWERS[key]
         zero = np.zeros((10, tower.s), dtype=np.int64)
         for v in range(1, tower.s):
-            split = sample_basis_split(tower, v, rng)
+            basis = sample_basis_split(tower, rng)
             x = tower.rand(rng, (10,))
-            vp, wp = _split_parts(split, tower, x)
+            vp, wp = _split_parts(basis, v, tower, x)
             assert np.array_equal(tower.fq.vadd(vp, wp), x)
             # idempotent: the V part has no W component and vice versa
-            for got, want in zip(_split_parts(split, tower, vp), (vp, zero)):
+            for got, want in zip(_split_parts(basis, v, tower, vp), (vp, zero)):
                 assert np.array_equal(got, want)
-            for got, want in zip(_split_parts(split, tower, wp), (zero, wp)):
+            for got, want in zip(_split_parts(basis, v, tower, wp), (zero, wp)):
                 assert np.array_equal(got, want)
 
 
 def test_project_split_is_fq_linear(rng):
     tower = TOWERS[(2, 1, 4)]
     fq = tower.fq
-    split = sample_basis_split(tower, 2, rng)
+    basis = sample_basis_split(tower, rng)
     x = tower.rand(rng, (5,))
     y = tower.rand(rng, (5,))
-    vx, wx = _split_parts(split, tower, x)
-    vy, wy = _split_parts(split, tower, y)
-    vs, ws = _split_parts(split, tower, fq.vadd(x, y))
+    vx, wx = _split_parts(basis, 2, tower, x)
+    vy, wy = _split_parts(basis, 2, tower, y)
+    vs, ws = _split_parts(basis, 2, tower, fq.vadd(x, y))
     assert np.array_equal(vs, fq.vadd(vx, vy))
     assert np.array_equal(ws, fq.vadd(wx, wy))
 
@@ -836,9 +826,9 @@ def test_project_split_is_fq_linear(rng):
 def test_v_part_spans_only_leading_rows(rng):
     # every V part must be an F_q-combination of the first v rows
     tower = TOWERS[(2, 1, 4)]
-    split = sample_basis_split(tower, 2, rng)
+    basis = sample_basis_split(tower, rng)
     fq = tower.fq
-    vp, _ = _split_parts(split, tower, tower.rand(rng, (5,)))
+    vp, _ = _split_parts(basis, 2, tower, tower.rand(rng, (5,)))
     for row in vp:
-        stacked = np.vstack([split.basis[:2], row])
-        assert naive_rank_fq(stacked, fq) == naive_rank_fq(split.basis[:2], fq)
+        stacked = np.vstack([basis[:2], row])
+        assert naive_rank_fq(stacked, fq) == naive_rank_fq(basis[:2], fq)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hhw_pir import fields
+from hhw_pir.attack import recover_index
 from hhw_pir.errors import (
     BadArguments,
     CoordinateOutOfRange,
@@ -13,8 +14,9 @@ from hhw_pir.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotInformationSet,
+    SamplingExhausted,
 )
-from hhw_pir.fields import BasisSplit, build_tower, fq_inv_matrix, fq_rank
+from hhw_pir.fields import build_tower, fq_deletion_ranks, fq_inv_matrix, fq_rank, redraw_rejected, sample_split_bases
 from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set, solve_on_columns
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 from hhw_pir.scheme import (
@@ -27,6 +29,7 @@ from hhw_pir.scheme import (
     generate_query,
     respond,
     sample_code,
+    sample_codes,
 )
 from hhw_pir.serialization import load_secrets, save_secrets
 
@@ -110,6 +113,52 @@ def test_sample_code_uniform_over_lines(rng):
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     # 4 degrees of freedom: P[chi2 > 18.5] ~ 0.001
     assert chi2 < 18.5, counts
+
+
+# -- rejection sampling ----------------------------------------------------------------
+
+
+class _ZeroRng:
+    """An RNG stand-in whose every integer draw is all zeros; it counts its draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        self.draws += 1
+        return np.zeros(size, dtype=dtype)
+
+
+def test_sample_split_bases_gives_up_on_an_rng_of_zeros(monkeypatch, tight_tower):
+    monkeypatch.setattr(fields, "MAX_SAMPLING_TRIES", 5)
+    rng = _ZeroRng()
+    with pytest.raises(SamplingExhausted, match="basis"):
+        sample_split_bases(tight_tower, [rng])
+    assert rng.draws == 5
+
+
+def test_sample_codes_gives_up_on_an_rng_of_zeros(monkeypatch, tight_params, tight_tower):
+    monkeypatch.setattr(fields, "MAX_SAMPLING_TRIES", 5)
+    rng = _ZeroRng()
+    with pytest.raises(SamplingExhausted, match="generator"):
+        sample_codes(tight_params, tight_tower, [rng])
+    assert rng.draws == 5
+
+
+def test_redraw_rejected_gives_up_after_the_cap_on_the_stream_that_never_passes(monkeypatch):
+    """Of three streams the middle one is always rejected: the others stop at their first draw,
+    it draws exactly MAX_SAMPLING_TRIES times, and the error carries the phase's message."""
+    monkeypatch.setattr(fields, "MAX_SAMPLING_TRIES", 5)
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    draws = {id(rng): 0 for rng in rngs}
+
+    def draw(rng):
+        draws[id(rng)] += 1
+        return rng is rngs[1]
+
+    with pytest.raises(SamplingExhausted, match="^no full-rank selector block found"):
+        redraw_rejected(rngs, draw, lambda _, stuck: ~stuck, "no full-rank selector block found")
+    assert list(draws.values()) == [1, 5, 1]
 
 
 # -- query layer invariants ----------------------------------------------------------
@@ -300,6 +349,46 @@ def test_respond_and_decode_refuse_coordinates_out_of_range(params, bad):
         decode(Response(ExtMatrix(tower, answer)), secrets, params, tower)
 
 
+NON_INTEGER = {
+    "float": lambda a: a + 0.4,
+    "bool": lambda a: a.astype(bool),
+    "object": lambda a: a.astype(object),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER))
+@pytest.mark.parametrize("entry", ["fq_rank", "fq_deletion_ranks", "recover_index", "respond", "decode", "ExtMatrix"])
+def test_entry_points_refuse_non_integer_arrays(entry, kind, tight_params, tight_tower):
+    """A float, bool or object coordinate array raises CoordinateOutOfRange at every entry point.
+
+    Cast to int64, each would pass as a valid matrix: the float one
+    truncates to the query itself and the bool one ranks as 0/1.  respond
+    and decode are handed their arrays past ExtMatrix's own check.
+    """
+    params, tower = tight_params, tight_tower
+    rng = np.random.default_rng(5)
+    db = Database.random(params, rng)
+    query, secrets = generate_query(params, tower, 2, rng)
+    response = respond(db, query, params, tower)
+    bad = NON_INTEGER[kind]
+    rows, n, s = query.matrix.data.shape
+    with pytest.raises(CoordinateOutOfRange):
+        if entry == "fq_rank":
+            fq_rank(bad(query.matrix.data.reshape(rows, n * s)), tower.fq)
+        elif entry == "fq_deletion_ranks":
+            fq_deletion_ranks(bad(query.matrix.data.reshape(rows, n * s)), params.delta, tower.fq)
+        elif entry == "recover_index":
+            recover_index(bad(query.matrix.data), params, tower)
+        elif entry == "respond":
+            query.matrix.data = bad(query.matrix.data)
+            respond(db, query, params, tower)
+        elif entry == "decode":
+            response.matrix.data = bad(response.matrix.data)
+            decode(response, secrets, params, tower)
+        else:
+            ExtMatrix(tower, bad(query.matrix.data))
+
+
 DIFFERENTIAL_QUERIES = 1000
 
 
@@ -370,14 +459,6 @@ def test_retrieval_round_trip_default(preset_params, preset_tower, rng):
     assert np.array_equal(out, db.files[target - 1])
 
 
-def test_textbook_and_direct_paths_agree(tight_params, tight_tower, rng):
-    db = Database.random(tight_params, rng)
-    for target in range(1, tight_params.m + 1):
-        query, secrets = generate_query(tight_params, tight_tower, target, rng)
-        response = respond(db, query, tight_params, tight_tower)
-        assert np.array_equal(decode(response, secrets, tight_params, tight_tower), db.files[target - 1])
-
-
 def test_decode_matches_handwritten_micro_oracle(micro_params, micro_tower, rng):
     for _ in range(20):
         db = Database.random(micro_params, rng)
@@ -433,6 +514,17 @@ def test_decode_rejects_wrong_width(tight_params, tight_tower, rng):
         decode(clipped, secrets, tight_params, tight_tower)
 
 
+@pytest.mark.parametrize("columns", [[0, 4], [-1, 0]], ids=["n", "negative"])
+def test_decode_refuses_information_set_columns_out_of_range(columns, tight_params, tight_tower, rng):
+    """A column n or -1 raises IndexOutOfRange: unchecked, n failed in numpy's indexing and -1 read column n - 1."""
+    assert tight_params.n == 4
+    db = Database.random(tight_params, rng)
+    query, secrets = generate_query(tight_params, tight_tower, 1, rng)
+    response = respond(db, query, tight_params, tight_tower)
+    with pytest.raises(IndexOutOfRange, match="information set"):
+        decode(response, dataclasses.replace(secrets, info_set=np.array(columns)), tight_params, tight_tower)
+
+
 def test_decode_singular_selector_raises_typed_error(tight_params, tight_tower, rng):
     # a repeated selector row stays inside W but makes the coordinate matrix singular
     db = Database.random(tight_params, rng)
@@ -471,7 +563,7 @@ def test_decode_refuses_a_selector_block_that_leaves_W(params):
         outside = np.delete(np.arange(params.n), secrets.info_set)
         block = secrets.selector_block.copy()
         row, col = target % params.delta, outside[target % len(outside)]
-        block[row, col] = tower.fq.vadd(block[row, col], secrets.split.basis[0])
+        block[row, col] = tower.fq.vadd(block[row, col], secrets.basis[0])
         with pytest.raises(DecodeFailure, match="leaks"):
             decode(response, dataclasses.replace(secrets, selector_block=block), params, tower)
 
@@ -492,7 +584,7 @@ DECODE_ROUND = 250
     ids=["preset", "tight", "micro", "ternary", "retrieval"],
 )
 def test_decode_matches_the_stepwise_decode(params):
-    """The map on F_p digits against the map on F_q encodings that it replaced, over 2000 seeded queries per fixture.
+    """decode's map on F_p digits against unit_row_decode's map on F_q encodings, over 2000 seeded queries per fixture.
 
     The queries come in rounds of generate_queries, every target in turn,
     against one seeded database; every decode, and the replaced map, must
@@ -507,7 +599,7 @@ def test_decode_matches_the_stepwise_decode(params):
         batch = generate_queries(params, tower, targets, rngs)
         for b, target in enumerate(targets):
             secrets = QuerySecrets(generator=batch.generator[b], info_set=batch.info_set[b],
-                                   split=BasisSplit(basis=batch.basis[b], v=params.v), target=target,
+                                   basis=batch.basis[b], target=target,
                                    selector_block=batch.selector_block[b])
             response = respond(db, Query(ExtMatrix(tower, batch.data[b])), params, tower)
             out = decode(response, secrets, params, tower)

@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from hhw_pir.analysis import derive
 from hhw_pir.attack import rank_profile, recover_index
 from hhw_pir.fields import build_tower, sample_basis_split
 from hhw_pir.linalg import change_basis
@@ -45,12 +44,11 @@ def main(argv: list[str] | None = None) -> int:
     if not 1 <= target <= params.m:
         parser.error(f"target must be in [1, {params.m}]")
 
-    d = derive(params)
     tower = build_tower(params.p, params.e, params.s)
     print(f"preset {args.preset}: q={params.q} s={params.s} v={params.v} n={params.n} "
           f"k={params.k} m={params.m}")
-    print(f"delta={d.delta}  threshold k0={d.k0}  full rank would be "
-          f"min((m-1)*delta, n*s) = {min((params.m - 1) * d.delta, params.n * params.s)}")
+    print(f"delta={params.delta}  threshold k0={params.rank_threshold}  full rank would be "
+          f"min((m-1)*delta, n*s) = {min((params.m - 1) * params.delta, params.n * params.s)}")
     print()
 
     query, _ = generate_query(params, tower, target, rng)
@@ -58,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"rank of the query with block j deleted (true target: {target}):")
     for j, r in enumerate(profile, start=1):
         marks = []
-        if r <= d.k0:
+        if r <= params.rank_threshold:
             marks.append("<= k0")
         if j == target:
             marks.append("target")

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from hhw_pir.analysis import derive, failure_bound
+from hhw_pir.analysis import failure_bound
 from hhw_pir.experiment import ExperimentConfig, run_experiment
 from hhw_pir.params import SchemeParams
 
@@ -59,8 +59,8 @@ def main(argv: list[str] | None = None) -> int:
     if not 2 <= args.m_min <= args.m_max:
         parser.error("need 2 <= m-min <= m-max")
 
-    d = derive(SchemeParams(m=2, **BASE))
-    print(f"parameters: {BASE}  delta={d.delta}  rank threshold k0={d.k0}  m0={d.m0}")
+    base = SchemeParams(m=2, **BASE)
+    print(f"parameters: {BASE}  delta={base.delta}  rank threshold k0={base.rank_threshold}  m0={base.m0}")
     print(f"{args.trials} trials per row, master seed {args.seed}")
     print()
     header = f"{'m':>3} {'failures':>10} {'observed':>9} {'classical':>10} {'corrected':>10} {'closed form':>12}"
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         mark = ""
         if row["below_regime"]:
             mark = "  (below useful regime)"
-        elif m == d.m0:
+        elif m == base.m0:
             mark = "  <- m0"
         print(
             f"{m:>3} {row['failures']:>6}/{row['trials']:<4}"

@@ -8,10 +8,8 @@ communication rates that govern both.
 """
 
 from .analysis import (
-    DerivedParams,
     FailureBound,
     RateReport,
-    derive,
     failure_bound,
     gaussian_binomial,
     measured_rate,
@@ -60,7 +58,6 @@ __all__ = [
     "CoordinateOutOfRange",
     "Database",
     "DecodeFailure",
-    "DerivedParams",
     "DEFAULT_PARAMS",
     "DimensionMismatch",
     "ExperimentConfig",
@@ -84,7 +81,6 @@ __all__ = [
     "build_tower",
     "change_basis",
     "decode",
-    "derive",
     "failure_bound",
     "fq_rank",
     "gaussian_binomial",

@@ -6,16 +6,17 @@ which underflows IEEE doubles long before the parameters stop being
 interesting (the default preset already sits at 2^-256), so floats appear
 only in the log-domain display helpers, never in a comparison.
 
-Quantities:
+The quantities every formula consumes are SchemeParams properties:
 
-  delta   file width (s - v) * (n - k); also the subfield rank of the
-          selector block hidden inside a query.
-  k0      subfield dimension of the codeword-plus-mask space,
-          k*s + v*(n - k) = s*n - delta.  A deleted-block query submatrix
-          whose rows avoid the selector block has rank at most k0; every
-          other deletion exceeds k0 unless the sampled rows lose rank.
-  m0      least file count for which the simplified failure bound is
-          nontrivial.
+  delta           file width (s - v) * (n - k); also the subfield rank of
+                  the selector block hidden inside a query.
+  rank_threshold  k0, the subfield dimension of the codeword-plus-mask
+                  space, k*s + v*(n - k) = s*n - delta.  A deleted-block
+                  query submatrix whose rows avoid the selector block has
+                  rank at most k0; every other deletion exceeds k0 unless
+                  the sampled rows lose rank.
+  m0              least file count for which the simplified failure bound
+                  is nontrivial.
 
 Two per-block failure bounds are provided.  The classical count treats all
 (m-1)*delta remaining rows as independent uniform samples of the k0-space.
@@ -36,8 +37,6 @@ from .params import SchemeParams
 
 __all__ = [
     "gaussian_binomial",
-    "DerivedParams",
-    "derive",
     "FailureBound",
     "failure_bound",
     "RateReport",
@@ -69,34 +68,6 @@ def gaussian_binomial(b: int, a: int, q: int) -> int:
     return num // den
 
 
-def _ceil_div(a: int, b: int) -> int:
-    # exact ceiling for possibly negative numerators; b > 0
-    return -(-a // b)
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """The three derived integers every other formula consumes."""
-
-    delta: int
-    k0: int
-    m0: int
-
-
-def derive(params: SchemeParams) -> DerivedParams:
-    """Compute (delta, k0, m0).
-
-    k0 = k*s + v*(n-k), which is also s*n - delta, and
-    m0 = 1 + ceil((delta + 1) * (k0 - delta) / delta^2), which is also the
-    printed form 1 + ceil((1 + 1/delta) * (s*n/delta - 2)).  The ceiling
-    is taken on exact integers so boundary cases cannot be pushed over by
-    float rounding.
-    """
-    delta, k0 = params.delta, params.rank_threshold
-    m0 = 1 + _ceil_div((delta + 1) * (k0 - delta), delta * delta)
-    return DerivedParams(delta=delta, k0=k0, m0=m0)
-
-
 def _q_power(q: int, exponent: int) -> Fraction:
     """q**exponent as an exact Fraction, exponent of either sign."""
     if exponent >= 0:
@@ -108,7 +79,8 @@ def _q_power(q: int, exponent: int) -> Fraction:
 class FailureBound:
     """Bounds on the chance that a wrong block's deletion also drops rank.
 
-    per_block / union use the classical row count (m-1)*delta; the
+    They hold for params with m files in place of params.m; q, delta, k0
+    and m0 are read from params.  per_block / union use the classical row count (m-1)*delta; the
     *_conservative fields use (m-2)*delta, excluding the target block's rows
     whose randomness is tied to the selector layer.  simplified is the
     closed form q^(-(m-m0)*delta^2); it is vacuous (>= 1) when m <= m0 and
@@ -116,9 +88,8 @@ class FailureBound:
     integer check qbin(k0, k0-delta, q) <= q^((delta+1)*(k0-delta)).
     """
 
-    q: int
+    params: SchemeParams
     m: int
-    derived: DerivedParams
     per_block: Fraction
     union: Fraction
     per_block_conservative: Fraction
@@ -129,11 +100,11 @@ class FailureBound:
 
     def to_dict(self) -> dict:
         return {
-            "q": self.q,
+            "q": self.params.q,
             "m": self.m,
-            "delta": self.derived.delta,
-            "k0": self.derived.k0,
-            "m0": self.derived.m0,
+            "delta": self.params.delta,
+            "k0": self.params.rank_threshold,
+            "m0": self.params.m0,
             "per_block": _fraction_str(self.per_block),
             "union": _fraction_str(self.union),
             "per_block_conservative": _fraction_str(self.per_block_conservative),
@@ -166,9 +137,7 @@ def failure_bound(params: SchemeParams, m: int | None = None) -> FailureBound:
         m = params.m
     if m < 1:
         raise BadArguments(f"file count must be at least 1, got {m}")
-    q = params.q
-    d = derive(params)
-    delta, k0, m0 = d.delta, d.k0, d.m0
+    q, delta, k0, m0 = params.q, params.delta, params.rank_threshold, params.m0
 
     if k0 < delta:
         per_block = Fraction(0)
@@ -185,9 +154,8 @@ def failure_bound(params: SchemeParams, m: int | None = None) -> FailureBound:
     union_cons = min(per_block_cons * (m - 1), Fraction(1))
     simplified = _q_power(q, -(m - m0) * delta * delta)
     return FailureBound(
-        q=q,
+        params=params,
         m=m,
-        derived=d,
         per_block=per_block,
         union=union,
         per_block_conservative=per_block_cons,
@@ -231,8 +199,7 @@ def rate_report(params: SchemeParams, m: int | None = None) -> RateReport:
         m = params.m
     if m < 1:
         raise BadArguments(f"file count must be at least 1, got {m}")
-    d = derive(params)
-    delta = d.delta
+    delta = params.delta
     upper = (1 + Fraction(1, delta)) / (m + 1 + Fraction(2, delta))
     return RateReport(
         m=m,
@@ -240,7 +207,7 @@ def rate_report(params: SchemeParams, m: int | None = None) -> RateReport:
         trivial_rate=Fraction(1, m),
         upper_bound=upper,
         coarse_bound=Fraction(2, m + 3),
-        regime="attackable" if m >= d.m0 else "near-trivial",
+        regime="attackable" if m >= params.m0 else "near-trivial",
     )
 
 

@@ -27,6 +27,7 @@ for every p (see fields.fq_deletion_ranks).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -40,23 +41,39 @@ from .params import SchemeParams
 from .scheme import Query
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackReport:
-    """Outcome of one rank scan over a query matrix.
+    """What one rank scan over a query matrix measured, and the verdict read from it.
 
-    recovered_index is set when exactly one block falls at or below the
-    threshold; otherwise failure_reason says whether the scan saw none
-    ("no_candidate") or several ("ambiguous").  With fallback_argmin such
-    a scan names the block of smallest rank instead, and fallback_used
-    marks that guess, in to_dict too.
+    The scan measures rank_profile, the subfield rank of each block
+    deletion in block order, against threshold, the rank k0 at or below
+    which a deletion names its block, and takes elapsed seconds.
+    below_threshold lists the 1-based blocks that name themselves;
+    recovered_index is set when exactly one does, otherwise
+    failure_reason says whether the scan saw none ("no_candidate") or
+    several ("ambiguous").  With fallback_argmin such a scan names the
+    block of smallest rank instead, and fallback_used marks that guess, in
+    to_dict too.  The verdict is computed from the scan on first read.
     """
 
-    recovered_index: int | None
     rank_profile: list[int]
     threshold: int
-    below_threshold: list[int]
     elapsed: float
-    fallback_used: bool = False
+    fallback_argmin: bool = False
+
+    @functools.cached_property
+    def below_threshold(self) -> list[int]:
+        return [j + 1 for j, r in enumerate(self.rank_profile) if r <= self.threshold]
+
+    @property
+    def fallback_used(self) -> bool:
+        return bool(self.fallback_argmin) and len(self.below_threshold) != 1
+
+    @functools.cached_property
+    def recovered_index(self) -> int | None:
+        if self.fallback_used:
+            return int(np.argmin(self.rank_profile)) + 1
+        return self.below_threshold[0] if len(self.below_threshold) == 1 else None
 
     @property
     def failure_reason(self) -> str | None:
@@ -95,24 +112,6 @@ def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -
     return fq_deletion_ranks(queries.reshape(*lead, rows, cols * s), params.delta, tower.fq)
 
 
-def _verdict(profile: list[int], params: SchemeParams, elapsed: float, fallback_argmin: bool) -> AttackReport:
-    threshold = params.rank_threshold
-    candidates = [j + 1 for j, r in enumerate(profile) if r <= threshold]
-    recovered = candidates[0] if len(candidates) == 1 else None
-    fallback_used = False
-    if recovered is None and fallback_argmin:
-        recovered = int(np.argmin(profile)) + 1
-        fallback_used = True
-    return AttackReport(
-        recovered_index=recovered,
-        rank_profile=profile,
-        threshold=threshold,
-        below_threshold=candidates,
-        elapsed=elapsed,
-        fallback_used=fallback_used,
-    )
-
-
 def recover_index(
     query: Query | np.ndarray,
     params: SchemeParams,
@@ -137,5 +136,5 @@ def recover_index(
     if data.ndim == 4:
         profiles = profile.tolist()
         share = (time.perf_counter() - start) / max(len(profiles), 1)
-        return [_verdict(p, params, share, fallback_argmin) for p in profiles]
-    return _verdict(profile, params, time.perf_counter() - start, fallback_argmin)
+        return [AttackReport(p, params.rank_threshold, share, fallback_argmin) for p in profiles]
+    return AttackReport(profile, params.rank_threshold, time.perf_counter() - start, fallback_argmin)

@@ -61,13 +61,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     m = args.m if args.m is not None else params.m
     L = args.file_rows if args.file_rows is not None else params.L
-    derived = analysis.derive(params)
     bound = analysis.failure_bound(params, m)
     rates = analysis.rate_report(params, m)
     finite = analysis.measured_rate(params, m, L)
     doc = {
         "params": params.to_dict(),
-        "derived": {"delta": derived.delta, "k0": derived.k0, "m0": derived.m0},
+        "derived": {"delta": params.delta, "k0": params.rank_threshold, "m0": params.m0},
         "failure_bound": bound.to_dict(),
         "rates": rates.to_dict(),
         "measured_rate": {

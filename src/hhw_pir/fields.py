@@ -221,13 +221,18 @@ class Fq:
     For e = 1 everything is plain arithmetic mod p.  For e >= 2 products
     run on the F_p regular representation of each element, looked up in
     ``regular_table``, which is built from the structure tensor on first
-    use; sums run digitwise, and over F_(2^e) as XOR.  q is capped at
+    use; sums run digitwise, and over F_(2^e) as XOR.  A composite p
+    raises NotPrime and e < 1 DegreeTooSmall, q is capped at
     MAX_SUBFIELD_ORDER and a reducible modulus raises ReducibleModulus.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = int(p)
         self.e = int(e)
+        if not is_prime(self.p):
+            raise NotPrime(f"{self.p} is not prime")
+        if self.e < 1:
+            raise DegreeTooSmall("base degree e must be at least 1")
         self.q = self.p**self.e
         if self.q > MAX_SUBFIELD_ORDER:
             raise FieldTooLarge(f"subfield order {self.q} exceeds {MAX_SUBFIELD_ORDER}")
@@ -797,18 +802,23 @@ class FieldTower:
     """Immutable arithmetic context for F_p <= F_q <= F_q^s.
 
     Elements are numpy coordinate arrays of shape (..., s); the arithmetic
-    runs on whole arrays (matmul, scalar_matmul).
+    runs on whole arrays (matmul, scalar_matmul).  s < 2 raises
+    DegreeTooSmall and a reducible top modulus ReducibleModulus.
     """
 
     def __init__(self, fq: Fq, s: int, top_modulus: tuple[int, ...]):
         self.fq = fq
         self.p, self.e, self.s = fq.p, fq.e, int(s)
+        if self.s < 2:
+            raise DegreeTooSmall("top degree s must be at least 2")
         self.q = fq.q
         self.order = self.q**self.s
         self.base_modulus = self.fq.modulus
         self.top_modulus = tuple(int(c) for c in top_modulus)
         if len(self.top_modulus) != self.s + 1 or self.top_modulus[self.s] != 1:
             raise ValueError("top modulus must be monic of degree s")
+        if not _rabin(fq, [self.top_modulus[: self.s]])[0][0]:
+            raise ReducibleModulus(f"top modulus {self.top_modulus} is reducible over F_{self.q}")
         # (s*e, (s*e)^2) F_p structure tensor: the digits of y @ mul_tensor are
         # the flattened F_p regular representation of y (see blow_up).  The
         # F_p basis of F_q^s is x^j * a^i, a the generator of F_q, flattened

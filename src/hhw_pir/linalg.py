@@ -38,6 +38,7 @@ from .errors import (
 )
 from .fields import (
     FieldTower,
+    _encodings,
     fq_echelon,  # not called here: perfbench/layers.py traces the elimination kernel as linalg.fq_echelon
     fq_inv_matrix,
     fq_rank,
@@ -99,13 +100,15 @@ def change_basis(data: np.ndarray, tower: FieldTower, transform: np.ndarray) -> 
     """Apply an F_q-linear map entrywise: coordinates become coords @ transform.
 
     For invertible transforms this re-expresses every entry in another
-    basis of F_q^s over F_q; rank_fq does not change under such maps.
+    basis of F_q^s over F_q; rank_fq does not change under such maps.  An
+    entry of either operand outside [0, q), or an operand that is not of
+    an integer dtype, raises CoordinateOutOfRange (fields._encodings).
     """
-    transform = np.asarray(transform, dtype=np.int64)
+    transform = _encodings(transform, tower.fq)
     s = tower.s
     if transform.shape != (s, s):
         raise DimensionMismatch(f"expected ({s}, {s}) transform, got {transform.shape}")
-    data = np.asarray(data, dtype=np.int64)
+    data = _encodings(data, tower.fq)
     return tower.fq.matmul(data.reshape(-1, s), transform).reshape(data.shape)
 
 
@@ -115,9 +118,17 @@ def change_basis(data: np.ndarray, tower: FieldTower, transform: np.ndarray) -> 
 
 
 def _columns_in_range(columns, n: int) -> np.ndarray:
-    columns = np.asarray(columns, dtype=np.int64)
+    """columns as an int64 array; IndexOutOfRange unless it holds integers in [0, n).
+
+    A non-empty array that is not of an integer dtype (float, bool,
+    object) is refused, where a cast would truncate it.
+    """
+    columns = np.asarray(columns)
+    if columns.size and columns.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"information set columns must be integers, got an array of {columns.dtype}")
+    columns = columns.astype(np.int64, copy=False)
     if columns.size and (columns.min() < 0 or columns.max() >= n):
-        raise IndexOutOfRange(f"columns {columns.tolist()} are not all in [0, {n})")
+        raise IndexOutOfRange(f"information set columns {columns.tolist()} are not all in [0, {n})")
     return columns
 
 

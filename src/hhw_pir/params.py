@@ -18,7 +18,13 @@ class SchemeParams:
     rows per file.  Each file then has delta = (s - v) * (n - k) columns
     over F_q, queries are (m * delta) x n matrices over F_q^s, and the
     rank threshold separating the target block from the others is
-    rank_threshold = k*s + v*(n - k) = s*n - delta.
+    rank_threshold = k*s + v*(n - k) = s*n - delta, the paper's k0.  m0
+    is the least file count for which the simplified failure bound is
+    nontrivial.
+
+    Every field is an integer: a bool, float or string raises
+    InvalidParams, and an integer of another type (numpy's) is stored as a
+    Python int.
     """
 
     p: int
@@ -31,6 +37,8 @@ class SchemeParams:
     L: int
 
     def __post_init__(self):
+        for key in _FIELDS:
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if not is_prime(self.p):
             raise InvalidParams(f"p = {self.p} is not prime")
         if self.e < 1:
@@ -61,6 +69,18 @@ class SchemeParams:
     def rank_threshold(self) -> int:
         """Subfield rank of a query with its target block deleted stays at or below this."""
         return self.k * self.s + self.v * (self.n - self.k)
+
+    @property
+    def m0(self) -> int:
+        """1 + ceil((delta + 1) * (k0 - delta) / delta^2), k0 = rank_threshold.
+
+        This is also the printed form 1 + ceil((1 + 1/delta) * (s*n/delta - 2)).
+        The ceiling is taken on exact integers, as minus the floor of the
+        negated quotient, so boundary cases cannot be pushed over by float
+        rounding.
+        """
+        delta = self.delta
+        return 1 - (delta + 1) * (delta - self.rank_threshold) // (delta * delta)
 
     @property
     def block_rows(self) -> int:

@@ -60,7 +60,7 @@ from .fields import (
     residue_matmul,
     sample_split_bases,
 )
-from .linalg import ExtMatrix
+from .linalg import ExtMatrix, _columns_in_range
 from .params import SchemeParams
 
 
@@ -363,7 +363,8 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     Returns the (L, delta) F_q matrix of the target file.  A response
     entry outside [0, q), which the digit lookup would wrap, or of a
     non-integer dtype raises CoordinateOutOfRange (fields._encodings), an
-    information-set column outside [0, n) IndexOutOfRange, a selection
+    information set that is not an integer array or holds a column outside
+    [0, n) IndexOutOfRange (linalg._columns_in_range), a selection
     that is not an information set NotInformationSet, and a selector block
     that leaves W or whose coordinate matrix is singular DecodeFailure.
     """
@@ -374,9 +375,7 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     if A.cols != n:
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
     answer = _encodings(A.data, fq)
-    info_set = secrets.info_set
-    if np.any((info_set < 0) | (info_set >= n)):
-        raise IndexOutOfRange(f"information set {info_set.tolist()} is not within [0, {n})")
+    info_set = _columns_in_range(secrets.info_set, n)
     outside = np.delete(np.arange(n), info_set)
     if len(info_set) != k or len(outside) != n - k:
         raise NotInformationSet(f"columns {info_set.tolist()} cannot be an information set of a {k}-row generator")

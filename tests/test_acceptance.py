@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 from hhw_pir.analysis import (
-    derive,
     failure_bound,
     gaussian_binomial,
     log2_fraction,
@@ -83,7 +82,7 @@ def test_01_end_to_end_retrieval(preset_params, preset_tower):
 def test_02_target_deletion_rank_bound(preset_params, preset_tower):
     """Deleting the target block keeps subfield rank at or below k0, 500/500."""
     rng = np.random.default_rng(0xACCE_0002)
-    d = derive(preset_params)
+    k0 = preset_params.rank_threshold
     trials = 500
     worst = 0
     for _ in range(trials):
@@ -91,11 +90,11 @@ def test_02_target_deletion_rank_bound(preset_params, preset_tower):
         query, _ = generate_query(preset_params, preset_tower, target, rng)
         kept = delete_block(query.matrix.data, target, preset_params.delta)
         worst = max(worst, fq_rank(kept.reshape(len(kept), -1), preset_tower.fq))
-    ok = worst <= d.k0
+    ok = worst <= k0
     assert _verdict(
         "check 2, target-deletion rank bound",
         ok,
-        f"max rank over {trials} queries = {worst}, threshold k0 = {d.k0} (zero tolerance)",
+        f"max rank over {trials} queries = {worst}, threshold k0 = {k0} (zero tolerance)",
     )
 
 
@@ -245,14 +244,13 @@ def test_06_derived_identities_random_sweep():
             m=int(rng.integers(1, 13)),
             L=1,
         )
-        d = derive(params)
-        delta = d.delta
-        k0_ok = d.k0 == params.k * s + params.v * (n - params.k) == s * n - delta
+        delta, k0 = params.delta, params.rank_threshold
+        k0_ok = k0 == params.k * s + params.v * (n - params.k) == s * n - delta
         # the two printed forms of m0, recomputed on exact rationals
-        first = Fraction((delta + 1) * (d.k0 - delta), delta * delta)
+        first = Fraction((delta + 1) * (k0 - delta), delta * delta)
         second = (1 + Fraction(1, delta)) * (Fraction(s * n, delta) - 2)
         m0_ok = (
-            d.m0
+            params.m0
             == 1 + math.ceil(first)
             == 1 + math.ceil(second)
         )
@@ -283,13 +281,13 @@ def test_07_counting_bound_chain():
             m=2,
             L=1,
         )
-        d = derive(params)
-        if d.k0 > 64 or d.k0 < d.delta:
+        delta, k0 = params.delta, params.rank_threshold
+        if k0 > 64 or k0 < delta:
             continue
         accepted += 1
         q = params.q
-        lhs = gaussian_binomial(d.k0, d.k0 - d.delta, q)
-        if lhs > q ** ((d.delta + 1) * (d.k0 - d.delta)):
+        lhs = gaussian_binomial(k0, k0 - delta, q)
+        if lhs > q ** ((delta + 1) * (k0 - delta)):
             bad.append((params.p, params.e, s, params.v, n, params.k))
         if not failure_bound(params).rough_chain_ok:
             bad.append(("rough_chain_ok", params.p, params.e, s, params.v, n, params.k))
@@ -324,7 +322,7 @@ def test_08_rate_report(preset_params):
             m=int(rng.integers(1, 13)),
             L=1,
         )
-        if params.m >= derive(params).m0:
+        if params.m >= params.m0:
             continue
         accepted += 1
         rep = rate_report(params)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhw_pir.analysis import (
-    derive,
     failure_bound,
     gaussian_binomial,
     log2_fraction,
@@ -96,12 +95,12 @@ def test_gaussian_binomial_rejects_bad_arguments():
 
 
 def test_derive_frozen_examples():
-    d = derive(DEFAULT_PARAMS)
-    assert (d.delta, d.k0, d.m0) == (8, 24, 4)
-    d = derive(TIGHT_PARAMS)
-    assert (d.delta, d.k0, d.m0) == (2, 6, 4)
-    d = derive(SchemeParams(p=3, e=1, s=2, v=1, n=3, k=1, m=3, L=2))
-    assert (d.delta, d.k0, d.m0) == (2, 4, 3)
+    for params, derived in [
+        (DEFAULT_PARAMS, (8, 24, 4)),
+        (TIGHT_PARAMS, (2, 6, 4)),
+        (SchemeParams(p=3, e=1, s=2, v=1, n=3, k=1, m=3, L=2), (2, 4, 3)),
+    ]:
+        assert (params.delta, params.rank_threshold, params.m0) == derived
 
 
 def test_derive_dimension_split():
@@ -112,8 +111,7 @@ def test_derive_dimension_split():
         SchemeParams(p=5, e=1, s=3, v=2, n=6, k=3, m=2, L=1),
         SchemeParams(p=2, e=3, s=2, v=1, n=9, k=5, m=7, L=4),
     ]:
-        d = derive(params)
-        assert d.k0 + d.delta == params.s * params.n
+        assert params.rank_threshold + params.delta == params.s * params.n
 
 
 @st.composite
@@ -137,12 +135,12 @@ def scheme_params(draw):
 def test_printed_forms_agree(params):
     """Each derived integer has two printed forms; they agree on every valid instance."""
     s, v, n, k = params.s, params.v, params.n, params.k
-    d = derive(params)
-    assert d.delta == params.delta == (s - v) * (n - k)
-    assert k * s + v * (n - k) == s * n - d.delta == d.k0 == params.rank_threshold
+    delta = params.delta
+    assert delta == (s - v) * (n - k)
+    assert k * s + v * (n - k) == s * n - delta == params.rank_threshold
     # m0 = 1 + ceil((1 + 1/delta) * (s*n/delta - 2)), on exact rationals
-    second = (1 + Fraction(1, d.delta)) * (Fraction(s * n, d.delta) - 2)
-    assert d.m0 == 1 + math.ceil(second)
+    second = (1 + Fraction(1, delta)) * (Fraction(s * n, delta) - 2)
+    assert params.m0 == 1 + math.ceil(second)
 
 
 # -- failure bounds -----------------------------------------------------------------------
@@ -211,8 +209,7 @@ def test_failure_bound_union_clamped():
 def test_failure_bound_impossible_event_is_zero():
     # k0 < delta: a deleted submatrix can never reach rank k0 - delta < 0
     params = SchemeParams(p=2, e=1, s=3, v=1, n=5, k=1, m=2, L=1)
-    d = derive(params)
-    assert d.k0 < d.delta
+    assert params.rank_threshold < params.delta
     fb = failure_bound(params)
     assert fb.per_block == 0
     assert fb.union == 0

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hhw_pir.attack import rank_profile, recover_index
+from hhw_pir.attack import AttackReport, rank_profile, recover_index
 from hhw_pir.errors import CoordinateOutOfRange, DimensionMismatch
 from hhw_pir.fields import build_tower, fq_deletion_ranks
 from hhw_pir.linalg import change_basis, fq_rank
@@ -394,6 +394,23 @@ def test_no_candidate_scan(rng):
             break
     else:
         pytest.fail("uniform noise never produced an empty candidate list")
+
+
+@pytest.mark.parametrize(
+    "profile, fallback, verdict",
+    [
+        ([7, 6, 8], False, (2, [2], False, None)),
+        ([7, 6, 8], True, (2, [2], False, None)),
+        ([6, 5, 8], False, (None, [1, 2], False, "ambiguous")),
+        ([6, 5, 8], True, (2, [1, 2], True, None)),
+        ([8, 7, 7], False, (None, [], False, "no_candidate")),
+        ([8, 7, 7], True, (2, [], True, None)),
+    ],
+)
+def test_report_derives_its_verdict_from_the_scan(profile, fallback, verdict):
+    """recovered_index, the candidates, fallback_used and failure_reason follow from the profile and threshold 6."""
+    report = AttackReport(profile, 6, 0.0, fallback)
+    assert (report.recovered_index, report.below_threshold, report.fallback_used, report.failure_reason) == verdict
 
 
 def test_report_serialises(tight_params, tight_tower, rng):

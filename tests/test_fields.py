@@ -17,6 +17,7 @@ from hhw_pir.errors import (
     ReducibleModulus,
 )
 from hhw_pir.fields import (
+    FieldTower,
     Fq,
     _rabin,
     build_tower,
@@ -755,6 +756,23 @@ def test_fq_modulus_must_be_monic():
         Fq(2, 2, (1, 1, 0))
     with pytest.raises(ValueError):
         Fq(2, 2, (1, 1))
+
+
+def test_constructors_check_what_build_tower_checks():
+    """Fq built Z/4 and a degree-0 field, FieldTower an s = 1 tower and one on the reducible x^2."""
+    with pytest.raises(NotPrime, match="4 is not prime"):
+        Fq(4, 1, (0, 1))
+    with pytest.raises(DegreeTooSmall, match="base degree e must be at least 1"):
+        Fq(2, 0, (1,))
+    fq = Fq(2, 1, (0, 1))
+    for s, modulus in [(0, (1,)), (1, (1, 1))]:
+        with pytest.raises(DegreeTooSmall, match="top degree s must be at least 2"):
+            FieldTower(fq, s, modulus)
+    for fq, modulus in [(fq, (0, 0, 1)), (fq, (1, 0, 1)), (Fq(3, 1, (0, 1)), (1, 0, 0, 1)), (build_tower(2, 2, 2).fq, (0, 0, 1))]:
+        with pytest.raises(ReducibleModulus):
+            FieldTower(fq, len(modulus) - 1, modulus)
+    tower = build_tower(2, 2, 3)
+    assert FieldTower(tower.fq, 3, tower.top_modulus).top_modulus == tower.top_modulus
 
 
 # -- basis splits ----------------------------------------------------------------------

@@ -573,6 +573,26 @@ def test_change_basis_composes_and_validates(rng):
         change_basis(data, tower, np.zeros((3, 1), dtype=np.int64))
 
 
+@pytest.mark.parametrize("tower", TOWERS, ids=lambda t: f"q{t.q}s{t.s}")
+def test_change_basis_refuses_operands_it_would_truncate_or_reduce(tower, rng):
+    """A fractional operand was truncated and an entry >= q reduced mod p; both raise CoordinateOutOfRange."""
+    data = tower.rand(rng, (3, 3))
+    transform = tower.fq.rand(rng, (tower.s, tower.s))
+    too_big_data, too_big_transform = data.copy(), transform.copy()
+    too_big_data[1, 2, 0] = tower.q
+    too_big_transform[0, 1] = tower.q + tower.p
+    for bad_data, bad_transform in [
+        (data + 0.4, transform),
+        (data, transform + 0.4),
+        (data.astype(bool), transform),
+        (too_big_data, transform),
+        (data, too_big_transform),
+        (-data - 1, transform),
+    ]:
+        with pytest.raises(CoordinateOutOfRange):
+            change_basis(bad_data, tower, bad_transform)
+
+
 # -- information sets and solving ------------------------------------------------------
 
 
@@ -652,6 +672,19 @@ def test_solve_on_columns_rejects_bad_inputs(rng):
             solve_on_columns(gen, np.array(outside), tower.rand(rng, (2, 2)), tower)
     with pytest.raises(NotInformationSet):
         solve_on_columns(np.zeros((2, 3, tower.s), dtype=np.int64), good, tower.rand(rng, (2, 2)), tower)
+
+
+@pytest.mark.parametrize("kind", ["shifted", "float", "bool"])
+def test_information_set_columns_must_be_integers(kind, rng):
+    """Fractional columns were truncated to an information set; columns that are not integers raise IndexOutOfRange."""
+    tower = TOWERS[0]
+    gen = _random_full_rank(tower, 2, 4, rng)
+    columns = next(np.array(c) for c in itertools.combinations(range(4), 2) if is_information_set(gen, np.array(c), tower))
+    bad = {"shifted": columns + 0.5, "float": columns.astype(float), "bool": np.ones(2, dtype=bool)}[kind]
+    with pytest.raises(IndexOutOfRange, match="integers"):
+        is_information_set(gen, bad, tower)
+    with pytest.raises(IndexOutOfRange, match="integers"):
+        solve_on_columns(gen, bad, tower.rand(rng, (2, 2)), tower)
 
 
 # -- differential tests against the scalar elimination over F_q^s ------------------

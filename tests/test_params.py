@@ -1,5 +1,6 @@
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,21 @@ def test_validation_rejects(kwargs, fragment):
     base.update(kwargs)
     with pytest.raises(InvalidParams, match=fragment):
         SchemeParams(**base)
+
+
+_VALID = dict(p=3, e=2, s=3, v=1, n=4, k=2, m=5, L=3)
+
+
+@pytest.mark.parametrize("key", sorted(_VALID))
+def test_constructor_refuses_what_from_dict_refuses(key):
+    """n=4.5 gave delta 2.5, m=6.0 a bare TypeError in run_experiment and e=True a JSON true."""
+    value = _VALID[key]
+    for bad in (float(value), value + 0.5, True):
+        with pytest.raises(InvalidParams, match=f"parameter {key} must be an integer"):
+            SchemeParams(**{**_VALID, key: bad})
+    params = SchemeParams(**{**_VALID, key: np.int64(value)})
+    assert type(getattr(params, key)) is int
+    assert params == SchemeParams(**_VALID) and params.to_dict() == _VALID
 
 
 def test_dict_round_trip():

@@ -525,6 +525,18 @@ def test_decode_refuses_information_set_columns_out_of_range(columns, tight_para
         decode(response, dataclasses.replace(secrets, info_set=np.array(columns)), tight_params, tight_tower)
 
 
+@pytest.mark.parametrize("kind", ["float", "shifted", "bool"])
+def test_decode_refuses_an_information_set_that_is_not_an_integer_array(kind, tight_params, tight_tower, rng):
+    """Float columns raised numpy's bare IndexError from np.delete and bool ones a bare ValueError; both raise IndexOutOfRange."""
+    db = Database.random(tight_params, rng)
+    query, secrets = generate_query(tight_params, tight_tower, 1, rng)
+    response = respond(db, query, tight_params, tight_tower)
+    info_set = secrets.info_set
+    bad = {"float": info_set.astype(float), "shifted": info_set + 0.5, "bool": info_set.astype(bool)}[kind]
+    with pytest.raises(IndexOutOfRange, match="information set"):
+        decode(response, dataclasses.replace(secrets, info_set=bad), tight_params, tight_tower)
+
+
 def test_decode_singular_selector_raises_typed_error(tight_params, tight_tower, rng):
     # a repeated selector row stays inside W but makes the coordinate matrix singular
     db = Database.random(tight_params, rng)

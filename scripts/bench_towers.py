@@ -6,10 +6,11 @@ F_p <= F_q <= F_(q^s), built by hhw_pir.fields.build_tower.  The script
 times the same builds twice:
 
   before  the paths the package replaced: build_tower without its cache
-          (its __wrapped__ function, patched in for the run), so every
-          call searches its moduli again, and the scalar search of
-          tests/oracles.py (scalar_smallest_irreducible, one Rabin test
-          per candidate, no budget) as smallest_irreducible;
+          (the function its memo wraps, fields._build_tower.__wrapped__,
+          patched in for the run), so every call searches its moduli
+          again, and the scalar search of tests/oracles.py
+          (scalar_smallest_irreducible, one Rabin test per candidate, no
+          budget) as smallest_irreducible;
   after   the package: build_tower memoised on its (p, e, s), and the
           stacked Rabin test on windows of consecutive candidates that
           skips those with zero derivative or zero constant term.
@@ -55,7 +56,7 @@ SWEEP_TRIALS = 25
 SWEEP_SEED = 400
 
 CACHED = fields.build_tower
-replaced = functools.partial(benchkit.patched, build_tower=CACHED.__wrapped__,
+replaced = functools.partial(benchkit.patched, _build_tower=fields._build_tower.__wrapped__,
                              smallest_irreducible=oracles.scalar_smallest_irreducible)
 
 
@@ -98,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = {
         "topic": "field tower builds and the tight sweep, microseconds of wall time per call",
-        "before": "build_tower without its cache (build_tower.__wrapped__) and tests/oracles.py "
+        "before": "build_tower without its cache (fields._build_tower.__wrapped__) and tests/oracles.py "
                   "scalar_smallest_irreducible (one Rabin test per candidate, no budget) as smallest_irreducible",
         "after": "build_tower memoised on (p, e, s) and the stacked Rabin test on windows of candidates, "
                  "with zero-derivative and zero-constant candidates skipped, under MODULUS_SEARCH_BUDGET",

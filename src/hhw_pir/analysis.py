@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadArguments
+from .fields import as_integer
 from .params import SchemeParams
 
 __all__ = [
@@ -54,8 +55,9 @@ def gaussian_binomial(b: int, a: int, q: int) -> int:
     Computed by the product formula
         prod_{t<a} (q^b - q^t) / (q^a - q^t),
     with the division performed once at the end; the quotient is always an
-    integer.
+    integer.  An argument that is not an integer raises BadArguments.
     """
+    b, a, q = as_integer(b, BadArguments, "b"), as_integer(a, BadArguments, "a"), as_integer(q, BadArguments, "q")
     if a < 0 or b < 0 or a > b:
         raise BadArguments(f"gaussian binomial needs 0 <= a <= b, got a={a}, b={b}")
     if q < 2:
@@ -66,6 +68,14 @@ def gaussian_binomial(b: int, a: int, q: int) -> int:
         num *= q**b - q**t
         den *= q**a - q**t
     return num // den
+
+
+def _file_count(params: SchemeParams, m) -> int:
+    """m, or params.m for None; BadArguments unless an integer of at least 1."""
+    m = params.m if m is None else as_integer(m, BadArguments, "file count m")
+    if m < 1:
+        raise BadArguments(f"file count must be at least 1, got {m}")
+    return m
 
 
 def _q_power(q: int, exponent: int) -> Fraction:
@@ -133,10 +143,7 @@ def failure_bound(params: SchemeParams, m: int | None = None) -> FailureBound:
     impossible (rank cannot be negative) and the bound is 0; with m < 2 the
     conservative row count is clamped at 0, making that bound vacuous.
     """
-    if m is None:
-        m = params.m
-    if m < 1:
-        raise BadArguments(f"file count must be at least 1, got {m}")
+    m = _file_count(params, m)
     q, delta, k0, m0 = params.q, params.delta, params.rank_threshold, params.m0
 
     if k0 < delta:
@@ -195,10 +202,7 @@ class RateReport:
 
 
 def rate_report(params: SchemeParams, m: int | None = None) -> RateReport:
-    if m is None:
-        m = params.m
-    if m < 1:
-        raise BadArguments(f"file count must be at least 1, got {m}")
+    m = _file_count(params, m)
     delta = params.delta
     upper = (1 + Fraction(1, delta)) / (m + 1 + Fraction(2, delta))
     return RateReport(
@@ -219,12 +223,11 @@ def transfer_digits(params: SchemeParams, m: int | None = None,
     m*delta*n extension elements of e*s digits; the response holds L*n of
     them.  Container framing (magic, headers, byte padding) is excluded:
     rates compare information content, not packaging overhead.  A file
-    count or file length below 1 raises BadArguments.
+    count or file length that is not an integer or is below 1 raises
+    BadArguments.
     """
-    if m is None:
-        m = params.m
-    if L is None:
-        L = params.L
+    m = params.m if m is None else as_integer(m, BadArguments, "file count m")
+    L = params.L if L is None else as_integer(L, BadArguments, "file length L")
     if m < 1 or L < 1:
         raise BadArguments(f"file count and file length must be at least 1, got m={m}, L={L}")
     e, s, n, delta = params.e, params.s, params.n, params.delta

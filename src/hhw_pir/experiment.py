@@ -24,7 +24,6 @@ import hashlib
 import io
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +34,7 @@ import numpy as np
 from .analysis import failure_bound, log2_fraction
 from .attack import recover_index
 from .errors import BadArguments
-from .fields import FieldTower, build_tower
+from .fields import FieldTower, as_integer, build_tower
 from .params import SchemeParams
 from .scheme import DRAW_PHASES, generate_queries
 
@@ -84,22 +83,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("trials", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise BadArguments(f"{name} must be an integer, got {value!r}")
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise BadArguments(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, as_integer(getattr(self, name), BadArguments, name))
         if self.trials < 1:
             raise BadArguments(f"trials must be at least 1, got {self.trials}")
         if not 0 <= self.master_seed <= _MASK64:
             raise BadArguments("master seed must fit in 64 unsigned bits")
-        policy = self.target_policy
-        if isinstance(policy, bool) or not (policy == "uniform" or isinstance(policy, int)):
-            raise BadArguments(f"target policy must be 'uniform' or an index, got {policy!r}")
-        if isinstance(policy, int) and not 1 <= policy <= self.params.m:
-            raise BadArguments(f"fixed target {policy} outside [1, {self.params.m}]")
+        if self.target_policy != "uniform":
+            policy = as_integer(self.target_policy, BadArguments, "target policy other than 'uniform'")
+            if not 1 <= policy <= self.params.m:
+                raise BadArguments(f"fixed target {policy} outside [1, {self.params.m}]")
+            object.__setattr__(self, "target_policy", policy)
         if not isinstance(self.fallback_argmin, (bool, np.bool_)):
             raise BadArguments(f"fallback_argmin must be a bool, got {self.fallback_argmin!r}")
         object.__setattr__(self, "fallback_argmin", bool(self.fallback_argmin))
@@ -197,7 +190,7 @@ def _run_round(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
     if cfg.target_policy == "uniform":
         targets = [int(rng.integers(1, params.m + 1)) for rng in rngs]
     else:
-        targets = [int(cfg.target_policy)] * len(trials)
+        targets = [cfg.target_policy] * len(trials)
     start = time.perf_counter()
     generated = None
     try:

@@ -56,6 +56,12 @@ block deletion, reads all of them off the basis of the transposed
 query, inserting the masked rows that lead in a block into that basis
 and popping what they added.  All four raise CoordinateOutOfRange on an
 entry outside [0, q), which a packed field would wrap.
+
+That check is one of two input gates that every module of the package
+runs its integer inputs through: as_integer for a scalar, integer_array
+for an array.  A bool is not an integer, an array of another dtype is
+refused where a cast would truncate it, and an array's entries must lie
+in [0, bound); each gate raises the error type its caller names.
 """
 
 from __future__ import annotations
@@ -63,12 +69,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from fractions import Fraction
 
 from .errors import (
+    BadArguments,
     CoordinateOutOfRange,
     DegreeTooSmall,
     DimensionMismatch,
@@ -215,20 +223,30 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _coefficients(modulus, bound: int, what: str) -> tuple[int, ...]:
+    """A modulus's coefficients as Python ints (as_integer, BadArguments); CoordinateOutOfRange unless in [0, bound)."""
+    coefficients = tuple(as_integer(c, BadArguments, f"{what} coefficient") for c in modulus)
+    if not all(0 <= c < bound for c in coefficients):
+        raise CoordinateOutOfRange(f"{what} {coefficients} has a coefficient outside [0, {bound})")
+    return coefficients
+
+
 class Fq:
     """Arithmetic context for F_q with q = p^e, elements encoded as ints in [0, q).
 
     For e = 1 everything is plain arithmetic mod p.  For e >= 2 products
     run on the F_p regular representation of each element, looked up in
     ``regular_table``, which is built from the structure tensor on first
-    use; sums run digitwise, and over F_(2^e) as XOR.  A composite p
-    raises NotPrime and e < 1 DegreeTooSmall, q is capped at
+    use; sums run digitwise, and over F_(2^e) as XOR.  A p, e or modulus
+    coefficient that is not an integer raises BadArguments and a
+    coefficient outside [0, p) CoordinateOutOfRange (_coefficients), a
+    composite p NotPrime and e < 1 DegreeTooSmall, q is capped at
     MAX_SUBFIELD_ORDER and a reducible modulus raises ReducibleModulus.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
-        self.p = int(p)
-        self.e = int(e)
+        self.p = as_integer(p, BadArguments, "characteristic p")
+        self.e = as_integer(e, BadArguments, "base degree e")
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
         if self.e < 1:
@@ -236,7 +254,7 @@ class Fq:
         self.q = self.p**self.e
         if self.q > MAX_SUBFIELD_ORDER:
             raise FieldTooLarge(f"subfield order {self.q} exceeds {MAX_SUBFIELD_ORDER}")
-        self.modulus = tuple(int(c) % self.p for c in modulus)
+        self.modulus = _coefficients(modulus, self.p, "modulus")
         if len(self.modulus) != self.e + 1 or self.modulus[self.e] != 1:
             raise ValueError("modulus must be monic of degree e")
         # the prime field, over which every elimination and Rabin's test compute
@@ -532,22 +550,45 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return np.frombuffer(packed, dtype=f">u{w // 8}").reshape(rows, cols).astype(np.int64), pivots
 
 
-def _encodings(arr, fq: Fq) -> np.ndarray:
-    """arr as an int64 array of F_q encodings; CoordinateOutOfRange if an entry lies outside [0, q).
+def as_integer(value, error: type[Exception], what: str) -> int:
+    """value as a Python int; ``error`` naming ``what`` unless it is an integer.
 
-    A packed field would wrap such an entry without a trace, so the kernel's
-    entry points check the range once, before any blow-up, with one
-    maximum over the entries read as unsigned: a negative one reads as at
-    least 2^63.  A non-empty array that is not of an integer dtype (float,
-    bool, object) is refused too, where a cast would truncate it.
+    An integer is what has __index__, Python's and numpy's integers alike.
+    A bool is not one (numpy's has no __index__), and a float or a string
+    is refused where int() would truncate or parse it.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def integer_array(arr, bound: int | None, error: type[Exception], what: str) -> np.ndarray:
+    """arr as an int64 array; ``error`` naming ``what`` unless it is an integer array with entries in [0, bound).
+
+    A non-empty array that is not of an integer dtype (float, bool,
+    object) is refused, where a cast would truncate or reinterpret it.
+    The range is one maximum over the entries read as unsigned, where a
+    negative one reads as at least 2^63; bound None checks the dtype only.
     """
     arr = np.asarray(arr)
     if arr.size and arr.dtype.kind not in "iu":
-        raise CoordinateOutOfRange(f"entries must be integers, got an array of {arr.dtype}")
+        raise error(f"{what} must be an integer array, got {arr.dtype}, which a cast to integers would alter")
     arr = arr.astype(np.int64, copy=False)
-    if arr.size and arr.view(np.uint64).max() >= fq.q:
-        raise CoordinateOutOfRange(f"entries span [{arr.min()}, {arr.max()}], outside [0, {fq.q})")
+    if bound is not None and arr.size and arr.view(np.uint64).max() >= bound:
+        raise error(f"{what} span [{arr.min()}, {arr.max()}], outside [0, {bound})")
     return arr
+
+
+def _encodings(arr, fq: Fq) -> np.ndarray:
+    """arr as an int64 array of F_q encodings, or CoordinateOutOfRange (integer_array).
+
+    A packed field would wrap an entry outside [0, q) without a trace, so
+    the kernels' entry points check the range once, before any blow-up.
+    """
+    return integer_array(arr, fq.q, CoordinateOutOfRange, "entries")
 
 
 def fq_rank(arr: np.ndarray, fq: Fq):
@@ -648,10 +689,10 @@ def fq_deletion_ranks(arr: np.ndarray, block: int, fq: Fq):
     A (rows, cols) matrix gives the list of its m ranks, a (count, rows,
     cols) stack a (count, m) int64 array.  An entry outside [0, q) raises
     CoordinateOutOfRange, which a packed field would wrap, and any other
-    shape, a block below 1 or rows that do not split into one or more
-    blocks raise DimensionMismatch.
+    shape, a block that is not an integer or is below 1 or rows that do
+    not split into one or more blocks raise DimensionMismatch.
     """
-    arr = _encodings(arr, fq)
+    arr, block = _encodings(arr, fq), as_integer(block, DimensionMismatch, "block")
     if arr.ndim not in (2, 3) or block < 1:
         raise DimensionMismatch(f"expected [count,] (rows, cols) and a block >= 1, got {arr.shape} and {block}")
     rows = arr.shape[-2]
@@ -802,19 +843,21 @@ class FieldTower:
     """Immutable arithmetic context for F_p <= F_q <= F_q^s.
 
     Elements are numpy coordinate arrays of shape (..., s); the arithmetic
-    runs on whole arrays (matmul, scalar_matmul).  s < 2 raises
+    runs on whole arrays (matmul, scalar_matmul).  An s or top modulus
+    coefficient that is not an integer raises BadArguments and a
+    coefficient outside [0, q) CoordinateOutOfRange (_coefficients), s < 2
     DegreeTooSmall and a reducible top modulus ReducibleModulus.
     """
 
     def __init__(self, fq: Fq, s: int, top_modulus: tuple[int, ...]):
         self.fq = fq
-        self.p, self.e, self.s = fq.p, fq.e, int(s)
+        self.p, self.e, self.s = fq.p, fq.e, as_integer(s, BadArguments, "top degree s")
         if self.s < 2:
             raise DegreeTooSmall("top degree s must be at least 2")
         self.q = fq.q
         self.order = self.q**self.s
         self.base_modulus = self.fq.modulus
-        self.top_modulus = tuple(int(c) for c in top_modulus)
+        self.top_modulus = _coefficients(top_modulus, self.q, "top modulus")
         if len(self.top_modulus) != self.s + 1 or self.top_modulus[self.s] != 1:
             raise ValueError("top modulus must be monic of degree s")
         if not _rabin(fq, [self.top_modulus[: self.s]])[0][0]:
@@ -897,19 +940,31 @@ class FieldTower:
         return self.fq.matmul(x, b.reshape(t, c * s)).reshape(len(x), c, s)
 
 
-@functools.lru_cache(maxsize=None)
 def build_tower(p: int, e: int, s: int) -> FieldTower:
     """The canonical tower for (p, e, s), built once per process.
 
-    Raises NotPrime for composite p, DegreeTooSmall for e < 1 or s < 2,
+    Raises BadArguments unless p, e and s are integers (as_integer),
+    NotPrime for composite p, DegreeTooSmall for e < 1 or s < 2,
     FieldTooLarge beyond desk-scale orders, and ModulusSearchExhausted (a
     FieldTooLarge) when a modulus lies past the search budget.  The moduli
     are the first irreducibles in a fixed enumeration (smallest_irreducible),
     so equal inputs always yield identical towers.  A tower is memoised on
-    its (p, e, s): a tower that validates is built on the first call and
-    every later call returns the same object, which is immutable (its
-    arrays are read-only); build_tower.cache_clear() drops them.
+    its (p, e, s), checked before the lookup, so a float is refused on a
+    warm memo as on a cold one: a tower that validates is built on the
+    first call and every later call returns the same object, which is
+    immutable (its arrays are read-only); build_tower.cache_clear() drops
+    them.
     """
+    return _build_tower(
+        as_integer(p, BadArguments, "characteristic p"),
+        as_integer(e, BadArguments, "base degree e"),
+        as_integer(s, BadArguments, "top degree s"),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _build_tower(p: int, e: int, s: int) -> FieldTower:
+    """build_tower of integers p, e and s, memoised."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e < 1:
@@ -921,6 +976,9 @@ def build_tower(p: int, e: int, s: int) -> FieldTower:
         raise FieldTooLarge(f"{p}^{e * s} exceeds the desk-scale cap of 2^64")
     fq = Fq(p, e, smallest_irreducible(Fq(p, 1, (0, 1)), e))
     return FieldTower(fq, s, smallest_irreducible(fq, s))
+
+
+build_tower.cache_clear = _build_tower.cache_clear
 
 
 # -- rejection sampling ------------------------------------------------------------

@@ -42,6 +42,7 @@ from .fields import (
     fq_echelon,  # not called here: perfbench/layers.py traces the elimination kernel as linalg.fq_echelon
     fq_inv_matrix,
     fq_rank,
+    integer_array,
 )
 
 
@@ -51,10 +52,7 @@ class ExtMatrix:
     __slots__ = ("tower", "data")
 
     def __init__(self, tower: FieldTower, data: np.ndarray):
-        data = np.asarray(data)
-        if data.size and data.dtype.kind not in "iu":
-            raise CoordinateOutOfRange(f"coordinates must be integers, got an array of {data.dtype}")
-        data = data.astype(np.int64, copy=False)
+        data = integer_array(data, None, CoordinateOutOfRange, "coordinates")
         if data.ndim != 3 or data.shape[2] != tower.s:
             raise DimensionMismatch(f"expected (rows, cols, {tower.s}) array, got {data.shape}")
         self.tower = tower
@@ -117,21 +115,6 @@ def change_basis(data: np.ndarray, tower: FieldTower, transform: np.ndarray) -> 
 # An information set is a sorted array of 0-based column positions.
 
 
-def _columns_in_range(columns, n: int) -> np.ndarray:
-    """columns as an int64 array; IndexOutOfRange unless it holds integers in [0, n).
-
-    A non-empty array that is not of an integer dtype (float, bool,
-    object) is refused, where a cast would truncate it.
-    """
-    columns = np.asarray(columns)
-    if columns.size and columns.dtype.kind not in "iu":
-        raise IndexOutOfRange(f"information set columns must be integers, got an array of {columns.dtype}")
-    columns = columns.astype(np.int64, copy=False)
-    if columns.size and (columns.min() < 0 or columns.max() >= n):
-        raise IndexOutOfRange(f"information set columns {columns.tolist()} are not all in [0, {n})")
-    return columns
-
-
 def is_information_set(gen: np.ndarray, columns: np.ndarray, tower: FieldTower) -> bool:
     """Whether the selected k columns of a full-rank k x n generator are invertible.
 
@@ -139,7 +122,7 @@ def is_information_set(gen: np.ndarray, columns: np.ndarray, tower: FieldTower) 
     the whole generator is ranked only on the way to a negative answer.
     """
     k, n = gen.shape[:2]
-    columns = _columns_in_range(columns, n)
+    columns = integer_array(columns, n, IndexOutOfRange, "information set columns")
     if len(columns) == k and ext_rank(gen[:, columns], tower) == k:
         return True
     if ext_rank(gen, tower) != k:
@@ -166,7 +149,7 @@ def solve_on_columns(gen: np.ndarray, columns: np.ndarray, targets: np.ndarray, 
     matrix product; a singular selection raises NotInformationSet.
     """
     k, n = gen.shape[:2]
-    columns = _columns_in_range(columns, n)
+    columns = integer_array(columns, n, IndexOutOfRange, "information set columns")
     if len(columns) != k:
         raise NotInformationSet(f"{len(columns)} columns cannot be an information set of a {k}-row generator")
     if targets.shape[1] != k:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, asdict
 
 from .errors import InvalidParams
-from .fields import is_prime
+from .fields import as_integer, is_prime
 
 
 @dataclass(frozen=True)
@@ -22,9 +21,9 @@ class SchemeParams:
     is the least file count for which the simplified failure bound is
     nontrivial.
 
-    Every field is an integer: a bool, float or string raises
-    InvalidParams, and an integer of another type (numpy's) is stored as a
-    Python int.
+    Every field is an integer (fields.as_integer): a bool, float or string
+    raises InvalidParams, and an integer of another type (numpy's) is
+    stored as a Python int.
     """
 
     p: int
@@ -38,7 +37,7 @@ class SchemeParams:
 
     def __post_init__(self):
         for key in _FIELDS:
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+            object.__setattr__(self, key, as_integer(getattr(self, key), InvalidParams, f"parameter {key}"))
         if not is_prime(self.p):
             raise InvalidParams(f"p = {self.p} is not prime")
         if self.e < 1:
@@ -102,7 +101,7 @@ class SchemeParams:
         extra = [str(f) for f in data if f not in _FIELDS and f != "q"]
         if extra:
             raise InvalidParams(f"unknown parameter fields: {', '.join(extra)}")
-        values = {key: _integer(key, val) for key, val in data.items()}
+        values = {key: as_integer(val, InvalidParams, f"parameter {key}") for key, val in data.items()}
         if "q" in values:
             q = values.pop("q")
             for key, val in zip(("p", "e"), _factor_prime_power(q)):
@@ -115,16 +114,6 @@ class SchemeParams:
 
 
 _FIELDS = ("p", "e", "s", "v", "n", "k", "m", "L")
-
-
-def _integer(key: str, value) -> int:
-    """value as an int; booleans, floats, strings and the like raise InvalidParams."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidParams(f"parameter {key} must be an integer, got {value!r}")
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

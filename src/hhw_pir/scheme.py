@@ -40,27 +40,27 @@ are never stored: generation adds the E and Z entries into D in place.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import BadArguments, DecodeFailure, DimensionMismatch, IndexOutOfRange, NotInformationSet
+from .errors import BadArguments, CoordinateOutOfRange, DecodeFailure, DimensionMismatch, IndexOutOfRange, NotInformationSet
 from .fields import (
     FieldTower,
     Fq,
     _encodings,
+    as_integer,
     digit_dtype,
     fq_echelon,
     fq_inv_matrix,
     fq_rank,
+    integer_array,
     product_dtype,
     redraw_rejected,
     residue_matmul,
     sample_split_bases,
 )
-from .linalg import ExtMatrix, _columns_in_range
+from .linalg import ExtMatrix
 from .params import SchemeParams
 
 
@@ -68,20 +68,22 @@ class Database:
     """m files of identical shape (L, delta), entries encoded over F_q, stored side by side.
 
     The files live in one read-only (L, m*delta) int64 array, copied once
-    at construction; ``files`` are read-only column views of it and
-    ``stacked()`` is the array itself.  On first use with a field F_q,
-    ``digits`` builds the F_p digit matrix that respond multiplies and
-    keeps it keyed by (p, e).  Storage never changes, so the digits never
-    go stale.  The digit matrix costs L*m*delta*e floats (4 bytes each
-    while its products run in float32, else 8) beside the 8*L*m*delta
-    bytes of the array.
+    at construction from integer arrays (a float, bool or object file
+    raises CoordinateOutOfRange, fields.integer_array); ``files`` are
+    read-only column views of it and ``stacked()`` is the array itself.
+    On first use with a field F_q, ``digits`` builds the F_p digit matrix
+    that respond multiplies and keeps it keyed by (p, e).  Storage never
+    changes, so the digits never go stale.  The digit matrix costs
+    L*m*delta*e floats (4 bytes each while its products run in float32,
+    else 8) beside the 8*L*m*delta bytes of the array.
     """
 
     def __init__(self, files):
-        files = [np.asarray(f, dtype=np.int64) for f in files]
+        files = [np.asarray(f) for f in files]
         shapes = {f.shape for f in files}
         if len(shapes) != 1 or len(min(shapes)) != 2:
             raise DimensionMismatch(f"files must share one 2-D shape, got {sorted(shapes)}")
+        files = [integer_array(f, None, CoordinateOutOfRange, "file entries") for f in files]
         self._data = np.concatenate(files, axis=1)
         self._data.setflags(write=False)
         self.files = np.split(self._data, len(files), axis=1)
@@ -247,12 +249,10 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
         raise DimensionMismatch(f"{len(targets)} targets for {len(rngs)} RNG streams")
     if not rngs:
         raise DimensionMismatch("no RNG streams: a batch holds at least one query")
+    targets = [as_integer(target, BadArguments, "target") for target in targets]
     for target in targets:
-        if isinstance(target, bool) or not hasattr(type(target), "__index__"):
-            raise BadArguments(f"target must be an integer, got {target!r}")
-        if not 1 <= operator.index(target) <= params.m:
+        if not 1 <= target <= params.m:
             raise IndexOutOfRange(f"target must be in [1, {params.m}], got {target}")
-    targets = [operator.index(target) for target in targets]
     fq = tower.fq
     delta, n, k, s, v = params.delta, params.n, params.k, params.s, params.v
     total_rows, count = params.block_rows, len(rngs)
@@ -310,7 +310,7 @@ def generate_query(params: SchemeParams, tower: FieldTower, target: int, rng: np
         generator=batch.generator[0],
         info_set=batch.info_set[0],
         basis=batch.basis[0],
-        target=operator.index(target),
+        target=int(target),
         selector_block=batch.selector_block[0],
     )
     return Query(ExtMatrix(tower, batch.data[0])), secrets
@@ -360,13 +360,14 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
       * the selector: the inverse of the blow-up of the selector block's
         delta x delta W-coordinate matrix.
 
-    Returns the (L, delta) F_q matrix of the target file.  A response
-    entry outside [0, q), which the digit lookup would wrap, or of a
-    non-integer dtype raises CoordinateOutOfRange (fields._encodings), an
-    information set that is not an integer array or holds a column outside
-    [0, n) IndexOutOfRange (linalg._columns_in_range), a selection
-    that is not an information set NotInformationSet, and a selector block
-    that leaves W or whose coordinate matrix is singular DecodeFailure.
+    Returns the (L, delta) F_q matrix of the target file.  An entry of the
+    response or of the generator, basis or selector block outside [0, q),
+    which the digit lookup would wrap, or of a non-integer dtype raises
+    CoordinateOutOfRange (fields._encodings), an information set that is
+    not an integer array or holds a column outside [0, n) IndexOutOfRange
+    (fields.integer_array), a selection that is not an information set
+    NotInformationSet, and a selector block that leaves W or whose
+    coordinate matrix is singular DecodeFailure.
     """
     fq, fp = tower.fq, tower.fq.fp
     n, k, s, v, e, delta = params.n, params.k, params.s, params.v, fq.e, params.delta
@@ -375,18 +376,19 @@ def decode(response: Response, secrets: QuerySecrets, params: SchemeParams, towe
     if A.cols != n:
         raise DimensionMismatch(f"response has {A.cols} columns, expected {n}")
     answer = _encodings(A.data, fq)
-    info_set = _columns_in_range(secrets.info_set, n)
+    generator, basis, selector = (_encodings(a, fq) for a in (secrets.generator, secrets.basis, secrets.selector_block))
+    info_set = integer_array(secrets.info_set, n, IndexOutOfRange, "information set columns")
     outside = np.delete(np.arange(n), info_set)
     if len(info_set) != k or len(outside) != n - k:
         raise NotInformationSet(f"columns {info_set.tolist()} cannot be an information set of a {k}-row generator")
 
-    big = tower.blow_up(secrets.generator).reshape(k * d, n, d)
+    big = tower.blow_up(generator).reshape(k * d, n, d)
     reduced, pivots = fq_echelon(np.concatenate([big[:, info_set], big[:, outside]], axis=1).reshape(k * d, n * d), fp)
     if pivots != list(range(k * d)):
         raise NotInformationSet(f"columns {info_set.tolist()} are not an information set")
 
-    to_split = fq_inv_matrix(fq.blow_up(secrets.basis), fp)
-    selector = fq.to_digits(secrets.selector_block[:, outside]).reshape(delta * (n - k), d)
+    to_split = fq_inv_matrix(fq.blow_up(basis), fp)
+    selector = fq.to_digits(selector[:, outside]).reshape(delta * (n - k), d)
     selector = residue_matmul(selector, to_split, p).reshape(delta, n - k, d)
     if np.any(selector[:, :, : v * e]):
         raise DecodeFailure("selector block leaks outside the W part of the split")

@@ -33,7 +33,7 @@ from typing import BinaryIO, Union
 import numpy as np
 
 from .errors import MatrixFileError
-from .fields import FieldTower, _digit_table, fq_rank, is_prime
+from .fields import FieldTower, _digit_table, as_integer, fq_rank, integer_array, is_prime
 from .linalg import ExtMatrix
 from .params import SchemeParams
 from .scheme import Database, Query, QuerySecrets, Response
@@ -101,7 +101,9 @@ def _readable(src: PathOrFile):
 
 
 def _supported_field(p: int, e: int, s: int) -> None:
-    """MatrixFileError unless p is prime, e, s >= 1, p^(e*s) <= 2^64 and p^e fits int64 coordinates."""
+    """MatrixFileError unless p, e and s are integers, p is prime, e, s >= 1, p^(e*s) <= 2^64 and p^e fits int64."""
+    for name, value in (("p", p), ("e", e), ("s", s)):
+        as_integer(value, MatrixFileError, f"field parameter {name}")
     if not is_prime(p):
         raise MatrixFileError(f"characteristic {p} is not prime")
     if e < 1 or s < 1:
@@ -118,24 +120,19 @@ def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> 
     s == 1, to the binary container.
 
     The field must be one load_matrix accepts (_supported_field) and the
-    coordinates an integer array with entries in [0, p^e); anything else
-    raises MatrixFileError.  The range check is one maximum over the
-    entries read as uint64, where a negative entry wraps to 2^63 or more.
+    coordinates an integer array with entries in [0, p^e)
+    (fields.integer_array); anything else raises MatrixFileError.
     """
     _supported_field(p, e, s)
-    arr = np.asarray(array)
-    if arr.dtype.kind not in "iu":
-        raise MatrixFileError(f"coordinates must be an integer array, got dtype {arr.dtype}")
+    q = p**e
+    arr = integer_array(array, q, MatrixFileError, "coordinates")
     if arr.ndim == 2 and s == 1:
         arr = arr[:, :, np.newaxis]
     if arr.ndim != 3 or arr.shape[2] != s:
         raise MatrixFileError(f"expected (rows, cols, {s}) coordinates, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise MatrixFileError("refusing to write a matrix with a zero dimension")
-    q = p**e
     coords = arr.reshape(-1, s).astype(np.uint64)
-    if coords.size and coords.max() >= q:
-        raise MatrixFileError(f"coordinates must lie in [0, {q})")
 
     rows, cols = arr.shape[0], arr.shape[1]
     values = coords @ np.array([q**j for j in range(s)], dtype=np.uint64)
@@ -287,28 +284,21 @@ def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemePa
     Path(dest).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: true, false, floats and strings are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _as_coord_array(obj, shape: tuple[int, ...], q: int, what: str) -> np.ndarray:
-    leaves = [obj]
+    leaves, entry = [obj], f"secrets field {what} is not an integer array: its entry"
     while leaves:
         leaf = leaves.pop()
         if isinstance(leaf, list):
             leaves.extend(leaf)
-        elif not _is_int(leaf):
-            raise MatrixFileError(f"secrets field {what} is not an integer array: it holds {leaf!r}")
+        else:
+            as_integer(leaf, MatrixFileError, entry)
     try:
         arr = np.asarray(obj, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"secrets field {what} is not an integer array") from exc
     if arr.shape != shape:
         raise MatrixFileError(f"secrets field {what} has shape {arr.shape}, expected {shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= q):
-        raise MatrixFileError(f"secrets field {what} has entries outside [0, {q})")
-    return arr
+    return integer_array(arr, q, MatrixFileError, f"secrets field {what} entries")
 
 
 def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower) -> QuerySecrets:
@@ -318,8 +308,8 @@ def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower)
         raise MatrixFileError(f"cannot parse secrets file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SECRETS_FORMAT:
         raise MatrixFileError("not a secrets file")
-    if not _is_int(doc.get("version")) or doc["version"] != SECRETS_VERSION:
-        raise MatrixFileError(f"unsupported secrets version {doc.get('version')}")
+    if as_integer(doc.get("version"), MatrixFileError, "secrets version") != SECRETS_VERSION:
+        raise MatrixFileError(f"unsupported secrets version {doc['version']}")
 
     if not isinstance(doc.get("params"), dict):
         raise MatrixFileError("secrets file has no params object")
@@ -328,16 +318,15 @@ def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower)
         raise MatrixFileError(f"secrets were generated for {stored}, expected {params}")
 
     s, n, k, delta, q = params.s, params.n, params.k, params.delta, params.q
-    target = doc.get("target")
-    if not _is_int(target) or not 1 <= target <= params.m:
+    target = as_integer(doc.get("target"), MatrixFileError, "target")
+    if not 1 <= target <= params.m:
         raise MatrixFileError(f"target {target!r} outside [1, {params.m}]")
     info = doc.get("info_set")
-    if (not isinstance(info, list) or len(info) != k
-            or not all(map(_is_int, info))):
+    if not isinstance(info, list) or len(info) != k:
         raise MatrixFileError(f"information set must list {k} column indices")
-    split_v = doc.get("split_v")
-    if not _is_int(split_v) or split_v != params.v:
-        raise MatrixFileError(f"split width {split_v!r} does not match v={params.v}")
+    info = [as_integer(column, MatrixFileError, "information set column") for column in info]
+    if as_integer(doc.get("split_v"), MatrixFileError, "split width") != params.v:
+        raise MatrixFileError(f"split width {doc['split_v']!r} does not match v={params.v}")
 
     basis = _as_coord_array(doc.get("basis"), (s, s), q, "basis")
     generator = _as_coord_array(doc.get("generator"), (k, n, s), q, "generator")

@@ -89,6 +89,10 @@ def test_gaussian_binomial_rejects_bad_arguments():
         gaussian_binomial(2, 3, 2)
     with pytest.raises(BadArguments):
         gaussian_binomial(3, 1, 1)
+    # 4.5 gave 74.0 and True counted as 1
+    for b, a, q in [(4.5, 2, 2), (4, True, 2), (4, 2, 2.0), ("4", 2, 2)]:
+        with pytest.raises(BadArguments, match="must be an integer"):
+            gaussian_binomial(b, a, q)
 
 
 # -- derived parameters -----------------------------------------------------------------
@@ -274,6 +278,26 @@ def test_transfer_digits_frozen():
     assert transfer_digits(DEFAULT_PARAMS) == (128, 2048, 512)
     assert transfer_digits(DEFAULT_PARAMS, L=2**14) == (2**14 * 8, 2048, 2**14 * 32)
     assert transfer_digits(TIGHT_PARAMS) == (2, 96, 8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: failure_bound(TIGHT_PARAMS, 2.5),
+        lambda: failure_bound(TIGHT_PARAMS, True),
+        lambda: rate_report(TIGHT_PARAMS, 2.5),
+        lambda: measured_rate(TIGHT_PARAMS, 3, 2.5),
+        lambda: transfer_digits(TIGHT_PARAMS, 2.5, 3),
+        lambda: transfer_digits(TIGHT_PARAMS, 3, 3.0),
+        lambda: transfer_digits(TIGHT_PARAMS, True),
+    ],
+    ids=["failure_bound", "failure_bound-bool", "rate_report", "measured_rate", "transfer_digits-m",
+         "transfer_digits-L", "transfer_digits-bool"],
+)
+def test_rates_refuse_non_integer_file_counts_and_lengths(call):
+    """A float m raised a bare TypeError from Fraction, and transfer_digits(params, 2.5, 3) gave (24, 640.0, 96)."""
+    with pytest.raises(BadArguments, match="must be an integer"):
+        call()
 
 
 def test_rates_refuse_non_positive_file_counts_and_lengths():

@@ -122,8 +122,10 @@ def test_recover_index_scans_a_stack(tight_params, tight_tower):
 
 
 def test_deletion_ranks_need_whole_blocks(tight_tower):
-    """Rows that do not split into one or more blocks, a 4-D array (not a stack of blocks) and a block below 1."""
-    for shape, block in [((5, 4), 2), ((0, 4), 2), ((3, 0, 4), 1), ((2, 2, 4, 8), 2), ((4, 8), 0), ((3, 4, 8), -1)]:
+    """Rows that do not split into one or more blocks, a 4-D array (not a stack of blocks), a block below 1
+    and one that is not an integer (2.0 raised a bare TypeError, True scanned blocks of one row)."""
+    for shape, block in [((5, 4), 2), ((0, 4), 2), ((3, 0, 4), 1), ((2, 2, 4, 8), 2), ((4, 8), 0), ((3, 4, 8), -1),
+                         ((4, 8), 2.0), ((4, 8), True)]:
         with pytest.raises(DimensionMismatch):
             fq_deletion_ranks(np.zeros(shape, dtype=np.int64), block, tight_tower.fq)
 

@@ -82,6 +82,8 @@ def test_config_validation():
         {"trials": 1, "master_seed": True},
         {"trials": 1, "master_seed": 1.5},
         {"trials": 1, "master_seed": "7"},
+        {"trials": 1, "target_policy": 2.0},
+        {"trials": 1, "target_policy": np.bool_(True)},
     ]:
         with pytest.raises(BadArguments, match="must be an integer"):
             ExperimentConfig(params=FAST_PARAMS, **fields)
@@ -92,9 +94,10 @@ def test_config_validation():
 
 
 def test_config_takes_integer_likes_as_int():
-    cfg = ExperimentConfig(params=FAST_PARAMS, trials=np.int64(3), master_seed=np.uint64(5))
-    assert (type(cfg.trials), type(cfg.master_seed)) == (int, int)
+    cfg = ExperimentConfig(params=FAST_PARAMS, trials=np.int64(3), master_seed=np.uint64(5), target_policy=np.int64(2))
+    assert (type(cfg.trials), type(cfg.master_seed), type(cfg.target_policy)) == (int, int, int)
     assert json.loads(json.dumps(cfg.to_dict()))["trials"] == 3
+    assert cfg.to_dict() == ExperimentConfig(params=FAST_PARAMS, trials=3, master_seed=5, target_policy=2).to_dict()
     for flag in (np.bool_(True), np.bool_(False)):
         flagged = ExperimentConfig(params=FAST_PARAMS, trials=1, fallback_argmin=flag)
         assert type(flagged.fallback_argmin) is bool and flagged.fallback_argmin == flag

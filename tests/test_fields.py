@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import hhw_pir
 from hhw_pir import fields
 from hhw_pir.errors import (
+    BadArguments,
+    CoordinateOutOfRange,
     DegreeTooSmall,
     FieldTooLarge,
     ModulusSearchExhausted,
@@ -759,7 +761,13 @@ def test_fq_modulus_must_be_monic():
 
 
 def test_constructors_check_what_build_tower_checks():
-    """Fq built Z/4 and a degree-0 field, FieldTower an s = 1 tower and one on the reducible x^2."""
+    """Fq built Z/4 and a degree-0 field, FieldTower an s = 1 tower and one on the reducible x^2.
+
+    They truncated a float p, e, s or coefficient (Fq(2.9, ...) built F_2),
+    Fq reduced a coefficient mod p and FieldTower called one outside
+    [0, q) reducible; build_tower refused a float degree on a cold memo
+    only.
+    """
     with pytest.raises(NotPrime, match="4 is not prime"):
         Fq(4, 1, (0, 1))
     with pytest.raises(DegreeTooSmall, match="base degree e must be at least 1"):
@@ -768,6 +776,26 @@ def test_constructors_check_what_build_tower_checks():
     for s, modulus in [(0, (1,)), (1, (1, 1))]:
         with pytest.raises(DegreeTooSmall, match="top degree s must be at least 2"):
             FieldTower(fq, s, modulus)
+    for build in [
+        lambda: Fq(2.9, 1, (0, 1)),
+        lambda: Fq(2, True, (0, 1)),
+        lambda: Fq(2, 2, (1, 1.5, 1)),
+        lambda: FieldTower(fq, 2.7, (1, 1, 1)),
+        lambda: FieldTower(fq, 2, (1, 1, 1.0)),
+    ]:
+        with pytest.raises(BadArguments, match="must be an integer"):
+            build()
+    for build in [lambda: Fq(2, 1, (0, 3)), lambda: Fq(3, 2, (2, -1, 1)), lambda: FieldTower(fq, 2, (3, 1, 1))]:
+        with pytest.raises(CoordinateOutOfRange, match="outside"):
+            build()
+    build_tower.cache_clear()
+    with pytest.raises(BadArguments):  # a cold memo
+        build_tower(2, 1.0, 2)
+    tower = build_tower(2, 1, 2)
+    for p, e, s in [(2, 1.0, 2), (2.0, 1, 2), (2, 1, True)]:
+        with pytest.raises(BadArguments):  # a warm one
+            build_tower(p, e, s)
+    assert build_tower(np.int64(2), np.uint8(1), np.int32(2)) is tower
     for fq, modulus in [(fq, (0, 0, 1)), (fq, (1, 0, 1)), (Fq(3, 1, (0, 1)), (1, 0, 0, 1)), (build_tower(2, 2, 2).fq, (0, 0, 1))]:
         with pytest.raises(ReducibleModulus):
             FieldTower(fq, len(modulus) - 1, modulus)

@@ -328,11 +328,12 @@ def test_respond_validates(tight_params, tight_tower, rng):
 @pytest.mark.parametrize("params", [TERNARY_PARAMS, SMALL_RETRIEVAL_PARAMS], ids=["ternary", "retrieval"])
 @pytest.mark.parametrize("bad", ["negative", "q"])
 def test_respond_and_decode_refuse_coordinates_out_of_range(params, bad):
-    """A query entry or a response entry outside [0, q) raises CoordinateOutOfRange at e = 1 and e = 2.
+    """A query, response or secrets entry outside [0, q) raises CoordinateOutOfRange at e = 1 and e = 2.
 
     Unchecked, the blow-up's table lookup wraps -1 and fails on q with a
     bare IndexError, and over a prime field the product reduces either
-    mod p without a trace.
+    mod p without a trace.  decode read a -1 in the generator or selector
+    block as q - 1.
     """
     tower = build_tower(params.p, params.e, params.s)
     rng = np.random.default_rng(7)
@@ -343,10 +344,16 @@ def test_respond_and_decode_refuse_coordinates_out_of_range(params, bad):
     data[0, 0, 0] = value
     with pytest.raises(CoordinateOutOfRange):
         respond(db, Query(ExtMatrix(tower, data)), params, tower)
-    answer = respond(db, query, params, tower).matrix.data.copy()
+    response = respond(db, query, params, tower)
+    answer = response.matrix.data.copy()
     answer[-1, -1, -1] = value
     with pytest.raises(CoordinateOutOfRange):
         decode(Response(ExtMatrix(tower, answer)), secrets, params, tower)
+    for name in ("generator", "basis", "selector_block"):
+        secret = getattr(secrets, name).copy()
+        secret.flat[0] = value
+        with pytest.raises(CoordinateOutOfRange):
+            decode(response, dataclasses.replace(secrets, **{name: secret}), params, tower)
 
 
 NON_INTEGER = {
@@ -357,13 +364,28 @@ NON_INTEGER = {
 
 
 @pytest.mark.parametrize("kind", sorted(NON_INTEGER))
-@pytest.mark.parametrize("entry", ["fq_rank", "fq_deletion_ranks", "recover_index", "respond", "decode", "ExtMatrix"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "fq_rank",
+        "fq_deletion_ranks",
+        "recover_index",
+        "respond",
+        "decode",
+        "ExtMatrix",
+        "Database",
+        "decode_generator",
+        "decode_basis",
+        "decode_selector_block",
+    ],
+)
 def test_entry_points_refuse_non_integer_arrays(entry, kind, tight_params, tight_tower):
     """A float, bool or object coordinate array raises CoordinateOutOfRange at every entry point.
 
     Cast to int64, each would pass as a valid matrix: the float one
     truncates to the query itself and the bool one ranks as 0/1.  respond
-    and decode are handed their arrays past ExtMatrix's own check.
+    and decode are handed their arrays past ExtMatrix's own check.  The
+    database's files and decode's secrets arrays were cast the same way.
     """
     params, tower = tight_params, tight_tower
     rng = np.random.default_rng(5)
@@ -385,8 +407,13 @@ def test_entry_points_refuse_non_integer_arrays(entry, kind, tight_params, tight
         elif entry == "decode":
             response.matrix.data = bad(response.matrix.data)
             decode(response, secrets, params, tower)
-        else:
+        elif entry == "ExtMatrix":
             ExtMatrix(tower, bad(query.matrix.data))
+        elif entry == "Database":
+            Database([bad(f) for f in db.files])
+        else:
+            name = entry.removeprefix("decode_")
+            decode(response, dataclasses.replace(secrets, **{name: bad(getattr(secrets, name))}), params, tower)
 
 
 DIFFERENTIAL_QUERIES = 1000

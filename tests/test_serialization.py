@@ -220,10 +220,15 @@ def test_save_matrix_rejects_bad_input():
         pytest.param(2, 1, 65, "exceeds", id="order 2^65"),
         pytest.param(3, 1, 41, "exceeds", id="order 3^41"),
         pytest.param(2, 64, 1, "int64", id="subfield 2^64"),
+        pytest.param(2.0, 1, 1, "must be an integer", id="p 2.0"),
+        pytest.param(2, True, 1, "must be an integer", id="e True"),
     ],
 )
 def test_save_matrix_refuses_fields_load_matrix_refuses(p, e, s, fragment):
-    """save_matrix writes no file for a field that load_matrix would reject, and raises no bare OverflowError."""
+    """save_matrix writes no file for a field that load_matrix would reject, and raises no bare OverflowError.
+
+    A float p raised a bare AttributeError, and a bool e was written as 1.
+    """
     buf = io.BytesIO()
     with pytest.raises(MatrixFileError, match=fragment):
         save_matrix(buf, np.zeros((1, 1, s), dtype=np.int64), p, e, s)

@@ -48,31 +48,23 @@ class AttackReport:
     The scan measures rank_profile, the subfield rank of each block
     deletion in block order, against threshold, the rank k0 at or below
     which a deletion names its block, and takes elapsed seconds.
-    below_threshold lists the 1-based blocks that name themselves;
-    recovered_index is set when exactly one does, otherwise
-    failure_reason says whether the scan saw none ("no_candidate") or
-    several ("ambiguous").  With fallback_argmin such a scan names the
-    block of smallest rank instead, and fallback_used marks that guess, in
-    to_dict too.  The verdict is computed from the scan on first read.
+    below_threshold lists the 1-based blocks that name themselves.  The
+    verdict is the paper's threshold rule alone: recovered_index is the
+    block when exactly one does, otherwise None, and failure_reason says
+    whether the scan saw none ("no_candidate") or several ("ambiguous").
+    The verdict is computed from the scan on first read.
     """
 
     rank_profile: list[int]
     threshold: int
     elapsed: float
-    fallback_argmin: bool = False
 
     @functools.cached_property
     def below_threshold(self) -> list[int]:
         return [j + 1 for j, r in enumerate(self.rank_profile) if r <= self.threshold]
 
-    @property
-    def fallback_used(self) -> bool:
-        return bool(self.fallback_argmin) and len(self.below_threshold) != 1
-
     @functools.cached_property
     def recovered_index(self) -> int | None:
-        if self.fallback_used:
-            return int(np.argmin(self.rank_profile)) + 1
         return self.below_threshold[0] if len(self.below_threshold) == 1 else None
 
     @property
@@ -87,7 +79,6 @@ class AttackReport:
             "rank_profile": list(self.rank_profile),
             "threshold": self.threshold,
             "candidates": list(self.below_threshold),
-            "fallback_used": self.fallback_used,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
 
@@ -113,17 +104,13 @@ def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -
 
 
 def recover_index(
-    query: Query | np.ndarray,
-    params: SchemeParams,
-    tower: FieldTower,
-    fallback_argmin: bool = False,
+    query: Query | np.ndarray, params: SchemeParams, tower: FieldTower
 ) -> AttackReport | list[AttackReport]:
     """Scan all block deletions and name the target if it is unambiguous.
 
     Only public information goes in: the query matrix and the parameters.
-    With ``fallback_argmin`` an ambiguous or empty threshold scan falls
-    back to the block of smallest deleted rank (lowest block index on
-    ties), the natural heuristic for experiments, with no guarantee.
+    A scan that leaves no block, or several, at or below the threshold
+    names none; its report keeps the full rank profile.
 
     The query is a Query or its (m*delta, n, s) coordinate array.  A
     (count, m*delta, n, s) array is a stack of query matrices, scanned
@@ -136,5 +123,5 @@ def recover_index(
     if data.ndim == 4:
         profiles = profile.tolist()
         share = (time.perf_counter() - start) / max(len(profiles), 1)
-        return [AttackReport(p, params.rank_threshold, share, fallback_argmin) for p in profiles]
-    return AttackReport(profile, params.rank_threshold, time.perf_counter() - start, fallback_argmin)
+        return [AttackReport(p, params.rank_threshold, share) for p in profiles]
+    return AttackReport(profile, params.rank_threshold, time.perf_counter() - start)

@@ -1,8 +1,9 @@
 """Command-line front end: analyze, generate, respond, decode, attack.
 
-Exit codes: 0 on success, 1 on any operational error (malformed input,
-bad parameters, file problems), 2 when an attack ran correctly but could
-not name a unique index.  Errors are emitted to stderr as a one-line JSON
+Exit codes: 0 on success (``--help`` included), 1 on any operational
+error (a bad command line, malformed input, bad parameters, file
+problems), 2 only when an attack ran correctly but its threshold rule
+named no unique index.  Errors are emitted to stderr as a one-line JSON
 object so callers can parse them.
 """
 
@@ -155,7 +156,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     tower = build_tower(params.p, params.e, params.s)
     query = serialization.load_query(args.query, params, tower)
-    report = recover_index(query, params, tower, fallback_argmin=args.fallback_argmin)
+    report = recover_index(query, params, tower)
     text = report.to_json()
     print(text)
     if args.out:
@@ -176,7 +177,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         trials=args.trials,
         master_seed=args.seed,
         target_policy=policy,
-        fallback_argmin=args.fallback_argmin,
     )
     report = run_experiment(cfg)
     if args.out:
@@ -323,8 +323,16 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises BadArguments where argparse would exit 2,
+    the code reserved for an attack that names no index; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise BadArguments(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hhw-pir",
         description="Single-server PIR scheme, its rank distinguisher, and bound tooling.",
     )
@@ -377,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="recover the target index from a query alone")
     add_params(p)
     p.add_argument("--query", required=True)
-    p.add_argument("--fallback-argmin", action="store_true",
-                   help="on ambiguity, guess the lowest-rank block instead of failing")
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.set_defaults(func=_cmd_attack)
 
@@ -390,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'uniform' or a fixed 1-based target index")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--fallback-argmin", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")
@@ -401,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return 1

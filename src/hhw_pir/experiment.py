@@ -61,27 +61,33 @@ ROUND_SIZE = 64
 
 
 def splitmix64(x: int) -> int:
-    """The splitmix64 finalizer; a bijection on 64-bit words."""
-    x &= _MASK64
+    """The splitmix64 finalizer; a bijection on 64-bit words.  A non-integer raises BadArguments."""
+    x = as_integer(x, BadArguments, "splitmix64 input") & _MASK64
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
     return x ^ (x >> 31)
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
-    """Independent 64-bit stream seed for one trial index (1-based)."""
+    """Independent 64-bit stream seed for one trial index (1-based).  A non-integer raises BadArguments."""
+    master_seed = as_integer(master_seed, BadArguments, "master seed")
+    trial = as_integer(trial, BadArguments, "trial index")
     return splitmix64((master_seed + trial * _GOLDEN) & _MASK64)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Seeded attack trials of one scheme instance; a trial succeeds when the threshold rule
+    names exactly one block and it is the target.  A bad field raises BadArguments."""
+
     params: SchemeParams
     trials: int
     master_seed: int = 0
     target_policy: Union[str, int] = "uniform"  # "uniform" or a fixed 1-based index
-    fallback_argmin: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.params, SchemeParams):
+            raise BadArguments(f"params must be a SchemeParams, got {type(self.params).__name__}")
         for name in ("trials", "master_seed"):
             object.__setattr__(self, name, as_integer(getattr(self, name), BadArguments, name))
         if self.trials < 1:
@@ -93,9 +99,6 @@ class ExperimentConfig:
             if not 1 <= policy <= self.params.m:
                 raise BadArguments(f"fixed target {policy} outside [1, {self.params.m}]")
             object.__setattr__(self, "target_policy", policy)
-        if not isinstance(self.fallback_argmin, (bool, np.bool_)):
-            raise BadArguments(f"fallback_argmin must be a bool, got {self.fallback_argmin!r}")
-        object.__setattr__(self, "fallback_argmin", bool(self.fallback_argmin))
 
     def to_dict(self) -> dict:
         return {
@@ -103,7 +106,8 @@ class ExperimentConfig:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "target_policy": self.target_policy,
-            "fallback_argmin": self.fallback_argmin,
+            # the deleted argmin option, kept as a constant so canonical report bytes and digests do not change
+            "fallback_argmin": False,
         }
 
 
@@ -196,7 +200,7 @@ def _run_round(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
     try:
         batch = generate_queries(params, tower, targets, rngs)
         generated = time.perf_counter()
-        outcomes = recover_index(batch.data, params, tower, fallback_argmin=cfg.fallback_argmin)
+        outcomes = recover_index(batch.data, params, tower)
         draws = batch.draws.tolist()
     except Exception as exc:  # noqa: BLE001 - a trial must never abort the run
         if len(trials) > 1:

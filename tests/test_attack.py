@@ -112,11 +112,10 @@ def test_stacked_scan_matches_per_deletion_scan(name, request):
 def test_recover_index_scans_a_stack(tight_params, tight_tower):
     rngs = [np.random.default_rng([7, b]) for b in range(9)]
     stack = generate_queries(tight_params, tight_tower, [1 + b % tight_params.m for b in range(9)], rngs).data
-    for fallback in (False, True):
-        reports = recover_index(stack, tight_params, tight_tower, fallback_argmin=fallback)
-        singles = [recover_index(q, tight_params, tight_tower, fallback_argmin=fallback) for q in stack]
-        strip = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k != "elapsed"}  # noqa: E731
-        assert [strip(r) for r in reports] == [strip(r) for r in singles]
+    reports = recover_index(stack, tight_params, tight_tower)
+    singles = [recover_index(q, tight_params, tight_tower) for q in stack]
+    strip = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k != "elapsed"}  # noqa: E731
+    assert [strip(r) for r in reports] == [strip(r) for r in singles]
     with pytest.raises(DimensionMismatch):
         rank_profile(stack[:, :-1], tight_params, tight_tower)
 
@@ -270,7 +269,6 @@ def test_recovery_at_default_params(preset_params, preset_tower, rng):
         assert report.recovered_index == target
         assert report.failure_reason is None
         assert report.below_threshold == [target]
-        assert report.fallback_used is False
         # deleting the target block hides the full selector rank
         assert report.rank_profile[target - 1] <= params.rank_threshold
         others = [r for j, r in enumerate(report.rank_profile) if j != target - 1]
@@ -373,15 +371,6 @@ def test_all_zero_query_is_ambiguous(tight_params, tight_tower):
     assert report.below_threshold == list(range(1, params.m + 1))
 
 
-def test_fallback_argmin_breaks_ties(tight_params, tight_tower):
-    params = tight_params
-    zero = np.zeros((params.block_rows, params.n, tight_tower.s), dtype=np.int64)
-    report = recover_index(zero, params, tight_tower, fallback_argmin=True)
-    assert report.fallback_used is True
-    assert report.recovered_index == 1  # lowest index on ties
-    assert report.failure_reason is None
-
-
 def test_no_candidate_scan(rng):
     # a uniform random matrix almost surely keeps every deletion above the
     # threshold, leaving the candidate list empty
@@ -399,20 +388,17 @@ def test_no_candidate_scan(rng):
 
 
 @pytest.mark.parametrize(
-    "profile, fallback, verdict",
+    "profile, verdict",
     [
-        ([7, 6, 8], False, (2, [2], False, None)),
-        ([7, 6, 8], True, (2, [2], False, None)),
-        ([6, 5, 8], False, (None, [1, 2], False, "ambiguous")),
-        ([6, 5, 8], True, (2, [1, 2], True, None)),
-        ([8, 7, 7], False, (None, [], False, "no_candidate")),
-        ([8, 7, 7], True, (2, [], True, None)),
+        ([7, 6, 8], (2, [2], None)),
+        ([6, 5, 8], (None, [1, 2], "ambiguous")),
+        ([8, 7, 7], (None, [], "no_candidate")),
     ],
 )
-def test_report_derives_its_verdict_from_the_scan(profile, fallback, verdict):
-    """recovered_index, the candidates, fallback_used and failure_reason follow from the profile and threshold 6."""
-    report = AttackReport(profile, 6, 0.0, fallback)
-    assert (report.recovered_index, report.below_threshold, report.fallback_used, report.failure_reason) == verdict
+def test_report_derives_its_verdict_from_the_scan(profile, verdict):
+    """recovered_index, the candidates and failure_reason follow from the profile and threshold 6."""
+    report = AttackReport(profile, 6, 0.0)
+    assert (report.recovered_index, report.below_threshold, report.failure_reason) == verdict
 
 
 def test_report_serialises(tight_params, tight_tower, rng):
@@ -423,5 +409,5 @@ def test_report_serialises(tight_params, tight_tower, rng):
     assert blob["rank_profile"] == report.rank_profile
     assert blob["threshold"] == tight_params.rank_threshold
     assert blob["candidates"] == report.below_threshold
-    assert blob["fallback_used"] is report.fallback_used is False
+    assert set(blob) == {"recovered_index", "rank_profile", "threshold", "candidates", "elapsed_ms"}
     assert blob["elapsed_ms"] >= 0

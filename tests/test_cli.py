@@ -6,6 +6,8 @@ so nothing can lean on in-memory state.
 """
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -134,17 +136,52 @@ def test_attack_exit_code_on_ambiguity(tmp_path):
     assert doc["candidates"] == [1, 2, 3, 4, 5, 6]
 
 
-def test_attack_fallback_argmin(tmp_path, pipeline):
-    """An ambiguous scan names its argmin and says so; a scan the threshold decides says it did not guess."""
-    import struct
+def test_usage_errors_exit_1_with_a_json_error():
+    """A bad command line is an operational error: exit 1 and a JSON error, not argparse's exit 2,
+    which would read as an attack that named no index."""
+    proc = run_cli("attack", "--params", TIGHT, "--fallback-argmin", "--query", "query.hhwm", expect=1)
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "BadArguments"
+    assert "unrecognized arguments: --fallback-argmin" in error["message"]
+    assert proc.stdout == ""
 
-    path = tmp_path / "zero.hhwm"
-    header = struct.pack("<4sBIIIII", b"HHWM", 1, 2, 1, 2, 12, 4)
-    path.write_bytes(header + bytes(48))
-    doc = json.loads(run_cli("attack", "--params", TIGHT, "--query", str(path), "--fallback-argmin").stdout)
-    assert doc["recovered_index"] == 1 and doc["fallback_used"] is True
-    doc = json.loads(run_cli("attack", "--params", TIGHT, "--query", pipeline["query"], "--fallback-argmin").stdout)
-    assert doc["recovered_index"] == 4 and doc["candidates"] == [4] and doc["fallback_used"] is False
+
+@pytest.mark.parametrize("argv, needle", [
+    (["attack", "--bogus", "--query", "q.hhwm"], "--bogus"),
+    (["experiment", "--trials", "1", "--fallback-argmin"], "--fallback-argmin"),
+    (["analyze", "--m", "notanint"], "notanint"),
+    ([], "command"),
+])
+def test_usage_errors_are_typed(argv, needle, capsys):
+    from hhw_pir import cli
+
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error["type"] == "BadArguments" and needle in error["message"]
+
+
+def test_help_still_exits_0(capsys):
+    from hhw_pir import cli
+
+    for argv in (["--help"], ["attack", "--help"], ["experiment", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: hhw-pir" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    """Every `$ hhw-pir ...` line of the README, continuation lines joined, parses with the real parser."""
+    from hhw_pir import cli
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.sub(r"\\\n\s*", " ", text).splitlines()
+    commands = [shlex.split(line)[2:] for line in lines if line.startswith("$ hhw-pir ")]
+    assert [argv[0] for argv in commands] == ["attack", "gendb", "query", "respond", "decode", "analyze"]
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_malformed_query_file_is_reported(tmp_path):
@@ -239,9 +276,6 @@ def test_selftest_failure_is_typed(monkeypatch, capsys):
 
 
 def test_unknown_subcommand_fails():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hhw_pir.cli", "frobnicate"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
+    proc = run_cli("frobnicate", expect=1)
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "BadArguments" and "invalid choice: 'frobnicate'" in error["message"]

@@ -56,6 +56,18 @@ def test_trial_seeds_distinct_and_stable():
     assert trial_seed(43, 1) != seeds[0]
 
 
+def test_seed_derivation_refuses_non_integers():
+    """A bool seeded like 1 and a float raised a bare TypeError; numpy integers are integers."""
+    for args in [(True, 1), (1, False), (1.5, 1), (1, 2.0), ("7", 1), (np.bool_(True), 1)]:
+        with pytest.raises(BadArguments, match="must be an integer"):
+            trial_seed(*args)
+    for x in [2.5, True, "3", None]:
+        with pytest.raises(BadArguments, match="must be an integer"):
+            splitmix64(x)
+    assert trial_seed(np.uint64(42), np.int64(1)) == trial_seed(42, 1)
+    assert splitmix64(np.int64(5)) == splitmix64(5)
+
+
 # -- config validation ----------------------------------------------------------------
 
 
@@ -87,10 +99,11 @@ def test_config_validation():
     ]:
         with pytest.raises(BadArguments, match="must be an integer"):
             ExperimentConfig(params=FAST_PARAMS, **fields)
-    # the fallback switch is a bool: a string or number would be written into the digest as is
-    for flag in ["no", "yes", 0, 1, None]:
-        with pytest.raises(BadArguments, match="must be a bool"):
-            ExperimentConfig(params=FAST_PARAMS, trials=1, fallback_argmin=flag)
+    # params is a SchemeParams: a dict or None failed later with a bare AttributeError
+    for params in [{"p": 2}, None, FAST_PARAMS.to_dict()]:
+        for policy in ("uniform", 1):
+            with pytest.raises(BadArguments, match="params must be a SchemeParams"):
+                ExperimentConfig(params=params, trials=1, target_policy=policy)
 
 
 def test_config_takes_integer_likes_as_int():
@@ -98,10 +111,6 @@ def test_config_takes_integer_likes_as_int():
     assert (type(cfg.trials), type(cfg.master_seed), type(cfg.target_policy)) == (int, int, int)
     assert json.loads(json.dumps(cfg.to_dict()))["trials"] == 3
     assert cfg.to_dict() == ExperimentConfig(params=FAST_PARAMS, trials=3, master_seed=5, target_policy=2).to_dict()
-    for flag in (np.bool_(True), np.bool_(False)):
-        flagged = ExperimentConfig(params=FAST_PARAMS, trials=1, fallback_argmin=flag)
-        assert type(flagged.fallback_argmin) is bool and flagged.fallback_argmin == flag
-        canonical_json(run_experiment(flagged))  # the digest serialises the flag as a JSON bool
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -276,7 +285,7 @@ def test_single_file_run_is_trivially_successful():
 
 # -- rounds -----------------------------------------------------------------------------
 
-# every fixture gets 4 x 504 >= 2000 trials: both target policies, fallback on and off
+# every fixture gets 4 x 504 >= 2000 trials: two master seeds per target policy
 ROUND_FIXTURES = {f"tight-m{m}": dataclasses.replace(FAST_PARAMS, m=m) for m in range(2, 11)}
 ROUND_FIXTURES.update(preset=DEFAULT_PARAMS, q4=Q4_PARAMS, ternary=TERNARY_PARAMS)
 ROUND_TRIALS = 504
@@ -292,8 +301,8 @@ def test_rounds_match_rounds_of_one(name, monkeypatch):
     params = ROUND_FIXTURES[name]
     assert ROUND_SIZE > 1 and ROUND_TRIALS % ROUND_SIZE  # a partial last round too
     configs = [
-        ExperimentConfig(params=params, trials=ROUND_TRIALS, master_seed=1000 + i, target_policy=policy, fallback_argmin=fallback)
-        for i, (policy, fallback) in enumerate([("uniform", False), ("uniform", True), (params.m, False), (params.m, True)])
+        ExperimentConfig(params=params, trials=ROUND_TRIALS, master_seed=1000 + i, target_policy=policy)
+        for i, policy in enumerate(["uniform", "uniform", params.m, params.m])
     ]
     batched = [run_experiment(cfg) for cfg in configs]
     monkeypatch.setattr(experiment, "ROUND_SIZE", 1)

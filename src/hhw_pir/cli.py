@@ -27,7 +27,7 @@ from .experiment import (
 )
 from .fields import Fq, build_tower, fq_inv_matrix, fq_rank
 from .params import DEFAULT_PARAMS, SchemeParams
-from .scheme import Database, decode, generate_query, respond
+from .scheme import DRAW_PHASES, Database, decode, generate_queries, generate_query, respond
 
 _ATTACK_FAILED = 2
 
@@ -112,13 +112,13 @@ def _cmd_gendb(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     tower = build_tower(params.p, params.e, params.s)
-    rng = np.random.default_rng(args.seed)
-    query, secrets = generate_query(params, tower, args.target, rng)
+    batch = generate_queries(params, tower, [args.target], [np.random.default_rng(args.seed)])
+    query, secrets = batch.query(tower, 0, args.target)
     secrets_path = args.secrets_out or args.out + ".secrets.json"
     serialization.save_query(args.out, query, params)
     serialization.save_secrets(secrets_path, secrets, params)
     _print({"query": args.out, "secrets": secrets_path, "target": args.target,
-            "shape": [params.m * params.delta, params.n]})
+            "shape": [params.m * params.delta, params.n], "draws": dict(zip(DRAW_PHASES, batch.draws[0].tolist()))})
     return 0
 
 

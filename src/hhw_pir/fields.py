@@ -995,7 +995,9 @@ def redraw_rejected(rngs, draw, accept, exhausted: str) -> tuple[np.ndarray, np.
     ``accept(indices, candidates)`` tests the stacked candidates of the
     streams at ``indices`` at once and returns a bool per candidate, and
     only the rejected streams draw again.  A stream's draws thus come in
-    the order a loop over that stream alone would make them.
+    the order a loop over that stream alone would make them.  A stream is
+    whatever ``draw`` reads: an RNG, or a UniformRun over one that draws
+    ahead what the stream is certain to read.
 
     Returns the stack of accepted candidates and the number of draws each
     stream made; a stream still rejected after MAX_SAMPLING_TRIES draws
@@ -1017,16 +1019,47 @@ def redraw_rejected(rngs, draw, accept, exhausted: str) -> tuple[np.ndarray, np.
     raise SamplingExhausted(exhausted)
 
 
-def sample_split_bases(tower: FieldTower, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """A uniform basis of F_q^s over F_q per RNG stream, and each stream's draws.
+class UniformRun:
+    """The uniform F_q values of one RNG stream, read in order and drawn in as few calls as the reads allow.
+
+    One rng.integers(0, q, size=a + b, dtype=np.int64) call returns the
+    values of two consecutive calls of a and b values and leaves the bit
+    generator in the same state.  So ``take(count, ahead)`` returns the
+    next ``count`` values of the run, and when it must draw, it draws the
+    ``ahead`` values after them in the same call.  The caller promises
+    that the stream reads at least ``ahead`` more values of the run
+    before anything else draws from its RNG.  Kept to that promise, the
+    values read and the RNG's state once the run is read out are those of
+    one call per read.
+    """
+
+    def __init__(self, rng: np.random.Generator, q: int):
+        self.rng, self.q = rng, q
+        self._drawn = np.empty(0, dtype=np.int64)  # drawn, not yet read
+
+    def take(self, count: int, ahead: int = 0) -> np.ndarray:
+        short = count - len(self._drawn)
+        if short > 0:
+            fresh = self.rng.integers(0, self.q, size=short + ahead, dtype=np.int64)
+            self._drawn = np.concatenate([self._drawn, fresh])
+        taken, self._drawn = self._drawn[:count], self._drawn[count:]
+        return taken
+
+
+def sample_split_bases(tower: FieldTower, runs, ahead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform basis of F_q^s over F_q per UniformRun, and each run's draws.
 
     Rejection-samples uniform s x s matrices over F_q until invertible; row t
-    of a basis holds the power-basis coordinates of its t-th vector.
+    of a basis holds the power-basis coordinates of its t-th vector.  Each
+    candidate is the next s*s values of its run, and the caller promises
+    that the stream reads at least ``ahead`` values of the run after the
+    accepted one (UniformRun.take); a stream that raises SamplingExhausted
+    never reads them.
     """
     s, fq = tower.s, tower.fq
     return redraw_rejected(
-        rngs,
-        lambda rng: fq.rand(rng, (s, s)),
+        runs,
+        lambda run: run.take(s * s, ahead).reshape(s, s),
         lambda _, candidates: fq_rank(candidates, fq) == s,
         "no invertible basis matrix found; RNG looks broken",
     )
@@ -1034,4 +1067,4 @@ def sample_split_bases(tower: FieldTower, rngs) -> tuple[np.ndarray, np.ndarray]
 
 def sample_basis_split(tower: FieldTower, rng: np.random.Generator) -> np.ndarray:
     """sample_split_bases for one stream: a uniform (s, s) basis of F_q^s over F_q."""
-    return sample_split_bases(tower, [rng])[0][0]
+    return sample_split_bases(tower, [UniformRun(rng, tower.q)])[0][0]

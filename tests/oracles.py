@@ -37,6 +37,10 @@ kernel: independent reference; replaced path (what it shares)
   (solve_on_columns, FieldTower.matmul, Fq.matmul, Fq.vsub, fq_inv_matrix).
 - scheme.respond: scalar_respond; concatenated_respond (_encodings,
   FieldTower.scalar_matmul).
+- scheme.generate_queries: the layers of its queries rebuilt from their
+  secrets (tests/test_scheme.py) and BATCH_PINS; per_draw_generate_queries,
+  one RNG call per candidate and per coefficient array (sample_codes,
+  redraw_rejected, residue_matmul, Fq.matmul, Fq.vadd).
 - fields.smallest_irreducible and its stacked Rabin test _rabin:
   trial division (tests/test_fields.py) and FROZEN_MODULI;
   scalar_smallest_irreducible, Rabin's test on one candidate at a time
@@ -72,10 +76,11 @@ from hhw_pir.fields import (
     companion_powers,
     fq_inv_matrix,
     fq_rank,
+    redraw_rejected,
     residue_matmul,
 )
 from hhw_pir.linalg import ExtMatrix, solve_on_columns
-from hhw_pir.scheme import Response
+from hhw_pir.scheme import QueryBatch, Response, sample_codes
 
 
 def fq_add(fq: Fq, a: int, b: int) -> int:
@@ -697,6 +702,49 @@ def concatenated_respond(db, query, params, tower: FieldTower):
     """
     stacked = _encodings(np.concatenate(db.files, axis=1), tower.fq)
     return Response(ExtMatrix(tower, tower.scalar_matmul(stacked, query.matrix.data)))
+
+
+def per_draw_generate_queries(params, tower: FieldTower, targets, rngs) -> QueryBatch:
+    """scheme.generate_queries as it drew each basis candidate, coefficient array and selector candidate by its own call.
+
+    Every stream draws its basis candidates, then its codeword and mask
+    coefficients, then its selector candidates, each by one
+    rng.integers call.  The package reads the same values off one run
+    per stream (fields.UniformRun) in fewer calls.  Targets are not
+    checked.
+    """
+    fq = tower.fq
+    delta, n, k, s, v = params.delta, params.n, params.k, params.s, params.v
+    total_rows, count = params.block_rows, len(rngs)
+    gens, info_sets, blown, code_draws = sample_codes(params, tower, rngs)
+    bases, basis_draws = redraw_rejected(
+        rngs, lambda rng: fq.rand(rng, (s, s)), lambda _, candidates: fq_rank(candidates, fq) == s, "basis"
+    )
+    all_streams = np.arange(count)[:, None]
+    inside = np.zeros((count, n), dtype=bool)
+    inside[all_streams, info_sets] = True
+    outside = np.nonzero(~inside)[1].reshape(count, n - k)
+    coeffs, v_coeffs = [], []
+    for rng in rngs:
+        coeffs.append(tower.rand(rng, (total_rows, k)))
+        v_coeffs.append(fq.rand(rng, (total_rows, n - k, v)))
+    digits = fq.to_digits(np.array(coeffs)).reshape(count, total_rows, k * s * fq.e)
+    data = fq._encode(residue_matmul(digits, blown, fq.p).reshape(count, total_rows, n, s, fq.e))
+    noise = fq.matmul(np.array(v_coeffs).reshape(count, -1, v), bases[:, :v]).reshape(count, total_rows, n - k, s)
+    w_coeffs, selector_draws = redraw_rejected(
+        rngs,
+        lambda rng: fq.rand(rng, (delta, n - k, s - v)),
+        lambda streams, candidates: fq_rank(candidates.reshape(len(streams), delta, -1), fq) == delta,
+        "selector",
+    )
+    blocks = fq.matmul(w_coeffs.reshape(count, delta * (n - k), s - v), bases[:, v:]).reshape(count, delta, n - k, s)
+    target_rows = (np.array(targets, dtype=np.int64)[:, None] - 1) * delta + np.arange(delta)
+    noise[all_streams, target_rows] = fq.vadd(noise[all_streams, target_rows], blocks)
+    data[all_streams, :, outside] = fq.vadd(data[all_streams, :, outside], noise.swapaxes(1, 2))
+    selector_block = np.zeros((count, delta, n, s), dtype=np.int64)
+    selector_block[all_streams, :, outside] = blocks.swapaxes(1, 2)
+    return QueryBatch(data=data, generator=gens, info_set=info_sets, basis=bases, selector_block=selector_block,
+                      draws=np.array([*code_draws, basis_draws, selector_draws]).T)
 
 
 def unit_row_decode(response, secrets, params, tower: FieldTower) -> np.ndarray:

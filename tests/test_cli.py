@@ -5,6 +5,7 @@ re-read from disk by a different interpreter than the one that wrote it,
 so nothing can lean on in-memory state.
 """
 
+import hashlib
 import json
 import re
 import shlex
@@ -15,7 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hhw_pir.fields import build_tower
+from hhw_pir.params import SchemeParams
+from hhw_pir.scheme import DRAW_PHASES
 from hhw_pir.serialization import load_matrix
+
+from .oracles import per_draw_generate_queries
 
 TIGHT = '{"p": 2, "e": 1, "s": 2, "v": 1, "n": 4, "k": 2, "m": 6, "L": 3}'
 
@@ -211,6 +217,22 @@ def test_query_rejects_out_of_range_target(tmp_path):
     proc = run_cli("query", "--params", TIGHT, "--target", "7", "--out", out, expect=1)
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "IndexOutOfRange"
+
+
+def test_query_reports_its_draws_per_phase(tmp_path):
+    """The query command prints the candidates its stream drew in each rejection phase, those of the
+    per-draw reference path, and writes the query and secrets files it wrote before it printed them."""
+    out = tmp_path / "q.hhwm"
+    doc = json.loads(run_cli("query", "--params", TIGHT, "--target", "4", "--seed", "202", "--out", str(out)).stdout)
+    params = SchemeParams.from_dict(json.loads(TIGHT))
+    reference = per_draw_generate_queries(params, build_tower(2, 1, 2), [4], [np.random.default_rng(202)])
+    assert doc["draws"] == dict(zip(DRAW_PHASES, reference.draws[0].tolist()))
+    assert doc["draws"] == {"generator": 2, "info_set": 1, "basis": 12, "selector": 1}
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, tmp_path / "q.hhwm.secrets.json")]
+    assert digests == [
+        "f0fb333b20e1ffbb52f7944ea0dd5d3212cee30f4d533b10139104ee12f47ba8",
+        "42927ac448b47424b4ce4b547aca2f097a369119178d236849337d458fae7341",
+    ]
 
 
 def test_experiment_json_and_csv(tmp_path):

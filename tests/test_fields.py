@@ -21,6 +21,7 @@ from hhw_pir.errors import (
 from hhw_pir.fields import (
     FieldTower,
     Fq,
+    UniformRun,
     _rabin,
     build_tower,
     fq_inv_matrix,
@@ -801,6 +802,56 @@ def test_constructors_check_what_build_tower_checks():
             FieldTower(fq, len(modulus) - 1, modulus)
     tower = build_tower(2, 2, 3)
     assert FieldTower(tower.fq, 3, tower.top_modulus).top_modulus == tower.top_modulus
+
+
+# -- runs of uniform F_q values ------------------------------------------------------------
+
+
+RUN_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 49, 243, 256, 3**10, 2**16)
+RUN_SPLITS = ((0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (4, 13), (17, 9), (40, 3))
+
+
+@pytest.mark.parametrize("q", RUN_ORDERS)
+def test_one_integers_call_equals_two_consecutive_calls(q):
+    """The numpy property UniformRun rests on: integers(0, q, size=a+b) gives the values of two
+    consecutive calls of a and b values and leaves the bit generator in the same state.
+
+    Odd q rejects some raw draws and powers of two mask them; both must
+    continue across the cut.  A numpy release that breaks this fails
+    here, not by moving a pinned query.
+    """
+    for seed in range(4):
+        for a, b in RUN_SPLITS:
+            one, two = np.random.default_rng([seed, q]), np.random.default_rng([seed, q])
+            joined = one.integers(0, q, size=a + b, dtype=np.int64)
+            parts = [two.integers(0, q, size=size, dtype=np.int64) for size in (a, b)]
+            assert np.array_equal(joined, np.concatenate(parts)), (seed, a, b)
+            assert one.bit_generator.state == two.bit_generator.state, (seed, a, b)
+
+
+class _CountingRng:
+    """A Generator that records the size of each integers call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+def test_uniform_run_draws_only_when_short_and_then_the_promised_values_ahead():
+    """take(count, ahead) draws count + ahead when nothing is left, reads on from what it drew, and
+    once read out leaves the values and the state of one call per take."""
+    reads = [(4, 20), (4, 20), (4, 20), (24, 4), (4, 0), (4, 0), (30, 0)]
+    counting = _CountingRng(7)
+    run = UniformRun(counting, 3)
+    got = [run.take(count, ahead) for count, ahead in reads]
+    assert counting.sizes == [24, 16, 4, 30]
+    plain = np.random.default_rng(7)
+    for (count, _), values in zip(reads, got):
+        assert np.array_equal(values, plain.integers(0, 3, size=count, dtype=np.int64))
+    assert counting.rng.bit_generator.state == plain.bit_generator.state
 
 
 # -- basis splits ----------------------------------------------------------------------

@@ -16,10 +16,19 @@ from hhw_pir.errors import (
     NotInformationSet,
     SamplingExhausted,
 )
-from hhw_pir.fields import build_tower, fq_deletion_ranks, fq_inv_matrix, fq_rank, redraw_rejected, sample_split_bases
+from hhw_pir.fields import (
+    UniformRun,
+    build_tower,
+    fq_deletion_ranks,
+    fq_inv_matrix,
+    fq_rank,
+    redraw_rejected,
+    sample_split_bases,
+)
 from hhw_pir.linalg import ExtMatrix, ext_rank, is_information_set, solve_on_columns
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 from hhw_pir.scheme import (
+    DRAW_PHASES,
     Database,
     Query,
     QuerySecrets,
@@ -40,6 +49,7 @@ from .oracles import (
     ext_mul,
     ext_zero,
     micro_decode,
+    per_draw_generate_queries,
     scalar_respond,
     unit_row_decode,
 )
@@ -133,7 +143,7 @@ def test_sample_split_bases_gives_up_on_an_rng_of_zeros(monkeypatch, tight_tower
     monkeypatch.setattr(fields, "MAX_SAMPLING_TRIES", 5)
     rng = _ZeroRng()
     with pytest.raises(SamplingExhausted, match="basis"):
-        sample_split_bases(tight_tower, [rng])
+        sample_split_bases(tight_tower, [UniformRun(rng, tight_tower.q)])
     assert rng.draws == 5
 
 
@@ -143,6 +153,91 @@ def test_sample_codes_gives_up_on_an_rng_of_zeros(monkeypatch, tight_params, tig
     with pytest.raises(SamplingExhausted, match="generator"):
         sample_codes(tight_params, tight_tower, [rng])
     assert rng.draws == 5
+
+
+class _ScriptedRng:
+    """An RNG stand-in for one stream of generate_queries that records its draws.
+
+    Its integers calls before its first permutation (the generator phase)
+    return ``generator``, every permutation is the identity, and every
+    later integers call reads on along ``run``, zeros past its end.
+    """
+
+    def __init__(self, generator, run=()):
+        self.generator, self.run = generator, np.array(run, dtype=np.int64)
+        self.generator_calls, self.permutations, self.run_values = 0, 0, 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        if not self.permutations:
+            self.generator_calls += 1
+            return self.generator.copy()
+        values = np.zeros(size, dtype=dtype)
+        head = self.run[self.run_values : self.run_values + size]
+        values[: len(head)] = head
+        self.run_values += size
+        return values
+
+    def permutation(self, n):
+        self.permutations += 1
+        return np.arange(n)
+
+
+def _phase_stuck_rng(phase, params):
+    """A _ScriptedRng on which generate_queries passes every phase before ``phase`` and never passes ``phase``.
+
+    A generator that is zero never has full rank.  Its unit vectors on
+    the last k columns have full rank but never pass the information set
+    {0, ..., k-1} that the identity permutation picks; on the first k
+    columns they pass it.  A run of zeros holds no invertible basis; one
+    that opens with the identity basis passes it, and its coefficients
+    and selector candidates are zero, of subfield rank 0.
+    """
+    k, n, s = params.k, params.n, params.s
+    generator = np.zeros((k, n, s), dtype=np.int64)
+    if phase == "info_set":
+        generator[np.arange(k), n - k + np.arange(k), 0] = 1
+    elif phase != "generator":
+        generator[np.arange(k), np.arange(k), 0] = 1
+    return _ScriptedRng(generator, np.eye(s, dtype=np.int64).ravel() if phase == "selector" else ())
+
+
+STUCK_MESSAGES = {
+    "generator": "^no full-rank generator found",
+    "info_set": "^no information set found",
+    "basis": "^no invertible basis matrix found",
+    "selector": "^no full-rank selector block found",
+}
+
+
+@pytest.mark.parametrize("phase", DRAW_PHASES)
+def test_every_phase_of_generate_queries_gives_up_after_the_cap(phase, monkeypatch, tight_params, tight_tower):
+    """A stream that never passes one phase raises SamplingExhausted with that phase's message after
+    exactly MAX_SAMPLING_TRIES candidates of it.
+
+    The generator and information-set phases draw one call a candidate.
+    The basis and selector candidates are reads of s*s and
+    delta*(n-k)*(s-v) values off the stream's run.  The run draws the
+    coefficients and one selector candidate ahead of a basis candidate,
+    so at the tight base the first basis draw holds all five basis
+    candidates, and it draws nothing ahead of a selector candidate.
+    """
+    monkeypatch.setattr(fields, "MAX_SAMPLING_TRIES", 5)
+    reads = []
+    take = UniformRun.take
+    monkeypatch.setattr(UniformRun, "take", lambda run, count, ahead=0: reads.append(count) or take(run, count, ahead))
+    params = tight_params
+    basis, selector = params.s**2, params.delta * (params.n - params.k) * (params.s - params.v)
+    coefficients = params.block_rows * (params.k * params.s + (params.n - params.k) * params.v)
+    rng = _phase_stuck_rng(phase, params)
+    with pytest.raises(SamplingExhausted, match=STUCK_MESSAGES[phase]):
+        generate_queries(params, tight_tower, [1], [rng])
+    expected = {
+        "generator": (5, 0, [], 0),
+        "info_set": (1, 5, [], 0),
+        "basis": (1, 1, [basis] * 5, basis + coefficients + selector),
+        "selector": (1, 1, [basis, coefficients] + [selector] * 5, basis + coefficients + 5 * selector),
+    }[phase]
+    assert (rng.generator_calls, rng.permutations, reads, rng.run_values) == expected
 
 
 def test_redraw_rejected_gives_up_after_the_cap_on_the_stream_that_never_passes(monkeypatch):
@@ -308,6 +403,43 @@ def test_generation_matches_its_pins(params, pin):
         digest.update(repr((field.name, arr.shape)).encode())
         digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
     assert digest.hexdigest() == pin
+
+
+GENERATION_STREAMS = 1000
+
+
+@pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
+def test_generation_matches_the_per_draw_path(params):
+    """1000 seeded streams give the queries, secrets and draws of one RNG call per candidate and
+    coefficient array (oracles.per_draw_generate_queries), and leave every stream's bit generator
+    in the same state, so the next draw of a reused stream does not move."""
+    tower = build_tower(params.p, params.e, params.s)
+    for start in range(0, GENERATION_STREAMS, 250):
+        seeds = range(start, start + 250)
+        targets = [1 + i % params.m for i in seeds]
+        runs, draws = ([np.random.default_rng([0xD1F, i]) for i in seeds] for _ in range(2))
+        batch = generate_queries(params, tower, targets, runs)
+        reference = per_draw_generate_queries(params, tower, targets, draws)
+        for field in dataclasses.fields(batch):
+            assert np.array_equal(getattr(batch, field.name), getattr(reference, field.name)), field.name
+        assert [rng.bit_generator.state for rng in runs] == [rng.bit_generator.state for rng in draws]
+
+
+@pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
+def test_consecutive_queries_on_one_generator_match_the_per_draw_path(params):
+    """50 generate_query calls on one Generator, each after a target draw as the selftest makes
+    them, give the queries and secrets of the per-draw path on a Generator of the same seed."""
+    tower = build_tower(params.p, params.e, params.s)
+    rng, reference_rng = np.random.default_rng(0x50), np.random.default_rng(0x50)
+    for _ in range(50):
+        target = int(rng.integers(1, params.m + 1))
+        assert int(reference_rng.integers(1, params.m + 1)) == target
+        query, secrets = generate_query(params, tower, target, rng)
+        reference = per_draw_generate_queries(params, tower, [target], [reference_rng])
+        assert np.array_equal(query.matrix.data, reference.data[0])
+        for name in ("generator", "info_set", "basis", "selector_block"):
+            assert np.array_equal(getattr(secrets, name), getattr(reference, name)[0]), name
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # -- responding -------------------------------------------------------------------

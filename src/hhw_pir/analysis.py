@@ -120,9 +120,9 @@ class FailureBound:
             "per_block_conservative": _fraction_str(self.per_block_conservative),
             "union_conservative": _fraction_str(self.union_conservative),
             "simplified": _fraction_str(self.simplified),
-            "log2_union": log2_fraction(self.union),
-            "log2_union_conservative": log2_fraction(self.union_conservative),
-            "log2_simplified": log2_fraction(self.simplified),
+            "log2_union": _log2_or_none(self.union),
+            "log2_union_conservative": _log2_or_none(self.union_conservative),
+            "log2_simplified": _log2_or_none(self.simplified),
             "regime_warning": self.regime_warning,
             "rough_chain_ok": self.rough_chain_ok,
         }
@@ -262,6 +262,11 @@ def log2_fraction(x: Fraction) -> float:
         return shift + math.log2(value >> shift)
 
     return lg(x.numerator) - lg(x.denominator)
+
+
+def _log2_or_none(x: Fraction) -> float | None:
+    """log2_fraction, or None (JSON null) for 0, such as the union over no wrong block at m = 1: JSON has no -inf."""
+    return log2_fraction(x) if x else None
 
 
 def _fraction_str(x: Fraction) -> str:

@@ -83,7 +83,7 @@ class AttackReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def rank_profile(queries: np.ndarray, params: SchemeParams, tower: FieldTower) -> list[int] | np.ndarray:

@@ -1,4 +1,4 @@
-"""Command-line front end: analyze, generate, respond, decode, attack.
+"""Command-line front end: analyze, gendb, query, respond, decode, attack, experiment.
 
 Exit codes: 0 on success (``--help`` included), 1 on any operational
 error (a bad command line, malformed input, bad parameters, file
@@ -18,43 +18,49 @@ import numpy as np
 
 from . import analysis, serialization
 from .attack import recover_index
-from .errors import BadArguments, SelftestFailure
+from .errors import BadArguments
 from .experiment import (
     ExperimentConfig,
     report_to_csv,
     report_to_json,
     run_experiment,
 )
-from .fields import Fq, build_tower, fq_inv_matrix, fq_rank
+from .fields import build_tower
 from .params import DEFAULT_PARAMS, SchemeParams
-from .scheme import DRAW_PHASES, Database, decode, generate_queries, generate_query, respond
+from .scheme import DRAW_PHASES, Database, decode, generate_queries, respond
 
 _ATTACK_FAILED = 2
 
 
 def _emit_error(exc: Exception) -> None:
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(doc), file=sys.stderr)
+    print(json.dumps(doc, allow_nan=False), file=sys.stderr)
 
 
 def _load_params(raw: str | None) -> SchemeParams:
     if raw is None:
         return DEFAULT_PARAMS
     text = raw.strip()
-    if not text.startswith("{"):
-        path = Path(text)
-        if not path.exists():
-            raise BadArguments(f"parameter file not found: {text}")
-        text = path.read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadArguments(f"parameters are not valid JSON: {exc}") from exc
+        # json.loads takes a file's bytes as they are, so bad UTF-8 is one more ValueError
+        doc = json.loads(text if text.startswith("{") else Path(text).read_bytes())
+    except FileNotFoundError as exc:
+        raise BadArguments(f"parameter file not found: {text}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise BadArguments(f"cannot read parameters: {exc}") from exc
     return SchemeParams.from_dict(doc)
 
 
+def _seed(text: str) -> int:
+    """A Generator seed: the parser refuses anything but a non-negative integer, as BadArguments."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _print(doc: dict) -> None:
-    print(json.dumps(doc, indent=1))
+    print(json.dumps(doc, indent=1, allow_nan=False))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -86,8 +92,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     fb = doc["failure_bound"]
     print(f"failure bound   per-block {fb['per_block']}  union {fb['union']}")
     print(f"                conservative union {fb['union_conservative']}")
-    print(f"                simplified {fb['simplified']}  "
-          f"(log2 union {fb['log2_union']:.2f})")
+    log2_union = "-inf" if fb["log2_union"] is None else f"{fb['log2_union']:.2f}"
+    print(f"                simplified {fb['simplified']}  (log2 union {log2_union})")
     if fb["regime_warning"]:
         print(f"                warning: m = {m} < m0 = {d['m0']}, bounds are vacuous")
     r = doc["rates"]
@@ -199,130 +205,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _small_rank(mat, fq: Fq) -> int:
-    """Row rank of a small F_q matrix, the selftest's reference: scalar Gaussian
-    elimination with integers mod p on its F_p regular representation."""
-    p = fq.p
-    rows = [list(map(int, r)) for r in fq.blow_up(mat)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pinv = pow(rows[rank][c], -1, p)
-        rows[rank] = [pinv * x % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank // fq.e
-
-
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 7)
-    checks = 0
-
-    def ok(label: str) -> None:
-        nonlocal checks
-        checks += 1
-        print(f"ok {checks:2d} - {label}")
-
-    def require(holds, what: str) -> None:
-        # an explicit check, not assert: python -O must not skip the battery
-        if not holds:
-            raise SelftestFailure(f"check {checks + 1}: {what}")
-
-    # irreducible moduli for the small towers
-    towers = {}
-    for (p, e, s) in [(2, 1, 2), (3, 1, 2), (2, 2, 3), (2, 1, 4)]:
-        towers[(p, e, s)] = build_tower(p, e, s)
-    require(towers[(2, 1, 2)].top_modulus == (1, 1, 1), "F_4 top modulus is x^2 + x + 1")
-    require(towers[(3, 1, 2)].top_modulus == (1, 0, 1), "F_9 top modulus is x^2 + 1")
-    ok("canonical moduli for F_4, F_9, F_64")
-
-    # field axioms on random elements, read off their F_p blow-ups: the blow-up
-    # is additive and multiplicative (its row 0 holds the digits of the element,
-    # so a product of blow-ups is the blow-up of the element its row 0 encodes),
-    # products commute, and a nonzero element's blow-up inverts by elimination
-    for tower in towers.values():
-        fq, fp = tower.fq, tower.fq.fp
-        for _ in range(40):
-            a, b = tower.rand(rng, (1, 1)), tower.rand(rng, (1, 1))
-            big_a, big_b = tower.blow_up(a), tower.blow_up(b)
-            require(np.array_equal(tower.blow_up(fq.vadd(a, b)), (big_a + big_b) % tower.p), f"sums in {tower!r}")
-            product = fp.matmul(big_a, big_b)
-            ab = fq.from_digits(product[0].reshape(1, 1, tower.s, tower.e))
-            require(np.array_equal(tower.blow_up(ab), product), f"products in {tower!r}")
-            require(np.array_equal(fp.matmul(big_b, big_a), product), f"commutativity in {tower!r}")
-            if a.any():
-                identity = fp.matmul(fq_inv_matrix(big_a, fp), big_a)
-                require(np.array_equal(identity, np.eye(len(big_a))), f"inverse in {tower!r}")
-    ok("field axioms on random elements")
-
-    # vectorized subfield rank agrees with the scalar implementation
-    for tower in towers.values():
-        fq = tower.fq
-        for _ in range(20):
-            mat = fq.rand(rng, (5, 4))
-            require(fq_rank(mat, fq) == _small_rank(mat, fq), f"subfield rank in {tower!r}")
-    ok("rank agrees with the reference elimination")
-
-    # end-to-end retrieval at the default preset and a ternary variant
-    for params in [DEFAULT_PARAMS,
-                   SchemeParams(p=3, e=1, s=2, v=1, n=4, k=2, m=5, L=2)]:
-        tower = build_tower(params.p, params.e, params.s)
-        for _ in range(3):
-            target = int(rng.integers(1, params.m + 1))
-            db = Database.random(params, rng)
-            query, secrets = generate_query(params, tower, target, rng)
-            answer = respond(db, query, params, tower)
-            require(np.array_equal(decode(answer, secrets, params, tower), db.files[target - 1]),
-                    f"retrieval of file {target} at {params}")
-    ok("retrieval round trips exactly")
-
-    # the distinguisher names the right block
-    tower = build_tower(DEFAULT_PARAMS.p, DEFAULT_PARAMS.e, DEFAULT_PARAMS.s)
-    for _ in range(5):
-        target = int(rng.integers(1, DEFAULT_PARAMS.m + 1))
-        query, _ = generate_query(DEFAULT_PARAMS, tower, target, rng)
-        report = recover_index(query, DEFAULT_PARAMS, tower)
-        require(report.recovered_index == target, f"attack names target {target}")
-    ok("rank attack recovers the target at the preset")
-
-    # subspace counting identities
-    require(analysis.gaussian_binomial(2, 1, 2) == 3, "[2 choose 1]_2 == 3")
-    require(analysis.gaussian_binomial(4, 2, 2) == 35, "[4 choose 2]_2 == 35")
-    for b in range(2, 8):
-        for a in range(1, b):
-            lhs = analysis.gaussian_binomial(b, a, 3)
-            rhs = (analysis.gaussian_binomial(b - 1, a - 1, 3)
-                   + 3**a * analysis.gaussian_binomial(b - 1, a, 3))
-            require(lhs == rhs, f"q-Pascal recurrence at b={b}, a={a}")
-    ok("subspace counts and recurrence")
-
-    # serialization round trip on every supported small field
-    import io as _io
-    for (p, e, s) in [(2, 1, 2), (2, 2, 3), (3, 1, 2)]:
-        q = p**e
-        arr = rng.integers(0, q, size=(3, 5, s))
-        buf = _io.BytesIO()
-        serialization.save_matrix(buf, arr, p, e, s)
-        buf.seek(0)
-        back = serialization.load_matrix(buf)
-        require(np.array_equal(back.data, arr), f"matrix file round trip over F_{q}^{s}")
-    ok("matrix files round-trip")
-
-    print(f"selftest passed ({checks} checks)")
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises BadArguments where argparse would exit 2,
     the code reserved for an attack that names no index; subparsers inherit it."""
@@ -353,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gendb", help="generate a random database file")
     add_params(p)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gendb)
 
     p = sub.add_parser("query", help="generate a query and its secrets")
     add_params(p)
     p.add_argument("--target", type=int, required=True, help="1-based file index")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="query file path")
     p.add_argument("--secrets-out", default=None,
                    help="secrets path (default: OUT.secrets.json)")
@@ -397,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

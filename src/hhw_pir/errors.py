@@ -59,7 +59,3 @@ class BadArguments(ValueError):
 
 class MatrixFileError(ValueError):
     """A serialized matrix file is malformed or truncated."""
-
-
-class SelftestFailure(RuntimeError):
-    """A check of the built-in selftest battery did not hold."""

@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .analysis import failure_bound, log2_fraction
+from .analysis import failure_bound, _log2_or_none
 from .attack import recover_index
 from .errors import BadArguments
 from .fields import FieldTower, as_integer, build_tower
@@ -289,8 +289,8 @@ def _report_dict(report: ExperimentReport, include_timings: bool) -> dict:
             "success_rate": f"{report.successes}/{report.trials}",
             "bound_union": str(report.bound_union),
             "bound_union_conservative": str(report.bound_union_conservative),
-            "log2_bound_union": log2_fraction(report.bound_union),
-            "log2_bound_union_conservative": log2_fraction(report.bound_union_conservative),
+            "log2_bound_union": _log2_or_none(report.bound_union),
+            "log2_bound_union_conservative": _log2_or_none(report.bound_union_conservative),
             "threshold": report.threshold,
             "threshold_conservative": report.threshold_conservative,
             "criterion_pass": report.criterion_pass,
@@ -307,11 +307,11 @@ def _report_dict(report: ExperimentReport, include_timings: bool) -> dict:
 def canonical_json(report: ExperimentReport) -> str:
     """Deterministic serialization: same config and seed, same bytes."""
     return json.dumps(_report_dict(report, include_timings=False),
-                      sort_keys=True, separators=(",", ":"))
+                      sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def report_to_json(report: ExperimentReport, include_timings: bool = True) -> str:
-    return json.dumps(_report_dict(report, include_timings), indent=1)
+    return json.dumps(_report_dict(report, include_timings), indent=1, allow_nan=False)
 
 
 CSV_FIELDS = ["trial", "seed", "target", "recovered", "success",

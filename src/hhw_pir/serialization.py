@@ -175,11 +175,14 @@ def _coordinates(values: np.ndarray, q: int, s: int) -> np.ndarray:
 def load_matrix(src: PathOrFile) -> MatrixFileData:
     """Read and validate a matrix file (see the module docstring for the layout).
 
-    Every malformed header or payload raises MatrixFileError.  The
-    little-endian element values are widened to uint64 and split into
-    their s coordinates by _coordinates.
+    A path it cannot open and every malformed header or payload raise
+    MatrixFileError.  The little-endian element values are widened to
+    uint64 and split into their s coordinates by _coordinates.
     """
-    fh, owned = _readable(src)
+    try:
+        fh, owned = _readable(src)
+    except OSError as exc:
+        raise MatrixFileError(f"cannot open matrix file: {exc}") from exc
     try:
         raw = fh.read()
     finally:
@@ -281,7 +284,7 @@ def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemePa
         "generator": _coords_to_lists(secrets.generator),
         "selector_block": _coords_to_lists(secrets.selector_block),
     }
-    Path(dest).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(dest).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def _as_coord_array(obj, shape: tuple[int, ...], q: int, what: str) -> np.ndarray:
@@ -304,7 +307,7 @@ def _as_coord_array(obj, shape: tuple[int, ...], q: int, what: str) -> np.ndarra
 def load_secrets(src: Union[str, Path], params: SchemeParams, tower: FieldTower) -> QuerySecrets:
     try:
         doc = json.loads(Path(src).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise MatrixFileError(f"cannot parse secrets file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SECRETS_FORMAT:
         raise MatrixFileError("not a secrets file")

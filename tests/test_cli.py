@@ -157,10 +157,19 @@ def test_usage_errors_exit_1_with_a_json_error():
     (["experiment", "--trials", "1", "--fallback-argmin"], "--fallback-argmin"),
     (["analyze", "--m", "notanint"], "notanint"),
     ([], "command"),
+    (["selftest"], "invalid choice: 'selftest'"),
+    (["analyze", "--params", "a_directory"], "Is a directory"),
+    (["analyze", "--params", "latin1.json"], "can't decode byte 0xe9"),
+    (["gendb", "--seed", "-1", "--out", "db.hhwm"], "seed must be a non-negative integer, got -1"),
+    (["query", "--target", "1", "--seed", "-5", "--out", "q.hhwm"], "seed must be a non-negative integer, got -5"),
 ])
-def test_usage_errors_are_typed(argv, needle, capsys):
+def test_usage_errors_are_typed(argv, needle, capsys, tmp_path, monkeypatch):
+    """A bad command line, or parameters that are no readable JSON, raise BadArguments."""
     from hhw_pir import cli
 
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"p": 2, "note": "\u00e9"}'.encode("latin-1"))
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     error = json.loads(err)["error"]
@@ -190,18 +199,53 @@ def test_readme_command_lines_parse():
         assert args.command == argv[0]
 
 
-def test_malformed_query_file_is_reported(tmp_path):
+def test_malformed_query_file_is_reported(tmp_path, capsys):
+    """A query file that is malformed, a directory or missing is a MatrixFileError."""
+    from hhw_pir import cli
+
     path = tmp_path / "broken.hhwm"
     path.write_bytes(b"HHWMgarbage")
     proc = run_cli("attack", "--params", TIGHT, "--query", str(path), expect=1)
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "MatrixFileError"
+    for unreadable, needle in ((tmp_path, "Is a directory"), (tmp_path / "missing.hhwm", "No such file")):
+        assert cli.main(["attack", "--params", TIGHT, "--query", str(unreadable)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "MatrixFileError" and needle in error["message"]
 
 
 def test_bad_params_json_is_reported():
     proc = run_cli("analyze", "--params", '{"p": 4, "e": 1}', expect=1)
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "InvalidParams"
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259 parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_single_file_reports_are_strict_json(tmp_path, capsys):
+    """At m = 1 no wrong block exists and the union bound is 0: its log2 is written as null, and the
+    table still prints it, in analyze, experiment --out and canonical_json."""
+    from hhw_pir import cli
+    from hhw_pir.experiment import ExperimentConfig, canonical_json, run_experiment
+
+    single = json.dumps({**json.loads(TIGHT), "m": 1})
+    assert cli.main(["analyze", "--params", single, "--format", "json"]) == 0
+    bound = _strict_json(capsys.readouterr().out)["failure_bound"]
+    assert bound["union"] == "0" and bound["log2_union"] is None and bound["log2_union_conservative"] is None
+    assert cli.main(["analyze", "--params", TIGHT, "--m", "1"]) == 0
+    assert "(log2 union -inf)" in capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert cli.main(["experiment", "--params", single, "--trials", "2", "--out", str(out)]) == 0
+    aggregate = _strict_json(out.read_text())["aggregate"]
+    assert aggregate["log2_bound_union"] is None and aggregate["log2_bound_union_conservative"] is None
+    report = run_experiment(ExperimentConfig(params=SchemeParams.from_dict(json.loads(single)), trials=2))
+    assert _strict_json(canonical_json(report))["aggregate"]["log2_bound_union"] is None
 
 
 def test_analyze_refuses_non_positive_file_rows():
@@ -271,30 +315,6 @@ def test_experiment_deterministic_across_processes(tmp_path):
                 t.pop(timing)
         outs.append(json.dumps(doc, sort_keys=True))
     assert outs[0] == outs[1]
-
-
-def test_selftest_passes():
-    proc = run_cli("selftest", "--seed", "1")
-    assert "selftest passed (7 checks)" in proc.stdout
-
-
-def test_selftest_checks_survive_optimize_flag():
-    # python -O strips assert statements; the battery must still check everything
-    proc = run_cli("selftest", "--seed", "1", flags=("-O",))
-    assert "selftest passed (7 checks)" in proc.stdout
-
-
-def test_selftest_failure_is_typed(monkeypatch, capsys):
-    from hhw_pir import analysis, cli
-
-    monkeypatch.setattr(analysis, "gaussian_binomial", lambda b, a, q: 0)
-    assert cli.main(["selftest", "--seed", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert "ok  5 - rank attack recovers the target at the preset" in out
-    assert "selftest passed" not in out
-    error = json.loads(err)["error"]
-    assert error["type"] == "SelftestFailure"
-    assert error["message"].startswith("check 6:")
 
 
 def test_unknown_subcommand_fails():

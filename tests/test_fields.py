@@ -413,6 +413,12 @@ def test_ext_ring_axioms(data):
     assert _mul(tower, _add(tower, x, y), z) == _add(tower, _mul(tower, x, z), _mul(tower, y, z))
     assert _mul(tower, x, y) == _mul(tower, y, x)
     assert _mul(tower, x, y) == ext_mul(tower, x, y)
+    # the F_p blow-up is additive and multiplicative, and products of blow-ups commute
+    big_x, big_y = (tower.blow_up(np.array([[c]])) for c in (x, y))
+    product = tower.fq.fp.matmul(big_x, big_y)
+    assert np.array_equal(tower.blow_up(np.array([[_add(tower, x, y)]])), (big_x + big_y) % tower.p)
+    assert np.array_equal(tower.blow_up(np.array([[_mul(tower, x, y)]])), product)
+    assert np.array_equal(tower.fq.fp.matmul(big_y, big_x), product)
 
 
 @given(tower_and_elements(1))
@@ -426,6 +432,9 @@ def test_ext_inverse_and_power(data):
         assert _mul(tower, x, _inv(tower, x)) == tower.one
         # Lagrange: the multiplicative group has order q^s - 1
         assert _pow(tower, x, tower.order - 1) == tower.one
+        # the blow-up of the inverse is the F_p inverse of the blow-up
+        inverse = fq_inv_matrix(tower.blow_up(np.array([[x]])), tower.fq.fp)
+        assert np.array_equal(inverse, tower.blow_up(np.array([[_inv(tower, x)]])))
 
 
 @given(tower_and_elements(1))

@@ -3,7 +3,8 @@
 The rule: a bool is not an integer, an array of another dtype than an
 integer one is refused rather than cast, and an array's entries lie in
 [0, bound).  as_integer checks a scalar and integer_array an array; every
-entry point calls them with the error type it raises.
+entry point calls them with the error type it raises.  No module checks
+anything with an assert statement, which python -O strips.
 """
 
 import ast
@@ -73,6 +74,13 @@ def test_integer_checks_live_only_in_the_two_gates():
         ("fields.py", "as_integer", "operator.index"),
         ("fields.py", "integer_array", "dtype.kind"),
     ]
+
+
+def test_no_module_holds_an_assert_statement():
+    """Every invariant check raises a typed error, so python -O, which drops assert statements, skips none."""
+    found = [(path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.uint64(3)])

@@ -1,11 +1,15 @@
+import json
 import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhw_pir.errors import InvalidParams
+from hhw_pir.cli import _load_params
+from hhw_pir.errors import BadArguments, InvalidParams
 from hhw_pir.params import DEFAULT_PARAMS, SchemeParams
 
 
@@ -156,6 +160,33 @@ def test_from_dict_parses_or_raises_invalid_params(changes, dropped):
     except InvalidParams:
         return
     assert SchemeParams.from_dict(params.to_dict()) == params
+
+
+# a document nested deeper than the decoder's recursion limit
+_DEEP = '{"p":' * 200_000 + "0" + "}" * 200_000
+_DOCS = st.dictionaries(_KEYS, _VALUES, max_size=6).map(
+    lambda changes: json.dumps({**dict(p=3, e=2, s=3, v=1, n=4, k=2, m=5, L=3), **changes})
+)
+
+
+@given(
+    st.text() | st.text().map(lambda text: "{" + text) | _DOCS,
+    st.binary() | _DOCS.map(str.encode),
+)
+@example(_DEEP, _DEEP.encode())
+@settings(max_examples=300, deadline=None)
+def test_params_reader_parses_or_raises_typed_error(text, raw):
+    """The --params reader, given any inline text or any file bytes: SchemeParams, BadArguments or
+    InvalidParams, never another error.  Text that is no inline JSON names a path in a directory holding the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        path.write_bytes(raw)
+        inline = text if text.strip().startswith("{") else str(Path(tmp) / text.replace("/", ""))
+        for argument in (inline, str(path)):
+            try:
+                assert isinstance(_load_params(argument), SchemeParams)
+            except (BadArguments, InvalidParams):
+                pass
 
 
 def test_from_dict_missing_and_extra_fields():

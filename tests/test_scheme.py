@@ -427,8 +427,8 @@ def test_generation_matches_the_per_draw_path(params):
 
 @pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
 def test_consecutive_queries_on_one_generator_match_the_per_draw_path(params):
-    """50 generate_query calls on one Generator, each after a target draw as the selftest makes
-    them, give the queries and secrets of the per-draw path on a Generator of the same seed."""
+    """50 generate_query calls on one Generator, each after a target draw from the same Generator,
+    give the queries and secrets of the per-draw path on a Generator of the same seed."""
     tower = build_tower(params.p, params.e, params.s)
     rng, reference_rng = np.random.default_rng(0x50), np.random.default_rng(0x50)
     for _ in range(50):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hhw_pir
-from hhw_pir import cli, experiment, fields, linalg, scheme, serialization
+from hhw_pir import experiment, fields, linalg, scheme, serialization
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,10 +106,10 @@ def test_patched_rebinds_every_binding_and_restores_it(bench_scripts):
     rank, to_digits, round_size = fields.fq_rank, fields.Fq.to_digits, experiment.ROUND_SIZE
     stand_in = object()
     with benchkit.patched(fq_rank=stand_in, to_digits=stand_in, ROUND_SIZE=1):
-        assert all(module.fq_rank is stand_in for module in (hhw_pir, cli, fields, linalg, scheme, serialization))
+        assert all(module.fq_rank is stand_in for module in (hhw_pir, fields, linalg, scheme, serialization))
         assert fields.Fq.to_digits is stand_in
         assert experiment.ROUND_SIZE == 1
-    assert all(module.fq_rank is rank for module in (hhw_pir, cli, fields, linalg, scheme, serialization))
+    assert all(module.fq_rank is rank for module in (hhw_pir, fields, linalg, scheme, serialization))
     assert fields.Fq.to_digits is to_digits and experiment.ROUND_SIZE == round_size
     blow_ups = fields.Fq.blow_up, fields.FieldTower.blow_up
     with benchkit.patched(**{"FieldTower.blow_up": stand_in}):
@@ -119,6 +119,46 @@ def test_patched_rebinds_every_binding_and_restores_it(bench_scripts):
         with pytest.raises(KeyError):
             with benchkit.patched(**{unbound: stand_in}):
                 pass
+
+
+def test_perf_pairs_runs_one_short_pair():
+    """One pair of this checkout against itself: a row per end-to-end metric, and exit 1 only on a worse one."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "perf_pairs.py"), ".", ".",
+         "--pairs", "1", "--seconds", "0.1", "--workloads", "tight_sweep"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    # two 0.1 s runs differ by noise alone, so a metric may read worse than its bound
+    assert proc.returncode in (0, 1), (proc.stdout, proc.stderr)
+    rows = [line.split() for line in proc.stdout.splitlines() if line.startswith("tight_sweep")]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert [row[1] for row in rows] == [metric["name"] for metric in metrics]
+    assert all(row[-1] in ("held", "worse", "unresolved") for row in rows)  # one pair claims no gain
+    assert (proc.returncode == 1) == any(row[-1] == "worse" for row in rows)
+
+
+def test_perf_pairs_grades_each_metric_by_its_direction_and_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    grade = importlib.import_module("perf_pairs").grade
+    parent = [100.0 + i % 3 for i in range(10)]  # quartiles 100 and 101.75
+    faster = [value + 5 for value in parent]
+    assert grade(parent, faster, "higher", 0.25) == {
+        "parent_median": 101.0, "change_median": 106.0, "parent_iqr": 1.75, "won": 10, "pairs": 10, "verdict": "gain"}
+    assert grade(parent, faster, "lower", 0.25)["verdict"] == "held"  # 5% worse, inside the bound
+    assert grade(parent, faster, "lower", 0.01)["verdict"] == "worse"
+    assert grade(parent, [value * 0.7 for value in parent], "higher", 0.25)["verdict"] == "worse"
+    # eight pairs of ten, or a median ahead by no more than the parent's spread, is no gain
+    assert grade(parent, faster[:8] + parent[8:], "higher", 0.25)["verdict"] == "held"
+    assert grade(parent, [value + 1 for value in parent], "higher", 0.25)["verdict"] == "held"
+    assert grade(parent[:2], faster[:2], "higher", 0.25)["verdict"] == "held"  # too few pairs to claim
+    # a spread wider than the bound is unresolved, unless every change run beats every parent run
+    wide = [50.0, 150.0] * 5
+    assert grade(wide, [value + 10 for value in wide], "higher", 0.25)["verdict"] == "unresolved"
+    assert grade(wide, [160.0] * 10, "higher", 0.25)["verdict"] == "held"  # ahead by 60, within the spread of 100
+    split = grade(wide, [149.0] * 10, "higher", 0.25)
+    assert split["won"] == 5 and split["verdict"] == "unresolved"
+    ties = grade(parent, parent, "higher", 0.25)
+    assert ties["won"] == 0 and ties["verdict"] == "held"
 
 
 def test_machine_record_names_the_blas_build_and_threads(bench_scripts, monkeypatch):

@@ -380,6 +380,10 @@ def test_secrets_rejects_garbage_file(tmp_path, tight_params, tight_tower):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(MatrixFileError, match="not a secrets file"):
         load_secrets(path, tight_params, tight_tower)
+    # nested deeper than the decoder's recursion limit
+    path.write_text('{"format":' * 200_000 + "0" + "}" * 200_000)
+    with pytest.raises(MatrixFileError, match="cannot parse"):
+        load_secrets(path, tight_params, tight_tower)
 
 
 # Each case carries its own id (the positional one pytest gave it before the

@@ -270,4 +270,13 @@ def _log2_or_none(x: Fraction) -> float | None:
 
 
 def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    """x exactly, as "numerator/denominator" or an integer, in decimal.
+
+    Python refuses to write an int of more than sys.get_int_max_str_digits()
+    decimal digits (4300 by default), which the bounds pass at large m, such
+    as m = 100000 at the tight base; that raises BadArguments.
+    """
+    try:
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    except ValueError as exc:
+        raise BadArguments(f"an exact fraction has too many decimal digits to write: {exc}") from exc

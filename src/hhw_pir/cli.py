@@ -59,6 +59,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write a report file; a path that cannot be written raises BadArguments."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise BadArguments(f"cannot write {path}: {exc}") from exc
+
+
 def _print(doc: dict) -> None:
     print(json.dumps(doc, indent=1, allow_nan=False))
 
@@ -164,9 +172,9 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     query = serialization.load_query(args.query, params, tower)
     report = recover_index(query, params, tower)
     text = report.to_json()
-    print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_text(args.out, text + "\n")
+    print(text)
     return 0 if report.recovered_index is not None else _ATTACK_FAILED
 
 
@@ -186,10 +194,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     report = run_experiment(cfg)
     if args.out:
-        if args.format == "csv":
-            Path(args.out).write_text(report_to_csv(report))
-        else:
-            Path(args.out).write_text(report_to_json(report) + "\n")
+        _write_text(args.out, report_to_csv(report) if args.format == "csv" else report_to_json(report) + "\n")
     _print({
         "trials": report.trials,
         "successes": report.successes,

@@ -188,7 +188,12 @@ def run_trial(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
 
 def _run_round(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
                trials: list[int]) -> list[TrialRecord]:
-    """The records of ``trials``, generated and attacked as one stack."""
+    """The records of ``trials``, generated and attacked as one stack.
+
+    The trials' Generators draw their targets first and nothing after
+    generate_queries (a failed round re-seeds them through run_trial), so
+    generation may discard them (discard_rngs) and draw in fewer calls.
+    """
     seeds = [trial_seed(cfg.master_seed, t) for t in trials]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if cfg.target_policy == "uniform":
@@ -198,7 +203,7 @@ def _run_round(params: SchemeParams, tower: FieldTower, cfg: ExperimentConfig,
     start = time.perf_counter()
     generated = None
     try:
-        batch = generate_queries(params, tower, targets, rngs)
+        batch = generate_queries(params, tower, targets, rngs, discard_rngs=True)
         generated = time.perf_counter()
         outcomes = recover_index(batch.data, params, tower)
         draws = batch.draws.tolist()

@@ -1031,16 +1031,20 @@ class UniformRun:
     before anything else draws from its RNG.  Kept to that promise, the
     values read and the RNG's state once the run is read out are those of
     one call per read.
+
+    A run with ``spare`` > 0 draws that many values more in every call.
+    The values read stay the same, but the RNG ends past them, so only a
+    caller that never draws from the RNG again may pass it.
     """
 
-    def __init__(self, rng: np.random.Generator, q: int):
-        self.rng, self.q = rng, q
+    def __init__(self, rng: np.random.Generator, q: int, spare: int = 0):
+        self.rng, self.q, self.spare = rng, q, spare
         self._drawn = np.empty(0, dtype=np.int64)  # drawn, not yet read
 
     def take(self, count: int, ahead: int = 0) -> np.ndarray:
         short = count - len(self._drawn)
         if short > 0:
-            fresh = self.rng.integers(0, self.q, size=short + ahead, dtype=np.int64)
+            fresh = self.rng.integers(0, self.q, size=short + ahead + self.spare, dtype=np.int64)
             self._drawn = np.concatenate([self._drawn, fresh])
         taken, self._drawn = self._drawn[:count], self._drawn[count:]
         return taken

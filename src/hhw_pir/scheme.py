@@ -48,7 +48,12 @@ candidate, the coefficients and one selector candidate; after a
 selector candidate, nothing.  Queries, draw counts and the RNG's state
 after the call are those of one call per candidate and coefficient
 array, in fewer calls: at the tight base of the sweep, about 3.3 a
-query against 7.4.
+query against 7.4.  A caller that never draws from its Generators again
+may pass discard_rngs=True; experiment trials do.  Each call of a run
+then also draws the values of SPARE_CANDIDATES more basis and selector
+candidates, so a rejected candidate rarely costs a call: at the tight
+base, about 1.0 a query.  Queries and draw counts stay the same; only
+the discarded Generators end elsewhere.
 """
 
 from __future__ import annotations
@@ -170,6 +175,12 @@ class QuerySecrets:
     selector_block: np.ndarray  # (delta, n, s)
 
 
+# Basis and selector candidates that each call of a stream's run draws beyond what
+# the stream is certain to read, under generate_queries(discard_rngs=True).  At the
+# tight base that is 64 values, and a stream needs a second call only past 16
+# rejected candidates, w.p. 0.25% (both pass w.p. 0.375).
+SPARE_CANDIDATES = 8
+
 # The rejection-sampling phases of query generation, in draw order; each
 # counts its draws per stream in QueryBatch.draws.
 DRAW_PHASES = ("generator", "info_set", "basis", "selector")
@@ -259,7 +270,7 @@ def sample_code(params: SchemeParams, tower: FieldTower, rng: np.random.Generato
     return gens[0], columns[0]
 
 
-def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> QueryBatch:
+def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs, *, discard_rngs: bool = False) -> QueryBatch:
     """Queries for the 1-based files ``targets``, one per RNG stream in ``rngs``.
 
     Each phase draws for every pending stream and redraws only the
@@ -268,9 +279,13 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
     information set a stream reads its basis, coefficients and selector
     off one UniformRun, which leaves its RNG as one call per candidate
     and coefficient array would (see the module docstring), so a
-    Generator reused for the next query draws on unchanged.  A target
-    that is not an integer, a bool among them, raises BadArguments, and
-    one outside [1, m] raises IndexOutOfRange.
+    Generator reused for the next query draws on unchanged.  With
+    ``discard_rngs`` the caller promises never to draw from ``rngs``
+    again: each run then draws SPARE_CANDIDATES basis and selector
+    candidates more per call, which gives the same batch in fewer calls
+    but leaves the Generators past the values read.  A target that is not
+    an integer, a bool among them, raises BadArguments, and one outside
+    [1, m] raises IndexOutOfRange.
     """
     if (tower.p, tower.e, tower.s) != (params.p, params.e, params.s):
         raise DimensionMismatch(f"tower {tower} does not match params (p={params.p}, e={params.e}, s={params.s})")
@@ -287,10 +302,11 @@ def generate_queries(params: SchemeParams, tower: FieldTower, targets, rngs) -> 
     total_rows, count = params.block_rows, len(rngs)
 
     gens, info_sets, blown, code_draws = sample_codes(params, tower, rngs)
-    # an accepted basis is certainly followed by the coefficients and one selector candidate
-    runs = [UniformRun(rng, fq.q) for rng in rngs]
     coeff_count, mask_count = total_rows * k * s, total_rows * (n - k) * v
     selector_count = delta * (n - k) * (s - v)
+    spare = SPARE_CANDIDATES * (s * s + selector_count) if discard_rngs else 0
+    runs = [UniformRun(rng, fq.q, spare) for rng in rngs]
+    # an accepted basis is certainly followed by the coefficients and one selector candidate
     bases, basis_draws = sample_split_bases(tower, runs, coeff_count + mask_count + selector_count)
     all_streams = np.arange(count)[:, None]
     inside = np.zeros((count, n), dtype=bool)

@@ -16,7 +16,8 @@ Each element is the integer sum(coord_j * (p^e)^j) of its s subfield
 coordinates, stored in ceil(bitlen(p^(e*s) - 1) / 8) little-endian bytes.
 Readers reject anything malformed: wrong magic or version, composite p,
 zero dimensions, payload length mismatches, or element values outside
-[0, p^(e*s)).  Writers refuse every field a reader would reject.
+[0, p^(e*s)).  Writers refuse every field a reader would reject.  Either
+side raises MatrixFileError on a path it cannot open.
 
 Secrets travel separately as JSON so the public query file never contains
 them; the attack surface takes only the binary query.
@@ -91,7 +92,10 @@ class MatrixFileData:
 def _writable(dest: PathOrFile):
     if hasattr(dest, "write"):
         return dest, False
-    return open(dest, "wb"), True
+    try:
+        return open(dest, "wb"), True
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write matrix file: {exc}") from exc
 
 
 def _readable(src: PathOrFile):
@@ -121,7 +125,8 @@ def save_matrix(dest: PathOrFile, array: np.ndarray, p: int, e: int, s: int) -> 
 
     The field must be one load_matrix accepts (_supported_field) and the
     coordinates an integer array with entries in [0, p^e)
-    (fields.integer_array); anything else raises MatrixFileError.
+    (fields.integer_array); anything else, and a path it cannot open for
+    writing, raises MatrixFileError.
     """
     _supported_field(p, e, s)
     q = p**e
@@ -272,7 +277,7 @@ def _coords_to_lists(data: np.ndarray) -> list:
 
 
 def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemeParams) -> None:
-    """Write every field of the secrets as JSON, the information set 1-based."""
+    """Write every field of the secrets as JSON, the information set 1-based; a path it cannot write raises MatrixFileError."""
     doc = {
         "format": SECRETS_FORMAT,
         "version": SECRETS_VERSION,
@@ -284,7 +289,10 @@ def save_secrets(dest: Union[str, Path], secrets: QuerySecrets, params: SchemePa
         "generator": _coords_to_lists(secrets.generator),
         "selector_block": _coords_to_lists(secrets.selector_block),
     }
-    Path(dest).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    try:
+        Path(dest).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write secrets file: {exc}") from exc
 
 
 def _as_coord_array(obj, shape: tuple[int, ...], q: int, what: str) -> np.ndarray:

@@ -37,10 +37,11 @@ kernel: independent reference; replaced path (what it shares)
   (solve_on_columns, FieldTower.matmul, Fq.matmul, Fq.vsub, fq_inv_matrix).
 - scheme.respond: scalar_respond; concatenated_respond (_encodings,
   FieldTower.scalar_matmul).
-- scheme.generate_queries: the layers of its queries rebuilt from their
-  secrets (tests/test_scheme.py) and BATCH_PINS; per_draw_generate_queries,
-  one RNG call per candidate and per coefficient array (sample_codes,
-  redraw_rejected, residue_matmul, Fq.matmul, Fq.vadd).
+- scheme.generate_queries, by default and with discard_rngs: the layers
+  of its queries rebuilt from their secrets (tests/test_scheme.py) and
+  BATCH_PINS; per_draw_generate_queries, one RNG call per candidate and
+  per coefficient array (sample_codes, redraw_rejected, residue_matmul,
+  Fq.matmul, Fq.vadd), whose Generator states the default keeps too.
 - fields.smallest_irreducible and its stacked Rabin test _rabin:
   trial division (tests/test_fields.py) and FROZEN_MODULI;
   scalar_smallest_irreducible, Rabin's test on one candidate at a time
@@ -704,14 +705,15 @@ def concatenated_respond(db, query, params, tower: FieldTower):
     return Response(ExtMatrix(tower, tower.scalar_matmul(stacked, query.matrix.data)))
 
 
-def per_draw_generate_queries(params, tower: FieldTower, targets, rngs) -> QueryBatch:
+def per_draw_generate_queries(params, tower: FieldTower, targets, rngs, *, discard_rngs=False) -> QueryBatch:
     """scheme.generate_queries as it drew each basis candidate, coefficient array and selector candidate by its own call.
 
     Every stream draws its basis candidates, then its codeword and mask
     coefficients, then its selector candidates, each by one
     rng.integers call.  The package reads the same values off one run
     per stream (fields.UniformRun) in fewer calls.  Targets are not
-    checked.
+    checked, and discard_rngs is taken and ignored, so the path can
+    stand in for generate_queries wherever the package calls it.
     """
     fq = tower.fq
     delta, n, k, s, v = params.delta, params.n, params.k, params.s, params.v

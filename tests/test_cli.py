@@ -256,6 +256,52 @@ def test_analyze_refuses_non_positive_file_rows():
         assert err["error"]["type"] == "BadArguments" and "L=" + rows in err["error"]["message"]
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="this Python writes ints of any length")
+def test_analyze_refuses_bounds_past_the_int_digit_limit(capsys):
+    """At m = 100000 the tight base's exact bounds have more decimal digits than Python writes: both
+    formats exit 1 with a BadArguments error and print nothing."""
+    from hhw_pir import cli
+
+    for fmt in ("json", "table"):
+        assert cli.main(["analyze", "--params", TIGHT, "--m", "100000", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error["type"] == "BadArguments" and "too many decimal digits" in error["message"]
+
+
+@pytest.mark.parametrize("command, error", [
+    ("gendb", "MatrixFileError"),
+    ("query", "MatrixFileError"),
+    ("query --secrets-out", "MatrixFileError"),
+    ("respond", "MatrixFileError"),
+    ("decode", "MatrixFileError"),
+    ("attack", "BadArguments"),
+    ("experiment", "BadArguments"),
+    ("experiment --format csv", "BadArguments"),
+])
+def test_an_output_path_that_cannot_be_written_is_a_typed_error(command, error, pipeline, tmp_path, capsys):
+    """Each command given a directory to write exits 1 with a typed JSON error and prints nothing,
+    the attack's report included."""
+    from hhw_pir import cli
+
+    unwritable = str(tmp_path)
+    written = str(tmp_path / "written.hhwm")
+    argv = {
+        "gendb": ["--seed", "1", "--out", unwritable],
+        "query": ["--target", "1", "--seed", "1", "--out", unwritable],
+        "query --secrets-out": ["--target", "1", "--seed", "1", "--out", written, "--secrets-out", unwritable],
+        "respond": ["--db", pipeline["db"], "--query", pipeline["query"], "--out", unwritable],
+        "decode": ["--response", pipeline["response"], "--secrets", pipeline["secrets"], "--out", unwritable],
+        "attack": ["--query", pipeline["query"], "--out", unwritable],
+        "experiment": ["--trials", "2", "--out", unwritable],
+        "experiment --format csv": ["--trials", "2", "--format", "csv", "--out", unwritable],
+    }[command]
+    assert cli.main([command.split()[0], "--params", TIGHT, *argv]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(err)["error"]
+    assert out == "" and doc["type"] == error and "Is a directory" in doc["message"]
+
+
 def test_query_rejects_out_of_range_target(tmp_path):
     out = str(tmp_path / "q.hhwm")
     proc = run_cli("query", "--params", TIGHT, "--target", "7", "--out", out, expect=1)

@@ -863,6 +863,18 @@ def test_uniform_run_draws_only_when_short_and_then_the_promised_values_ahead():
     assert counting.rng.bit_generator.state == plain.bit_generator.state
 
 
+def test_uniform_run_with_spare_values_draws_them_in_every_call_and_reads_the_same_values():
+    """spare adds that many values to every call; the values read are those of a run without it."""
+    reads = [(4, 20), (4, 20), (4, 20), (24, 4), (4, 0), (4, 0), (30, 0)]
+    counting = _CountingRng(7)
+    run = UniformRun(counting, 3, spare=10)
+    got = [run.take(count, ahead) for count, ahead in reads]
+    assert counting.sizes == [34, 16, 34]
+    plain = UniformRun(np.random.default_rng(7), 3)
+    for (count, ahead), values in zip(reads, got):
+        assert np.array_equal(values, plain.take(count, ahead))
+
+
 # -- basis splits ----------------------------------------------------------------------
 
 

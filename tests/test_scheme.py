@@ -442,6 +442,46 @@ def test_consecutive_queries_on_one_generator_match_the_per_draw_path(params):
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("params", FIXTURES, ids=FIXTURE_IDS)
+def test_discarding_generation_matches_the_per_draw_path(params):
+    """With discard_rngs, 1000 seeded streams give the queries, secrets and draws of the per-draw
+    path all the same.  The Generators' states are not compared: the runs draw spare values past
+    what the streams read."""
+    tower = build_tower(params.p, params.e, params.s)
+    for start in range(0, GENERATION_STREAMS, 250):
+        seeds = range(start, start + 250)
+        targets = [1 + i % params.m for i in seeds]
+        runs, draws = ([np.random.default_rng([0xD15, i]) for i in seeds] for _ in range(2))
+        batch = generate_queries(params, tower, targets, runs, discard_rngs=True)
+        reference = per_draw_generate_queries(params, tower, targets, draws)
+        for field in dataclasses.fields(batch):
+            assert np.array_equal(getattr(batch, field.name), getattr(reference, field.name)), field.name
+
+
+class _RunCallCountingRng:
+    """A Generator that counts its integers calls of an int size, the only calls UniformRun makes."""
+
+    def __init__(self, seed):
+        self.rng, self.run_calls = np.random.default_rng(seed), 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        self.run_calls += isinstance(size, int)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+
+def test_discarding_generation_takes_about_one_run_call_a_stream(tight_params, tight_tower):
+    """At the tight base a stream's run needs a second call only past SPARE_CANDIDATES * 2 rejected
+    basis and selector candidates (w.p. 0.25%), so 1000 seeded streams average at most 1.05 calls."""
+    rngs = [_RunCallCountingRng([0xCA11, i]) for i in range(GENERATION_STREAMS)]
+    for start in range(0, GENERATION_STREAMS, 250):
+        streams = rngs[start : start + 250]
+        generate_queries(tight_params, tight_tower, [1] * len(streams), streams, discard_rngs=True)
+    assert sum(rng.run_calls for rng in rngs) / len(rngs) <= 1.05
+
+
 # -- responding -------------------------------------------------------------------
 
 

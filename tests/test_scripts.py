@@ -41,6 +41,7 @@ def shape(value):
         ["bench_echelon.py", "--calls", "1", "--queries", "1", "--repeats", "1"],
         ["bench_towers.py", "--calls", "1", "--repeats", "1"],
         ["bench_draws.py", "--sweeps", "1", "--queries", "2", "--repeats", "1"],
+        ["bench_streams.py", "--sweeps", "1", "--sweep-trials", "20", "--trials", "2", "--repeats", "1"],
     ],
     ids=lambda argv: argv[0],
 )
